@@ -2,7 +2,7 @@
 
 The host pool survives worker crashes, hangs and exceptions by retrying
 the failed unit once on a fresh pool and, if that also fails, running it
-serially on the coordinator (see ``repro.host.pool.HostExecutor``). The
+serially on the coordinator (see ``repro.host.executor.HostExecutor``). The
 recording is bit-identical either way; the only price is wall-clock
 time. This bench measures that price for ``record --jobs 4``:
 

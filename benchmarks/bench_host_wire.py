@@ -55,12 +55,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.baselines import run_native  # noqa: E402
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer  # noqa: E402
-from repro.host.pool import UnitDispatch, shutdown_shared_pool  # noqa: E402
+from repro.host.pool import shutdown_shared_pool  # noqa: E402
 from repro.host.wire import (  # noqa: E402
     replay_units_for_recording,
     signal_slice,
     syscall_slice,
 )
+from repro.host.worker import UnitDispatch  # noqa: E402
 from repro.machine.config import MachineConfig  # noqa: E402
 from repro.memory.blob import blob_digest, encode_object  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402

@@ -21,7 +21,7 @@ def default_unit_timeout() -> float:
     """Per-unit host timeout: ``REPRO_UNIT_TIMEOUT`` seconds, else 60.
 
     This is the hang-containment budget for host worker processes
-    (:mod:`repro.host.pool`); 0 disables hang detection. It lives here —
+    (:mod:`repro.host.executor`); 0 disables hang detection. It lives here —
     not in the host layer — so building a config never imports the host
     package (``host_jobs=1`` must stay import-free of it).
     """

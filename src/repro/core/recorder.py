@@ -249,6 +249,38 @@ class DoublePlayRecorder:
         return True
 
     # ------------------------------------------------------------------
+    def _commit_epoch(
+        self, recording, sink, index, start_cp, end_cp, outcome,
+        syscall_log, signal_log, recovered=False,
+    ) -> None:
+        """Fold one epoch into the recording, the durable sink, the journal.
+
+        ``outcome`` is the epoch's clean ``EpochRunResult`` or, after a
+        divergence, its ``RecoveryResult``; ``end_cp`` the checkpoint it
+        ended at.
+        """
+        record = EpochRecord(
+            index=index,
+            start_checkpoint=start_cp,
+            targets=end_cp.targets(),
+            schedule=outcome.schedule,
+            # Store the grant order the committed run actually used —
+            # replay pins its decisions from this, not from the raw hints.
+            sync_log=outcome.committed_sync,
+            end_digest=outcome.end_digest,
+            duration=outcome.duration,
+            recovered=recovered,
+        )
+        recording.epochs.append(record)
+        if sink is not None:
+            sink.commit_epoch(record, start_cp, end_cp, syscall_log, signal_log)
+            if self.config.log_spill:
+                record.spill()
+        obs_events.emit(
+            "epoch-commit", epoch=index, cycles=outcome.duration,
+            **({"recovered": True} if recovered else {}),
+        )
+
     def record(self) -> RecordResult:
         """Record one run; the durable sink never leaks on a crash.
 
@@ -320,7 +352,7 @@ class DoublePlayRecorder:
         if host_jobs > 1:
             # Imported lazily: jobs=1 (the default) never touches the
             # host-parallelism layer at all.
-            from repro.host.pool import HostExecutor
+            from repro.host.executor import HostExecutor, SpeculativeSession
 
             executor = HostExecutor(
                 host_jobs,
@@ -369,9 +401,7 @@ class DoublePlayRecorder:
             hint_marks: List[int] = [0]
             session = None
             if executor is not None and pipelined_commit_enabled():
-                session = executor.speculative_session(
-                    self.program, self.machine
-                )
+                session = SpeculativeSession(executor, self.program, self.machine)
             #: speculated position -> (hint cut, syscall cut, signal cut)
             spec_cuts: Dict[int, tuple] = {}
 
@@ -488,32 +518,12 @@ class DoublePlayRecorder:
                     with obs_spans.span(
                         "commit", obs_spans.CAT_COMMIT, epoch=epoch_index
                     ):
-                        record = EpochRecord(
-                            index=epoch_index,
-                            start_checkpoint=start_cp,
-                            targets=end_cp.targets(),
-                            schedule=result.schedule,
-                            # Store the grant order the committed run
-                            # actually used — replay pins its decisions
-                            # from this, not from the raw hints.
-                            sync_log=result.committed_sync,
-                            end_digest=result.end_digest,
-                            duration=result.duration,
+                        self._commit_epoch(
+                            recording, sink, epoch_index, start_cp, end_cp,
+                            result, syscall_log, signal_log,
                         )
-                        recording.epochs.append(record)
-                        if sink is not None:
-                            sink.commit_epoch(
-                                record, start_cp, end_cp,
-                                syscall_log, signal_log,
-                            )
-                            if config.log_spill:
-                                record.spill()
                     obs_histo.observe(
                         "commit_wall_s", time.perf_counter() - commit_started
-                    )
-                    obs_events.emit(
-                        "epoch-commit", epoch=epoch_index,
-                        cycles=result.duration,
                     )
                     committed = end_cp
                     epoch_index += 1
@@ -558,27 +568,9 @@ class DoublePlayRecorder:
                 obs_events.emit(
                     "recovery", epoch=epoch_index, cycles=recovery.duration
                 )
-                record = EpochRecord(
-                    index=epoch_index,
-                    start_checkpoint=start_cp,
-                    targets=recovery.committed.targets(),
-                    schedule=recovery.schedule,
-                    sync_log=recovery.committed_sync,
-                    end_digest=recovery.end_digest,
-                    duration=recovery.duration,
-                    recovered=True,
-                )
-                recording.epochs.append(record)
-                if sink is not None:
-                    sink.commit_epoch(
-                        record, start_cp, recovery.committed,
-                        syscall_log, signal_log,
-                    )
-                    if config.log_spill:
-                        record.spill()
-                obs_events.emit(
-                    "epoch-commit", epoch=epoch_index,
-                    cycles=recovery.duration, recovered=True,
+                self._commit_epoch(
+                    recording, sink, epoch_index, start_cp, recovery.committed,
+                    recovery, syscall_log, signal_log, recovered=True,
                 )
                 committed = recovery.committed
                 epoch_index += 1

@@ -17,7 +17,7 @@ Forward recovery handles *guest* divergence — a data race resolving
 differently across the two executions. *Host* failures (a worker process
 crashing or hanging while it re-executes an epoch) are a different layer
 with the same disposability insight: the epoch attempt is discarded and
-re-run, by :class:`repro.host.pool.HostExecutor`'s retry-then-serial
+re-run, by :class:`repro.host.executor.HostExecutor`'s retry-then-serial
 containment. The two compose — a recovered epoch is always executed on
 the coordinator (it needs a live kernel), so host fault containment can
 never interleave with, or corrupt, a forward recovery.

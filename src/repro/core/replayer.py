@@ -31,49 +31,60 @@ from repro.exec.services import InjectedSyscalls
 from repro.exec.uniprocessor import UniprocessorEngine
 from repro.isa.program import ProgramImage
 from repro.machine.config import MachineConfig
-from repro.memory.address_space import AddressSpace
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import RunMetrics
-from repro.oskernel.sync import SyncManager
 from repro.record.recording import EpochRecord, Recording
-from repro.record.sync_log import SyncOrderLog, SyncOrderOracle
+from repro.record.sync_log import SyncOrderOracle
 
 
-def replay_epoch_unit(program, machine, unit, start, syscalls, signals):
-    """Replay one packaged epoch (``repro.host.wire.ReplayEpochUnit``).
+def run_replay_epoch(
+    program,
+    machine,
+    index,
+    start,
+    targets,
+    schedule,
+    sync_log,
+    end_digest,
+    syscalls,
+    signals,
+):
+    """Replay one committed epoch from its start checkpoint.
 
-    Runs in worker processes; mirrors ``Replayer._epoch_engine`` +
-    ``_verify`` exactly so serial and process-parallel replays reach
-    identical verdicts and cycle counts. The heavy inputs — the hydrated
-    ``start`` checkpoint and the shared syscall/signal logs — arrive
-    separately from the unit skeleton: the caller resolves them through
-    its blob cache (worker) or the unit's ``_local`` shortcuts
-    (coordinator serial fallback). Returns ``(cycles, failure)``.
+    The one engine set-up → run → verify → count routine behind every
+    per-epoch replay: ``Replayer.replay_epoch``, serial
+    ``replay_parallel`` and the host layer's replay units (worker or
+    coordinator serial fallback) all call it, so they reach identical
+    verdicts and cycle counts by construction. Returns
+    ``(cycles, failure)``.
     """
-    injector = InjectedSyscalls(syscalls)
     engine = UniprocessorEngine.from_checkpoint(
         program,
         machine,
-        injector,
+        InjectedSyscalls(syscalls),
         memory_snapshot=start.memory,
         contexts=start.copy_contexts(),
         sync_state=start.sync_state,
-        targets=dict(unit.targets),
+        targets=dict(targets),
         wake_blocked_io=True,
-        name=f"{program.name}/replay{unit.epoch_index}",
+        name=f"{program.name}/replay{index}",
     )
-    engine.sync.oracle = SyncOrderOracle(SyncOrderLog(unit.sync_events))
+    engine.sync.oracle = SyncOrderOracle(sync_log)
     engine.install_signal_records(signals)
-    engine.run_schedule(unit.schedule)
-    failure = None
-    if engine.state_digest() != unit.end_digest:
-        failure = ReplayFailure(
-            message="replayed to a different state (digest mismatch)",
-            epoch=unit.epoch_index,
-        )
+    engine.run_schedule(schedule)
+    failure = _verify(engine, index, end_digest)
     _count_replayed_epoch(engine.time, failure)
     return engine.time, failure
+
+
+def _verify(engine, index, end_digest) -> Optional[ReplayFailure]:
+    if engine.state_digest() != end_digest:
+        return ReplayFailure(
+            message="replayed to a different state (digest mismatch)",
+            epoch=index,
+        )
+    return None
 
 
 def _count_replayed_epoch(cycles: int, failure) -> None:
@@ -139,58 +150,40 @@ class Replayer:
         self.machine = machine
 
     # ------------------------------------------------------------------
-    def _epoch_engine(
-        self, recording: Recording, epoch: EpochRecord
-    ) -> UniprocessorEngine:
+    def _replay_one(self, recording: Recording, epoch: EpochRecord):
         start = epoch.start_checkpoint
         if start is None:
             raise ReplayError(
                 f"epoch {epoch.index} has no materialised checkpoint; "
                 "run materialize_checkpoints() or replay sequentially"
             )
-        injector = InjectedSyscalls(recording.syscalls_for_epochs())
-        engine = UniprocessorEngine.from_checkpoint(
-            self.program,
-            self.machine,
-            injector,
-            memory_snapshot=start.memory,
-            contexts=start.copy_contexts(),
-            sync_state=start.sync_state,
-            targets=dict(epoch.targets),
-            wake_blocked_io=True,
-            name=f"{self.program.name}/replay{epoch.index}",
-        )
-        engine.sync.oracle = SyncOrderOracle(epoch.sync_log)
-        engine.install_signal_records(recording.signal_records)
-        return engine
-
-    @staticmethod
-    def _verify(
-        engine: UniprocessorEngine, epoch: EpochRecord
-    ) -> Optional[ReplayFailure]:
-        if engine.state_digest() != epoch.end_digest:
-            return ReplayFailure(
-                message="replayed to a different state (digest mismatch)",
-                epoch=epoch.index,
+        with obs_spans.span(
+            "execute", obs_spans.CAT_EPOCH, epoch=epoch.index, kind="replay"
+        ):
+            return run_replay_epoch(
+                self.program,
+                self.machine,
+                epoch.index,
+                start,
+                epoch.targets,
+                epoch.schedule,
+                epoch.sync_log,
+                epoch.end_digest,
+                recording.syscalls_for_epochs(),
+                recording.signal_records,
             )
-        return None
 
     # ------------------------------------------------------------------
     def replay_epoch(self, recording: Recording, index: int) -> ReplayResult:
         """Replay one epoch from its checkpoint and verify its end state."""
         baseline = obs_metrics.process_stats().snapshot()
-        epoch = self._find_epoch(recording, index)
-        engine = self._epoch_engine(recording, epoch)
-        with obs_spans.span(
-            "execute", obs_spans.CAT_EPOCH, epoch=epoch.index, kind="replay"
-        ):
-            engine.run_schedule(epoch.schedule)
-        failure = self._verify(engine, epoch)
-        _count_replayed_epoch(engine.time, failure)
+        cycles, failure = self._replay_one(
+            recording, self._find_epoch(recording, index)
+        )
         return ReplayResult(
             verified=failure is None,
-            total_cycles=engine.time,
-            makespan=engine.time,
+            total_cycles=cycles,
+            makespan=cycles,
             epochs_replayed=1,
             workers=1,
             details=[failure] if failure else [],
@@ -221,7 +214,7 @@ class Replayer:
 
         Host worker failures are contained per epoch (retry once on a
         fresh pool, then in-coordinator serial execution — see
-        :mod:`repro.host.pool`), so the replay always completes with the
+        :mod:`repro.host.executor`), so the replay always completes with the
         serial verdict; ``unit_timeout`` bounds a hung worker's unit in
         wall-clock seconds (None = the ``REPRO_UNIT_TIMEOUT`` default,
         0 disables). Containment counters land in ``host["faults"]``.
@@ -229,14 +222,12 @@ class Replayer:
         ``dispatcher`` overrides the executor's submission path (the
         service layer's per-session fleet handle) and ``fault_specs``
         scopes fault injection to this replay (see
-        :class:`repro.host.pool.HostExecutor`).
+        :class:`repro.host.executor.HostExecutor`).
         """
         baseline = obs_metrics.process_stats().snapshot()
-        durations: List[int] = []
-        details: List[ReplayFailure] = []
         host: Dict[str, object] = {"jobs": 1}
         if jobs > 1 and len(recording.epochs) > 1:
-            from repro.host.pool import HostExecutor
+            from repro.host.executor import HostExecutor
             from repro.host.wire import replay_units_for_recording
 
             batch = replay_units_for_recording(recording)
@@ -247,24 +238,14 @@ class Replayer:
                 fault_specs=fault_specs,
             )
             outcomes = executor.run_replay_units(self.program, self.machine, batch)
-            for _, cycles, failure in outcomes:
-                if failure:
-                    details.append(failure)
-                durations.append(cycles + self.machine.costs.restore_base)
             host = executor.timing_summary()
         else:
-            for epoch in recording.epochs:
-                engine = self._epoch_engine(recording, epoch)
-                with obs_spans.span(
-                    "execute", obs_spans.CAT_EPOCH,
-                    epoch=epoch.index, kind="replay",
-                ):
-                    engine.run_schedule(epoch.schedule)
-                failure = self._verify(engine, epoch)
-                _count_replayed_epoch(engine.time, failure)
-                if failure:
-                    details.append(failure)
-                durations.append(engine.time + self.machine.costs.restore_base)
+            outcomes = [
+                self._replay_one(recording, epoch) for epoch in recording.epochs
+            ]
+        details = [failure for _, failure in outcomes if failure]
+        restore = self.machine.costs.restore_base
+        durations = [cycles + restore for cycles, _ in outcomes]
         pool = workers or max(len(durations), 1)
         timings = [
             EpochTiming(index=i, ready_time=0, boundary_time=0, duration=d)
@@ -292,20 +273,7 @@ class Replayer:
 
     def replay_sequential(self, recording: Recording) -> ReplayResult:
         """Replay the whole execution on one engine, epoch by epoch."""
-        initial = recording.initial_checkpoint
-        injector = InjectedSyscalls(recording.syscalls_for_epochs())
-        engine = UniprocessorEngine.from_checkpoint(
-            self.program,
-            self.machine,
-            injector,
-            memory_snapshot=initial.memory,
-            contexts=initial.copy_contexts(),
-            sync_state=initial.sync_state,
-            targets=None,
-            wake_blocked_io=True,
-            name=f"{self.program.name}/seqreplay",
-        )
-        engine.install_signal_records(recording.signal_records)
+        engine = self._whole_run_engine(recording, "seqreplay")
         baseline = obs_metrics.process_stats().snapshot()
         details: List[ReplayFailure] = []
         for epoch in recording.epochs:
@@ -316,7 +284,7 @@ class Replayer:
                 epoch=epoch.index, kind="replay-seq",
             ):
                 engine.run_schedule(epoch.schedule)
-            failure = self._verify(engine, epoch)
+            failure = _verify(engine, epoch.index, epoch.end_digest)
             # The engine runs continuously, so the per-epoch cycle count
             # is the delta (fresh-engine strategies count engine.time).
             _count_replayed_epoch(engine.time - epoch_start_time, failure)
@@ -346,20 +314,7 @@ class Replayer:
         the in-memory checkpoints so :meth:`replay_parallel` and
         :meth:`replay_epoch` work on them.
         """
-        initial = recording.initial_checkpoint
-        injector = InjectedSyscalls(recording.syscalls_for_epochs())
-        engine = UniprocessorEngine.from_checkpoint(
-            self.program,
-            self.machine,
-            injector,
-            memory_snapshot=initial.memory,
-            contexts=initial.copy_contexts(),
-            sync_state=initial.sync_state,
-            targets=None,
-            wake_blocked_io=True,
-            name=f"{self.program.name}/materialize",
-        )
-        engine.install_signal_records(recording.signal_records)
+        engine = self._whole_run_engine(recording, "materialize")
         for epoch in recording.epochs:
             epoch.start_checkpoint = Checkpoint(
                 index=epoch.index,
@@ -375,6 +330,23 @@ class Replayer:
                     f"cannot materialise checkpoints: epoch {epoch.index} "
                     "digest mismatch"
                 )
+
+    def _whole_run_engine(self, recording: Recording, role: str):
+        """One engine at the recording's initial state, to run every epoch on."""
+        initial = recording.initial_checkpoint
+        engine = UniprocessorEngine.from_checkpoint(
+            self.program,
+            self.machine,
+            InjectedSyscalls(recording.syscalls_for_epochs()),
+            memory_snapshot=initial.memory,
+            contexts=initial.copy_contexts(),
+            sync_state=initial.sync_state,
+            targets=None,
+            wake_blocked_io=True,
+            name=f"{self.program.name}/{role}",
+        )
+        engine.install_signal_records(recording.signal_records)
+        return engine
 
     @staticmethod
     def _swap_oracle(engine: UniprocessorEngine, epoch: EpochRecord) -> None:

@@ -42,8 +42,7 @@ The fused table is cached on ``ProgramImage.__dict__`` beside the
 ``_decoded`` table, keyed by the (frozen, hashable) cost model; like
 ``_decoded`` it is stripped by ``ProgramImage.__getstate__`` and rebuilt
 lazily in worker processes. ``REPRO_SUPERBLOCKS=0`` disables fusion
-entirely; ``REPRO_SUPERBLOCK_THRESHOLD`` sets how many times a block
-head must be reached before the block is compiled (default 4 — cold
+entirely; a block is compiled the fourth time its head is reached (cold
 blocks never pay compilation).
 """
 
@@ -62,17 +61,27 @@ _SIGN = 1 << 63
 _WRAP = 1 << 64
 
 
+#: block-head executions before a block is compiled
+_COMPILE_THRESHOLD = 4
+
+#: the coordinator's fusion switch as carried on the last dispatch this
+#: pool worker ran (None everywhere else: follow the environment). A warm
+#: worker must honour the caller's setting, not the environment it was
+#: spawned with.
+_dispatched: Optional[bool] = None
+
+
 def enabled() -> bool:
     """Is superblock fusion on? (``REPRO_SUPERBLOCKS=0`` disables.)"""
+    if _dispatched is not None:
+        return _dispatched
     return os.environ.get("REPRO_SUPERBLOCKS", "1") != "0"
 
 
-def compile_threshold() -> int:
-    """Block-head executions before a block is compiled."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SUPERBLOCK_THRESHOLD", "4")))
-    except ValueError:
-        return 4
+def apply_dispatched(flag: bool) -> None:
+    """Worker side: adopt the switch the coordinator resolved."""
+    global _dispatched
+    _dispatched = flag
 
 
 class BlockSite:
@@ -132,9 +141,8 @@ def table_for(program, costs) -> Optional[list]:
 
 def _build_table(program, costs) -> list:
     table: list = [None] * len(program.code)
-    threshold = compile_threshold()
     for start, instrs in discover_blocks(program.code).items():
-        table[start] = BlockSite(start, instrs, costs, threshold)
+        table[start] = BlockSite(start, instrs, costs, _COMPILE_THRESHOLD)
     return table
 
 

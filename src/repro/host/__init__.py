@@ -4,9 +4,11 @@ DoublePlay's epoch-parallel executions are deterministic functions of
 their start checkpoints and logs, so they are independent not just in
 simulated time but on real host cores. This package ships self-contained
 epoch work units (:mod:`repro.host.wire`) to a spawn-safe process pool
-(:mod:`repro.host.pool`) and merges the results in order on the
-coordinator. ``jobs=1`` everywhere means "don't import any of this" —
-the serial code paths in :mod:`repro.core` are untouched.
+(:mod:`repro.host.pool` owns its lifecycle), runs each in a worker
+through one routine (:mod:`repro.host.worker`), and dispatches, contains
+and merges them in order on the coordinator
+(:mod:`repro.host.executor`). ``jobs=1`` everywhere means "don't import
+any of this" — the serial code paths in :mod:`repro.core` are untouched.
 
 The wire is content-addressed (:mod:`repro.memory.blob`): units are
 skeletons referencing shared blobs by digest, workers keep byte-budgeted
@@ -23,51 +25,3 @@ deterministically testable via ``REPRO_FAULT``; a worker's blob-cache
 miss is likewise structured (``NeedBlobs`` → full re-dispatch), never an
 error.
 """
-
-from repro.host.blobs import BlobCache, WorkerCacheTracker, blob_cache_capacity
-from repro.host.faults import FaultSpec, active_faults, parse_fault_specs
-from repro.host.pool import (
-    HostExecutor,
-    UnitDispatch,
-    invalidate_shared_pool,
-    shared_pool,
-    shutdown_shared_pool,
-)
-from repro.host.wire import (
-    BlobRef,
-    NeedBlobs,
-    RecordEpochUnit,
-    ReplayEpochUnit,
-    ThreadLogIndex,
-    UnitBatch,
-    UnitTiming,
-    record_units_for_segment,
-    replay_units_for_recording,
-    signal_slice,
-    syscall_slice,
-)
-
-__all__ = [
-    "BlobCache",
-    "BlobRef",
-    "FaultSpec",
-    "HostExecutor",
-    "NeedBlobs",
-    "RecordEpochUnit",
-    "ReplayEpochUnit",
-    "ThreadLogIndex",
-    "UnitBatch",
-    "UnitDispatch",
-    "UnitTiming",
-    "WorkerCacheTracker",
-    "active_faults",
-    "blob_cache_capacity",
-    "invalidate_shared_pool",
-    "parse_fault_specs",
-    "record_units_for_segment",
-    "replay_units_for_recording",
-    "shared_pool",
-    "shutdown_shared_pool",
-    "signal_slice",
-    "syscall_slice",
-]

@@ -63,7 +63,7 @@ def decode_blob_object(blob: bytes):
 class BlobCache:
     """Byte-budgeted LRU of decoded wire objects, keyed by digest.
 
-    Lives once per worker process (module global in ``repro.host.pool``)
+    Lives once per worker process (memoised in ``repro.host.worker``)
     and once in the coordinator for its serial-fallback-free bookkeeping
     tests. Pages stored here are shared into hydrated snapshots by
     reference; the hydration pin (``refs += 1`` per table entry) plus the

@@ -1,0 +1,761 @@
+"""The coordinator side: dispatch, containment and ordered merge of units.
+
+``HostExecutor`` runs epoch work units on a pool of worker processes.
+Every unit — batch, NeedBlobs resend, speculative push, under the
+direct pool or a service fleet — takes one path:
+:meth:`HostExecutor._dispatch` puts it in a pool,
+:func:`~repro.host.worker.run_unit` executes it there,
+:meth:`HostExecutor._settle` folds the answer into the cache mirror; a
+unit the pool cannot finish runs through
+:func:`~repro.host.worker.run_unit_serial` on the coordinator.
+
+Protocol per batch: build dispatches lazily inside a bounded submission
+window (about two per worker — blobs are encoded and shipped only for
+units that will actually run), consume results strictly in position
+order (the merge on the coordinator is therefore deterministic
+regardless of completion order), and on the first divergence cancel
+everything not yet started — epochs after a divergence belong to an
+abandoned thread-parallel future and their results would be discarded
+anyway. A worker that is already mid-epoch runs to completion
+harmlessly; its result is dropped.
+
+**The content-addressed wire, coordinator side.** The coordinator
+mirrors every worker's blob cache in the module-level
+:class:`~repro.host.blobs.WorkerCacheTracker` of :mod:`repro.host.pool`.
+The pool gives no control over which worker pops a unit, so a blob is
+omitted only when *every* live worker holds it; the tracker is advisory
+— a ``NeedBlobs`` answer re-dispatches the unit with its full blob set
+(capped, then treated as a task error and contained like any other). In
+steady state a unit ships its skeleton plus the epoch's dirty pages,
+nothing else.
+
+**Fault containment.** A failed epoch-parallel attempt is disposable by
+design — that is the paper's core insight — so host faults are treated
+the same way a guest divergence is: contain, re-execute, keep going.
+Three failure classes, one policy (per unit: retry once on a fresh pool,
+then fall back to in-coordinator serial execution):
+
+* **crash** — a worker process died; ``concurrent.futures`` breaks the
+  whole pool, so surviving results are harvested out of their futures,
+  the pool is rebuilt, and unfinished units are resubmitted. The crash
+  is attributed to the unit the coordinator was waiting on; collateral
+  victims are resubmitted without blame (they may occasionally burn an
+  attempt of their own — that costs parallelism, never correctness).
+* **timeout** — a unit exceeded the per-unit wall-clock budget
+  (``unit_timeout``, default ``REPRO_UNIT_TIMEOUT`` or 60 s; 0
+  disables). The hung worker cannot be recalled, so the pool's processes
+  are terminated and the pool rebuilt.
+* **task error** — the unit raised inside the worker and came home as a
+  structured :class:`~repro.errors.WorkerTaskError` result, so the pool
+  stays healthy. A deterministic guest error reproduces during the
+  serial fallback and is re-raised there.
+
+Because epoch execution is a deterministic function of the checkpoints
+and logs, and the serial fallback runs the identical pure function in
+the coordinator, every recording and replay verdict is bit-identical to
+``jobs=1`` no matter which workers crashed, hung, raised, or missed
+their caches along the way. Faults and cache traffic change only
+wall-clock time and the host accounting (``timing_summary()["faults"]``
+/ ``["wire"]``), which is surfaced on ``RecordResult.host`` /
+``ReplayResult.host`` and never stored in a recording.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+import time
+from concurrent.futures import TimeoutError as FutureTimeout
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.core.config import default_unit_timeout
+from repro.core.epoch_runner import EpochRunResult
+from repro.errors import (
+    HostPoolError,
+    WorkerCrashError,
+    WorkerTaskError,
+    WorkerTimeoutError,
+)
+from repro.exec import superblock
+from repro.host import faults as fault_injection
+from repro.host.pool import (
+    _cache_tracker,
+    _pool_pids,
+    invalidate_shared_pool,
+    shared_pool,
+)
+from repro.host.wire import NeedBlobs, UnitBatch, UnitTiming
+from repro.host.worker import UnitDispatch, run_unit, run_unit_serial
+from repro.memory.blob import blob_digest, encode_object
+from repro.obs import events as obs_events
+from repro.obs import histo as obs_histo
+from repro.obs import metrics as obs_metrics
+from repro.obs import spans as obs_spans
+
+#: pool attempts per unit before the serial fallback (initial + 1 retry)
+_POOL_ATTEMPTS = 2
+
+#: full-blob-set re-dispatches per unit before a NeedBlobs answer is
+#: treated as a task error (a full dispatch is self-sufficient — the
+#: worker can always hydrate straight from it — so one resend suffices
+#: unless something is genuinely wrong)
+_BLOB_RESEND_LIMIT = 2
+
+_COUNTER_BY_KIND = {
+    "crash": "crashes",
+    "timeout": "timeouts",
+    "task-error": "task_errors",
+}
+
+
+@dataclass
+class _Batch:
+    """Coordinator-side state of one in-flight unit batch."""
+
+    #: "record" or "replay": scopes fault specs and labels unit timings
+    kind: str
+    program: object
+    machine: object
+    program_digest: int
+    #: every blob any unit references, keyed by digest
+    blobs: Dict[int, bytes]
+    fault_specs: Tuple = ()
+    units: List[object] = field(default_factory=list)
+    #: per-index wire accounting, accumulated across re-dispatches
+    bytes_shipped: List[int] = field(default_factory=list)
+    blobs_sent: List[int] = field(default_factory=list)
+    #: per-index digest set of the most recent dispatch's blobs
+    last_shipped: List[Set[int]] = field(default_factory=list)
+
+    def _add_unit(self, unit) -> int:
+        """Stamp the unit's fault specs and give it a slot; its index."""
+        unit.faults = fault_injection.faults_for(
+            self.fault_specs, self.kind, unit.position
+        )
+        self.units.append(unit)
+        self.bytes_shipped.append(0)
+        self.blobs_sent.append(0)
+        self.last_shipped.append(set())
+        return len(self.units) - 1
+
+
+class _DirectDispatcher:
+    """The default submission path: the coordinator-wide shared pool.
+
+    This is the seam the service layer replaces: a dispatcher owns *where*
+    a built dispatch goes (``submit``), which workers it may assume hold
+    cached blobs (``pids``), and what abandoning a suspect pool means
+    (``abandon``). A fleet dispatcher (``repro.service``) routes the same
+    calls through per-session queues into one multiplexed pool.
+    """
+
+    def __init__(self, jobs: int):
+        self._jobs = jobs
+
+    def warm(self) -> None:
+        """Bring the pool up (speculative sessions warm off-thread)."""
+        shared_pool(self._jobs)
+
+    def pids(self) -> List[int]:
+        return _pool_pids(shared_pool(self._jobs))
+
+    def submit(self, fn, dispatch: UnitDispatch):
+        return shared_pool(self._jobs).submit(fn, dispatch)
+
+    def abandon(self, kill: bool) -> None:
+        """After a crash/timeout: drop the pool; the next call rebuilds."""
+        invalidate_shared_pool(kill=kill)
+
+
+class HostExecutor:
+    """Runs epoch work units on a pool of worker processes.
+
+    ``unit_timeout`` is the per-unit wall-clock budget in seconds (None =
+    the ``REPRO_UNIT_TIMEOUT`` env default of 60; 0 disables hang
+    detection).
+
+    ``dispatcher`` overrides the submission path (see
+    :class:`_DirectDispatcher`); the service layer injects a per-session
+    fleet dispatcher here so many concurrent sessions share one pool
+    with fair-share scheduling and bounded backpressure. ``fault_specs``
+    overrides the ``REPRO_FAULT`` env with an explicit per-executor
+    directive string (or pre-parsed spec tuple) — the service scopes
+    injected faults to a single tenant this way.
+    """
+
+    def __init__(self, jobs: int, unit_timeout=None, dispatcher=None, fault_specs=None):
+        self.jobs = max(1, int(jobs))
+        self.unit_timeout = (
+            default_unit_timeout()
+            if unit_timeout is None
+            else max(0.0, float(unit_timeout))
+        )
+        if fault_specs is None:
+            self._fault_specs = fault_injection.active_faults()
+        elif isinstance(fault_specs, str):
+            self._fault_specs = fault_injection.parse_fault_specs(
+                fault_specs, os.environ.get("REPRO_FAULT_STATE", "")
+            )
+        else:
+            self._fault_specs = tuple(fault_specs)
+        #: the fusion switch, resolved once here and carried on every
+        #: dispatch (workers must not consult their spawn-time env)
+        self._superblocks = superblock.enabled()
+        self._dispatch_path = (
+            dispatcher if dispatcher is not None else _DirectDispatcher(self.jobs)
+        )
+        #: optional dispatcher hook observing each dispatch's shipped and
+        #: cache-omitted blob bytes (the fleet's cross-session dedup
+        #: accounting); None (the direct default) costs nothing.
+        self._wire_observer = getattr(self._dispatch_path, "note_dispatch", None)
+        #: (program object, digest, blob) of the last program shipped
+        self._program_blob: Optional[Tuple[object, int, bytes]] = None
+        #: per-unit worker timings, in merge order: (kind, position,
+        #: UnitTiming). Serial-fallback units record coordinator timings
+        #: under "<kind>-serial".
+        self.unit_timings: List[Tuple[str, int, UnitTiming]] = []
+        #: coordinator seconds spent building + submitting dispatches
+        self.dispatch_wall = 0.0
+        #: same work measured on the dispatching thread's CPU clock —
+        #: wall inflates under timesharing (workers compete for cores
+        #: while the coordinator builds dispatches), so models of an
+        #: uncontended host should use this instead
+        self.dispatch_cpu = 0.0
+        #: containment counters (crashes, timeouts, task_errors, retries,
+        #: serial_fallbacks) — surfaced via ``timing_summary()``
+        self.counters: Dict[str, int] = dict.fromkeys(
+            ("crashes", "timeouts", "task_errors", "retries", "serial_fallbacks"),
+            0,
+        )
+        #: one entry per observed failure: kind, position, attempt, error
+        self.fault_events: List[Dict[str, object]] = []
+        #: NeedBlobs turnarounds (benign cache-coherence traffic, never a
+        #: fault — kept out of ``counters`` so clean-run assertions hold)
+        self.blob_resends = 0
+        #: two-deep commit pipeline accounting (see
+        #: :class:`SpeculativeSession`): units dispatched during the
+        #: thread-parallel run, how many results were accepted into the
+        #: merge, invalidated by late-arriving log/hint events, or
+        #: discarded for host reasons (crash, timeout, NeedBlobs, task
+        #: error). Kept out of ``counters`` — speculation failures are
+        #: never faults, just discarded wall-clock.
+        self.speculation: Dict[str, int] = dict.fromkeys(
+            ("dispatched", "accepted", "invalidated", "discarded"), 0
+        )
+
+    # ------------------------------------------------------------------
+    def _program_wire(self, program) -> Tuple[int, bytes]:
+        """The program image's blob, encoded once per program object."""
+        cached = self._program_blob
+        if cached is None or cached[0] is not program:
+            blob = encode_object(program)
+            self._program_blob = (program, blob_digest(blob), blob)
+            cached = self._program_blob
+        return cached[1], cached[2]
+
+    def _begin_batch(self, kind: str, program, machine, units=(), blobs=()) -> _Batch:
+        """A batch holding ``units``, their blobs and the program's."""
+        digest, blob = self._program_wire(program)
+        batch = _Batch(
+            kind=kind,
+            program=program,
+            machine=machine,
+            program_digest=digest,
+            blobs={**dict(blobs), digest: blob},
+            fault_specs=self._fault_specs,
+        )
+        for unit in units:
+            batch._add_unit(unit)
+        return batch
+
+    def _make_dispatch(
+        self, batch: _Batch, position: int, pids: Sequence[int] = (), full: bool = False
+    ) -> UnitDispatch:
+        """Build one dispatch, shipping only blobs the pool may be missing."""
+        unit = batch.units[position]
+        required = set(unit.required_digests())
+        required.add(batch.program_digest)
+        omitted: Set[int] = set()
+        if not full:
+            held = _cache_tracker.common(pids)
+            omitted = required & held
+            required -= held
+        blobs = {digest: batch.blobs[digest] for digest in required}
+        if self._wire_observer is not None:
+            self._wire_observer(
+                {digest: len(blobs[digest]) for digest in blobs},
+                {digest: len(batch.blobs[digest]) for digest in omitted},
+            )
+        batch.bytes_shipped[position] += sum(len(b) for b in blobs.values())
+        batch.blobs_sent[position] += len(blobs)
+        batch.last_shipped[position] = set(blobs)
+        return UnitDispatch(
+            machine=batch.machine,
+            unit=unit,
+            program_digest=batch.program_digest,
+            blobs=blobs,
+            trace=obs_spans.enabled(),
+            superblocks=self._superblocks,
+            _local_program=batch.program,
+        )
+
+    def _dispatch(self, batch: _Batch, index: int, full: bool = False, **span_args):
+        """Submit one unit: the only place a unit enters a pool.
+
+        Builds the dispatch (every referenced blob when ``full``, the
+        answer to a NeedBlobs; otherwise only what the pool's workers may
+        be missing), submits it through the dispatcher seam, accounts the
+        coordinator time and emits the ``dispatch`` / ``blob-resend``
+        span. Never raises: a pool that cannot take the unit (broken,
+        unbuildable, shutting down) yields ``None`` and the caller's
+        containment — or, for speculation, a discard — takes over.
+        """
+        t0 = time.perf_counter()
+        c0 = time.thread_time()
+        tracer = obs_spans.current()
+        span_start = tracer.now() if tracer is not None else 0.0
+        bytes_before = batch.bytes_shipped[index]
+        try:
+            dispatcher = self._dispatch_path
+            pids = () if full else dispatcher.pids()
+            future = dispatcher.submit(
+                run_unit, self._make_dispatch(batch, index, pids=pids, full=full)
+            )
+        except Exception:
+            return None
+        finally:
+            self.dispatch_wall += time.perf_counter() - t0
+            self.dispatch_cpu += time.thread_time() - c0
+        if tracer is not None:
+            tracer.add(
+                "blob-resend" if full else "dispatch",
+                obs_spans.CAT_WIRE,
+                span_start,
+                tracer.now(),
+                args={
+                    "position": batch.units[index].position,
+                    "bytes": batch.bytes_shipped[index] - bytes_before,
+                    **span_args,
+                },
+            )
+        return future
+
+    def _fill_window(self, batch, futures, done, start, skip) -> None:
+        """Keep the submission window full of live futures from ``start``.
+
+        Dispatches are built lazily, at most ~2 per worker ahead of the
+        merge head (the head position itself is always submitted): blobs
+        are encoded and shipped only for units that will actually run, so
+        a divergence exit wastes no dispatch work on cancelled tails. If
+        the pool breaks mid-submission (a just-submitted unit crashed
+        already), the loop stops quietly: the head future carries the
+        breakage, and waiting on it attributes the failure and rebuilds.
+        """
+        window = max(2 * self.jobs, 2)
+        live = sum(1 for f in futures.values() if not f.done())
+        for position in range(start, len(batch.units)):
+            if position in done or position in futures or position in skip:
+                continue
+            if position > start and live >= window:
+                break
+            future = self._dispatch(batch, position)
+            if future is None:
+                break
+            futures[position] = future
+            live += 1
+
+    def _await(self, future, position: int):
+        """Wait for one submitted unit: ``(outcome, failure)``, one is None."""
+        if future is None:
+            return None, WorkerCrashError(
+                f"worker pool broke before unit {position} could be submitted",
+                position=position,
+            )
+        try:
+            return future.result(timeout=self.unit_timeout or None), None
+        except FutureTimeout:
+            future.cancel()
+            return None, WorkerTimeoutError(
+                f"unit {position} exceeded the {self.unit_timeout:g}s unit timeout",
+                position=position,
+                timeout=self.unit_timeout,
+            )
+        except Exception as exc:
+            return None, WorkerCrashError(
+                f"worker died running unit {position}: {exc!r}",
+                position=position,
+            )
+
+    def _settle(self, batch: _Batch, index: int, value, timing: UnitTiming) -> None:
+        """Fold one worker answer into the coordinator's cache mirror.
+
+        A result or a NeedBlobs both prove the worker absorbed the blobs
+        last shipped to it (a NeedBlobs additionally disproves the ones
+        it reported missing); a result's timing is stamped with what the
+        unit cost on the wire, resends included. A task error acks
+        nothing — the worker may have raised before absorbing.
+        """
+        if isinstance(value, WorkerTaskError):
+            return
+        if isinstance(value, NeedBlobs):
+            pid, evicted = value.worker_pid, set(value.evicted) | set(value.missing)
+        else:
+            pid, evicted = timing.worker_pid, timing.evicted
+            timing.bytes_shipped = batch.bytes_shipped[index]
+            timing.blobs_sent = batch.blobs_sent[index]
+        if pid:
+            _cache_tracker.note_inserted(pid, batch.last_shipped[index])
+            _cache_tracker.note_evicted(pid, evicted)
+
+    def _ingest_observability(self, timing: UnitTiming) -> None:
+        """Fold a merged unit's piggybacked counters/spans into this process.
+
+        Called only for results that actually merge — dropped results
+        (cancelled divergence tails, crashed attempts) drop their
+        counters with them, which is what keeps ``jobs=1`` and
+        ``jobs=N`` metrics identical.
+        """
+        if timing.metrics:
+            obs_metrics.process_stats().update_from(dict(timing.metrics))
+        if timing.spans:
+            tracer = obs_spans.current()
+            if tracer is not None:
+                tracer.ingest(
+                    timing.spans,
+                    track=timing.worker_pid,
+                    annotate={
+                        "bytes_shipped": timing.bytes_shipped,
+                        "blobs_sent": timing.blobs_sent,
+                    },
+                )
+
+    def _note_fault(self, failure: HostPoolError) -> None:
+        self.counters[_COUNTER_BY_KIND[failure.kind]] += 1
+        self.fault_events.append(
+            {
+                "kind": failure.kind,
+                "position": failure.position,
+                "attempt": failure.attempt,
+                "error": str(failure),
+            }
+        )
+        obs_events.emit(
+            "fault-contained", fault=failure.kind,
+            position=failure.position, attempt=failure.attempt,
+        )
+
+    @staticmethod
+    def _harvest(futures, done) -> None:
+        """Salvage completed results out of a broken batch, drop the rest."""
+        for position, future in list(futures.items()):
+            if future.done() and not future.cancelled():
+                try:
+                    if future.exception(timeout=0) is None:
+                        done[position] = future.result(timeout=0)
+                except Exception:
+                    pass
+        futures.clear()
+
+    def _run_contained(self, batch: _Batch, position: int, futures, done, skip):
+        """Run the merge head to a value: ``(timing label, value, timing)``.
+
+        Per-unit policy: run in the pool; a NeedBlobs answer re-dispatches
+        the unit with its full blob set (bounded, never counted as a
+        fault); on crash/timeout/task-error, retry once (crash and
+        timeout also rebuild the pool); on a second failure, execute the
+        unit serially in the coordinator.
+        """
+        attempt = resends = 0
+        while True:
+            outcome, failure = done.pop(position, None), None
+            if outcome is None:
+                self._fill_window(batch, futures, done, position, skip)
+                outcome, failure = self._await(futures.pop(position, None), position)
+            if outcome is not None:
+                _, value, timing = outcome
+                self._settle(batch, position, value, timing)
+                if isinstance(value, NeedBlobs):
+                    # Benign cache miss, not a fault: the worker could
+                    # not resolve every digest (eviction raced the
+                    # dispatch, or a fresh pool lost its caches).
+                    # Answer with the full blob set and wait again.
+                    self.blob_resends += 1
+                    resends += 1
+                    obs_events.emit(
+                        "blob-resend", position=position, missing=len(value.missing)
+                    )
+                    if resends <= _BLOB_RESEND_LIMIT:
+                        future = self._dispatch(batch, position, full=True)
+                        if future is not None:
+                            futures[position] = future
+                        continue
+                    failure = WorkerTaskError(
+                        f"unit {position} still missing {len(value.missing)} "
+                        f"blob(s) after a full re-dispatch",
+                        position=position,
+                    )
+                elif isinstance(value, WorkerTaskError):
+                    failure = value
+                else:
+                    self._ingest_observability(timing)
+                    # Coordinator-side, merged results only: dropped
+                    # speculation/divergence tails never observe.
+                    obs_histo.observe("unit_wall_s", timing.wall)
+                    obs_histo.observe("unit_bytes", timing.bytes_shipped)
+                    return batch.kind, value, timing
+            # Containment: the unit failed in the pool.
+            failure.attempt = attempt
+            self._note_fault(failure)
+            if not isinstance(failure, WorkerTaskError):
+                # Crash/hang: the pool itself is suspect — salvage
+                # finished results, then rebuild on the next submit.
+                self._harvest(futures, done)
+                self._dispatch_path.abandon(
+                    kill=isinstance(failure, WorkerTimeoutError)
+                )
+            attempt += 1
+            if attempt < _POOL_ATTEMPTS:
+                self.counters["retries"] += 1
+                obs_events.emit("fault-retry", position=position)
+                continue
+            self.counters["serial_fallbacks"] += 1
+            obs_events.emit("serial-fallback", position=position)
+            _, value, timing = run_unit_serial(
+                UnitDispatch(
+                    batch.machine,
+                    batch.units[position],
+                    batch.program_digest,
+                    _local_program=batch.program,
+                )
+            )
+            timing.bytes_shipped = batch.bytes_shipped[position]
+            timing.blobs_sent = batch.blobs_sent[position]
+            return batch.kind + "-serial", value, timing
+
+    def _run_units(
+        self, batch: _Batch, stop_on=None,
+        preloaded: Optional[Dict[int, tuple]] = None,
+    ) -> Iterator[Tuple[int, object]]:
+        """Yield ``(position, value)`` in position order with containment.
+
+        ``stop_on(value)`` truthy cancels everything still pending and
+        ends the batch (the record path's divergence exit).
+
+        ``preloaded`` maps positions to validated ``(value, timing)``
+        outcomes already produced by the speculative pipeline; those
+        positions are never dispatched. Their observability ingest and
+        timing records happen here, at consume time in merge order, so a
+        divergence at an earlier position drops them exactly as it would
+        have cancelled a dispatch — ``jobs=1`` metric parity.
+        """
+        preloaded = preloaded or {}
+        done: Dict[int, tuple] = {}
+        futures: Dict[int, object] = {}
+        try:
+            for position in range(len(batch.units)):
+                if position in preloaded:
+                    label = batch.kind
+                    value, timing = preloaded.pop(position)
+                    self.speculation["accepted"] += 1
+                    self._ingest_observability(timing)
+                else:
+                    label, value, timing = self._run_contained(
+                        batch, position, futures, done, preloaded
+                    )
+                self.unit_timings.append((label, position, timing))
+                stop = stop_on is not None and stop_on(value)
+                if stop:
+                    # Cancel *before* handing the divergence to the
+                    # caller: its forward recovery must never compete
+                    # for cores with units that are already doomed.
+                    for pending in futures.values():
+                        pending.cancel()
+                yield position, value
+                if stop:
+                    return
+        finally:
+            for pending in futures.values():
+                pending.cancel()
+
+    # ------------------------------------------------------------------
+    def run_record_units(
+        self, program, machine, batch: UnitBatch,
+        preloaded: Optional[Dict[int, tuple]] = None,
+    ) -> Iterator[Tuple[int, EpochRunResult]]:
+        """Yield ``(position, result)`` in position order.
+
+        Stops after the first divergence, cancelling all not-yet-started
+        units — exactly the serial loop's early exit. Worker crashes,
+        hangs, and exceptions are contained per unit (retry once, then
+        serial fallback), so the stream always completes and is always
+        bit-identical to the serial path. ``preloaded`` carries validated
+        speculative outcomes (see :class:`SpeculativeSession`) consumed
+        in place of a dispatch.
+        """
+        state = self._begin_batch("record", program, machine, batch.units, batch.blobs)
+        yield from self._run_units(
+            state, stop_on=lambda result: not result.ok, preloaded=preloaded
+        )
+
+    def run_replay_units(
+        self, program, machine, batch: UnitBatch
+    ) -> List[Tuple[int, object]]:
+        """Every unit's ``(cycles, failure)``, in position order."""
+        state = self._begin_batch("replay", program, machine, batch.units, batch.blobs)
+        return [value for _, value in self._run_units(state)]
+
+    # ------------------------------------------------------------------
+    def timing_summary(self) -> dict:
+        """Host-cost accounting for benchmarks and ``RecordResult.host``."""
+        timings = [t for _, _, t in self.unit_timings]
+        return {
+            "jobs": self.jobs,
+            "units": len(self.unit_timings),
+            "unit_wall": [round(t.wall, 6) for t in timings],
+            "unit_cpu": [round(t.cpu, 6) for t in timings],
+            "unit_pids": [t.worker_pid for t in timings],
+            "dispatch_wall": round(self.dispatch_wall, 6),
+            "dispatch_cpu": round(self.dispatch_cpu, 6),
+            "faults": dict(self.counters),
+            "fault_events": list(self.fault_events),
+            "speculation": dict(self.speculation),
+            "wire": {
+                "bytes_shipped": sum(t.bytes_shipped for t in timings),
+                "blobs_sent": sum(t.blobs_sent for t in timings),
+                "blob_cache_hits": sum(t.blob_cache_hits for t in timings),
+                "blob_cache_misses": sum(t.blob_cache_misses for t in timings),
+                "blob_resends": self.blob_resends,
+                "unit_bytes": [t.bytes_shipped for t in timings],
+            },
+        }
+
+
+class SpeculativeSession:
+    """One segment's speculative record-unit dispatches (commit pipeline).
+
+    The recorder creates a session per segment when the two-deep commit
+    pipeline is on. :meth:`push` ships one epoch unit to the pool *while
+    the thread-parallel run is still producing later epochs* — strictly
+    non-blocking, so a broken pool or full queue costs nothing but the
+    speculation. :meth:`harvest` collects results at segment end.
+
+    The session never retries, never counts faults, and never kills a
+    pool: a speculative attempt that crashes, hangs, misses blobs, or
+    raises is simply discarded, and the position runs again through the
+    full-knowledge batch with the pool's normal containment. Cache-mirror
+    acks are applied as results settle (the worker really did absorb the
+    blobs), but observability ingest and timing records are deferred to
+    the merge — a discarded or never-consumed result leaves no trace in
+    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
+    metrics identical.
+    """
+
+    def __init__(self, executor: HostExecutor, program, machine):
+        self.executor = executor
+        self._batch = executor._begin_batch("record", program, machine)
+        #: batch index -> in-flight future (None = the submission was lost)
+        self._futures: Dict[int, object] = {}
+        #: batch index -> settled ``(value, timing)``; ``value`` is None
+        #: for anything discardable
+        self._outcomes: Dict[int, tuple] = {}
+        #: indices pushed but not yet submitted (the pool was not up)
+        self._deferred: List[int] = []
+        #: set by the warm-up thread; read (GIL-atomic) by push/harvest
+        self._ready = False
+        self._warm = threading.Thread(target=self._warm_pool, daemon=True)
+        self._warm.start()
+
+    @property
+    def blobs(self) -> Dict[int, bytes]:
+        """The session-shared blob set speculative units intern into."""
+        return self._batch.blobs
+
+    def _warm_pool(self) -> None:
+        """Bring the worker pool up off the thread-parallel run's path.
+
+        Spawning worker processes costs ~a second of wall — paid inline
+        it would stall the guest at the first speculative dispatch. The
+        warm-up overlaps the thread-parallel run instead; pushes arriving
+        before the pool is ready are buffered and flushed the moment it
+        is (or at harvest, whichever comes first). A failed spawn leaves
+        ``_ready`` unset: the buffered units are discarded at harvest and
+        the batch path reports the pool problem the normal way. (A fleet
+        dispatcher's ``warm`` is a no-op — the service owns the pool.)
+        """
+        try:
+            self.executor._dispatch_path.warm()
+            self._ready = True
+        except Exception:
+            pass
+
+    def _flush(self) -> None:
+        """Submit every buffered unit, if the pool is up."""
+        while self._ready and self._deferred:
+            index = self._deferred.pop(0)
+            self._futures[index] = self.executor._dispatch(
+                self._batch, index, speculative=True
+            )
+
+    def push(self, unit) -> None:
+        """Dispatch one speculative unit; non-blocking, never raises."""
+        self._deferred.append(self._batch._add_unit(unit))
+        self.executor.speculation["dispatched"] += 1
+        # Fold finished speculations into the cache mirror *before*
+        # building this dispatch: without this, every mid-segment
+        # dispatch sees the tracker as it stood at segment start (acks
+        # normally arrive at harvest) and re-ships the full blob set —
+        # measured at ~100x the steady-state dispatch cost on
+        # page-heavy workloads. ``done()`` keeps the sweep non-blocking.
+        for index, future in list(self._futures.items()):
+            if future is not None and future.done():
+                self._resolve(index)
+        self._flush()
+
+    def _resolve(self, index: int) -> None:
+        """Resolve one unit's future and settle its answer, exactly once.
+
+        Leaves ``(value, timing)`` in ``_outcomes`` with ``value`` of
+        ``None`` for anything discardable (crash, timeout, NeedBlobs,
+        failed or never-made submission); idempotent so the eager sweep
+        in :meth:`push` and the final pass in :meth:`harvest` compose.
+        """
+        if index in self._outcomes:
+            return
+        executor, batch = self.executor, self._batch
+        outcome, _ = executor._await(
+            self._futures.pop(index, None), batch.units[index].position
+        )
+        value = timing = None
+        if outcome is not None:
+            _, value, timing = outcome
+            executor._settle(batch, index, value, timing)
+            if isinstance(value, NeedBlobs):
+                value = None
+        self._outcomes[index] = (value, timing)
+
+    def harvest(self) -> Dict[int, Tuple[object, UnitTiming]]:
+        """Wait for every speculative future; return the good outcomes.
+
+        Anything else — worker crash, timeout, NeedBlobs, task error,
+        failed submission — is discarded here and the position falls
+        through to the full-knowledge dispatch.
+        """
+        self._warm.join()
+        self._flush()
+        outcomes: Dict[int, Tuple[object, UnitTiming]] = {}
+        for index, unit in enumerate(self._batch.units):
+            self._resolve(index)
+            value, timing = self._outcomes[index]
+            if value is None or isinstance(value, WorkerTaskError):
+                self.executor.speculation["discarded"] += 1
+            else:
+                outcomes[unit.position] = (value, timing)
+        return outcomes
+
+    def close(self) -> None:
+        """Abandon whatever is still in flight (error-path hygiene)."""
+        for future in self._futures.values():
+            if future is not None:
+                future.cancel()
+        self._futures.clear()

@@ -3,7 +3,7 @@
 Crash, hang, and slow paths in the pool's containment logic are
 impossible to exercise with real hardware faults, so this module turns
 them into a config/env knob. The coordinator reads ``REPRO_FAULT`` once
-per :class:`~repro.host.pool.HostExecutor` and stamps the matching specs
+per :class:`~repro.host.executor.HostExecutor` and stamps the matching specs
 onto each work unit's ``faults`` field; the *worker* then applies them at
 the top of its task function. Shipping specs inside the payload (rather
 than relying on the worker's inherited environment) makes injection

@@ -1,74 +1,18 @@
-"""The worker-pool executor: epoch work units on real host cores.
+"""Worker-pool lifecycle: the coordinator-wide spawn-context process pool.
 
-``HostExecutor`` wraps a spawn-context :class:`ProcessPoolExecutor`.
 Spawn (not fork) keeps workers safe on every platform and guarantees
 they import a fresh ``repro`` — nothing leaks from the coordinator
-except what the work units carry.
-
-Protocol per batch: build dispatches lazily inside a bounded submission
-window (about two per worker — blobs are encoded and shipped only for
-units that will actually run), consume results strictly in position
-order (the merge on the coordinator is therefore deterministic
-regardless of completion order), and on the first divergence cancel
-everything not yet started — epochs after a divergence belong to an
-abandoned thread-parallel future and their results would be discarded
-anyway. A worker that is already mid-epoch runs to completion
-harmlessly; its result is dropped.
-
-**The content-addressed wire.** A dispatch carries a unit *skeleton*
-(:mod:`repro.host.wire`) plus only the blobs the pool's workers are not
-already believed to hold: workers keep byte-budgeted LRU caches of
-decoded blobs and the coordinator mirrors their contents in a
-module-level :class:`~repro.host.blobs.WorkerCacheTracker` (module
-level for the same reason the shared pool is — worker caches persist
-across ``HostExecutor`` instances, so the model must too). The pool
-gives no control over which worker pops a unit, so a blob is omitted
-only when *every* live worker holds it; the tracker is advisory — a
-worker missing a digest answers with a structured
-:class:`~repro.host.wire.NeedBlobs` result and the coordinator
-re-dispatches that unit with its full blob set (capped, then treated as
-a task error and contained like any other). In steady state a unit
-ships its skeleton plus the epoch's dirty pages, nothing else.
-
-**Fault containment.** A failed epoch-parallel attempt is disposable by
-design — that is the paper's core insight — so host faults are treated
-the same way a guest divergence is: contain, re-execute, keep going.
-Three failure classes, one policy (per unit: retry once on a fresh pool,
-then fall back to in-coordinator serial execution):
-
-* **crash** — a worker process died; ``concurrent.futures`` breaks the
-  whole pool, so surviving results are harvested out of their futures,
-  the pool is rebuilt, and unfinished units are resubmitted. The crash
-  is attributed to the unit the coordinator was waiting on; collateral
-  victims are resubmitted without blame (they may occasionally burn an
-  attempt of their own — that costs parallelism, never correctness).
-* **timeout** — a unit exceeded the per-unit wall-clock budget
-  (``unit_timeout``, default ``REPRO_UNIT_TIMEOUT`` or 60 s; 0
-  disables). The hung worker cannot be recalled, so the pool's processes
-  are terminated and the pool rebuilt.
-* **task error** — the unit raised inside the worker. The worker returns
-  the exception as a structured, picklable
-  :class:`~repro.errors.WorkerTaskError` result instead of raising, so
-  the pool stays healthy. A deterministic guest error reproduces during
-  the serial fallback and is re-raised there, exactly as the ``jobs=1``
-  path would have raised it.
-
-Because epoch execution is a deterministic function of the checkpoints
-and logs, and the serial fallback runs the identical pure function in
-the coordinator (through the units' ``_local`` shortcuts — the exact
-original objects, no decode), every recording and replay verdict is
-bit-identical to ``jobs=1`` no matter which workers crashed, hung,
-raised, or missed their caches along the way. Faults and cache traffic
-change only wall-clock time and the host accounting
-(``timing_summary()["faults"]`` / ``["wire"]``), which is surfaced on
-``RecordResult.host`` / ``ReplayResult.host`` and never stored in a
-recording.
+except what the work units carry (:mod:`repro.host.worker` is what runs
+in them; :mod:`repro.host.executor` is what feeds them).
 
 One shared pool is kept per coordinator process (``shared_pool``) so a
 test suite or benchmark sweep pays the spawn cost once, not per
 recording. A broken shared pool is detected and rebuilt transparently on
 the next call; growing the pool drains in-flight work before replacing
-it.
+it. The coordinator's mirror of the workers' blob caches lives here too,
+for the same reason the pool is module-level — worker caches persist
+across ``HostExecutor`` instances, so the model must too — and because
+its entries die with the pool's processes.
 """
 
 from __future__ import annotations
@@ -77,35 +21,10 @@ import contextlib
 import multiprocessing
 import os
 import threading
-import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List
 
-from repro.core.config import default_unit_timeout
-from repro.core.epoch_runner import EpochRunResult, run_epoch
-from repro.errors import (
-    HostPoolError,
-    WorkerCrashError,
-    WorkerTaskError,
-    WorkerTimeoutError,
-)
-from repro.host import faults as fault_injection
-from repro.host.blobs import (
-    BlobCache,
-    WorkerCacheTracker,
-    blob_cache_capacity,
-    decode_blob_object,
-)
-from repro.host.wire import NeedBlobs, UnitBatch, UnitTiming
-from repro.memory.blob import blob_digest, encode_object
-from repro.obs import events as obs_events
-from repro.obs import histo as obs_histo
-from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
-from repro.record.sync_log import SyncOrderLog
+from repro.host.blobs import WorkerCacheTracker
 
 _shared_pool = None
 _shared_size = 0
@@ -115,22 +34,13 @@ _shared_size = 0
 #: invalidate_shared_pool() simultaneously, and the grow/rebuild path is
 #: a multi-step read-modify-write — unlocked, two racing callers can
 #: shut down a pool twice or leak one entirely. RLock because a locked
-#: path may call another locked path (shutdown → invalidate).
+#: path may call another locked path (shared_pool → invalidate).
 _pool_lock = threading.RLock()
 
 #: coordinator-side mirror of every worker's blob cache, keyed by pid.
 #: Thread-safe (internally locked): with the service layer many session
 #: threads build dispatches and fold acks concurrently.
 _cache_tracker = WorkerCacheTracker()
-
-#: pool attempts per unit before the serial fallback (initial + 1 retry)
-_POOL_ATTEMPTS = 2
-
-#: full-blob-set re-dispatches per unit before a NeedBlobs answer is
-#: treated as a task error (a full dispatch is self-sufficient — the
-#: worker can always hydrate straight from it — so one resend suffices
-#: unless something is genuinely wrong)
-_BLOB_RESEND_LIMIT = 2
 
 #: ceiling on worker spawn + first ping (a stuck spawn is a host bug)
 _SPAWN_TIMEOUT = 120.0
@@ -191,18 +101,12 @@ def _new_pool(jobs: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _pool_broken(pool: ProcessPoolExecutor) -> bool:
-    return bool(getattr(pool, "_broken", False))
-
-
 def _pool_pids(pool: ProcessPoolExecutor) -> List[int]:
     return list(getattr(pool, "_processes", None) or ())
 
 
-def _forget_pool(pool: Optional[ProcessPoolExecutor]) -> None:
+def _forget_pool(pool: ProcessPoolExecutor) -> None:
     """Drop the cache-tracker state of a pool whose workers are going away."""
-    if pool is None:
-        return
     for pid in _pool_pids(pool):
         _cache_tracker.forget_worker(pid)
 
@@ -233,11 +137,8 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
     """
     global _shared_pool, _shared_size
     with _pool_lock:
-        if _shared_pool is not None and _pool_broken(_shared_pool):
-            _forget_pool(_shared_pool)
-            _shared_pool.shutdown(wait=True, cancel_futures=True)
-            _shared_pool = None
-            _shared_size = 0
+        if getattr(_shared_pool, "_broken", False):
+            invalidate_shared_pool()
         if _shared_pool is None or _shared_size < jobs:
             if _shared_pool is not None:
                 # Drain, don't yank: both running and queued units complete
@@ -273,1127 +174,3 @@ def shutdown_shared_pool() -> None:
     """Tear down the shared pool (tests and benchmark hygiene)."""
     invalidate_shared_pool(kill=False)
 
-
-# ----------------------------------------------------------------------
-# The dispatch envelope and the worker-side blob cache.
-# ----------------------------------------------------------------------
-@dataclass
-class UnitDispatch:
-    """One unit skeleton plus exactly the blobs being shipped with it.
-
-    ``_local_program`` (stripped at the pickle boundary) keeps the
-    coordinator's serial fallback zero-decode, together with the
-    ``_local`` shortcuts inside the unit itself.
-    """
-
-    machine: object
-    unit: object
-    program_digest: int
-    blobs: Dict[int, bytes] = field(default_factory=dict)
-    #: when True the worker collects observability spans for this unit
-    #: and ships them home on ``UnitTiming.spans`` (set from the
-    #: coordinator's active tracer; workers have no tracer of their own)
-    trace: bool = False
-    _local_program: object = field(default=None, repr=False)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_local_program"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-    def required_digests(self) -> Set[int]:
-        required = self.unit.required_digests()
-        required.add(self.program_digest)
-        return required
-
-
-#: this worker process's decoded-blob cache (created at first dispatch,
-#: so ``REPRO_BLOB_CACHE_MB`` is read in the worker, not inherited state)
-_worker_blobs: Optional[BlobCache] = None
-
-#: decoded :class:`~repro.isa.program.ProgramImage` objects pinned per
-#: worker process, keyed by program blob digest. The blob cache already
-#: dedupes decoded blobs, but it is byte-budgeted and may evict the
-#: program — and re-decoding an image also throws away the decode and
-#: superblock tables lazily rebuilt on its ``__dict__`` (both are
-#: stripped at the pickle boundary). Pinning a handful of images keeps
-#: those tables memoised once per image per process.
-_worker_programs: Dict[int, object] = {}
-_WORKER_PROGRAM_CAP = 4
-
-
-def _worker_program(digest: int, resolve) -> object:
-    program = _worker_programs.get(digest)
-    if program is None:
-        program = resolve(digest)
-        while len(_worker_programs) >= _WORKER_PROGRAM_CAP:
-            _worker_programs.pop(next(iter(_worker_programs)))
-        _worker_programs[digest] = program
-    return program
-
-
-def _worker_cache() -> BlobCache:
-    global _worker_blobs
-    if _worker_blobs is None:
-        _worker_blobs = BlobCache(blob_cache_capacity())
-    return _worker_blobs
-
-
-def _absorb_dispatch(dispatch: UnitDispatch):
-    """Insert the dispatch's blobs into this worker's cache and check it.
-
-    Returns ``(resolve, timing)`` on success — ``resolve`` maps a digest
-    to its decoded object, falling back from the cache to the dispatch's
-    own blobs (via a per-dispatch memo), so a digest that was shipped can
-    ALWAYS be resolved even if a tiny cache evicted it during this very
-    absorb; that fallback is what makes NeedBlobs loops impossible.
-    Returns ``(None, NeedBlobs)`` when a required digest is neither
-    cached nor shipped.
-    """
-    cache = _worker_cache()
-    evicted: List[int] = []
-    for digest, blob in dispatch.blobs.items():
-        evicted.extend(cache.insert(digest, blob))
-    hits = misses = 0
-    missing: List[int] = []
-    for digest in dispatch.required_digests():
-        if digest in dispatch.blobs:
-            misses += 1
-        elif cache.has(digest) or digest in _worker_programs:
-            hits += 1
-        else:
-            missing.append(digest)
-    if missing:
-        return None, NeedBlobs(
-            position=dispatch.unit.position,
-            missing=tuple(sorted(missing)),
-            worker_pid=os.getpid(),
-            evicted=tuple(evicted),
-        )
-    memo: Dict[int, object] = {}
-
-    def resolve(digest: int):
-        obj = cache.get(digest)
-        if obj is not None:
-            return obj
-        obj = memo.get(digest)
-        if obj is None:
-            obj = decode_blob_object(dispatch.blobs[digest])
-            memo[digest] = obj
-        return obj
-
-    timing = UnitTiming(
-        blob_cache_hits=hits,
-        blob_cache_misses=misses,
-        worker_pid=os.getpid(),
-        evicted=tuple(evicted),
-    )
-    return resolve, timing
-
-
-# ----------------------------------------------------------------------
-# Worker-side task functions (must be module-level for pickling).
-#
-# ``_record_unit`` / ``_replay_unit`` are the pure execution bodies the
-# coordinator's serial fallback calls directly: they rehydrate through
-# the units' ``_local`` shortcuts (the exact original objects — no
-# fault injection, no exception conversion, so a deterministic guest
-# error raises there with full context, matching the jobs=1 path).
-# ``_record_task`` / ``_replay_task`` are the worker entry points: they
-# apply injected faults, absorb the dispatch into the blob cache, and
-# convert any exception into a structured WorkerTaskError *result*, so
-# a bad unit can never break the pool.
-# ----------------------------------------------------------------------
-def _run_record_body(program, machine, unit, start, boundary, syscalls, signals, hints):
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    result = run_epoch(
-        program,
-        machine,
-        unit.epoch_index,
-        start,
-        boundary,
-        syscalls,
-        SyncOrderLog(hints[unit.sync_start :]),
-        unit.use_sync_hints,
-        signal_records=signals,
-    )
-    return result, time.perf_counter() - wall0, time.process_time() - cpu0
-
-
-def _serial_execute_span(kind: str, unit, wall: float) -> None:
-    """Record a coordinator-track execute span for a serial-fallback unit."""
-    tracer = obs_spans.current()
-    if tracer is None:
-        return
-    end = tracer.now()
-    tracer.add(
-        "execute",
-        obs_spans.CAT_EPOCH,
-        end - wall,
-        end,
-        args={
-            "epoch": unit.epoch_index,
-            "position": unit.position,
-            "kind": kind + "-serial",
-        },
-    )
-
-
-def _finish_worker_timing(timing: UnitTiming, spanlog, kind: str, unit, wall):
-    """Attach this task's spans and drained counters to its timing."""
-    if spanlog is not None:
-        end = time.perf_counter()
-        spanlog.add(
-            "execute",
-            obs_spans.CAT_EPOCH,
-            end - wall,
-            end,
-            epoch=unit.epoch_index,
-            position=unit.position,
-            kind=kind,
-        )
-        timing.spans = spanlog.export()
-    timing.metrics = tuple(sorted(obs_metrics.drain_process().items()))
-
-
-def _record_unit(dispatch: UnitDispatch) -> Tuple[int, EpochRunResult, UnitTiming]:
-    unit = dispatch.unit
-    result, wall, cpu = _run_record_body(
-        dispatch._local_program,
-        dispatch.machine,
-        unit,
-        unit.start.hydrate(None),
-        unit.boundary.hydrate(None),
-        unit.syscalls._local,
-        unit.signals._local,
-        unit.sync_events._local,
-    )
-    _serial_execute_span("record", unit, wall)
-    return unit.position, result, UnitTiming(
-        wall=wall, cpu=cpu, worker_pid=os.getpid()
-    )
-
-
-def _record_task(dispatch: UnitDispatch):
-    unit = dispatch.unit
-    # A fresh registry per task: whatever an aborted or dropped previous
-    # task accumulated must never ride home with this unit's counters.
-    obs_metrics.process_stats().clear()
-    spanlog = obs_spans.WorkerSpanLog() if dispatch.trace else None
-    try:
-        fault_injection.inject(unit.faults)
-        decode_start = time.perf_counter()
-        resolve, timing = _absorb_dispatch(dispatch)
-        if resolve is None:
-            return unit.position, timing, UnitTiming(worker_pid=os.getpid())
-        start = unit.start.hydrate(resolve)
-        boundary = unit.boundary.hydrate(resolve, base_pages=start.memory.pages)
-        if spanlog is not None:
-            spanlog.add(
-                "wire-decode",
-                obs_spans.CAT_WIRE,
-                decode_start,
-                time.perf_counter(),
-                position=unit.position,
-                cache_hits=timing.blob_cache_hits,
-                cache_misses=timing.blob_cache_misses,
-            )
-        result, wall, cpu = _run_record_body(
-            _worker_program(dispatch.program_digest, resolve),
-            dispatch.machine,
-            unit,
-            start,
-            boundary,
-            resolve(unit.syscalls.digest),
-            resolve(unit.signals.digest),
-            resolve(unit.sync_events.digest),
-        )
-        timing.wall = wall
-        timing.cpu = cpu
-        _finish_worker_timing(timing, spanlog, "record", unit, wall)
-        return unit.position, result, timing
-    except Exception as exc:
-        return unit.position, _as_task_error(exc, unit.position), UnitTiming(
-            worker_pid=os.getpid()
-        )
-
-
-def _run_replay_body(program, machine, unit, start, syscalls, signals):
-    # Imported here, not at module top: repro.core.replayer is the only
-    # core module this one touches, and it imports us lazily in return.
-    from repro.core.replayer import replay_epoch_unit
-
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    cycles, failure = replay_epoch_unit(program, machine, unit, start, syscalls, signals)
-    return (cycles, failure), time.perf_counter() - wall0, time.process_time() - cpu0
-
-
-def _replay_unit(dispatch: UnitDispatch):
-    unit = dispatch.unit
-    value, wall, cpu = _run_replay_body(
-        dispatch._local_program,
-        dispatch.machine,
-        unit,
-        unit.start.hydrate(None),
-        unit.syscalls._local,
-        unit.signals._local,
-    )
-    _serial_execute_span("replay", unit, wall)
-    return unit.position, value, UnitTiming(
-        wall=wall, cpu=cpu, worker_pid=os.getpid()
-    )
-
-
-def _replay_task(dispatch: UnitDispatch):
-    unit = dispatch.unit
-    obs_metrics.process_stats().clear()
-    spanlog = obs_spans.WorkerSpanLog() if dispatch.trace else None
-    try:
-        fault_injection.inject(unit.faults)
-        decode_start = time.perf_counter()
-        resolve, timing = _absorb_dispatch(dispatch)
-        if resolve is None:
-            return unit.position, timing, UnitTiming(worker_pid=os.getpid())
-        start = unit.start.hydrate(resolve)
-        if spanlog is not None:
-            spanlog.add(
-                "wire-decode",
-                obs_spans.CAT_WIRE,
-                decode_start,
-                time.perf_counter(),
-                position=unit.position,
-                cache_hits=timing.blob_cache_hits,
-                cache_misses=timing.blob_cache_misses,
-            )
-        value, wall, cpu = _run_replay_body(
-            _worker_program(dispatch.program_digest, resolve),
-            dispatch.machine,
-            unit,
-            start,
-            resolve(unit.syscalls.digest),
-            resolve(unit.signals.digest),
-        )
-        timing.wall = wall
-        timing.cpu = cpu
-        _finish_worker_timing(timing, spanlog, "replay", unit, wall)
-        return unit.position, value, timing
-    except Exception as exc:
-        return unit.position, _as_task_error(exc, unit.position), UnitTiming(
-            worker_pid=os.getpid()
-        )
-
-
-def _as_task_error(exc: BaseException, position: int) -> WorkerTaskError:
-    return WorkerTaskError(
-        f"{type(exc).__name__}: {exc}",
-        position=position,
-        exc_type=type(exc).__name__,
-        traceback_text=traceback.format_exc(),
-    )
-
-
-_COUNTER_BY_KIND = {
-    "crash": "crashes",
-    "timeout": "timeouts",
-    "task-error": "task_errors",
-}
-
-
-@dataclass
-class _Batch:
-    """Coordinator-side state of one in-flight unit batch."""
-
-    program: object
-    machine: object
-    program_digest: int
-    units: List[object]
-    #: every blob any unit references, keyed by digest
-    blobs: Dict[int, bytes]
-    #: per-position wire accounting, accumulated across re-dispatches
-    bytes_shipped: List[int] = field(default_factory=list)
-    blobs_sent: List[int] = field(default_factory=list)
-    #: per-position digest set of the most recent dispatch's blobs
-    last_shipped: List[Set[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        n = len(self.units)
-        self.bytes_shipped = [0] * n
-        self.blobs_sent = [0] * n
-        self.last_shipped = [set() for _ in range(n)]
-
-
-class _DirectDispatcher:
-    """The default submission path: the executor's own (shared/private) pool.
-
-    This is the seam the service layer replaces: a dispatcher owns *where*
-    a built dispatch goes (``submit``), which workers it may assume hold
-    cached blobs (``pids``), and what abandoning a suspect pool means
-    (``abandon``). The direct dispatcher preserves the pre-service
-    behavior exactly — every call is a pass-through to the executor's
-    pool — while a fleet dispatcher (``repro.service``) routes the same
-    calls through per-session queues into one multiplexed pool.
-    """
-
-    def __init__(self, executor: "HostExecutor"):
-        self._executor = executor
-
-    def warm(self) -> None:
-        """Bring the pool up (speculative sessions warm off-thread)."""
-        self._executor._pool()
-
-    def pids(self) -> List[int]:
-        return _pool_pids(self._executor._pool())
-
-    def submit(self, fn, dispatch: UnitDispatch):
-        return self._executor._pool().submit(fn, dispatch)
-
-    def abandon(self, kill: bool) -> None:
-        self._executor._abandon_pool(kill)
-
-
-class HostExecutor:
-    """Runs epoch work units on a pool of worker processes.
-
-    ``private=True`` gives the executor its own pool sized exactly
-    ``jobs`` (benchmarks measure specific worker counts); the default
-    shares the coordinator-wide pool. ``unit_timeout`` is the per-unit
-    wall-clock budget in seconds (None = the ``REPRO_UNIT_TIMEOUT`` env
-    default of 60; 0 disables hang detection).
-
-    ``dispatcher`` overrides the submission path (see
-    :class:`_DirectDispatcher`); the service layer injects a per-session
-    fleet dispatcher here so many concurrent sessions share one pool
-    with fair-share scheduling and bounded backpressure. ``fault_specs``
-    overrides the ``REPRO_FAULT`` env with an explicit per-executor
-    directive string (or pre-parsed spec tuple) — the service scopes
-    injected faults to a single tenant this way.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        private: bool = False,
-        unit_timeout=None,
-        dispatcher=None,
-        fault_specs=None,
-    ):
-        self.jobs = max(1, int(jobs))
-        self.unit_timeout = (
-            default_unit_timeout()
-            if unit_timeout is None
-            else max(0.0, float(unit_timeout))
-        )
-        self._private = bool(private)
-        self._private_pool = _new_pool(self.jobs) if private else None
-        if fault_specs is None:
-            self._fault_specs = fault_injection.active_faults()
-        elif isinstance(fault_specs, str):
-            self._fault_specs = fault_injection.parse_fault_specs(
-                fault_specs, os.environ.get("REPRO_FAULT_STATE", "")
-            )
-        else:
-            self._fault_specs = tuple(fault_specs)
-        self._dispatch_path = dispatcher if dispatcher is not None else _DirectDispatcher(self)
-        #: optional dispatcher hook observing each dispatch's shipped and
-        #: cache-omitted blob bytes (the fleet's cross-session dedup
-        #: accounting); None (the direct default) costs nothing.
-        self._wire_observer = getattr(self._dispatch_path, "note_dispatch", None)
-        #: (program object, digest, blob) of the last program shipped
-        self._program_blob: Optional[Tuple[object, int, bytes]] = None
-        #: per-unit worker timings, in merge order: (kind, position,
-        #: UnitTiming). Serial-fallback units record coordinator timings
-        #: under "<kind>-serial".
-        self.unit_timings: List[Tuple[str, int, UnitTiming]] = []
-        #: coordinator seconds spent building + submitting dispatches
-        self.dispatch_wall = 0.0
-        #: same work measured on the dispatching thread's CPU clock —
-        #: wall inflates under timesharing (workers compete for cores
-        #: while the coordinator builds dispatches), so models of an
-        #: uncontended host should use this instead
-        self.dispatch_cpu = 0.0
-        #: containment counters (crashes, timeouts, task_errors, retries,
-        #: serial_fallbacks) — surfaced via ``timing_summary()``
-        self.counters: Dict[str, int] = dict.fromkeys(
-            ("crashes", "timeouts", "task_errors", "retries", "serial_fallbacks"),
-            0,
-        )
-        #: one entry per observed failure: kind, position, attempt, error
-        self.fault_events: List[Dict[str, object]] = []
-        #: NeedBlobs turnarounds (benign cache-coherence traffic, never a
-        #: fault — kept out of ``counters`` so clean-run assertions hold)
-        self.blob_resends = 0
-        #: two-deep commit pipeline accounting (see
-        #: :class:`SpeculativeSession`): units dispatched during the
-        #: thread-parallel run, how many results were accepted into the
-        #: merge, invalidated by late-arriving log/hint events, or
-        #: discarded for host reasons (crash, timeout, NeedBlobs, task
-        #: error). Kept out of ``counters`` — speculation failures are
-        #: never faults, just discarded wall-clock.
-        self.speculation: Dict[str, int] = dict.fromkeys(
-            ("dispatched", "accepted", "invalidated", "discarded"), 0
-        )
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if not self._private:
-            return shared_pool(self.jobs)
-        if self._private_pool is None or _pool_broken(self._private_pool):
-            if self._private_pool is not None:
-                _forget_pool(self._private_pool)
-                self._private_pool.shutdown(wait=True, cancel_futures=True)
-            self._private_pool = _new_pool(self.jobs)
-        return self._private_pool
-
-    def _abandon_pool(self, kill: bool) -> None:
-        """After a crash/timeout: drop the current pool; ``_pool()`` rebuilds."""
-        if self._private:
-            pool, self._private_pool = self._private_pool, None
-            if pool is not None:
-                _forget_pool(pool)
-                if kill:
-                    _kill_workers(pool)
-                else:
-                    pool.shutdown(wait=True, cancel_futures=True)
-        else:
-            invalidate_shared_pool(kill=kill)
-
-    def close(self) -> None:
-        if self._private_pool is not None:
-            _forget_pool(self._private_pool)
-            self._private_pool.shutdown(wait=True, cancel_futures=True)
-            self._private_pool = None
-
-    # ------------------------------------------------------------------
-    def _program_wire(self, program) -> Tuple[int, bytes]:
-        """The program image's blob, encoded once per program object."""
-        cached = self._program_blob
-        if cached is None or cached[0] is not program:
-            blob = encode_object(program)
-            self._program_blob = (program, blob_digest(blob), blob)
-            cached = self._program_blob
-        return cached[1], cached[2]
-
-    def _begin_batch(self, kind: str, program, machine, batch: UnitBatch) -> _Batch:
-        """Stamp fault specs onto the units and set up wire accounting."""
-        for unit in batch.units:
-            unit.faults = fault_injection.faults_for(
-                self._fault_specs, kind, unit.position
-            )
-        digest, blob = self._program_wire(program)
-        blobs = dict(batch.blobs)
-        blobs[digest] = blob
-        return _Batch(
-            program=program,
-            machine=machine,
-            program_digest=digest,
-            units=list(batch.units),
-            blobs=blobs,
-        )
-
-    def _make_dispatch(
-        self, batch: _Batch, position: int, pids: Sequence[int] = (), full: bool = False
-    ) -> UnitDispatch:
-        """Build one dispatch, shipping only blobs the pool may be missing."""
-        unit = batch.units[position]
-        required = set(unit.required_digests())
-        required.add(batch.program_digest)
-        omitted: Set[int] = set()
-        if not full:
-            held = _cache_tracker.common(pids)
-            omitted = required & held
-            required -= held
-        blobs = {digest: batch.blobs[digest] for digest in required}
-        if self._wire_observer is not None:
-            self._wire_observer(
-                {digest: len(blobs[digest]) for digest in blobs},
-                {digest: len(batch.blobs[digest]) for digest in omitted},
-            )
-        batch.bytes_shipped[position] += sum(len(b) for b in blobs.values())
-        batch.blobs_sent[position] += len(blobs)
-        batch.last_shipped[position] = set(blobs)
-        return UnitDispatch(
-            machine=batch.machine,
-            unit=unit,
-            program_digest=batch.program_digest,
-            blobs=blobs,
-            trace=obs_spans.enabled(),
-            _local_program=batch.program,
-        )
-
-    def _local_dispatch(self, batch: _Batch, position: int) -> UnitDispatch:
-        """A blob-free dispatch for the in-coordinator serial fallback."""
-        return UnitDispatch(
-            machine=batch.machine,
-            unit=batch.units[position],
-            program_digest=batch.program_digest,
-            _local_program=batch.program,
-        )
-
-    def _apply_ack(self, pid: int, shipped: Set[int], evicted) -> None:
-        """Fold a worker's response into the coordinator's cache mirror."""
-        if not pid:
-            return
-        _cache_tracker.note_inserted(pid, shipped)
-        _cache_tracker.note_evicted(pid, evicted)
-
-    def _ingest_observability(self, timing: UnitTiming) -> None:
-        """Fold a merged unit's piggybacked counters/spans into this process.
-
-        Called only for results that actually merge — dropped results
-        (cancelled divergence tails, crashed attempts) drop their
-        counters with them, which is what keeps ``jobs=1`` and
-        ``jobs=N`` metrics identical.
-        """
-        if timing.metrics:
-            obs_metrics.process_stats().update_from(dict(timing.metrics))
-        if timing.spans:
-            tracer = obs_spans.current()
-            if tracer is not None:
-                tracer.ingest(
-                    timing.spans,
-                    track=timing.worker_pid,
-                    annotate={
-                        "bytes_shipped": timing.bytes_shipped,
-                        "blobs_sent": timing.blobs_sent,
-                    },
-                )
-
-    def _note_fault(self, failure: HostPoolError) -> None:
-        self.counters[_COUNTER_BY_KIND[failure.kind]] += 1
-        self.fault_events.append(
-            {
-                "kind": failure.kind,
-                "position": failure.position,
-                "attempt": failure.attempt,
-                "error": str(failure),
-            }
-        )
-        obs_events.emit(
-            "fault-contained", fault=failure.kind,
-            position=failure.position, attempt=failure.attempt,
-        )
-
-    def _submit_missing(self, task_fn, batch, futures, done, start, skip=None) -> None:
-        """Keep the submission window full of live futures from ``start``.
-
-        Dispatches are built lazily, at most ~2 per worker ahead of the
-        merge head (the head position itself is always submitted): blobs
-        are encoded and shipped only for units that will actually run, so
-        a divergence exit wastes no dispatch work on cancelled tails. If
-        the pool breaks mid-submission (a just-submitted unit crashed
-        already), the loop stops quietly: the head future carries the
-        breakage, and waiting on it attributes the failure and rebuilds.
-        """
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
-        tracer = obs_spans.current()
-        try:
-            dispatcher = self._dispatch_path
-            pids = dispatcher.pids()
-            window = max(2 * self.jobs, 2)
-            live = sum(1 for f in futures.values() if not f.done())
-            for position in range(start, len(batch.units)):
-                if position in done or position in futures:
-                    continue
-                if skip and position in skip:
-                    continue
-                if position > start and live >= window:
-                    break
-                span_start = tracer.now() if tracer else 0.0
-                bytes_before = batch.bytes_shipped[position]
-                futures[position] = dispatcher.submit(
-                    task_fn, self._make_dispatch(batch, position, pids=pids)
-                )
-                if tracer is not None:
-                    tracer.add(
-                        "dispatch",
-                        obs_spans.CAT_WIRE,
-                        span_start,
-                        tracer.now(),
-                        args={
-                            "position": position,
-                            "bytes": batch.bytes_shipped[position] - bytes_before,
-                        },
-                    )
-                live += 1
-        except Exception:
-            pass
-        finally:
-            self.dispatch_wall += time.perf_counter() - t0
-            self.dispatch_cpu += time.thread_time() - c0
-
-    def _resend_with_blobs(self, task_fn, batch, futures, position) -> bool:
-        """Re-dispatch one unit with its full blob set after a NeedBlobs."""
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
-        tracer = obs_spans.current()
-        span_start = tracer.now() if tracer else 0.0
-        bytes_before = batch.bytes_shipped[position]
-        try:
-            futures[position] = self._dispatch_path.submit(
-                task_fn, self._make_dispatch(batch, position, full=True)
-            )
-            if tracer is not None:
-                tracer.add(
-                    "blob-resend",
-                    obs_spans.CAT_WIRE,
-                    span_start,
-                    tracer.now(),
-                    args={
-                        "position": position,
-                        "bytes": batch.bytes_shipped[position] - bytes_before,
-                    },
-                )
-            return True
-        except Exception:
-            return False
-        finally:
-            self.dispatch_wall += time.perf_counter() - t0
-            self.dispatch_cpu += time.thread_time() - c0
-
-    @staticmethod
-    def _harvest(futures, done) -> None:
-        """Salvage completed results out of a broken batch, drop the rest."""
-        for position, future in list(futures.items()):
-            if future.done() and not future.cancelled():
-                try:
-                    if future.exception(timeout=0) is None:
-                        done[position] = future.result(timeout=0)
-                except Exception:
-                    pass
-        futures.clear()
-
-    def _run_units(
-        self, kind: str, task_fn, unit_fn, batch: _Batch, stop_on=None,
-        preloaded: Optional[Dict[int, tuple]] = None,
-    ) -> Iterator[Tuple[int, object]]:
-        """Yield ``(position, value)`` in position order with containment.
-
-        Per-unit policy: run in the pool; a NeedBlobs answer re-dispatches
-        the unit with its full blob set (bounded, never counted as a
-        fault); on crash/timeout/task-error, retry once (crash and
-        timeout also rebuild the pool); on a second failure, execute the
-        unit serially in the coordinator via ``unit_fn``. ``stop_on(value)``
-        truthy cancels everything still pending and ends the batch (the
-        record path's divergence exit).
-
-        ``preloaded`` maps positions to validated ``(value, timing)``
-        outcomes already produced by the speculative pipeline; those
-        positions are never dispatched. Their observability ingest and
-        timing records happen here, at consume time in merge order, so a
-        divergence at an earlier position drops them exactly as it would
-        have cancelled a dispatch — ``jobs=1`` metric parity.
-        """
-        n = len(batch.units)
-        done: Dict[int, tuple] = {}
-        futures: Dict[int, object] = {}
-        attempts = [0] * n
-        resends = [0] * n
-        next_pos = 0
-        try:
-            while next_pos < n:
-                if preloaded and next_pos in preloaded:
-                    value, timing = preloaded.pop(next_pos)
-                    self.speculation["accepted"] += 1
-                    self._ingest_observability(timing)
-                    self.unit_timings.append((kind, next_pos, timing))
-                    if stop_on is not None and stop_on(value):
-                        for pending in futures.values():
-                            pending.cancel()
-                        yield next_pos, value
-                        return
-                    yield next_pos, value
-                    next_pos += 1
-                    continue
-                failure = None
-                outcome = done.pop(next_pos, None)
-                if outcome is None:
-                    self._submit_missing(
-                        task_fn, batch, futures, done, next_pos, skip=preloaded
-                    )
-                    future = futures.pop(next_pos, None)
-                    if future is None:
-                        failure = WorkerCrashError(
-                            f"worker pool broke before unit {next_pos} could "
-                            f"be submitted",
-                            position=next_pos,
-                            attempt=attempts[next_pos],
-                        )
-                    else:
-                        try:
-                            outcome = future.result(
-                                timeout=self.unit_timeout or None
-                            )
-                        except FutureTimeout:
-                            future.cancel()
-                            failure = WorkerTimeoutError(
-                                f"unit {next_pos} exceeded the "
-                                f"{self.unit_timeout:g}s unit timeout",
-                                position=next_pos,
-                                attempt=attempts[next_pos],
-                                timeout=self.unit_timeout,
-                            )
-                        except Exception as exc:
-                            failure = WorkerCrashError(
-                                f"worker died running unit {next_pos}: {exc!r}",
-                                position=next_pos,
-                                attempt=attempts[next_pos],
-                            )
-                if outcome is not None:
-                    _, value, timing = outcome
-                    if isinstance(value, NeedBlobs):
-                        # Benign cache miss, not a fault: the worker could
-                        # not resolve every digest (eviction raced the
-                        # dispatch, or a fresh pool lost its caches).
-                        # Answer with the full blob set and wait again.
-                        self._apply_ack(
-                            value.worker_pid,
-                            batch.last_shipped[next_pos],
-                            set(value.evicted) | set(value.missing),
-                        )
-                        self.blob_resends += 1
-                        resends[next_pos] += 1
-                        obs_events.emit(
-                            "blob-resend", position=next_pos,
-                            missing=len(value.missing),
-                        )
-                        if resends[next_pos] <= _BLOB_RESEND_LIMIT:
-                            self._resend_with_blobs(
-                                task_fn, batch, futures, next_pos
-                            )
-                            continue
-                        failure = WorkerTaskError(
-                            f"unit {next_pos} still missing "
-                            f"{len(value.missing)} blob(s) after a "
-                            f"full re-dispatch",
-                            position=next_pos,
-                        )
-                        failure.attempt = attempts[next_pos]
-                    elif isinstance(value, WorkerTaskError):
-                        value.attempt = attempts[next_pos]
-                        failure = value
-                    else:
-                        self._apply_ack(
-                            timing.worker_pid,
-                            batch.last_shipped[next_pos],
-                            timing.evicted,
-                        )
-                        timing.bytes_shipped = batch.bytes_shipped[next_pos]
-                        timing.blobs_sent = batch.blobs_sent[next_pos]
-                        self._ingest_observability(timing)
-                        self.unit_timings.append((kind, next_pos, timing))
-                        # Coordinator-side, merged results only: dropped
-                        # speculation/divergence tails never observe.
-                        obs_histo.observe("unit_wall_s", timing.wall)
-                        obs_histo.observe("unit_bytes", timing.bytes_shipped)
-                        if stop_on is not None and stop_on(value):
-                            for pending in futures.values():
-                                pending.cancel()
-                            yield next_pos, value
-                            return
-                        yield next_pos, value
-                        next_pos += 1
-                        continue
-                # ------------------------------------------------------
-                # Containment: the unit failed in the pool.
-                # ------------------------------------------------------
-                self._note_fault(failure)
-                if not isinstance(failure, WorkerTaskError):
-                    # Crash/hang: the pool itself is suspect — salvage
-                    # finished results, then rebuild on the next submit.
-                    self._harvest(futures, done)
-                    self._dispatch_path.abandon(
-                        kill=isinstance(failure, WorkerTimeoutError)
-                    )
-                attempts[next_pos] += 1
-                if attempts[next_pos] < _POOL_ATTEMPTS:
-                    self.counters["retries"] += 1
-                    obs_events.emit("fault-retry", position=next_pos)
-                    continue
-                self.counters["serial_fallbacks"] += 1
-                obs_events.emit("serial-fallback", position=next_pos)
-                _, value, timing = unit_fn(self._local_dispatch(batch, next_pos))
-                timing.bytes_shipped = batch.bytes_shipped[next_pos]
-                timing.blobs_sent = batch.blobs_sent[next_pos]
-                self.unit_timings.append((kind + "-serial", next_pos, timing))
-                if stop_on is not None and stop_on(value):
-                    for pending in futures.values():
-                        pending.cancel()
-                    yield next_pos, value
-                    return
-                yield next_pos, value
-                next_pos += 1
-        finally:
-            for pending in futures.values():
-                pending.cancel()
-
-    # ------------------------------------------------------------------
-    def run_record_units(
-        self, program, machine, batch: UnitBatch,
-        preloaded: Optional[Dict[int, tuple]] = None,
-    ) -> Iterator[Tuple[int, EpochRunResult]]:
-        """Yield ``(position, result)`` in position order.
-
-        Stops after the first divergence, cancelling all not-yet-started
-        units — exactly the serial loop's early exit. Worker crashes,
-        hangs, and exceptions are contained per unit (retry once, then
-        serial fallback), so the stream always completes and is always
-        bit-identical to the serial path. ``preloaded`` carries validated
-        speculative outcomes (see :class:`SpeculativeSession`) consumed
-        in place of a dispatch.
-        """
-        state = self._begin_batch("record", program, machine, batch)
-        yield from self._run_units(
-            "record",
-            _record_task,
-            _record_unit,
-            state,
-            stop_on=lambda result: not result.ok,
-            preloaded=preloaded,
-        )
-
-    def speculative_session(self, program, machine) -> "SpeculativeSession":
-        """A per-segment speculative dispatch session (commit pipeline)."""
-        return SpeculativeSession(self, program, machine)
-
-    def run_replay_units(
-        self, program, machine, batch: UnitBatch
-    ) -> List[Tuple[int, int, object]]:
-        """All ``(position, cycles, failure)`` results, in position order."""
-        state = self._begin_batch("replay", program, machine, batch)
-        outcomes = []
-        for position, value in self._run_units(
-            "replay", _replay_task, _replay_unit, state
-        ):
-            cycles, failure = value
-            outcomes.append((position, cycles, failure))
-        return outcomes
-
-    # ------------------------------------------------------------------
-    def timing_summary(self) -> dict:
-        """Host-cost accounting for benchmarks and ``RecordResult.host``."""
-        timings = [t for _, _, t in self.unit_timings]
-        return {
-            "jobs": self.jobs,
-            "units": len(self.unit_timings),
-            "unit_wall": [round(t.wall, 6) for t in timings],
-            "unit_cpu": [round(t.cpu, 6) for t in timings],
-            "unit_pids": [t.worker_pid for t in timings],
-            "dispatch_wall": round(self.dispatch_wall, 6),
-            "dispatch_cpu": round(self.dispatch_cpu, 6),
-            "faults": dict(self.counters),
-            "fault_events": list(self.fault_events),
-            "speculation": dict(self.speculation),
-            "wire": {
-                "bytes_shipped": sum(t.bytes_shipped for t in timings),
-                "blobs_sent": sum(t.blobs_sent for t in timings),
-                "blob_cache_hits": sum(t.blob_cache_hits for t in timings),
-                "blob_cache_misses": sum(t.blob_cache_misses for t in timings),
-                "blob_resends": self.blob_resends,
-                "unit_bytes": [t.bytes_shipped for t in timings],
-            },
-        }
-
-
-class SpeculativeSession:
-    """One segment's speculative record-unit dispatches (commit pipeline).
-
-    The recorder creates a session per segment when the two-deep commit
-    pipeline is on. :meth:`push` ships one epoch unit to the pool *while
-    the thread-parallel run is still producing later epochs* — strictly
-    non-blocking, so a broken pool or full queue costs nothing but the
-    speculation. :meth:`harvest` collects results at segment end.
-
-    The session never retries, never counts faults, and never kills a
-    pool: a speculative attempt that crashes, hangs, misses blobs, or
-    raises is simply discarded, and the position runs again through the
-    full-knowledge batch with the pool's normal containment. Cache-mirror
-    acks are applied at harvest (the worker really did absorb the
-    blobs), but observability ingest and timing records are deferred to
-    the merge — a discarded or never-consumed result leaves no trace in
-    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
-    metrics identical.
-    """
-
-    def __init__(self, executor: HostExecutor, program, machine):
-        self.executor = executor
-        digest, blob = executor._program_wire(program)
-        self._batch = _Batch(
-            program=program,
-            machine=machine,
-            program_digest=digest,
-            units=[],
-            blobs={digest: blob},
-        )
-
-        #: segment position -> {"future": Future|None, "index": int}
-        self._entries: Dict[int, Dict[str, object]] = {}
-        #: indices pushed before the pool was up, awaiting submission
-        self._deferred: List[int] = []
-        #: set by the warm-up thread; read (GIL-atomic) by push/harvest
-        self._ready = False
-        self._warm = threading.Thread(target=self._warm_pool, daemon=True)
-        self._warm.start()
-
-    @property
-    def blobs(self) -> Dict[int, bytes]:
-        """The session-shared blob set speculative units intern into."""
-        return self._batch.blobs
-
-    def _warm_pool(self) -> None:
-        """Bring the worker pool up off the thread-parallel run's path.
-
-        Spawning worker processes costs ~a second of wall — paid inline
-        it would stall the guest at the first speculative dispatch. The
-        warm-up overlaps the thread-parallel run instead; pushes arriving
-        before the pool is ready are buffered and flushed the moment it
-        is (or at harvest, whichever comes first). A failed spawn leaves
-        ``_ready`` unset: the buffered units are discarded at harvest and
-        the batch path reports the pool problem the normal way. (A fleet
-        dispatcher's ``warm`` is a no-op — the service owns the pool.)
-        """
-        try:
-            self.executor._dispatch_path.warm()
-            self._ready = True
-        except Exception:
-            pass
-
-    def _submit(self, index: int) -> None:
-        """Dispatch one buffered unit; never raises (None future = lost)."""
-        executor = self.executor
-        batch = self._batch
-        unit = batch.units[index]
-        t0 = time.perf_counter()
-        c0 = time.thread_time()
-        tracer = obs_spans.current()
-        span_start = tracer.now() if tracer is not None else 0.0
-        future = None
-        try:
-            dispatcher = executor._dispatch_path
-            dispatch = executor._make_dispatch(
-                batch, index, pids=dispatcher.pids()
-            )
-            future = dispatcher.submit(_record_task, dispatch)
-        except Exception:
-            future = None
-        finally:
-            executor.dispatch_wall += time.perf_counter() - t0
-            executor.dispatch_cpu += time.thread_time() - c0
-        if tracer is not None and future is not None:
-            tracer.add(
-                "dispatch",
-                obs_spans.CAT_WIRE,
-                span_start,
-                tracer.now(),
-                args={
-                    "position": unit.position,
-                    "bytes": batch.bytes_shipped[index],
-                    "speculative": True,
-                },
-            )
-        self._entries[unit.position]["future"] = future
-
-    def push(self, unit) -> None:
-        """Dispatch one speculative unit; non-blocking, never raises."""
-        executor = self.executor
-        batch = self._batch
-        unit.faults = fault_injection.faults_for(
-            executor._fault_specs, "record", unit.position
-        )
-        index = len(batch.units)
-        batch.units.append(unit)
-        batch.bytes_shipped.append(0)
-        batch.blobs_sent.append(0)
-        batch.last_shipped.append(set())
-        executor.speculation["dispatched"] += 1
-        self._entries[unit.position] = {"future": None, "index": index}
-        # Fold finished speculations into the cache mirror *before*
-        # building this dispatch: without this, every mid-segment
-        # dispatch sees the tracker as it stood at segment start (acks
-        # normally arrive at harvest) and re-ships the full blob set —
-        # measured at ~100x the steady-state dispatch cost on
-        # page-heavy workloads. ``done()`` keeps the sweep non-blocking.
-        for entry in self._entries.values():
-            future = entry["future"]
-            if future is not None and future.done():
-                self._settle(entry, timeout=0)
-        if not self._ready:
-            self._deferred.append(index)
-            return
-        while self._deferred:
-            self._submit(self._deferred.pop(0))
-        self._submit(index)
-
-    def _settle(self, entry: Dict[str, object], timeout) -> None:
-        """Resolve one future and apply its cache-mirror ack, exactly once.
-
-        Leaves ``entry["outcome"] = (value, timing)`` with ``value`` of
-        ``None`` for anything discardable (crash, timeout, NeedBlobs,
-        failed submission); idempotent so the eager sweep in
-        :meth:`push` and the final pass in :meth:`harvest` compose.
-        """
-        if "outcome" in entry:
-            return
-        executor, batch = self.executor, self._batch
-        future = entry["future"]
-        index = entry["index"]
-        value = timing = None
-        if future is not None:
-            try:
-                _, value, timing = future.result(timeout=timeout)
-            except Exception:
-                future.cancel()
-                value = None
-        if isinstance(value, NeedBlobs):
-            executor._apply_ack(
-                value.worker_pid,
-                batch.last_shipped[index],
-                set(value.evicted) | set(value.missing),
-            )
-            value = None
-        if value is not None and not isinstance(value, WorkerTaskError):
-            executor._apply_ack(
-                timing.worker_pid, batch.last_shipped[index], timing.evicted
-            )
-        entry["outcome"] = (value, timing)
-
-    def harvest(self) -> Dict[int, Tuple[object, UnitTiming]]:
-        """Wait for every speculative future; return the good outcomes.
-
-        Anything else — worker crash, timeout, NeedBlobs, task error,
-        failed submission — is discarded here and the position falls
-        through to the full-knowledge dispatch.
-        """
-        executor, batch = self.executor, self._batch
-        self._warm.join()
-        if self._ready:
-            while self._deferred:
-                self._submit(self._deferred.pop(0))
-        self._deferred.clear()
-        outcomes: Dict[int, Tuple[object, UnitTiming]] = {}
-        timeout = executor.unit_timeout or None
-        for position in sorted(self._entries):
-            entry = self._entries[position]
-            self._settle(entry, timeout)
-            value, timing = entry["outcome"]
-            index = entry["index"]
-            if value is None or isinstance(value, WorkerTaskError):
-                executor.speculation["discarded"] += 1
-                continue
-            timing.bytes_shipped = batch.bytes_shipped[index]
-            timing.blobs_sent = batch.blobs_sent[index]
-            outcomes[position] = (value, timing)
-        self._entries.clear()
-        return outcomes
-
-    def close(self) -> None:
-        """Abandon whatever is still in flight (error-path hygiene)."""
-        for entry in self._entries.values():
-            future = entry["future"]
-            if future is not None:
-                future.cancel()
-        self._entries.clear()

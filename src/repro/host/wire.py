@@ -389,6 +389,21 @@ def _intern_pages(checkpoint: Checkpoint, blobs: Dict[int, bytes]) -> None:
             blobs[digest] = blob
 
 
+def _record_unit(
+    start: Checkpoint, boundary: Checkpoint, blobs: Dict[int, bytes], **fields
+) -> RecordEpochUnit:
+    """The record unit of the epoch ``start`` → ``boundary``.
+
+    The one place a :class:`RecordEpochUnit` is built: the checkpoints'
+    pages are interned into ``blobs`` and the boundary ships as a delta.
+    """
+    _intern_pages(start, blobs)
+    _intern_pages(boundary, blobs)
+    return RecordEpochUnit(
+        start=start.to_wire(), boundary=boundary.wire_delta(start), **fields
+    )
+
+
 def record_units_for_segment(
     checkpoints: Sequence[Checkpoint],
     hints: Sequence[tuple],
@@ -410,25 +425,21 @@ def record_units_for_segment(
     syscalls_ref = intern_object(syscall_slice(syscall_log, segment_start), blobs)
     signals_ref = intern_object(signal_slice(signal_log, segment_start), blobs)
     hints_ref = intern_object(tuple(hints), blobs)
-    units = []
-    for position in range(len(checkpoints) - 1):
-        start = checkpoints[position]
-        boundary = checkpoints[position + 1]
-        _intern_pages(start, blobs)
-        _intern_pages(boundary, blobs)
-        units.append(
-            RecordEpochUnit(
-                position=position,
-                epoch_index=first_epoch_index + position,
-                start=start.to_wire(),
-                boundary=boundary.wire_delta(start),
-                syscalls=syscalls_ref,
-                signals=signals_ref,
-                sync_events=hints_ref,
-                sync_start=hint_marks[position],
-                use_sync_hints=use_sync_hints,
-            )
+    units = [
+        _record_unit(
+            checkpoints[position],
+            checkpoints[position + 1],
+            blobs,
+            position=position,
+            epoch_index=first_epoch_index + position,
+            syscalls=syscalls_ref,
+            signals=signals_ref,
+            sync_events=hints_ref,
+            sync_start=hint_marks[position],
+            use_sync_hints=use_sync_hints,
         )
+        for position in range(len(checkpoints) - 1)
+    ]
     return UnitBatch(units, blobs)
 
 
@@ -442,7 +453,7 @@ def speculative_record_unit(
     signal_log: Sequence[tuple],
     use_sync_hints: bool,
     blobs: Dict[int, bytes],
-) -> object:
+) -> RecordEpochUnit:
     """Package one epoch for *speculative* dispatch during the TP run.
 
     Unlike :func:`record_units_for_segment` the segment is still being
@@ -454,19 +465,15 @@ def speculative_record_unit(
     goes through the session-shared ``blobs`` dict so consecutive
     speculative units dedupe their checkpoint pages.
     """
-    syscalls_ref = intern_object(syscall_slice(syscall_log, start), blobs)
-    signals_ref = intern_object(signal_slice(signal_log, start), blobs)
-    hints_ref = intern_object(tuple(hints_window), blobs)
-    _intern_pages(start, blobs)
-    _intern_pages(boundary, blobs)
-    return RecordEpochUnit(
+    return _record_unit(
+        start,
+        boundary,
+        blobs,
         position=position,
         epoch_index=epoch_index,
-        start=start.to_wire(),
-        boundary=boundary.wire_delta(start),
-        syscalls=syscalls_ref,
-        signals=signals_ref,
-        sync_events=hints_ref,
+        syscalls=intern_object(syscall_slice(syscall_log, start), blobs),
+        signals=intern_object(signal_slice(signal_log, start), blobs),
+        sync_events=intern_object(tuple(hints_window), blobs),
         sync_start=0,
         use_sync_hints=use_sync_hints,
     )

@@ -23,9 +23,9 @@ process-wide :class:`EventJournal`:
 :func:`emit` site costs one module-global check, the same contract the
 span tracer honors (gated by ``benchmarks/bench_obs_overhead.py``).
 The service layer installs a journal for the duration of a serve run;
-the CLI installs one when ``--events PATH`` (or ``REPRO_EVENTS``) asks
-for a durable sink. Worker processes never install a journal — every
-emission site lives on the coordinator, where transitions are decided.
+the CLI installs one when ``--events PATH`` asks for a durable sink.
+Worker processes never install a journal — every emission site lives
+on the coordinator, where transitions are decided.
 
 Sessions run as threads of one coordinator process, so events carry the
 emitting thread's session label (:func:`set_event_context`): one

@@ -368,10 +368,6 @@ class RecordService:
         result.recording_plain = record.recording.to_plain()
         result.epochs = record.recording.epoch_count()
         result.metrics = record.metrics.snapshot()
-        if record.fault is not None:
-            # A guest fault is a property of the workload, faithfully
-            # recorded — not a session failure.
-            result.metrics.setdefault("record", {})
 
     def _run_replay(
         self,
@@ -402,11 +398,7 @@ class RecordService:
         )
         result.verified = outcome.verified
         result.epochs = recording.epoch_count()
-        metrics = getattr(outcome, "metrics", None)
-        if metrics is not None:
-            metrics.merge_group("service", dispatcher.session_summary())
-            result.metrics = metrics.snapshot()
-        else:
-            result.metrics = {"service": dict(dispatcher.session_summary())}
+        outcome.metrics.merge_group("service", dispatcher.session_summary())
+        result.metrics = outcome.metrics.snapshot()
         if not outcome.verified:
             result.error = f"replay diverged: {outcome.details}"

@@ -4,7 +4,7 @@ One :class:`FleetScheduler` owns the coordinator-wide ``shared_pool()``
 on behalf of every concurrent record/replay session. Each session
 registers a *lane* and receives a :class:`SessionDispatcher` — the
 object that slots into ``HostExecutor``'s submission seam (see
-``repro.host.pool._DirectDispatcher``). Instead of submitting straight
+``repro.host.executor._DirectDispatcher``). Instead of submitting straight
 into the process pool, a session's dispatch lands in its lane's FIFO
 queue; an asyncio *pump* task drains the lanes into the pool with:
 

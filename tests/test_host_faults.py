@@ -34,8 +34,8 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.host import faults as fault_mod
+from repro.host.executor import HostExecutor
 from repro.host.pool import (
-    HostExecutor,
     _worker_ping,
     shared_pool,
     shutdown_shared_pool,

@@ -1,0 +1,250 @@
+"""One epoch-unit path: execute, dispatch and settle exist once each.
+
+The host layer runs a unit through one routine wherever it runs — a pool
+worker (batch, speculative or fleet submission) or the coordinator's
+serial fallback. These tests pin that directly: the two callers of the
+one execute routine agree on values and counters, the one dispatch
+routine still emits every span the three old submission paths did, and
+a warm pool honours the coordinator's superblock switch.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.baselines import run_native
+from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
+from repro.exec import superblock
+from repro.host import executor as host_executor
+from repro.host import worker as host_worker
+from repro.host.pool import shared_pool, shutdown_shared_pool
+from repro.host.wire import RecordEpochUnit, ReplayEpochUnit
+from repro.machine.config import MachineConfig
+from repro.memory.hashing import combine_hashes
+from repro.obs import metrics as obs_metrics
+from repro.obs import spans as obs_spans
+from repro.workloads import build_workload
+from tests.test_integration_matrix import GOLDEN
+
+
+def _setup(name="pbzip", workers=2, **overrides):
+    instance = build_workload(name, workers=workers, scale=2, seed=11)
+    machine = MachineConfig(cores=workers)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine,
+        epoch_cycles=max(native.duration // 12, 500),
+        **overrides,
+    )
+    return instance, machine, native, config
+
+
+def _golden_tuple(native, result):
+    recording = result.recording
+    return (
+        native.duration,
+        native.final_digest,
+        result.makespan,
+        recording.epoch_count(),
+        recording.final_digest,
+        combine_hashes([epoch.end_digest for epoch in recording.epochs]),
+        recording.total_log_bytes(),
+    )
+
+
+class _CapturingDispatcher:
+    """A submission seam with no pool behind it.
+
+    Every dispatch the executor builds is kept (full: no worker is known
+    to hold anything) and then refused, so each unit exhausts its pool
+    attempts and runs through the coordinator's serial fallback.
+    """
+
+    def __init__(self):
+        self.dispatches = []
+
+    def warm(self):
+        pass
+
+    def pids(self):
+        return []
+
+    def submit(self, fn, dispatch):
+        assert fn is host_worker.run_unit, "a second worker entry point exists"
+        self.dispatches.append(dispatch)
+        raise RuntimeError("no pool behind this dispatcher")
+
+    def abandon(self, kill):
+        pass
+
+
+@pytest.fixture
+def captured():
+    """One record and one replay dispatch, captured pool-free."""
+    seam = _CapturingDispatcher()
+    instance, machine, native, config = _setup(host_jobs=2, host_dispatcher=seam)
+    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    # Every unit fell back to the serial wrapper and the golden held.
+    assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
+    assert result.host["faults"]["serial_fallbacks"] == result.host["units"]
+    outcome = Replayer(instance.image, machine).replay_parallel(
+        result.recording, jobs=2, dispatcher=seam
+    )
+    assert outcome.verified
+    by_kind = {}
+    for dispatch in seam.dispatches:
+        by_kind.setdefault(type(dispatch.unit), dispatch)
+    return by_kind[RecordEpochUnit], by_kind[ReplayEpochUnit]
+
+
+def _run_both_ways(monkeypatch, dispatch):
+    """(worker outcome, serial outcome), each as (value, counters)."""
+    # run_unit is about to run in *this* process: keep its per-worker
+    # state (fusion switch, pinned programs, blob cache) out of later tests.
+    monkeypatch.setattr(superblock, "_dispatched", None)
+    monkeypatch.setattr(host_worker, "_worker_programs", {})
+    host_worker._worker_cache.cache_clear()
+    stats = obs_metrics.process_stats()
+    saved = stats.snapshot()
+    try:
+        shipped = pickle.loads(pickle.dumps(dispatch))
+        assert shipped._local_program is None
+        assert shipped.unit.start._local is None
+        assert shipped.unit.syscalls._local is None
+        _, worker_value, timing = host_worker.run_unit(shipped)
+        assert not isinstance(worker_value, Exception), worker_value
+        assert timing.blob_cache_misses == len(shipped.blobs)
+
+        local = host_worker.UnitDispatch(
+            dispatch.machine,
+            dispatch.unit,
+            dispatch.program_digest,
+            _local_program=dispatch._local_program,
+        )
+        stats.clear()
+        _, serial_value, _ = host_worker.run_unit_serial(local)
+        serial_counters = obs_metrics.drain_process()
+    finally:
+        host_worker._worker_cache.cache_clear()
+        stats.clear()
+        stats.update_from(saved)
+    return (worker_value, dict(timing.metrics)), (serial_value, serial_counters)
+
+
+def test_record_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
+    # Fusion counters depend on how warm a program image's block table is
+    # (a shipped image starts cold), so they are switched off — through
+    # the dispatch, which is the only channel a worker listens to.
+    record_dispatch, _ = captured
+    record_dispatch.superblocks = False
+    monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
+    (worker, worker_counters), (serial, serial_counters) = _run_both_ways(
+        monkeypatch, record_dispatch
+    )
+    for name in (
+        "epoch_index", "ok", "duration", "end_digest", "reason",
+        "syscalls_consumed", "starved",
+    ):
+        assert getattr(worker, name) == getattr(serial, name), name
+    assert worker.ok
+    assert worker.schedule.slices == serial.schedule.slices
+    assert worker.committed_sync.events == serial.committed_sync.events
+    assert worker_counters == serial_counters
+    assert worker_counters["exec.epochs"] == 1
+
+
+def test_replay_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
+    _, replay_dispatch = captured
+    replay_dispatch.superblocks = False
+    monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
+    (worker, worker_counters), (serial, serial_counters) = _run_both_ways(
+        monkeypatch, replay_dispatch
+    )
+    assert worker == serial  # (cycles, failure)
+    assert worker[0] > 0 and worker[1] is None
+    assert worker_counters == serial_counters
+    assert worker_counters["replay.epochs"] == 1
+
+
+def test_one_dispatch_routine_emits_every_span(monkeypatch):
+    """Speculative push, NeedBlobs resend and serial fallback, traced.
+
+    A jobs=2 record where every first dispatch ships no blobs (fresh
+    workers must answer NeedBlobs) and unit 1 raises in the worker on
+    both pool attempts (it must fall back to the coordinator).
+    """
+    original = host_executor.HostExecutor._make_dispatch
+
+    def starved(self, batch, position, pids=(), full=False):
+        dispatch = original(self, batch, position, pids=pids, full=full)
+        if not full:
+            dispatch.blobs = {}
+            batch.last_shipped[position] = set()
+        return dispatch
+
+    monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", starved)
+    shutdown_shared_pool()  # fresh workers hold nothing: misses guaranteed
+    instance, machine, native, config = _setup(
+        host_jobs=2, host_faults="record:error:unit1"
+    )
+    tracer = obs_spans.start_trace()
+    try:
+        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        outcome = Replayer(instance.image, machine).replay_parallel(
+            result.recording, jobs=2
+        )
+    finally:
+        obs_spans.stop_trace()
+        shutdown_shared_pool()
+    assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
+    assert outcome.verified
+
+    def spans(name):
+        return [s for s in tracer.spans if s.name == name]
+
+    dispatches = spans("dispatch")
+    assert all(s.cat == obs_spans.CAT_WIRE for s in dispatches)
+    speculative = [s for s in dispatches if s.args.get("speculative")]
+    assert speculative, "no mid-segment speculative dispatch span"
+    assert all(s.args["speculative"] is True for s in speculative)
+    assert result.host["speculation"]["dispatched"] == len(speculative)
+    for span in dispatches:
+        assert set(span.args) - {"speculative"} == {"position", "bytes"}
+    resends = spans("blob-resend")
+    counted = [run.host["wire"]["blob_resends"] for run in (result, outcome)]
+    assert len(resends) == sum(counted) and min(counted) >= 1
+    assert all(
+        set(s.args) == {"position", "bytes"} and s.args["bytes"] > 0 for s in resends
+    )
+    kinds = {}
+    for span in spans("execute"):
+        kinds.setdefault(span.args["kind"], []).append(span)
+    assert set(kinds) == {"record", "record-serial", "replay"}
+    assert len(kinds["replay"]) == result.recording.epoch_count()
+    assert result.host["faults"]["serial_fallbacks"] == len(kinds["record-serial"])
+    assert all(s.args["position"] == 1 for s in kinds["record-serial"])
+    assert all(s.track == tracer.pid for s in kinds["record-serial"])
+    assert all(s.track != tracer.pid for s in kinds["record"])
+
+
+def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
+    """Regression: workers kept the fusion setting they were spawned with."""
+    shutdown_shared_pool()
+    monkeypatch.delenv("REPRO_SUPERBLOCKS", raising=False)
+    try:
+        shared_pool(2)  # spawned with fusion ON in their environment
+        instance, _, native, config = _setup("fft", 3, host_jobs=2)
+        warm = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        fused = warm.metrics.snapshot()["superblock"]["fused_calls"]
+        assert fused > 0, "fusion never ran: the regression below is vacuous"
+
+        monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
+        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        assert _golden_tuple(native, result) == GOLDEN[("fft", 3)]
+        assert result.host["units"] > 0
+        fused = result.metrics.snapshot().get("superblock", {})
+        assert fused.get("fused_calls", 0) == 0, "fusion ran while disabled"
+    finally:
+        shutdown_shared_pool()

@@ -176,7 +176,7 @@ def test_worker_program_memo_decodes_once_and_caps(monkeypatch):
     image so its tables survive blob-cache eviction, FIFO-capped so a
     long-lived worker can't accumulate stale images.
     """
-    from repro.host import pool as host_pool
+    from repro.host import worker as host_pool
 
     monkeypatch.setattr(host_pool, "_worker_programs", {})
     calls = []

@@ -232,8 +232,8 @@ def test_goldens_without_superblocks(monkeypatch, name, workers):
     assert fused.get("fused_calls", 0) == 0, "fusion ran while disabled"
 
 
-# The same through worker processes: workers read the env at spawn, so
-# the shared pool is torn down around each case. (name, workers, jobs)
+# The same through worker processes: the coordinator's switch rides on
+# every dispatch, so whatever pool is warm honours it. (name, workers, jobs)
 SUPERBLOCK_JOBS_PARITY = [
     ("pbzip", 2, 4),
     ("fft", 3, 2),
@@ -243,32 +243,30 @@ SUPERBLOCK_JOBS_PARITY = [
 
 @pytest.mark.parametrize("name,workers,jobs", SUPERBLOCK_JOBS_PARITY)
 def test_goldens_without_superblocks_parallel(monkeypatch, name, workers, jobs):
-    _shutdown_pool()
     monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
-    try:
-        instance = build_workload(name, workers=workers, scale=2, seed=11)
-        machine = MachineConfig(cores=workers)
-        native = run_native(instance.image, instance.setup, machine)
-        config = DoublePlayConfig(
-            machine=machine,
-            epoch_cycles=max(native.duration // 12, 500),
-        )
-        result = DoublePlayRecorder(
-            instance.image, instance.setup, config.replace(host_jobs=jobs)
-        ).record()
-        recording = result.recording
-        observed = (
-            native.duration,
-            native.final_digest,
-            result.makespan,
-            recording.epoch_count(),
-            recording.final_digest,
-            combine_hashes([epoch.end_digest for epoch in recording.epochs]),
-            recording.total_log_bytes(),
-        )
-        assert observed == GOLDEN[(name, workers)]
-    finally:
-        _shutdown_pool()
+    instance = build_workload(name, workers=workers, scale=2, seed=11)
+    machine = MachineConfig(cores=workers)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine,
+        epoch_cycles=max(native.duration // 12, 500),
+    )
+    result = DoublePlayRecorder(
+        instance.image, instance.setup, config.replace(host_jobs=jobs)
+    ).record()
+    recording = result.recording
+    observed = (
+        native.duration,
+        native.final_digest,
+        result.makespan,
+        recording.epoch_count(),
+        recording.final_digest,
+        combine_hashes([epoch.end_digest for epoch in recording.epochs]),
+        recording.total_log_bytes(),
+    )
+    assert observed == GOLDEN[(name, workers)]
+    fused = result.metrics.snapshot().get("superblock", {})
+    assert fused.get("fused_calls", 0) == 0, "fusion ran in a warm worker"
 
 
 # Pipelined-commit parity: the two-deep speculative pipeline dispatches
@@ -532,7 +530,7 @@ def test_goldens_survive_forced_blob_misses(monkeypatch):
     answer with a structured NeedBlobs and the coordinator re-dispatches
     with the full blob set — same goldens, resends counted, no faults.
     """
-    from repro.host import pool as host_pool
+    from repro.host import executor as host_pool
 
     _shutdown_pool()  # fresh workers hold nothing: misses are guaranteed
 
