@@ -91,6 +91,22 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
 
 
+def _add_host_args(parser: argparse.ArgumentParser) -> None:
+    """The host-side flags ``record`` and ``replay`` share."""
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="host worker processes for epoch execution (default: serial; "
+             "results are bit-identical at any jobs count; on replay, "
+             "more than one implies --parallel)")
+    parser.add_argument(
+        "--unit-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-unit wall-clock budget for hung host workers "
+             "(default: REPRO_UNIT_TIMEOUT or 60; 0 disables)")
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="write a Chrome-trace (Perfetto) timeline of the run here")
+
+
 def _build(args):
     instance = build_workload(
         args.workload, workers=args.workers, scale=args.scale, seed=args.seed
@@ -122,11 +138,6 @@ def cmd_run(args, out) -> int:
         file=out,
     )
     return 0 if valid else 1
-
-
-def _trace_path(args) -> Optional[str]:
-    """``--trace PATH`` wins; ``REPRO_TRACE`` is the env fallback."""
-    return getattr(args, "trace", None) or os.environ.get("REPRO_TRACE") or None
 
 
 class _TraceScope:
@@ -202,8 +213,6 @@ def cmd_record(args, out) -> int:
         return 2
     native = run_native(instance.image, instance.setup, machine)
     overrides = {}
-    if args.unit_timeout is not None:
-        overrides["unit_timeout"] = args.unit_timeout
     if args.log_dir:
         overrides["log_dir"] = args.log_dir
         overrides["log_spill"] = args.log_spill
@@ -221,10 +230,10 @@ def cmd_record(args, out) -> int:
         spare_cores=not args.no_spare_cores,
         use_sync_hints=not args.no_sync_hints,
         host_jobs=args.jobs,
+        unit_timeout=args.unit_timeout,
         **overrides,
     )
-    trace_path = _trace_path(args)
-    with _TraceScope(trace_path):
+    with _TraceScope(args.trace):
         result = DoublePlayRecorder(
             instance.image, instance.setup, config
         ).record()
@@ -242,8 +251,8 @@ def cmd_record(args, out) -> int:
     for key, value in recording.log_breakdown().items():
         print(f"  {key}: {value}", file=out)
     print_summary(result.metrics, out)
-    if trace_path:
-        print(f"wrote trace to {trace_path}", file=out)
+    if args.trace:
+        print(f"wrote trace to {args.trace}", file=out)
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
             json.dump(
@@ -321,8 +330,7 @@ def cmd_replay(args, out) -> int:
         print(f"error: {exc}", file=out)
         return 2
     replayer = Replayer(instance.image, machine)
-    trace_path = _trace_path(args)
-    with _TraceScope(trace_path):
+    with _TraceScope(args.trace):
         if args.epoch is not None:
             if not durable:
                 # Durable logs hydrate checkpoints straight from the blob
@@ -358,8 +366,8 @@ def cmd_replay(args, out) -> int:
     for detail in outcome.details:
         print(f"  {detail}", file=out)
     print_summary(outcome.metrics, out)
-    if trace_path:
-        print(f"wrote trace to {trace_path}", file=out)
+    if args.trace:
+        print(f"wrote trace to {args.trace}", file=out)
     return 0 if outcome.verified else 1
 
 
@@ -806,18 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="epochs per native runtime (default 18)")
     record_parser.add_argument("--no-spare-cores", action="store_true")
     record_parser.add_argument("--no-sync-hints", action="store_true")
-    record_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="host worker processes for epoch execution (default: serial; "
-             "results are bit-identical at any jobs count)")
-    record_parser.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock budget for hung host workers "
-             "(default: REPRO_UNIT_TIMEOUT or 60; 0 disables)")
-    record_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write a Chrome-trace (Perfetto) timeline of the run here "
-             "(env fallback: REPRO_TRACE)")
+    _add_host_args(record_parser)
     record_parser.add_argument(
         "--log-dir", default=None, metavar="DIR",
         help="stream committed epochs to a durable sharded log here "
@@ -829,15 +826,13 @@ def build_parser() -> argparse.ArgumentParser:
              "durable, bounding resident log memory (requires --log-dir)")
     record_parser.add_argument(
         "--log-codec", default=None, choices=["raw", "zlib1", "zlib6"],
-        help="segment compression codec (default: REPRO_LOG_COMPRESS or "
-             "zlib1)")
+        help="segment compression codec (default: zlib1)")
     record_parser.add_argument(
         "--flight-window", type=int, default=None, metavar="K",
         help="flight-recorder window: keep only the last K epochs durable "
              "— old shard extents drop from the manifest, dead segments "
              "are deleted and the blob pack compacted, so disk stays "
-             "bounded by the window (requires --log-dir; env fallback: "
-             "REPRO_FLIGHT_WINDOW)")
+             "bounded by the window (requires --log-dir)")
     record_parser.add_argument(
         "--metrics-out", default=None, metavar="PATH", dest="metrics_out",
         help="export the run's RunMetrics snapshot as JSON (compare two "
@@ -859,20 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tail", action="store_true",
         help="recover a crashed/unsealed durable log: verify integrity, "
              "then replay the surviving committed tail")
-    replay_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="host worker processes for parallel replay (implies --parallel; "
-             "default: serial)")
-    replay_parser.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock budget for hung host workers "
-             "(default: REPRO_UNIT_TIMEOUT or 60; 0 disables)")
+    _add_host_args(replay_parser)
     replay_parser.add_argument("--epoch", type=int, default=None,
                                help="replay a single epoch index")
-    replay_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="write a Chrome-trace (Perfetto) timeline of the replay here "
-             "(env fallback: REPRO_TRACE)")
 
     serve_parser = commands.add_parser(
         "serve",
@@ -896,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="epochs per native runtime (default 18)")
     serve_parser.add_argument(
         "--fault", default="", metavar="SPEC",
-        help="inject REPRO_FAULT-style directives into ONE tenant "
+        help="inject fault directives (REPRO_FAULT grammar) into ONE tenant "
              "(see --fault-session); every other tenant runs clean")
     serve_parser.add_argument(
         "--fault-session", type=int, default=0, metavar="K",

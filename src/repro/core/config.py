@@ -10,55 +10,10 @@ sensitivity experiment (Fig 9) sweeps exactly this knob.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.machine.config import MachineConfig
-
-
-def default_unit_timeout() -> float:
-    """Per-unit host timeout: ``REPRO_UNIT_TIMEOUT`` seconds, else 60.
-
-    This is the hang-containment budget for host worker processes
-    (:mod:`repro.host.executor`); 0 disables hang detection. It lives here —
-    not in the host layer — so building a config never imports the host
-    package (``host_jobs=1`` must stay import-free of it).
-    """
-    raw = os.environ.get("REPRO_UNIT_TIMEOUT", "")
-    if not raw:
-        return 60.0
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return 60.0
-
-
-def pipelined_commit_enabled() -> bool:
-    """Speculative epoch dispatch during the thread-parallel run.
-
-    ``REPRO_PIPELINE=0`` disables the two-deep commit pipeline and
-    restores the strictly phased segment flow (thread-parallel run
-    first, then every epoch dispatch). Recordings are bit-identical
-    either way; only wall-clock overlap changes.
-    """
-    return os.environ.get("REPRO_PIPELINE", "") != "0"
-
-
-def _default_host_jobs() -> int:
-    """Default host-process count: the ``REPRO_TEST_JOBS`` env var, else 1.
-
-    The env hook lets CI sweep the entire tier-1 suite over the
-    process-parallel path without touching a single test — results are
-    bit-identical at any jobs count, so the same assertions must pass.
-    """
-    raw = os.environ.get("REPRO_TEST_JOBS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -92,12 +47,13 @@ class DoublePlayConfig:
     #: code path, zero extra dependencies). Orthogonal to
     #: ``epoch_workers``, which is simulated executor slots: ``host_jobs``
     #: changes only wall-clock, never a digest, makespan or recording.
-    host_jobs: int = dataclasses.field(default_factory=_default_host_jobs)
+    #: This and the other host-side fields below that default to None
+    #: are resolved per run by :mod:`repro.options` (None = not set here).
+    host_jobs: Optional[int] = None
     #: per-unit wall-clock timeout (seconds) for host worker processes —
-    #: the hang-containment budget, not a simulated quantity. Defaults to
-    #: ``REPRO_UNIT_TIMEOUT`` (else 60); 0 disables hang detection.
-    #: Irrelevant at ``host_jobs=1``.
-    unit_timeout: float = dataclasses.field(default_factory=default_unit_timeout)
+    #: the hang-containment budget, not a simulated quantity; 0 disables
+    #: hang detection. Irrelevant at ``host_jobs=1``.
+    unit_timeout: Optional[float] = None
     #: durable sharded log directory (``repro.record.shards``). When set,
     #: committed epochs stream to disk as they commit — the recording on
     #: disk is {manifest, segments, blob store} and ``repro replay`` can
@@ -109,8 +65,8 @@ class DoublePlayConfig:
     #: run length. Requires ``log_dir``; the returned recording can then
     #: only be replayed by loading it back from the durable log.
     log_spill: bool = False
-    #: segment compression codec override (``raw``/``zlib1``/``zlib6``);
-    #: None = ``REPRO_LOG_COMPRESS`` or the measured default (zlib1).
+    #: segment compression codec (``raw``/``zlib1``/``zlib6``);
+    #: None = the measured default (zlib1).
     log_codec: Optional[str] = None
     #: workload metadata recorded verbatim in the durable manifest so
     #: ``repro replay <dir>`` can rebuild the program (name/workers/...).
@@ -119,18 +75,16 @@ class DoublePlayConfig:
     #: durable (pre-window shard extents drop from the manifest, dead
     #: segments are deleted, the blob pack is compacted), bounding
     #: on-disk bytes by the window regardless of run length. Requires
-    #: ``log_dir``. None = keep everything; the ``REPRO_FLIGHT_WINDOW``
-    #: env var supplies a default when the field is unset.
+    #: ``log_dir``. None = keep everything.
     flight_window: Optional[int] = None
     #: host submission-path override (``repro.service`` injects each
     #: session's fleet dispatcher here so N concurrent sessions share
     #: one worker pool). None = the executor's own direct pool path.
     #: Never affects recordings — only where epoch units execute.
     host_dispatcher: Optional[object] = None
-    #: per-run fault-injection directives overriding the ``REPRO_FAULT``
-    #: env (same grammar). The service scopes injected faults to one
-    #: tenant with this; ``""`` explicitly disables injection even when
-    #: the env var is set. None = read the env as before.
+    #: per-run fault-injection directives (:mod:`repro.host.faults`
+    #: grammar). The service scopes injected faults to one tenant with
+    #: this; ``""`` explicitly disables injection.
     host_faults: Optional[str] = None
 
     def workers(self) -> int:
@@ -141,17 +95,6 @@ class DoublePlayConfig:
 
     def inflight_bound(self) -> int:
         return self.max_inflight_epochs or self.executor_slots() + 1
-
-    def resolve_host_jobs(self) -> int:
-        return max(1, self.host_jobs)
-
-    def resolve_flight_window(self) -> Optional[int]:
-        """Effective flight window: the explicit field, else the env var."""
-        if self.flight_window is not None:
-            return self.flight_window
-        from repro.record.shards import _flight_window_env
-
-        return _flight_window_env()
 
     def replace(self, **overrides) -> "DoublePlayConfig":
         return dataclasses.replace(self, **overrides)

@@ -29,9 +29,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import options
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.config import DoublePlayConfig, pipelined_commit_enabled
+from repro.core.config import DoublePlayConfig
 from repro.core.epoch_runner import run_epoch
 from repro.core.epochs import AdaptiveEpochPolicy, FixedEpochPolicy
 from repro.core.pipeline import (
@@ -295,7 +296,8 @@ class DoublePlayRecorder:
         """
         self._sink = None
         try:
-            return self._record()
+            with options.run(self.config) as opts:
+                return self._record(opts)
         except BaseException as exc:
             sink = self._sink
             if sink is not None and not sink.closed:
@@ -305,7 +307,7 @@ class DoublePlayRecorder:
                     pass  # never mask the original failure
             raise
 
-    def _record(self) -> RecordResult:
+    def _record(self, opts: options.RuntimeOptions) -> RecordResult:
         config = self.config
         costs = self.machine.costs
         stats_baseline = obs_metrics.process_stats().snapshot()
@@ -338,28 +340,24 @@ class DoublePlayRecorder:
                 initial,
                 self.program.name,
                 self.machine.cores,
-                codec=config.log_codec,
+                codec=opts.log_codec,
                 meta=config.log_meta,
-                flight_window=config.resolve_flight_window(),
+                group_commit_bytes=opts.log_group_bytes,
+                fsync=opts.log_fsync,
+                flight_window=opts.flight_window,
             )
         elif config.log_spill:
             raise ValueError("log_spill requires log_dir")
-        elif config.flight_window:
+        elif opts.flight_window:
             raise ValueError("flight_window requires log_dir")
 
-        host_jobs = config.resolve_host_jobs()
         executor = None
-        if host_jobs > 1:
+        if opts.host_jobs > 1:
             # Imported lazily: jobs=1 (the default) never touches the
             # host-parallelism layer at all.
             from repro.host.executor import HostExecutor, SpeculativeSession
 
-            executor = HostExecutor(
-                host_jobs,
-                unit_timeout=config.unit_timeout,
-                dispatcher=config.host_dispatcher,
-                fault_specs=config.host_faults,
-            )
+            executor = HostExecutor(opts, dispatcher=config.host_dispatcher)
 
         committed = initial
         next_cp_index = 1
@@ -400,7 +398,7 @@ class DoublePlayRecorder:
             segment_checkpoints: List[Checkpoint] = [committed]
             hint_marks: List[int] = [0]
             session = None
-            if executor is not None and pipelined_commit_enabled():
+            if executor is not None and opts.pipeline:
                 session = SpeculativeSession(executor, self.program, self.machine)
             #: speculated position -> (hint cut, syscall cut, signal cut)
             spec_cuts: Dict[int, tuple] = {}

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import options
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.core.pipeline import EpochTiming, schedule_spare_cores
 from repro.errors import ReplayError
@@ -174,6 +175,7 @@ class Replayer:
             )
 
     # ------------------------------------------------------------------
+    @options.run()
     def replay_epoch(self, recording: Recording, index: int) -> ReplayResult:
         """Replay one epoch from its checkpoint and verify its end state."""
         baseline = obs_metrics.process_stats().snapshot()
@@ -199,7 +201,7 @@ class Replayer:
         jobs: int = 1,
         unit_timeout: Optional[float] = None,
         dispatcher=None,
-        fault_specs=None,
+        fault_specs: Optional[str] = None,
     ) -> ReplayResult:
         """Replay every epoch concurrently from its checkpoint.
 
@@ -216,33 +218,34 @@ class Replayer:
         fresh pool, then in-coordinator serial execution — see
         :mod:`repro.host.executor`), so the replay always completes with the
         serial verdict; ``unit_timeout`` bounds a hung worker's unit in
-        wall-clock seconds (None = the ``REPRO_UNIT_TIMEOUT`` default,
-        0 disables). Containment counters land in ``host["faults"]``.
+        wall-clock seconds (None = the runtime option's value, 0
+        disables). Containment counters land in ``host["faults"]``.
 
         ``dispatcher`` overrides the executor's submission path (the
         service layer's per-session fleet handle) and ``fault_specs``
-        scopes fault injection to this replay (see
-        :class:`repro.host.executor.HostExecutor`).
+        scopes fault-injection directives to this replay (None = the
+        runtime option's value, ``""`` = none).
         """
         baseline = obs_metrics.process_stats().snapshot()
         host: Dict[str, object] = {"jobs": 1}
-        if jobs > 1 and len(recording.epochs) > 1:
-            from repro.host.executor import HostExecutor
-            from repro.host.wire import replay_units_for_recording
+        with options.run(
+            host_jobs=jobs, unit_timeout=unit_timeout, host_faults=fault_specs
+        ) as opts:
+            if opts.host_jobs > 1 and len(recording.epochs) > 1:
+                from repro.host.executor import HostExecutor
+                from repro.host.wire import replay_units_for_recording
 
-            batch = replay_units_for_recording(recording)
-            executor = HostExecutor(
-                jobs,
-                unit_timeout=unit_timeout,
-                dispatcher=dispatcher,
-                fault_specs=fault_specs,
-            )
-            outcomes = executor.run_replay_units(self.program, self.machine, batch)
-            host = executor.timing_summary()
-        else:
-            outcomes = [
-                self._replay_one(recording, epoch) for epoch in recording.epochs
-            ]
+                batch = replay_units_for_recording(recording)
+                executor = HostExecutor(opts, dispatcher=dispatcher)
+                outcomes = executor.run_replay_units(
+                    self.program, self.machine, batch
+                )
+                host = executor.timing_summary()
+            else:
+                outcomes = [
+                    self._replay_one(recording, epoch)
+                    for epoch in recording.epochs
+                ]
         details = [failure for _, failure in outcomes if failure]
         restore = self.machine.costs.restore_base
         durations = [cycles + restore for cycles, _ in outcomes]
@@ -263,7 +266,7 @@ class Replayer:
             makespan=pipeline.makespan,
             epochs_replayed=len(recording.epochs),
             workers=pool,
-            jobs=max(1, jobs),
+            jobs=opts.host_jobs,
             details=details,
             host=host,
             metrics=obs_metrics.build_run_metrics(
@@ -271,6 +274,7 @@ class Replayer:
             ),
         )
 
+    @options.run()
     def replay_sequential(self, recording: Recording) -> ReplayResult:
         """Replay the whole execution on one engine, epoch by epoch."""
         engine = self._whole_run_engine(recording, "seqreplay")

@@ -41,16 +41,16 @@ Correctness contract (what keeps logged event ordering untouched):
 The fused table is cached on ``ProgramImage.__dict__`` beside the
 ``_decoded`` table, keyed by the (frozen, hashable) cost model; like
 ``_decoded`` it is stripped by ``ProgramImage.__getstate__`` and rebuilt
-lazily in worker processes. ``REPRO_SUPERBLOCKS=0`` disables fusion
-entirely; a block is compiled the fourth time its head is reached (cold
-blocks never pay compilation).
+lazily in worker processes. The ``superblocks`` runtime option
+(:mod:`repro.options`) disables fusion entirely; a block is compiled
+the fourth time its head is reached (cold blocks never pay compilation).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
+from repro import options
 from repro.errors import GuestFault
 from repro.isa.blocks import discover_blocks
 from repro.isa.instructions import Instruction, Op
@@ -63,25 +63,6 @@ _WRAP = 1 << 64
 
 #: block-head executions before a block is compiled
 _COMPILE_THRESHOLD = 4
-
-#: the coordinator's fusion switch as carried on the last dispatch this
-#: pool worker ran (None everywhere else: follow the environment). A warm
-#: worker must honour the caller's setting, not the environment it was
-#: spawned with.
-_dispatched: Optional[bool] = None
-
-
-def enabled() -> bool:
-    """Is superblock fusion on? (``REPRO_SUPERBLOCKS=0`` disables.)"""
-    if _dispatched is not None:
-        return _dispatched
-    return os.environ.get("REPRO_SUPERBLOCKS", "1") != "0"
-
-
-def apply_dispatched(flag: bool) -> None:
-    """Worker side: adopt the switch the coordinator resolved."""
-    global _dispatched
-    _dispatched = flag
 
 
 class BlockSite:
@@ -126,7 +107,7 @@ def table_for(program, costs) -> Optional[list]:
     the ``_decoded`` cache, keyed by cost model (costs are baked into
     the generated code as literals), and is excluded from pickling.
     """
-    if not enabled():
+    if not options.current().superblocks:
         return None
     cache: Dict[object, list] = program.__dict__.get("_superblocks")
     if cache is None:

@@ -21,36 +21,20 @@ The content-addressed wire protocol has two halves:
   dispatch) answers with a structured ``NeedBlobs`` instead of failing,
   and the coordinator re-dispatches with the full blob set.
 
-Capacity comes from ``REPRO_BLOB_CACHE_MB`` (default 64), read in the
-worker process at first use — tests shrink it to force the eviction and
-miss/resend paths deterministically.
+A worker's budget is the coordinator's ``blob_cache_bytes`` runtime
+option (:mod:`repro.options`), carried on every dispatch and adopted
+before the dispatch's blobs are absorbed — tests shrink it to force the
+eviction and miss/resend paths deterministically.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.memory.blob import decode_blob
 from repro.memory.page import Page
-
-#: worker blob-cache budget env knob, in megabytes of encoded blob bytes
-CACHE_ENV = "REPRO_BLOB_CACHE_MB"
-_DEFAULT_CACHE_MB = 64.0
-
-
-def blob_cache_capacity() -> int:
-    """Worker cache budget in bytes (``REPRO_BLOB_CACHE_MB``, default 64)."""
-    raw = os.environ.get(CACHE_ENV, "")
-    if not raw:
-        return int(_DEFAULT_CACHE_MB * 1024 * 1024)
-    try:
-        return max(0, int(float(raw) * 1024 * 1024))
-    except ValueError:
-        return int(_DEFAULT_CACHE_MB * 1024 * 1024)
-
 
 def decode_blob_object(blob: bytes):
     """Decode a wire blob into its live object (pages become ``Page``)."""
@@ -63,7 +47,7 @@ def decode_blob_object(blob: bytes):
 class BlobCache:
     """Byte-budgeted LRU of decoded wire objects, keyed by digest.
 
-    Lives once per worker process (memoised in ``repro.host.worker``)
+    Lives once per worker process (in ``repro.host.worker``)
     and once in the coordinator for its serial-fallback-free bookkeeping
     tests. Pages stored here are shared into hydrated snapshots by
     reference; the hydration pin (``refs += 1`` per table entry) plus the
@@ -109,6 +93,11 @@ class BlobCache:
         size = len(blob)
         self._entries[digest] = (decode_blob_object(blob), size)
         self._bytes += size
+        return self.resize(self.capacity)
+
+    def resize(self, capacity_bytes: int) -> List[int]:
+        """Adopt a byte budget; returns the digests evicted to fit it."""
+        self.capacity = max(0, int(capacity_bytes))
         evicted: List[int] = []
         while self._bytes > self.capacity and self._entries:
             old_digest, (_, old_size) = self._entries.popitem(last=False)

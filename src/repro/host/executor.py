@@ -41,10 +41,10 @@ then fall back to in-coordinator serial execution):
   is attributed to the unit the coordinator was waiting on; collateral
   victims are resubmitted without blame (they may occasionally burn an
   attempt of their own — that costs parallelism, never correctness).
-* **timeout** — a unit exceeded the per-unit wall-clock budget
-  (``unit_timeout``, default ``REPRO_UNIT_TIMEOUT`` or 60 s; 0
-  disables). The hung worker cannot be recalled, so the pool's processes
-  are terminated and the pool rebuilt.
+* **timeout** — a unit exceeded the per-unit wall-clock budget (the
+  ``unit_timeout`` runtime option; 0 disables). The hung worker cannot
+  be recalled, so the pool's processes are terminated and the pool
+  rebuilt.
 * **task error** — the unit raised inside the worker and came home as a
   structured :class:`~repro.errors.WorkerTaskError` result, so the pool
   stays healthy. A deterministic guest error reproduces during the
@@ -62,14 +62,12 @@ wall-clock time and the host accounting (``timing_summary()["faults"]``
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import default_unit_timeout
 from repro.core.epoch_runner import EpochRunResult
 from repro.errors import (
     HostPoolError,
@@ -77,7 +75,6 @@ from repro.errors import (
     WorkerTaskError,
     WorkerTimeoutError,
 )
-from repro.exec import superblock
 from repro.host import faults as fault_injection
 from repro.host.pool import (
     _cache_tracker,
@@ -92,6 +89,7 @@ from repro.obs import events as obs_events
 from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
+from repro.options import RuntimeOptions
 
 #: pool attempts per unit before the serial fallback (initial + 1 retry)
 _POOL_ATTEMPTS = 2
@@ -171,37 +169,26 @@ class _DirectDispatcher:
 class HostExecutor:
     """Runs epoch work units on a pool of worker processes.
 
-    ``unit_timeout`` is the per-unit wall-clock budget in seconds (None =
-    the ``REPRO_UNIT_TIMEOUT`` env default of 60; 0 disables hang
-    detection).
+    ``options`` is the run's resolved :class:`~repro.options.RuntimeOptions`:
+    the executor takes its worker count (``host_jobs``), per-unit
+    wall-clock budget (``unit_timeout``; 0 disables hang detection) and
+    fault directives (``host_faults`` / ``fault_state``, parsed here —
+    junk raises) from it, and carries it on every dispatch so workers follow
+    the coordinator, never their spawn-time environment.
 
     ``dispatcher`` overrides the submission path (see
     :class:`_DirectDispatcher`); the service layer injects a per-session
     fleet dispatcher here so many concurrent sessions share one pool
-    with fair-share scheduling and bounded backpressure. ``fault_specs``
-    overrides the ``REPRO_FAULT`` env with an explicit per-executor
-    directive string (or pre-parsed spec tuple) — the service scopes
-    injected faults to a single tenant this way.
+    with fair-share scheduling and bounded backpressure.
     """
 
-    def __init__(self, jobs: int, unit_timeout=None, dispatcher=None, fault_specs=None):
-        self.jobs = max(1, int(jobs))
-        self.unit_timeout = (
-            default_unit_timeout()
-            if unit_timeout is None
-            else max(0.0, float(unit_timeout))
+    def __init__(self, options: RuntimeOptions, dispatcher=None):
+        self.options = options
+        self.jobs = options.host_jobs
+        self.unit_timeout = options.unit_timeout
+        self._fault_specs = fault_injection.parse_fault_specs(
+            options.host_faults, options.fault_state
         )
-        if fault_specs is None:
-            self._fault_specs = fault_injection.active_faults()
-        elif isinstance(fault_specs, str):
-            self._fault_specs = fault_injection.parse_fault_specs(
-                fault_specs, os.environ.get("REPRO_FAULT_STATE", "")
-            )
-        else:
-            self._fault_specs = tuple(fault_specs)
-        #: the fusion switch, resolved once here and carried on every
-        #: dispatch (workers must not consult their spawn-time env)
-        self._superblocks = superblock.enabled()
         self._dispatch_path = (
             dispatcher if dispatcher is not None else _DirectDispatcher(self.jobs)
         )
@@ -296,7 +283,7 @@ class HostExecutor:
             program_digest=batch.program_digest,
             blobs=blobs,
             trace=obs_spans.enabled(),
-            superblocks=self._superblocks,
+            options=self.options,
             _local_program=batch.program,
         )
 

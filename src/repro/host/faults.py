@@ -2,8 +2,9 @@
 
 Crash, hang, and slow paths in the pool's containment logic are
 impossible to exercise with real hardware faults, so this module turns
-them into a config/env knob. The coordinator reads ``REPRO_FAULT`` once
-per :class:`~repro.host.executor.HostExecutor` and stamps the matching specs
+them into a runtime option. The coordinator parses the run's
+``host_faults`` option (``REPRO_FAULT`` or the config field) once per
+:class:`~repro.host.executor.HostExecutor` and stamps the matching specs
 onto each work unit's ``faults`` field; the *worker* then applies them at
 the top of its task function. Shipping specs inside the payload (rather
 than relying on the worker's inherited environment) makes injection
@@ -138,14 +139,6 @@ def _parse_one(token: str, state_dir: str) -> FaultSpec:
         kind=kind, position=position, scope=scope, seconds=seconds,
         once=once, state_dir=state_dir,
     )
-
-
-def active_faults() -> Tuple[FaultSpec, ...]:
-    """The coordinator's fault directives, from ``REPRO_FAULT``."""
-    raw = os.environ.get("REPRO_FAULT", "")
-    if not raw:
-        return ()
-    return parse_fault_specs(raw, os.environ.get("REPRO_FAULT_STATE", ""))
 
 
 def faults_for(

@@ -7,12 +7,13 @@ input hydration, pure body), hydrates the inputs and times the body.
 Two thin callers wrap it:
 
 * :func:`run_unit` — the worker entry point, for every pool submission
-  (batch, speculative, fleet). It applies injected faults, absorbs the
-  dispatch's blobs into this process's cache, executes, ships spans and
-  drained counters home on the :class:`~repro.host.wire.UnitTiming`, and
-  converts any exception into a structured
-  :class:`~repro.errors.WorkerTaskError` *result*, so a bad unit can
-  never break the pool.
+  (batch, speculative, fleet). It adopts the coordinator's runtime
+  options from the dispatch (never this process's own environment),
+  applies injected faults, absorbs the dispatch's blobs into this
+  process's cache, executes, ships spans and drained counters home on
+  the :class:`~repro.host.wire.UnitTiming`, and converts any exception
+  into a structured :class:`~repro.errors.WorkerTaskError` *result*, so
+  a bad unit can never break the pool.
 * :func:`run_unit_serial` — the coordinator's serial fallback. It
   rehydrates through the units' ``_local`` shortcuts (the exact original
   objects, no decode) with no fault injection and no exception
@@ -22,22 +23,23 @@ Two thin callers wrap it:
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
+from repro import options
 from repro.core.epoch_runner import run_epoch
 from repro.core.replayer import run_replay_epoch
 from repro.errors import WorkerTaskError
-from repro.exec import superblock
 from repro.host import faults as fault_injection
-from repro.host.blobs import BlobCache, blob_cache_capacity, decode_blob_object
+from repro.host.blobs import BlobCache, decode_blob_object
 from repro.host.wire import NeedBlobs, RecordEpochUnit, ReplayEpochUnit, UnitTiming
+from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
+from repro.options import RuntimeOptions
 from repro.record.sync_log import SyncOrderLog
 
 
@@ -58,10 +60,10 @@ class UnitDispatch:
     #: and ships them home on ``UnitTiming.spans`` (set from the
     #: coordinator's active tracer; workers have no tracer of their own)
     trace: bool = False
-    #: the coordinator's superblock-fusion switch. Shipped, not inherited:
-    #: a warm pool keeps the environment it was spawned with, so the
-    #: worker applies this before it builds the program's block table.
-    superblocks: bool = True
+    #: the coordinator's resolved runtime options. Shipped, not inherited
+    #: (a warm pool keeps its spawn environment): the worker adopts its
+    #: fusion switch, blob-cache budget and histogram switch before any work.
+    options: RuntimeOptions = RuntimeOptions()
     _local_program: object = field(default=None, repr=False)
 
     def __getstate__(self):
@@ -96,14 +98,9 @@ def _worker_program(digest: int, resolve) -> object:
     return program
 
 
-@functools.lru_cache(maxsize=None)
-def _worker_cache() -> BlobCache:
-    """This worker process's decoded-blob cache.
-
-    Created at first dispatch, so ``REPRO_BLOB_CACHE_MB`` is read in the
-    worker, not inherited state.
-    """
-    return BlobCache(blob_cache_capacity())
+#: this worker process's decoded-blob cache; every dispatch brings the
+#: budget it is to be held to (see :func:`_absorb_dispatch`)
+_worker_cache = BlobCache(0)
 
 
 def _absorb_dispatch(dispatch: UnitDispatch):
@@ -115,10 +112,11 @@ def _absorb_dispatch(dispatch: UnitDispatch):
     ALWAYS be resolved even if a tiny cache evicted it during this very
     absorb; that fallback is what makes NeedBlobs loops impossible.
     Returns ``(None, NeedBlobs)`` when a required digest is neither
-    cached nor shipped.
+    cached nor shipped. The cache first adopts the dispatch's budget,
+    evicting down to it if it shrank.
     """
-    cache = _worker_cache()
-    evicted: List[int] = []
+    cache = _worker_cache
+    evicted = cache.resize(dispatch.options.blob_cache_bytes)
     for digest, blob in dispatch.blobs.items():
         evicted.extend(cache.insert(digest, blob))
     hits = misses = 0
@@ -245,16 +243,17 @@ def run_unit(dispatch: UnitDispatch):
     # A fresh registry per task: whatever an aborted or dropped previous
     # task accumulated must never ride home with this unit's counters.
     obs_metrics.process_stats().clear()
-    superblock.apply_dispatched(dispatch.superblocks)
+    obs_histo.set_enabled(dispatch.options.histograms)
     try:
-        fault_injection.inject(unit.faults)
-        decode_start = time.perf_counter()
-        resolve, timing = _absorb_dispatch(dispatch)
-        if resolve is None:
-            return unit.position, timing, UnitTiming(worker_pid=os.getpid())
-        label, value, started, timing.wall, timing.cpu = _execute(
-            dispatch, _worker_program(dispatch.program_digest, resolve), resolve
-        )
+        with options.activate(dispatch.options):
+            fault_injection.inject(unit.faults)
+            decode_start = time.perf_counter()
+            resolve, timing = _absorb_dispatch(dispatch)
+            if resolve is None:
+                return unit.position, timing, UnitTiming(worker_pid=os.getpid())
+            label, value, started, timing.wall, timing.cpu = _execute(
+                dispatch, _worker_program(dispatch.program_digest, resolve), resolve
+            )
         if dispatch.trace:
             spanlog = obs_spans.WorkerSpanLog()
             spanlog.add(

@@ -6,10 +6,10 @@ execution — and this package is how we see it:
 
 * :mod:`repro.obs.spans` — a near-zero-overhead span tracer. Disabled
   (the default) it is a module-level ``None`` check on every
-  instrumentation site; enabled (``--trace PATH`` / ``REPRO_TRACE``) it
-  records epoch-lifecycle spans on the coordinator and, piggybacked on
-  the ``UnitTiming`` result path, inside worker processes, re-basing
-  worker timestamps onto the coordinator clock.
+  instrumentation site; enabled (``--trace PATH``) it records
+  epoch-lifecycle spans on the coordinator and, piggybacked on the
+  ``UnitTiming`` result path, inside worker processes, re-basing worker
+  timestamps onto the coordinator clock.
 * :mod:`repro.obs.metrics` — a hierarchical, mergeable run-wide counter
   registry. Workers drain their process-local counters into unit
   results; the coordinator merges them with its own and with the host

@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional
 
 #: event kinds emitted by the core layers (one place to see the taxonomy)
 KINDS = (
+    "options",             # run entry: the resolved runtime options
     "epoch-commit",        # recorder: one epoch folded into the recording
     "divergence",          # recorder: epoch result rejected, log pruned
     "recovery",            # recorder: forward recovery re-execution done

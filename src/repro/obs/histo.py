@@ -27,14 +27,14 @@ latency and whether the tail is moving, and a single mean hides both.
 
 Observation sites are epoch/unit/admission granularity only — never
 per-op — so the cost is a ``math.log10`` and a dict increment a few
-dozen times per run. ``REPRO_HISTOGRAMS=0`` switches collection off
-entirely (one module-global check per site, same contract as spans).
+dozen times per run. :func:`set_enabled` switches collection off
+entirely (one module-global check per site, same contract as spans);
+the coordinator's setting rides every dispatch, so workers follow it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -147,7 +147,7 @@ class LogHistogram:
 # ----------------------------------------------------------------------
 # Process-wide collection (the instrumentation-site API).
 # ----------------------------------------------------------------------
-_enabled = os.environ.get("REPRO_HISTOGRAMS", "1") != "0"
+_enabled = True
 
 
 def enabled() -> bool:

@@ -36,7 +36,7 @@ Codecs
 ``raw`` (no compression), ``zlib1`` and ``zlib6`` (zlib levels 1/6).
 The default is ``zlib1`` — the measured A/B (EXPERIMENTS.md) shows it
 within a few percent of zlib6's ratio on both page-heavy and sync-heavy
-shards at a fraction of the CPU — overridable with ``REPRO_LOG_COMPRESS``.
+shards at a fraction of the CPU.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ def fsync_dir(path: str) -> bool:
 
 
 def resolve_codec(name: Optional[str] = None) -> str:
-    """Codec to use: explicit ``name``, else ``REPRO_LOG_COMPRESS``, else
-    the measured default. Unknown names raise — a typo silently falling
-    back to raw would be a 3-4x on-disk regression nobody notices."""
-    chosen = name or os.environ.get("REPRO_LOG_COMPRESS", "") or DEFAULT_CODEC
+    """Codec to use: explicit ``name``, else the measured default.
+    Unknown names raise — a typo silently falling back to raw would be a
+    3-4x on-disk regression nobody notices."""
+    chosen = name or DEFAULT_CODEC
     if chosen not in CODECS:
         raise ValueError(
             f"unknown log codec {chosen!r} (choose from {sorted(CODECS)})"

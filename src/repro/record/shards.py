@@ -65,6 +65,7 @@ from repro.host.wire import ThreadLogIndex
 from repro.memory.address_space import MemorySnapshot
 from repro.memory.blob import blob_digest, decode_blob, encode_object
 from repro.memory.page import Page
+from repro import options
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.oskernel.syscalls import SyscallKind, SyscallRecord
@@ -105,51 +106,11 @@ def _repeat_packer(count: int) -> struct.Struct:
         packer = _REPEAT_PACKERS[count] = struct.Struct("<" + "IQB" * count)
     return packer
 
-_DEF_GROUP_KB = 32
-
-
-def _group_commit_bytes() -> int:
-    """Group-commit threshold: ``REPRO_LOG_GROUP_KB`` KiB, else 32."""
-    raw = os.environ.get("REPRO_LOG_GROUP_KB", "")
-    try:
-        return max(1, int(float(raw) * 1024)) if raw else _DEF_GROUP_KB * 1024
-    except ValueError:
-        return _DEF_GROUP_KB * 1024
-
-
-def _fsync_enabled() -> bool:
-    """``REPRO_LOG_FSYNC=0`` skips fsync (benchmarks on throwaway dirs)."""
-    return os.environ.get("REPRO_LOG_FSYNC", "") != "0"
-
-
-_DEF_COMPACT_KB = 256
-
-
-def _pack_compact_bytes() -> int:
-    """Dead-byte threshold that triggers a pack compaction mid-run.
-
-    ``REPRO_LOG_COMPACT_KB`` KiB, default 256. Compaction rewrites the
-    whole pack, so slides accumulate dead checkpoint blobs until the
-    reclaimable bytes justify the copy; a clean close always compacts
-    whatever is left so the final footprint is exactly the live window.
-    """
-    raw = os.environ.get("REPRO_LOG_COMPACT_KB", "")
-    try:
-        return max(1, int(float(raw) * 1024)) if raw else _DEF_COMPACT_KB * 1024
-    except ValueError:
-        return _DEF_COMPACT_KB * 1024
-
-
-def _flight_window_env() -> Optional[int]:
-    """``REPRO_FLIGHT_WINDOW=K`` turns on the rolling K-epoch window."""
-    raw = os.environ.get("REPRO_FLIGHT_WINDOW", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
+#: dead pack bytes that trigger a compaction mid-run. Compaction rewrites
+#: the whole pack, so slides accumulate dead checkpoint blobs until the
+#: reclaimable bytes justify the copy; a clean close always compacts
+#: whatever is left so the final footprint is exactly the live window.
+PACK_COMPACT_BYTES = 256 << 10
 
 
 def _hex(digest: int) -> str:
@@ -394,22 +355,20 @@ class ShardedLogWriter:
         worker_threads: int,
         codec: Optional[str] = None,
         meta: Optional[dict] = None,
-        group_commit_bytes: Optional[int] = None,
+        group_commit_bytes: int = options.RuntimeOptions.log_group_bytes,
         segment_max_bytes: int = 4 << 20,
-        fsync: Optional[bool] = None,
+        fsync: bool = options.RuntimeOptions.log_fsync,
         flight_window: Optional[int] = None,
-        pack_compact_bytes: Optional[int] = None,
+        pack_compact_bytes: int = PACK_COMPACT_BYTES,
     ):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         os.makedirs(os.path.join(directory, "segments"), exist_ok=True)
         self.codec = resolve_codec(codec)
         self.store = BlobStore(os.path.join(directory, "blobs"))
-        self.group_commit_bytes = (
-            group_commit_bytes if group_commit_bytes else _group_commit_bytes()
-        )
+        self.group_commit_bytes = group_commit_bytes
         self.segment_max_bytes = segment_max_bytes
-        self.fsync = _fsync_enabled() if fsync is None else fsync
+        self.fsync = fsync
         self.program_name = program_name
         self.worker_threads = worker_threads
         self.meta = dict(meta or {})
@@ -431,11 +390,7 @@ class ShardedLogWriter:
         if flight_window is not None and flight_window < 1:
             raise ValueError("flight_window must be >= 1")
         self.flight_window = flight_window
-        self.pack_compact_bytes = (
-            pack_compact_bytes
-            if pack_compact_bytes is not None
-            else _pack_compact_bytes()
-        )
+        self.pack_compact_bytes = pack_compact_bytes
         #: skeleton hex ref -> every pack digest the checkpoint pins
         self._ref_digests: Dict[str, Tuple[int, ...]] = {}
         #: pack digest -> live manifest references (window mode only)
@@ -1022,7 +977,7 @@ def persist_recording(
     group_commit_bytes: Optional[int] = None,
     flight_window: Optional[int] = None,
     segment_max_bytes: int = 4 << 20,
-    pack_compact_bytes: Optional[int] = None,
+    pack_compact_bytes: int = PACK_COMPACT_BYTES,
 ) -> dict:
     """Write a finished in-memory recording out as a durable sharded log.
 
@@ -1032,19 +987,24 @@ def persist_recording(
     same records because the retained logs already end at the committed
     prefix. Used by benchmarks and the log-size experiments; spilled
     recordings no longer hold their logs and cannot be re-persisted.
-    Returns the writer's :meth:`~ShardedLogWriter.totals`.
+    ``codec`` / ``fsync`` / ``group_commit_bytes`` left at None take their
+    runtime-option values. Returns the writer's
+    :meth:`~ShardedLogWriter.totals`.
     """
     if any(epoch.spilled for epoch in recording.epochs):
         raise ValueError("recording was spilled; its logs live on disk only")
+    opts = options.resolve(
+        log_codec=codec, log_fsync=fsync, log_group_bytes=group_commit_bytes
+    )
     writer = ShardedLogWriter(
         directory,
         recording.initial_checkpoint,
         recording.program_name,
         recording.worker_threads,
-        codec=codec,
+        codec=opts.log_codec,
         meta=meta,
-        fsync=fsync,
-        group_commit_bytes=group_commit_bytes,
+        fsync=opts.log_fsync,
+        group_commit_bytes=opts.log_group_bytes,
         flight_window=flight_window,
         segment_max_bytes=segment_max_bytes,
         pack_compact_bytes=pack_compact_bytes,

@@ -23,20 +23,22 @@ record/replay sessions concurrently against a single
 execute and *when* they are admitted — never what they compute. Every
 session's recording is bit-identical to the same workload recorded
 solo at ``jobs=1`` (the tier-1 parity matrix pins this), including
-when ``REPRO_FAULT``-style directives are injected into one tenant:
-faults are scoped per session via ``DoublePlayConfig.host_faults``, so
-one tenant's crashing unit exercises only that session's
-retry/serial-fallback containment.
+when fault directives (:mod:`repro.host.faults`) are injected into one
+tenant: faults are scoped per session via
+``DoublePlayConfig.host_faults``, so one tenant's crashing unit
+exercises only that session's retry/serial-fallback containment.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro import options
 from repro.core.config import DoublePlayConfig
 from repro.core.recorder import DoublePlayRecorder
 from repro.core.replayer import Replayer
@@ -100,8 +102,9 @@ class SessionRequest:
     #: ``max(native.duration // epoch_divisor, 500)``
     epoch_cycles: Optional[int] = None
     epoch_divisor: int = 12
-    #: per-tenant fault directives (``REPRO_FAULT`` grammar). None =
-    #: inherit the env; ``""`` = explicitly no injection for this tenant
+    #: per-tenant fault directives (:mod:`repro.host.faults` grammar).
+    #: None = the service's own ``host_faults`` runtime option; ``""`` =
+    #: explicitly no injection for this tenant
     faults: Optional[str] = None
     #: collect a per-session span trace (isolated from other sessions)
     trace: bool = False
@@ -227,12 +230,13 @@ class RecordService:
         t0 = time.perf_counter()
         elapsed = 0.0
         try:
-            results = await asyncio.gather(
-                *(
-                    self._session(request, fleet, admission, loop, threads)
-                    for request in requests
+            with options.run(host_jobs=config.jobs):
+                results = await asyncio.gather(
+                    *(
+                        self._session(request, fleet, admission, loop, threads)
+                        for request in requests
+                    )
                 )
-            )
             # The scrape window below is idle time, not session work:
             # stop the throughput clock before lingering.
             elapsed = time.perf_counter() - t0
@@ -278,8 +282,11 @@ class RecordService:
             )
             dispatcher = fleet.register(request.sid)
             try:
+                # copy_context: every session thread inherits the options
+                # resolved once for the fleet run, as asyncio.to_thread would.
                 result = await loop.run_in_executor(
-                    threads, self._session_body, request, dispatcher
+                    threads, contextvars.copy_context().run,
+                    self._session_body, request, dispatcher,
                 )
             finally:
                 fleet.release(request.sid)

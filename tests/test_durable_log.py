@@ -115,16 +115,15 @@ def test_not_a_segment_file(tmp_path):
 
 
 class TestResolveCodec:
-    def test_explicit_name_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_COMPRESS", "zlib6")
+    def test_explicit_name_wins(self):
         assert resolve_codec("raw") == "raw"
 
     def test_env_override(self, monkeypatch):
+        # REPRO_LOG_COMPRESS is gone: the environment no longer overrides.
         monkeypatch.setenv("REPRO_LOG_COMPRESS", "zlib6")
-        assert resolve_codec() == "zlib6"
+        assert resolve_codec() == DEFAULT_CODEC
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOG_COMPRESS", raising=False)
+    def test_default(self):
         assert resolve_codec() == DEFAULT_CODEC
 
     def test_unknown_raises(self):

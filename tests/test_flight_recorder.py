@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro import options
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
@@ -183,13 +184,12 @@ def test_window_below_one_rejected(tmp_path):
 
 
 def test_env_window_and_field_precedence(monkeypatch):
+    # REPRO_FLIGHT_WINDOW is gone: only the field (and --flight-window,
+    # which sets it) turns the window on.
     config = DoublePlayConfig()
-    assert config.resolve_flight_window() is None
     monkeypatch.setenv("REPRO_FLIGHT_WINDOW", "5")
-    assert config.resolve_flight_window() == 5
-    assert config.replace(flight_window=2).resolve_flight_window() == 2
-    monkeypatch.setenv("REPRO_FLIGHT_WINDOW", "junk")
-    assert config.resolve_flight_window() is None
+    assert options.resolve(config).flight_window is None
+    assert options.resolve(config.replace(flight_window=2)).flight_window == 2
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.checkpoint.checkpoint import Checkpoint
 from repro.host.blobs import (
     BlobCache,
     WorkerCacheTracker,
-    blob_cache_capacity,
     decode_blob_object,
 )
 from repro.memory.address_space import AddressSpace, MemorySnapshot
@@ -134,19 +133,6 @@ def test_blob_cache_reinsert_refreshes_without_redecoding():
     assert cache.insert(7, blob) == []
     assert cache.get(7) is first
     assert cache.used_bytes == len(blob)
-
-
-def test_blob_cache_capacity_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BLOB_CACHE_MB", raising=False)
-    assert blob_cache_capacity() == 64 * 1024 * 1024
-    monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "8")
-    assert blob_cache_capacity() == 8 * 1024 * 1024
-    monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "0.5")
-    assert blob_cache_capacity() == 512 * 1024
-    monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "0")
-    assert blob_cache_capacity() == 0
-    monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "junk")
-    assert blob_cache_capacity() == 64 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------

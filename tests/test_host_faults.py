@@ -26,7 +26,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
-from repro.core.config import default_unit_timeout
 from repro.errors import (
     HostPoolError,
     WorkerCrashError,
@@ -34,7 +33,6 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.host import faults as fault_mod
-from repro.host.executor import HostExecutor
 from repro.host.pool import (
     _worker_ping,
     shared_pool,
@@ -169,19 +167,6 @@ def test_parse_fault_specs():
         fault_mod.parse_fault_specs("crash:unit1:once")
     once = fault_mod.parse_fault_specs("crash:unit1:once", state_dir="/tmp/x")
     assert once[0].once and once[0].state_dir == "/tmp/x"
-
-
-def test_default_unit_timeout_env(monkeypatch):
-    monkeypatch.delenv("REPRO_UNIT_TIMEOUT", raising=False)
-    assert default_unit_timeout() == 60.0
-    monkeypatch.setenv("REPRO_UNIT_TIMEOUT", "2.5")
-    assert default_unit_timeout() == 2.5
-    assert DoublePlayConfig().unit_timeout == 2.5
-    monkeypatch.setenv("REPRO_UNIT_TIMEOUT", "not-a-number")
-    assert default_unit_timeout() == 60.0
-    monkeypatch.setenv("REPRO_UNIT_TIMEOUT", "-3")
-    assert default_unit_timeout() == 0.0
-    assert HostExecutor(2, unit_timeout=1.25).unit_timeout == 1.25
 
 
 # ----------------------------------------------------------------------

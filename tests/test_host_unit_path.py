@@ -5,24 +5,27 @@ worker (batch, speculative or fleet submission) or the coordinator's
 serial fallback. These tests pin that directly: the two callers of the
 one execute routine agree on values and counters, the one dispatch
 routine still emits every span the three old submission paths did, and
-a warm pool honours the coordinator's superblock switch.
+a warm pool honours the coordinator's runtime options (superblock
+switch, blob-cache budget, histogram switch), not its spawn environment.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
-from repro.exec import superblock
 from repro.host import executor as host_executor
 from repro.host import worker as host_worker
+from repro.host.blobs import BlobCache
 from repro.host.pool import shared_pool, shutdown_shared_pool
 from repro.host.wire import RecordEpochUnit, ReplayEpochUnit
 from repro.machine.config import MachineConfig
 from repro.memory.hashing import combine_hashes
+from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.workloads import build_workload
@@ -102,10 +105,9 @@ def captured():
 def _run_both_ways(monkeypatch, dispatch):
     """(worker outcome, serial outcome), each as (value, counters)."""
     # run_unit is about to run in *this* process: keep its per-worker
-    # state (fusion switch, pinned programs, blob cache) out of later tests.
-    monkeypatch.setattr(superblock, "_dispatched", None)
+    # state (pinned programs, blob cache) out of later tests.
     monkeypatch.setattr(host_worker, "_worker_programs", {})
-    host_worker._worker_cache.cache_clear()
+    monkeypatch.setattr(host_worker, "_worker_cache", BlobCache(0))
     stats = obs_metrics.process_stats()
     saved = stats.snapshot()
     try:
@@ -127,7 +129,6 @@ def _run_both_ways(monkeypatch, dispatch):
         _, serial_value, _ = host_worker.run_unit_serial(local)
         serial_counters = obs_metrics.drain_process()
     finally:
-        host_worker._worker_cache.cache_clear()
         stats.clear()
         stats.update_from(saved)
     return (worker_value, dict(timing.metrics)), (serial_value, serial_counters)
@@ -138,7 +139,9 @@ def test_record_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
     # (a shipped image starts cold), so they are switched off — through
     # the dispatch, which is the only channel a worker listens to.
     record_dispatch, _ = captured
-    record_dispatch.superblocks = False
+    record_dispatch.options = dataclasses.replace(
+        record_dispatch.options, superblocks=False
+    )
     monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
     (worker, worker_counters), (serial, serial_counters) = _run_both_ways(
         monkeypatch, record_dispatch
@@ -157,7 +160,9 @@ def test_record_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
 
 def test_replay_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
     _, replay_dispatch = captured
-    replay_dispatch.superblocks = False
+    replay_dispatch.options = dataclasses.replace(
+        replay_dispatch.options, superblocks=False
+    )
     monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
     (worker, worker_counters), (serial, serial_counters) = _run_both_ways(
         monkeypatch, replay_dispatch
@@ -192,6 +197,9 @@ def test_one_dispatch_routine_emits_every_span(monkeypatch):
     tracer = obs_spans.start_trace()
     try:
         result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        # Fresh workers again: whether the record-warmed ones happen to
+        # hold every blob a replay unit needs depends on who ran what.
+        shutdown_shared_pool()
         outcome = Replayer(instance.image, machine).replay_parallel(
             result.recording, jobs=2
         )
@@ -248,3 +256,48 @@ def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
         assert fused.get("fused_calls", 0) == 0, "fusion ran while disabled"
     finally:
         shutdown_shared_pool()
+
+
+def test_warm_pool_honours_the_coordinators_blob_cache_budget(monkeypatch):
+    """Regression: workers kept the cache budget they were spawned with."""
+    shutdown_shared_pool()
+    monkeypatch.delenv("REPRO_BLOB_CACHE_MB", raising=False)
+    try:
+        instance, _, native, config = _setup("fft", 2, host_jobs=2)
+        warm = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        assert warm.host["wire"]["blob_cache_hits"] > 0, (
+            "the default budget cached nothing: the regression below is vacuous"
+        )
+
+        monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "0")
+        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        assert _golden_tuple(native, result) == GOLDEN[("fft", 2)]
+        wire = result.host["wire"]
+        assert wire["blob_cache_hits"] == 0, "a zero-budget worker served a hit"
+        assert wire["bytes_shipped"] > 0
+        assert not any(result.host["faults"].values())
+    finally:
+        shutdown_shared_pool()
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_histogram_switch_reaches_the_workers(on):
+    """Regression: workers never heard ``set_enabled`` — metrics by jobs."""
+    instance, _, _, config = _setup("fft", 2)
+    previous = obs_histo.set_enabled(on)
+    try:
+        names = [
+            DoublePlayRecorder(
+                instance.image, instance.setup, config.replace(host_jobs=jobs)
+            ).record().metrics.histogram_names()
+            for jobs in (1, 2)
+        ]
+    finally:
+        obs_histo.set_enabled(previous)
+    serial, pooled = (set(found) for found in names)
+    if not on:
+        assert serial == pooled == set()
+        return
+    assert "epoch_cycles" in serial
+    # Only the coordinator's per-dispatch families are new at jobs=2.
+    assert serial <= pooled <= serial | {"unit_wall_s", "unit_bytes"}

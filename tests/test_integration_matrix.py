@@ -404,47 +404,42 @@ def _shutdown_pool():
 def test_goldens_survive_blob_cache_starvation(
     monkeypatch, name, workers, jobs, cache_mb
 ):
-    # Workers read the budget at spawn, so the shared pool must be torn
-    # down before (to pick the tiny budget up) and after (to not leak
-    # starved workers into later tests).
-    _shutdown_pool()
+    # The budget rides every dispatch, so whatever pool is warm adopts
+    # the tiny budget now and the next run's budget after.
     monkeypatch.setenv("REPRO_BLOB_CACHE_MB", cache_mb)
-    try:
-        instance = build_workload(name, workers=workers, scale=2, seed=11)
-        machine = MachineConfig(cores=workers)
-        native = run_native(instance.image, instance.setup, machine)
-        config = DoublePlayConfig(
-            machine=machine,
-            epoch_cycles=max(native.duration // 12, 500),
-        )
-        result = DoublePlayRecorder(
-            instance.image, instance.setup, config.replace(host_jobs=jobs)
-        ).record()
-        recording = result.recording
-        observed = (
-            native.duration,
-            native.final_digest,
-            result.makespan,
-            recording.epoch_count(),
-            recording.final_digest,
-            combine_hashes([epoch.end_digest for epoch in recording.epochs]),
-            recording.total_log_bytes(),
-        )
-        assert observed == GOLDEN[(name, workers)], (
-            f"{name}/{workers}: drift under blob cache {cache_mb} MB — "
-            f"expected {GOLDEN[(name, workers)]}, got {observed}"
-        )
-        # Starvation shows up in the wire accounting, never in faults.
-        wire = result.host["wire"]
-        assert wire["bytes_shipped"] > 0 and wire["blobs_sent"] > 0
-        assert not any(result.host["faults"].values())
+    instance = build_workload(name, workers=workers, scale=2, seed=11)
+    machine = MachineConfig(cores=workers)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine,
+        epoch_cycles=max(native.duration // 12, 500),
+    )
+    result = DoublePlayRecorder(
+        instance.image, instance.setup, config.replace(host_jobs=jobs)
+    ).record()
+    recording = result.recording
+    observed = (
+        native.duration,
+        native.final_digest,
+        result.makespan,
+        recording.epoch_count(),
+        recording.final_digest,
+        combine_hashes([epoch.end_digest for epoch in recording.epochs]),
+        recording.total_log_bytes(),
+    )
+    assert observed == GOLDEN[(name, workers)], (
+        f"{name}/{workers}: drift under blob cache {cache_mb} MB — "
+        f"expected {GOLDEN[(name, workers)]}, got {observed}"
+    )
+    # Starvation shows up in the wire accounting, never in faults.
+    wire = result.host["wire"]
+    assert wire["bytes_shipped"] > 0 and wire["blobs_sent"] > 0
+    assert not any(result.host["faults"].values())
 
-        # Replay through the same starved pool reaches the same verdict.
-        replayer = Replayer(instance.image, machine)
-        outcome = replayer.replay_parallel(recording, jobs=jobs)
-        assert outcome.verified, f"{name}: {outcome.details}"
-    finally:
-        _shutdown_pool()
+    # Replay through the same starved pool reaches the same verdict.
+    replayer = Replayer(instance.image, machine)
+    outcome = replayer.replay_parallel(recording, jobs=jobs)
+    assert outcome.verified, f"{name}: {outcome.details}"
 
 
 # Observability parity: a live tracer may never influence an execution.

@@ -382,15 +382,3 @@ def test_cli_record_trace_and_summarize(tmp_path, monkeypatch):
     out = io.StringIO()
     assert cli_main(["trace", "summarize", str(bad)], out=out) == 1
     assert "invalid trace" in out.getvalue()
-
-
-def test_cli_trace_env_fallback(tmp_path, monkeypatch):
-    trace_path = tmp_path / "env_trace.json"
-    monkeypatch.setenv("REPRO_TRACE", str(trace_path))
-    out = io.StringIO()
-    rc = cli_main(["record", "fft", "--scale", "2"], out=out)
-    assert rc == 0
-    assert f"wrote trace to {trace_path}" in out.getvalue()
-    payload = obs_export.load_trace(str(trace_path))
-    assert obs_export.validate_trace(payload) == []
-    assert obs_spans.current() is None
