@@ -10,31 +10,41 @@ shared pages — is charged where it occurs, on the writing instruction.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.exec.multicore import MulticoreEngine
 from repro.exec.services import LiveSyscalls
 
 
+def checkpoint_cost(costs, snapshot) -> int:
+    """Cycles a checkpoint of ``snapshot`` charges the cores that take it."""
+    return costs.checkpoint_base + costs.checkpoint_page * snapshot.page_count()
+
+
 class CheckpointManager:
-    """Takes and tracks the checkpoints of one recorded execution."""
+    """Takes the checkpoints of one recorded execution.
+
+    ``taken`` tracks the checkpoints whose fate is still open — taken by
+    the thread-parallel run, their epochs not yet committed. An epoch
+    that commits hands its end checkpoint to the recording
+    (:meth:`commit`); a divergence squashes everything past the
+    divergent epoch's start (:meth:`discard_after`). Either way the
+    list is bounded by the segment in flight, never by the run.
+    """
 
     def __init__(self) -> None:
         self.taken: List[Checkpoint] = []
-        self.total_cost = 0
+        #: checkpoint cycles of the committed chain alone: what a
+        #: squashed thread-parallel future took is not part of the run
+        self.committed_cost = 0
 
     def take(self, engine: MulticoreEngine, index: int) -> Checkpoint:
         """Checkpoint a (quiesced) multicore engine; charges its cores."""
         time = engine.quiesce()
         dirty = len(engine.mem.dirty)
         snapshot = engine.mem.snapshot()
-        cost = (
-            engine.costs.checkpoint_base
-            + engine.costs.checkpoint_page * snapshot.page_count()
-        )
-        engine.advance_all(cost)
-        self.total_cost += cost
+        engine.advance_all(checkpoint_cost(engine.costs, snapshot))
         kernel_state = None
         if isinstance(engine.services, LiveSyscalls):
             kernel_state = engine.services.kernel.snapshot()
@@ -68,6 +78,17 @@ class CheckpointManager:
         self.taken.append(checkpoint)
         return checkpoint
 
+    def commit(self, checkpoint: Checkpoint, costs) -> None:
+        """The epoch ending at ``checkpoint`` committed.
+
+        Its cost joins the run's; it and everything before it belong to
+        the recording now and are no longer tracked. ``checkpoint`` need
+        not be one of ours — forward recovery takes its own.
+        """
+        self.committed_cost += checkpoint_cost(costs, checkpoint.memory)
+        while self.taken and self.taken[0].index <= checkpoint.index:
+            self.taken.pop(0)
+
     def discard_after(self, index: int) -> None:
         """Release checkpoints with index > ``index`` (forward recovery)."""
         kept: List[Checkpoint] = []
@@ -77,6 +98,3 @@ class CheckpointManager:
             else:
                 kept.append(checkpoint)
         self.taken = kept
-
-    def latest(self) -> Optional[Checkpoint]:
-        return self.taken[-1] if self.taken else None

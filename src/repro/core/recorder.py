@@ -13,7 +13,10 @@ Record proceeds in *segments*. Within a segment:
 3. On divergence, forward recovery (``repro.core.recovery``) re-executes
    the epoch live, commits its result, discards the abandoned
    thread-parallel future, and a new segment starts from the recovered
-   state.
+   state. Once a run has recovered, a *verdict schedule* consumes each
+   epoch's verdict a fixed number of boundaries behind the
+   thread-parallel run and squashes that run at the divergent epoch
+   instead of letting it finish a future nobody will keep.
 
 Logical execution and timing are deliberately separated: step 2's results
 cannot depend on *when* executors run (they are deterministic functions of
@@ -25,6 +28,7 @@ are ``makespan / native - 1``.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -33,7 +37,7 @@ from repro import options
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.checkpoint.manager import CheckpointManager
 from repro.core.config import DoublePlayConfig
-from repro.core.epoch_runner import run_epoch
+from repro.core.epoch_runner import EpochRunResult, run_epoch
 from repro.core.epochs import AdaptiveEpochPolicy, FixedEpochPolicy
 from repro.core.pipeline import (
     EpochTiming,
@@ -107,6 +111,45 @@ class RecordResult:
         return kernel
 
 
+def _settles(preloaded: Dict[int, tuple], positions: int) -> bool:
+    """Do the outcomes in hand decide a segment with no unit left to run?"""
+    for position in range(positions):
+        if position not in preloaded:
+            return False
+        if not preloaded[position][0].ok:
+            return True
+    return True
+
+
+@dataclass
+class _Segment:
+    """One thread-parallel segment in flight: boundaries, hints, verdicts."""
+
+    #: global index of the epoch at position 0
+    first_epoch: int
+    #: ``[committed, boundary 1, boundary 2, ...]``
+    checkpoints: List[Checkpoint]
+    #: the run's raw logs (shared by every segment; the engines append)
+    syscall_log: List[SyscallRecord]
+    signal_log: List
+    #: every verdict consumed so far was final, so a failing one may
+    #: still squash the thread-parallel run. Armed by the first recovery.
+    may_cut: bool
+    #: speculative dispatch of the segment's units (None at ``jobs=1``
+    #: and with the commit pipeline off)
+    session: Optional[object] = None
+    #: acquisition hints of the thread-parallel run, in order
+    hints: List = field(default_factory=list)
+    #: ``len(hints)`` at each entry of ``checkpoints``
+    hint_marks: List[int] = field(default_factory=lambda: [0])
+    #: position -> (hint cut, syscall cut, signal cut) its unit was cut at
+    cuts: Dict[int, tuple] = field(default_factory=dict)
+    #: position -> verdict the schedule ran inline (no session)
+    inline: Dict[int, EpochRunResult] = field(default_factory=dict)
+    #: the thread-parallel run was stopped at a final failing verdict
+    squashed: bool = False
+
+
 class DoublePlayRecorder:
     """Records one program execution with uniparallelism."""
 
@@ -122,55 +165,68 @@ class DoublePlayRecorder:
         self.machine = self.config.machine
 
     # ------------------------------------------------------------------
+    def _run_inline(
+        self, segment: _Segment, position: int, cuts: Optional[tuple] = None
+    ) -> EpochRunResult:
+        """Run one position's epoch here, on the coordinator.
+
+        With ``cuts`` it is the unit as cut at push time — the run a
+        worker would make of the speculative dispatch. Without, the
+        full-knowledge run: the executor gets the hint *suffix* from its
+        epoch's start to the segment end, because grants decided near
+        the epoch boundary retire in later epochs, and cutting the hints
+        at the boundary would make the executor hand objects out
+        differently than the thread-parallel run did.
+        """
+        syscalls, signals = segment.syscall_log, segment.signal_log
+        c_hint = None
+        if cuts is not None:
+            c_hint, c_sys, c_sig = cuts
+            syscalls, signals = syscalls[:c_sys], signals[:c_sig]
+        window = segment.hints[segment.hint_marks[position] : c_hint]
+        with obs_spans.span(
+            "execute", obs_spans.CAT_EPOCH,
+            epoch=segment.first_epoch + position,
+            position=position, kind="record",
+        ):
+            return run_epoch(
+                self.program,
+                self.machine,
+                segment.first_epoch + position,
+                segment.checkpoints[position],
+                segment.checkpoints[position + 1],
+                syscalls,
+                SyncOrderLog(tuple(window)),
+                self.config.use_sync_hints,
+                signal_records=signals,
+            )
+
     def _segment_epoch_results(
-        self,
-        executor,
-        checkpoints: List[Checkpoint],
-        hints: List,
-        hint_marks: List[int],
-        syscall_log: List[SyscallRecord],
-        signal_log: List,
-        first_epoch_index: int,
-        preloaded: Optional[Dict[int, tuple]] = None,
+        self, executor, segment: _Segment, preloaded: Dict[int, tuple]
     ):
         """Yield ``(position, EpochRunResult)`` for a segment, in order.
 
-        Serial path (``executor is None``): exactly the pre-host-layer
-        loop — lazy, one epoch at a time, so an early divergence runs
-        nothing past it. Parallel path: every epoch of the segment fans
-        out to worker processes; results merge back in position order and
-        a divergence at position *k* cancels everything after it. Both
-        paths stop after the first failure; both produce identical result
-        streams, because epoch execution is a deterministic function of
-        the checkpoints and logs. ``preloaded`` carries the segment's
-        validated speculative results (parallel path only — speculation
-        requires an executor).
+        ``preloaded`` carries the outcomes already in hand and validated:
+        speculative results, and verdicts the schedule ran inline. Serial
+        path (no executor, a one-position segment, or a segment the
+        preloaded outcomes settle on their own — the shape a cut leaves):
+        lazy, one epoch at a time, so an early divergence runs nothing
+        past it. Parallel path: every epoch of the segment not preloaded
+        fans out to worker processes; results merge back in position
+        order and a divergence at position *k* cancels everything after
+        it. Both paths stop after the first failure; both produce
+        identical result streams, because epoch execution is a
+        deterministic function of the checkpoints and logs.
         """
-        positions = len(checkpoints) - 1
-        if executor is None or positions <= 1:
+        positions = len(segment.checkpoints) - 1
+        if executor is None or positions <= 1 or _settles(preloaded, positions):
             for position in range(positions):
-                # The executor gets the hint *suffix* from its epoch's
-                # start to the segment end: grants decided near the epoch
-                # boundary retire in later epochs, and cutting the hints
-                # at the boundary would make the executor hand objects out
-                # differently than the thread-parallel run did.
-                sync_slice = SyncOrderLog(tuple(hints[hint_marks[position] :]))
-                with obs_spans.span(
-                    "execute", obs_spans.CAT_EPOCH,
-                    epoch=first_epoch_index + position,
-                    position=position, kind="record",
-                ):
-                    result = run_epoch(
-                        self.program,
-                        self.machine,
-                        first_epoch_index + position,
-                        checkpoints[position],
-                        checkpoints[position + 1],
-                        syscall_log,
-                        sync_slice,
-                        self.config.use_sync_hints,
-                        signal_records=signal_log,
-                    )
+                if position in preloaded:
+                    result, timing = preloaded[position]
+                    if executor is not None:
+                        executor.accept_preloaded(position, timing)
+                else:
+                    result = self._run_inline(segment, position)
                 yield position, result
                 if not result.ok:
                     return
@@ -178,12 +234,12 @@ class DoublePlayRecorder:
         from repro.host.wire import record_units_for_segment
 
         batch = record_units_for_segment(
-            checkpoints,
-            hints,
-            hint_marks,
-            syscall_log,
-            signal_log,
-            first_epoch_index,
+            segment.checkpoints,
+            segment.hints,
+            segment.hint_marks,
+            segment.syscall_log,
+            segment.signal_log,
+            segment.first_epoch,
             self.config.use_sync_hints,
         )
         yield from executor.run_record_units(
@@ -191,20 +247,125 @@ class DoublePlayRecorder:
         )
 
     # ------------------------------------------------------------------
+    # Stages of one segment's thread-parallel run.
+    # ------------------------------------------------------------------
+    def _run_to_boundary(self, engine, policy, manager, segment: _Segment) -> str:
+        """Run the thread-parallel engine one epoch; checkpoint the boundary."""
+        tracer = obs_spans.current()
+        span_start = tracer.now() if tracer is not None else 0.0
+        status = engine.run(
+            stop_check=lambda e: policy.should_checkpoint(e.time),
+            stop_after=policy.next_boundary(),
+        )
+        # Indices continue the committed chain: what a squashed future
+        # numbered is handed out again after its recovery.
+        checkpoint = manager.take(engine, index=segment.checkpoints[-1].index + 1)
+        policy.note_checkpoint(engine.time)
+        segment.checkpoints.append(checkpoint)
+        segment.hint_marks.append(len(segment.hints))
+        if tracer is not None:
+            position = len(segment.checkpoints) - 2
+            tracer.add(
+                "tp-epoch", obs_spans.CAT_SEGMENT, span_start, tracer.now(),
+                args={"epoch": segment.first_epoch + position, "position": position},
+            )
+        return status
+
+    def _cut_unit(self, segment: _Segment) -> None:
+        """Two-deep commit pipeline: cut (and ship) the unit two boundaries back.
+
+        Once boundary p+2 exists, epoch p's unit is cut: its hints and
+        logs are the snapshots of *now*. With a session it ships to the
+        pool while the thread-parallel run executes ahead. Whether its
+        result may stand in for the full-knowledge run is decided when
+        it is consumed (``_speculation_valid``).
+        """
+        position = len(segment.checkpoints) - 3
+        if (
+            position < 0
+            or position in segment.cuts
+            or (segment.session is None and not segment.may_cut)
+        ):
+            return
+        segment.cuts[position] = (
+            len(segment.hints), len(segment.syscall_log), len(segment.signal_log)
+        )
+        if segment.session is None:
+            return
+        from repro.host.wire import speculative_record_unit
+
+        segment.session.push(
+            speculative_record_unit(
+                position,
+                segment.first_epoch + position,
+                segment.checkpoints[position],
+                segment.checkpoints[position + 1],
+                tuple(segment.hints[segment.hint_marks[position] :]),
+                segment.syscall_log,
+                segment.signal_log,
+                self.config.use_sync_hints,
+                segment.session.blobs,
+            )
+        )
+
+    def _consume_verdict(self, segment: _Segment, lag: int) -> bool:
+        """Verdict schedule: consume the verdict ``lag`` boundaries back.
+
+        True when it squashes the thread-parallel run. The verdict is
+        the result of the unit as cut at push time — from the pool
+        (blocking if it is not in yet) or, without a session, run here;
+        the same pure function either way. It is *final* when the run
+        was unstarved (hints that do not exist yet cannot change it) and
+        nothing logged since its cut lands inside its window: then the
+        full-knowledge run at segment end would return exactly it. A
+        final failing verdict behind nothing but final passing ones is
+        the segment's first divergence, known now: the segment is
+        truncated to the divergent epoch and the thread-parallel run
+        stops. A verdict that is not final closes the cut for this
+        segment, which runs to its end under the segment-end rule.
+        Everything here is a function of the committed history — never
+        of host timing or ``jobs``.
+        """
+        position = len(segment.checkpoints) - 1 - lag
+        if position < 0:
+            return False
+        if position not in segment.cuts:
+            self._cut_unit(segment)  # lag 2: cut at this very boundary
+        if segment.session is not None:
+            result = segment.session.wait(position)
+        else:
+            result = segment.inline[position] = self._run_inline(
+                segment, position, segment.cuts[position]
+            )
+        if result.starved or not self._speculation_valid(segment, position, result):
+            segment.may_cut = False
+        elif not result.ok:
+            del segment.checkpoints[position + 2 :]
+            del segment.hint_marks[position + 2 :]
+            segment.squashed = True
+        return segment.squashed
+
+    def _preloaded(self, segment: _Segment) -> Dict[int, tuple]:
+        """Segment end: the outcomes in hand that may stand in at the merge."""
+        if segment.session is not None:
+            return segment.session.harvest(
+                functools.partial(self._speculation_valid, segment)
+            )
+        return {
+            position: (result, None)
+            for position, result in segment.inline.items()
+            if self._speculation_valid(segment, position, result)
+        }
+
+    # ------------------------------------------------------------------
     @staticmethod
-    def _speculation_valid(
-        result,
-        cuts: tuple,
-        boundary_cp: Checkpoint,
-        hints: List,
-        syscall_log: List[SyscallRecord],
-        signal_log: List,
-    ) -> bool:
+    def _speculation_valid(segment: _Segment, position: int, result) -> bool:
         """May a speculative result stand in for the full-knowledge run?
 
-        The unit ran on snapshots cut mid-segment — hints truncated at
-        ``c_hint``, logs at ``c_sys``/``c_sig`` — while the full-knowledge
-        unit would see the segment-complete hints suffix and logs. The
+        The unit of ``position`` ran on snapshots cut mid-segment — hints
+        truncated at ``c_hint``, logs at ``c_sys``/``c_sig`` — while the
+        full-knowledge unit would see the hints suffix and logs of the
+        segment as it stands now (complete, at segment end). The
         speculative run is bit-identical to that run iff nothing arriving
         after its cuts could ever have been consulted:
 
@@ -229,7 +390,10 @@ class DoublePlayRecorder:
         failures too: a *validated* failure is a real divergence and goes
         straight to forward recovery, exactly as at ``jobs=1``.
         """
-        c_hint, c_sys, c_sig = cuts
+        c_hint, c_sys, c_sig = segment.cuts[position]
+        boundary_cp = segment.checkpoints[position + 1]
+        hints = segment.hints
+        syscall_log, signal_log = segment.syscall_log, segment.signal_log
         sys_floor = {
             tid: ctx.syscall_count for tid, ctx in boundary_cp.contexts.items()
         }
@@ -251,7 +415,7 @@ class DoublePlayRecorder:
 
     # ------------------------------------------------------------------
     def _commit_epoch(
-        self, recording, sink, index, start_cp, end_cp, outcome,
+        self, recording, sink, manager, index, start_cp, end_cp, outcome,
         syscall_log, signal_log, recovered=False,
     ) -> None:
         """Fold one epoch into the recording, the durable sink, the journal.
@@ -273,6 +437,7 @@ class DoublePlayRecorder:
             recovered=recovered,
         )
         recording.epochs.append(record)
+        manager.commit(end_cp, self.machine.costs)
         if sink is not None:
             sink.commit_epoch(record, start_cp, end_cp, syscall_log, signal_log)
             if self.config.log_spill:
@@ -360,11 +525,14 @@ class DoublePlayRecorder:
             executor = HostExecutor(opts, dispatcher=config.host_dispatcher)
 
         committed = initial
-        next_cp_index = 1
         divergences = 0
         recoveries = 0
         epoch_index = 0
         slots = config.executor_slots()
+        #: boundaries between an epoch's end and its verdict's consumption:
+        #: the in-flight bound the thread-parallel run is throttled at (a
+        #: unit exists only once the boundary two past its start does)
+        verdict_lag = max(config.inflight_bound(), 2)
         worker_free = [0] * slots
         #: recording-time minus app-time for the current segment
         timeline_offset = 0
@@ -391,42 +559,27 @@ class DoublePlayRecorder:
                 )
                 engine.signal_log = signal_log
                 engine.halt_on_fault = True
-            hints: List = []
-            engine.acquisition_log = hints
+            segment = _Segment(
+                first_epoch=epoch_index,
+                checkpoints=[committed],
+                syscall_log=syscall_log,
+                signal_log=signal_log,
+                # Armed by the committed history, not by a setting: a run
+                # that never diverged consumes nothing and pays nothing.
+                may_cut=recoveries > 0,
+            )
+            if executor is not None and opts.pipeline:
+                segment.session = SpeculativeSession(
+                    executor, self.program, self.machine
+                )
+            engine.acquisition_log = segment.hints
             policy.start_segment(engine.time)
             segment_app_start = engine.time
-            segment_checkpoints: List[Checkpoint] = [committed]
-            hint_marks: List[int] = [0]
-            session = None
-            if executor is not None and opts.pipeline:
-                session = SpeculativeSession(executor, self.program, self.machine)
-            #: speculated position -> (hint cut, syscall cut, signal cut)
-            spec_cuts: Dict[int, tuple] = {}
 
             fault = None
-            tracer = obs_spans.current()
             try:
                 while True:
-                    tp_span_start = tracer.now() if tracer is not None else 0.0
-                    status = engine.run(
-                        stop_check=lambda e: policy.should_checkpoint(e.time),
-                        stop_after=policy.next_boundary(),
-                    )
-                    checkpoint = manager.take(engine, index=next_cp_index)
-                    next_cp_index += 1
-                    policy.note_checkpoint(engine.time)
-                    segment_checkpoints.append(checkpoint)
-                    hint_marks.append(len(hints))
-                    if tracer is not None:
-                        tracer.add(
-                            "tp-epoch", obs_spans.CAT_SEGMENT,
-                            tp_span_start, tracer.now(),
-                            args={
-                                "epoch": epoch_index
-                                + len(segment_checkpoints) - 2,
-                                "position": len(segment_checkpoints) - 2,
-                            },
-                        )
+                    status = self._run_to_boundary(engine, policy, manager, segment)
                     if status == "faulted":
                         # A crash ends recording at this boundary: the
                         # epochs up to here commit, and replay reproduces
@@ -435,74 +588,28 @@ class DoublePlayRecorder:
                         break
                     if engine.all_exited():
                         break
-                    # --------------------------------------------------
-                    # Two-deep commit pipeline: once boundary p+2 exists,
-                    # epoch p's unit ships to the pool while the
-                    # thread-parallel run executes ahead. Its hints and
-                    # logs are snapshots cut *now*; whether the result
-                    # may stand in for the full-knowledge run is decided
-                    # at segment end (``_speculation_valid``).
-                    # --------------------------------------------------
-                    if session is not None and len(segment_checkpoints) >= 3:
-                        from repro.host.wire import speculative_record_unit
-
-                        position = len(segment_checkpoints) - 3
-                        unit = speculative_record_unit(
-                            position,
-                            epoch_index + position,
-                            segment_checkpoints[position],
-                            segment_checkpoints[position + 1],
-                            tuple(hints[hint_marks[position] :]),
-                            syscall_log,
-                            signal_log,
-                            config.use_sync_hints,
-                            session.blobs,
-                        )
-                        spec_cuts[position] = (
-                            len(hints), len(syscall_log), len(signal_log)
-                        )
-                        session.push(unit)
+                    if segment.may_cut and self._consume_verdict(
+                        segment, verdict_lag
+                    ):
+                        break
+                    self._cut_unit(segment)
+                preloaded = self._preloaded(segment)
             except BaseException:
-                if session is not None:
-                    session.close()
+                if segment.session is not None:
+                    segment.session.close()
                 raise
-
-            segment_tp_finish = engine.time
 
             # ----------------------------------------------------------
             # Epoch-parallel execution of the segment's epochs.
             # ----------------------------------------------------------
-            preloaded: Dict[int, tuple] = {}
-            if session is not None:
-                for position, outcome in session.harvest().items():
-                    if self._speculation_valid(
-                        outcome[0],
-                        spec_cuts[position],
-                        segment_checkpoints[position + 1],
-                        hints,
-                        syscall_log,
-                        signal_log,
-                    ):
-                        preloaded[position] = outcome
-                    else:
-                        executor.speculation["invalidated"] += 1
             diverged_at: Optional[int] = None
             recovery = None
             attempt_duration = 0
             timings: List[EpochTiming] = []
-            epoch_results = self._segment_epoch_results(
-                executor,
-                segment_checkpoints,
-                hints,
-                hint_marks,
-                syscall_log,
-                signal_log,
-                epoch_index,
-                preloaded=preloaded,
-            )
+            epoch_results = self._segment_epoch_results(executor, segment, preloaded)
             for position, result in epoch_results:
-                start_cp = segment_checkpoints[position]
-                end_cp = segment_checkpoints[position + 1]
+                start_cp = segment.checkpoints[position]
+                end_cp = segment.checkpoints[position + 1]
                 timings.append(
                     EpochTiming(
                         index=epoch_index,
@@ -517,8 +624,8 @@ class DoublePlayRecorder:
                         "commit", obs_spans.CAT_COMMIT, epoch=epoch_index
                     ):
                         self._commit_epoch(
-                            recording, sink, epoch_index, start_cp, end_cp,
-                            result, syscall_log, signal_log,
+                            recording, sink, manager, epoch_index, start_cp,
+                            end_cp, result, syscall_log, signal_log,
                         )
                     obs_histo.observe(
                         "commit_wall_s", time.perf_counter() - commit_started
@@ -551,6 +658,8 @@ class DoublePlayRecorder:
                     signal_log[:] = prune_signal_records(
                         signal_log, retired_counts
                     )
+                    # Release the squashed future's checkpoints.
+                    manager.discard_after(start_cp.index)
                 with obs_spans.span(
                     "recovery", obs_spans.CAT_RECOVERY, epoch=epoch_index
                 ):
@@ -567,18 +676,30 @@ class DoublePlayRecorder:
                     "recovery", epoch=epoch_index, cycles=recovery.duration
                 )
                 self._commit_epoch(
-                    recording, sink, epoch_index, start_cp, recovery.committed,
-                    recovery, syscall_log, signal_log, recovered=True,
+                    recording, sink, manager, epoch_index, start_cp,
+                    recovery.committed, recovery, syscall_log, signal_log,
+                    recovered=True,
                 )
                 committed = recovery.committed
                 epoch_index += 1
                 diverged_at = position
                 break
             epoch_results.close()
+            if segment.squashed and diverged_at is None:
+                raise SimulationError(
+                    "a squashed segment committed clean: its failing verdict "
+                    "was final and must have been merged"
+                )
 
             # ----------------------------------------------------------
             # Timing composition for this segment.
             # ----------------------------------------------------------
+            # The thread-parallel run is on the committed timeline up to the
+            # boundary that ended the divergent epoch (or, clean, to its
+            # last boundary); what it did past that was squashed.
+            segment_tp_finish = segment.checkpoints[
+                -1 if diverged_at is None else diverged_at + 1
+            ].time
             segment_start_rec = segment_app_start + timeline_offset
             if config.spare_cores:
                 pipeline = schedule_spare_cores(
@@ -621,9 +742,6 @@ class DoublePlayRecorder:
                 makespan = max(makespan, recovery_finish)
                 worker_free = [recovery_finish] * slots
                 timeline_offset = recovery_finish - committed.time
-                # Release the abandoned future's checkpoints.
-                for checkpoint in segment_checkpoints[diverged_at + 1 :]:
-                    checkpoint.release()
                 engine = None
                 if recovery.finished:
                     finished = True
@@ -646,7 +764,7 @@ class DoublePlayRecorder:
             "recoveries": recoveries,
             "faulted": 1 if fault is not None else 0,
             "epochs": len(recording.epochs),
-            "checkpoint_cost": manager.total_cost,
+            "checkpoint_cost": manager.committed_cost,
             "makespan": makespan,
             "tp_finish": tp_finish,
             "app_time": committed.time,

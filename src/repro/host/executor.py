@@ -223,12 +223,16 @@ class HostExecutor:
         #: two-deep commit pipeline accounting (see
         #: :class:`SpeculativeSession`): units dispatched during the
         #: thread-parallel run, how many results were accepted into the
-        #: merge, invalidated by late-arriving log/hint events, or
-        #: discarded for host reasons (crash, timeout, NeedBlobs, task
-        #: error). Kept out of ``counters`` — speculation failures are
-        #: never faults, just discarded wall-clock.
+        #: merge (a failing verdict that sends the segment to recovery
+        #: included — it was used) and how many were invalidated by
+        #: late-arriving log/hint events. Every other dispatched unit
+        #: was discarded — lost to a host reason, cancelled behind a
+        #: divergence, or never reached by the merge — so
+        #: ``timing_summary()`` derives ``discarded`` as the remainder.
+        #: Kept out of ``counters`` — speculation failures are never
+        #: faults, just discarded wall-clock.
         self.speculation: Dict[str, int] = dict.fromkeys(
-            ("dispatched", "accepted", "invalidated", "discarded"), 0
+            ("dispatched", "accepted", "invalidated"), 0
         )
 
     # ------------------------------------------------------------------
@@ -398,13 +402,16 @@ class HostExecutor:
     def _ingest_observability(self, timing: UnitTiming) -> None:
         """Fold a merged unit's piggybacked counters/spans into this process.
 
-        Called only for results that actually merge — dropped results
-        (cancelled divergence tails, crashed attempts) drop their
-        counters with them, which is what keeps ``jobs=1`` and
-        ``jobs=N`` metrics identical.
+        Called only for results that actually merge or that the verdict
+        schedule consumed — dropped results (cancelled divergence tails,
+        crashed attempts) drop their counters with them, which is what
+        keeps ``jobs=1`` and ``jobs=N`` metrics identical. The
+        piggybacks are drained as they fold, so a verdict ingested when
+        it was consumed merges later without counting twice.
         """
         if timing.metrics:
             obs_metrics.process_stats().update_from(dict(timing.metrics))
+            timing.metrics = ()
         if timing.spans:
             tracer = obs_spans.current()
             if tracer is not None:
@@ -416,6 +423,7 @@ class HostExecutor:
                         "blobs_sent": timing.blobs_sent,
                     },
                 )
+            timing.spans = ()
 
     def _note_fault(self, failure: HostPoolError) -> None:
         self.counters[_COUNTER_BY_KIND[failure.kind]] += 1
@@ -520,6 +528,18 @@ class HostExecutor:
             timing.blobs_sent = batch.blobs_sent[position]
             return batch.kind + "-serial", value, timing
 
+    def accept_preloaded(self, position: int, timing: Optional[UnitTiming]) -> None:
+        """Merge one validated outcome in hand, in place of a dispatch.
+
+        ``timing`` is None for a verdict the recorder ran inline: it was
+        counted where it ran and no unit was ever dispatched for it.
+        """
+        if timing is None:
+            return
+        self.speculation["accepted"] += 1
+        self._ingest_observability(timing)
+        self.unit_timings.append(("record", position, timing))
+
     def _run_units(
         self, batch: _Batch, stop_on=None,
         preloaded: Optional[Dict[int, tuple]] = None,
@@ -542,15 +562,13 @@ class HostExecutor:
         try:
             for position in range(len(batch.units)):
                 if position in preloaded:
-                    label = batch.kind
                     value, timing = preloaded.pop(position)
-                    self.speculation["accepted"] += 1
-                    self._ingest_observability(timing)
+                    self.accept_preloaded(position, timing)
                 else:
                     label, value, timing = self._run_contained(
                         batch, position, futures, done, preloaded
                     )
-                self.unit_timings.append((label, position, timing))
+                    self.unit_timings.append((label, position, timing))
                 stop = stop_on is not None and stop_on(value)
                 if stop:
                     # Cancel *before* handing the divergence to the
@@ -606,7 +624,12 @@ class HostExecutor:
             "dispatch_cpu": round(self.dispatch_cpu, 6),
             "faults": dict(self.counters),
             "fault_events": list(self.fault_events),
-            "speculation": dict(self.speculation),
+            "speculation": {
+                **self.speculation,
+                "discarded": self.speculation["dispatched"]
+                - self.speculation["accepted"]
+                - self.speculation["invalidated"],
+            },
             "wire": {
                 "bytes_shipped": sum(t.bytes_shipped for t in timings),
                 "blobs_sent": sum(t.blobs_sent for t in timings),
@@ -625,28 +648,33 @@ class SpeculativeSession:
     pipeline is on. :meth:`push` ships one epoch unit to the pool *while
     the thread-parallel run is still producing later epochs* — strictly
     non-blocking, so a broken pool or full queue costs nothing but the
-    speculation. :meth:`harvest` collects results at segment end.
+    speculation. :meth:`wait` blocks for one unit's verdict (the
+    recorder's verdict schedule, armed once a run has diverged);
+    :meth:`harvest` collects, at segment end, the outcomes that may
+    stand in for a full-knowledge dispatch.
 
-    The session never retries, never counts faults, and never kills a
-    pool: a speculative attempt that crashes, hangs, misses blobs, or
-    raises is simply discarded, and the position runs again through the
-    full-knowledge batch with the pool's normal containment. Cache-mirror
-    acks are applied as results settle (the worker really did absorb the
-    blobs), but observability ingest and timing records are deferred to
-    the merge — a discarded or never-consumed result leaves no trace in
-    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
-    metrics identical.
+    A speculative attempt that crashes, hangs, misses blobs, or raises
+    is never retried on its own account and never counts as a fault: at
+    harvest it is simply skipped and the position runs again through the
+    full-knowledge batch. Only a verdict the schedule *consumes* must
+    not depend on host luck, so :meth:`wait` re-obtains a lost one
+    through the executor's contained path. Cache-mirror acks are applied
+    as results settle (the worker really did absorb the blobs), but
+    observability ingest and timing records are deferred to the consume
+    or the merge — a never-consumed result leaves no trace in the run
+    metrics, which is what keeps ``jobs=1`` and ``jobs=N`` metrics
+    identical.
     """
 
     def __init__(self, executor: HostExecutor, program, machine):
         self.executor = executor
         self._batch = executor._begin_batch("record", program, machine)
-        #: batch index -> in-flight future (None = the submission was lost)
+        #: position -> in-flight future (None = the submission was lost)
         self._futures: Dict[int, object] = {}
-        #: batch index -> settled ``(value, timing)``; ``value`` is None
-        #: for anything discardable
+        #: position -> settled ``(value, timing)``; ``value`` is None
+        #: for an answer lost to a host reason
         self._outcomes: Dict[int, tuple] = {}
-        #: indices pushed but not yet submitted (the pool was not up)
+        #: positions pushed but not yet submitted (the pool was not up)
         self._deferred: List[int] = []
         #: set by the warm-up thread; read (GIL-atomic) by push/harvest
         self._ready = False
@@ -665,10 +693,11 @@ class SpeculativeSession:
         it would stall the guest at the first speculative dispatch. The
         warm-up overlaps the thread-parallel run instead; pushes arriving
         before the pool is ready are buffered and flushed the moment it
-        is (or at harvest, whichever comes first). A failed spawn leaves
-        ``_ready`` unset: the buffered units are discarded at harvest and
-        the batch path reports the pool problem the normal way. (A fleet
-        dispatcher's ``warm`` is a no-op — the service owns the pool.)
+        is (or at the first wait/harvest, whichever comes first). A
+        failed spawn leaves ``_ready`` unset: the buffered units count
+        as lost and the contained/batch path reports the pool problem
+        the normal way. (A fleet dispatcher's ``warm`` is a no-op — the
+        service owns the pool.)
         """
         try:
             self.executor._dispatch_path.warm()
@@ -679,13 +708,17 @@ class SpeculativeSession:
     def _flush(self) -> None:
         """Submit every buffered unit, if the pool is up."""
         while self._ready and self._deferred:
-            index = self._deferred.pop(0)
-            self._futures[index] = self.executor._dispatch(
-                self._batch, index, speculative=True
+            position = self._deferred.pop(0)
+            self._futures[position] = self.executor._dispatch(
+                self._batch, position, speculative=True
             )
 
     def push(self, unit) -> None:
-        """Dispatch one speculative unit; non-blocking, never raises."""
+        """Dispatch one speculative unit; non-blocking, never raises.
+
+        Units arrive in position order from 0, so a unit's index in the
+        session's batch *is* its position.
+        """
         self._deferred.append(self._batch._add_unit(unit))
         self.executor.speculation["dispatched"] += 1
         # Fold finished speculations into the cache mirror *before*
@@ -694,54 +727,87 @@ class SpeculativeSession:
         # normally arrive at harvest) and re-ships the full blob set —
         # measured at ~100x the steady-state dispatch cost on
         # page-heavy workloads. ``done()`` keeps the sweep non-blocking.
-        for index, future in list(self._futures.items()):
+        for position, future in list(self._futures.items()):
             if future is not None and future.done():
-                self._resolve(index)
+                self._resolve(position)
         self._flush()
 
-    def _resolve(self, index: int) -> None:
+    def _resolve(self, position: int) -> tuple:
         """Resolve one unit's future and settle its answer, exactly once.
 
-        Leaves ``(value, timing)`` in ``_outcomes`` with ``value`` of
-        ``None`` for anything discardable (crash, timeout, NeedBlobs,
-        failed or never-made submission); idempotent so the eager sweep
-        in :meth:`push` and the final pass in :meth:`harvest` compose.
+        Returns (and keeps in ``_outcomes``) ``(value, timing)`` with
+        ``value`` of ``None`` for an answer lost to a host reason
+        (crash, timeout, NeedBlobs, task error, failed or never-made
+        submission); idempotent so the eager sweep in :meth:`push`,
+        :meth:`wait` and the final pass in :meth:`harvest` compose.
         """
-        if index in self._outcomes:
-            return
-        executor, batch = self.executor, self._batch
-        outcome, _ = executor._await(
-            self._futures.pop(index, None), batch.units[index].position
-        )
-        value = timing = None
-        if outcome is not None:
-            _, value, timing = outcome
-            executor._settle(batch, index, value, timing)
-            if isinstance(value, NeedBlobs):
-                value = None
-        self._outcomes[index] = (value, timing)
+        if position not in self._outcomes:
+            executor, batch = self.executor, self._batch
+            outcome, _ = executor._await(self._futures.pop(position, None), position)
+            value = timing = None
+            if outcome is not None:
+                _, value, timing = outcome
+                executor._settle(batch, position, value, timing)
+                if isinstance(value, (NeedBlobs, WorkerTaskError)):
+                    value = None
+            self._outcomes[position] = (value, timing)
+        return self._outcomes[position]
 
-    def harvest(self) -> Dict[int, Tuple[object, UnitTiming]]:
-        """Wait for every speculative future; return the good outcomes.
-
-        Anything else — worker crash, timeout, NeedBlobs, task error,
-        failed submission — is discarded here and the position falls
-        through to the full-knowledge dispatch.
-        """
+    def _join_pool(self) -> None:
+        """Before anything blocks: the pool is up and every push is in it."""
         self._warm.join()
         self._flush()
+
+    def wait(self, position: int):
+        """Block for one pushed unit's result — the verdict schedule's consume.
+
+        Which boundary consumes which verdict is the recorder's rule and
+        a function of the committed history alone; so must the verdict
+        be. One lost to a host reason is therefore re-obtained here
+        through the contained path (full resend, retry, serial fallback
+        — the same cut-at-push unit, so the same result), and its
+        counters fold in now: a consumed verdict is part of the run at
+        any ``jobs``, whatever the segment-end rule later makes of it.
+        """
+        self._join_pool()
+        executor, batch = self.executor, self._batch
+        value, timing = self._resolve(position)
+        if value is None:
+            _, value, timing = executor._run_contained(
+                batch, position, {}, {}, range(position + 1, len(batch.units))
+            )
+            self._outcomes[position] = (value, timing)
+        executor._ingest_observability(timing)
+        return value
+
+    def harvest(self, valid) -> Dict[int, Tuple[object, UnitTiming]]:
+        """The outcomes the merge may use, then abandon the rest.
+
+        Walks the pushed units in position order, waiting for each; an
+        answer lost to a host reason is skipped (the position falls
+        through to the full-knowledge dispatch), one the recorder's
+        ``valid(position, result)`` rejects is counted invalidated. The
+        walk ends at the first valid *failing* result: that is a real
+        divergence, the merge stops there, and everything past it
+        belongs to a squashed future — cancelled, never awaited.
+        """
+        self._join_pool()
         outcomes: Dict[int, Tuple[object, UnitTiming]] = {}
-        for index, unit in enumerate(self._batch.units):
-            self._resolve(index)
-            value, timing = self._outcomes[index]
-            if value is None or isinstance(value, WorkerTaskError):
-                self.executor.speculation["discarded"] += 1
-            else:
-                outcomes[unit.position] = (value, timing)
+        for position in range(len(self._batch.units)):
+            value, timing = self._resolve(position)
+            if value is None:
+                continue
+            if not valid(position, value):
+                self.executor.speculation["invalidated"] += 1
+                continue
+            outcomes[position] = (value, timing)
+            if not value.ok:
+                break
+        self.close()
         return outcomes
 
     def close(self) -> None:
-        """Abandon whatever is still in flight (error-path hygiene)."""
+        """Abandon whatever is still in flight."""
         for future in self._futures.values():
             if future is not None:
                 future.cancel()

@@ -155,14 +155,18 @@ def invalidate_shared_pool(kill: bool = False) -> None:
 
     ``kill=True`` terminates the worker processes first — required after
     a unit timeout, when a worker is hung and would otherwise block
-    interpreter exit (the executor's atexit handler joins workers).
+    interpreter exit (the executor's atexit handler joins workers). A
+    broken pool is always killed: its manager thread normally terminates
+    the surviving workers itself, but before CPython 3.12.1 it dies
+    first if a cancelled future is still queued (``set_exception`` on it
+    raises), and the orphans would block interpreter exit the same way.
     """
     global _shared_pool, _shared_size
     with _pool_lock:
         if _shared_pool is None:
             return
         _forget_pool(_shared_pool)
-        if kill:
+        if kill or getattr(_shared_pool, "_broken", False):
             _kill_workers(_shared_pool)
         else:
             _shared_pool.shutdown(wait=True, cancel_futures=True)

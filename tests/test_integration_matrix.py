@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.baselines import run_native
+from repro.checkpoint.manager import CheckpointManager, checkpoint_cost
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.machine.config import MachineConfig
 from repro.memory.hashing import combine_hashes
@@ -83,8 +84,30 @@ GOLDEN = {
 }
 
 
+# ``tp_finish`` per golden configuration, as recorded before the stats
+# were re-based on the committed timeline (a diverged segment's
+# thread-parallel finish is the boundary that ended its divergent epoch,
+# not the squashed future's program exit): the re-basing moved none.
+TP_FINISH = {
+    ("aget", 2): 5717, ("aget", 3): 5419,
+    ("apache", 2): 7257, ("apache", 3): 6009,
+    ("fft", 2): 4017, ("fft", 3): 4722,
+    ("lu", 2): 5783, ("lu", 3): 5931,
+    ("mysql", 2): 5725, ("mysql", 3): 4408,
+    ("ocean", 2): 5281, ("ocean", 3): 5734,
+    ("pbzip", 2): 6915, ("pbzip", 3): 6136,
+    ("pfscan", 2): 5033, ("pfscan", 3): 4536,
+    ("prodcons", 2): 1078, ("prodcons", 3): 2068,
+    ("prodcons-sem", 2): 989, ("prodcons-sem", 3): 1820,
+    ("racy-counter", 2): 9545, ("racy-counter", 3): 18568,
+    ("racy-lazyinit", 2): 711, ("racy-lazyinit", 3): 782,
+    ("radix", 2): 7188, ("radix", 3): 8224,
+    ("water", 2): 2785, ("water", 3): 3645,
+}
+
+
 @pytest.mark.parametrize("name,workers", CONFIGS)
-def test_record_validate_replay(name, workers):
+def test_record_validate_replay(monkeypatch, name, workers):
     instance = build_workload(name, workers=workers, scale=2, seed=11)
     machine = MachineConfig(cores=workers)
     native = run_native(instance.image, instance.setup, machine)
@@ -92,6 +115,17 @@ def test_record_validate_replay(name, workers):
         machine=machine,
         epoch_cycles=max(native.duration // 12, 500),
     )
+    # Cost of every checkpoint taken, by index. Indices count the committed
+    # chain, so the last one taken under an index is the committed one.
+    taken = {}
+    take = CheckpointManager.take
+
+    def costed_take(self, engine, index):
+        checkpoint = take(self, engine, index)
+        taken[index] = checkpoint_cost(engine.costs, checkpoint.memory)
+        return checkpoint
+
+    monkeypatch.setattr(CheckpointManager, "take", costed_take)
     result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     recording = result.recording
 
@@ -131,6 +165,12 @@ def test_record_validate_replay(name, workers):
         f"{name}/{workers}: behavioural drift — expected "
         f"{GOLDEN[(name, workers)]}, got {observed}"
     )
+
+    # 7. stats live on the committed timeline: what a squashed
+    # thread-parallel future did is in neither
+    assert result.tp_finish == result.stats["tp_finish"] == TP_FINISH[(name, workers)]
+    assert sorted(taken) == list(range(1, recording.epoch_count() + 1))
+    assert result.stats["checkpoint_cost"] == sum(taken.values())
 
 
 # Host-parallelism parity: ``host_jobs`` may change only wall-clock time.
