@@ -41,6 +41,11 @@ class Checkpoint:
         """Per-thread retired-op counts — the epoch boundary definition."""
         return {tid: ctx.retired for tid, ctx in self.contexts.items()}
 
+    def syscall_counts(self) -> Dict[int, int]:
+        """Per-thread syscall counts: a log record below its thread's
+        count completed before this checkpoint and is unreachable from it."""
+        return {tid: ctx.syscall_count for tid, ctx in self.contexts.items()}
+
     def contexts_digest(self) -> int:
         # The checkpoint's contexts are private copies (see
         # CheckpointManager), so the digest can be computed once.

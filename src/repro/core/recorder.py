@@ -28,6 +28,7 @@ are ``makespan / native - 1``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ from repro.core.pipeline import (
 from repro.core.recovery import recover_epoch
 from repro.errors import SimulationError
 from repro.exec.multicore import MulticoreEngine
-from repro.exec.services import LiveSyscalls
+from repro.exec.services import InjectionLog, LiveSyscalls
 from repro.isa.program import ProgramImage
 from repro.obs import events as obs_events
 from repro.obs import histo as obs_histo
@@ -57,6 +58,7 @@ from repro.obs import spans as obs_spans
 from repro.obs.metrics import RunMetrics
 from repro.oskernel.kernel import Kernel, KernelSetup
 from repro.oskernel.syscalls import SyscallRecord
+from repro.record.log_index import SegmentLogs
 from repro.record.recording import (
     EpochRecord,
     Recording,
@@ -111,16 +113,6 @@ class RecordResult:
         return kernel
 
 
-def _settles(preloaded: Dict[int, tuple], positions: int) -> bool:
-    """Do the outcomes in hand decide a segment with no unit left to run?"""
-    for position in range(positions):
-        if position not in preloaded:
-            return False
-        if not preloaded[position][0].ok:
-            return True
-    return True
-
-
 @dataclass
 class _Segment:
     """One thread-parallel segment in flight: boundaries, hints, verdicts."""
@@ -135,9 +127,11 @@ class _Segment:
     #: every verdict consumed so far was final, so a failing one may
     #: still squash the thread-parallel run. Armed by the first recovery.
     may_cut: bool
-    #: speculative dispatch of the segment's units (None at ``jobs=1``
-    #: and with the commit pipeline off)
+    #: the pool's side of the segment: units pushed ahead of the merge,
+    #: then the merge itself (None at ``jobs=1``)
     session: Optional[object] = None
+    #: index pair over the raw logs, grown as the segment is cut
+    logs: Optional[SegmentLogs] = None
     #: acquisition hints of the thread-parallel run, in order
     hints: List = field(default_factory=list)
     #: ``len(hints)`` at each entry of ``checkpoints``
@@ -166,7 +160,8 @@ class DoublePlayRecorder:
 
     # ------------------------------------------------------------------
     def _run_inline(
-        self, segment: _Segment, position: int, cuts: Optional[tuple] = None
+        self, segment: _Segment, position: int, syscalls,
+        cuts: Optional[tuple] = None,
     ) -> EpochRunResult:
         """Run one position's epoch here, on the coordinator.
 
@@ -176,9 +171,11 @@ class DoublePlayRecorder:
         epoch's start to the segment end, because grants decided near
         the epoch boundary retire in later epochs, and cutting the hints
         at the boundary would make the executor hand objects out
-        differently than the thread-parallel run did.
+        differently than the thread-parallel run did. ``syscalls`` is
+        the segment's log — for the merge's runs, the finished log under
+        one shared injection index.
         """
-        syscalls, signals = segment.syscall_log, segment.signal_log
+        signals = segment.signal_log
         c_hint = None
         if cuts is not None:
             c_hint, c_sys, c_sig = cuts
@@ -201,39 +198,42 @@ class DoublePlayRecorder:
                 signal_records=signals,
             )
 
-    def _segment_epoch_results(
-        self, executor, segment: _Segment, preloaded: Dict[int, tuple]
-    ):
+    def _segment_epoch_results(self, segment: _Segment):
         """Yield ``(position, EpochRunResult)`` for a segment, in order.
 
-        ``preloaded`` carries the outcomes already in hand and validated:
-        speculative results, and verdicts the schedule ran inline. Serial
-        path (no executor, a one-position segment, or a segment the
-        preloaded outcomes settle on their own — the shape a cut leaves):
-        lazy, one epoch at a time, so an early divergence runs nothing
-        past it. Parallel path: every epoch of the segment not preloaded
-        fans out to worker processes; results merge back in position
-        order and a divergence at position *k* cancels everything after
-        it. Both paths stop after the first failure; both produce
-        identical result streams, because epoch execution is a
-        deterministic function of the checkpoints and logs.
+        With a session the stream is its merge over the units pushed
+        ahead (:meth:`SpeculativeSession.harvest`): results are waited
+        for, validated and yielded one position at a time, so the caller
+        commits an epoch while the units behind it still execute, and
+        only a position with no usable result is built again — with full
+        knowledge — and run. Without one (``jobs=1``) every position
+        runs here, lazily, except a verdict the schedule already ran
+        that may stand in. Both stop after the first failure, so an
+        early divergence runs nothing past it; both produce identical
+        result streams, because epoch execution is a deterministic
+        function of the checkpoints and logs.
         """
         positions = len(segment.checkpoints) - 1
-        if executor is None or positions <= 1 or _settles(preloaded, positions):
-            for position in range(positions):
-                if position in preloaded:
-                    result, timing = preloaded[position]
-                    if executor is not None:
-                        executor.accept_preloaded(position, timing)
-                else:
-                    result = self._run_inline(segment, position)
-                yield position, result
-                if not result.ok:
-                    return
+        valid = functools.partial(self._speculation_valid, segment)
+        if segment.session is not None:
+            yield from segment.session.harvest(
+                positions, valid, functools.partial(self._full_units, segment)
+            )
             return
+        syscalls = InjectionLog(segment.syscall_log)
+        for position in range(positions):
+            result = segment.inline.get(position)
+            if result is None or not valid(position, result):
+                result = self._run_inline(segment, position, syscalls)
+            yield position, result
+            if not result.ok:
+                return
+
+    def _full_units(self, segment: _Segment, positions) -> list:
+        """Full-knowledge units of ``positions``, in the session's blob set."""
         from repro.host.wire import record_units_for_segment
 
-        batch = record_units_for_segment(
+        return record_units_for_segment(
             segment.checkpoints,
             segment.hints,
             segment.hint_marks,
@@ -241,10 +241,10 @@ class DoublePlayRecorder:
             segment.signal_log,
             segment.first_epoch,
             self.config.use_sync_hints,
-        )
-        yield from executor.run_record_units(
-            self.program, self.machine, batch, preloaded=preloaded
-        )
+            positions=positions,
+            blobs=segment.session.blobs,
+            logs=segment.logs,
+        ).units
 
     # ------------------------------------------------------------------
     # Stages of one segment's thread-parallel run.
@@ -271,40 +271,43 @@ class DoublePlayRecorder:
             )
         return status
 
-    def _cut_unit(self, segment: _Segment) -> None:
-        """Two-deep commit pipeline: cut (and ship) the unit two boundaries back.
+    def _cut_unit(self, segment: _Segment, position: int) -> None:
+        """Cut one position's unit: its hints and logs are the snapshots of *now*.
 
-        Once boundary p+2 exists, epoch p's unit is cut: its hints and
-        logs are the snapshots of *now*. With a session it ships to the
-        pool while the thread-parallel run executes ahead. Whether its
-        result may stand in for the full-knowledge run is decided when
-        it is consumed (``_speculation_valid``).
+        The two-deep commit pipeline cuts epoch p once boundary p+2
+        exists, and whatever is left when the thread-parallel run
+        finishes. With a session the unit is pushed — shipped to the
+        pool while the thread-parallel run executes ahead, or while the
+        merge commits earlier epochs. Whether its result may stand in
+        for the full-knowledge run is decided when it is merged
+        (``_speculation_valid``); a cut made at the segment's end *is*
+        full knowledge.
         """
-        position = len(segment.checkpoints) - 3
+        session = segment.session
         if (
             position < 0
             or position in segment.cuts
-            or (segment.session is None and not segment.may_cut)
+            or not (segment.may_cut or (session is not None and session.ahead))
         ):
             return
         segment.cuts[position] = (
             len(segment.hints), len(segment.syscall_log), len(segment.signal_log)
         )
-        if segment.session is None:
+        if session is None:
             return
         from repro.host.wire import speculative_record_unit
 
-        segment.session.push(
+        start = segment.checkpoints[position]
+        session.push(
             speculative_record_unit(
                 position,
                 segment.first_epoch + position,
-                segment.checkpoints[position],
+                start,
                 segment.checkpoints[position + 1],
-                tuple(segment.hints[segment.hint_marks[position] :]),
-                segment.syscall_log,
-                segment.signal_log,
+                segment.hints[segment.hint_marks[position] :],
+                *segment.logs.reachable_from(start),
                 self.config.use_sync_hints,
-                segment.session.blobs,
+                session.blobs,
             )
         )
 
@@ -329,13 +332,12 @@ class DoublePlayRecorder:
         position = len(segment.checkpoints) - 1 - lag
         if position < 0:
             return False
-        if position not in segment.cuts:
-            self._cut_unit(segment)  # lag 2: cut at this very boundary
+        self._cut_unit(segment, position)  # lag 2: cut at this very boundary
         if segment.session is not None:
             result = segment.session.wait(position)
         else:
             result = segment.inline[position] = self._run_inline(
-                segment, position, segment.cuts[position]
+                segment, position, segment.syscall_log, segment.cuts[position]
             )
         if result.starved or not self._speculation_valid(segment, position, result):
             segment.may_cut = False
@@ -344,18 +346,6 @@ class DoublePlayRecorder:
             del segment.hint_marks[position + 2 :]
             segment.squashed = True
         return segment.squashed
-
-    def _preloaded(self, segment: _Segment) -> Dict[int, tuple]:
-        """Segment end: the outcomes in hand that may stand in at the merge."""
-        if segment.session is not None:
-            return segment.session.harvest(
-                functools.partial(self._speculation_valid, segment)
-            )
-        return {
-            position: (result, None)
-            for position, result in segment.inline.items()
-            if self._speculation_valid(segment, position, result)
-        }
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -392,23 +382,12 @@ class DoublePlayRecorder:
         """
         c_hint, c_sys, c_sig = segment.cuts[position]
         boundary_cp = segment.checkpoints[position + 1]
-        hints = segment.hints
-        syscall_log, signal_log = segment.syscall_log, segment.signal_log
-        sys_floor = {
-            tid: ctx.syscall_count for tid, ctx in boundary_cp.contexts.items()
-        }
-        for record in syscall_log[c_sys:]:
-            if record.seq < sys_floor.get(record.tid, 0):
-                return False
-        sig_floor = {
-            tid: ctx.retired for tid, ctx in boundary_cp.contexts.items()
-        }
-        for record in signal_log[c_sig:]:
-            if record[1] < sig_floor.get(record[0], 0):
-                return False
+        # A bisect per thread in the segment's index, not a scan.
+        if segment.logs.late_below(boundary_cp, (c_sys, c_sig)):
+            return False
         if result.starved:
             starved = set(result.starved)
-            for _, addr, _ in hints[c_hint:]:
+            for _, addr, _ in segment.hints[c_hint:]:
                 if addr in starved:
                     return False
         return True
@@ -567,10 +546,13 @@ class DoublePlayRecorder:
                 # Armed by the committed history, not by a setting: a run
                 # that never diverged consumes nothing and pays nothing.
                 may_cut=recoveries > 0,
+                # Built here because a restart has just pruned the logs
+                # in place; within the segment they only grow.
+                logs=SegmentLogs(syscall_log, signal_log),
             )
-            if executor is not None and opts.pipeline:
+            if executor is not None:
                 segment.session = SpeculativeSession(
-                    executor, self.program, self.machine
+                    executor, self.program, self.machine, ahead=opts.pipeline
                 )
             engine.acquisition_log = segment.hints
             policy.start_segment(engine.time)
@@ -592,99 +574,98 @@ class DoublePlayRecorder:
                         segment, verdict_lag
                     ):
                         break
-                    self._cut_unit(segment)
-                preloaded = self._preloaded(segment)
+                    self._cut_unit(segment, len(segment.checkpoints) - 3)
+                if segment.session is not None and segment.session.ahead:
+                    # The run is over, so these cuts are full knowledge:
+                    # the tail executes while the merge below commits
+                    # the epochs ahead of it.
+                    for position in range(len(segment.checkpoints) - 1):
+                        self._cut_unit(segment, position)
             except BaseException:
                 if segment.session is not None:
                     segment.session.close()
                 raise
 
             # ----------------------------------------------------------
-            # Epoch-parallel execution of the segment's epochs.
+            # Epoch-parallel execution of the segment's epochs: the
+            # merge stream, committed as it arrives.
             # ----------------------------------------------------------
             diverged_at: Optional[int] = None
             recovery = None
             attempt_duration = 0
             timings: List[EpochTiming] = []
-            epoch_results = self._segment_epoch_results(executor, segment, preloaded)
-            for position, result in epoch_results:
-                start_cp = segment.checkpoints[position]
-                end_cp = segment.checkpoints[position + 1]
-                timings.append(
-                    EpochTiming(
-                        index=epoch_index,
-                        ready_time=start_cp.time + timeline_offset,
-                        boundary_time=end_cp.time + timeline_offset,
-                        duration=result.duration,
-                    )
-                )
-                if result.ok:
-                    commit_started = time.perf_counter()
-                    with obs_spans.span(
-                        "commit", obs_spans.CAT_COMMIT, epoch=epoch_index
-                    ):
-                        self._commit_epoch(
-                            recording, sink, manager, epoch_index, start_cp,
-                            end_cp, result, syscall_log, signal_log,
+            with contextlib.closing(self._segment_epoch_results(segment)) as results:
+                for position, result in results:
+                    start_cp = segment.checkpoints[position]
+                    end_cp = segment.checkpoints[position + 1]
+                    timings.append(
+                        EpochTiming(
+                            index=epoch_index,
+                            ready_time=start_cp.time + timeline_offset,
+                            boundary_time=end_cp.time + timeline_offset,
+                            duration=result.duration,
                         )
-                    obs_histo.observe(
-                        "commit_wall_s", time.perf_counter() - commit_started
                     )
-                    committed = end_cp
+                    if result.ok:
+                        commit_started = time.perf_counter()
+                        with obs_spans.span(
+                            "commit", obs_spans.CAT_COMMIT, epoch=epoch_index
+                        ):
+                            self._commit_epoch(
+                                recording, sink, manager, epoch_index, start_cp,
+                                end_cp, result, syscall_log, signal_log,
+                            )
+                        obs_histo.observe(
+                            "commit_wall_s", time.perf_counter() - commit_started
+                        )
+                        committed = end_cp
+                        epoch_index += 1
+                        continue
+                    # ------------------------------------------------------
+                    # Divergence: forward recovery.
+                    # ------------------------------------------------------
+                    divergences += 1
+                    attempt_duration = result.duration
+                    obs_events.emit(
+                        "divergence", epoch=epoch_index,
+                        reason=result.reason[:120],
+                    )
+                    with obs_spans.span(
+                        "divergence", obs_spans.CAT_RECOVERY,
+                        epoch=epoch_index, reason=result.reason[:120],
+                    ):
+                        syscall_log[:] = prune_syscall_records(
+                            syscall_log, start_cp.syscall_counts()
+                        )
+                        signal_log[:] = prune_signal_records(
+                            signal_log, start_cp.targets()
+                        )
+                        # Release the squashed future's checkpoints.
+                        manager.discard_after(start_cp.index)
+                    with obs_spans.span(
+                        "recovery", obs_spans.CAT_RECOVERY, epoch=epoch_index
+                    ):
+                        recovery = recover_epoch(
+                            self.program,
+                            self.machine,
+                            self.setup,
+                            start_cp,
+                            config.epoch_cycles,
+                            syscall_log,
+                            signal_log=signal_log,
+                        )
+                    obs_events.emit(
+                        "recovery", epoch=epoch_index, cycles=recovery.duration
+                    )
+                    self._commit_epoch(
+                        recording, sink, manager, epoch_index, start_cp,
+                        recovery.committed, recovery, syscall_log, signal_log,
+                        recovered=True,
+                    )
+                    committed = recovery.committed
                     epoch_index += 1
-                    continue
-                # ------------------------------------------------------
-                # Divergence: forward recovery.
-                # ------------------------------------------------------
-                divergences += 1
-                attempt_duration = result.duration
-                obs_events.emit(
-                    "divergence", epoch=epoch_index,
-                    reason=result.reason[:120],
-                )
-                with obs_spans.span(
-                    "divergence", obs_spans.CAT_RECOVERY,
-                    epoch=epoch_index, reason=result.reason[:120],
-                ):
-                    counts = {
-                        tid: ctx.syscall_count
-                        for tid, ctx in start_cp.contexts.items()
-                    }
-                    syscall_log[:] = prune_syscall_records(syscall_log, counts)
-                    retired_counts = {
-                        tid: ctx.retired
-                        for tid, ctx in start_cp.contexts.items()
-                    }
-                    signal_log[:] = prune_signal_records(
-                        signal_log, retired_counts
-                    )
-                    # Release the squashed future's checkpoints.
-                    manager.discard_after(start_cp.index)
-                with obs_spans.span(
-                    "recovery", obs_spans.CAT_RECOVERY, epoch=epoch_index
-                ):
-                    recovery = recover_epoch(
-                        self.program,
-                        self.machine,
-                        self.setup,
-                        start_cp,
-                        config.epoch_cycles,
-                        syscall_log,
-                        signal_log=signal_log,
-                    )
-                obs_events.emit(
-                    "recovery", epoch=epoch_index, cycles=recovery.duration
-                )
-                self._commit_epoch(
-                    recording, sink, manager, epoch_index, start_cp,
-                    recovery.committed, recovery, syscall_log, signal_log,
-                    recovered=True,
-                )
-                committed = recovery.committed
-                epoch_index += 1
-                diverged_at = position
-                break
-            epoch_results.close()
+                    diverged_at = position
+                    break
             if segment.squashed and diverged_at is None:
                 raise SimulationError(
                     "a squashed segment committed clean: its failing verdict "

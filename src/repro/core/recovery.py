@@ -99,10 +99,7 @@ def recover_epoch(
     if signal_log is not None:
         engine.signal_log = signal_log
 
-    def budget_reached(running: UniprocessorEngine) -> bool:
-        return running.time - start.time >= epoch_budget_cycles
-
-    outcome = engine.run(stop_check=budget_reached)
+    outcome = engine.run(stop_after=start.time + epoch_budget_cycles)
     duration = engine.time - start.time
     manager = CheckpointManager()
     committed = manager.take(engine, index=start.index + 1)

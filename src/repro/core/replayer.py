@@ -28,7 +28,7 @@ from repro import options
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.core.pipeline import EpochTiming, schedule_spare_cores
 from repro.errors import ReplayError
-from repro.exec.services import InjectedSyscalls
+from repro.exec.services import InjectedSyscalls, InjectionLog
 from repro.exec.uniprocessor import UniprocessorEngine
 from repro.isa.program import ProgramImage
 from repro.machine.config import MachineConfig
@@ -151,7 +151,9 @@ class Replayer:
         self.machine = machine
 
     # ------------------------------------------------------------------
-    def _replay_one(self, recording: Recording, epoch: EpochRecord):
+    def _replay_one(self, recording: Recording, epoch: EpochRecord, syscalls):
+        """Replay ``epoch``; ``syscalls`` is the recording's injectable
+        log (an :class:`InjectionLog` shared by every epoch of one call)."""
         start = epoch.start_checkpoint
         if start is None:
             raise ReplayError(
@@ -170,7 +172,7 @@ class Replayer:
                 epoch.schedule,
                 epoch.sync_log,
                 epoch.end_digest,
-                recording.syscalls_for_epochs(),
+                syscalls,
                 recording.signal_records,
             )
 
@@ -180,7 +182,9 @@ class Replayer:
         """Replay one epoch from its checkpoint and verify its end state."""
         baseline = obs_metrics.process_stats().snapshot()
         cycles, failure = self._replay_one(
-            recording, self._find_epoch(recording, index)
+            recording,
+            self._find_epoch(recording, index),
+            recording.syscalls_for_epochs(),
         )
         return ReplayResult(
             verified=failure is None,
@@ -242,8 +246,9 @@ class Replayer:
                 )
                 host = executor.timing_summary()
             else:
+                syscalls = InjectionLog(recording.syscalls_for_epochs())
                 outcomes = [
-                    self._replay_one(recording, epoch)
+                    self._replay_one(recording, epoch, syscalls)
                     for epoch in recording.epochs
                 ]
         details = [failure for _, failure in outcomes if failure]

@@ -132,10 +132,11 @@ class MulticoreEngine(BaseEngine):
         crashed and ``halt_on_fault`` is set. Raises
         :class:`DeadlockError` when nothing can ever run again.
 
-        ``stop_after`` is an optional caller promise that ``stop_check(e)``
-        is exactly ``e.time >= stop_after`` (the epoch policies expose the
-        value as ``next_boundary()``); fused superblocks are then bounded
-        by the remaining cycles instead of being disabled.
+        ``stop_after`` *is* the stop condition ``e.time >= stop_after``
+        (the epoch policies expose the value as ``next_boundary()``),
+        compared inline after every op; ``stop_check`` is then never
+        called. Fused superblocks are bounded by the remaining cycles
+        instead of being disabled, as an opaque ``stop_check`` forces.
         """
         ops_before = self.ops
         try:
@@ -154,6 +155,10 @@ class MulticoreEngine(BaseEngine):
         next_event_fn = self.services.next_event_time
         max_ops = self.config.max_ops
         running = ThreadStatus.RUNNING
+        decoded = self.decoded
+        decoded_len = len(decoded)
+        if stop_after is not None:
+            stop_check = None
         fused_table = self.fused
         may_fuse = (
             fused_table is not None
@@ -289,12 +294,28 @@ class MulticoreEngine(BaseEngine):
                                 ctx.status = ThreadStatus.READY
                                 ready.append((ctx.tid, core_time))
                                 core.tid = None
-                            if stop_check is not None and stop_check(self):
+                            if stop_after is not None:
+                                if self.time >= stop_after:
+                                    return "stopped"
+                            elif stop_check is not None and stop_check(self):
                                 return "stopped"
                             continue
             self._now = core_time
             try:
-                cost = step(self, ctx)
+                pc = ctx.pc
+                if (
+                    ctx.blocked is None
+                    and ctx.pending_grant is None
+                    and not ctx.pending_signals
+                    and not self.injected_signals
+                    and 0 <= pc < decoded_len
+                ):
+                    # ``step``'s common case, without the call: nothing
+                    # pending, so the op at ``pc`` simply executes.
+                    pair = decoded[pc]
+                    cost = pair[0](self, ctx, pair[1])
+                else:
+                    cost = step(self, ctx)
             except GuestFault as fault:
                 if not self.halt_on_fault:
                     raise
@@ -319,7 +340,10 @@ class MulticoreEngine(BaseEngine):
                 ctx.status = ThreadStatus.READY
                 ready.append((ctx.tid, core_time))
                 core.tid = None
-            if stop_check is not None and stop_check(self):
+            if stop_after is not None:
+                if self.time >= stop_after:
+                    return "stopped"
+            elif stop_check is not None and stop_check(self):
                 return "stopped"
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import DivergenceSignal
 from repro.isa.context import ThreadContext
 from repro.memory.address_space import AddressSpace
+from repro.obs import metrics as obs_metrics
 from repro.oskernel.kernel import Kernel
 from repro.oskernel.syscalls import (
     SyscallBlock,
@@ -41,6 +42,9 @@ class LiveSyscalls:
         self.kernel = kernel
         #: completed-call log in global completion order (None = no logging)
         self.log = log
+        #: the engines poll this once or twice per op: the kernel's own
+        #: bound method, not a forwarding call
+        self.next_event_time = kernel.next_event_time
 
     def invoke(
         self,
@@ -88,8 +92,28 @@ class LiveSyscalls:
     def signal_deliveries(self, now: int):
         return self.kernel.signal_deliveries(now)
 
-    def next_event_time(self) -> Optional[int]:
-        return self.kernel.next_event_time()
+
+class InjectionLog(tuple):
+    """A frozen syscall log whose ``(tid, seq)`` index is built once.
+
+    Every :class:`InjectedSyscalls` over the same log object shares the
+    one dict: a worker builds it once per decoded log blob (the object
+    lives in its blob cache), a serial replay once per recording. It
+    pickles as its plain records — the index never crosses the wire.
+    """
+
+    _by_seq = None
+
+    @property
+    def by_seq(self) -> Dict[Tuple[int, int], SyscallRecord]:
+        index = self._by_seq
+        if index is None:
+            index = self._by_seq = {(r.tid, r.seq): r for r in self}
+            obs_metrics.process_stats().add("work.injection_index_builds")
+        return index
+
+    def __reduce__(self):
+        return InjectionLog, (tuple(self),)
 
 
 class InjectedSyscalls:
@@ -97,7 +121,9 @@ class InjectedSyscalls:
 
     ``records`` may span the whole recording; lookup is by the issuing
     thread's per-thread sequence number, so an epoch executor can be handed
-    the full log and will naturally consume only its epoch's slice.
+    the full log and will naturally consume only its epoch's slice. Hand
+    the same :class:`InjectionLog` to many executors and they share its
+    index; ``consumed`` stays per instance.
     """
 
     #: no kernel — ``next_event_time`` is always None
@@ -108,9 +134,9 @@ class InjectedSyscalls:
         records: Sequence[SyscallRecord],
         on_mismatch: Optional[Callable[[str], None]] = None,
     ):
-        self._by_seq: Dict[Tuple[int, int], SyscallRecord] = {
-            (record.tid, record.seq): record for record in records
-        }
+        if not isinstance(records, InjectionLog):
+            records = InjectionLog(records)
+        self._by_seq = records.by_seq
         self._on_mismatch = on_mismatch
         #: records actually consumed (size accounting, tests)
         self.consumed = 0

@@ -235,11 +235,10 @@ class UniprocessorEngine(BaseEngine):
         thread exits. ``stop_check`` ends the run early with status
         ``"stopped"`` (used by forward recovery's epoch re-execution).
 
-        ``stop_after`` is an optional caller promise about ``stop_check``:
-        it guarantees ``stop_check(e)`` is exactly ``e.time >= stop_after``
-        (the epoch policies expose the value as ``next_boundary()``).
-        Fused superblocks are then bounded by the remaining cycles instead
-        of being disabled whenever a stop check is installed.
+        ``stop_after`` follows the contract of ``MulticoreEngine.run``: it
+        is the stop condition ``e.time >= stop_after``, compared inline
+        (``stop_check`` is then never called), and it bounds fused
+        superblocks instead of disabling them.
         """
         ops_before = self.ops
         try:
@@ -262,6 +261,8 @@ class UniprocessorEngine(BaseEngine):
             needed = max(sum(self.targets.values()) - already_retired, 0)
             self._op_budget = 2 * needed + 64 * (len(self.targets) + 1)
         stopped = False
+        if stop_after is not None:
+            stop_check = None
         ready = self._ready
         targets = self.targets
         costs = self.costs
@@ -398,7 +399,10 @@ class UniprocessorEngine(BaseEngine):
                                         self.time,
                                         reason=str(fault),
                                     )
-                                if stop_check is not None and stop_check(self):
+                                if (
+                                    stop_after is not None
+                                    and self.time >= stop_after
+                                ) or (stop_check is not None and stop_check(self)):
                                     stopped = True
                                     break
                                 continue
@@ -441,7 +445,9 @@ class UniprocessorEngine(BaseEngine):
                     # always ends the slice and replay must re-execute it.
                     issue_ended = True
                     break
-                if stop_check is not None and stop_check(self):
+                if (stop_after is not None and self.time >= stop_after) or (
+                    stop_check is not None and stop_check(self)
+                ):
                     stopped = True
                     break
             if (

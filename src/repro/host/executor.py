@@ -1,23 +1,26 @@
 """The coordinator side: dispatch, containment and ordered merge of units.
 
 ``HostExecutor`` runs epoch work units on a pool of worker processes.
-Every unit — batch, NeedBlobs resend, speculative push, under the
-direct pool or a service fleet — takes one path:
+Every unit — replay, pushed ahead, rebuilt at the merge, NeedBlobs
+resend, under the direct pool or a service fleet — takes one path:
 :meth:`HostExecutor._dispatch` puts it in a pool,
 :func:`~repro.host.worker.run_unit` executes it there,
 :meth:`HostExecutor._settle` folds the answer into the cache mirror; a
 unit the pool cannot finish runs through
 :func:`~repro.host.worker.run_unit_serial` on the coordinator.
 
-Protocol per batch: build dispatches lazily inside a bounded submission
-window (about two per worker — blobs are encoded and shipped only for
-units that will actually run), consume results strictly in position
-order (the merge on the coordinator is therefore deterministic
-regardless of completion order), and on the first divergence cancel
-everything not yet started — epochs after a divergence belong to an
-abandoned thread-parallel future and their results would be discarded
-anyway. A worker that is already mid-epoch runs to completion
-harmlessly; its result is dropped.
+Results are consumed strictly in position order, so the merge on the
+coordinator is deterministic regardless of completion order. A replay
+runs every unit of its batch; a record segment is a
+:class:`SpeculativeSession`: units are pushed while the thread-parallel
+run is still going, the merge walks them in order, and the first
+divergence cancels everything not yet started — epochs after a
+divergence belong to an abandoned thread-parallel future and their
+results would be discarded anyway. A worker that is already mid-epoch
+runs to completion harmlessly; its result is dropped. Units built at
+merge time are dispatched lazily inside a bounded submission window
+(about two per worker), so blobs are encoded and shipped only for units
+that will actually run.
 
 **The content-addressed wire, coordinator side.** The coordinator
 mirrors every worker's blob cache in the module-level
@@ -68,7 +71,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.epoch_runner import EpochRunResult
 from repro.errors import (
     HostPoolError,
     WorkerCrashError,
@@ -127,10 +129,19 @@ class _Batch:
     last_shipped: List[Set[int]] = field(default_factory=list)
 
     def _add_unit(self, unit) -> int:
-        """Stamp the unit's fault specs and give it a slot; its index."""
+        """Stamp the unit's fault specs and slot it at its position; its index.
+
+        Units arrive in position order, so a new position is the next
+        slot. A position added again (the merge's full-knowledge rebuild
+        of a unit cut earlier) replaces the unit and keeps the slot's
+        wire accounting: what a position cost is every attempt's bytes.
+        """
         unit.faults = fault_injection.faults_for(
             self.fault_specs, self.kind, unit.position
         )
+        if unit.position < len(self.units):
+            self.units[unit.position] = unit
+            return unit.position
         self.units.append(unit)
         self.bytes_shipped.append(0)
         self.blobs_sent.append(0)
@@ -528,87 +539,30 @@ class HostExecutor:
             timing.blobs_sent = batch.blobs_sent[position]
             return batch.kind + "-serial", value, timing
 
-    def accept_preloaded(self, position: int, timing: Optional[UnitTiming]) -> None:
-        """Merge one validated outcome in hand, in place of a dispatch.
-
-        ``timing`` is None for a verdict the recorder ran inline: it was
-        counted where it ran and no unit was ever dispatched for it.
-        """
-        if timing is None:
-            return
-        self.speculation["accepted"] += 1
-        self._ingest_observability(timing)
-        self.unit_timings.append(("record", position, timing))
-
-    def _run_units(
-        self, batch: _Batch, stop_on=None,
-        preloaded: Optional[Dict[int, tuple]] = None,
-    ) -> Iterator[Tuple[int, object]]:
-        """Yield ``(position, value)`` in position order with containment.
-
-        ``stop_on(value)`` truthy cancels everything still pending and
-        ends the batch (the record path's divergence exit).
-
-        ``preloaded`` maps positions to validated ``(value, timing)``
-        outcomes already produced by the speculative pipeline; those
-        positions are never dispatched. Their observability ingest and
-        timing records happen here, at consume time in merge order, so a
-        divergence at an earlier position drops them exactly as it would
-        have cancelled a dispatch — ``jobs=1`` metric parity.
-        """
-        preloaded = preloaded or {}
-        done: Dict[int, tuple] = {}
-        futures: Dict[int, object] = {}
-        try:
-            for position in range(len(batch.units)):
-                if position in preloaded:
-                    value, timing = preloaded.pop(position)
-                    self.accept_preloaded(position, timing)
-                else:
-                    label, value, timing = self._run_contained(
-                        batch, position, futures, done, preloaded
-                    )
-                    self.unit_timings.append((label, position, timing))
-                stop = stop_on is not None and stop_on(value)
-                if stop:
-                    # Cancel *before* handing the divergence to the
-                    # caller: its forward recovery must never compete
-                    # for cores with units that are already doomed.
-                    for pending in futures.values():
-                        pending.cancel()
-                yield position, value
-                if stop:
-                    return
-        finally:
-            for pending in futures.values():
-                pending.cancel()
-
-    # ------------------------------------------------------------------
-    def run_record_units(
-        self, program, machine, batch: UnitBatch,
-        preloaded: Optional[Dict[int, tuple]] = None,
-    ) -> Iterator[Tuple[int, EpochRunResult]]:
-        """Yield ``(position, result)`` in position order.
-
-        Stops after the first divergence, cancelling all not-yet-started
-        units — exactly the serial loop's early exit. Worker crashes,
-        hangs, and exceptions are contained per unit (retry once, then
-        serial fallback), so the stream always completes and is always
-        bit-identical to the serial path. ``preloaded`` carries validated
-        speculative outcomes (see :class:`SpeculativeSession`) consumed
-        in place of a dispatch.
-        """
-        state = self._begin_batch("record", program, machine, batch.units, batch.blobs)
-        yield from self._run_units(
-            state, stop_on=lambda result: not result.ok, preloaded=preloaded
-        )
-
     def run_replay_units(
         self, program, machine, batch: UnitBatch
     ) -> List[Tuple[int, object]]:
-        """Every unit's ``(cycles, failure)``, in position order."""
+        """Every unit's ``(cycles, failure)``, in position order.
+
+        Worker crashes, hangs and exceptions are contained per unit
+        (retry once, then serial fallback), so the list is always
+        complete and bit-identical to the serial path.
+        """
         state = self._begin_batch("replay", program, machine, batch.units, batch.blobs)
-        return [value for _, value in self._run_units(state)]
+        futures: Dict[int, object] = {}
+        done: Dict[int, tuple] = {}
+        values = []
+        try:
+            for position in range(len(state.units)):
+                label, value, timing = self._run_contained(
+                    state, position, futures, done, ()
+                )
+                self.unit_timings.append((label, position, timing))
+                values.append(value)
+        finally:
+            for pending in futures.values():
+                pending.cancel()
+        return values
 
     # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
@@ -642,32 +596,36 @@ class HostExecutor:
 
 
 class SpeculativeSession:
-    """One segment's speculative record-unit dispatches (commit pipeline).
+    """One segment's record units: pushed ahead, then merged in order.
 
-    The recorder creates a session per segment when the two-deep commit
-    pipeline is on. :meth:`push` ships one epoch unit to the pool *while
-    the thread-parallel run is still producing later epochs* — strictly
-    non-blocking, so a broken pool or full queue costs nothing but the
-    speculation. :meth:`wait` blocks for one unit's verdict (the
-    recorder's verdict schedule, armed once a run has diverged);
-    :meth:`harvest` collects, at segment end, the outcomes that may
-    stand in for a full-knowledge dispatch.
+    The recorder creates a session per segment. :meth:`push` hands it
+    one cut epoch unit; with ``ahead`` (the commit pipeline, on by
+    default) the unit ships to the pool at once — *while the
+    thread-parallel run is still producing later epochs*, and, for the
+    tail units cut when that run finishes, while the merge is committing
+    earlier ones — strictly non-blocking, so a broken pool or full queue
+    costs nothing but the speculation. Without ``ahead`` the unit is
+    only held for the verdict that may ask for it. :meth:`wait` blocks
+    for one unit's verdict (the recorder's verdict schedule, armed once
+    a run has diverged); :meth:`harvest` is the segment's merge, a
+    single in-order stream over everything the session holds.
 
-    A speculative attempt that crashes, hangs, misses blobs, or raises
-    is never retried on its own account and never counts as a fault: at
-    harvest it is simply skipped and the position runs again through the
-    full-knowledge batch. Only a verdict the schedule *consumes* must
-    not depend on host luck, so :meth:`wait` re-obtains a lost one
-    through the executor's contained path. Cache-mirror acks are applied
-    as results settle (the worker really did absorb the blobs), but
-    observability ingest and timing records are deferred to the consume
-    or the merge — a never-consumed result leaves no trace in the run
-    metrics, which is what keeps ``jobs=1`` and ``jobs=N`` metrics
-    identical.
+    An attempt pushed ahead that crashes, hangs, misses blobs, or raises
+    is never retried on its own account and never counts as a fault: the
+    merge rebuilds the position with full knowledge and runs that
+    through the executor's contained path. Only a verdict the schedule
+    *consumes* must not depend on host luck, so :meth:`wait` re-obtains
+    a lost one through the contained path itself. Cache-mirror acks are
+    applied as results settle (the worker really did absorb the blobs),
+    but observability ingest and timing records are deferred to the
+    consume or the merge — a never-consumed result leaves no trace in
+    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
+    metrics identical.
     """
 
-    def __init__(self, executor: HostExecutor, program, machine):
+    def __init__(self, executor: HostExecutor, program, machine, ahead: bool = True):
         self.executor = executor
+        self.ahead = ahead
         self._batch = executor._begin_batch("record", program, machine)
         #: position -> in-flight future (None = the submission was lost)
         self._futures: Dict[int, object] = {}
@@ -676,6 +634,8 @@ class SpeculativeSession:
         self._outcomes: Dict[int, tuple] = {}
         #: positions pushed but not yet submitted (the pool was not up)
         self._deferred: List[int] = []
+        #: position -> in-flight future of a unit the merge rebuilt
+        self._reruns: Dict[int, object] = {}
         #: set by the warm-up thread; read (GIL-atomic) by push/harvest
         self._ready = False
         self._warm = threading.Thread(target=self._warm_pool, daemon=True)
@@ -683,7 +643,7 @@ class SpeculativeSession:
 
     @property
     def blobs(self) -> Dict[int, bytes]:
-        """The session-shared blob set speculative units intern into."""
+        """The segment's blob set every unit of the session interns into."""
         return self._batch.blobs
 
     def _warm_pool(self) -> None:
@@ -695,8 +655,8 @@ class SpeculativeSession:
         before the pool is ready are buffered and flushed the moment it
         is (or at the first wait/harvest, whichever comes first). A
         failed spawn leaves ``_ready`` unset: the buffered units count
-        as lost and the contained/batch path reports the pool problem
-        the normal way. (A fleet dispatcher's ``warm`` is a no-op — the
+        as lost and the contained path reports the pool problem the
+        normal way. (A fleet dispatcher's ``warm`` is a no-op — the
         service owns the pool.)
         """
         try:
@@ -714,22 +674,25 @@ class SpeculativeSession:
             )
 
     def push(self, unit) -> None:
-        """Dispatch one speculative unit; non-blocking, never raises.
+        """Take one cut unit; non-blocking, never raises.
 
         Units arrive in position order from 0, so a unit's index in the
         session's batch *is* its position.
         """
-        self._deferred.append(self._batch._add_unit(unit))
+        position = self._batch._add_unit(unit)
+        if not self.ahead:
+            return
+        self._deferred.append(position)
         self.executor.speculation["dispatched"] += 1
         # Fold finished speculations into the cache mirror *before*
         # building this dispatch: without this, every mid-segment
         # dispatch sees the tracker as it stood at segment start (acks
-        # normally arrive at harvest) and re-ships the full blob set —
+        # normally arrive at the merge) and re-ships the full blob set —
         # measured at ~100x the steady-state dispatch cost on
         # page-heavy workloads. ``done()`` keeps the sweep non-blocking.
-        for position, future in list(self._futures.items()):
+        for pending, future in list(self._futures.items()):
             if future is not None and future.done():
-                self._resolve(position)
+                self._resolve(pending)
         self._flush()
 
     def _resolve(self, position: int) -> tuple:
@@ -739,7 +702,7 @@ class SpeculativeSession:
         ``value`` of ``None`` for an answer lost to a host reason
         (crash, timeout, NeedBlobs, task error, failed or never-made
         submission); idempotent so the eager sweep in :meth:`push`,
-        :meth:`wait` and the final pass in :meth:`harvest` compose.
+        :meth:`wait` and the walk in :meth:`harvest` compose.
         """
         if position not in self._outcomes:
             executor, batch = self.executor, self._batch
@@ -763,11 +726,12 @@ class SpeculativeSession:
 
         Which boundary consumes which verdict is the recorder's rule and
         a function of the committed history alone; so must the verdict
-        be. One lost to a host reason is therefore re-obtained here
-        through the contained path (full resend, retry, serial fallback
-        — the same cut-at-push unit, so the same result), and its
-        counters fold in now: a consumed verdict is part of the run at
-        any ``jobs``, whatever the segment-end rule later makes of it.
+        be. One lost to a host reason (or, without ``ahead``, never
+        submitted) is therefore obtained here through the contained path
+        (full resend, retry, serial fallback — the same cut-at-push
+        unit, so the same result), and its counters fold in now: a
+        consumed verdict is part of the run at any ``jobs``, whatever
+        the merge later makes of it.
         """
         self._join_pool()
         executor, batch = self.executor, self._batch
@@ -780,35 +744,72 @@ class SpeculativeSession:
         executor._ingest_observability(timing)
         return value
 
-    def harvest(self, valid) -> Dict[int, Tuple[object, UnitTiming]]:
-        """The outcomes the merge may use, then abandon the rest.
+    def harvest(self, positions: int, valid, rebuild) -> Iterator[Tuple[int, object]]:
+        """The segment's merge: yield ``(position, result)`` in order.
 
-        Walks the pushed units in position order, waiting for each; an
-        answer lost to a host reason is skipped (the position falls
-        through to the full-knowledge dispatch), one the recorder's
-        ``valid(position, result)`` rejects is counted invalidated. The
-        walk ends at the first valid *failing* result: that is a real
-        divergence, the merge stops there, and everything past it
-        belongs to a squashed future — cancelled, never awaited.
+        Walks the segment's ``positions`` epochs, waiting for each unit
+        in turn, so the caller commits epoch *p* while the units behind
+        it still execute. A pushed unit's result stands when the
+        recorder's ``valid(position, result)`` accepts it. A position
+        without one — never pushed, lost to a host reason, invalidated —
+        is built again with full knowledge (``rebuild(positions)``,
+        asked together with every later position never pushed, so they
+        share a submission window) and run through the contained path:
+        the stream always completes, bit-identical to the serial path.
+        It ends after the first failing result: a real divergence, past
+        which everything belongs to a squashed future — cancelled, never
+        awaited. Observability ingest and timing records happen here, in
+        merge order, so a divergence drops later results' counters
+        exactly as the serial loop never runs them.
         """
         self._join_pool()
-        outcomes: Dict[int, Tuple[object, UnitTiming]] = {}
-        for position in range(len(self._batch.units)):
-            value, timing = self._resolve(position)
-            if value is None:
-                continue
-            if not valid(position, value):
-                self.executor.speculation["invalidated"] += 1
-                continue
-            outcomes[position] = (value, timing)
-            if not value.ok:
-                break
-        self.close()
-        return outcomes
+        executor, batch = self.executor, self._batch
+        #: what a pool that broke under a rebuilt unit salvaged
+        done: Dict[int, tuple] = {}
+        #: positions a pushed unit may still answer for; pushes and
+        #: rebuilds both fill the batch in position order, so the
+        #: positions never pushed are those past its end
+        pushed = set(range(len(batch.units)))
+        try:
+            for position in range(positions):
+                label, value, timing = batch.kind, None, None
+                if position in pushed:
+                    value, timing = self._resolve(position)
+                    if value is not None and not valid(position, value):
+                        if self.ahead:
+                            executor.speculation["invalidated"] += 1
+                        value = None
+                if value is not None:
+                    if self.ahead:
+                        executor.speculation["accepted"] += 1
+                    executor._ingest_observability(timing)
+                else:
+                    if position in pushed or position == len(batch.units):
+                        pushed.discard(position)
+                        never_pushed = range(
+                            max(position + 1, len(batch.units)), positions
+                        )
+                        for unit in rebuild([position, *never_pushed]):
+                            batch._add_unit(unit)
+                    label, value, timing = executor._run_contained(
+                        batch, position, self._reruns, done, pushed
+                    )
+                executor.unit_timings.append((label, position, timing))
+                if not value.ok:
+                    # Cancel *before* handing the divergence to the
+                    # caller: its forward recovery must never compete
+                    # for cores with units that are already doomed.
+                    self.close()
+                yield position, value
+                if not value.ok:
+                    return
+        finally:
+            self.close()
 
     def close(self) -> None:
         """Abandon whatever is still in flight."""
-        for future in self._futures.values():
-            if future is not None:
-                future.cancel()
-        self._futures.clear()
+        for futures in (self._futures, self._reruns):
+            for future in futures.values():
+                if future is not None:
+                    future.cancel()
+            futures.clear()

@@ -17,23 +17,23 @@ segments, and whole recordings:
   syscalls and never touch a live kernel, and forward recovery (which
   does) always runs on the coordinator.
 
-* **Shared log blobs, not per-unit slices.** Syscall/signal injection is
-  keyed lookup — ``(tid, seq)`` and ``(tid, retired)`` — so any superset
-  of an epoch's reachable records behaves identically (the serial paths
-  pass the *full* logs). Each batch therefore interns ONE segment-level
-  slice per log (everything reachable from the segment's first
-  checkpoint, via :class:`ThreadLogIndex`) and every unit references it
-  by digest. This replaces the old per-epoch rescans — O(epochs ×
-  records) filtering and O(epochs × slice) wire bytes both collapse to
-  O(records) per segment.
+* **Shared log blobs.** Syscall/signal injection is keyed lookup —
+  ``(tid, seq)`` and ``(tid, retired)`` — so any superset of an epoch's
+  reachable records behaves identically (the serial paths pass the
+  *full* logs). A unit cut while its segment is still running ships
+  what is reachable from its own start and logged so far; units built
+  at the merge share ONE segment-level slice per log. Either way the
+  slice comes out of the segment's :class:`SegmentLogs` index, which
+  only ever absorbs the records appended since the last cut, and the
+  syscall slice ships as an ``InjectionLog``, so a worker builds its
+  lookup table once per cached blob, not once per unit.
 
-* **One hint tuple per segment.** The sync hints a record unit needs are
-  the suffix of the segment's acquisition hints from its epoch's start
-  mark (cutting them at the epoch boundary would change how the oracle
-  hands objects out — see ``DoublePlayRecorder.record``). Suffixes of
-  one tuple used to be materialised per unit, duplicating the tail
-  O(epochs²); now the batch interns the whole segment tuple once and
-  each unit carries its integer start offset.
+* **Hints by window.** The sync hints a record unit needs are the
+  suffix of the segment's acquisition hints from its epoch's start mark
+  (cutting them at the epoch boundary would change how the oracle hands
+  objects out — see ``DoublePlayRecorder``). A unit cut mid-segment
+  carries its window so far as its own tuple; units built at the merge
+  share the whole segment tuple and carry an integer start offset.
 
 ``BlobRef`` and ``WireCheckpoint`` keep coordinator-side ``_local``
 shortcuts to the original objects. They are stripped at the pickle
@@ -49,13 +49,20 @@ coordinator re-dispatches that unit with the full blob set.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint, WireCheckpoint
+from repro.exec.services import InjectionLog
 from repro.memory.blob import blob_digest, encode_object
+from repro.obs import metrics as obs_metrics
 from repro.oskernel.syscalls import SyscallRecord
+from repro.record.log_index import (  # noqa: F401 — long-standing import path
+    SegmentLogs,
+    ThreadLogIndex,
+    signal_slice,
+    syscall_slice,
+)
 
 
 @dataclass
@@ -223,155 +230,7 @@ class UnitBatch:
 
 
 # ----------------------------------------------------------------------
-# Log slicing.
-# ----------------------------------------------------------------------
-class ThreadLogIndex:
-    """Per-thread key index over a log, for suffix queries without rescans.
-
-    Built once per log in O(records); each :meth:`slice_from` then costs
-    O(selected) plus a bisect per thread, instead of a full-log filter.
-    Selection is by per-thread key floor and the result preserves log
-    order, so it is exactly equivalent to the old linear filters.
-    """
-
-    def __init__(self, records: Sequence, tid_of: Callable, key_of: Callable):
-        self._tid_of = tid_of
-        self._key_of = key_of
-        self._records: List = []
-        self._by_tid: Dict[int, Tuple[List[int], List[int]]] = {}
-        self._absorb(records, 0)
-
-    def _absorb(self, records: Sequence, start: int) -> None:
-        append = self._records.append
-        by_tid = self._by_tid
-        tid_of, key_of = self._tid_of, self._key_of
-        unsorted_tail = False
-        for position in range(start, len(records)):
-            record = records[position]
-            append(record)
-            tid, key = tid_of(record), key_of(record)
-            entry = by_tid.get(tid)
-            if entry is None:
-                entry = by_tid[tid] = ([], [])
-            keys = entry[0]
-            # Per-thread keys are appended in increasing order, so this
-            # is a linear pass; a sort below keeps the bisect correct
-            # regardless.
-            if keys and key < keys[-1]:
-                unsorted_tail = True
-            keys.append(key)
-            entry[1].append(position)
-        if unsorted_tail:
-            for tid, (keys, positions) in by_tid.items():
-                pairs = sorted(zip(keys, positions))
-                by_tid[tid] = (
-                    [k for k, _ in pairs], [p for _, p in pairs]
-                )
-
-    def extend_to(self, records: Sequence) -> "ThreadLogIndex":
-        """Absorb records appended to the same log since the index was
-        built — O(new records), the streaming commit path's amortizer.
-
-        Only valid when ``records`` is the already-indexed log plus new
-        entries at the tail; callers seeing a shrink or an in-place
-        rewrite must rebuild instead.
-        """
-        if len(records) < len(self._records):
-            raise ValueError(
-                "log shrank since the index was built — rebuild it"
-            )
-        self._absorb(records, len(self._records))
-        return self
-
-    @classmethod
-    def for_syscalls(cls, records: Sequence[SyscallRecord]) -> "ThreadLogIndex":
-        return cls(records, lambda r: r.tid, lambda r: r.seq)
-
-    @classmethod
-    def for_signals(cls, records: Sequence[tuple]) -> "ThreadLogIndex":
-        return cls(records, lambda r: r[0], lambda r: r[1])
-
-    def slice_from(self, floors: Dict[int, int]) -> tuple:
-        """Records whose key is at least their thread's floor, in log order.
-
-        Threads absent from ``floors`` (spawned after the slicing point)
-        keep all their records.
-        """
-        selected: List[int] = []
-        for tid, (keys, positions) in self._by_tid.items():
-            lowest = bisect_left(keys, floors.get(tid, 0))
-            selected.extend(positions[lowest:])
-        selected.sort()
-        return tuple(self._records[p] for p in selected)
-
-    def positions_between(
-        self, start_floors: Dict[int, int], end_floors: Optional[Dict[int, int]]
-    ) -> Tuple[int, ...]:
-        """Log positions of records in the half-open per-thread key window
-        ``[start_floors[tid], end_floors[tid])``, in log order.
-
-        This is the *shard extent* query of the durable log
-        (:mod:`repro.record.shards`): per-epoch per-thread shards are
-        exactly these windows between consecutive checkpoints' per-thread
-        counts. Floor semantics match :meth:`slice_from`: a thread absent
-        from ``start_floors`` starts at 0 (spawned mid-epoch), a thread
-        absent from ``end_floors`` keeps everything from its start floor
-        (the final, unbounded slice), and ``end_floors=None`` means no
-        upper bound for anyone. Records at exactly a checkpoint's count —
-        boundary-straddling calls logged at their later completion —
-        land in the *following* window, mirroring the floor rule.
-        """
-        selected: List[int] = []
-        for tid, (keys, positions) in self._by_tid.items():
-            lowest = bisect_left(keys, start_floors.get(tid, 0))
-            if end_floors is None or tid not in end_floors:
-                highest = len(keys)
-            else:
-                highest = bisect_left(keys, end_floors[tid])
-            selected.extend(positions[lowest:highest])
-        selected.sort()
-        return tuple(selected)
-
-    def slice_between(
-        self, start_floors: Dict[int, int], end_floors: Optional[Dict[int, int]]
-    ) -> tuple:
-        """Records of the ``[start, end)`` per-thread window, in log order."""
-        return tuple(
-            self._records[p]
-            for p in self.positions_between(start_floors, end_floors)
-        )
-
-    def record_at(self, position: int):
-        """The record at a global log position (shard frame rebuild)."""
-        return self._records[position]
-
-
-def syscall_slice(
-    records: Sequence[SyscallRecord], start: Checkpoint
-) -> Tuple[SyscallRecord, ...]:
-    """Records an epoch starting at ``start`` can reach.
-
-    Injection looks up ``(tid, ctx.syscall_count)`` and a thread's count
-    starts at the checkpoint's value and only grows, so records below it
-    are unreachable. Threads absent from the checkpoint (spawned later)
-    start at count 0 and keep everything.
-    """
-    counts = {tid: ctx.syscall_count for tid, ctx in start.contexts.items()}
-    return ThreadLogIndex.for_syscalls(records).slice_from(counts)
-
-
-def signal_slice(records: Sequence[tuple], start: Checkpoint) -> Tuple[tuple, ...]:
-    """Signal deliveries an epoch starting at ``start`` can reach.
-
-    Delivery fires at ``(tid, ctx.retired)`` and retired counts start at
-    the checkpoint's values; records below them can never match.
-    """
-    retired = {tid: ctx.retired for tid, ctx in start.contexts.items()}
-    return ThreadLogIndex.for_signals(records).slice_from(retired)
-
-
-# ----------------------------------------------------------------------
-# Batch builders.
+# Unit builders.
 # ----------------------------------------------------------------------
 def intern_object(obj, blobs: Dict[int, bytes]) -> BlobRef:
     """Encode ``obj`` into the batch blob set and return its reference."""
@@ -381,26 +240,46 @@ def intern_object(obj, blobs: Dict[int, bytes]) -> BlobRef:
     return BlobRef(digest, obj)
 
 
-def _intern_pages(checkpoint: Checkpoint, blobs: Dict[int, bytes]) -> None:
-    """Add every page of a checkpoint's snapshot to the batch blob set."""
-    for page in checkpoint.memory.pages.values():
+def _intern_syscalls(records: tuple, blobs: Dict[int, bytes]) -> BlobRef:
+    """Intern a syscall log as an ``InjectionLog``: a worker indexes it
+    once per cached blob. The coordinator's shortcut stays the plain
+    records, so a serial fallback runs the unit as a cold worker would."""
+    ref = intern_object(InjectionLog(records), blobs)
+    ref._local = records
+    return ref
+
+
+def _intern_pages(pages: Iterable, blobs: Dict[int, bytes]) -> None:
+    """Add ``pages`` to the batch blob set."""
+    visited = 0
+    for page in pages:
+        visited += 1
         digest, blob = page.wire_blob()
         if digest not in blobs:
             blobs[digest] = blob
+    obs_metrics.process_stats().add("work.pages_interned", visited)
 
 
 def _record_unit(
-    start: Checkpoint, boundary: Checkpoint, blobs: Dict[int, bytes], **fields
+    position: int, start: Checkpoint, boundary: Checkpoint,
+    blobs: Dict[int, bytes], **fields,
 ) -> RecordEpochUnit:
     """The record unit of the epoch ``start`` → ``boundary``.
 
-    The one place a :class:`RecordEpochUnit` is built: the checkpoints'
-    pages are interned into ``blobs`` and the boundary ships as a delta.
+    The one place a :class:`RecordEpochUnit` is built. The boundary
+    ships as a delta and only the pages that delta names are interned:
+    ``blobs`` is one segment's set, filled in position order, so every
+    other page of either checkpoint came in with an earlier position —
+    or, at position 0, with the one full walk of the start table.
     """
-    _intern_pages(start, blobs)
-    _intern_pages(boundary, blobs)
+    delta = boundary.wire_delta(start)
+    if position == 0:
+        _intern_pages(start.memory.pages.values(), blobs)
+    pages = boundary.memory.pages
+    _intern_pages((pages[no] for no in delta.page_changes), blobs)
+    obs_metrics.process_stats().add("work.units_built")
     return RecordEpochUnit(
-        start=start.to_wire(), boundary=boundary.wire_delta(start), **fields
+        position=position, start=start.to_wire(), boundary=delta, **fields
     )
 
 
@@ -412,25 +291,36 @@ def record_units_for_segment(
     signal_log: Sequence[tuple],
     first_epoch_index: int,
     use_sync_hints: bool,
+    positions: Optional[Iterable[int]] = None,
+    blobs: Optional[Dict[int, bytes]] = None,
+    logs: Optional[SegmentLogs] = None,
 ) -> UnitBatch:
-    """Package every epoch of a recorded segment as a work-unit batch.
+    """Package epochs of a finished segment as full-knowledge work units.
+
+    ``positions`` names the epochs to build (default: all) — the merge
+    asks only for those it has no usable result for; ``blobs`` is the
+    segment's blob set they join (default: a fresh one, which needs
+    position 0 among them) and ``logs`` its index (default: built here).
 
     The logs are sliced ONCE, at segment level: everything reachable from
     the segment's first checkpoint. Per-unit tighter slices would be
     redundant (injection is keyed lookup; extra records are never
     consulted) and would defeat blob sharing across the segment's units.
     """
-    blobs: Dict[int, bytes] = {}
-    segment_start = checkpoints[0]
-    syscalls_ref = intern_object(syscall_slice(syscall_log, segment_start), blobs)
-    signals_ref = intern_object(signal_slice(signal_log, segment_start), blobs)
+    blobs = {} if blobs is None else blobs
+    logs = logs or SegmentLogs(syscall_log, signal_log)
+    syscalls, signals = logs.reachable_from(checkpoints[0])
+    syscalls_ref = _intern_syscalls(syscalls, blobs)
+    signals_ref = intern_object(signals, blobs)
     hints_ref = intern_object(tuple(hints), blobs)
+    if positions is None:
+        positions = range(len(checkpoints) - 1)
     units = [
         _record_unit(
+            position,
             checkpoints[position],
             checkpoints[position + 1],
             blobs,
-            position=position,
             epoch_index=first_epoch_index + position,
             syscalls=syscalls_ref,
             signals=signals_ref,
@@ -438,7 +328,7 @@ def record_units_for_segment(
             sync_start=hint_marks[position],
             use_sync_hints=use_sync_hints,
         )
-        for position in range(len(checkpoints) - 1)
+        for position in positions
     ]
     return UnitBatch(units, blobs)
 
@@ -449,30 +339,31 @@ def speculative_record_unit(
     start: Checkpoint,
     boundary: Checkpoint,
     hints_window: Sequence[tuple],
-    syscall_log: Sequence[SyscallRecord],
-    signal_log: Sequence[tuple],
+    syscalls: Sequence[SyscallRecord],
+    signals: Sequence[tuple],
     use_sync_hints: bool,
     blobs: Dict[int, bytes],
 ) -> RecordEpochUnit:
-    """Package one epoch for *speculative* dispatch during the TP run.
+    """Package one epoch for dispatch while its segment is in progress.
 
-    Unlike :func:`record_units_for_segment` the segment is still being
-    produced, so the unit ships snapshots cut at dispatch time: the hint
-    window ``hints[mark:cut]`` as its own tuple (``sync_start=0``) and
-    log slices taken from the *current* log prefixes. The recorder
-    validates at segment end that nothing arriving after the cut could
-    have been consulted (see ``DoublePlayRecorder``); blob interning
-    goes through the session-shared ``blobs`` dict so consecutive
-    speculative units dedupe their checkpoint pages.
+    Unlike :func:`record_units_for_segment` the unit ships snapshots cut
+    at dispatch time: the hint window ``hints[mark:cut]`` as its own
+    tuple (``sync_start=0``) and the records reachable from ``start``
+    logged *so far*. The recorder validates, when it merges the result,
+    that nothing arriving after the cut could have been consulted (see
+    ``DoublePlayRecorder``) — trivially so for the tail units it cuts
+    once the thread-parallel run has finished. Blob interning goes
+    through the session-shared ``blobs`` dict so consecutive units
+    dedupe their checkpoint pages.
     """
     return _record_unit(
+        position,
         start,
         boundary,
         blobs,
-        position=position,
         epoch_index=epoch_index,
-        syscalls=intern_object(syscall_slice(syscall_log, start), blobs),
-        signals=intern_object(signal_slice(signal_log, start), blobs),
+        syscalls=_intern_syscalls(syscalls, blobs),
+        signals=intern_object(tuple(signals), blobs),
         sync_events=intern_object(tuple(hints_window), blobs),
         sync_start=0,
         use_sync_hints=use_sync_hints,
@@ -489,7 +380,7 @@ def replay_units_for_recording(recording) -> UnitBatch:
     from repro.errors import ReplayError
 
     blobs: Dict[int, bytes] = {}
-    syscalls_ref = intern_object(tuple(recording.syscalls_for_epochs()), blobs)
+    syscalls_ref = _intern_syscalls(tuple(recording.syscalls_for_epochs()), blobs)
     signals_ref = intern_object(tuple(recording.signal_records), blobs)
     units = []
     for position, epoch in enumerate(recording.epochs):
@@ -499,7 +390,7 @@ def replay_units_for_recording(recording) -> UnitBatch:
                 f"epoch {epoch.index} has no materialised checkpoint; "
                 "run materialize_checkpoints() or replay sequentially"
             )
-        _intern_pages(start, blobs)
+        _intern_pages(start.memory.pages.values(), blobs)
         units.append(
             ReplayEpochUnit(
                 position=position,

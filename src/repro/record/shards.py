@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.errors import ReplayError
-from repro.host.wire import ThreadLogIndex
+from repro.record.log_index import ThreadLogIndex
 from repro.memory.address_space import MemorySnapshot
 from repro.memory.blob import blob_digest, decode_blob, encode_object
 from repro.memory.page import Page

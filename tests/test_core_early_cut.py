@@ -8,7 +8,9 @@ every test here records a diverging program several ways — ``jobs`` 1, 2
 and 3, twice, with and without a durable sink, with a verdict unit lost
 to a host fault, through a service fleet — and requires the recording,
 the stats, the bytes on disk, the ``exec.*`` counters and the number of
-thread-parallel engine entries to be identical.
+thread-parallel engine entries to be identical. The same harness then
+loses units under the streaming merge (tail and in-flight positions,
+pipeline on and off, clean and recovering runs).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.exec.multicore import MulticoreEngine
 from repro.host import executor as host_executor
 from repro.host.faults import FaultSpec
+from repro.host.pool import shutdown_shared_pool
 from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
 from repro.oskernel.kernel import KernelSetup
@@ -322,3 +325,169 @@ def test_committed_chain_indices_are_the_epoch_sequence(workers):
     serial, parallel = chains
     assert all(later > earlier for earlier, later in zip(serial, serial[1:]))
     assert serial == list(range(len(serial))) == parallel
+
+
+# ----------------------------------------------------------------------
+# The streaming merge under host faults
+#
+# At the end of a segment's thread-parallel run the recorder pushes the
+# tail units and walks the positions in order — wait, validate, commit —
+# so the units behind the merge head execute while earlier epochs
+# commit. A unit lost there (on the tail itself, or one position behind
+# the head, in flight while the head's epoch commits) is rebuilt with
+# full knowledge and run through the contained path. Whatever is lost,
+# however, the recording, the stats, the ``exec.*`` counters and the
+# bytes on disk are those of ``jobs=1``.
+# ----------------------------------------------------------------------
+#: one segment run to its end (pushes mid-run, then a two-unit tail) and
+#: many short segments cut at their divergent epoch (doomed tails)
+STREAM_PROGRAMS = {
+    "clean": ("apache", 2, 24),
+    "recovering": ("racy-counter", 2, 8),
+}
+
+_serial_observations = {}
+
+
+def _serial_observation(program, sink, tmp_path, tp_entries):
+    """What ``jobs=1`` records of ``program`` into ``sink`` (once per pair)."""
+    key = (program, sink)
+    if key not in _serial_observations:
+        image, setup, config = _workload(*STREAM_PROGRAMS[program])
+        overrides = dict(SINKS[sink], host_jobs=1)
+        if overrides.get("log_dir"):
+            overrides["log_dir"] = str(tmp_path / "serial")
+        _serial_observations[key] = _observe(
+            image, setup, config.replace(**overrides), tp_entries
+        )
+    return _serial_observations[key]
+
+
+def _lose_unit(monkeypatch, tmp_path, kind, position):
+    """Config overrides under which ``position``'s unit is lost to ``kind``.
+
+    ``crash-once`` kills the worker under the first dispatch only (the
+    attempt pushed ahead, when there is one); every other kind strikes
+    each dispatch of the position, so the contained path has to retry
+    and then run the unit on the coordinator.
+    """
+    if kind == "needblobs":
+        # Cold workers hold nothing, and this position's dispatches ship
+        # nothing until the coordinator answers a NeedBlobs in full.
+        shutdown_shared_pool()
+        make_dispatch = host_executor.HostExecutor._make_dispatch
+
+        def starved(self, batch, index, pids=(), full=False):
+            dispatch = make_dispatch(self, batch, index, pids=pids, full=full)
+            if batch.kind == "record" and index == position and not full:
+                dispatch.blobs = {}
+                batch.last_shipped[index] = set()
+            return dispatch
+
+        monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", starved)
+        return {}
+    if kind == "crash-once":
+        monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
+        return {"host_faults": f"record:crash:unit{position}:once"}
+    if kind == "hang":
+        return {
+            "host_faults": f"record:hang:unit{position}:30", "unit_timeout": 0.5,
+        }
+    return {"host_faults": f"record:{kind}:unit{position}"}
+
+
+#: (program, jobs, sink, pipeline, fault kind, position); a negative
+#: position counts back from the segment's last unit: -1 is the tail's
+#: last, -2 the unit in flight behind it while earlier epochs commit
+STREAM_FAULTS = [
+    ("clean", 2, "log", "1", "error", -1),
+    ("clean", 2, "log", "1", "error", -2),
+    ("clean", 3, "memory", "1", "crash", -1),
+    ("clean", 2, "log", "1", "crash-once", -2),
+    ("clean", 2, "memory", "1", "hang", -1),
+    ("clean", 2, "log", "1", "needblobs", -1),
+    ("clean", 3, "spill", "1", "needblobs", -2),
+    ("clean", 2, "log", "0", "error", -1),
+    ("clean", 2, "memory", "0", "crash-once", -2),
+    ("recovering", 2, "log", "1", "error", 0),
+    ("recovering", 3, "memory", "1", "needblobs", 1),
+    ("recovering", 2, "spill", "1", "crash-once", 1),
+    ("recovering", 2, "log", "0", "error", 1),
+    ("recovering", 2, "window", "0", "needblobs", 0),
+]
+
+
+@pytest.mark.parametrize("program,jobs,sink,pipeline,kind,position", STREAM_FAULTS)
+def test_a_unit_lost_under_the_streaming_merge_changes_nothing_recorded(
+    monkeypatch, tmp_path, tp_entries, program, jobs, sink, pipeline, kind, position
+):
+    reference, expected = _serial_observation(program, sink, tmp_path, tp_entries)
+    if program == "recovering":
+        assert reference.stats["recoveries"] > 1
+    else:
+        assert reference.stats["recoveries"] == 0
+        position += reference.stats["epochs"]
+    image, setup, config = _workload(*STREAM_PROGRAMS[program])
+    monkeypatch.setenv("REPRO_PIPELINE", pipeline)
+    overrides = dict(SINKS[sink], host_jobs=jobs)
+    if overrides.get("log_dir"):
+        overrides["log_dir"] = str(tmp_path / "faulted")
+    overrides.update(_lose_unit(monkeypatch, tmp_path, kind, position))
+    try:
+        faulted, got = _observe(
+            image, setup, config.replace(**overrides), tp_entries
+        )
+    finally:
+        if kind != "error":
+            shutdown_shared_pool()  # killed or starved workers stay out of later tests
+    assert got == expected
+    counts, spec = faulted.host["faults"], faulted.host["speculation"]
+    assert spec["dispatched"] == (
+        spec["accepted"] + spec["invalidated"] + spec["discarded"]
+    )
+    if pipeline == "0":
+        assert spec["dispatched"] == 0  # units held for a verdict are not speculation
+    if kind == "needblobs":
+        assert faulted.host["wire"]["blob_resends"] >= 1
+        assert not any(counts.values())
+    elif kind == "crash-once":
+        assert counts["crashes"] <= 1 and counts["serial_fallbacks"] == 0
+    else:
+        counter = {"error": "task_errors", "crash": "crashes", "hang": "timeouts"}
+        assert counts[counter[kind]] >= 2 and counts["serial_fallbacks"] >= 1
+        if pipeline == "1":
+            assert spec["discarded"] >= 1
+
+
+def test_a_sink_failure_mid_stream_seals_the_committed_prefix(
+    monkeypatch, tmp_path
+):
+    """The merge commits while tail units still run; a sink that fails
+    under it leaves a sealed, replayable prefix and nothing in flight."""
+    from repro.core import Replayer
+    from repro.record.shards import ShardedLogWriter
+
+    image, setup, config = _workload(*STREAM_PROGRAMS["clean"])
+    log_dir = str(tmp_path / "log")
+    commit_epoch = ShardedLogWriter.commit_epoch
+
+    def failing(self, record, *args, **kwargs):
+        if record.index == 3:
+            raise OSError("disk full")
+        return commit_epoch(self, record, *args, **kwargs)
+
+    monkeypatch.setattr(ShardedLogWriter, "commit_epoch", failing)
+    with pytest.raises(OSError, match="disk full"):
+        DoublePlayRecorder(
+            image, setup, config.replace(host_jobs=2, log_dir=log_dir)
+        ).record()
+    reader = ShardedLogReader(log_dir)
+    assert not reader.complete and reader.crash_reason == "OSError: disk full"
+    assert reader.epoch_count() == 3 and reader.verify() == []
+    prefix = reader.load_recording()
+    outcome = Replayer(image, config.machine).replay_sequential(prefix)
+    assert outcome.verified, outcome.details
+    # The pool outlived the failure: the next record runs on it, clean.
+    monkeypatch.setattr(ShardedLogWriter, "commit_epoch", commit_epoch)
+    again = DoublePlayRecorder(image, setup, config.replace(host_jobs=2)).record()
+    assert not any(again.host["faults"].values())

@@ -264,6 +264,10 @@ def test_warm_pool_honours_the_coordinators_blob_cache_budget(monkeypatch):
     monkeypatch.delenv("REPRO_BLOB_CACHE_MB", raising=False)
     try:
         instance, _, native, config = _setup("fft", 2, host_jobs=2)
+        # The first record meets cold workers — its last units land on
+        # them side by side, before either has acknowledged a blob — so
+        # the hits are the second's, served from what the first cached.
+        DoublePlayRecorder(instance.image, instance.setup, config).record()
         warm = DoublePlayRecorder(instance.image, instance.setup, config).record()
         assert warm.host["wire"]["blob_cache_hits"] > 0, (
             "the default budget cached nothing: the regression below is vacuous"
