@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Append end-to-end numbers to BENCH_history.jsonl: one line per (commit, workload).
+
+    python3 benchmarks/history.py 51c3881=/root/scratch/parent pr17=.
+
+Each LABEL=CHECKOUT runs its own ``benchmarks/e2e/run.py --workload W --trace 0``
+(untraced, end to end); the checkouts take turns, the order flipping every pass,
+so drift on the box lands on both. Only run.py's last line, its JSON result, is
+read. Append-only: the trajectory is the file's lines in order.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+PASSES = 5  # runs per side and workload; quartiles need at least two
+
+
+def measure(checkout: str, workload: str) -> dict:
+    command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload, "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{checkout}: {workload} failed its own checks: {result}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+if __name__ == "__main__":
+    sides = [side.split("=", 1) for side in sys.argv[1:]] or sys.exit(__doc__)
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    stamp = {"nproc": os.cpu_count(), "python": sys.version.split()[0], "passes": PASSES}
+    for workload in (entry["name"] for entry in contract["workloads"]):
+        runs = {label: [] for label, _ in sides}
+        for turn in range(PASSES):
+            for label, checkout in sides[::-1] if turn % 2 else sides:
+                runs[label].append(measure(checkout, workload))
+        for label, _ in sides:
+            line = {"commit": label, "workload": workload, **stamp, "metrics": {}}
+            for metric in contract["end_to_end"]:
+                values = sorted(run[metric["name"]] for run in runs[label])
+                q1, middle, q3 = quantiles(values, n=4, method="inclusive")
+                fastest = values[-1] if metric["better"] == "higher" else values[0]
+                line["metrics"][metric["name"]] = {
+                    "fastest": fastest, "median": middle, "q1": q1, "q3": q3}
+            with open(ROOT / "BENCH_history.jsonl", "a") as history:
+                history.write(json.dumps(line) + "\n")

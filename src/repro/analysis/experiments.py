@@ -154,7 +154,7 @@ def overhead_experiment(
 # ----------------------------------------------------------------------
 def _durable_disk_bytes(recording) -> int:
     """Compressed segment bytes the durable sharded log writes for this
-    recording (default codec, no fsync) — the on-disk counterpart of the
+    recording (no fsync) — the on-disk counterpart of the
     in-memory event totals, so Table 2 covers the durable format too.
     Blob-store (checkpoint page) bytes are excluded: Table 2 compares
     event-log volume, and checkpoints are priced separately."""

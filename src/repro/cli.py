@@ -18,8 +18,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import signal
 import sys
 from typing import List, Optional
 
@@ -27,6 +29,7 @@ from repro.analysis import experiments
 from repro.analysis.tables import render_table
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
+from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
 from repro.obs import spans as obs_spans
 from repro.obs.summary import print_summary
@@ -82,6 +85,13 @@ EXPERIMENTS = {
         ["workload", "doubleplay", "uniproc", "crew", "valuelog"],
     ),
 }
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -212,18 +222,19 @@ def cmd_record(args, out) -> int:
         )
         return 2
     native = run_native(instance.image, instance.setup, machine)
+    # What a saved recording carries to name its program (see _rebuild).
+    meta = {
+        "name": args.workload,
+        "workers": args.workers,
+        "scale": args.scale,
+        "seed": args.seed,
+    }
     overrides = {}
     if args.log_dir:
         overrides["log_dir"] = args.log_dir
         overrides["log_spill"] = args.log_spill
-        overrides["log_codec"] = args.log_codec
         overrides["flight_window"] = args.flight_window
-        overrides["log_meta"] = {
-            "name": args.workload,
-            "workers": args.workers,
-            "scale": args.scale,
-            "seed": args.seed,
-        }
+        overrides["log_meta"] = meta
     config = DoublePlayConfig(
         machine=machine,
         epoch_cycles=max(native.duration // args.epoch_divisor, 400),
@@ -257,13 +268,7 @@ def cmd_record(args, out) -> int:
         with open(args.metrics_out, "w") as handle:
             json.dump(
                 {
-                    "workload": {
-                        "name": args.workload,
-                        "workers": args.workers,
-                        "scale": args.scale,
-                        "seed": args.seed,
-                        "jobs": args.jobs,
-                    },
+                    "workload": {**meta, "jobs": args.jobs},
                     "metrics": result.metrics.snapshot(),
                 },
                 handle,
@@ -274,61 +279,62 @@ def cmd_record(args, out) -> int:
     if args.log_dir:
         print(f"saved durable log to {args.log_dir}", file=out)
     if args.output:
-        payload = {
-            "workload": {
-                "name": args.workload,
-                "workers": args.workers,
-                "scale": args.scale,
-                "seed": args.seed,
-            },
-            "recording": recording.to_plain(),
-        }
         with open(args.output, "w") as handle:
-            json.dump(payload, handle)
+            json.dump({"workload": meta, "recording": recording.to_plain()}, handle)
         print(f"saved recording to {args.output}", file=out)
     return 0 if valid else 1
 
 
-def cmd_replay(args, out) -> int:
-    from repro.errors import ReplayError
+def _tail_is_replayable(directory, out) -> bool:
+    """Open a durable log for recovery: print its crash state, verify it.
 
+    The front half of ``log recover DIR`` and ``replay DIR --tail``; a
+    log that does not open at all raises :class:`ReplayError`.
+    """
+    from repro.record.shards import ShardedLogReader
+
+    reader = ShardedLogReader(directory)
+    state = "complete" if reader.complete else "crashed/unsealed"
+    reason = f" — {reader.crash_reason}" if reader.crash_reason else ""
+    print(f"{directory}: {state}{reason}", file=out)
+    problems = reader.verify()
+    for problem in problems:
+        print(f"  {problem}", file=out)
+    if problems:
+        print(f"recover FAILED: {len(problems)} integrity problem(s)", file=out)
+        return False
+    count = reader.epoch_count()
+    if not count:
+        print("recover FAILED: no committed epochs survived", file=out)
+        return False
+    first = reader.first_epoch()
+    window = (
+        f", flight window {reader.flight_window}" if reader.flight_window else ""
+    )
+    print(
+        f"  {count} committed epoch(s), {first}..{first + count - 1}{window}",
+        file=out,
+    )
+    return True
+
+
+def cmd_replay(args, out) -> int:
     durable = os.path.isdir(args.recording)
     if args.tail:
         if not durable:
-            print("error: --tail needs a durable log directory", file=out)
-            return 2
-        from repro.record.shards import ShardedLogReader
-
-        try:
-            reader = ShardedLogReader(args.recording)
-        except ReplayError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        if not reader.complete:
-            reason = reader.crash_reason or "no final manifest seal"
-            print(f"crashed/unsealed log: {reason}", file=out)
-        problems = reader.verify()
-        if problems:
-            for problem in problems:
-                print(f"  {problem}", file=out)
-            print(
-                f"error: {len(problems)} integrity problem(s) — "
-                "tail is not replayable",
-                file=out,
+            raise ReplayError(
+                f"{args.recording}: recovering a tail needs a durable log directory"
             )
-            return 2
+        if not _tail_is_replayable(args.recording, out):
+            return 1
     want_checkpoints = (
         args.epoch is not None or args.parallel or args.jobs > 1
     )
-    try:
-        meta, instance, machine, recording = _load_recording(
-            args.recording,
-            from_epoch=args.from_epoch,
-            materialize=want_checkpoints,
-        )
-    except ReplayError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    meta, instance, machine, recording = _load_recording(
+        args.recording,
+        from_epoch=args.from_epoch,
+        materialize=want_checkpoints,
+    )
     replayer = Replayer(instance.image, machine)
     with _TraceScope(args.trace):
         if args.epoch is not None:
@@ -371,6 +377,21 @@ def cmd_replay(args, out) -> int:
     return 0 if outcome.verified else 1
 
 
+def _rebuild(meta, path):
+    """The workload instance and machine a recording's metadata names."""
+    try:
+        instance = build_workload(
+            meta["name"], workers=meta["workers"], scale=meta["scale"],
+            seed=meta["seed"],
+        )
+    except (KeyError, TypeError):
+        raise ReplayError(
+            f"{path}: no usable workload metadata (recorded without the "
+            "CLI?) — cannot rebuild the program image"
+        ) from None
+    return instance, MachineConfig(cores=meta["workers"])
+
+
 def _load_recording(
     path, from_epoch: Optional[int] = None, materialize: bool = False
 ):
@@ -385,40 +406,26 @@ def _load_recording(
     valid target.
     """
     if os.path.isdir(path):
-        from repro.errors import ReplayError
         from repro.record.shards import ShardedLogReader
 
         reader = ShardedLogReader(path)
         meta = reader.workload
-        if not meta.get("name"):
-            raise ReplayError(
-                f"{path}: manifest has no workload metadata (recorded "
-                "without the CLI?) — cannot rebuild the program image"
-            )
-        instance = build_workload(
-            meta["name"], workers=meta["workers"], scale=meta["scale"],
-            seed=meta["seed"],
-        )
-        machine = MachineConfig(cores=meta["workers"])
+        instance, machine = _rebuild(meta, path)
         recording = reader.load_recording(
             from_epoch=from_epoch, materialize=materialize
         )
         return meta, instance, machine, recording
     if from_epoch is not None:
-        from repro.errors import ReplayError
-
         raise ReplayError(
             "--from-epoch needs a durable log directory (JSON recordings "
             "hold no checkpoints to start from)"
         )
     with open(path) as handle:
         payload = json.load(handle)
-    meta = payload["workload"]
-    instance = build_workload(
-        meta["name"], workers=meta["workers"], scale=meta["scale"],
-        seed=meta["seed"],
-    )
-    machine = MachineConfig(cores=meta["workers"])
+    if not isinstance(payload, dict) or "recording" not in payload:
+        raise ReplayError(f"{path}: not a recording saved by 'repro record -o'")
+    meta = payload.get("workload")
+    instance, machine = _rebuild(meta, path)
     from repro.checkpoint.manager import CheckpointManager
     from repro.exec.multicore import MulticoreEngine
     from repro.exec.services import LiveSyscalls
@@ -432,57 +439,10 @@ def _load_recording(
 
 
 def cmd_log(args, out) -> int:
-    """Durable-log maintenance; today one subcommand, ``recover``."""
-    from repro.errors import ReplayError
-    from repro.record.shards import ShardedLogReader
-
-    try:
-        reader = ShardedLogReader(args.directory)
-    except ReplayError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    state = "complete" if reader.complete else "crashed/unsealed"
-    line = f"{args.directory}: {state}"
-    if reader.crash_reason:
-        line += f" — {reader.crash_reason}"
-    print(line, file=out)
-    problems = reader.verify()
-    if problems:
-        for problem in problems:
-            print(f"  {problem}", file=out)
-        print(
-            f"recover FAILED: {len(problems)} integrity problem(s)", file=out
-        )
-        return 1
-    count = reader.epoch_count()
-    if not count:
-        print("recover FAILED: no committed epochs survived", file=out)
-        return 1
-    first = reader.first_epoch()
-    window = (
-        f", flight window {reader.flight_window}"
-        if reader.flight_window
-        else ""
+    """Durable-log maintenance; ``recover DIR`` is ``replay DIR --tail``."""
+    return cmd_replay(
+        build_parser().parse_args(["replay", args.directory, "--tail"]), out
     )
-    print(
-        f"  {count} committed epoch(s), {first}..{first + count - 1}{window}",
-        file=out,
-    )
-    try:
-        meta, instance, machine, recording = _load_recording(args.directory)
-    except ReplayError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    outcome = Replayer(instance.image, machine).replay_sequential(recording)
-    status = "verified" if outcome.verified else "FAILED"
-    print(
-        f"tail replay of {meta['name']}: {status}, "
-        f"{outcome.epochs_replayed} epoch(s)",
-        file=out,
-    )
-    for detail in outcome.details:
-        print(f"  {detail}", file=out)
-    return 0 if outcome.verified else 1
 
 
 def cmd_diagnose(args, out) -> int:
@@ -538,6 +498,20 @@ def cmd_trace(args, out) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _sigterm_ends_linger(service, linger: float):
+    """While a ``--linger`` window may open, SIGTERM closes it early —
+    the report, ``--verify`` and the exit code still follow."""
+    if linger <= 0:
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, lambda *_: service.end_linger())
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def cmd_serve(args, out) -> int:
     """Multi-session service driver: N tenants over one shared fleet.
 
@@ -575,7 +549,8 @@ def cmd_serve(args, out) -> int:
         )
         for i in range(args.sessions)
     ]
-    report = service.run(requests)
+    with _sigterm_ends_linger(service, args.linger):
+        report = service.run(requests)
 
     if args.replay and report.ok:
         replays = [
@@ -591,7 +566,8 @@ def cmd_serve(args, out) -> int:
             )
             for i, result in enumerate(report.results)
         ]
-        replay_report = service.run(replays)
+        with _sigterm_ends_linger(service, args.linger):
+            replay_report = service.run(replays)
         verified = sum(1 for r in replay_report.results if r.verified)
         print(
             f"replay: {verified}/{len(replay_report.results)} sessions "
@@ -723,12 +699,7 @@ def cmd_events(args, out) -> int:
     """Read the tail of a JSON-lines event journal sink."""
     from repro.obs import events as obs_events
 
-    try:
-        events = obs_events.read_events(args.path, count=args.count)
-    except OSError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    for event in events:
+    for event in obs_events.read_events(args.path, count=args.count):
         print(obs_events.format_event(event), file=out)
     return 0
 
@@ -825,9 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flight-recorder mode: drop each epoch's in-memory logs once "
              "durable, bounding resident log memory (requires --log-dir)")
     record_parser.add_argument(
-        "--log-codec", default=None, choices=["raw", "zlib1", "zlib6"],
-        help="segment compression codec (default: zlib1)")
-    record_parser.add_argument(
         "--flight-window", type=int, default=None, metavar="K",
         help="flight-recorder window: keep only the last K epochs durable "
              "— old shard extents drop from the manifest, dead segments "
@@ -864,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(serve_parser)
     serve_parser.add_argument(
-        "--sessions", type=int, default=4,
+        "--sessions", type=_at_least_one, default=4,
         help="concurrent record sessions to run (default 4)")
     serve_parser.add_argument(
         "--jobs", type=int, default=2,
@@ -904,8 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--linger", type=float, default=0.0, metavar="SECONDS",
         help="keep the telemetry endpoint up this long after the last "
-             "session completes (scrape window; requires "
-             "--telemetry-port)")
+             "session completes, or until SIGTERM (scrape window; "
+             "requires --telemetry-port)")
     serve_parser.add_argument(
         "--events", default=None, metavar="PATH",
         help="append the structured event journal as JSON lines here "
@@ -1025,7 +993,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "experiment": cmd_experiment,
         "trace": cmd_trace,
     }[args.command]
-    return handler(args, out)
+    try:
+        return handler(args, out)
+    except (ReplayError, OSError, json.JSONDecodeError) as exc:
+        # Files and directories named on the command line are outside
+        # input: a missing, unreadable or malformed one is reported
+        # once, here, for every command.
+        print(f"error: {exc}", file=out)
+        return 2
 
 
 if __name__ == "__main__":

@@ -65,9 +65,6 @@ class DoublePlayConfig:
     #: run length. Requires ``log_dir``; the returned recording can then
     #: only be replayed by loading it back from the durable log.
     log_spill: bool = False
-    #: segment compression codec (``raw``/``zlib1``/``zlib6``);
-    #: None = the measured default (zlib1).
-    log_codec: Optional[str] = None
     #: workload metadata recorded verbatim in the durable manifest so
     #: ``repro replay <dir>`` can rebuild the program (name/workers/...).
     log_meta: Optional[dict] = None

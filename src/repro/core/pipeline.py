@@ -174,23 +174,6 @@ def schedule_shared_cores(
     return PipelineResult(commits=commits, makespan=int(makespan), throttle_stall=0)
 
 
-def schedule_host_units(durations: Sequence[float], workers: int) -> float:
-    """Makespan of measured host work units on ``workers`` host cores.
-
-    Greedy in-order list scheduling — exactly how the host executor's
-    pool hands queued units to free workers. The benchmarks feed this
-    measured per-unit worker CPU times to project what a run costs on a
-    host with more cores than the measuring machine.
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    free = [0.0] * workers
-    for duration in durations:
-        slot = min(range(workers), key=lambda w: (free[w], w))
-        free[slot] += float(duration)
-    return max(free, default=0.0)
-
-
 def _boundary_instant(epoch: EpochTiming, tp_progress: float, now: float) -> float:
     """When the epoch's end boundary became known (shared-core model).
 

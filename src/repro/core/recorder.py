@@ -484,7 +484,6 @@ class DoublePlayRecorder:
                 initial,
                 self.program.name,
                 self.machine.cores,
-                codec=opts.log_codec,
                 meta=config.log_meta,
                 group_commit_bytes=opts.log_group_bytes,
                 fsync=opts.log_fsync,

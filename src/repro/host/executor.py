@@ -215,11 +215,6 @@ class HostExecutor:
         self.unit_timings: List[Tuple[str, int, UnitTiming]] = []
         #: coordinator seconds spent building + submitting dispatches
         self.dispatch_wall = 0.0
-        #: same work measured on the dispatching thread's CPU clock —
-        #: wall inflates under timesharing (workers compete for cores
-        #: while the coordinator builds dispatches), so models of an
-        #: uncontended host should use this instead
-        self.dispatch_cpu = 0.0
         #: containment counters (crashes, timeouts, task_errors, retries,
         #: serial_fallbacks) — surfaced via ``timing_summary()``
         self.counters: Dict[str, int] = dict.fromkeys(
@@ -314,7 +309,6 @@ class HostExecutor:
         containment — or, for speculation, a discard — takes over.
         """
         t0 = time.perf_counter()
-        c0 = time.thread_time()
         tracer = obs_spans.current()
         span_start = tracer.now() if tracer is not None else 0.0
         bytes_before = batch.bytes_shipped[index]
@@ -328,7 +322,6 @@ class HostExecutor:
             return None
         finally:
             self.dispatch_wall += time.perf_counter() - t0
-            self.dispatch_cpu += time.thread_time() - c0
         if tracer is not None:
             tracer.add(
                 "blob-resend" if full else "dispatch",
@@ -575,7 +568,6 @@ class HostExecutor:
             "unit_cpu": [round(t.cpu, 6) for t in timings],
             "unit_pids": [t.worker_pid for t in timings],
             "dispatch_wall": round(self.dispatch_wall, 6),
-            "dispatch_cpu": round(self.dispatch_cpu, 6),
             "faults": dict(self.counters),
             "fault_events": list(self.fault_events),
             "speculation": {

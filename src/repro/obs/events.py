@@ -21,7 +21,7 @@ process-wide :class:`EventJournal`:
 
 **Disabled means free.** The journal is ``None`` by default; every
 :func:`emit` site costs one module-global check, the same contract the
-span tracer honors (gated by ``benchmarks/bench_obs_overhead.py``).
+span tracer honors (``tests/test_work_counts.py`` counts the calls).
 The service layer installs a journal for the duration of a serve run;
 the CLI installs one when ``--events PATH`` asks for a durable sink.
 Worker processes never install a journal — every emission site lives

@@ -6,8 +6,8 @@ Two pieces:
   (:func:`process_stats`) that execution code increments with dotted
   names (``"exec.epochs"``, ``"replay.verify_failures"``…). Counters
   are cheap dict increments and only rare events are instrumented, so
-  the always-on cost is negligible (gated by
-  ``benchmarks/bench_obs_overhead.py``).
+  the always-on cost is O(epochs), never O(guest ops)
+  (``tests/test_work_counts.py`` counts the calls).
 * :class:`RunMetrics` — a hierarchical ``group → counter → number``
   snapshot assembled at the end of a run from (a) the coordinator's
   counter *delta* over the run, (b) counters drained out of worker

@@ -6,9 +6,7 @@ Design constraints, in order:
    instrumentation site costs one module-global ``is None`` check (the
    :func:`span` context manager short-circuits on it; hot per-op code
    is never instrumented at all — spans exist only at epoch/dispatch
-   granularity). The benchmark gate in
-   ``benchmarks/bench_obs_overhead.py`` holds the disabled-mode cost
-   under 3%.
+   granularity; ``tests/test_work_counts.py`` counts the calls).
 2. **One clock.** ``time.perf_counter()`` is the system-wide monotonic
    clock on every platform we support, so worker processes ship *raw*
    timestamps and the coordinator re-bases them by subtracting its own

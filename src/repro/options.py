@@ -50,8 +50,6 @@ class RuntimeOptions:
     log_group_bytes: int = 32 << 10
     #: fsync the durable log (off only for benchmarks on throwaway dirs)
     log_fsync: bool = True
-    #: segment codec name; None = ``repro.record.segment.DEFAULT_CODEC``
-    log_codec: Optional[str] = None
     #: rolling flight-recorder window in epochs; None = keep everything
     flight_window: Optional[int] = None
     #: histogram collection (:func:`repro.obs.histo.set_enabled`)

@@ -33,10 +33,11 @@ completes, so a torn tail never strands a referenced block.
 
 Codecs
 ------
-``raw`` (no compression), ``zlib1`` and ``zlib6`` (zlib levels 1/6).
-The default is ``zlib1`` — the measured A/B (EXPERIMENTS.md) shows it
-within a few percent of zlib6's ratio on both page-heavy and sync-heavy
-shards at a fraction of the CPU.
+The writer compresses every block with ``zlib1`` (zlib level 1: within
+a few percent of level 6's ratio on page-heavy and sync-heavy shards at
+a fraction of the CPU). The codec byte in each header is what a reader
+follows, so ``raw`` and ``zlib6`` blocks — which earlier writers could
+produce — still read.
 """
 
 from __future__ import annotations
@@ -53,16 +54,13 @@ _BLOCK_MAGIC = b"DPBK"
 _BLOCK_HEADER = struct.Struct("<4sBIII")
 _FRAME_LEN = struct.Struct("<I")
 
-#: codec byte values (stored in every block header)
+#: codec byte values (stored in every block header): 0 is an
+#: uncompressed body, anything else the zlib level it was compressed at
 CODEC_RAW = 0
 CODEC_ZLIB1 = 1
-CODEC_ZLIB6 = 6
 
-CODECS = {"raw": CODEC_RAW, "zlib1": CODEC_ZLIB1, "zlib6": CODEC_ZLIB6}
-CODEC_NAMES = {value: name for name, value in CODECS.items()}
-
-#: the measured default (see EXPERIMENTS.md, durable-log codec A/B)
-DEFAULT_CODEC = "zlib1"
+#: the manifest's name for the one codec the writer stamps (CODEC_ZLIB1)
+WRITE_CODEC = "zlib1"
 
 
 def fsync_dir(path: str) -> bool:
@@ -88,25 +86,11 @@ def fsync_dir(path: str) -> bool:
         os.close(fd)
 
 
-def resolve_codec(name: Optional[str] = None) -> str:
-    """Codec to use: explicit ``name``, else the measured default.
-    Unknown names raise — a typo silently falling back to raw would be a
-    3-4x on-disk regression nobody notices."""
-    chosen = name or DEFAULT_CODEC
-    if chosen not in CODECS:
-        raise ValueError(
-            f"unknown log codec {chosen!r} (choose from {sorted(CODECS)})"
-        )
-    return chosen
-
-
-def _encode_body(frames: List[bytes], codec: int) -> bytes:
+def _encode_body(frames: List[bytes]) -> bytes:
     body = b"".join(
         _FRAME_LEN.pack(len(frame)) + frame for frame in frames
     )
-    if codec == CODEC_RAW:
-        return body
-    return zlib.compress(body, codec)
+    return zlib.compress(body, CODEC_ZLIB1)
 
 
 def _decode_body(stored: bytes, codec: int) -> List[bytes]:
@@ -159,10 +143,8 @@ class BlockExtent(tuple):
 class SegmentWriter:
     """Appends frames to one segment file through a group-commit buffer."""
 
-    def __init__(self, path: str, codec: Optional[str] = None):
+    def __init__(self, path: str):
         self.path = path
-        self.codec_name = resolve_codec(codec)
-        self._codec = CODECS[self.codec_name]
         self._buffer: List[bytes] = []
         self._buffered = 0
         self._handle: BinaryIO = open(path, "wb")
@@ -203,9 +185,9 @@ class SegmentWriter:
         if not self._buffer:
             return None
         raw_len = self._buffered
-        stored = _encode_body(self._buffer, self._codec)
+        stored = _encode_body(self._buffer)
         header = _BLOCK_HEADER.pack(
-            _BLOCK_MAGIC, self._codec, raw_len, len(stored),
+            _BLOCK_MAGIC, CODEC_ZLIB1, raw_len, len(stored),
             zlib.crc32(stored) & 0xFFFFFFFF,
         )
         self._handle.write(header)

@@ -72,10 +72,10 @@ from repro.oskernel.syscalls import SyscallKind, SyscallRecord
 from repro.record.recording import EpochRecord, Recording
 from repro.record.schedule_log import ScheduleLog, Timeslice
 from repro.record.segment import (
+    WRITE_CODEC,
     SegmentReader,
     SegmentWriter,
     fsync_dir,
-    resolve_codec,
 )
 from repro.record.sync_log import SyncOrderLog
 
@@ -353,7 +353,6 @@ class ShardedLogWriter:
         initial_checkpoint: Checkpoint,
         program_name: str,
         worker_threads: int,
-        codec: Optional[str] = None,
         meta: Optional[dict] = None,
         group_commit_bytes: int = options.RuntimeOptions.log_group_bytes,
         segment_max_bytes: int = 4 << 20,
@@ -364,7 +363,6 @@ class ShardedLogWriter:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         os.makedirs(os.path.join(directory, "segments"), exist_ok=True)
-        self.codec = resolve_codec(codec)
         self.store = BlobStore(os.path.join(directory, "blobs"))
         self.group_commit_bytes = group_commit_bytes
         self.segment_max_bytes = segment_max_bytes
@@ -503,9 +501,9 @@ class ShardedLogWriter:
             self._retire_segment()
         name = f"seg-{len(self._segments):05d}.dpseg"
         path = os.path.join(self.directory, "segments", name)
-        self._segment = SegmentWriter(path, codec=self.codec)
+        self._segment = SegmentWriter(path)
         self._segments.append(
-            {"file": f"segments/{name}", "codec": self.codec, "blocks": []}
+            {"file": f"segments/{name}", "codec": WRITE_CODEC, "blocks": []}
         )
         return self._segment
 
@@ -834,7 +832,7 @@ class ShardedLogWriter:
     def _manifest_payload(self) -> dict:
         payload = {
             "format": MANIFEST_FORMAT,
-            "codec": self.codec,
+            "codec": WRITE_CODEC,
             "program": self.program_name,
             "worker_threads": self.worker_threads,
             "workload": self.meta,
@@ -971,7 +969,6 @@ class ShardedLogWriter:
 def persist_recording(
     recording: Recording,
     directory: str,
-    codec: Optional[str] = None,
     meta: Optional[dict] = None,
     fsync: Optional[bool] = None,
     group_commit_bytes: Optional[int] = None,
@@ -982,26 +979,23 @@ def persist_recording(
     """Write a finished in-memory recording out as a durable sharded log.
 
     The offline twin of the recorder's streaming path (``log_dir``):
-    identical epochs, floors and codec produce a byte-identical log —
+    identical epochs and floors produce a byte-identical log —
     the final epoch just commits with no upper floor, which selects the
     same records because the retained logs already end at the committed
     prefix. Used by benchmarks and the log-size experiments; spilled
     recordings no longer hold their logs and cannot be re-persisted.
-    ``codec`` / ``fsync`` / ``group_commit_bytes`` left at None take their
+    ``fsync`` / ``group_commit_bytes`` left at None take their
     runtime-option values. Returns the writer's
     :meth:`~ShardedLogWriter.totals`.
     """
     if any(epoch.spilled for epoch in recording.epochs):
         raise ValueError("recording was spilled; its logs live on disk only")
-    opts = options.resolve(
-        log_codec=codec, log_fsync=fsync, log_group_bytes=group_commit_bytes
-    )
+    opts = options.resolve(log_fsync=fsync, log_group_bytes=group_commit_bytes)
     writer = ShardedLogWriter(
         directory,
         recording.initial_checkpoint,
         recording.program_name,
         recording.worker_threads,
-        codec=opts.log_codec,
         meta=meta,
         fsync=opts.log_fsync,
         group_commit_bytes=opts.log_group_bytes,
@@ -1027,22 +1021,89 @@ def persist_recording(
     return writer.totals()
 
 
+def _ints(value, count: int) -> bool:
+    """``value`` is a list of exactly ``count`` ints (a JSON tuple)."""
+    return (
+        isinstance(value, list)
+        and len(value) == count
+        and all(isinstance(item, int) for item in value)
+    )
+
+
+def _hex_ref(value) -> bool:
+    try:
+        int(value, 16)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _load_manifest(directory: str) -> dict:
+    """Parse the manifest and check its shape, once.
+
+    The manifest is outside input: a torn or edited file must surface as
+    a :class:`ReplayError` here, not as a ``KeyError`` / ``ValueError``
+    wherever a later read first touches the bad field. Checked: it
+    parses, it is format 1, every key the reader uses is present with
+    its type, refs are hex, and each epoch's block lies inside its
+    segment's block list.
+    """
+    try:
+        with open(os.path.join(directory, MANIFEST_NAME), "rb") as handle:
+            manifest = json.loads(handle.read())
+    except FileNotFoundError:
+        raise ReplayError(f"{directory}: no durable log manifest") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ReplayError(f"{directory}: manifest is not JSON: {exc}") from None
+
+    def check(ok, what: str) -> None:
+        if not ok:
+            raise ReplayError(f"{directory}: malformed manifest: bad {what}")
+
+    check(isinstance(manifest, dict), "top level")
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise ReplayError(
+            f"{directory}: unsupported manifest format {manifest.get('format')!r}"
+        )
+    for key, kind in (
+        ("program", str), ("worker_threads", int), ("sync_kinds", list),
+        ("epochs", list), ("segments", list), ("final_digest", int), ("stats", dict),
+    ):
+        check(isinstance(manifest.get(key), kind), key)
+    check(_hex_ref(manifest.get("initial")), "initial")
+    segments = manifest["segments"]
+    for number, segment in enumerate(segments):
+        check(
+            isinstance(segment, dict)
+            and isinstance(segment.get("file"), (str, type(None)))
+            and isinstance(segment.get("blocks"), list)
+            and all(_ints(extent, 3) for extent in segment["blocks"]),
+            f"segment {number}",
+        )
+    for number, entry in enumerate(manifest["epochs"]):
+        check(
+            isinstance(entry, dict)
+            and isinstance(entry.get("index"), int)
+            and _hex_ref(entry.get("checkpoint")),
+            f"epoch entry {number}",
+        )
+        # Only sealed epochs reach a manifest: each names its block.
+        block = entry.get("block")
+        check(
+            _ints(block, 2)
+            and 0 <= block[0] < len(segments)
+            and 0 <= block[1] < len(segments[block[0]]["blocks"]),
+            f"epoch {entry['index']}: block {block!r} is not in its segment's list",
+        )
+    return manifest
+
+
 class ShardedLogReader:
     """Reads a durable sharded recording back into replayable form."""
 
     def __init__(self, directory: str):
         self.directory = directory
-        path = os.path.join(directory, MANIFEST_NAME)
-        try:
-            with open(path) as handle:
-                self.manifest = json.load(handle)
-        except FileNotFoundError:
-            raise ReplayError(f"{directory}: no durable log manifest") from None
-        if self.manifest.get("format") != MANIFEST_FORMAT:
-            raise ReplayError(
-                f"{directory}: unsupported manifest format "
-                f"{self.manifest.get('format')!r}"
-            )
+        self.manifest = _load_manifest(directory)
         self.store = BlobStore(os.path.join(directory, "blobs"))
         self._readers: Dict[int, SegmentReader] = {}
         self._pages: Dict[int, Page] = {}
@@ -1137,10 +1198,6 @@ class ShardedLogReader:
         wanted = {entry["index"] for entry in entries}
         blocks: Dict[Tuple[int, int], None] = {}
         for entry in entries:
-            if entry["block"] is None:
-                raise ReplayError(
-                    f"epoch {entry['index']} was never sealed (torn log?)"
-                )
             blocks[tuple(entry["block"])] = None
         frames: Dict[int, List[bytes]] = {index: [] for index in wanted}
         for segment_index, block_index in blocks:
@@ -1290,9 +1347,6 @@ class ShardedLogReader:
         """Integrity sweep: every referenced block and blob must verify."""
         problems: List[str] = []
         for entry in self.manifest["epochs"]:
-            if entry["block"] is None:
-                problems.append(f"epoch {entry['index']}: never sealed")
-                continue
             if not self.store.has(int(entry["checkpoint"], 16)):
                 problems.append(
                     f"epoch {entry['index']}: checkpoint blob missing"

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextvars
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -71,7 +72,8 @@ class ServiceConfig:
     #: None = no HTTP endpoint)
     telemetry_port: Optional[int] = None
     #: keep the telemetry endpoint up this many seconds after the last
-    #: session completes (scrape window for smoke tests / operators)
+    #: session completes (scrape window for smoke tests / operators;
+    #: :meth:`RecordService.end_linger` closes it sooner)
     telemetry_linger: float = 0.0
     #: append the event journal as JSON lines here (``repro events tail``)
     events_path: Optional[str] = None
@@ -189,10 +191,16 @@ class RecordService:
         #: calls on one service, so a record phase followed by a replay
         #: phase exposes both through one ``/metrics`` history
         self.hub = TelemetryHub(policy)
+        self._linger_over = threading.Event()
 
     # ------------------------------------------------------------------
     # Entry points.
     # ------------------------------------------------------------------
+    def end_linger(self) -> None:
+        """Close this serve's scrape window now, or skip it if it has not
+        opened yet (any thread)."""
+        self._linger_over.set()
+
     def run(self, requests: Sequence[SessionRequest]) -> ServiceReport:
         """Synchronous wrapper: serve every request, return the report."""
         return asyncio.run(self.serve(requests))
@@ -242,13 +250,18 @@ class RecordService:
             elapsed = time.perf_counter() - t0
             if server is not None and config.telemetry_linger > 0:
                 # Scrape window: sessions are done but the endpoint stays
-                # up so operators/smoke tests can read the final state.
-                await asyncio.sleep(config.telemetry_linger)
+                # up so operators/smoke tests can read the final state,
+                # until the time is up or the owner calls end_linger().
+                await loop.run_in_executor(
+                    threads, self._linger_over.wait, config.telemetry_linger
+                )
         finally:
             if not elapsed:
                 elapsed = time.perf_counter() - t0
+            self._linger_over.set()  # a cancelled serve must not wait it out
             await fleet.stop()
             threads.shutdown(wait=True)
+            self._linger_over.clear()
             if server is not None:
                 await server.stop()
             health = self.hub.evaluate().to_plain()

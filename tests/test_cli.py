@@ -135,12 +135,12 @@ class TestDurableLogCli:
         manifest = json.loads((log_dir / "manifest.json").read_text())
         assert manifest["flight_window"] == 2
         assert len(manifest["epochs"]) <= 2
-        code, text = run_cli("log", "recover", str(log_dir))
-        assert code == 0
-        assert "complete" in text and "verified" in text
-        code, text = run_cli("replay", str(log_dir), "--tail")
-        assert code == 0
-        assert "tail" in text and "verified" in text
+        # One routine behind two spellings: same report, same verdict.
+        for argv in (("log", "recover", str(log_dir)), ("replay", str(log_dir), "--tail")):
+            code, text = run_cli(*argv)
+            assert code == 0
+            assert f"{log_dir}: complete" in text and "flight window 2" in text
+            assert "tail" in text and "verified" in text
 
     def test_tail_needs_directory(self, tmp_path):
         json_path = tmp_path / "rec.json"
@@ -160,9 +160,68 @@ class TestDurableLogCli:
         code, _ = self._record_durable(log_dir)
         assert code == 0
         (log_dir / "blobs" / "pack.dppack").unlink()
-        code, text = run_cli("log", "recover", str(log_dir))
-        assert code == 1
-        assert "FAILED" in text and "integrity problem" in text
+        for argv in (("log", "recover", str(log_dir)), ("replay", str(log_dir), "--tail")):
+            code, text = run_cli(*argv)
+            assert code == 1
+            assert "FAILED" in text and "integrity problem" in text
+
+    def test_malformed_manifest_is_reported_not_raised(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
+        log_dir = tmp_path / "log"
+        code, _ = self._record_durable(log_dir)
+        assert code == 0
+        manifest = json.loads((log_dir / "manifest.json").read_text())
+        manifest["epochs"][1]["checkpoint"] = "zz"
+        (log_dir / "manifest.json").write_text(json.dumps(manifest))
+        for argv in (
+            ("log", "recover", str(log_dir)),
+            ("replay", str(log_dir), "--tail"),
+            ("replay", str(log_dir)),
+        ):
+            code, text = run_cli(*argv)
+            assert code == 2
+            assert text.startswith("error: ") and "malformed manifest" in text
+
+
+class TestOutsideInput:
+    """A bad path or file named on the command line: one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("replay", "MISSING"),
+        ("replay", "MISSING", "--tail"),
+        ("log", "recover", "MISSING"),
+        ("diagnose", "MISSING"),
+        ("trace", "summarize", "MISSING"),
+        ("metrics", "diff", "MISSING", "MISSING"),
+        ("events", "tail", "MISSING"),
+    ], ids=" ".join)
+    def test_missing_path(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text.startswith("error: ") and text.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content", ["{not json", "{}", "[]", '{"workload": {}, "recording": {}}']
+    )
+    def test_replay_of_a_file_that_is_no_recording(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code, text = run_cli("replay", str(path))
+        assert code == 2
+        assert text.startswith("error: ") and text.count("\n") == 1
+
+    def test_replay_epoch_out_of_range(self, tmp_path):
+        path = tmp_path / "rec.json"
+        run_cli("record", "fft", "--scale", "2", "-o", str(path))
+        code, text = run_cli("replay", str(path), "--epoch", "99")
+        assert (code, text) == (2, "error: recording has no epoch 99\n")
+
+    def test_serve_needs_at_least_one_session(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("serve", "fft", "--sessions", "0")
+        assert exit_info.value.code == 2
+        assert "--sessions: must be >= 1" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -9,6 +9,8 @@ recordings: durable round trips, ``--from-epoch`` suffix loads, spill
 
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -17,11 +19,10 @@ from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
 from repro.record.segment import (
-    DEFAULT_CODEC,
+    SEGMENT_MAGIC,
     SegmentCorruption,
     SegmentReader,
     SegmentWriter,
-    resolve_codec,
 )
 from repro.record.shards import BlobStore, ShardedLogReader
 from repro.workloads import build_workload
@@ -32,10 +33,33 @@ FRAMES = [b"alpha", b"b" * 200, b"", b"gamma" * 50]
 # ----------------------------------------------------------------------
 # Segment files
 # ----------------------------------------------------------------------
+def _block_by_hand(frames, level):
+    """One block laid out from the format's description, not the writer."""
+    body = b"".join(struct.pack("<I", len(frame)) + frame for frame in frames)
+    stored = zlib.compress(body, level) if level else body
+    header = struct.pack(
+        "<4sBIII", b"DPBK", level, len(body), len(stored), zlib.crc32(stored)
+    )
+    return header + stored
+
+
 @pytest.mark.parametrize("codec", ["raw", "zlib1", "zlib6"])
 def test_segment_round_trip(tmp_path, codec):
-    path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path, codec=codec)
+    """Every codec byte a writer ever stamped reads; zlib1 is what it writes."""
+    level = {"raw": 0, "zlib1": 1, "zlib6": 6}[codec]
+    by_hand = [_block_by_hand(FRAMES, level), _block_by_hand([b"second block"], level)]
+    path = tmp_path / "seg.dpseg"
+    path.write_bytes(SEGMENT_MAGIC + b"".join(by_hand))
+
+    reader = SegmentReader(str(path))
+    blocks = list(reader.iter_blocks())
+    assert [frames for _, frames in blocks] == [FRAMES, [b"second block"]]
+    assert [offset for offset, _ in blocks] == [
+        len(SEGMENT_MAGIC), len(SEGMENT_MAGIC) + len(by_hand[0])
+    ]
+
+    written = str(tmp_path / "written.dpseg")
+    writer = SegmentWriter(written)
     for frame in FRAMES:
         writer.append(frame)
     first = writer.flush(fsync=False)
@@ -43,14 +67,13 @@ def test_segment_round_trip(tmp_path, codec):
     writer.close(fsync=False)
     assert first == 0
     assert len(writer.blocks) == 2
-
-    reader = SegmentReader(path)
-    blocks = list(reader.iter_blocks())
-    assert [frames for _, frames in blocks] == [FRAMES, [b"second block"]]
+    # the writer's own bytes are the zlib1 layout, and no other
+    same_bytes = open(written, "rb").read() == path.read_bytes()
+    assert same_bytes == (codec == "zlib1")
     # extents recorded by the writer address the same blocks
-    for extent, (offset, frames) in zip(writer.blocks, blocks):
-        assert extent.offset == offset
-        assert reader.read_block(offset) == frames
+    reread = SegmentReader(written)
+    for extent, frames in zip(writer.blocks, (FRAMES, [b"second block"])):
+        assert reread.read_block(extent.offset) == frames
 
 
 def test_empty_flush_is_a_noop(tmp_path):
@@ -61,7 +84,7 @@ def test_empty_flush_is_a_noop(tmp_path):
 
 def test_torn_tail_truncates(tmp_path):
     path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path, codec="raw")
+    writer = SegmentWriter(path)
     writer.append(b"kept")
     writer.flush(fsync=False)
     writer.append(b"torn away")
@@ -76,7 +99,7 @@ def test_torn_tail_truncates(tmp_path):
 
 def test_garbage_tail_truncates(tmp_path):
     path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path, codec="raw")
+    writer = SegmentWriter(path)
     writer.append(b"kept")
     writer.close(fsync=False)
     with open(path, "ab") as handle:
@@ -87,7 +110,7 @@ def test_garbage_tail_truncates(tmp_path):
 
 def test_interior_corruption_raises(tmp_path):
     path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path, codec="raw")
+    writer = SegmentWriter(path)
     writer.append(b"first block body")
     first = writer.flush(fsync=False)
     writer.append(b"second block")
@@ -112,23 +135,6 @@ def test_not_a_segment_file(tmp_path):
     path.write_bytes(b"hello world, definitely not a segment")
     with pytest.raises(SegmentCorruption):
         SegmentReader(str(path))
-
-
-class TestResolveCodec:
-    def test_explicit_name_wins(self):
-        assert resolve_codec("raw") == "raw"
-
-    def test_env_override(self, monkeypatch):
-        # REPRO_LOG_COMPRESS is gone: the environment no longer overrides.
-        monkeypatch.setenv("REPRO_LOG_COMPRESS", "zlib6")
-        assert resolve_codec() == DEFAULT_CODEC
-
-    def test_default(self):
-        assert resolve_codec() == DEFAULT_CODEC
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            resolve_codec("lz4")
 
 
 # ----------------------------------------------------------------------
@@ -195,17 +201,28 @@ def test_durable_round_trip_matches_in_memory(tmp_path):
     manifest = json.load(open(os.path.join(log_dir, "manifest.json")))
     assert manifest["complete"] is True
     assert manifest["final_digest"] == durable.recording.final_digest
+    assert {manifest["codec"]} | {s["codec"] for s in manifest["segments"]} == {"zlib1"}
     assert ShardedLogReader(log_dir).verify() == []
 
 
-def test_from_epoch_loads_only_the_suffix(tmp_path):
+def test_from_epoch_loads_only_the_suffix(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_LOG_GROUP_KB", "1")  # a block every epoch or two
     log_dir = str(tmp_path / "log")
     instance, machine, result = _record("pbzip", log_dir=log_dir)
     total = result.recording.epoch_count()
     assert total >= 4, "need a multi-epoch run for a mid-run start"
     mid = total // 2
     reader = ShardedLogReader(log_dir)
+    reads = []
+    read_block = SegmentReader.read_block
+    monkeypatch.setattr(
+        SegmentReader, "read_block",
+        lambda self, offset: reads.append(offset) or read_block(self, offset),
+    )
     suffix = reader.load_recording(from_epoch=mid)
+    # Read cost follows the suffix: its distinct blocks, each once.
+    blocks = [tuple(entry["block"]) for entry in reader.manifest["epochs"]]
+    assert len(reads) == len(set(blocks[mid:])) < len(set(blocks))
     assert suffix.epoch_count() == total - mid
     assert [e.index for e in suffix.epochs] == list(range(mid, total))
     # The suffix starts from epoch mid's checkpoint, materialised from
@@ -237,6 +254,40 @@ def test_unsupported_manifest_format_raises(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"format": 99}))
     with pytest.raises(ReplayError):
         ShardedLogReader(str(tmp_path))
+
+
+def _edited(change):
+    def corrupt(text):
+        manifest = json.loads(text)
+        change(manifest)
+        return json.dumps(manifest)
+
+    return corrupt
+
+
+MALFORMED = {
+    "not-json": lambda text: "{not json",
+    "truncated": lambda text: text[: len(text) // 2],
+    "keys-missing": lambda text: '{"format": 1}',
+    "not-an-object": lambda text: "[1]",
+    "checkpoint-not-hex": _edited(lambda m: m["epochs"][1].update(checkpoint="zz")),
+    "block-outside-segment": _edited(lambda m: m["epochs"][1].update(block=[0, 99])),
+    "block-mistyped": _edited(lambda m: m["epochs"][1].update(block="0,0")),
+    "extents-mistyped": _edited(lambda m: m["segments"][0].update(blocks=[[8]])),
+    "stats-missing": _edited(lambda m: m.pop("stats")),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_manifest_is_a_replay_error(tmp_path, corrupt):
+    """Open yields a committed prefix or a typed error — never a
+    JSONDecodeError / KeyError / ValueError from some later read."""
+    log_dir = tmp_path / "log"
+    _record(log_dir=str(log_dir))
+    manifest = log_dir / "manifest.json"
+    manifest.write_text(corrupt(manifest.read_text()))
+    with pytest.raises(ReplayError, match="manifest"):
+        ShardedLogReader(str(log_dir))
 
 
 def test_spill_mode_bounds_memory_and_matches_durable(tmp_path):
@@ -335,18 +386,6 @@ def test_manifest_fsyncs_are_counted(tmp_path, monkeypatch):
     # at least: one segment fsync per group commit, plus tmp-file +
     # directory fsyncs for the initial and final manifest writes
     assert durable["fsyncs"] > commits + 2
-
-
-def test_codec_choice_is_logically_invisible(tmp_path):
-    plains = {}
-    for codec in ("raw", "zlib1", "zlib6"):
-        log_dir = str(tmp_path / codec)
-        _record("pbzip", log_dir=log_dir, log_codec=codec)
-        loaded = ShardedLogReader(log_dir).load_recording()
-        plains[codec] = json.dumps(loaded.to_plain(), sort_keys=True)
-        manifest = json.load(open(os.path.join(log_dir, "manifest.json")))
-        assert manifest["codec"] == codec
-    assert plains["raw"] == plains["zlib1"] == plains["zlib6"]
 
 
 @pytest.mark.parametrize("name", ["pbzip", "racy-counter"])

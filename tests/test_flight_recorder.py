@@ -32,16 +32,16 @@ from repro.record.shards import (
 from repro.workloads import build_workload
 
 
-def _record(name="prodcons", workers=2, scale=16, divisor=24, **overrides):
+def _record(
+    name="prodcons", workers=2, scale=16, divisor=24, epoch_cycles=None, **overrides
+):
     """A recording long enough (≥ ~10 epochs) for a window to slide."""
     instance = build_workload(name, workers=workers, scale=scale, seed=11)
     machine = MachineConfig(cores=workers)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine,
-        epoch_cycles=max(native.duration // divisor, 400),
-        **overrides,
-    )
+    if epoch_cycles is None:
+        native = run_native(instance.image, instance.setup, machine)
+        epoch_cycles = max(native.duration // divisor, 400)
+    config = DoublePlayConfig(machine=machine, epoch_cycles=epoch_cycles, **overrides)
     result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     return instance, machine, result
 
@@ -118,10 +118,29 @@ class TestFlightWindow:
         _, _, _, full_dir, win_dir, totals = logs
         assert totals["pack_compactions"] > 0
         assert totals["bytes_reclaimed"] > 0
-        # The windowed log must be a fraction of the full one — the
-        # acceptance bound proper (long-vs-short constant factor) is the
-        # benchmark's job; here we pin that GC reclaims at all layers.
+        # The windowed log must be a fraction of the full one: GC
+        # reclaims at all layers. (Long-vs-short is the next test.)
         assert _disk_bytes(win_dir) < _disk_bytes(full_dir) / 2
+
+    @pytest.mark.parametrize("name", ["pbzip", "apache"])
+    def test_footprint_follows_the_window_not_the_run(self, name, tmp_path, monkeypatch):
+        """Same window, same epoch length, a run ~3x longer: same disk."""
+        monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
+        monkeypatch.setenv("REPRO_LOG_GROUP_KB", "1")  # commit, and slide, every epoch
+        window = 4
+        short = build_workload(name, workers=2, scale=4, seed=11)
+        native = run_native(short.image, short.setup, MachineConfig(cores=2))
+        epoch_cycles = max(native.duration // (window + 2), 500)
+        epochs, disk = {}, {}
+        for scale in (4, 16):
+            log_dir = str(tmp_path / f"scale{scale}")
+            _, _, result = _record(
+                name, scale=scale, epoch_cycles=epoch_cycles,
+                log_dir=log_dir, log_spill=True, flight_window=window,
+            )
+            epochs[scale], disk[scale] = result.stats["epochs"], _disk_bytes(log_dir)
+        assert epochs[16] >= 2.5 * epochs[4] > 2.5 * window
+        assert disk[16] <= 1.5 * disk[4]
 
     def test_tail_replays_bit_identically(self, logs):
         instance, machine, result, _, win_dir, _ = logs

@@ -21,7 +21,6 @@ from repro.core import (
     ReplayFailure,
     Replayer,
 )
-from repro.core.pipeline import schedule_host_units
 from repro.cli import main as cli_main
 from repro.machine.config import MachineConfig
 from repro.workloads import build_workload
@@ -227,16 +226,3 @@ def test_cli_replay_jobs(tmp_path):
     assert "parallel[jobs=2] replay" in out
     assert "verified" in out
 
-
-# ----------------------------------------------------------------------
-# The host-unit list scheduler (benchmark model)
-# ----------------------------------------------------------------------
-def test_schedule_host_units():
-    assert schedule_host_units([], 4) == 0.0
-    assert schedule_host_units([5.0], 4) == 5.0
-    # 4 equal units on 2 workers: two per worker.
-    assert schedule_host_units([1.0] * 4, 2) == 2.0
-    # In-order greedy: [3,1,1,1] on 2 workers → slots (3, 1+1+1).
-    assert schedule_host_units([3.0, 1.0, 1.0, 1.0], 2) == 3.0
-    with pytest.raises(ValueError):
-        schedule_host_units([1.0], 0)

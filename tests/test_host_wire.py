@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import options
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.exec.interpreter import decode_program
 from repro.host.blobs import decode_blob_object
+from repro.host.executor import HostExecutor
+from repro.host.pool import _cache_tracker
 from repro.host.wire import (
     record_units_for_segment,
     replay_units_for_recording,
@@ -304,6 +308,51 @@ def test_replay_units_roundtrip_preserves_digests():
         assert resolve(clone.signals.digest) == tuple(
             result.recording.signal_records
         )
+
+
+@pytest.mark.parametrize("name", ["pbzip", "fft"])
+def test_steady_state_dispatch_is_skeleton_only(name):
+    """Once the pool holds every blob, a dispatch ships none of them.
+
+    The cache mirror is told that both (made-up) worker pids hold the
+    whole batch; every dispatch the executor then builds carries an
+    empty blob set, and together they pickle to under a fifth of what
+    shipping each unit as whole objects costs (exact ``pickle.dumps``
+    lengths, no pool involved).
+    """
+    instance, machine, result = _record(name, scale=8)
+    recording = result.recording
+    whole_objects = sum(
+        len(pickle.dumps((
+            instance.image, machine, epoch.start_checkpoint, epoch.targets,
+            epoch.schedule, epoch.sync_log.events,
+            syscall_slice(recording.syscall_records, epoch.start_checkpoint),
+            signal_slice(recording.signal_records, epoch.start_checkpoint),
+            epoch.end_digest,
+        )))
+        for epoch in recording.epochs
+    )
+    wire = replay_units_for_recording(recording)
+    executor = HostExecutor(options.resolve(host_jobs=2))
+    batch = executor._begin_batch(
+        "replay", instance.image, machine, wire.units, wire.blobs
+    )
+    pids = (-1, -2)
+    try:
+        for pid in pids:
+            _cache_tracker.note_inserted(pid, batch.blobs)
+        dispatches = [
+            executor._make_dispatch(batch, index, pids=pids)
+            for index in range(len(batch.units))
+        ]
+    finally:
+        for pid in pids:
+            _cache_tracker.forget_worker(pid)
+    assert len(dispatches) == recording.epoch_count() >= 8
+    assert all(dispatch.blobs == {} for dispatch in dispatches)
+    assert sum(batch.bytes_shipped) == 0
+    skeletons = sum(len(pickle.dumps(dispatch)) for dispatch in dispatches)
+    assert whole_objects >= 5 * skeletons
 
 
 def test_record_units_share_pages_by_content():

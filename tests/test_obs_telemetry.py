@@ -22,6 +22,8 @@ Four layers, tested bottom-up:
 import asyncio
 import io
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -545,7 +547,9 @@ def test_live_endpoint_during_service_run(tmp_path):
         assert code == 0
         assert "2 completed" in text_out
     finally:
+        service.end_linger()  # scraped: no need to wait the window out
         thread.join(timeout=120)
+    assert not thread.is_alive()
     report = outcome["report"]
     assert report.ok and report.healthy
     assert report.telemetry_port == port
@@ -635,3 +639,42 @@ def test_cli_serve_prints_health_and_events(tmp_path):
     code, text = run_cli("events", "tail", str(events_path))
     assert code == 0
     assert "session-completed" in text
+
+
+def test_cli_serve_sigterm_closes_the_linger_window():
+    """The CI smoke's shape: scrape the lingering endpoint, then SIGTERM —
+    the window closes, the report and the exit code still follow."""
+    port = _free_port()
+    stray = []
+
+    def not_the_clis(*_):
+        stray.append("SIGTERM reached the test's handler")
+
+    def scrape_then_terminate():
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            try:
+                text = http_get(f"http://127.0.0.1:{port}/metrics", timeout=2)
+                if "repro_sessions_completed_total 2" in text:
+                    break
+            except OSError:
+                pass
+            time.sleep(0.05)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    previous = signal.signal(signal.SIGTERM, not_the_clis)
+    scraper = threading.Thread(target=scrape_then_terminate, daemon=True)
+    try:
+        scraper.start()
+        started = time.monotonic()
+        code, text = run_cli(
+            "serve", "fft", "--scale", "1", "--sessions", "2", "--jobs", "2",
+            "--telemetry-port", str(port), "--linger", "30",
+        )
+        waited = time.monotonic() - started
+        assert signal.getsignal(signal.SIGTERM) is not_the_clis  # restored
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        scraper.join(timeout=90)
+    assert code == 0 and "health: ok" in text
+    assert not stray and waited < 20

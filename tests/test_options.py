@@ -26,7 +26,6 @@ from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
 from repro.obs import histo as obs_histo
 from repro.options import RuntimeOptions
-from repro.record.segment import CODECS, DEFAULT_CODEC
 from repro.workloads import build_workload
 
 MB = 1024 * 1024
@@ -107,10 +106,9 @@ def test_defaults_are_the_product_defaults():
     assert DEFAULTS == RuntimeOptions(
         host_jobs=1, unit_timeout=60.0, pipeline=True, superblocks=True,
         blob_cache_bytes=64 * MB, host_faults="", fault_state="",
-        log_group_bytes=32 * 1024, log_fsync=True, log_codec=None,
+        log_group_bytes=32 * 1024, log_fsync=True,
         flight_window=None, histograms=True,
     )
-    assert DEFAULT_CODEC == "zlib1" and set(CODECS) == {"raw", "zlib1", "zlib6"}
     assert options.from_env() == DEFAULTS
 
 
@@ -165,19 +163,17 @@ def test_config_fields_that_set_an_option():
         f.name for f in dataclasses.fields(DoublePlayConfig)
     }
     assert shared == {
-        "host_jobs", "unit_timeout", "host_faults", "log_codec", "flight_window"
+        "host_jobs", "unit_timeout", "host_faults", "flight_window"
     }
     # ...and each is "not set here" until a caller sets it.
     assert all(getattr(DoublePlayConfig(), name) is None for name in shared)
 
 
-def test_precedence_codec_and_flight_window():
-    assert options.resolve(DoublePlayConfig()).log_codec is None
-    config = DoublePlayConfig(log_codec="raw", flight_window=4)
-    resolved = options.resolve(config)
-    assert (resolved.log_codec, resolved.flight_window) == ("raw", 4)
-    resolved = options.resolve(config, log_codec="zlib6", flight_window=2)
-    assert (resolved.log_codec, resolved.flight_window) == ("zlib6", 2)
+def test_precedence_flight_window():
+    assert options.resolve(DoublePlayConfig()).flight_window is None
+    config = DoublePlayConfig(flight_window=4)
+    assert options.resolve(config).flight_window == 4
+    assert options.resolve(config, flight_window=2).flight_window == 2
 
 
 def test_nested_run_inherits_instead_of_rereading_the_environment(monkeypatch):

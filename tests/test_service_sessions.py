@@ -216,6 +216,28 @@ def test_lane_credits_bound_outstanding_units():
     assert report.fleet["queue_depth"] == 1
 
 
+def test_fleet_holds_at_burst_size():
+    """Fifty sessions through two slots: nothing drifts, leaks or overruns.
+
+    Each session cuts more units than its lane has credits, so every
+    lane runs against its bound for the whole burst.
+    """
+    service = RecordService(ServiceConfig(jobs=2, max_active=2, queue_depth=2))
+    report = service.run(
+        [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=7)
+         for i in range(50)]
+    )
+    assert report.ok, [r.error for r in report.results if not r.ok]
+    solo = _canonical(_solo_plain("fft", 2, 1, 7))
+    assert all(_canonical(r.recording_plain) == solo for r in report.results)
+    assert min(r.epochs for r in report.results) > 2
+    assert all(
+        r.metrics["service"]["queue_high_water"] <= 2 for r in report.results
+    )
+    assert report.fleet["sessions"] == 50
+    assert report.fleet["units"] == sum(r.epochs for r in report.results)
+
+
 def test_admission_semaphore_bounds_active_sessions_and_measures_wait():
     service = RecordService(ServiceConfig(jobs=2, max_active=1))
     report = service.run(
@@ -253,7 +275,7 @@ def test_cross_session_dedup_cuts_shipped_bytes():
             "identical tenant never hit the fleet-wide blob cache"
         )
         assert second["cross_session_bytes_saved"] > 0
-        assert second["bytes_shipped"] < first["bytes_shipped"]
+        assert second["bytes_shipped"] <= first["bytes_shipped"] / 1.5
         wire = report.fleet["wire"]
         assert wire["cross_session_hits"] >= second["cross_session_hits"]
         assert wire["cross_session_bytes_saved"] >= (

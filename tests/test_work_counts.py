@@ -4,7 +4,9 @@ No timing anywhere. Each test reads the ``work.*`` counters of one
 ``server_sync``-shaped run (the apache server, ``jobs=2``) and asserts
 that the work done is proportional to what is new — the log records
 logged, the positions actually missing at the merge, the pages actually
-dirtied, the log blobs actually decoded — not to the run so far.
+dirtied, the log blobs actually decoded — not to the run so far. The
+last one counts the calls into the telemetry plane itself: with
+telemetry off they follow the epochs, never the guest ops.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.host.pool import shutdown_shared_pool
 from repro.machine.config import MachineConfig
+from repro.obs import events as obs_events
+from repro.obs import histo as obs_histo
+from repro.obs import spans as obs_spans
+from repro.obs.metrics import process_stats
 from repro.workloads import build_workload
 
 JOBS = 2
@@ -119,3 +125,41 @@ def test_a_replay_indexes_the_log_once_per_worker(server):
     serial = replayer.replay_parallel(recording, jobs=1)
     assert serial.verified
     assert _work(serial, "injection_index_builds") == 1
+
+
+def test_telemetry_off_costs_per_epoch_never_per_op(monkeypatch):
+    """Disabled means free, as a count: 4x the guest ops, the same calls.
+
+    Every hook a record passes through — process counters, span sites,
+    histogram observes, journal emits — is spied on during a ``jobs=1``
+    record with no tracer and no journal. Two fft runs cut into the same
+    number of epochs, one with four times the guest ops, must make
+    exactly the same number of calls into each.
+    """
+    def calls_of_a_record(scale):
+        instance = build_workload("fft", workers=2, scale=scale, seed=11)
+        machine = MachineConfig(cores=2)
+        native = run_native(instance.image, instance.setup, machine)
+        config = DoublePlayConfig(
+            machine=machine, epoch_cycles=max(native.duration // 18, 500), host_jobs=1
+        )
+        calls = dict.fromkeys(("add", "span", "observe", "emit"), 0)
+        with monkeypatch.context() as patch:
+            for owner, name in (
+                (process_stats(), "add"), (obs_spans, "span"),
+                (obs_histo, "observe"), (obs_events, "emit"),
+            ):
+                def spy(*args, _name=name, _hook=getattr(owner, name), **kwargs):
+                    calls[_name] += 1
+                    return _hook(*args, **kwargs)
+
+                patch.setattr(owner, name, spy)
+            result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+        ops = sum(ctx.retired for ctx in native.engine.contexts.values())
+        return ops, result.stats["epochs"], calls
+
+    assert not obs_spans.enabled()
+    ops, epochs, calls = calls_of_a_record(8)
+    more_ops, same_epochs, same_calls = calls_of_a_record(32)
+    assert more_ops > 3.5 * ops and same_epochs == epochs >= 16
+    assert same_calls == calls and min(calls.values()) >= epochs
