@@ -305,7 +305,7 @@ class DoublePlayRecorder:
                 start,
                 segment.checkpoints[position + 1],
                 segment.hints[segment.hint_marks[position] :],
-                *segment.logs.reachable_from(start),
+                segment.logs,
                 self.config.use_sync_hints,
                 session.blobs,
             )
@@ -547,7 +547,7 @@ class DoublePlayRecorder:
                 may_cut=recoveries > 0,
                 # Built here because a restart has just pruned the logs
                 # in place; within the segment they only grow.
-                logs=SegmentLogs(syscall_log, signal_log),
+                logs=SegmentLogs(syscall_log, signal_log, committed),
             )
             if executor is not None:
                 segment.session = SpeculativeSession(

@@ -16,6 +16,7 @@ divergence detection on system-call mismatch.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DivergenceSignal
@@ -29,6 +30,8 @@ from repro.oskernel.syscalls import (
     SyscallKind,
     SyscallRecord,
     Wakeup,
+    decode_record,
+    encode_record,
 )
 
 
@@ -58,12 +61,12 @@ class LiveSyscalls:
         if isinstance(outcome, SyscallDone) and self.log is not None:
             self.log.append(
                 SyscallRecord(
-                    tid=ctx.tid,
-                    seq=ctx.syscall_count,
-                    kind=kind,
-                    retval=outcome.retval,
-                    writes=outcome.writes,
-                    transferred=outcome.transferred,
+                    ctx.tid,
+                    ctx.syscall_count,
+                    kind,
+                    outcome.retval,
+                    outcome.writes,
+                    outcome.transferred,
                 )
             )
         return outcome
@@ -77,12 +80,7 @@ class LiveSyscalls:
         _, retval, writes, transferred = grant
         self.log.append(
             SyscallRecord(
-                tid=ctx.tid,
-                seq=ctx.syscall_count,
-                kind=kind,
-                retval=retval,
-                writes=writes,
-                transferred=transferred,
+                ctx.tid, ctx.syscall_count, kind, retval, writes, transferred
             )
         )
 
@@ -97,9 +95,10 @@ class InjectionLog(tuple):
     """A frozen syscall log whose ``(tid, seq)`` index is built once.
 
     Every :class:`InjectedSyscalls` over the same log object shares the
-    one dict: a worker builds it once per decoded log blob (the object
+    one dict: a worker builds it once per decoded log chunk (the object
     lives in its blob cache), a serial replay once per recording. It
-    pickles as its plain records — the index never crosses the wire.
+    pickles as its records' plain forms — the index never crosses the
+    wire.
     """
 
     _by_seq = None
@@ -112,8 +111,25 @@ class InjectionLog(tuple):
             obs_metrics.process_stats().add("work.injection_index_builds")
         return index
 
+    @classmethod
+    def join(cls, chunks: Sequence["InjectionLog"]) -> "InjectionLog":
+        """One log of consecutive ``chunks``; their indices are merged,
+        not rebuilt, so each chunk's is still built once."""
+        if len(chunks) == 1:
+            return chunks[0]
+        joined = cls(chain.from_iterable(chunks))
+        index = joined._by_seq = {}
+        for chunk in chunks:
+            index.update(chunk.by_seq)
+        return joined
+
     def __reduce__(self):
-        return InjectionLog, (tuple(self),)
+        return _decode_log, (tuple(map(encode_record, self)),)
+
+
+def _decode_log(plain: tuple) -> InjectionLog:
+    """Unpickle an :class:`InjectionLog` (module-level: pickled by name)."""
+    return InjectionLog(map(decode_record, plain))
 
 
 class InjectedSyscalls:

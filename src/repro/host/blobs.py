@@ -13,7 +13,7 @@ The content-addressed wire protocol has two halves:
 
 * The **coordinator** keeps a :class:`WorkerCacheTracker`: per worker
   pid, the set of digests it is believed to hold. A dispatch ships only
-  the blobs outside the *intersection* over the current pool's pids —
+  the blobs some worker of the current pool may lack —
   ``ProcessPoolExecutor`` gives no control over which worker picks a
   unit up, so a blob may be omitted only when *every* live worker holds
   it. The tracker is advisory, never authoritative: a worker that finds
@@ -120,9 +120,9 @@ class WorkerCacheTracker:
 
     Internally locked: the tracker is a module global shared by every
     executor (worker caches persist across executors), and with the
-    service layer many session threads fold acks and intersect held
-    sets concurrently — an unlocked ``common()`` could iterate a set
-    another session's ack is mutating.
+    service layer many session threads fold acks and query held sets
+    concurrently — an unlocked query could read a set another session's
+    ack is mutating.
     """
 
     def __init__(self):
@@ -145,25 +145,23 @@ class WorkerCacheTracker:
         with self._lock:
             self._held.pop(pid, None)
 
-    def common(self, pids: Iterable[int]) -> Set[int]:
-        """Digests every one of ``pids`` holds (empty if any pid is unknown).
+    def held_by_all(self, pids: Iterable[int], digests: Iterable[int]) -> Set[int]:
+        """Those of ``digests`` every one of ``pids`` holds (none if any
+        pid is unknown, or there are no pids).
 
         This is the omission rule: a blob may be left out of a dispatch
         only when no matter which worker pops the unit, it has the blob.
+        Asked per dispatch about the unit's own digests, so it costs
+        O(digests asked about), never the size of a worker's cache.
         """
-        result: Set[int] = set()
         with self._lock:
-            for i, pid in enumerate(pids):
-                held = self._held.get(pid)
-                if not held:
-                    return set()
-                if i == 0:
-                    result = set(held)
-                else:
-                    result &= held
-                    if not result:
-                        return result
-        return result
+            caches = [self._held.get(pid) for pid in pids]
+            if not caches or not all(caches):
+                return set()
+            return {
+                digest for digest in digests
+                if all(digest in held for held in caches)
+            }
 
     def prune(self, live_pids: Iterable[int]) -> None:
         """Drop state for pids no longer in the pool (post-rebuild hygiene)."""

@@ -275,9 +275,8 @@ class HostExecutor:
         required.add(batch.program_digest)
         omitted: Set[int] = set()
         if not full:
-            held = _cache_tracker.common(pids)
-            omitted = required & held
-            required -= held
+            omitted = _cache_tracker.held_by_all(pids, required)
+            required -= omitted
         blobs = {digest: batch.blobs[digest] for digest in required}
         if self._wire_observer is not None:
             self._wire_observer(

@@ -2,8 +2,7 @@
 
 A work unit must let a worker process reproduce the coordinator's serial
 epoch execution *exactly*, with nothing but the unit, the blobs it
-references, and the program image. Units used to carry whole pickled
-checkpoints and per-unit log slices; they now carry *skeletons* and
+references, and the program image. Units carry *skeletons* and
 *references*, and the heavy bytes travel separately as content-addressed
 blobs (:mod:`repro.memory.blob`) that worker caches dedupe across units,
 segments, and whole recordings:
@@ -17,16 +16,20 @@ segments, and whole recordings:
   syscalls and never touch a live kernel, and forward recovery (which
   does) always runs on the coordinator.
 
-* **Shared log blobs.** Syscall/signal injection is keyed lookup —
-  ``(tid, seq)`` and ``(tid, retired)`` — so any superset of an epoch's
-  reachable records behaves identically (the serial paths pass the
-  *full* logs). A unit cut while its segment is still running ships
-  what is reachable from its own start and logged so far; units built
-  at the merge share ONE segment-level slice per log. Either way the
-  slice comes out of the segment's :class:`SegmentLogs` index, which
-  only ever absorbs the records appended since the last cut, and the
-  syscall slice ships as an ``InjectionLog``, so a worker builds its
-  lookup table once per cached blob, not once per unit.
+* **A log travels as chunks.** Syscall injection is keyed lookup —
+  ``(tid, seq)`` — so any superset of an epoch's reachable records
+  behaves identically (the serial paths pass the *full* log). The
+  segment's :class:`SegmentLogs` cuts the syscall log wherever a unit
+  is cut, each chunk is encoded and interned exactly once, and a unit
+  names the chunks covering the log from the first record its start
+  can reach to the cut — cut ahead, on the tail or rebuilt at the
+  merge alike. A chunk ships as an ``InjectionLog`` of plain-form
+  records (:func:`~repro.oskernel.syscalls.encode_record`), so a worker
+  decodes and indexes it once per cached blob and joins the indices of
+  the chunks a unit names. Never the tighter per-epoch window: what a
+  *diverging* attempt finds past its boundary is part of its result. A
+  replay unit names one chunk, the recording's whole log. Signal
+  deliveries (rare) still ship as one slice per unit.
 
 * **Hints by window.** The sync hints a record unit needs are the
   suffix of the segment's acquisition hints from its epoch's start mark
@@ -155,11 +158,12 @@ class RecordEpochUnit:
     #: next checkpoint — per-thread targets + the end state to verify —
     #: as a pure delta against ``start``
     boundary: WireCheckpoint
-    #: the segment-level syscall-log slice (shared by every unit)
-    syscalls: BlobRef
-    #: the segment-level signal-delivery slice (shared by every unit)
+    #: the syscall log from the first record ``start`` can reach to the
+    #: unit's cut: the segment's chunks covering it, in log order
+    syscalls: Tuple[BlobRef, ...]
+    #: the signal deliveries reachable from ``start``, logged by the cut
     signals: BlobRef
-    #: the segment's whole acquisition-hint tuple (shared by every unit)
+    #: the acquisition hints the unit's window is a suffix of
     sync_events: BlobRef
     #: this unit's start offset into the hint tuple (its hints are the
     #: suffix ``hints[sync_start:]``)
@@ -174,7 +178,7 @@ class RecordEpochUnit:
         """Every blob digest a worker must resolve to run this unit."""
         required = set(self.start.blob_digests())
         required.update(self.boundary.blob_digests())
-        required.add(self.syscalls.digest)
+        required.update(chunk.digest for chunk in self.syscalls)
         required.add(self.signals.digest)
         required.add(self.sync_events.digest)
         return required
@@ -198,8 +202,8 @@ class ReplayEpochUnit:
     sync_events: Tuple[tuple, ...]
     #: guest-state digest the replay must reach
     end_digest: int
-    #: the recording's epoch-reachable syscall log (shared by every unit)
-    syscalls: BlobRef
+    #: the recording's syscall log: one chunk (shared by every unit)
+    syscalls: Tuple[BlobRef, ...]
     #: the recording's signal-delivery log (shared by every unit)
     signals: BlobRef
     #: fault-injection directives for this unit (see ``RecordEpochUnit``)
@@ -208,7 +212,7 @@ class ReplayEpochUnit:
     def required_digests(self) -> Set[int]:
         """Every blob digest a worker must resolve to run this unit."""
         required = set(self.start.blob_digests())
-        required.add(self.syscalls.digest)
+        required.update(chunk.digest for chunk in self.syscalls)
         required.add(self.signals.digest)
         return required
 
@@ -240,13 +244,14 @@ def intern_object(obj, blobs: Dict[int, bytes]) -> BlobRef:
     return BlobRef(digest, obj)
 
 
-def _intern_syscalls(records: tuple, blobs: Dict[int, bytes]) -> BlobRef:
-    """Intern a syscall log as an ``InjectionLog``: a worker indexes it
-    once per cached blob. The coordinator's shortcut stays the plain
-    records, so a serial fallback runs the unit as a cold worker would."""
-    ref = intern_object(InjectionLog(records), blobs)
-    ref._local = records
-    return ref
+def _intern_chunk(records: Sequence[SyscallRecord], blobs: Dict[int, bytes]) -> BlobRef:
+    """Encode one log chunk into the batch blob set and return its reference.
+
+    It ships as an ``InjectionLog``: a worker decodes and indexes it
+    once per cached blob.
+    """
+    obs_metrics.process_stats().add("work.syscall_records_encoded", len(records))
+    return intern_object(InjectionLog(records), blobs)
 
 
 def _intern_pages(pages: Iterable, blobs: Dict[int, bytes]) -> None:
@@ -262,24 +267,35 @@ def _intern_pages(pages: Iterable, blobs: Dict[int, bytes]) -> None:
 
 def _record_unit(
     position: int, start: Checkpoint, boundary: Checkpoint,
-    blobs: Dict[int, bytes], **fields,
+    logs: SegmentLogs, blobs: Dict[int, bytes], **fields,
 ) -> RecordEpochUnit:
-    """The record unit of the epoch ``start`` → ``boundary``.
+    """The record unit of the epoch ``start`` → ``boundary``, cut now.
 
     The one place a :class:`RecordEpochUnit` is built. The boundary
     ships as a delta and only the pages that delta names are interned:
     ``blobs`` is one segment's set, filled in position order, so every
     other page of either checkpoint came in with an earlier position —
-    or, at position 0, with the one full walk of the start table.
+    or, at position 0, with the one full walk of the start table. The
+    logs are what ``start`` can reach of everything logged so far: the
+    syscalls as ``logs``' chunks (only those not cut before are encoded
+    now), the signals as one slice.
     """
     delta = boundary.wire_delta(start)
     if position == 0:
         _intern_pages(start.memory.pages.values(), blobs)
     pages = boundary.memory.pages
     _intern_pages((pages[no] for no in delta.page_changes), blobs)
+    chunks = logs.syscall_chunks(
+        start, lambda records: _intern_chunk(records, blobs)
+    )
     obs_metrics.process_stats().add("work.units_built")
     return RecordEpochUnit(
-        position=position, start=start.to_wire(), boundary=delta, **fields
+        position=position,
+        start=start.to_wire(),
+        boundary=delta,
+        syscalls=tuple(chunks),
+        signals=intern_object(logs.signals_from(start), blobs),
+        **fields,
     )
 
 
@@ -300,18 +316,15 @@ def record_units_for_segment(
     ``positions`` names the epochs to build (default: all) — the merge
     asks only for those it has no usable result for; ``blobs`` is the
     segment's blob set they join (default: a fresh one, which needs
-    position 0 among them) and ``logs`` its index (default: built here).
+    position 0 among them) and ``logs`` its index and chunks (default:
+    built here; the two belong together — a chunk is interned into the
+    blob set that was current when it was cut).
 
-    The logs are sliced ONCE, at segment level: everything reachable from
-    the segment's first checkpoint. Per-unit tighter slices would be
-    redundant (injection is keyed lookup; extra records are never
-    consulted) and would defeat blob sharing across the segment's units.
+    The hints ship ONCE, as the segment's whole tuple, and every unit
+    carries its start offset into it.
     """
     blobs = {} if blobs is None else blobs
-    logs = logs or SegmentLogs(syscall_log, signal_log)
-    syscalls, signals = logs.reachable_from(checkpoints[0])
-    syscalls_ref = _intern_syscalls(syscalls, blobs)
-    signals_ref = intern_object(signals, blobs)
+    logs = logs or SegmentLogs(syscall_log, signal_log, checkpoints[0])
     hints_ref = intern_object(tuple(hints), blobs)
     if positions is None:
         positions = range(len(checkpoints) - 1)
@@ -320,10 +333,9 @@ def record_units_for_segment(
             position,
             checkpoints[position],
             checkpoints[position + 1],
+            logs,
             blobs,
             epoch_index=first_epoch_index + position,
-            syscalls=syscalls_ref,
-            signals=signals_ref,
             sync_events=hints_ref,
             sync_start=hint_marks[position],
             use_sync_hints=use_sync_hints,
@@ -339,31 +351,29 @@ def speculative_record_unit(
     start: Checkpoint,
     boundary: Checkpoint,
     hints_window: Sequence[tuple],
-    syscalls: Sequence[SyscallRecord],
-    signals: Sequence[tuple],
+    logs: SegmentLogs,
     use_sync_hints: bool,
     blobs: Dict[int, bytes],
 ) -> RecordEpochUnit:
     """Package one epoch for dispatch while its segment is in progress.
 
-    Unlike :func:`record_units_for_segment` the unit ships snapshots cut
-    at dispatch time: the hint window ``hints[mark:cut]`` as its own
-    tuple (``sync_start=0``) and the records reachable from ``start``
-    logged *so far*. The recorder validates, when it merges the result,
-    that nothing arriving after the cut could have been consulted (see
-    ``DoublePlayRecorder``) — trivially so for the tail units it cuts
-    once the thread-parallel run has finished. Blob interning goes
-    through the session-shared ``blobs`` dict so consecutive units
-    dedupe their checkpoint pages.
+    Unlike :func:`record_units_for_segment` the unit ships its hints as
+    a snapshot cut at dispatch time: the window ``hints[mark:cut]`` as
+    its own tuple (``sync_start=0``), beside the records reachable from
+    ``start`` logged *so far*. The recorder validates, when it merges
+    the result, that nothing arriving after the cut could have been
+    consulted (see ``DoublePlayRecorder``) — trivially so for the tail
+    units it cuts once the thread-parallel run has finished. Blob
+    interning goes through the session-shared ``blobs`` dict so
+    consecutive units dedupe their checkpoint pages and log chunks.
     """
     return _record_unit(
         position,
         start,
         boundary,
+        logs,
         blobs,
         epoch_index=epoch_index,
-        syscalls=_intern_syscalls(syscalls, blobs),
-        signals=intern_object(tuple(signals), blobs),
         sync_events=intern_object(tuple(hints_window), blobs),
         sync_start=0,
         use_sync_hints=use_sync_hints,
@@ -375,12 +385,12 @@ def replay_units_for_recording(recording) -> UnitBatch:
 
     Requires materialised start checkpoints (like any parallel replay).
     The logs ship whole — exactly what the serial replayer consumes — as
-    two blobs shared by every unit.
+    one chunk and one signal blob shared by every unit.
     """
     from repro.errors import ReplayError
 
     blobs: Dict[int, bytes] = {}
-    syscalls_ref = _intern_syscalls(tuple(recording.syscalls_for_epochs()), blobs)
+    syscalls = (_intern_chunk(recording.syscalls_for_epochs(), blobs),)
     signals_ref = intern_object(tuple(recording.signal_records), blobs)
     units = []
     for position, epoch in enumerate(recording.epochs):
@@ -400,7 +410,7 @@ def replay_units_for_recording(recording) -> UnitBatch:
                 schedule=epoch.schedule,
                 sync_events=epoch.sync_log.events,
                 end_digest=epoch.end_digest,
-                syscalls=syscalls_ref,
+                syscalls=syscalls,
                 signals=signals_ref,
             )
         )

@@ -33,6 +33,7 @@ from repro import options
 from repro.core.epoch_runner import run_epoch
 from repro.core.replayer import run_replay_epoch
 from repro.errors import WorkerTaskError
+from repro.exec.services import InjectionLog
 from repro.host import faults as fault_injection
 from repro.host.blobs import BlobCache, decode_blob_object
 from repro.host.wire import NeedBlobs, RecordEpochUnit, ReplayEpochUnit, UnitTiming
@@ -165,12 +166,23 @@ def _ref(ref, resolve):
     return ref._local if resolve is None else resolve(ref.digest)
 
 
+def _log(chunks, resolve):
+    """A unit's syscall log: its chunks' ``InjectionLog``s, joined.
+
+    A serial fallback indexes its chunks afresh, as a cold worker does,
+    so the two runs of a unit report the same counters.
+    """
+    if resolve is None:
+        return InjectionLog.join([InjectionLog(chunk._local) for chunk in chunks])
+    return InjectionLog.join([resolve(chunk.digest) for chunk in chunks])
+
+
 def _record_inputs(unit, resolve):
     start = unit.start.hydrate(resolve)
     return (
         start,
         unit.boundary.hydrate(resolve, base_pages=start.memory.pages),
-        _ref(unit.syscalls, resolve),
+        _log(unit.syscalls, resolve),
         _ref(unit.signals, resolve),
         _ref(unit.sync_events, resolve),
     )
@@ -193,7 +205,7 @@ def _record_body(program, machine, unit, start, boundary, syscalls, signals, hin
 def _replay_inputs(unit, resolve):
     return (
         unit.start.hydrate(resolve),
-        _ref(unit.syscalls, resolve),
+        _log(unit.syscalls, resolve),
         _ref(unit.signals, resolve),
     )
 

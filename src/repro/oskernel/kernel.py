@@ -17,6 +17,7 @@ from repro.errors import SyscallError
 from repro.memory.address_space import AddressSpace
 from repro.memory.hashing import hash_structure
 from repro.memory.layout import PAGE_WORDS
+from repro.obs import metrics as obs_metrics
 from repro.oskernel.files import SimFileSystem
 from repro.oskernel.net import Arrival, SimNetwork
 from repro.oskernel.syscalls import (
@@ -56,6 +57,9 @@ class Kernel:
         self._rng = DeterministicRng(setup.rand_seed, "kernel-rand")
         self._brk = heap_base
         self.output: List[int] = []
+        #: ``output`` as the last snapshot froze it; PRINT only appends,
+        #: so it is current exactly while the lengths agree
+        self._output_frozen: Tuple[int, ...] = ()
         #: (wake time, insertion seq, tid) for sleeping threads
         self._sleepers: List[Tuple[int, int, int]] = []
         self._sleep_seq = 0
@@ -215,12 +219,24 @@ class Kernel:
     # Snapshot / restore / digest
     # ------------------------------------------------------------------
     def snapshot(self) -> Tuple:
+        """The whole OS state as plain immutable data.
+
+        The contract every part keeps: equal, field for field, to a full
+        copy of the live state; never aliased to it (no later syscall
+        changes a snapshot already taken); and O(touched) — files,
+        connections and output are frozen again only when they changed
+        since the last snapshot or restore (``work.snapshot_words``
+        counts the words copied).
+        """
+        if len(self._output_frozen) != len(self.output):
+            obs_metrics.process_stats().add("work.snapshot_words", len(self.output))
+            self._output_frozen = tuple(self.output)
         return (
             self.fs.snapshot(),
             self.net.snapshot(),
             self._rng.getstate(),
             self._brk,
-            tuple(self.output),
+            self._output_frozen,
             tuple(self._sleepers),
             self._sleep_seq,
             tuple(self._timers),
@@ -244,6 +260,7 @@ class Kernel:
         self._rng.setstate(rng_state)
         self._brk = brk
         self.output = list(output)
+        self._output_frozen = tuple(output)
         self._sleepers = [tuple(entry) for entry in sleepers]
         self._sleep_seq = sleep_seq
         self._timers = [tuple(entry) for entry in timers]

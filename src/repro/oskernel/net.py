@@ -10,6 +10,11 @@ record/replay system must capture.
 Responses ``send``-ed on a connection are captured per connection so
 workload validators can check them, and so replay fidelity is observable
 end to end.
+
+Snapshots are copy-on-write: the network keeps each connection's frozen
+form from the last snapshot and the fds touched since, so a snapshot
+re-freezes the touched connections only — its cost follows what the
+epoch did, not how many connections the run has accepted.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SyscallError
+from repro.obs import metrics as obs_metrics
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,14 @@ class SimNetwork:
         self._backlog: List[Tuple[int, ...]] = []
         self._listening = False
         self._connections: Dict[int, _Connection] = {}
+        #: fd → frozen ``(payload, cursor, responses)`` as of the last
+        #: snapshot or restore, in ``_connections`` order
+        self._frozen: Dict[int, Tuple] = {}
+        #: fds accepted, read or written since then, in first-touch order
+        #: (a dict as an ordered set: a new connection joins ``_frozen``
+        #: where ``_connections`` has it — the order ``restore`` rebuilds
+        #: and ``all_responses()`` then reports)
+        self._touched: Dict[int, None] = {}
         self._next_conn_fd = 1000
         #: tids blocked in accept, FIFO
         self.accept_waiters: List[int] = []
@@ -90,6 +104,7 @@ class SimNetwork:
         self._connections[fd] = _Connection(
             payload=list(payload), cursor=0, responses=[]
         )
+        self._touched[fd] = None
         return fd
 
     def recv(self, fd: int, maxlen: int) -> List[int]:
@@ -98,6 +113,7 @@ class SimNetwork:
             raise SyscallError(f"recv on unknown connection fd {fd}")
         chunk = conn.payload[conn.cursor : conn.cursor + maxlen]
         conn.cursor += len(chunk)
+        self._touched[fd] = None
         return chunk
 
     def send(self, fd: int, words: List[int]) -> int:
@@ -105,6 +121,7 @@ class SimNetwork:
         if conn is None:
             raise SyscallError(f"send on unknown connection fd {fd}")
         conn.responses.extend(words)
+        self._touched[fd] = None
         return len(words)
 
     def all_responses(self) -> Dict[int, List[int]]:
@@ -126,14 +143,24 @@ class SimNetwork:
     # Snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> Tuple:
+        """The network's state as plain immutable data.
+
+        Value-equal to a full copy, never aliased to live state, and
+        O(connections touched since the last snapshot or restore).
+        """
+        frozen = self._frozen
+        words = 0
+        for fd in self._touched:
+            conn = self._connections[fd]
+            frozen[fd] = (tuple(conn.payload), conn.cursor, tuple(conn.responses))
+            words += len(conn.payload) + len(conn.responses)
+        self._touched.clear()
+        obs_metrics.process_stats().add("work.snapshot_words", words)
         return (
             self._next_arrival,
             tuple(tuple(payload) for payload in self._backlog),
             self._listening,
-            {
-                fd: (tuple(conn.payload), conn.cursor, tuple(conn.responses))
-                for fd, conn in self._connections.items()
-            },
+            dict(frozen),
             self._next_conn_fd,
             tuple(self.accept_waiters),
         )
@@ -152,4 +179,6 @@ class SimNetwork:
             fd: _Connection(payload=list(payload), cursor=cursor, responses=list(responses))
             for fd, (payload, cursor, responses) in connections.items()
         }
+        self._frozen = dict(connections)
+        self._touched.clear()
         self.accept_waiters = list(accept_waiters)

@@ -11,8 +11,8 @@ kernel.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence, Tuple
 
 
 class SyscallKind(enum.Enum):
@@ -80,8 +80,7 @@ class SignalDelivery:
     handler_pc: int
 
 
-@dataclass(frozen=True)
-class SyscallRecord:
+class SyscallRecord(NamedTuple):
     """One logged syscall completion (what recordings store).
 
     ``seq`` is the per-thread syscall sequence number — the index the
@@ -99,3 +98,28 @@ class SyscallRecord:
         """Approximate log footprint in words (for the log-size table)."""
         data_words = sum(len(words) for _, words in self.writes)
         return 4 + 2 * len(self.writes) + data_words
+
+
+# ----------------------------------------------------------------------
+# The one serialised form of a record: the plain tuple ``(tid, seq,
+# kind.value, retval, writes, transferred)``. Durable shard frames, wire
+# log chunks and the JSON recording all encode and decode through these
+# two functions.
+# ----------------------------------------------------------------------
+_KIND_BY_VALUE = {kind.value: kind for kind in SyscallKind}
+
+
+def encode_record(record: SyscallRecord) -> tuple:
+    """A record's plain form (a real ``tuple``: it pickles as data, with
+    no reference to this module)."""
+    tid, seq, kind, retval, writes, transferred = record
+    # ``_value_`` is ``.value`` without the descriptor call (one per record).
+    return (tid, seq, kind._value_, retval, writes, transferred)
+
+
+def decode_record(plain: Sequence) -> SyscallRecord:
+    """The record of a plain form; ``writes`` may arrive as JSON lists."""
+    tid, seq, kind, retval, writes, transferred = plain
+    if writes.__class__ is not tuple:
+        writes = tuple((base, tuple(words)) for base, words in writes)
+    return SyscallRecord(tid, seq, _KIND_BY_VALUE[kind], retval, writes, transferred)

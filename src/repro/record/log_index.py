@@ -9,12 +9,13 @@ the recorder cuts epoch work units and checks its speculation that way
 (:mod:`repro.core.recorder`), and the host wire slices what a unit
 ships (:mod:`repro.host.wire`). :class:`ThreadLogIndex` answers it with
 a bisect per thread; :class:`SegmentLogs` keeps a pair of them current
-over a growing log at O(new records) per query.
+over a growing log at O(new records) per query, and cuts the syscall
+log into the chunks the wire encodes once each.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint
@@ -108,6 +109,19 @@ class ThreadLogIndex:
         selected.sort()
         return tuple(self._records[p] for p in selected)
 
+    def first_from(self, floors: Dict[int, int]) -> int:
+        """Log position of the first record :meth:`slice_from` selects;
+        the log's length when it selects none."""
+        first = len(self._records)
+        for tid, (keys, positions) in self._by_tid.items():
+            lowest = bisect_left(keys, floors.get(tid, 0))
+            if lowest < len(keys):
+                reached = (
+                    positions[lowest] if self._in_order else min(positions[lowest:])
+                )
+                first = min(first, reached)
+        return first
+
     def late_below(self, floors: Dict[int, int], cut: int) -> bool:
         """Does any record at log position >= ``cut`` lie below its
         thread's floor? A bisect per thread, not a scan of ``log[cut:]``.
@@ -198,21 +212,57 @@ class SegmentLogs:
     since the last query: every cut costs O(new records), not O(log).
     """
 
-    def __init__(self, syscall_log: Sequence[SyscallRecord], signal_log: Sequence[tuple]):
+    def __init__(
+        self,
+        syscall_log: Sequence[SyscallRecord],
+        signal_log: Sequence[tuple],
+        start: Checkpoint,
+    ):
         #: (index, the log it grows with, a checkpoint's floors in it)
         self._logs = (
             (ThreadLogIndex.for_syscalls(syscall_log), syscall_log,
              Checkpoint.syscall_counts),
             (ThreadLogIndex.for_signals(signal_log), signal_log, Checkpoint.targets),
         )
+        #: syscall-log positions the chunks are cut at, ascending: chunk
+        #: k is ``log[bounds[k]:bounds[k + 1]]``. The first is the first
+        #: record the segment's ``start`` can reach — after a recovery
+        #: the log below it is committed history no unit of this segment
+        #: consults.
+        self._chunk_bounds: List[int] = [
+            self._logs[0][0].first_from(start.syscall_counts())
+        ]
+        #: what ``make`` made of each chunk (see :meth:`syscall_chunks`)
+        self._chunks: List = []
 
-    def reachable_from(self, start: Checkpoint) -> Tuple[tuple, tuple]:
-        """``(syscalls, signals)`` logged so far that an epoch starting
-        at ``start`` can reach (see :func:`syscall_slice`)."""
-        return tuple(
-            index.extend_to(log).slice_from(floors(start))
-            for index, log, floors in self._logs
-        )
+    def signals_from(self, start: Checkpoint) -> tuple:
+        """The signal deliveries logged so far that an epoch starting at
+        ``start`` can reach (see :func:`signal_slice`)."""
+        index, log, floors = self._logs[1]
+        return index.extend_to(log).slice_from(floors(start))
+
+    def syscall_chunks(self, start: Checkpoint, make: Callable) -> list:
+        """The syscall log from the first record ``start`` can reach to
+        its end so far, as the chunks covering it.
+
+        Each call cuts the log at its present length — the recorder
+        asks at boundary checkpoints only — and ``make(records)`` is
+        called once per chunk, ever: what it returns (the wire's encoded
+        form) is what later calls hand out again. An interval that
+        logged nothing makes no chunk. A ``start`` that falls inside a
+        chunk gets that whole chunk: injection is keyed lookup, and the
+        extra records lie below the floors the epoch starts at.
+        """
+        index, log, floors = self._logs[0]
+        index.extend_to(log)
+        bounds = self._chunk_bounds
+        if bounds[-1] < len(log):
+            self._chunks.append(make(log[bounds[-1] :]))
+            bounds.append(len(log))
+        first = index.first_from(floors(start))
+        if first < bounds[0]:
+            raise ValueError("start lies before the segment's own start")
+        return self._chunks[bisect_right(bounds, first) - 1 :]
 
     def late_below(self, boundary: Checkpoint, cuts: Sequence[int]) -> bool:
         """Was anything logged at or past ``cuts`` (a log length per log)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint
-from repro.oskernel.syscalls import SyscallKind, SyscallRecord
+from repro.oskernel.syscalls import SyscallRecord, decode_record, encode_record
 from repro.record.schedule_log import ScheduleLog
 from repro.record.sync_log import SyncOrderLog
 
@@ -190,15 +190,12 @@ class Recording:
                 }
                 for e in self.epochs
             ],
+            # The record's plain form, keyed by field name for JSON.
             "syscalls": [
-                {
-                    "tid": r.tid,
-                    "seq": r.seq,
-                    "kind": r.kind.value,
-                    "retval": r.retval,
-                    "writes": [[base, list(words)] for base, words in r.writes],
-                    "transferred": r.transferred,
-                }
+                dict(
+                    zip(SyscallRecord._fields, encode_record(r)),
+                    writes=[[base, list(words)] for base, words in r.writes],
+                )
                 for r in self.syscall_records
             ],
             "signals": [list(record) for record in self.signal_records],
@@ -212,7 +209,6 @@ class Recording:
         the program image); per-epoch start checkpoints are not restored —
         sequential replay regenerates state epoch by epoch.
         """
-        kinds = {kind.value: kind for kind in SyscallKind}
         recording = cls(
             program_name=plain["program"],
             worker_threads=plain["worker_threads"],
@@ -238,16 +234,7 @@ class Recording:
             )
             previous = None  # only epoch 0 has a materialised checkpoint
         recording.syscall_records = [
-            SyscallRecord(
-                tid=r["tid"],
-                seq=r["seq"],
-                kind=kinds[r["kind"]],
-                retval=r["retval"],
-                writes=tuple(
-                    (base, tuple(words)) for base, words in r["writes"]
-                ),
-                transferred=r["transferred"],
-            )
+            decode_record([r[name] for name in SyscallRecord._fields])
             for r in plain["syscalls"]
         ]
         recording.signal_records = [

@@ -68,7 +68,7 @@ from repro.memory.page import Page
 from repro import options
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.oskernel.syscalls import SyscallKind, SyscallRecord
+from repro.oskernel.syscalls import SyscallRecord, decode_record, encode_record
 from repro.record.recording import EpochRecord, Recording
 from repro.record.schedule_log import ScheduleLog, Timeslice
 from repro.record.segment import (
@@ -562,17 +562,7 @@ class ShardedLogWriter:
         for rank, position in enumerate(positions):
             record = log[position]
             per_tid.setdefault(record.tid, []).append(
-                (
-                    rank,
-                    (
-                        record.tid,
-                        record.seq,
-                        record.kind.value,
-                        record.retval,
-                        record.writes,
-                        record.transferred,
-                    ),
-                )
+                (rank, encode_record(record))
             )
         return [
             self._frame(
@@ -1107,7 +1097,6 @@ class ShardedLogReader:
         self.store = BlobStore(os.path.join(directory, "blobs"))
         self._readers: Dict[int, SegmentReader] = {}
         self._pages: Dict[int, Page] = {}
-        self._kinds = {kind.value: kind for kind in SyscallKind}
 
     # -- introspection --------------------------------------------------
     @property
@@ -1229,24 +1218,8 @@ class ShardedLogReader:
                 for rank, addr, code in _SYNC_REC.iter_unpack(payload):
                     sync_events.append((rank, (sync_kinds[code], addr, tid)))
             elif stream == STREAM_SYSCALL:
-                for rank, fields in pickle.loads(payload):
-                    rtid, seq, kind, retval, writes, transferred = fields
-                    syscalls.append(
-                        (
-                            rank,
-                            SyscallRecord(
-                                tid=rtid,
-                                seq=seq,
-                                kind=self._kinds[kind],
-                                retval=retval,
-                                writes=tuple(
-                                    (base, tuple(words))
-                                    for base, words in writes
-                                ),
-                                transferred=transferred,
-                            ),
-                        )
-                    )
+                for rank, plain in pickle.loads(payload):
+                    syscalls.append((rank, decode_record(plain)))
             elif stream == STREAM_SIGNAL:
                 for rank, record in pickle.loads(payload):
                     signals.append((rank, tuple(record)))

@@ -386,6 +386,27 @@ def _lose_unit(monkeypatch, tmp_path, kind, position):
 
         monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", starved)
         return {}
+    if kind == "evicted-chunk":
+        # Workers keep nothing — a zero budget evicts every blob as it
+        # lands, and says so — and this position's dispatches leave its
+        # log chunks out, as they do when the mirror still believes a
+        # chunk held that a worker has just evicted: the worker answers
+        # NeedBlobs and the coordinator resends in full.
+        monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "0")
+        make_dispatch = host_executor.HostExecutor._make_dispatch
+
+        def evicted(self, batch, index, pids=(), full=False):
+            dispatch = make_dispatch(self, batch, index, pids=pids, full=full)
+            if batch.kind == "record" and index == position and not full:
+                chunks = [chunk.digest for chunk in dispatch.unit.syscalls]
+                assert chunks, "the unit sees no log chunk: pick another position"
+                for digest in chunks:
+                    dispatch.blobs.pop(digest, None)
+                batch.last_shipped[index] -= set(chunks)
+            return dispatch
+
+        monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", evicted)
+        return {}
     if kind == "crash-once":
         monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
         return {"host_faults": f"record:crash:unit{position}:once"}
@@ -407,6 +428,12 @@ STREAM_FAULTS = [
     ("clean", 2, "memory", "1", "hang", -1),
     ("clean", 2, "log", "1", "needblobs", -1),
     ("clean", 3, "spill", "1", "needblobs", -2),
+    # The log travels as chunks a unit shares with its neighbours: one
+    # evicted under the unit that needs it, and the worker that took a
+    # chunk's first shipment dying with it (mid-run and on the tail).
+    ("clean", 2, "log", "1", "evicted-chunk", -6),
+    ("clean", 3, "spill", "0", "evicted-chunk", -2),
+    ("clean", 2, "log", "1", "crash-once", -7),
     ("clean", 2, "log", "0", "error", -1),
     ("clean", 2, "memory", "0", "crash-once", -2),
     ("recovering", 2, "log", "1", "error", 0),
@@ -447,7 +474,7 @@ def test_a_unit_lost_under_the_streaming_merge_changes_nothing_recorded(
     )
     if pipeline == "0":
         assert spec["dispatched"] == 0  # units held for a verdict are not speculation
-    if kind == "needblobs":
+    if kind in ("needblobs", "evicted-chunk"):
         assert faulted.host["wire"]["blob_resends"] >= 1
         assert not any(counts.values())
     elif kind == "crash-once":

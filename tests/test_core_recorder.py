@@ -154,6 +154,26 @@ class TestServerRecording:
         kernel = result.committed_kernel(inst.setup, inst.image.heap_base)
         assert inst.validate(kernel)
 
+    @pytest.mark.parametrize("name,scale", [("apache", 12), ("racy-counter", 8)])
+    def test_committed_kernel_is_the_same_at_any_jobs(self, name, scale):
+        """Copy-on-write snapshots at record level: the committed kernel
+        state — taken across recoveries, each of which restarts its
+        segment from a restored kernel — is equal at ``jobs`` 1 and 2
+        and still satisfies the workload's own validator."""
+        from repro.workloads import build_workload
+
+        inst = build_workload(name, workers=2, scale=scale, seed=11)
+        serial, pooled = (
+            record(inst.image, inst.setup, epoch_cycles=1500, host_jobs=jobs)
+            for jobs in (1, 2)
+        )
+        assert (serial.stats["recoveries"] > 1) == (name == "racy-counter")
+        assert serial.final_kernel_state == pooled.final_kernel_state
+        for result in (serial, pooled):
+            kernel = result.committed_kernel(inst.setup, inst.image.heap_base)
+            assert inst.validate(kernel)
+            assert kernel.snapshot() == result.final_kernel_state
+
     def test_syscall_log_captures_inputs(self):
         from repro.workloads import build_workload
 

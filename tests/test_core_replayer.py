@@ -71,8 +71,6 @@ class TestSequentialReplay:
             pass  # departure detected even earlier
 
     def test_tampered_syscall_result_detected(self):
-        from dataclasses import replace
-
         from repro.workloads import build_workload
 
         inst = build_workload("pfscan", workers=2, scale=2, seed=2)
@@ -82,8 +80,8 @@ class TestSequentialReplay:
             if record.writes:
                 base, words = record.writes[0]
                 corrupted = (base, tuple(w + 1 for w in words))
-                recording.syscall_records[index] = replace(
-                    record, writes=(corrupted,) + record.writes[1:]
+                recording.syscall_records[index] = record._replace(
+                    writes=(corrupted,) + record.writes[1:]
                 )
                 break
         replayer = Replayer(inst.image, MachineConfig(cores=2))

@@ -3,12 +3,18 @@
 import pytest
 
 from repro.errors import DivergenceSignal
-from repro.exec.services import InjectedSyscalls, LiveSyscalls
+from repro.exec.services import InjectedSyscalls, InjectionLog, LiveSyscalls
 from repro.isa.context import ThreadContext
 from repro.memory.address_space import AddressSpace
 from repro.memory.layout import PAGE_WORDS
 from repro.oskernel.kernel import Kernel, KernelSetup
-from repro.oskernel.syscalls import SyscallDone, SyscallKind, SyscallRecord
+from repro.oskernel.syscalls import (
+    SyscallDone,
+    SyscallKind,
+    SyscallRecord,
+    decode_record,
+    encode_record,
+)
 
 
 def make_ctx(tid=1, syscalls=0):
@@ -115,3 +121,55 @@ class TestInjectedSyscalls:
         assert services.wakeups(100, make_mem()) == []
         assert services.signal_deliveries(100) == []
         assert services.next_event_time() is None
+
+
+class TestRecordCodec:
+    """One plain form per record; an ``InjectionLog`` travels in it."""
+
+    RECORDS = [
+        SyscallRecord(1, 0, SyscallKind.READ, 2, ((8, (5, 6)),), 2),
+        SyscallRecord(2, 0, SyscallKind.TIME, 17),
+        SyscallRecord(1, 1, SyscallKind.ALLOC, 640),
+    ]
+
+    def test_plain_form_round_trips_through_pickle_and_json(self):
+        import json
+        import pickle
+
+        for record in self.RECORDS:
+            plain = encode_record(record)
+            assert type(plain) is tuple and plain[2] == record.kind.value
+            assert decode_record(plain) == record
+            assert decode_record(pickle.loads(pickle.dumps(plain))) == record
+            # JSON turns every tuple into a list; decoding restores them.
+            decoded = decode_record(json.loads(json.dumps(plain)))
+            assert decoded == record and type(decoded.writes) is tuple
+            assert all(type(words) is tuple for _, words in decoded.writes)
+
+    def test_a_record_keeps_its_fields_defaults_and_size(self):
+        read, time, _ = self.RECORDS
+        assert (time.writes, time.transferred) == ((), 0)
+        assert (read.tid, read.seq, read.retval) == (1, 0, 2)
+        assert read.size_words() == 4 + 2 + 2 and time.size_words() == 4
+        assert read._replace(retval=3).retval == 3
+
+    def test_injection_log_pickles_as_plain_records(self):
+        import pickle
+
+        log = InjectionLog(self.RECORDS)
+        wire = pickle.dumps(log, protocol=4)
+        assert b"SyscallRecord" not in wire and b"SyscallKind" not in wire
+        clone = pickle.loads(wire)
+        assert type(clone) is InjectionLog and clone == log
+        assert clone._by_seq is None  # the index never crosses the wire
+
+    def test_join_merges_the_chunks_indices(self):
+        chunks = [InjectionLog(self.RECORDS[:2]), InjectionLog(self.RECORDS[2:])]
+        built = [chunk.by_seq for chunk in chunks]
+        joined = InjectionLog.join(chunks)
+        assert tuple(joined) == tuple(self.RECORDS)
+        assert joined._by_seq == {**built[0], **built[1]}
+        assert InjectionLog.join(chunks[:1]) is chunks[0]
+        services = InjectedSyscalls(joined)
+        outcome = services.invoke(make_ctx(1, 1), SyscallKind.ALLOC, (4,), make_mem(), 0)
+        assert outcome.retval == 640

@@ -142,19 +142,21 @@ def test_tracker_common_is_intersection_over_live_pids():
     tracker = WorkerCacheTracker()
     tracker.note_inserted(10, {1, 2, 3})
     tracker.note_inserted(11, {2, 3, 4})
-    assert tracker.common([10, 11]) == {2, 3}
+    everything = {1, 2, 3, 4, 5}
+    assert tracker.held_by_all([10, 11], everything) == {2, 3}
+    assert tracker.held_by_all([10, 11], {1, 3}) == {3}
     # Any unknown pid means the omission rule cannot fire at all.
-    assert tracker.common([10, 11, 12]) == set()
-    assert tracker.common([]) == set()
+    assert tracker.held_by_all([10, 11, 12], everything) == set()
+    assert tracker.held_by_all([], everything) == set()
 
 
 def test_tracker_evictions_and_forgetting():
     tracker = WorkerCacheTracker()
     tracker.note_inserted(10, {1, 2, 3})
     tracker.note_evicted(10, {2, 99})  # unknown digests are a no-op
-    assert tracker.common([10]) == {1, 3}
+    assert tracker.held_by_all([10], {1, 2, 3, 99}) == {1, 3}
     tracker.forget_worker(10)
-    assert tracker.common([10]) == set()
+    assert tracker.held_by_all([10], {1, 2, 3}) == set()
 
 
 def test_tracker_prune_drops_dead_pids():
@@ -162,8 +164,8 @@ def test_tracker_prune_drops_dead_pids():
     tracker.note_inserted(10, {1})
     tracker.note_inserted(11, {1})
     tracker.prune([11])
-    assert tracker.common([10]) == set()
-    assert tracker.common([11]) == {1}
+    assert tracker.held_by_all([10], {1}) == set()
+    assert tracker.held_by_all([11], {1}) == {1}
 
 
 # ----------------------------------------------------------------------

@@ -98,8 +98,12 @@ def captured():
     assert outcome.verified
     by_kind = {}
     for dispatch in seam.dispatches:
-        by_kind.setdefault(type(dispatch.unit), dispatch)
-    return by_kind[RecordEpochUnit], by_kind[ReplayEpochUnit]
+        by_kind.setdefault(type(dispatch.unit), []).append(dispatch)
+    # The record unit whose log spans the most chunks: the worker joins
+    # them out of its cache, the fallback out of the coordinator's.
+    record = max(by_kind[RecordEpochUnit], key=lambda d: len(d.unit.syscalls))
+    assert len(record.unit.syscalls) > 1
+    return record, by_kind[ReplayEpochUnit][0]
 
 
 def _run_both_ways(monkeypatch, dispatch):
@@ -114,7 +118,7 @@ def _run_both_ways(monkeypatch, dispatch):
         shipped = pickle.loads(pickle.dumps(dispatch))
         assert shipped._local_program is None
         assert shipped.unit.start._local is None
-        assert shipped.unit.syscalls._local is None
+        assert all(chunk._local is None for chunk in shipped.unit.syscalls)
         _, worker_value, timing = host_worker.run_unit(shipped)
         assert not isinstance(worker_value, Exception), worker_value
         assert timing.blob_cache_misses == len(shipped.blobs)

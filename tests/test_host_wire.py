@@ -301,10 +301,9 @@ def test_replay_units_roundtrip_preserves_digests():
         assert clone.schedule.slices == epoch.schedule.slices
         # The shared log references strip their coordinator shortcut and
         # resolve (through the batch blob set) to the serial path's logs.
-        assert clone.syscalls._local is None
-        assert resolve(clone.syscalls.digest) == tuple(
-            result.recording.syscalls_for_epochs()
-        )
+        (chunk,) = clone.syscalls  # a replay's log is one chunk
+        assert chunk._local is None
+        assert resolve(chunk.digest) == tuple(result.recording.syscalls_for_epochs())
         assert resolve(clone.signals.digest) == tuple(
             result.recording.signal_records
         )

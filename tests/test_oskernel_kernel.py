@@ -1,6 +1,16 @@
 """Simulated kernel: syscalls, wakeups, snapshot/restore."""
 
+import copy
+
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.errors import SyscallError
 from repro.memory.address_space import AddressSpace
@@ -200,3 +210,167 @@ class TestSnapshot:
         before = kernel.digest()
         call(kernel, mem, SyscallKind.PRINT, 1)
         assert kernel.digest() != before
+
+
+# ----------------------------------------------------------------------
+# The snapshot contract, as a state machine
+#
+# ``Kernel.snapshot()`` is copy-on-write: files, connections and output
+# are frozen again only when touched since the last snapshot or restore.
+# Over random syscall / snapshot / restore sequences: (1) every snapshot
+# equals a full copy of the live state made from scratch, dict order
+# included; (2) no snapshot already taken changes when the kernel moves
+# on; (3) ``restore(s)`` then ``snapshot()`` gives ``s`` back — into the
+# same kernel or a fresh one, which is how a recovery restarts a segment.
+# ----------------------------------------------------------------------
+def full_copy(kernel):
+    """The kernel's state copied from scratch: the snapshot's reference."""
+    fs, net = kernel.fs, kernel.net
+    return (
+        (
+            {fid: tuple(data) for fid, data in fs.files.items()},
+            {fd: (h.file_id, h.offset) for fd, h in fs._descriptors.items()},
+            fs._next_fd,
+        ),
+        (
+            net._next_arrival,
+            tuple(tuple(payload) for payload in net._backlog),
+            net._listening,
+            {
+                fd: (tuple(conn.payload), conn.cursor, tuple(conn.responses))
+                for fd, conn in net._connections.items()
+            },
+            net._next_conn_fd,
+            tuple(net.accept_waiters),
+        ),
+        kernel._rng.getstate(),
+        kernel._brk,
+        tuple(kernel.output),
+        tuple(kernel._sleepers),
+        kernel._sleep_seq,
+        tuple(kernel._timers),
+        kernel._timer_seq,
+    )
+
+
+def _with_order(state):
+    """``state`` plus the key order of its two big dicts (== ignores it)."""
+    return state, list(state[0][0]), list(state[1][3])
+
+
+SETUP = KernelSetup(
+    files={4: [1, 2, 3, 4, 5, 6], 2: [7]},
+    arrivals=[Arrival(time=5 * k, payload=(k, k + 1, k + 2)) for k in range(8)],
+    rand_seed=3,
+)
+WORDS = st.lists(st.integers(0, 99), min_size=1, max_size=3)
+
+
+class SnapshotMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.kernel = Kernel(SETUP, heap_base=10 * PAGE_WORDS)
+        self.mem = AddressSpace()
+        self.mem.map_range(0, 4 * PAGE_WORDS)
+        #: (snapshot, deep copy made when it was taken)
+        self.taken = []
+
+    def call(self, kind, *args, now=0):
+        return self.kernel.syscall(1, kind, args, self.mem, now)
+
+    def connections(self):
+        return sorted(self.kernel.net._connections)
+
+    def descriptors(self):
+        return sorted(self.kernel.fs._descriptors)
+
+    @initialize(listening=st.booleans())
+    def maybe_listening(self, listening):
+        if listening:
+            self.call(SyscallKind.LISTEN)
+
+    @rule()
+    def listen(self):
+        self.call(SyscallKind.LISTEN)
+
+    @precondition(lambda self: self.kernel.net._listening)
+    @rule(now=st.integers(0, 45), tid=st.integers(1, 3))
+    def accept(self, now, tid):
+        self.kernel.syscall(tid, SyscallKind.ACCEPT, (999,), self.mem, now)
+
+    @precondition(lambda self: self.kernel.net._listening)
+    @rule(now=st.integers(0, 45))
+    def admit(self, now):
+        self.kernel.wakeups(now, self.mem)
+
+    @precondition(lambda self: self.connections())
+    @rule(data=st.data(), maxlen=st.integers(0, 3))
+    def recv(self, data, maxlen):
+        fd = data.draw(st.sampled_from(self.connections()))
+        self.call(SyscallKind.RECV, fd, 8, maxlen)
+
+    @precondition(lambda self: self.connections())
+    @rule(data=st.data(), words=WORDS)
+    def send(self, data, words):
+        fd = data.draw(st.sampled_from(self.connections()))
+        self.mem.write_block(16, words)
+        self.call(SyscallKind.SEND, fd, 16, len(words))
+
+    @rule(file_id=st.sampled_from([4, 2, 9, 6]))
+    def open(self, file_id):
+        self.call(SyscallKind.OPEN, file_id)
+
+    @precondition(lambda self: self.descriptors())
+    @rule(data=st.data(), maxlen=st.integers(0, 4))
+    def read(self, data, maxlen):
+        fd = data.draw(st.sampled_from(self.descriptors()))
+        self.call(SyscallKind.READ, fd, 8, maxlen)
+
+    @precondition(lambda self: self.descriptors())
+    @rule(data=st.data(), words=WORDS)
+    def write(self, data, words):
+        fd = data.draw(st.sampled_from(self.descriptors()))
+        self.mem.write_block(16, words)
+        self.call(SyscallKind.WRITE, fd, 16, len(words))
+
+    @precondition(lambda self: self.descriptors())
+    @rule(data=st.data())
+    def close(self, data):
+        self.call(SyscallKind.CLOSE, data.draw(st.sampled_from(self.descriptors())))
+
+    @rule(value=st.integers(0, 9))
+    def print_(self, value):
+        self.call(SyscallKind.PRINT, value)
+
+    @rule()
+    def rand(self):
+        self.call(SyscallKind.RAND)
+
+    @rule()
+    def snapshot(self):
+        state = self.kernel.snapshot()
+        assert _with_order(state) == _with_order(full_copy(self.kernel))
+        self.taken.append((state, copy.deepcopy(state)))
+
+    @precondition(lambda self: self.taken)
+    @rule(data=st.data(), fresh=st.booleans(), check=st.booleans())
+    def restore_earlier(self, data, fresh, check):
+        state, _ = data.draw(st.sampled_from(self.taken))
+        if fresh:
+            self.kernel = Kernel(SETUP, heap_base=10 * PAGE_WORDS)
+        self.kernel.restore(state)
+        # Not always: the snapshot itself refreshes what a restore that
+        # forgot to would have left stale.
+        if check:
+            assert _with_order(self.kernel.snapshot()) == _with_order(state)
+
+    @invariant()
+    def earlier_snapshots_never_change(self):
+        for state, copied in self.taken:
+            assert _with_order(state) == _with_order(copied)
+
+
+TestSnapshotContract = SnapshotMachine.TestCase
+TestSnapshotContract.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None
+)

@@ -164,3 +164,66 @@ def test_checkpoint_floors_partition_a_real_syscall_log():
     ]
     merged = [record for window in windows for record in window]
     assert merged == list(recording.syscall_records)
+
+
+def test_segment_chunks_cover_what_each_start_reaches_and_encode_each_record_once():
+    """``SegmentLogs.syscall_chunks`` over a log grown epoch by epoch.
+
+    A segment that starts at epoch 3 (the log already holds the
+    committed history of epochs 0-2, as after a recovery) is cut the way
+    the recorder cuts it: position *p*'s unit once boundary *p* + 2
+    exists, the last two when the run ends. Every unit's chunks, joined,
+    hold everything its start can reach and nothing logged before the
+    segment; every record of the segment is made into a chunk exactly
+    once, the history never.
+    """
+    from repro.record.log_index import SegmentLogs, syscall_slice
+
+    instance = build_workload("pbzip", workers=2, scale=4, seed=11)
+    machine = MachineConfig(cores=2)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine, epoch_cycles=max(native.duration // 12, 500)
+    )
+    recording = DoublePlayRecorder(
+        instance.image, instance.setup, config
+    ).record().recording
+    starts = [epoch.start_checkpoint for epoch in recording.epochs]
+    index = ThreadLogIndex.for_syscalls(recording.syscall_records)
+    floors = [checkpoint_floors(start)[0] for start in starts]
+    windows = [
+        index.slice_between(floors[i], floors[i + 1] if i + 1 < len(floors) else None)
+        for i in range(len(floors))
+    ]
+    first, last = 3, len(starts) - 1
+    assert last - first >= 6 and sum(map(len, windows[first:])) > 20
+
+    log = [record for window in windows[:first] for record in window]
+    history = len(log)
+    assert history > 0
+    logs = SegmentLogs(log, [], starts[first])
+    made = []
+
+    def make(records):
+        made.append(tuple(records))
+        return made[-1]
+
+    def cut(position):
+        chunks = logs.syscall_chunks(starts[position], make)
+        joined = [record for chunk in chunks for record in chunk]
+        reachable = syscall_slice(log, starts[position])
+        assert set(reachable) <= set(joined)
+        assert not set(joined) & set(log[:history])
+        return chunks
+
+    for epoch in range(first, last + 1):
+        log.extend(windows[epoch])  # epoch ran; its end boundary exists
+        if epoch - 1 >= first:
+            cut(epoch - 1)
+    tail = [cut(position) for position in (last - 1, last)]
+    # The run is over: both tail units end in the same, last chunk.
+    assert tail[0][-1] is tail[1][-1]
+    assert [r for chunk in made for r in chunk] == log[history:]
+    # An interval that logged nothing makes no chunk.
+    chunks_made = len(made)
+    assert cut(last) == tail[1] and len(made) == chunks_made and all(made)

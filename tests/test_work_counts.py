@@ -4,7 +4,8 @@ No timing anywhere. Each test reads the ``work.*`` counters of one
 ``server_sync``-shaped run (the apache server, ``jobs=2``) and asserts
 that the work done is proportional to what is new — the log records
 logged, the positions actually missing at the merge, the pages actually
-dirtied, the log blobs actually decoded — not to the run so far. The
+dirtied, the log blobs actually decoded, the kernel state actually
+touched, the log records actually encoded — not to the run so far. The
 last one counts the calls into the telemetry plane itself: with
 telemetry off they follow the epochs, never the guest ops.
 """
@@ -125,6 +126,93 @@ def test_a_replay_indexes_the_log_once_per_worker(server):
     serial = replayer.replay_parallel(recording, jobs=1)
     assert serial.verified
     assert _work(serial, "injection_index_builds") == 1
+
+
+def _kernel_words(state):
+    """Guest words a kernel snapshot holds: files, conversations, output."""
+    (files, _, _), net, _, _, output, *_ = state
+    return (
+        sum(len(words) for words in files.values())
+        + sum(len(payload) + len(sent) for payload, _, sent in net[3].values())
+        + len(output)
+    )
+
+
+def test_snapshots_freeze_what_the_epoch_touched(server):
+    """Checkpointing the kernel costs what the epochs did, not the run so far.
+
+    A server's kernel state is its conversations, and it grows all run
+    long. Copy-on-write snapshots freeze a connection again only when an
+    epoch touched it, so all the snapshots of a record together copy
+    about the final state once — at 4x the requests 4x the words, at
+    twice the checkpoints no more. (Copying every connection at every
+    checkpoint costs half the epoch count times that, and doubles with
+    the checkpoints.)
+    """
+    _, machine, config = server
+
+    def frozen(scale, epochs):
+        instance = build_workload("apache", workers=2, scale=scale, seed=11)
+        native = run_native(instance.image, instance.setup, machine)
+        result = DoublePlayRecorder(
+            instance.image, instance.setup,
+            config.replace(epoch_cycles=native.duration // epochs, host_jobs=1),
+        ).record()
+        assert abs(result.stats["epochs"] - epochs) <= 1
+        return (
+            _work(result, "snapshot_words"),
+            _kernel_words(result.final_kernel_state),
+        )
+
+    words, state = frozen(60, 12)
+    more_words, more_state = frozen(240, 12)
+    assert more_state > 3.5 * state > 0
+    assert state <= words <= 1.5 * state
+    assert more_state <= more_words <= 1.5 * more_state
+    finer_words, same_state = frozen(60, 24)
+    assert same_state == state and finer_words <= 1.2 * words
+
+
+@pytest.mark.parametrize("pipeline", ["1", "0"])
+def test_each_log_record_is_encoded_once_per_segment(server, monkeypatch, pipeline):
+    """The log travels as chunks: however many units can see a record —
+    cut ahead, on the tail or rebuilt at the merge — it is encoded for
+    the wire exactly once."""
+    monkeypatch.setenv("REPRO_PIPELINE", pipeline)
+    result = _record(server)
+    assert result.stats["recoveries"] == 0
+    assert result.host["speculation"]["dispatched"] == (
+        result.stats["epochs"] if pipeline == "1" else 0
+    )
+    logged = len(result.recording.syscall_records)
+    assert _work(result, "syscall_records_encoded") == logged > 1000
+
+
+#: ``wire.bytes_shipped`` of the cold record below at the parent commit
+#: (49be383), where every unit shipped its own slice of the log, each
+#: record pickled as a frozen dataclass. Measured there five times over,
+#: the same every time: the record is over before the pool is up, so
+#: all its units are submitted together, against an empty cache mirror.
+PARENT_COLD_BYTES = 534_209
+
+
+def test_a_cold_record_ships_the_log_as_shared_chunks():
+    """Cold workers, nothing deduplicated by the cache mirror yet: chunks
+    in plain form are at most 0.7x the bytes of per-unit slices (a pool
+    that comes up sooner only acknowledges blobs sooner, and ships less)."""
+    instance = build_workload("apache", workers=2, scale=240, seed=11)
+    machine = MachineConfig(cores=2)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine, epoch_cycles=native.duration // 12, host_jobs=JOBS
+    )
+    shutdown_shared_pool()
+    try:
+        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    finally:
+        shutdown_shared_pool()
+    assert result.stats["epochs"] == 12 and not any(result.host["faults"].values())
+    assert 0 < result.host["wire"]["bytes_shipped"] <= 0.7 * PARENT_COLD_BYTES
 
 
 def test_telemetry_off_costs_per_epoch_never_per_op(monkeypatch):
