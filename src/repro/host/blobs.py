@@ -1,40 +1,48 @@
-"""Worker-resident blob caches and the coordinator's view of them.
+"""The blob plane: one scratch pack the coordinator appends, workers read.
 
-The content-addressed wire protocol has two halves:
+The contract has one sentence: *a unit names digests and a pack; whoever
+lacks a digest reads it.*
 
-* **Workers** keep a byte-budgeted LRU :class:`BlobCache` of *decoded*
-  objects keyed by blob digest — guest pages, shared log/hint tuples,
-  and the decoded :class:`~repro.isa.program.ProgramImage` itself (whose
-  lazily-built handler table in ``__dict__`` therefore survives across
-  units instead of being re-decoded per dispatch). The cache charges the
-  encoded blob size, not the decoded object's footprint, because the
-  budget exists to bound what the *wire* saved, and evictions must be
-  reported so the coordinator stops assuming the worker still holds them.
+* The **coordinator** owns :class:`ScratchPacks`. Before a unit is
+  submitted, every blob it references (pages, log chunks, hints,
+  signals, the program image) is ``put`` into the current scratch pack —
+  a :class:`~repro.record.pack.BlobStore` in a temporary directory,
+  never the durable ``log_dir`` — and flushed. A digest the pack already
+  holds is not written again, whoever put it first: dedup across units,
+  segments, recordings and sessions is ``BlobStore.put`` returning
+  False. The dispatch then carries the pack's path and nothing else.
 
-* The **coordinator** keeps a :class:`WorkerCacheTracker`: per worker
-  pid, the set of digests it is believed to hold. A dispatch ships only
-  the blobs some worker of the current pool may lack —
-  ``ProcessPoolExecutor`` gives no control over which worker picks a
-  unit up, so a blob may be omitted only when *every* live worker holds
-  it. The tracker is advisory, never authoritative: a worker that finds
-  a digest missing (restart after a crash, eviction racing an in-flight
-  dispatch) answers with a structured ``NeedBlobs`` instead of failing,
-  and the coordinator re-dispatches with the full blob set.
+* A **worker** keeps a :class:`BlobCache`, an LRU of *decoded* objects
+  keyed by digest (pages, log/hint tuples, the decoded program image),
+  at a constant budget; a digest it lacks is read from the pack its
+  dispatch names (:mod:`repro.host.worker`). Nothing about a worker's
+  cache is reported back: the coordinator keeps no model of it.
 
-A worker's budget is the coordinator's ``blob_cache_bytes`` runtime
-option (:mod:`repro.options`), carried on every dispatch and adopted
-before the dispatch's blobs are absorbed — tests shrink it to force the
-eviction and miss/resend paths deterministically.
+A pack that has grown past :data:`SCRATCH_PACK_BYTES` is replaced at the
+next dispatch, which re-puts what it needs; a replaced pack is deleted
+once no in-flight dispatch names it, and so is the current one when the
+worker pool goes (:mod:`repro.host.pool`).
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.memory.blob import decode_blob
 from repro.memory.page import Page
+from repro.record.pack import BlobStore
+
+#: scratch-pack size past which the next dispatch starts a fresh pack
+SCRATCH_PACK_BYTES = 64 << 20
+
+#: a worker's decoded-object cache budget, in encoded blob bytes
+WORKER_CACHE_BYTES = 64 << 20
+
 
 def decode_blob_object(blob: bytes):
     """Decode a wire blob into its live object (pages become ``Page``)."""
@@ -47,12 +55,12 @@ def decode_blob_object(blob: bytes):
 class BlobCache:
     """Byte-budgeted LRU of decoded wire objects, keyed by digest.
 
-    Lives once per worker process (in ``repro.host.worker``)
-    and once in the coordinator for its serial-fallback-free bookkeeping
-    tests. Pages stored here are shared into hydrated snapshots by
-    reference; the hydration pin (``refs += 1`` per table entry) plus the
-    cache's own reference guarantee ``refs > 1``, so an engine write
-    always copies-on-write and a cached page is never mutated in place.
+    Lives once per worker process (in ``repro.host.worker``). It charges
+    the encoded blob size, not the decoded object's footprint. Pages
+    stored here are shared into hydrated snapshots by reference; the
+    hydration pin (``refs += 1`` per table entry) plus the cache's own
+    reference guarantee ``refs > 1``, so an engine write always
+    copies-on-write and a cached page is never mutated in place.
     """
 
     def __init__(self, capacity_bytes: int):
@@ -78,95 +86,117 @@ class BlobCache:
         self._entries.move_to_end(digest)
         return entry[0]
 
-    def insert(self, digest: int, blob: bytes) -> List[int]:
-        """Decode and cache one blob; returns the digests evicted for it.
+    def insert(self, digest: int, blob: bytes):
+        """Decode and cache one blob; returns the decoded object.
 
-        An already-present digest is refreshed, not re-decoded. A blob
-        larger than the whole budget is decoded but not retained (it
-        reports itself as evicted), so a tiny test budget still executes
-        every unit — the dispatch's own blobs remain resolvable via the
-        per-dispatch memo in the pool layer.
+        An already-present digest is refreshed, not re-decoded. The
+        least recently used entries are dropped to fit the budget; a
+        blob larger than the whole budget is decoded but not retained.
         """
-        if digest in self._entries:
-            self._entries.move_to_end(digest)
-            return []
-        size = len(blob)
-        self._entries[digest] = (decode_blob_object(blob), size)
-        self._bytes += size
-        return self.resize(self.capacity)
-
-    def resize(self, capacity_bytes: int) -> List[int]:
-        """Adopt a byte budget; returns the digests evicted to fit it."""
-        self.capacity = max(0, int(capacity_bytes))
-        evicted: List[int] = []
+        cached = self.get(digest)
+        if cached is not None:
+            return cached
+        obj = decode_blob_object(blob)
+        self._entries[digest] = (obj, len(blob))
+        self._bytes += len(blob)
         while self._bytes > self.capacity and self._entries:
-            old_digest, (_, old_size) = self._entries.popitem(last=False)
+            _, (_, old_size) = self._entries.popitem(last=False)
             self._bytes -= old_size
-            evicted.append(old_digest)
-        return evicted
-
-    def missing(self, digests: Iterable[int]) -> List[int]:
-        """Digests not currently resident (no LRU refresh, no counting)."""
-        return [d for d in digests if d not in self._entries]
+        return obj
 
 
-class WorkerCacheTracker:
-    """Coordinator-side model of which worker pid holds which digests.
+class ScratchPacks:
+    """The coordinator's scratch packs: the current one and its leftovers.
 
-    Updated from dispatch acks (what was shipped to the pid that answered,
-    minus what it reported evicting); consulted at dispatch-build time.
-    Wrong-in-either-direction is safe: over-estimation is corrected by the
-    worker's ``NeedBlobs`` answer, under-estimation merely re-ships bytes.
-
-    Internally locked: the tracker is a module global shared by every
-    executor (worker caches persist across executors), and with the
-    service layer many session threads fold acks and query held sets
-    concurrently — an unlocked query could read a set another session's
-    ack is mutating.
+    Internally locked: one instance serves every executor of the process
+    (module-level in :mod:`repro.host.pool`, because the worker caches it
+    feeds persist across executors), and under the service layer many
+    session threads place blobs concurrently. The per-digest state is
+    the current pack's index, which the size cap bounds.
     """
 
     def __init__(self):
-        self._held: Dict[int, Set[int]] = {}
         self._lock = threading.Lock()
+        self._dir: Optional[str] = None
+        self._store: Optional[BlobStore] = None
+        self._serial = 0
+        #: pack root -> in-flight dispatches naming it
+        self._named: Dict[str, int] = {}
 
-    def note_inserted(self, pid: int, digests: Iterable[int]) -> None:
-        if not pid:
-            return
-        with self._lock:
-            self._held.setdefault(pid, set()).update(digests)
+    def place(
+        self, digests: Iterable[int], blobs: Mapping[int, bytes]
+    ) -> Tuple[str, List[int]]:
+        """Make ``digests`` readable from the current pack, for one dispatch.
 
-    def note_evicted(self, pid: int, digests: Iterable[int]) -> None:
-        with self._lock:
-            held = self._held.get(pid)
-            if held:
-                held.difference_update(digests)
-
-    def forget_worker(self, pid: int) -> None:
-        with self._lock:
-            self._held.pop(pid, None)
-
-    def held_by_all(self, pids: Iterable[int], digests: Iterable[int]) -> Set[int]:
-        """Those of ``digests`` every one of ``pids`` holds (none if any
-        pid is unknown, or there are no pids).
-
-        This is the omission rule: a blob may be left out of a dispatch
-        only when no matter which worker pops the unit, it has the blob.
-        Asked per dispatch about the unit's own digests, so it costs
-        O(digests asked about), never the size of a worker's cache.
+        Returns the pack's root (what the dispatch names; held until the
+        matching :meth:`release`) and the digests newly written. Raises
+        ``OSError`` when the pack cannot be written; the pack is then
+        dropped, so the next call starts a fresh one.
         """
         with self._lock:
-            caches = [self._held.get(pid) for pid in pids]
-            if not caches or not all(caches):
-                return set()
-            return {
-                digest for digest in digests
-                if all(digest in held for held in caches)
-            }
+            store = self._store
+            if store is None or store.pack_bytes > SCRATCH_PACK_BYTES:
+                store = self._rotate()
+            try:
+                fresh = [d for d in digests if store.put(d, blobs[d])]
+                store.flush()
+            except OSError:
+                self._store = None
+                self._drop(store)
+                raise
+            self._named[store.root] = self._named.get(store.root, 0) + 1
+            return store.root, fresh
 
-    def prune(self, live_pids: Iterable[int]) -> None:
-        """Drop state for pids no longer in the pool (post-rebuild hygiene)."""
-        live = set(live_pids)
+    def _rotate(self) -> BlobStore:
+        old = self._store
+        if self._dir is None:
+            self._dir = tempfile.mkdtemp(prefix="repro-blobs-")
+        self._serial += 1
+        self._store = BlobStore(os.path.join(self._dir, f"pack-{self._serial}"))
+        if old is not None:
+            self._drop(old)
+        return self._store
+
+    def _drop(self, store: BlobStore) -> None:
+        """Close a pack that is no longer current; delete it unless an
+        in-flight dispatch still names it (its release deletes it then)."""
+        try:
+            store.close()
+        except OSError:
+            pass  # unwritable: what it still buffered nobody was told to read
+        if store.root not in self._named:
+            shutil.rmtree(store.root, ignore_errors=True)
+
+    def release(self, root: str) -> None:
+        """One dispatch naming ``root`` is no longer in flight."""
         with self._lock:
-            for pid in list(self._held):
-                if pid not in live:
-                    del self._held[pid]
+            left = self._named.get(root, 0) - 1
+            if left > 0:
+                self._named[root] = left
+                return
+            self._named.pop(root, None)
+            if self._store is None or self._store.root != root:
+                shutil.rmtree(root, ignore_errors=True)
+                self._prune()
+
+    def close(self, abandon: bool = False) -> None:
+        """Retire every pack: the pool they fed is going away.
+
+        A pack some dispatch still names (another session's, queued
+        behind the pool that broke) stays until that dispatch is done —
+        unless ``abandon`` says nothing will ever be done again (the
+        interpreter is exiting; a future the pool lost never releases).
+        """
+        with self._lock:
+            if abandon:
+                self._named.clear()
+            if self._store is not None:
+                self._drop(self._store)
+                self._store = None
+            self._prune()
+
+    def _prune(self) -> None:
+        """Delete the directory once no pack is left in it."""
+        if self._store is None and not self._named and self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None

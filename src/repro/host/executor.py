@@ -1,13 +1,12 @@
 """The coordinator side: dispatch, containment and ordered merge of units.
 
 ``HostExecutor`` runs epoch work units on a pool of worker processes.
-Every unit — replay, pushed ahead, rebuilt at the merge, NeedBlobs
-resend, under the direct pool or a service fleet — takes one path:
-:meth:`HostExecutor._dispatch` puts it in a pool,
-:func:`~repro.host.worker.run_unit` executes it there,
-:meth:`HostExecutor._settle` folds the answer into the cache mirror; a
-unit the pool cannot finish runs through
-:func:`~repro.host.worker.run_unit_serial` on the coordinator.
+Every unit — replay, pushed ahead, rebuilt at the merge, under the
+direct pool or a service fleet — takes one path:
+:meth:`HostExecutor._dispatch` puts it in a pool and
+:func:`~repro.host.worker.run_unit` executes it there; a unit the pool
+cannot finish runs through :func:`~repro.host.worker.run_unit_serial` on
+the coordinator.
 
 Results are consumed strictly in position order, so the merge on the
 coordinator is deterministic regardless of completion order. A replay
@@ -19,18 +18,18 @@ divergence belong to an abandoned thread-parallel future and their
 results would be discarded anyway. A worker that is already mid-epoch
 runs to completion harmlessly; its result is dropped. Units built at
 merge time are dispatched lazily inside a bounded submission window
-(about two per worker), so blobs are encoded and shipped only for units
+(about two per worker), so blobs are encoded and put only for units
 that will actually run.
 
-**The content-addressed wire, coordinator side.** The coordinator
-mirrors every worker's blob cache in the module-level
-:class:`~repro.host.blobs.WorkerCacheTracker` of :mod:`repro.host.pool`.
-The pool gives no control over which worker pops a unit, so a blob is
-omitted only when *every* live worker holds it; the tracker is advisory
-— a ``NeedBlobs`` answer re-dispatches the unit with its full blob set
-(capped, then treated as a task error and contained like any other). In
-steady state a unit ships its skeleton plus the epoch's dirty pages,
-nothing else.
+**The blob plane, coordinator side.** A unit names digests and a pack;
+whoever lacks a digest reads it. Before a unit is submitted, the blobs
+it references that the scratch pack (:mod:`repro.host.blobs`, owned by
+:mod:`repro.host.pool`) does not hold yet are appended to it and
+flushed; the dispatch that crosses the pipe is always the skeleton plus
+the pack's path. The coordinator keeps no model of any worker's cache,
+and a unit costs the pack what is new — in steady state the epoch's
+dirty pages and its new log chunk, nothing else. A worker that cannot
+read a digest answers with a task error, contained like any other.
 
 **Fault containment.** A failed epoch-parallel attempt is disposable by
 design — that is the paper's core insight — so host faults are treated
@@ -56,8 +55,8 @@ then fall back to in-coordinator serial execution):
 Because epoch execution is a deterministic function of the checkpoints
 and logs, and the serial fallback runs the identical pure function in
 the coordinator, every recording and replay verdict is bit-identical to
-``jobs=1`` no matter which workers crashed, hung, raised, or missed
-their caches along the way. Faults and cache traffic change only
+``jobs=1`` no matter which workers crashed, hung or raised along the
+way. Faults and blob traffic change only
 wall-clock time and the host accounting (``timing_summary()["faults"]``
 / ``["wire"]``), which is surfaced on ``RecordResult.host`` /
 ``ReplayResult.host`` and never stored in a recording.
@@ -67,9 +66,10 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
     HostPoolError,
@@ -78,13 +78,8 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.host import faults as fault_injection
-from repro.host.pool import (
-    _cache_tracker,
-    _pool_pids,
-    invalidate_shared_pool,
-    shared_pool,
-)
-from repro.host.wire import NeedBlobs, UnitBatch, UnitTiming
+from repro.host.pool import _scratch_packs, invalidate_shared_pool, shared_pool
+from repro.host.wire import UnitBatch, UnitTiming
 from repro.host.worker import UnitDispatch, run_unit, run_unit_serial
 from repro.memory.blob import blob_digest, encode_object
 from repro.obs import events as obs_events
@@ -95,12 +90,6 @@ from repro.options import RuntimeOptions
 
 #: pool attempts per unit before the serial fallback (initial + 1 retry)
 _POOL_ATTEMPTS = 2
-
-#: full-blob-set re-dispatches per unit before a NeedBlobs answer is
-#: treated as a task error (a full dispatch is self-sufficient — the
-#: worker can always hydrate straight from it — so one resend suffices
-#: unless something is genuinely wrong)
-_BLOB_RESEND_LIMIT = 2
 
 _COUNTER_BY_KIND = {
     "crash": "crashes",
@@ -122,11 +111,10 @@ class _Batch:
     blobs: Dict[int, bytes]
     fault_specs: Tuple = ()
     units: List[object] = field(default_factory=list)
-    #: per-index wire accounting, accumulated across re-dispatches
+    #: per-index blob bytes / blobs newly put into the scratch pack,
+    #: accumulated across re-dispatches
     bytes_shipped: List[int] = field(default_factory=list)
     blobs_sent: List[int] = field(default_factory=list)
-    #: per-index digest set of the most recent dispatch's blobs
-    last_shipped: List[Set[int]] = field(default_factory=list)
 
     def _add_unit(self, unit) -> int:
         """Stamp the unit's fault specs and slot it at its position; its index.
@@ -145,18 +133,33 @@ class _Batch:
         self.units.append(unit)
         self.bytes_shipped.append(0)
         self.blobs_sent.append(0)
-        self.last_shipped.append(set())
         return len(self.units) - 1
+
+    def stamp(self, index: int, timing: UnitTiming) -> None:
+        """Write what position ``index`` cost the scratch pack onto its timing."""
+        timing.bytes_shipped = self.bytes_shipped[index]
+        timing.blobs_sent = self.blobs_sent[index]
+
+
+def _lost(position: int, why: str) -> Future:
+    """A future that has already failed: the unit never reached a pool."""
+    future: Future = Future()
+    future.set_exception(
+        WorkerCrashError(
+            f"unit {position} was not submitted: {why}", position=position
+        )
+    )
+    return future
 
 
 class _DirectDispatcher:
     """The default submission path: the coordinator-wide shared pool.
 
-    This is the seam the service layer replaces: a dispatcher owns *where*
-    a built dispatch goes (``submit``), which workers it may assume hold
-    cached blobs (``pids``), and what abandoning a suspect pool means
-    (``abandon``). A fleet dispatcher (``repro.service``) routes the same
-    calls through per-session queues into one multiplexed pool.
+    This is the seam the service layer replaces: a dispatcher owns how
+    the pool is brought up (``warm``), *where* a built dispatch goes
+    (``submit``) and what abandoning a suspect pool means (``abandon``).
+    A fleet dispatcher (``repro.service``) routes the same calls through
+    per-session queues into one multiplexed pool.
     """
 
     def __init__(self, jobs: int):
@@ -165,9 +168,6 @@ class _DirectDispatcher:
     def warm(self) -> None:
         """Bring the pool up (speculative sessions warm off-thread)."""
         shared_pool(self._jobs)
-
-    def pids(self) -> List[int]:
-        return _pool_pids(shared_pool(self._jobs))
 
     def submit(self, fn, dispatch: UnitDispatch):
         return shared_pool(self._jobs).submit(fn, dispatch)
@@ -203,10 +203,10 @@ class HostExecutor:
         self._dispatch_path = (
             dispatcher if dispatcher is not None else _DirectDispatcher(self.jobs)
         )
-        #: optional dispatcher hook observing each dispatch's shipped and
-        #: cache-omitted blob bytes (the fleet's cross-session dedup
-        #: accounting); None (the direct default) costs nothing.
-        self._wire_observer = getattr(self._dispatch_path, "note_dispatch", None)
+        #: every digest a dispatch of this executor has named: one the
+        #: scratch pack already held *and* this set lacks was put by
+        #: someone else (the fleet's cross-session dedup accounting)
+        self._seen: Set[int] = set()
         #: (program object, digest, blob) of the last program shipped
         self._program_blob: Optional[Tuple[object, int, bytes]] = None
         #: per-unit worker timings, in merge order: (kind, position,
@@ -223,9 +223,6 @@ class HostExecutor:
         )
         #: one entry per observed failure: kind, position, attempt, error
         self.fault_events: List[Dict[str, object]] = []
-        #: NeedBlobs turnarounds (benign cache-coherence traffic, never a
-        #: fault — kept out of ``counters`` so clean-run assertions hold)
-        self.blob_resends = 0
         #: two-deep commit pipeline accounting (see
         #: :class:`SpeculativeSession`): units dispatched during the
         #: thread-parallel run, how many results were accepted into the
@@ -266,69 +263,76 @@ class HostExecutor:
             batch._add_unit(unit)
         return batch
 
-    def _make_dispatch(
-        self, batch: _Batch, position: int, pids: Sequence[int] = (), full: bool = False
-    ) -> UnitDispatch:
-        """Build one dispatch, shipping only blobs the pool may be missing."""
+    def _make_dispatch(self, batch: _Batch, position: int) -> UnitDispatch:
+        """Build one dispatch: put what the scratch pack lacks, name the pack.
+
+        Raises ``OSError`` when the pack cannot be written.
+        """
         unit = batch.units[position]
-        required = set(unit.required_digests())
+        required = unit.required_digests()
         required.add(batch.program_digest)
-        omitted: Set[int] = set()
-        if not full:
-            omitted = _cache_tracker.held_by_all(pids, required)
-            required -= omitted
-        blobs = {digest: batch.blobs[digest] for digest in required}
-        if self._wire_observer is not None:
-            self._wire_observer(
-                {digest: len(blobs[digest]) for digest in blobs},
-                {digest: len(batch.blobs[digest]) for digest in omitted},
-            )
-        batch.bytes_shipped[position] += sum(len(b) for b in blobs.values())
-        batch.blobs_sent[position] += len(blobs)
-        batch.last_shipped[position] = set(blobs)
+        pack, fresh = _scratch_packs.place(required, batch.blobs)
+        found = required.difference(fresh, self._seen)
+        self._seen |= required
+        placed = (
+            len(fresh), sum(len(batch.blobs[digest]) for digest in fresh),
+            len(found), sum(len(batch.blobs[digest]) for digest in found),
+        )
+        batch.blobs_sent[position] += placed[0]
+        batch.bytes_shipped[position] += placed[1]
         return UnitDispatch(
             machine=batch.machine,
             unit=unit,
             program_digest=batch.program_digest,
-            blobs=blobs,
+            pack=pack,
             trace=obs_spans.enabled(),
             options=self.options,
             _local_program=batch.program,
+            placed=placed,
         )
 
-    def _dispatch(self, batch: _Batch, index: int, full: bool = False, **span_args):
+    def _dispatch(self, batch: _Batch, index: int, **span_args) -> Future:
         """Submit one unit: the only place a unit enters a pool.
 
-        Builds the dispatch (every referenced blob when ``full``, the
-        answer to a NeedBlobs; otherwise only what the pool's workers may
-        be missing), submits it through the dispatcher seam, accounts the
-        coordinator time and emits the ``dispatch`` / ``blob-resend``
-        span. Never raises: a pool that cannot take the unit (broken,
-        unbuildable, shutting down) yields ``None`` and the caller's
-        containment — or, for speculation, a discard — takes over.
+        Builds the dispatch (the unit's new blobs go into the scratch
+        pack first), submits it through the dispatcher seam, accounts
+        the coordinator time and emits the ``dispatch`` span. Two
+        failures are contained: a scratch pack that cannot be written
+        (``OSError`` — disk full, its directory gone) and a pool that
+        cannot take the unit (broken, unbuildable, shutting down). The
+        future returned has then already failed with the cause, and the
+        caller's containment — or, for speculation, a discard — takes
+        over. Anything else is a bug in building the dispatch, and
+        raises.
         """
         t0 = time.perf_counter()
         tracer = obs_spans.current()
         span_start = tracer.now() if tracer is not None else 0.0
         bytes_before = batch.bytes_shipped[index]
+        position = batch.units[index].position
         try:
-            dispatcher = self._dispatch_path
-            pids = () if full else dispatcher.pids()
-            future = dispatcher.submit(
-                run_unit, self._make_dispatch(batch, index, pids=pids, full=full)
-            )
-        except Exception:
-            return None
+            try:
+                dispatch = self._make_dispatch(batch, index)
+            except OSError as exc:
+                return _lost(position, f"the scratch pack cannot be written ({exc!r})")
+            try:
+                future = self._dispatch_path.submit(run_unit, dispatch)
+            except Exception as exc:
+                _scratch_packs.release(dispatch.pack)
+                return _lost(position, f"the pool refused it ({exc!r})")
         finally:
             self.dispatch_wall += time.perf_counter() - t0
+        future.add_done_callback(
+            lambda _, pack=dispatch.pack: _scratch_packs.release(pack)
+        )
         if tracer is not None:
             tracer.add(
-                "blob-resend" if full else "dispatch",
+                "dispatch",
                 obs_spans.CAT_WIRE,
                 span_start,
                 tracer.now(),
                 args={
-                    "position": batch.units[index].position,
+                    "position": position,
                     "bytes": batch.bytes_shipped[index] - bytes_before,
                     **span_args,
                 },
@@ -340,10 +344,10 @@ class HostExecutor:
 
         Dispatches are built lazily, at most ~2 per worker ahead of the
         merge head (the head position itself is always submitted): blobs
-        are encoded and shipped only for units that will actually run, so
+        are encoded and put only for units that will actually run, so
         a divergence exit wastes no dispatch work on cancelled tails. If
-        the pool breaks mid-submission (a just-submitted unit crashed
-        already), the loop stops quietly: the head future carries the
+        a unit cannot be submitted (the pool broke under a unit submitted
+        just before), the loop stops quietly: the head future carries the
         breakage, and waiting on it attributes the failure and rebuilds.
         """
         window = max(2 * self.jobs, 2)
@@ -353,18 +357,16 @@ class HostExecutor:
                 continue
             if position > start and live >= window:
                 break
-            future = self._dispatch(batch, position)
-            if future is None:
+            future = futures[position] = self._dispatch(batch, position)
+            if future.done():
                 break
-            futures[position] = future
             live += 1
 
     def _await(self, future, position: int):
         """Wait for one submitted unit: ``(outcome, failure)``, one is None."""
         if future is None:
             return None, WorkerCrashError(
-                f"worker pool broke before unit {position} could be submitted",
-                position=position,
+                f"unit {position} was never submitted", position=position
             )
         try:
             return future.result(timeout=self.unit_timeout or None), None
@@ -375,32 +377,13 @@ class HostExecutor:
                 position=position,
                 timeout=self.unit_timeout,
             )
+        except WorkerCrashError as lost:
+            return None, lost  # it never reached a pool (see _dispatch)
         except Exception as exc:
             return None, WorkerCrashError(
                 f"worker died running unit {position}: {exc!r}",
                 position=position,
             )
-
-    def _settle(self, batch: _Batch, index: int, value, timing: UnitTiming) -> None:
-        """Fold one worker answer into the coordinator's cache mirror.
-
-        A result or a NeedBlobs both prove the worker absorbed the blobs
-        last shipped to it (a NeedBlobs additionally disproves the ones
-        it reported missing); a result's timing is stamped with what the
-        unit cost on the wire, resends included. A task error acks
-        nothing — the worker may have raised before absorbing.
-        """
-        if isinstance(value, WorkerTaskError):
-            return
-        if isinstance(value, NeedBlobs):
-            pid, evicted = value.worker_pid, set(value.evicted) | set(value.missing)
-        else:
-            pid, evicted = timing.worker_pid, timing.evicted
-            timing.bytes_shipped = batch.bytes_shipped[index]
-            timing.blobs_sent = batch.blobs_sent[index]
-        if pid:
-            _cache_tracker.note_inserted(pid, batch.last_shipped[index])
-            _cache_tracker.note_evicted(pid, evicted)
 
     def _ingest_observability(self, timing: UnitTiming) -> None:
         """Fold a merged unit's piggybacked counters/spans into this process.
@@ -458,13 +441,11 @@ class HostExecutor:
     def _run_contained(self, batch: _Batch, position: int, futures, done, skip):
         """Run the merge head to a value: ``(timing label, value, timing)``.
 
-        Per-unit policy: run in the pool; a NeedBlobs answer re-dispatches
-        the unit with its full blob set (bounded, never counted as a
-        fault); on crash/timeout/task-error, retry once (crash and
-        timeout also rebuild the pool); on a second failure, execute the
-        unit serially in the coordinator.
+        Per-unit policy: run in the pool; on crash/timeout/task-error,
+        retry once (crash and timeout also rebuild the pool); on a
+        second failure, execute the unit serially in the coordinator.
         """
-        attempt = resends = 0
+        attempt = 0
         while True:
             outcome, failure = done.pop(position, None), None
             if outcome is None:
@@ -472,36 +453,15 @@ class HostExecutor:
                 outcome, failure = self._await(futures.pop(position, None), position)
             if outcome is not None:
                 _, value, timing = outcome
-                self._settle(batch, position, value, timing)
-                if isinstance(value, NeedBlobs):
-                    # Benign cache miss, not a fault: the worker could
-                    # not resolve every digest (eviction raced the
-                    # dispatch, or a fresh pool lost its caches).
-                    # Answer with the full blob set and wait again.
-                    self.blob_resends += 1
-                    resends += 1
-                    obs_events.emit(
-                        "blob-resend", position=position, missing=len(value.missing)
-                    )
-                    if resends <= _BLOB_RESEND_LIMIT:
-                        future = self._dispatch(batch, position, full=True)
-                        if future is not None:
-                            futures[position] = future
-                        continue
-                    failure = WorkerTaskError(
-                        f"unit {position} still missing {len(value.missing)} "
-                        f"blob(s) after a full re-dispatch",
-                        position=position,
-                    )
-                elif isinstance(value, WorkerTaskError):
-                    failure = value
-                else:
+                if not isinstance(value, WorkerTaskError):
+                    batch.stamp(position, timing)
                     self._ingest_observability(timing)
                     # Coordinator-side, merged results only: dropped
                     # speculation/divergence tails never observe.
                     obs_histo.observe("unit_wall_s", timing.wall)
                     obs_histo.observe("unit_bytes", timing.bytes_shipped)
                     return batch.kind, value, timing
+                failure = value
             # Containment: the unit failed in the pool.
             failure.attempt = attempt
             self._note_fault(failure)
@@ -527,8 +487,7 @@ class HostExecutor:
                     _local_program=batch.program,
                 )
             )
-            timing.bytes_shipped = batch.bytes_shipped[position]
-            timing.blobs_sent = batch.blobs_sent[position]
+            batch.stamp(position, timing)
             return batch.kind + "-serial", value, timing
 
     def run_replay_units(
@@ -580,7 +539,9 @@ class HostExecutor:
                 "blobs_sent": sum(t.blobs_sent for t in timings),
                 "blob_cache_hits": sum(t.blob_cache_hits for t in timings),
                 "blob_cache_misses": sum(t.blob_cache_misses for t in timings),
-                "blob_resends": self.blob_resends,
+                # Nothing is ever sent twice: constant until a benchmark
+                # PR drops the row benchmarks/e2e reads it into.
+                "blob_resends": 0,
                 "unit_bytes": [t.bytes_shipped for t in timings],
             },
         }
@@ -601,24 +562,22 @@ class SpeculativeSession:
     a run has diverged); :meth:`harvest` is the segment's merge, a
     single in-order stream over everything the session holds.
 
-    An attempt pushed ahead that crashes, hangs, misses blobs, or raises
-    is never retried on its own account and never counts as a fault: the
-    merge rebuilds the position with full knowledge and runs that
-    through the executor's contained path. Only a verdict the schedule
-    *consumes* must not depend on host luck, so :meth:`wait` re-obtains
-    a lost one through the contained path itself. Cache-mirror acks are
-    applied as results settle (the worker really did absorb the blobs),
-    but observability ingest and timing records are deferred to the
-    consume or the merge — a never-consumed result leaves no trace in
-    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
-    metrics identical.
+    An attempt pushed ahead that crashes, hangs or raises is never
+    retried on its own account and never counts as a fault: the merge
+    rebuilds the position with full knowledge and runs that through the
+    executor's contained path. Only a verdict the schedule *consumes*
+    must not depend on host luck, so :meth:`wait` re-obtains a lost one
+    through the contained path itself. Observability ingest and timing
+    records are deferred to the consume or the merge — a never-consumed
+    result leaves no trace in the run metrics, which is what keeps
+    ``jobs=1`` and ``jobs=N`` metrics identical.
     """
 
     def __init__(self, executor: HostExecutor, program, machine, ahead: bool = True):
         self.executor = executor
         self.ahead = ahead
         self._batch = executor._begin_batch("record", program, machine)
-        #: position -> in-flight future (None = the submission was lost)
+        #: position -> in-flight future
         self._futures: Dict[int, object] = {}
         #: position -> settled ``(value, timing)``; ``value`` is None
         #: for an answer lost to a host reason
@@ -665,7 +624,7 @@ class SpeculativeSession:
             )
 
     def push(self, unit) -> None:
-        """Take one cut unit; non-blocking, never raises.
+        """Take one cut unit; non-blocking, and no host failure raises.
 
         Units arrive in position order from 0, so a unit's index in the
         session's batch *is* its position.
@@ -675,25 +634,16 @@ class SpeculativeSession:
             return
         self._deferred.append(position)
         self.executor.speculation["dispatched"] += 1
-        # Fold finished speculations into the cache mirror *before*
-        # building this dispatch: without this, every mid-segment
-        # dispatch sees the tracker as it stood at segment start (acks
-        # normally arrive at the merge) and re-ships the full blob set —
-        # measured at ~100x the steady-state dispatch cost on
-        # page-heavy workloads. ``done()`` keeps the sweep non-blocking.
-        for pending, future in list(self._futures.items()):
-            if future is not None and future.done():
-                self._resolve(pending)
         self._flush()
 
     def _resolve(self, position: int) -> tuple:
-        """Resolve one unit's future and settle its answer, exactly once.
+        """Resolve one unit's future, exactly once.
 
         Returns (and keeps in ``_outcomes``) ``(value, timing)`` with
         ``value`` of ``None`` for an answer lost to a host reason
-        (crash, timeout, NeedBlobs, task error, failed or never-made
-        submission); idempotent so the eager sweep in :meth:`push`,
-        :meth:`wait` and the walk in :meth:`harvest` compose.
+        (crash, timeout, task error, failed or never-made submission);
+        idempotent so :meth:`wait` and the walk in :meth:`harvest`
+        compose.
         """
         if position not in self._outcomes:
             executor, batch = self.executor, self._batch
@@ -701,9 +651,10 @@ class SpeculativeSession:
             value = timing = None
             if outcome is not None:
                 _, value, timing = outcome
-                executor._settle(batch, position, value, timing)
-                if isinstance(value, (NeedBlobs, WorkerTaskError)):
+                if isinstance(value, WorkerTaskError):
                     value = None
+                else:
+                    batch.stamp(position, timing)
             self._outcomes[position] = (value, timing)
         return self._outcomes[position]
 
@@ -719,7 +670,7 @@ class SpeculativeSession:
         a function of the committed history alone; so must the verdict
         be. One lost to a host reason (or, without ``ahead``, never
         submitted) is therefore obtained here through the contained path
-        (full resend, retry, serial fallback — the same cut-at-push
+        (retry, serial fallback — the same cut-at-push
         unit, so the same result), and its counters fold in now: a
         consumed verdict is part of the run at any ``jobs``, whatever
         the merge later makes of it.
@@ -801,6 +752,5 @@ class SpeculativeSession:
         """Abandon whatever is still in flight."""
         for futures in (self._futures, self._reruns):
             for future in futures.values():
-                if future is not None:
-                    future.cancel()
+                future.cancel()
             futures.clear()

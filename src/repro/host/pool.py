@@ -9,22 +9,23 @@ One shared pool is kept per coordinator process (``shared_pool``) so a
 test suite or benchmark sweep pays the spawn cost once, not per
 recording. A broken shared pool is detected and rebuilt transparently on
 the next call; growing the pool drains in-flight work before replacing
-it. The coordinator's mirror of the workers' blob caches lives here too,
-for the same reason the pool is module-level — worker caches persist
-across ``HostExecutor`` instances, so the model must too — and because
-its entries die with the pool's processes.
+it. The scratch packs the pool's workers read blobs from
+(:class:`~repro.host.blobs.ScratchPacks`) live here too, for the same
+reason the pool is module-level — worker caches persist across
+``HostExecutor`` instances, so what fed them should too — and are
+deleted with the pool, or at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import List
 
-from repro.host.blobs import WorkerCacheTracker
+from repro.host.blobs import ScratchPacks
 
 _shared_pool = None
 _shared_size = 0
@@ -37,10 +38,11 @@ _shared_size = 0
 #: path may call another locked path (shared_pool → invalidate).
 _pool_lock = threading.RLock()
 
-#: coordinator-side mirror of every worker's blob cache, keyed by pid.
+#: where every dispatch's blobs are put for the pool's workers to read.
 #: Thread-safe (internally locked): with the service layer many session
-#: threads build dispatches and fold acks concurrently.
-_cache_tracker = WorkerCacheTracker()
+#: threads build dispatches concurrently.
+_scratch_packs = ScratchPacks()
+atexit.register(_scratch_packs.close, abandon=True)
 
 #: ceiling on worker spawn + first ping (a stuck spawn is a host bug)
 _SPAWN_TIMEOUT = 120.0
@@ -101,16 +103,6 @@ def _new_pool(jobs: int) -> ProcessPoolExecutor:
     return pool
 
 
-def _pool_pids(pool: ProcessPoolExecutor) -> List[int]:
-    return list(getattr(pool, "_processes", None) or ())
-
-
-def _forget_pool(pool: ProcessPoolExecutor) -> None:
-    """Drop the cache-tracker state of a pool whose workers are going away."""
-    for pid in _pool_pids(pool):
-        _cache_tracker.forget_worker(pid)
-
-
 def _kill_workers(pool: ProcessPoolExecutor) -> None:
     """Terminate a pool whose workers may be hung (they cannot be recalled)."""
     processes = list(getattr(pool, "_processes", {}).values())
@@ -143,7 +135,6 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
             if _shared_pool is not None:
                 # Drain, don't yank: both running and queued units complete
                 # before the pool is replaced (growth must never lose work).
-                _forget_pool(_shared_pool)
                 _shared_pool.shutdown(wait=True, cancel_futures=False)
             _shared_pool = _new_pool(jobs)
             _shared_size = jobs
@@ -151,7 +142,8 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def invalidate_shared_pool(kill: bool = False) -> None:
-    """Drop the cached shared pool so the next ``shared_pool()`` rebuilds it.
+    """Drop the cached shared pool so the next ``shared_pool()`` rebuilds it,
+    and the scratch packs its workers read with it.
 
     ``kill=True`` terminates the worker processes first — required after
     a unit timeout, when a worker is hung and would otherwise block
@@ -163,13 +155,12 @@ def invalidate_shared_pool(kill: bool = False) -> None:
     """
     global _shared_pool, _shared_size
     with _pool_lock:
-        if _shared_pool is None:
-            return
-        _forget_pool(_shared_pool)
-        if kill or getattr(_shared_pool, "_broken", False):
-            _kill_workers(_shared_pool)
-        else:
-            _shared_pool.shutdown(wait=True, cancel_futures=True)
+        if _shared_pool is not None:
+            if kill or getattr(_shared_pool, "_broken", False):
+                _kill_workers(_shared_pool)
+            else:
+                _shared_pool.shutdown(wait=True, cancel_futures=True)
+        _scratch_packs.close()
         _shared_pool = None
         _shared_size = 0
 

@@ -3,9 +3,11 @@
 A work unit must let a worker process reproduce the coordinator's serial
 epoch execution *exactly*, with nothing but the unit, the blobs it
 references, and the program image. Units carry *skeletons* and
-*references*, and the heavy bytes travel separately as content-addressed
-blobs (:mod:`repro.memory.blob`) that worker caches dedupe across units,
-segments, and whole recordings:
+*references*; the heavy bytes are content-addressed blobs
+(:mod:`repro.memory.blob`) that never travel with a unit — the
+coordinator puts them in a scratch pack and a worker reads the ones it
+lacks (:mod:`repro.host.blobs`), so they dedupe across units, segments,
+and whole recordings:
 
 * **Checkpoints as skeletons.** A unit's ``start`` is a full
   :class:`~repro.checkpoint.checkpoint.WireCheckpoint` (contexts plus a
@@ -23,13 +25,13 @@ segments, and whole recordings:
   is cut, each chunk is encoded and interned exactly once, and a unit
   names the chunks covering the log from the first record its start
   can reach to the cut — cut ahead, on the tail or rebuilt at the
-  merge alike. A chunk ships as an ``InjectionLog`` of plain-form
+  merge alike. A chunk is an ``InjectionLog`` of plain-form
   records (:func:`~repro.oskernel.syscalls.encode_record`), so a worker
   decodes and indexes it once per cached blob and joins the indices of
   the chunks a unit names. Never the tighter per-epoch window: what a
   *diverging* attempt finds past its boundary is part of its result. A
   replay unit names one chunk, the recording's whole log. Signal
-  deliveries (rare) still ship as one slice per unit.
+  deliveries (rare) are one slice per unit.
 
 * **Hints by window.** The sync hints a record unit needs are the
   suffix of the segment's acquisition hints from its epoch's start mark
@@ -40,14 +42,9 @@ segments, and whole recordings:
 
 ``BlobRef`` and ``WireCheckpoint`` keep coordinator-side ``_local``
 shortcuts to the original objects. They are stripped at the pickle
-boundary — a worker always resolves through its cache — but the
-executor's serial fallback rehydrates to the exact original objects,
-zero-decode and trivially bit-identical to the ``jobs=1`` path.
-
-A worker that cannot resolve every digest a unit references (cache
-eviction racing an in-flight dispatch, a fresh pool after a crash)
-answers with a structured :class:`NeedBlobs` instead of failing; the
-coordinator re-dispatches that unit with the full blob set.
+boundary — a worker always resolves through its cache and the pack —
+but the executor's serial fallback rehydrates to the exact original
+objects, zero-decode and trivially bit-identical to the ``jobs=1`` path.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ class UnitTiming:
     ``wall``/``cpu``, the blob-cache fields, and the observability
     piggybacks (``spans``/``metrics``) are measured in the worker;
     ``bytes_shipped``/``blobs_sent`` are filled by the coordinator (it is
-    the side that knows what crossed the wire, including resends).
+    the side that puts a unit's new blobs into the scratch pack).
     """
 
     #: worker wall-clock seconds spent executing the unit
@@ -86,17 +83,16 @@ class UnitTiming:
     cpu: float = 0.0
     #: referenced digests already resident in the worker's blob cache
     blob_cache_hits: int = 0
-    #: referenced digests that had to be decoded from the dispatch
+    #: referenced digests the worker had to read from the scratch pack
     blob_cache_misses: int = 0
     #: pid of the process that ran the unit — a worker's, or the
     #: coordinator's own for serial fallbacks (every executed unit is
     #: attributable to a real track; 0 only on never-run placeholders)
     worker_pid: int = 0
-    #: digests the worker evicted while absorbing this unit's dispatch
-    evicted: Tuple[int, ...] = ()
-    #: wire bytes shipped for this unit (all dispatch attempts)
+    #: blob bytes newly put into the scratch pack for this unit (all
+    #: dispatch attempts); what the pack already held costs nothing
     bytes_shipped: int = 0
-    #: blobs shipped for this unit (all dispatch attempts)
+    #: blobs newly put for this unit (all dispatch attempts)
     blobs_sent: int = 0
     #: raw-clock worker spans ``(name, cat, start, end, args)`` collected
     #: when the dispatch asked for tracing (see :mod:`repro.obs.spans`);
@@ -113,7 +109,7 @@ class BlobRef:
 
     ``_local`` is the decoded object itself, kept on the coordinator for
     the serial fallback and stripped at the pickle boundary (workers
-    resolve the digest through their cache / the dispatch blobs).
+    resolve the digest through their cache / the scratch pack).
     """
 
     digest: int
@@ -127,22 +123,6 @@ class BlobRef:
     def __setstate__(self, state):
         self.digest = state[0]
         self._local = None
-
-
-@dataclass
-class NeedBlobs:
-    """A worker's structured "I cannot resolve these digests" response.
-
-    Returned in place of a unit result when a required digest is neither
-    in the worker's cache nor in the dispatch; the coordinator answers by
-    re-dispatching the unit with every blob it references.
-    """
-
-    position: int
-    missing: Tuple[int, ...]
-    worker_pid: int = 0
-    #: digests evicted while absorbing the dispatch that still failed
-    evicted: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -222,8 +202,8 @@ class UnitBatch:
     """A segment's (or recording's) units plus their shared blob set.
 
     ``blobs`` holds every blob any unit in the batch references, keyed by
-    digest — the executor ships each worker only the subset it is not
-    already believed to hold.
+    digest — the executor puts into the scratch pack only those the pack
+    does not hold yet.
     """
 
     units: List[object]

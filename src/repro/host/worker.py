@@ -9,11 +9,13 @@ Two thin callers wrap it:
 * :func:`run_unit` — the worker entry point, for every pool submission
   (batch, speculative, fleet). It adopts the coordinator's runtime
   options from the dispatch (never this process's own environment),
-  applies injected faults, absorbs the dispatch's blobs into this
-  process's cache, executes, ships spans and drained counters home on
-  the :class:`~repro.host.wire.UnitTiming`, and converts any exception
-  into a structured :class:`~repro.errors.WorkerTaskError` *result*, so
-  a bad unit can never break the pool.
+  applies injected faults, resolves the unit's digests through this
+  process's cache and, for those it lacks, the scratch pack the dispatch
+  names, executes, ships spans and drained counters home on the
+  :class:`~repro.host.wire.UnitTiming`, and converts any exception — a
+  digest the pack does not hold, a pack that is gone or is not a pack
+  included — into a structured :class:`~repro.errors.WorkerTaskError`
+  *result*, so a bad unit can never break the pool.
 * :func:`run_unit_serial` — the coordinator's serial fallback. It
   rehydrates through the units' ``_local`` shortcuts (the exact original
   objects, no decode) with no fault injection and no exception
@@ -27,7 +29,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro import options
 from repro.core.epoch_runner import run_epoch
@@ -35,41 +37,50 @@ from repro.core.replayer import run_replay_epoch
 from repro.errors import WorkerTaskError
 from repro.exec.services import InjectionLog
 from repro.host import faults as fault_injection
-from repro.host.blobs import BlobCache, decode_blob_object
-from repro.host.wire import NeedBlobs, RecordEpochUnit, ReplayEpochUnit, UnitTiming
+from repro.host.blobs import WORKER_CACHE_BYTES, BlobCache
+from repro.host.wire import RecordEpochUnit, ReplayEpochUnit, UnitTiming
 from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.options import RuntimeOptions
+from repro.record.pack import BlobStore
 from repro.record.sync_log import SyncOrderLog
 
 
 @dataclass
 class UnitDispatch:
-    """One unit skeleton plus exactly the blobs being shipped with it.
+    """One unit skeleton and the scratch pack its blobs can be read from.
 
-    ``_local_program`` (stripped at the pickle boundary) keeps the
-    coordinator's serial fallback zero-decode, together with the
-    ``_local`` shortcuts inside the unit itself.
+    ``_local_program`` and ``placed`` stay on the coordinator (stripped
+    at the pickle boundary): the first keeps the serial fallback
+    zero-decode, together with the ``_local`` shortcuts inside the unit
+    itself.
     """
 
     machine: object
     unit: object
     program_digest: int
-    blobs: Dict[int, bytes] = field(default_factory=dict)
+    #: root of the :class:`~repro.record.pack.BlobStore` that holds every
+    #: digest the unit references (see :mod:`repro.host.blobs`)
+    pack: str = ""
     #: when True the worker collects observability spans for this unit
     #: and ships them home on ``UnitTiming.spans`` (set from the
     #: coordinator's active tracer; workers have no tracer of their own)
     trace: bool = False
     #: the coordinator's resolved runtime options. Shipped, not inherited
     #: (a warm pool keeps its spawn environment): the worker adopts its
-    #: fusion switch, blob-cache budget and histogram switch before any work.
+    #: fusion switch and histogram switch before any work.
     options: RuntimeOptions = RuntimeOptions()
     _local_program: object = field(default=None, repr=False)
+    #: what building this dispatch did to the scratch pack, for a fleet
+    #: dispatcher's accounting: ``(blobs, bytes)`` newly put, then
+    #: ``(blobs, bytes)`` the pack already held from someone else
+    placed: Tuple[int, int, int, int] = field(default=(0, 0, 0, 0), repr=False)
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_local_program"] = None
+        del state["placed"]  # back to the class default on the other side
         return state
 
     def required_digests(self) -> Set[int]:
@@ -99,60 +110,49 @@ def _worker_program(digest: int, resolve) -> object:
     return program
 
 
-#: this worker process's decoded-blob cache; every dispatch brings the
-#: budget it is to be held to (see :func:`_absorb_dispatch`)
-_worker_cache = BlobCache(0)
+#: this worker process's decoded-blob cache
+_worker_cache = BlobCache(WORKER_CACHE_BYTES)
+
+#: this worker process's reader over the scratch pack last named to it
+_worker_pack: Optional[BlobStore] = None
 
 
-def _absorb_dispatch(dispatch: UnitDispatch):
-    """Insert the dispatch's blobs into this worker's cache and check it.
+def _pack_reader(root: str) -> BlobStore:
+    """The reader over the pack at ``root``, opened once per pack."""
+    global _worker_pack
+    if _worker_pack is None or _worker_pack.root != root:
+        if _worker_pack is not None:
+            _worker_pack.close()
+        _worker_pack = BlobStore(root)
+    return _worker_pack
 
-    Returns ``(resolve, timing)`` on success — ``resolve`` maps a digest
-    to its decoded object, falling back from the cache to the dispatch's
-    own blobs (via a per-dispatch memo), so a digest that was shipped can
-    ALWAYS be resolved even if a tiny cache evicted it during this very
-    absorb; that fallback is what makes NeedBlobs loops impossible.
-    Returns ``(None, NeedBlobs)`` when a required digest is neither
-    cached nor shipped. The cache first adopts the dispatch's budget,
-    evicting down to it if it shrank.
+
+def _resolver(dispatch: UnitDispatch):
+    """``(resolve, timing)`` for one dispatch.
+
+    ``resolve`` maps a digest to its decoded object: out of this
+    worker's cache, else read from the pack the dispatch names (and
+    cached). It raises when the pack does not hold the digest either.
+    ``timing`` counts, of the digests the unit references, those already
+    cached (hits) and those the pack has to serve (misses).
     """
     cache = _worker_cache
-    evicted = cache.resize(dispatch.options.blob_cache_bytes)
-    for digest, blob in dispatch.blobs.items():
-        evicted.extend(cache.insert(digest, blob))
-    hits = misses = 0
-    missing: List[int] = []
-    for digest in dispatch.required_digests():
-        if digest in dispatch.blobs:
-            misses += 1
-        elif cache.has(digest) or digest in _worker_programs:
-            hits += 1
-        else:
-            missing.append(digest)
-    if missing:
-        return None, NeedBlobs(
-            position=dispatch.unit.position,
-            missing=tuple(sorted(missing)),
-            worker_pid=os.getpid(),
-            evicted=tuple(evicted),
-        )
-    memo: Dict[int, object] = {}
+    required = dispatch.required_digests()
+    misses = sum(
+        1 for digest in required
+        if not cache.has(digest) and digest not in _worker_programs
+    )
 
     def resolve(digest: int):
         obj = cache.get(digest)
-        if obj is not None:
-            return obj
-        obj = memo.get(digest)
         if obj is None:
-            obj = decode_blob_object(dispatch.blobs[digest])
-            memo[digest] = obj
+            obj = cache.insert(digest, _pack_reader(dispatch.pack).get(digest))
         return obj
 
     timing = UnitTiming(
-        blob_cache_hits=hits,
+        blob_cache_hits=len(required) - misses,
         blob_cache_misses=misses,
         worker_pid=os.getpid(),
-        evicted=tuple(evicted),
     )
     return resolve, timing
 
@@ -260,9 +260,7 @@ def run_unit(dispatch: UnitDispatch):
         with options.activate(dispatch.options):
             fault_injection.inject(unit.faults)
             decode_start = time.perf_counter()
-            resolve, timing = _absorb_dispatch(dispatch)
-            if resolve is None:
-                return unit.position, timing, UnitTiming(worker_pid=os.getpid())
+            resolve, timing = _resolver(dispatch)
             label, value, started, timing.wall, timing.cpu = _execute(
                 dispatch, _worker_program(dispatch.program_digest, resolve), resolve
             )

@@ -3,9 +3,8 @@
 Counters say *how many*; the journal says *what happened, in order*.
 Every state transition an operator would grep a log for is emitted as
 one structured event — epoch committed, divergence discarded, fault
-contained/retried/serial-fallback, ``NeedBlobs`` resend, flight-window
-slide and GC, session admitted/backpressured/completed — into a
-process-wide :class:`EventJournal`:
+contained/retried/serial-fallback, flight-window slide and GC, session
+admitted/backpressured/completed — into a process-wide :class:`EventJournal`:
 
 * **Bounded ring.** Events land in a ``deque(maxlen=capacity)``; the
   journal never grows with run length. Overflow is counted
@@ -50,7 +49,6 @@ KINDS = (
     "fault-contained",     # host: worker crash/timeout/task-error observed
     "fault-retry",         # host: blamed unit retried on a fresh pool
     "serial-fallback",     # host: unit re-run serially on the coordinator
-    "blob-resend",         # host: NeedBlobs answered with the full set
     "flight-window-slide", # durable log: manifest window slid forward
     "segment-gc",          # durable log: dead sealed segment deleted
     "pack-compaction",     # durable log: blob pack rewritten survivors-only

@@ -291,14 +291,14 @@ class TelemetryHub:
             )
             metric(
                 "repro_fleet_bytes_shipped_total", "counter",
-                "blob bytes shipped to workers",
+                "blob bytes put into the scratch pack for workers",
             )
             lines.append(
                 f"repro_fleet_bytes_shipped_total {wire.get('bytes_shipped', 0)}"
             )
             metric(
                 "repro_fleet_cross_session_hits_total", "counter",
-                "dispatch blobs omitted because another session shipped them",
+                "dispatch blobs the scratch pack held from another session",
             )
             lines.append(
                 "repro_fleet_cross_session_hits_total "

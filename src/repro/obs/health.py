@@ -28,8 +28,8 @@ Detectors:
 * **dedup-regression** — with ``expect_dedup`` set (the service sets
   it when tenants share a workload) and at least
   ``dedup_min_sessions`` completed, zero cross-session cache hits
-  means the fleet-wide blob dedup broke: every tenant is re-shipping
-  bytes the fleet already holds.
+  means the fleet-wide blob dedup broke: every tenant is re-putting
+  bytes the scratch pack already holds.
 
 The report drives the ``/healthz`` endpoint (200 ok / 503 degraded)
 and, for organic degradation — not deliberately injected faults — a

@@ -26,9 +26,9 @@ Span taxonomy (``cat`` → names):
   TP run was producing while the commit pipeline worked behind it.
 * ``wire`` — ``dispatch`` (build + submit one unit, coordinator;
   ``args["speculative"]`` marks mid-segment pipeline dispatches),
-  ``blob-resend`` (full re-dispatch after a worker's ``NeedBlobs``),
-  ``wire-decode`` (absorb the dispatch into the worker's blob cache
-  and hydrate the checkpoints, worker side).
+  ``wire-decode`` (resolve the unit's digests through the worker's
+  blob cache and the scratch pack, and hydrate the checkpoints,
+  worker side).
 * ``epoch`` — ``execute``: one epoch's uniprocessor execution. Worker
   side for pool units, coordinator side for the serial path and the
   serial fallback (``args["kind"]`` distinguishes record / replay /

@@ -1,8 +1,8 @@
 """Runtime options: every host-side knob, resolved in one place.
 
 How many worker processes, how long a unit may hang, whether fusion is
-on, how big a worker's blob cache is: one :class:`RuntimeOptions` value,
-resolved once per run at its entry point (:func:`run`) and passed down.
+on: one :class:`RuntimeOptions` value, resolved once per run at its
+entry point (:func:`run`) and passed down.
 This is the only module under ``repro`` that reads a ``REPRO_*``
 variable, and one rule decides every value::
 
@@ -40,8 +40,6 @@ class RuntimeOptions:
     pipeline: bool = True
     #: superblock fusion in the interpreter
     superblocks: bool = True
-    #: each worker's decoded-blob cache budget, in encoded bytes
-    blob_cache_bytes: int = 64 << 20
     #: fault-injection directives (:mod:`repro.host.faults` grammar,
     #: parsed where the executor is built) and the ``once`` fuse directory
     host_faults: str = ""
@@ -72,8 +70,6 @@ VARIABLES = (
     ("REPRO_UNIT_TIMEOUT", "unit_timeout", float),
     ("REPRO_PIPELINE", "pipeline", _switch),
     ("REPRO_SUPERBLOCKS", "superblocks", _switch),
-    ("REPRO_BLOB_CACHE_MB", "blob_cache_bytes",
-     lambda raw: max(0, int(float(raw) * 1024 * 1024))),
     ("REPRO_FAULT", "host_faults", str),
     ("REPRO_FAULT_STATE", "fault_state", str),
     ("REPRO_LOG_GROUP_KB", "log_group_bytes",

@@ -29,13 +29,12 @@ wall-clock, never correctness. Proxy futures returned to sessions are
 plain ``concurrent.futures.Future`` objects, so the executor's merge
 loop (`result(timeout)`, `cancel()`, harvesting) works unchanged.
 
-**Cross-session dedup accounting.** The worker blob caches and the
-coordinator's ``WorkerCacheTracker`` are already module-global, so a
-page one session shipped is omitted from every other session's
-dispatches for free. The fleet observes each dispatch
-(``note_dispatch``) to attribute that win: a digest omitted by a lane
-that did not first ship it is a cross-session cache hit, and its bytes
-are bytes the fleet never put on the wire.
+**Cross-session dedup accounting.** Every session's dispatches put
+their blobs into the same scratch pack (:mod:`repro.host.blobs`), so a
+page one session put is never written again for another. Each dispatch
+arrives with what building it cost the pack; a blob the pack already
+held before the lane ever named it is a cross-session hit, and its
+bytes are bytes the fleet never had to write.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from repro.host.pool import _pool_pids, invalidate_shared_pool, shared_pool
+from repro.host.pool import _scratch_packs, invalidate_shared_pool, shared_pool
 from repro.obs import events as obs_events
 
 
@@ -114,8 +113,7 @@ class SessionDispatcher:
     """One session's handle into the fleet (the executor's dispatcher).
 
     Implements the submission-path protocol ``HostExecutor`` expects:
-    ``warm``/``pids``/``submit``/``abandon`` plus the optional
-    ``note_dispatch`` wire observer. Slot it into a recorder via
+    ``warm``/``submit``/``abandon``. Slot it into a recorder via
     ``DoublePlayConfig(host_dispatcher=...)`` or a replayer via
     ``replay_parallel(dispatcher=...)``.
     """
@@ -135,17 +133,11 @@ class SessionDispatcher:
     def warm(self) -> None:
         """No-op: the fleet brought the pool up at service start."""
 
-    def pids(self) -> List[int]:
-        return self._fleet.pool_pids()
-
     def submit(self, fn, dispatch) -> Future:
         return self._fleet.submit(self._lane, fn, dispatch)
 
     def abandon(self, kill: bool) -> None:
         self._fleet.rebuild_pool(kill)
-
-    def note_dispatch(self, shipped: Dict[int, int], omitted: Dict[int, int]) -> None:
-        self._fleet.note_dispatch(self._lane, shipped, omitted)
 
     def session_summary(self) -> Dict[str, object]:
         """This session's queueing/wire numbers (for per-session metrics)."""
@@ -180,7 +172,6 @@ class FleetScheduler:
         self._stopping = False
         # ---- fleet-wide accounting ----
         self._latencies: List[float] = []
-        self._first_shipper: Dict[int, str] = {}
         self._bytes_shipped = 0
         self._blobs_shipped = 0
         self._cross_hits = 0
@@ -203,7 +194,8 @@ class FleetScheduler:
         self._pump_task = self._loop.create_task(self._pump())
 
     async def stop(self) -> None:
-        """Stop the pump (sessions must already be drained)."""
+        """Stop the pump (sessions must already be drained) and delete
+        the scratch packs the service's sessions filled."""
         self._stopping = True
         if self._pump_task is not None:
             self._pump_task.cancel()
@@ -212,6 +204,7 @@ class FleetScheduler:
             except asyncio.CancelledError:
                 pass
             self._pump_task = None
+        _scratch_packs.close()
 
     def register(self, sid: str) -> SessionDispatcher:
         """Create a lane for session ``sid`` and return its dispatcher."""
@@ -244,9 +237,6 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Session-thread entry points (via SessionDispatcher).
     # ------------------------------------------------------------------
-    def pool_pids(self) -> List[int]:
-        return _pool_pids(shared_pool(self.jobs))
-
     def submit(self, lane: _Lane, fn, dispatch) -> Future:
         """Queue one unit; returns a proxy future. Blocks at the bound."""
         if not lane.credit.acquire(blocking=False):
@@ -271,7 +261,15 @@ class FleetScheduler:
             lane=lane,
             t_submit=time.perf_counter(),
         )
+        blobs, size, cross_hits, cross_size = dispatch.placed
         with self._lock:
+            lane.bytes_shipped += size
+            lane.cross_hits += cross_hits
+            lane.cross_bytes_saved += cross_size
+            self._blobs_shipped += blobs
+            self._bytes_shipped += size
+            self._cross_hits += cross_hits
+            self._cross_bytes_saved += cross_size
             lane.pending.append(ticket)
             lane.submitted += 1
             self._pending_total += 1
@@ -297,24 +295,6 @@ class FleetScheduler:
             self._rebuilds += 1
         invalidate_shared_pool(kill=kill)
         self._wake_pump()
-
-    def note_dispatch(
-        self, lane: _Lane, shipped: Dict[int, int], omitted: Dict[int, int]
-    ) -> None:
-        """Attribute one dispatch's wire traffic (cross-session dedup)."""
-        with self._lock:
-            lane.bytes_shipped += sum(shipped.values())
-            self._blobs_shipped += len(shipped)
-            self._bytes_shipped += sum(shipped.values())
-            for digest in shipped:
-                self._first_shipper.setdefault(digest, lane.sid)
-            for digest, size in omitted.items():
-                origin = self._first_shipper.get(digest)
-                if origin is not None and origin != lane.sid:
-                    lane.cross_hits += 1
-                    lane.cross_bytes_saved += size
-                    self._cross_hits += 1
-                    self._cross_bytes_saved += size
 
     # ------------------------------------------------------------------
     # The pump: drain lanes into the pool, fairly.

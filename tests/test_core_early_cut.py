@@ -10,11 +10,15 @@ to a host fault, through a service fleet — and requires the recording,
 the stats, the bytes on disk, the ``exec.*`` counters and the number of
 thread-parallel engine entries to be identical. The same harness then
 loses units under the streaming merge (tail and in-flight positions,
-pipeline on and off, clean and recovering runs).
+pipeline on and off, clean and recovering runs), and records a racy
+program that does I/O to watch what only a recovery exercises: the
+kernel restored from a copy-on-write snapshot, the log a new segment
+chunks, and the scratch pack full of a squashed future's blobs.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -23,15 +27,20 @@ import pytest
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.exec.multicore import MulticoreEngine
+from repro.host import blobs as host_blobs
 from repro.host import executor as host_executor
 from repro.host.faults import FaultSpec
 from repro.host.pool import shutdown_shared_pool
+from repro.host.wire import BlobRef
 from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
-from repro.oskernel.kernel import KernelSetup
+from repro.oskernel.kernel import Kernel, KernelSetup
 from repro.oskernel.syscalls import SyscallKind
+from repro.record.pack import PACK_NAME, BlobStore
+from repro.record.log_index import SegmentLogs
 from repro.record.shards import ShardedLogReader
-from repro.workloads import build_workload
+from repro.workloads import WORKLOADS, Workload, WorkloadInstance, build_workload
+from tests.test_oskernel_kernel import _with_order, full_copy
 
 
 @pytest.fixture
@@ -369,43 +378,44 @@ def _lose_unit(monkeypatch, tmp_path, kind, position):
     ``crash-once`` kills the worker under the first dispatch only (the
     attempt pushed ahead, when there is one); every other kind strikes
     each dispatch of the position, so the contained path has to retry
-    and then run the unit on the coordinator.
+    and then run the unit on the coordinator. The ``PACK_LOSSES`` kinds
+    are what a worker can find wrong with the scratch pack a dispatch
+    names — it is outside input to the worker, a file another process
+    appends — and each is a task error there.
     """
-    if kind == "needblobs":
-        # Cold workers hold nothing, and this position's dispatches ship
-        # nothing until the coordinator answers a NeedBlobs in full.
-        shutdown_shared_pool()
+    if kind in PACK_LOSSES:
         make_dispatch = host_executor.HostExecutor._make_dispatch
+        packs = iter(range(1 << 30))
 
-        def starved(self, batch, index, pids=(), full=False):
-            dispatch = make_dispatch(self, batch, index, pids=pids, full=full)
-            if batch.kind == "record" and index == position and not full:
-                dispatch.blobs = {}
-                batch.last_shipped[index] = set()
-            return dispatch
+        def absent(ref):
+            """The same blob under a digest no worker has cached and no
+            pack holds, so the worker has to go to the pack for it."""
+            return BlobRef(ref.digest ^ 1, ref._local)
 
-        monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", starved)
-        return {}
-    if kind == "evicted-chunk":
-        # Workers keep nothing — a zero budget evicts every blob as it
-        # lands, and says so — and this position's dispatches leave its
-        # log chunks out, as they do when the mirror still believes a
-        # chunk held that a worker has just evicted: the worker answers
-        # NeedBlobs and the coordinator resends in full.
-        monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "0")
-        make_dispatch = host_executor.HostExecutor._make_dispatch
+        def lost(self, batch, index):
+            dispatch = make_dispatch(self, batch, index)
+            if batch.kind != "record" or index != position:
+                return dispatch
+            host_executor._scratch_packs.release(dispatch.pack)
+            dispatch.pack = root = str(tmp_path / f"pack-{next(packs)}")
+            dispatch.unit = unit = copy.copy(dispatch.unit)
+            if kind == "evicted-chunk":
+                # A pack with everything the unit names but its chunks.
+                assert unit.syscalls, "the unit sees no log chunk: pick another position"
+                store = BlobStore(root)
+                for digest in dispatch.required_digests():
+                    store.put(digest, batch.blobs[digest])
+                store.close()
+                unit.syscalls = tuple(absent(chunk) for chunk in unit.syscalls)
+                return dispatch
+            unit.signals = absent(unit.signals)
+            if kind == "bad-magic":
+                os.makedirs(root)
+                with open(os.path.join(root, PACK_NAME), "wb") as handle:
+                    handle.write(b"not a blob pack, whatever it is")
+            return dispatch  # "needblobs": a pack that is not there at all
 
-        def evicted(self, batch, index, pids=(), full=False):
-            dispatch = make_dispatch(self, batch, index, pids=pids, full=full)
-            if batch.kind == "record" and index == position and not full:
-                chunks = [chunk.digest for chunk in dispatch.unit.syscalls]
-                assert chunks, "the unit sees no log chunk: pick another position"
-                for digest in chunks:
-                    dispatch.blobs.pop(digest, None)
-                batch.last_shipped[index] -= set(chunks)
-            return dispatch
-
-        monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", evicted)
+        monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", lost)
         return {}
     if kind == "crash-once":
         monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
@@ -416,6 +426,11 @@ def _lose_unit(monkeypatch, tmp_path, kind, position):
         }
     return {"host_faults": f"record:{kind}:unit{position}"}
 
+
+#: what a worker can find wrong with the pack a dispatch names: it was
+#: unlinked ("needblobs"), it holds everything but the unit's log chunks
+#: ("evicted-chunk"), it is not a pack
+PACK_LOSSES = ("needblobs", "evicted-chunk", "bad-magic")
 
 #: (program, jobs, sink, pipeline, fault kind, position); a negative
 #: position counts back from the segment's last unit: -1 is the tail's
@@ -429,10 +444,11 @@ STREAM_FAULTS = [
     ("clean", 2, "log", "1", "needblobs", -1),
     ("clean", 3, "spill", "1", "needblobs", -2),
     # The log travels as chunks a unit shares with its neighbours: one
-    # evicted under the unit that needs it, and the worker that took a
-    # chunk's first shipment dying with it (mid-run and on the tail).
+    # missing under the unit that needs it, and the worker that read a
+    # chunk first dying with it (mid-run and on the tail).
     ("clean", 2, "log", "1", "evicted-chunk", -6),
     ("clean", 3, "spill", "0", "evicted-chunk", -2),
+    ("clean", 2, "log", "1", "bad-magic", -2),
     ("clean", 2, "log", "1", "crash-once", -7),
     ("clean", 2, "log", "0", "error", -1),
     ("clean", 2, "memory", "0", "crash-once", -2),
@@ -441,6 +457,7 @@ STREAM_FAULTS = [
     ("recovering", 2, "spill", "1", "crash-once", 1),
     ("recovering", 2, "log", "0", "error", 1),
     ("recovering", 2, "window", "0", "needblobs", 0),
+    ("recovering", 2, "log", "1", "bad-magic", 1),
 ]
 
 
@@ -474,14 +491,11 @@ def test_a_unit_lost_under_the_streaming_merge_changes_nothing_recorded(
     )
     if pipeline == "0":
         assert spec["dispatched"] == 0  # units held for a verdict are not speculation
-    if kind in ("needblobs", "evicted-chunk"):
-        assert faulted.host["wire"]["blob_resends"] >= 1
-        assert not any(counts.values())
-    elif kind == "crash-once":
+    if kind == "crash-once":
         assert counts["crashes"] <= 1 and counts["serial_fallbacks"] == 0
     else:
-        counter = {"error": "task_errors", "crash": "crashes", "hang": "timeouts"}
-        assert counts[counter[kind]] >= 2 and counts["serial_fallbacks"] >= 1
+        counter = {"crash": "crashes", "hang": "timeouts"}.get(kind, "task_errors")
+        assert counts[counter] >= 2 and counts["serial_fallbacks"] >= 1
         if pipeline == "1":
             assert spec["discarded"] >= 1
 
@@ -518,3 +532,213 @@ def test_a_sink_failure_mid_stream_seals_the_committed_prefix(
     monkeypatch.setattr(ShardedLogWriter, "commit_epoch", commit_epoch)
     again = DoublePlayRecorder(image, setup, config.replace(host_jobs=2)).record()
     assert not any(again.host["faults"].values())
+
+
+# ----------------------------------------------------------------------
+# Recovery of a run that does I/O
+#
+# ``racy-counter`` makes one syscall, at its end. This program races the
+# same way and prints and appends to a file on every iteration, so each
+# recovery restores a kernel that has state, and restarts a segment whose
+# log has committed history below it. Recorded at ``jobs`` 2 and 3, with
+# and without a durable sink, through a fleet — against a scratch pack
+# that is empty, that already holds the blobs of an earlier run's
+# squashed futures, or that is replaced at every dispatch — everything
+# observed is what ``jobs=1`` observes.
+# ----------------------------------------------------------------------
+def racy_io_program(iterations=80):
+    asm = Assembler(name="racy-io")
+    asm.word("counter", 0)
+    asm.word("cell0", 0)
+    asm.word("cell1", 0)
+    for worker in (0, 1):
+        with asm.function(f"worker{worker}"):
+            asm.li("r5", worker + 1)
+            asm.syscall("r6", SyscallKind.OPEN, args=["r5"])
+            asm.li("r8", f"cell{worker}")
+            asm.li("r9", 1)
+            asm.li("r2", 0)
+            asm.label(f"loop{worker}")
+            asm.loadg("r3", "counter")
+            asm.work(4)
+            asm.addi("r3", "r3", 1)
+            asm.storeg("r3", "counter")
+            asm.syscall("r7", SyscallKind.PRINT, args=["r2"])
+            asm.syscall("r7", SyscallKind.WRITE, args=["r6", "r8", "r9"])
+            asm.work(9)
+            asm.addi("r2", "r2", 1)
+            asm.blti("r2", iterations, f"loop{worker}")
+            asm.exit_()
+    with asm.function("main"):
+        asm.spawn("r10", "worker0")
+        asm.spawn("r11", "worker1")
+        asm.join("r10")
+        asm.join("r11")
+        asm.loadg("r2", "counter")
+        asm.syscall("r3", SyscallKind.PRINT, args=["r2"])
+        asm.exit_()
+    return asm.assemble()
+
+
+class RacyIoWorkload(Workload):
+    """The program above under a name a fleet session can ask for."""
+
+    name = "racy-io"
+    racy = True
+
+    def build(self, workers=2, scale=1, seed=0):
+        return WorkloadInstance(
+            name=self.name, image=racy_io_program(),
+            setup=KernelSetup(files={1: [7], 2: [9]}),
+            workers=2, racy=True, validate=lambda kernel: True,
+        )
+
+
+def _racy_io():
+    instance = RacyIoWorkload().build()
+    machine = MachineConfig(cores=2)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine, epoch_cycles=max(native.duration // 12, 500)
+    )
+    return instance.image, instance.setup, config
+
+
+@pytest.fixture
+def recovery_watch(monkeypatch):
+    """Checks, wherever they happen, the two things only a recovery does.
+
+    Every snapshot of a kernel that was restored must equal a full copy
+    of its live state (``restore`` re-seeds the copy-on-write frozen
+    forms), and no log chunk of a segment may hold a record below the
+    floors of the checkpoint the segment started at (its first chunk
+    starts above the committed history).
+    """
+    seen = {"restored_snapshots": 0, "chunks_above_history": 0}
+    restored = set()
+    restore, snapshot = Kernel.restore, Kernel.snapshot
+    init, chunks = SegmentLogs.__init__, SegmentLogs.syscall_chunks
+
+    def restoring(self, state):
+        restore(self, state)
+        restored.add(id(self))
+
+    def snapshotting(self):
+        state = snapshot(self)
+        if id(self) in restored:
+            assert _with_order(state) == _with_order(full_copy(self))
+            seen["restored_snapshots"] += 1
+        return state
+
+    def starting(self, syscall_log, signal_log, start):
+        init(self, syscall_log, signal_log, start)
+        self.history = start.syscall_counts()
+        assert (self._chunk_bounds[0] > 0) == any(self.history.values())
+
+    def chunking(self, start, make):
+        def checked(records):
+            assert all(r.seq >= self.history.get(r.tid, 0) for r in records)
+            seen["chunks_above_history"] += any(self.history.values())
+            return make(records)
+
+        return chunks(self, start, checked)
+
+    monkeypatch.setattr(Kernel, "restore", restoring)
+    monkeypatch.setattr(Kernel, "snapshot", snapshotting)
+    monkeypatch.setattr(SegmentLogs, "__init__", starting)
+    monkeypatch.setattr(SegmentLogs, "syscall_chunks", chunking)
+    return seen
+
+
+_racy_io_serial = {}
+
+
+def _racy_io_serial_observation(sink, tmp_path, tp_entries):
+    if sink not in _racy_io_serial:
+        image, setup, config = _racy_io()
+        overrides = dict(SINKS[sink], host_jobs=1)
+        if overrides.get("log_dir"):
+            overrides["log_dir"] = str(tmp_path / "serial")
+        _racy_io_serial[sink] = _observe(
+            image, setup, config.replace(**overrides), tp_entries
+        )
+    return _racy_io_serial[sink]
+
+
+def _scratch_pack_in(monkeypatch, state):
+    """Put the scratch pack in ``state`` before the record under test."""
+    if state == "rotated":
+        # Every dispatch starts a fresh pack: one is replaced between
+        # any squash and the recovery that follows it.
+        monkeypatch.setattr(host_blobs, "SCRATCH_PACK_BYTES", 0)
+    if state != "warm":
+        shutdown_shared_pool()
+        return
+    # The pack keeps what this very program's squashed futures put.
+    image, setup, config = _racy_io()
+    primed = DoublePlayRecorder(image, setup, config.replace(host_jobs=2)).record()
+    assert primed.host["speculation"]["discarded"] > 0
+
+
+#: (jobs, sink, scratch pack): each ``jobs`` meets every pack state, each
+#: sink every pack state
+RECOVERY_IO = [
+    (2, "memory", "cold"),
+    (2, "log", "warm"),
+    (2, "memory", "rotated"),
+    (3, "log", "cold"),
+    (3, "memory", "warm"),
+    (3, "log", "rotated"),
+]
+
+
+@pytest.mark.parametrize("jobs,sink,state", RECOVERY_IO)
+def test_recovery_with_io_is_the_serial_one_whatever_the_scratch_pack_holds(
+    monkeypatch, tmp_path, tp_entries, recovery_watch, jobs, sink, state
+):
+    reference, expected = _racy_io_serial_observation(sink, tmp_path, tp_entries)
+    assert reference.stats["recoveries"] > 10
+    assert len(reference.recording.syscall_records) > 100
+    restored_at_jobs_1 = recovery_watch["restored_snapshots"]
+    _scratch_pack_in(monkeypatch, state)
+    image, setup, config = _racy_io()
+    overrides = dict(SINKS[sink], host_jobs=jobs)
+    if overrides.get("log_dir"):
+        overrides["log_dir"] = str(tmp_path / "parallel")
+    result, got = _observe(image, setup, config.replace(**overrides), tp_entries)
+    # The recording, the stats, the counters — and, with a sink, every
+    # byte under log_dir: nothing a squashed future put is among them.
+    assert got == expected
+    assert result.host["speculation"]["discarded"] > 0
+    assert not any(result.host["faults"].values()), result.host["fault_events"][:3]
+    wire = result.host["wire"]
+    if state == "warm":
+        assert wire["bytes_shipped"] == 0  # even the squashed futures' pages
+    else:
+        assert wire["bytes_shipped"] > 0
+    assert recovery_watch["restored_snapshots"] > restored_at_jobs_1 + 10
+    assert recovery_watch["chunks_above_history"] > 10
+
+
+def test_recovery_with_io_through_a_fleet_is_the_serial_one(
+    monkeypatch, tmp_path, tp_entries, recovery_watch
+):
+    from repro.service import RecordService, ServiceConfig, SessionRequest
+
+    _, solo = _racy_io_serial_observation("memory", tmp_path, tp_entries)
+    monkeypatch.setitem(WORKLOADS, "racy-io", RacyIoWorkload)
+    monkeypatch.setattr(host_blobs, "SCRATCH_PACK_BYTES", 4096)
+    _, _, config = _racy_io()
+    report = RecordService(ServiceConfig(jobs=2, max_active=2)).run([
+        SessionRequest(
+            sid=f"io-{tenant}", workload="racy-io", workers=2,
+            epoch_cycles=config.epoch_cycles,
+        )
+        for tenant in range(2)
+    ])
+    assert report.ok, [r.error for r in report.results]
+    for result in report.results:
+        assert json.dumps(result.recording_plain, sort_keys=True) == solo["plain"]
+        assert result.metrics["exec"] == solo["exec"]
+        assert not any(result.metrics["faults"].values())
+    assert recovery_watch["chunks_above_history"] > 20

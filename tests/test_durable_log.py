@@ -18,13 +18,14 @@ from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
+from repro.record.pack import BlobStore
 from repro.record.segment import (
     SEGMENT_MAGIC,
     SegmentCorruption,
     SegmentReader,
     SegmentWriter,
 )
-from repro.record.shards import BlobStore, ShardedLogReader
+from repro.record.shards import ShardedLogReader
 from repro.workloads import build_workload
 
 FRAMES = [b"alpha", b"b" * 200, b"", b"gamma" * 50]

@@ -1,22 +1,24 @@
-"""The content-addressed blob layer: encoding, caches, and the tracker.
+"""The content-addressed blob layer: encoding, the cache, the scratch packs.
 
 Unit-level contracts under the wire protocol's parity guarantee: blob
 encoding is exact (``-1`` and ``2**64 - 1`` are different pages), the
-worker cache honours its byte budget and reports evictions, and the
-coordinator's mirror of worker caches only ever errs on the side of
-shipping more bytes.
+worker cache honours its byte budget, the coordinator's scratch packs
+write a digest once, rotate at their size cap and never outlive what
+names them, and a reader of a pack another process is appending copes
+with whatever it finds there.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 
 from repro.checkpoint.checkpoint import Checkpoint
-from repro.host.blobs import (
-    BlobCache,
-    WorkerCacheTracker,
-    decode_blob_object,
-)
+from repro.errors import ReplayError
+from repro.host import blobs as host_blobs
+from repro.host.blobs import BlobCache, ScratchPacks, decode_blob_object
 from repro.memory.address_space import AddressSpace, MemorySnapshot
 from repro.memory.blob import (
     TAG_PAGE_RAW,
@@ -28,6 +30,7 @@ from repro.memory.blob import (
 )
 from repro.memory.layout import PAGE_WORDS
 from repro.memory.page import Page
+from repro.record.pack import _PACK_ENTRY, PACK_NAME, BlobStore
 
 
 # ----------------------------------------------------------------------
@@ -105,22 +108,21 @@ def _blob(tag: bytes, size: int) -> bytes:
 def test_blob_cache_lru_eviction_reports_digests():
     a, b, c = _blob(b"a", 100), _blob(b"b", 100), _blob(b"c", 100)
     cache = BlobCache(len(a) + len(b))
-    assert cache.insert(1, a) == []
-    assert cache.insert(2, b) == []
+    assert cache.insert(1, a) == b"a" * 100  # the decoded object
+    cache.insert(2, b)
     assert cache.has(1) and cache.has(2)
     cache.get(1)  # refresh: 2 becomes least recently used
-    assert cache.insert(3, c) == [2]
+    cache.insert(3, c)
     assert cache.has(1) and cache.has(3) and not cache.has(2)
+    assert cache.get(2) is None
     assert cache.used_bytes == len(a) + len(c)
-    assert cache.missing([1, 2, 3, 4]) == [2, 4]
 
 
 def test_blob_cache_zero_capacity_never_retains():
     blob = _blob(b"x", 10)
     cache = BlobCache(0)
-    # The blob is decoded but immediately reported as evicted, so the
-    # coordinator's mirror nets to "worker holds nothing" — consistent.
-    assert cache.insert(5, blob) == [5]
+    # The blob is decoded for its caller but not kept.
+    assert cache.insert(5, blob) == b"x" * 10
     assert len(cache) == 0 and cache.used_bytes == 0
     assert not cache.has(5)
 
@@ -128,44 +130,130 @@ def test_blob_cache_zero_capacity_never_retains():
 def test_blob_cache_reinsert_refreshes_without_redecoding():
     blob = _blob(b"y", 10)
     cache = BlobCache(1024)
-    cache.insert(7, blob)
-    first = cache.get(7)
-    assert cache.insert(7, blob) == []
+    first = cache.insert(7, blob)
+    assert cache.insert(7, blob) is first
     assert cache.get(7) is first
     assert cache.used_bytes == len(blob)
 
 
 # ----------------------------------------------------------------------
-# Coordinator-side tracker
+# Coordinator-side scratch packs
 # ----------------------------------------------------------------------
-def test_tracker_common_is_intersection_over_live_pids():
-    tracker = WorkerCacheTracker()
-    tracker.note_inserted(10, {1, 2, 3})
-    tracker.note_inserted(11, {2, 3, 4})
-    everything = {1, 2, 3, 4, 5}
-    assert tracker.held_by_all([10, 11], everything) == {2, 3}
-    assert tracker.held_by_all([10, 11], {1, 3}) == {3}
-    # Any unknown pid means the omission rule cannot fire at all.
-    assert tracker.held_by_all([10, 11, 12], everything) == set()
-    assert tracker.held_by_all([], everything) == set()
+@pytest.fixture
+def packs():
+    packs = ScratchPacks()
+    yield packs
+    for root, dispatches in list(packs._named.items()):
+        for _ in range(dispatches):
+            packs.release(root)
+    packs.close()
+    assert packs._dir is None
 
 
-def test_tracker_evictions_and_forgetting():
-    tracker = WorkerCacheTracker()
-    tracker.note_inserted(10, {1, 2, 3})
-    tracker.note_evicted(10, {2, 99})  # unknown digests are a no-op
-    assert tracker.held_by_all([10], {1, 2, 3, 99}) == {1, 3}
-    tracker.forget_worker(10)
-    assert tracker.held_by_all([10], {1, 2, 3}) == set()
+def test_scratch_pack_writes_a_digest_once(packs):
+    blobs = {1: b"one", 2: b"two", 3: b"three"}
+    root, fresh = packs.place([1, 2], blobs)
+    assert sorted(fresh) == [1, 2]
+    again, fresh = packs.place([1, 2, 3], blobs)
+    assert again == root and fresh == [3]
+    # Another process's reader sees everything a place() returned from.
+    reader = BlobStore(root)
+    assert [reader.get(d) for d in (1, 2, 3)] == [b"one", b"two", b"three"]
+    reader.close()
 
 
-def test_tracker_prune_drops_dead_pids():
-    tracker = WorkerCacheTracker()
-    tracker.note_inserted(10, {1})
-    tracker.note_inserted(11, {1})
-    tracker.prune([11])
-    assert tracker.held_by_all([10], {1}) == set()
-    assert tracker.held_by_all([11], {1}) == {1}
+def test_scratch_pack_rotates_at_the_cap_and_outlives_no_dispatch(
+    packs, monkeypatch
+):
+    monkeypatch.setattr(host_blobs, "SCRATCH_PACK_BYTES", 64)
+    blobs = {n: bytes([n]) * 40 for n in range(1, 5)}
+    first, _ = packs.place([1, 2], blobs)  # now past the cap
+    second, fresh = packs.place([2, 3], blobs)
+    assert second != first
+    assert sorted(fresh) == [2, 3], "a fresh pack is re-put what a unit needs"
+    # The first pack is still named by its in-flight dispatch...
+    assert os.path.exists(os.path.join(first, PACK_NAME))
+    packs.release(first)
+    assert not os.path.exists(first)
+    # ...while the current pack survives its dispatches.
+    packs.release(second)
+    assert os.path.exists(os.path.join(second, PACK_NAME))
+    # Per-digest coordinator state is the current pack's index alone.
+    assert set(packs._store._index) == {2, 3}
+    assert list(packs._named) == []
+    packs.close()
+    assert not os.path.exists(os.path.dirname(second))
+    # At interpreter exit nothing in flight will ever finish: all goes.
+    named, _ = packs.place([1], blobs)
+    packs.close()
+    assert os.path.exists(named)
+    packs.close(abandon=True)
+    assert not os.path.exists(os.path.dirname(named)) and packs._dir is None
+
+
+def test_scratch_pack_that_cannot_be_written_is_dropped(packs, monkeypatch):
+    root, _ = packs.place([1], {1: b"one"})
+
+    def disk_full(self, fsync=False):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BlobStore, "flush", disk_full)
+        with pytest.raises(OSError):
+            packs.place([2], {2: b"two"})
+    # The next dispatch starts a fresh pack and re-puts what it needs.
+    again, fresh = packs.place([1, 2], {1: b"one", 2: b"two"})
+    assert again != root and sorted(fresh) == [1, 2]
+
+
+# ----------------------------------------------------------------------
+# Reading a pack another process is appending
+# ----------------------------------------------------------------------
+def test_reader_picks_up_appends_and_skips_a_torn_tail(tmp_path):
+    root = str(tmp_path / "pack")
+    writer = BlobStore(root)
+    writer.put(1, b"first")
+    writer.flush()
+    reader = BlobStore(root)
+    assert reader.get(1) == b"first"
+    # An append in progress: the entry header and half the payload.
+    entry = _PACK_ENTRY.pack((2).to_bytes(16, "big"), 6) + b"second"
+    with open(writer.path, "ab") as handle:
+        handle.write(entry[:-3])
+    with pytest.raises(ReplayError, match="not in pack"):
+        reader.get(2)  # torn: the scan ends there, without error
+    assert reader.get(1) == b"first"
+    with open(writer.path, "ab") as handle:
+        handle.write(entry[-3:])
+    assert reader.get(2) == b"second"  # the next rescan takes it whole
+    # ... and whatever an appender flushes after it.
+    writer.close()
+    writer = BlobStore(root)
+    writer.put(3, b"third")
+    writer.flush()
+    assert reader.get(3) == b"third"
+    for store in (reader, writer):
+        store.close()
+
+
+def test_reader_of_a_wrong_magic_an_unlinked_path_or_an_absent_digest(tmp_path):
+    root = str(tmp_path / "pack")
+    os.makedirs(root)
+    with open(os.path.join(root, PACK_NAME), "wb") as handle:
+        handle.write(b"NOTPACK" + b"\0" * 32)
+    with pytest.raises(ReplayError, match="not a blob pack"):
+        BlobStore(root)
+    shutil.rmtree(root)
+    gone = BlobStore(root)  # reading creates nothing
+    with pytest.raises(ReplayError, match="not in pack"):
+        gone.get(1)
+    assert not os.path.exists(root)
+    writer = BlobStore(root)
+    writer.put(1, b"one")
+    writer.flush()
+    with pytest.raises(ReplayError, match="not in pack"):
+        BlobStore(root).get(2)
+    writer.close()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ path, with the failure counters reporting what happened.
 Also covers the pool-management regressions: a broken shared pool used
 to be cached (and returned, broken) forever; growing the pool used to
 cancel in-flight units; spawning workers used to leak ``PYTHONPATH``
-into the coordinator's environment permanently.
+into the coordinator's environment permanently. And the scratch packs
+the workers read their blobs from go when the pool does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -34,7 +37,9 @@ from repro.errors import (
 )
 from repro.host import faults as fault_mod
 from repro.host.pool import (
+    _scratch_packs,
     _worker_ping,
+    invalidate_shared_pool,
     shared_pool,
     shutdown_shared_pool,
 )
@@ -101,6 +106,42 @@ def test_shared_pool_growth_drains_in_flight_units():
     # yanking the old pool out from under still-draining units.
     assert future.done() and not future.cancelled()
     assert future.result(timeout=0) is None
+
+
+@pytest.mark.parametrize("teardown", [shutdown_shared_pool, invalidate_shared_pool])
+def test_scratch_packs_go_with_the_pool(teardown):
+    _, _, result = _record("fft", 2, jobs=2)
+    assert result.host["units"] > 0
+    directory, pack = _scratch_packs._dir, _scratch_packs._store.root
+    assert os.path.dirname(pack) == directory and os.listdir(pack)
+    teardown()
+    assert not os.path.exists(directory)
+    # A pool that stays holds the current pack and nothing else.
+    _, _, again = _record("fft", 2, jobs=2)
+    assert again.host["wire"]["bytes_shipped"] > 0
+    assert os.listdir(_scratch_packs._dir) == [
+        os.path.basename(_scratch_packs._store.root)
+    ]
+
+
+def test_scratch_packs_go_with_the_interpreter(tmp_path):
+    script = tmp_path / "record.py"
+    script.write_text(
+        "from tests.test_host_faults import _record\n"
+        "from repro.host.pool import _scratch_packs\n"
+        "if __name__ == '__main__':\n"
+        "    _record('fft', 2, jobs=2)\n"
+        "    print(_scratch_packs._store.path)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        cwd=os.path.dirname(os.path.dirname(__file__)),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    pack = done.stdout.strip()
+    assert pack.endswith("pack.dppack"), done.stdout
+    assert not os.path.exists(os.path.dirname(os.path.dirname(pack)))
 
 
 def test_worker_import_path_is_scoped(monkeypatch):

@@ -1,12 +1,13 @@
-"""One epoch-unit path: execute, dispatch and settle exist once each.
+"""One epoch-unit path: execute and dispatch exist once each.
 
 The host layer runs a unit through one routine wherever it runs — a pool
 worker (batch, speculative or fleet submission) or the coordinator's
 serial fallback. These tests pin that directly: the two callers of the
 one execute routine agree on values and counters, the one dispatch
-routine still emits every span the three old submission paths did, and
-a warm pool honours the coordinator's runtime options (superblock
-switch, blob-cache budget, histogram switch), not its spawn environment.
+routine still emits every span the three old submission paths did, a
+bug in building a dispatch is not mistaken for a host fault, and a warm
+pool honours the coordinator's runtime options (superblock switch,
+histogram switch), not its spawn environment.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def _golden_tuple(native, result):
 class _CapturingDispatcher:
     """A submission seam with no pool behind it.
 
-    Every dispatch the executor builds is kept (full: no worker is known
-    to hold anything) and then refused, so each unit exhausts its pool
-    attempts and runs through the coordinator's serial fallback.
+    Every dispatch the executor builds is kept and then refused, so
+    each unit exhausts its pool attempts and runs through the
+    coordinator's serial fallback.
     """
 
     def __init__(self):
@@ -70,9 +71,6 @@ class _CapturingDispatcher:
 
     def warm(self):
         pass
-
-    def pids(self):
-        return []
 
     def submit(self, fn, dispatch):
         assert fn is host_worker.run_unit, "a second worker entry point exists"
@@ -109,9 +107,10 @@ def captured():
 def _run_both_ways(monkeypatch, dispatch):
     """(worker outcome, serial outcome), each as (value, counters)."""
     # run_unit is about to run in *this* process: keep its per-worker
-    # state (pinned programs, blob cache) out of later tests.
+    # state (pinned programs, blob cache, pack reader) out of later tests.
     monkeypatch.setattr(host_worker, "_worker_programs", {})
     monkeypatch.setattr(host_worker, "_worker_cache", BlobCache(0))
+    monkeypatch.setattr(host_worker, "_worker_pack", None)
     stats = obs_metrics.process_stats()
     saved = stats.snapshot()
     try:
@@ -121,7 +120,9 @@ def _run_both_ways(monkeypatch, dispatch):
         assert all(chunk._local is None for chunk in shipped.unit.syscalls)
         _, worker_value, timing = host_worker.run_unit(shipped)
         assert not isinstance(worker_value, Exception), worker_value
-        assert timing.blob_cache_misses == len(shipped.blobs)
+        # Nothing travelled with it: every digest was read from the pack.
+        assert timing.blob_cache_misses == len(shipped.required_digests())
+        assert timing.blob_cache_hits == 0
 
         local = host_worker.UnitDispatch(
             dispatch.machine,
@@ -177,39 +178,24 @@ def test_replay_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
     assert worker_counters["replay.epochs"] == 1
 
 
-def test_one_dispatch_routine_emits_every_span(monkeypatch):
-    """Speculative push, NeedBlobs resend and serial fallback, traced.
+def test_one_dispatch_routine_emits_every_span():
+    """Speculative push, contained retry and serial fallback, traced.
 
-    A jobs=2 record where every first dispatch ships no blobs (fresh
-    workers must answer NeedBlobs) and unit 1 raises in the worker on
-    both pool attempts (it must fall back to the coordinator).
+    A jobs=2 record where unit 1 raises in the worker on both pool
+    attempts (it must fall back to the coordinator).
     """
-    original = host_executor.HostExecutor._make_dispatch
-
-    def starved(self, batch, position, pids=(), full=False):
-        dispatch = original(self, batch, position, pids=pids, full=full)
-        if not full:
-            dispatch.blobs = {}
-            batch.last_shipped[position] = set()
-        return dispatch
-
-    monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", starved)
-    shutdown_shared_pool()  # fresh workers hold nothing: misses guaranteed
+    shutdown_shared_pool()  # an empty scratch pack: every span ships bytes
     instance, machine, native, config = _setup(
         host_jobs=2, host_faults="record:error:unit1"
     )
     tracer = obs_spans.start_trace()
     try:
         result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        # Fresh workers again: whether the record-warmed ones happen to
-        # hold every blob a replay unit needs depends on who ran what.
-        shutdown_shared_pool()
         outcome = Replayer(instance.image, machine).replay_parallel(
             result.recording, jobs=2
         )
     finally:
         obs_spans.stop_trace()
-        shutdown_shared_pool()
     assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
     assert outcome.verified
 
@@ -224,12 +210,15 @@ def test_one_dispatch_routine_emits_every_span(monkeypatch):
     assert result.host["speculation"]["dispatched"] == len(speculative)
     for span in dispatches:
         assert set(span.args) - {"speculative"} == {"position", "bytes"}
-    resends = spans("blob-resend")
-    counted = [run.host["wire"]["blob_resends"] for run in (result, outcome)]
-    assert len(resends) == sum(counted) and min(counted) >= 1
-    assert all(
-        set(s.args) == {"position", "bytes"} and s.args["bytes"] > 0 for s in resends
-    )
+    # What the spans say was put is what the run accounts, and no other
+    # wire span exists: nothing is ever sent twice.
+    assert {s.name for s in tracer.spans if s.cat == obs_spans.CAT_WIRE} == {
+        "dispatch", "wire-decode",
+    }
+    assert [run.host["wire"]["blob_resends"] for run in (result, outcome)] == [0, 0]
+    assert sum(s.args["bytes"] for s in dispatches) == sum(
+        run.host["wire"]["bytes_shipped"] for run in (result, outcome)
+    ) > 0
     kinds = {}
     for span in spans("execute"):
         kinds.setdefault(span.args["kind"], []).append(span)
@@ -239,6 +228,55 @@ def test_one_dispatch_routine_emits_every_span(monkeypatch):
     assert all(s.args["position"] == 1 for s in kinds["record-serial"])
     assert all(s.track == tracer.pid for s in kinds["record-serial"])
     assert all(s.track != tracer.pid for s in kinds["record"])
+
+
+def test_a_bug_in_building_a_dispatch_is_not_contained(monkeypatch):
+    """Regression: ``_dispatch`` swallowed builder errors with submit's.
+
+    A programming error while a dispatch is built used to be reported as
+    a broken pool, retried on a rebuilt one and hidden behind the serial
+    fallback. Only host failures are contained; this one raises.
+    """
+    def broken(self, batch, position):
+        raise KeyError("a digest the batch never interned")
+
+    monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", broken)
+    instance, _, _, config = _setup(host_jobs=2)
+    with pytest.raises(KeyError, match="never interned"):
+        DoublePlayRecorder(instance.image, instance.setup, config).record()
+
+
+def test_an_unwritable_scratch_pack_is_contained(monkeypatch):
+    """A pack that cannot be flushed (disk full, its directory gone) is a
+    host failure: journalled, retried, then run on the coordinator —
+    and the recording is the ``jobs=1`` one."""
+    from repro.obs import events as obs_events
+    from repro.record.pack import BlobStore
+
+    def disk_full(self, fsync=False):
+        raise OSError(28, "No space left on device")
+
+    instance, _, native, config = _setup(host_jobs=2)
+    journal = obs_events.install_journal()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(BlobStore, "flush", disk_full)
+            result = DoublePlayRecorder(
+                instance.image, instance.setup, config
+            ).record()
+        contained = [e for e in journal.tail() if e["kind"] == "fault-contained"]
+    finally:
+        obs_events.uninstall_journal()
+        shutdown_shared_pool()
+    assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
+    faults = result.host["faults"]
+    assert faults["serial_fallbacks"] == result.host["units"] > 0
+    assert contained and all(e["fault"] == "crash" for e in contained)
+    assert all(
+        "scratch pack cannot be written" in event["error"]
+        for event in result.host["fault_events"]
+    )
+    assert result.host["wire"]["bytes_shipped"] == 0
 
 
 def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
@@ -258,32 +296,6 @@ def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
         assert result.host["units"] > 0
         fused = result.metrics.snapshot().get("superblock", {})
         assert fused.get("fused_calls", 0) == 0, "fusion ran while disabled"
-    finally:
-        shutdown_shared_pool()
-
-
-def test_warm_pool_honours_the_coordinators_blob_cache_budget(monkeypatch):
-    """Regression: workers kept the cache budget they were spawned with."""
-    shutdown_shared_pool()
-    monkeypatch.delenv("REPRO_BLOB_CACHE_MB", raising=False)
-    try:
-        instance, _, native, config = _setup("fft", 2, host_jobs=2)
-        # The first record meets cold workers — its last units land on
-        # them side by side, before either has acknowledged a blob — so
-        # the hits are the second's, served from what the first cached.
-        DoublePlayRecorder(instance.image, instance.setup, config).record()
-        warm = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        assert warm.host["wire"]["blob_cache_hits"] > 0, (
-            "the default budget cached nothing: the regression below is vacuous"
-        )
-
-        monkeypatch.setenv("REPRO_BLOB_CACHE_MB", "0")
-        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        assert _golden_tuple(native, result) == GOLDEN[("fft", 2)]
-        wire = result.host["wire"]
-        assert wire["blob_cache_hits"] == 0, "a zero-budget worker served a hit"
-        assert wire["bytes_shipped"] > 0
-        assert not any(result.host["faults"].values())
     finally:
         shutdown_shared_pool()
 

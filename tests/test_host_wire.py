@@ -18,9 +18,9 @@ from repro import options
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.exec.interpreter import decode_program
-from repro.host.blobs import decode_blob_object
+from repro.host import executor as host_executor
+from repro.host.blobs import ScratchPacks, decode_blob_object
 from repro.host.executor import HostExecutor
-from repro.host.pool import _cache_tracker
 from repro.host.wire import (
     record_units_for_segment,
     replay_units_for_recording,
@@ -310,14 +310,15 @@ def test_replay_units_roundtrip_preserves_digests():
 
 
 @pytest.mark.parametrize("name", ["pbzip", "fft"])
-def test_steady_state_dispatch_is_skeleton_only(name):
-    """Once the pool holds every blob, a dispatch ships none of them.
+def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
+    """A dispatch is the skeleton and a pack path, cold or warm.
 
-    The cache mirror is told that both (made-up) worker pids hold the
-    whole batch; every dispatch the executor then builds carries an
-    empty blob set, and together they pickle to under a fifth of what
-    shipping each unit as whole objects costs (exact ``pickle.dumps``
-    lengths, no pool involved).
+    Built against an empty scratch pack, a recording's dispatches put
+    every blob once; built again they put nothing. Either way what is
+    pickled for the worker is the same skeleton, and together the
+    dispatches pickle to under a fifth of what shipping each unit as
+    whole objects costs (exact ``pickle.dumps`` lengths, no pool
+    involved).
     """
     instance, machine, result = _record(name, scale=8)
     recording = result.recording
@@ -332,26 +333,34 @@ def test_steady_state_dispatch_is_skeleton_only(name):
         for epoch in recording.epochs
     )
     wire = replay_units_for_recording(recording)
-    executor = HostExecutor(options.resolve(host_jobs=2))
-    batch = executor._begin_batch(
-        "replay", instance.image, machine, wire.units, wire.blobs
-    )
-    pids = (-1, -2)
+    packs = ScratchPacks()
+    monkeypatch.setattr(host_executor, "_scratch_packs", packs)
     try:
-        for pid in pids:
-            _cache_tracker.note_inserted(pid, batch.blobs)
-        dispatches = [
-            executor._make_dispatch(batch, index, pids=pids)
-            for index in range(len(batch.units))
-        ]
+        sizes = []
+        for history in ("cold", "warm"):
+            executor = HostExecutor(options.resolve(host_jobs=2))
+            batch = executor._begin_batch(
+                "replay", instance.image, machine, wire.units, wire.blobs
+            )
+            dispatches = [
+                executor._make_dispatch(batch, index)
+                for index in range(len(batch.units))
+            ]
+            assert len(dispatches) == recording.epoch_count() >= 8
+            assert len({dispatch.pack for dispatch in dispatches}) == 1
+            if history == "cold":
+                assert sum(batch.blobs_sent) == len(batch.blobs)
+                assert sum(batch.bytes_shipped) == sum(map(len, batch.blobs.values()))
+            else:
+                assert sum(batch.bytes_shipped) == sum(batch.blobs_sent) == 0
+            sizes.append([len(pickle.dumps(dispatch)) for dispatch in dispatches])
+            for dispatch in dispatches:
+                packs.release(dispatch.pack)
     finally:
-        for pid in pids:
-            _cache_tracker.forget_worker(pid)
-    assert len(dispatches) == recording.epoch_count() >= 8
-    assert all(dispatch.blobs == {} for dispatch in dispatches)
-    assert sum(batch.bytes_shipped) == 0
-    skeletons = sum(len(pickle.dumps(dispatch)) for dispatch in dispatches)
-    assert whole_objects >= 5 * skeletons
+        packs.close()
+    assert packs._dir is None
+    assert sizes[0] == sizes[1]
+    assert whole_objects >= 5 * sum(sizes[0])
 
 
 def test_record_units_share_pages_by_content():

@@ -7,6 +7,8 @@ integration statement, kept fast with small scales.
 """
 
 import json
+import os
+import time
 
 import pytest
 
@@ -420,13 +422,14 @@ def test_goldens_survive_host_faults(
         assert sum(counts.values()) >= 1, "fault never fired"
 
 
-# Wire parity: the content-addressed dispatch protocol (page dedup,
-# delta checkpoints, worker blob caches) may change only how many bytes
-# travel — never what the workers compute. The goldens must hold when
-# the caches are starved to their degenerate limits: capacity 0 (every
-# blob evicts on insert, workers decode from the dispatch fallback) and
-# a few KiB (constant LRU churn, coordinator tracking through eviction
-# acks). (name, workers, jobs, cache_mb)
+# Wire parity: the content-addressed blob plane (page dedup, delta
+# checkpoints, one scratch pack, worker blob caches) may change only how
+# many bytes are written — never what the workers compute. The goldens
+# must hold when the scratch pack is starved to its degenerate limits:
+# a cap of 0 (every dispatch starts a fresh pack and re-puts everything
+# it names) and a few KiB (a rotation every few units, mid-segment,
+# with earlier packs still named in flight). (name, workers, jobs,
+# cap_mb)
 WIRE_PARITY = [
     ("pbzip", 2, 2, "0"),
     ("fft", 3, 2, "0.02"),
@@ -444,9 +447,13 @@ def _shutdown_pool():
 def test_goldens_survive_blob_cache_starvation(
     monkeypatch, name, workers, jobs, cache_mb
 ):
-    # The budget rides every dispatch, so whatever pool is warm adopts
-    # the tiny budget now and the next run's budget after.
-    monkeypatch.setenv("REPRO_BLOB_CACHE_MB", cache_mb)
+    from repro.host import blobs as host_blobs
+    from repro.host.pool import _scratch_packs
+
+    monkeypatch.setattr(
+        host_blobs, "SCRATCH_PACK_BYTES", int(float(cache_mb) * 1024 * 1024)
+    )
+    _shutdown_pool()  # an empty scratch pack: the run's puts are its own
     instance = build_workload(name, workers=workers, scale=2, seed=11)
     machine = MachineConfig(cores=workers)
     native = run_native(instance.image, instance.setup, machine)
@@ -468,18 +475,31 @@ def test_goldens_survive_blob_cache_starvation(
         recording.total_log_bytes(),
     )
     assert observed == GOLDEN[(name, workers)], (
-        f"{name}/{workers}: drift under blob cache {cache_mb} MB — "
+        f"{name}/{workers}: drift under a {cache_mb} MB scratch pack — "
         f"expected {GOLDEN[(name, workers)]}, got {observed}"
     )
-    # Starvation shows up in the wire accounting, never in faults.
+    # Starvation shows up in the wire accounting, never in faults:
+    # every rotation re-puts pages an unstarved pack holds once.
     wire = result.host["wire"]
-    assert wire["bytes_shipped"] > 0 and wire["blobs_sent"] > 0
+    assert wire["blobs_sent"] > len(
+        {p.wire_blob()[0] for e in recording.epochs
+         for p in e.start_checkpoint.memory.pages.values()}
+    )
     assert not any(result.host["faults"].values())
 
     # Replay through the same starved pool reaches the same verdict.
     replayer = Replayer(instance.image, machine)
     outcome = replayer.replay_parallel(recording, jobs=jobs)
     assert outcome.verified, f"{name}: {outcome.details}"
+    assert not any(outcome.host["faults"].values())
+    # Once nothing is in flight any more (a future wakes its waiter
+    # before it runs its callbacks), only the current pack is left.
+    deadline = time.monotonic() + 5
+    while _scratch_packs._named and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with _scratch_packs._lock:  # the last release deletes under it
+        left = os.listdir(_scratch_packs._dir)
+    assert left == [os.path.basename(_scratch_packs._store.root)]
 
 
 # Observability parity: a live tracer may never influence an execution.
@@ -558,12 +578,13 @@ def test_goldens_survive_tracing(tmp_path, name, workers, jobs):
 
 
 def test_goldens_survive_forced_blob_misses(monkeypatch):
-    """An over-optimistic coordinator self-corrects via NeedBlobs.
+    """A worker that cannot read what a unit names fails that unit only.
 
-    Omission is a pure optimisation: if the tracker wrongly believes the
-    pool holds every blob (here: forced, in production: never), workers
-    answer with a structured NeedBlobs and the coordinator re-dispatches
-    with the full blob set — same goldens, resends counted, no faults.
+    Here every dispatch names a pack that does not exist (in production:
+    never — the pack outlives every dispatch naming it). Cold workers
+    lack every digest, so each pool attempt is a task error, contained
+    like any other: retried, then run on the coordinator — same
+    goldens, nothing sent twice.
     """
     from repro.host import executor as host_pool
 
@@ -571,11 +592,10 @@ def test_goldens_survive_forced_blob_misses(monkeypatch):
 
     original = host_pool.HostExecutor._make_dispatch
 
-    def starved(self, batch, position, pids=(), full=False):
-        dispatch = original(self, batch, position, pids=pids, full=full)
-        if not full:
-            dispatch.blobs = {}
-            batch.last_shipped[position] = set()
+    def starved(self, batch, position):
+        dispatch = original(self, batch, position)
+        host_pool._scratch_packs.release(dispatch.pack)
+        dispatch.pack = os.path.join(dispatch.pack, "unlinked")
         return dispatch
 
     monkeypatch.setattr(host_pool.HostExecutor, "_make_dispatch", starved)
@@ -602,8 +622,14 @@ def test_goldens_survive_forced_blob_misses(monkeypatch):
             recording.total_log_bytes(),
         )
         assert observed == GOLDEN[(name, workers)]
-        assert result.host["wire"]["blob_resends"] >= 1, "no miss ever forced"
-        assert not any(result.host["faults"].values())
+        faults = result.host["faults"]
+        assert faults["serial_fallbacks"] == result.host["units"]
+        assert faults["task_errors"] == 2 * result.host["units"]
+        assert faults["crashes"] == faults["timeouts"] == 0
+        assert all(
+            "not in pack" in event["error"] for event in result.host["fault_events"]
+        )
+        assert result.host["wire"]["blob_resends"] == 0
     finally:
         _shutdown_pool()
 

@@ -28,7 +28,6 @@ from repro.obs import histo as obs_histo
 from repro.options import RuntimeOptions
 from repro.workloads import build_workload
 
-MB = 1024 * 1024
 DEFAULTS = RuntimeOptions()
 
 #: variable -> (field, [(raw value or None for unset, expected field value)])
@@ -44,10 +43,6 @@ TABLE = {
     ]),
     "REPRO_SUPERBLOCKS": ("superblocks", [
         (None, True), ("0", False), ("1", True), ("junk", True),
-    ]),
-    "REPRO_BLOB_CACHE_MB": ("blob_cache_bytes", [
-        (None, 64 * MB), ("8", 8 * MB), ("0.5", MB // 2), ("0", 0),
-        ("-1", 0), ("junk", 64 * MB), ("inf", 64 * MB),
     ]),
     "REPRO_FAULT": ("host_faults", [
         (None, ""), ("crash:unit1", "crash:unit1"), ("nonsense", "nonsense"),
@@ -69,6 +64,8 @@ DELETED = {
     "REPRO_FLIGHT_WINDOW": "5",
     "REPRO_LOG_COMPRESS": "zlib6",
     "REPRO_TRACE": "/tmp/trace.json",
+    # the worker cache budget and the scratch-pack cap are constants
+    "REPRO_BLOB_CACHE_MB": "0",
 }
 
 
@@ -105,7 +102,7 @@ def test_variable_parses_and_clamps(monkeypatch, name, field, raw, expected):
 def test_defaults_are_the_product_defaults():
     assert DEFAULTS == RuntimeOptions(
         host_jobs=1, unit_timeout=60.0, pipeline=True, superblocks=True,
-        blob_cache_bytes=64 * MB, host_faults="", fault_state="",
+        host_faults="", fault_state="",
         log_group_bytes=32 * 1024, log_fsync=True,
         flight_window=None, histograms=True,
     )
@@ -201,7 +198,7 @@ def test_histogram_switch_is_resolved_from_set_enabled():
 # ----------------------------------------------------------------------
 def test_dispatch_carries_non_default_options_across_pickle():
     shipped = RuntimeOptions(
-        superblocks=False, blob_cache_bytes=0, histograms=False, host_jobs=2
+        superblocks=False, histograms=False, host_jobs=2
     )
     dispatch = UnitDispatch(
         machine=MachineConfig(cores=2), unit=None, program_digest=7,

@@ -23,6 +23,7 @@ must never tear the same pool down twice or leak an orphan.
 """
 
 import json
+import os
 import threading
 
 import pytest
@@ -30,6 +31,7 @@ import pytest
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.host import pool as host_pool
+from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
 from repro.service import (
     FleetScheduler,
@@ -285,6 +287,68 @@ def test_cross_session_dedup_cuts_shipped_bytes():
         host_pool.shutdown_shared_pool()
 
 
+def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
+    """Regression: the fleet remembered who first shipped every digest,
+    for ever — a ``repro serve`` leaked coordinator memory per tenant page.
+
+    Twelve identical sessions, with the scratch-pack cap shrunk so packs
+    are replaced mid-segment all along: the recordings stay the solo
+    one, the only coordinator state keyed by digest is the current
+    pack's index — bounded by the cap plus one dispatch's puts — and
+    what is left on disk is the current pack and those still named in
+    flight. When the service stops, that goes too.
+    """
+    from repro.host import blobs as host_blobs
+    from repro.record.pack import BlobStore
+
+    cap = 2 << 10
+    monkeypatch.setattr(host_blobs, "SCRATCH_PACK_BYTES", cap)
+    packs = host_pool._scratch_packs
+    flush = BlobStore.flush
+    seen = {"pack_bytes": 0, "put": 0, "packs": 0, "roots": set()}
+
+    def watched(store, fsync=False):
+        # ScratchPacks.place calls this once per dispatch, under its lock
+        # (and once more, with nothing buffered, to close a replaced pack).
+        if store is not packs._store:
+            return flush(store, fsync)
+        put = sum(map(len, store._buffer))
+        flush(store, fsync)
+        seen["roots"].add(store.root)
+        seen["put"] = max(seen["put"], put)
+        seen["pack_bytes"] = max(seen["pack_bytes"], store.pack_bytes)
+        on_disk = {os.path.join(packs._dir, name) for name in os.listdir(packs._dir)}
+        assert on_disk <= set(packs._named) | {store.root}
+        seen["packs"] = max(seen["packs"], len(on_disk))
+
+    monkeypatch.setattr(BlobStore, "flush", watched)
+    service = RecordService(ServiceConfig(jobs=2, max_active=3))
+    report = service.run(
+        [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=9)
+         for i in range(12)]
+    )
+    assert report.ok, [r.error for r in report.results]
+    solo = _canonical(_solo_plain("fft", 2, 1, 9))
+    assert all(_canonical(r.recording_plain) == solo for r in report.results)
+    assert not any(
+        count for r in report.results for count in r.metrics["faults"].values()
+    )
+    assert len(seen["roots"]) > 12, "the cap never replaced a pack mid-session"
+    assert seen["pack_bytes"] <= cap + seen["put"]
+    # (three lanes' outstanding units, queued or running, and the current)
+    assert seen["packs"] <= 3 * service.hub._fleet.queue_depth + 1
+    digest_keyed = [
+        name for name, value in vars(service.hub._fleet).items()
+        if isinstance(value, (dict, set)) and any(
+            isinstance(key, int) and key >> 64 for key in value
+        )
+    ]
+    assert digest_keyed == []
+    # Service stop: no pack, no directory, no index.
+    assert packs._store is None and packs._dir is None and not packs._named
+    assert not any(os.path.exists(root) for root in seen["roots"])
+
+
 # ---------------------------------------------------------------------------
 # Fleet bookkeeping.
 # ---------------------------------------------------------------------------
@@ -304,7 +368,9 @@ def test_fleet_release_cancels_pending_tickets():
     dispatcher = fleet.register("s0")
     # No pump is running (fleet.start() never called), so submissions
     # just queue; release must cancel them and refund the credits.
-    futures = [dispatcher.submit(lambda: None, None) for _ in range(3)]
+    futures = [
+        dispatcher.submit(lambda: None, UnitDispatch(None, None, 0)) for _ in range(3)
+    ]
     fleet.release("s0")
     assert all(f.cancelled() for f in futures)
     summary = fleet.summary()

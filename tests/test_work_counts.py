@@ -5,19 +5,25 @@ No timing anywhere. Each test reads the ``work.*`` counters of one
 that the work done is proportional to what is new — the log records
 logged, the positions actually missing at the merge, the pages actually
 dirtied, the log blobs actually decoded, the kernel state actually
-touched, the log records actually encoded — not to the run so far. The
-last one counts the calls into the telemetry plane itself: with
-telemetry off they follow the epochs, never the guest ops.
+touched, the log records actually encoded, the blobs actually put into
+the scratch pack and the bytes actually written to a worker's pipe —
+not to the run so far. The last one counts the calls into the telemetry
+plane itself: with telemetry off they follow the epochs, never the
+guest ops.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
 from repro.baselines import run_native
 from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
+from repro.host.executor import _DirectDispatcher
 from repro.host.pool import shutdown_shared_pool
+from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
 from repro.obs import histo as obs_histo
@@ -188,6 +194,124 @@ def test_each_log_record_is_encoded_once_per_segment(server, monkeypatch, pipeli
     assert _work(result, "syscall_records_encoded") == logged > 1000
 
 
+class _WatchedDispatcher(_DirectDispatcher):
+    """The direct submission path, keeping what crossed it.
+
+    Per dispatch: the unit, the bytes pickled for the worker's pipe, and
+    what building it put into the scratch pack (blobs, bytes).
+    """
+
+    def __init__(self, jobs):
+        super().__init__(jobs)
+        self.seen = []
+
+    def submit(self, fn, dispatch):
+        self.seen.append(
+            (dispatch.unit, len(pickle.dumps(dispatch)), dispatch.placed[:2], dispatch)
+        )
+        return super().submit(fn, dispatch)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, jobs):
+    """What is pickled for a worker is the skeleton dispatch, nothing else.
+
+    The same program recorded against an empty scratch pack and again
+    against a full one: at any ``jobs`` (executor-side: the window, the
+    pipeline; one two-worker pool serves them all, warm from whatever ran
+    before) each unit's pickled dispatch is exactly ``pickle.dumps`` of
+    its machine, unit, program digest, pack path, trace flag and options
+    — while the pack took every blob the first time and none the second.
+    (``jobs=1`` never builds a dispatch at all.)
+
+    Fails if ``UnitDispatch.__getstate__`` stops blanking
+    ``_local_program``.
+    """
+    shutdown_shared_pool()
+    runs = []
+    for _ in ("cold", "warm"):
+        seam = _WatchedDispatcher(JOBS)
+        result = _record(server, host_jobs=jobs, host_dispatcher=seam)
+        runs.append((seam.seen, result))
+    if jobs == 1:
+        assert not runs[0][0] and not runs[1][0]
+        return
+    for seen, result in runs:
+        assert len(seen) == result.stats["epochs"]
+        for unit, pickled, _, dispatch in seen:
+            skeleton = UnitDispatch(
+                machine=dispatch.machine, unit=unit,
+                program_digest=dispatch.program_digest, pack=dispatch.pack,
+                trace=dispatch.trace, options=dispatch.options,
+            )
+            assert pickled == len(pickle.dumps(skeleton))
+    (cold, cold_result), (warm, warm_result) = runs
+    assert [size for _, size, _, _ in cold] == [size for _, size, _, _ in warm]
+    assert cold_result.host["wire"]["bytes_shipped"] > 100 * len(cold)
+    assert sum(blobs for _, _, (blobs, _), _ in cold) > 3 * len(cold)
+    assert warm_result.host["wire"]["bytes_shipped"] == 0
+    assert all(placed == (0, 0) for _, _, placed, _ in warm)
+
+
+def test_replaying_a_recording_again_puts_nothing():
+    """One recording, replayed five times on one ``jobs=4`` pool: the
+    first replay puts its blobs, replays 2-5 put none — whichever of the
+    four workers took a unit reads what it lacks (at the parent, where a
+    blob was omitted only once *every* worker was known to hold it, fft
+    shipped the same 150 kB on each of the five).
+
+    Fails if ``BlobStore.put`` stops returning early for a digest it
+    already indexes.
+    """
+    instance = build_workload("fft", workers=2, scale=2, seed=11)
+    machine = MachineConfig(cores=2)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine, epoch_cycles=max(native.duration // 12, 500), host_jobs=1
+    )
+    recording = DoublePlayRecorder(instance.image, instance.setup, config).record().recording
+    replayer = Replayer(instance.image, machine)
+    shutdown_shared_pool()
+    try:
+        shipped = []
+        for _ in range(5):
+            outcome = replayer.replay_parallel(recording, jobs=4)
+            assert outcome.verified and not any(outcome.host["faults"].values())
+            shipped.append(outcome.host["wire"]["bytes_shipped"])
+    finally:
+        shutdown_shared_pool()
+    assert shipped[0] > 5_000 and shipped[1:] == [0, 0, 0, 0]
+
+
+def test_a_unit_cut_mid_segment_puts_its_delta_and_its_new_chunk(server):
+    """O(new), carried onto the scratch pack: a unit names its whole
+    page table and every log chunk it can reach, and puts only what no
+    earlier unit named — its epoch's dirty pages, the chunk logged since
+    the last cut, its hint window and its signal slice.
+
+    Fails if ``ScratchPacks.place`` rotates at every call.
+    """
+    shutdown_shared_pool()
+    seam = _WatchedDispatcher(JOBS)
+    result = _record(server, host_dispatcher=seam)
+    assert result.host["speculation"]["accepted"] == result.stats["epochs"] >= 8
+    named = set()
+    for position, (unit, _, (blobs, _), dispatch) in enumerate(seam.seen):
+        assert unit.position == position
+        required = dispatch.required_digests()
+        new = required - named
+        named |= required
+        assert blobs == len(new)
+        if position:
+            pages = set(unit.boundary.page_changes.values())
+            assert len(new - pages) <= 3
+            assert 0 < blobs <= len(pages) + 3 and blobs < len(required)
+    # ...of the chunks a unit names, at most the last one is new.
+    assert max(len(unit.syscalls) for unit, *_ in seam.seen) > 1
+    first_table = result.recording.initial_checkpoint.memory.page_count()
+    assert seam.seen[0][2][0] >= first_table
+
+
 #: ``wire.bytes_shipped`` of the cold record below at the parent commit
 #: (49be383), where every unit shipped its own slice of the log, each
 #: record pickled as a frozen dataclass. Measured there five times over,
@@ -197,9 +321,8 @@ PARENT_COLD_BYTES = 534_209
 
 
 def test_a_cold_record_ships_the_log_as_shared_chunks():
-    """Cold workers, nothing deduplicated by the cache mirror yet: chunks
-    in plain form are at most 0.7x the bytes of per-unit slices (a pool
-    that comes up sooner only acknowledges blobs sooner, and ships less)."""
+    """Cold workers and an empty scratch pack: chunks in plain form, each
+    put once, are at most 0.7x the bytes of per-unit slices."""
     instance = build_workload("apache", workers=2, scale=240, seed=11)
     machine = MachineConfig(cores=2)
     native = run_native(instance.image, instance.setup, machine)
