@@ -426,15 +426,9 @@ def _load_recording(
         raise ReplayError(f"{path}: not a recording saved by 'repro record -o'")
     meta = payload.get("workload")
     instance, machine = _rebuild(meta, path)
-    from repro.checkpoint.manager import CheckpointManager
-    from repro.exec.multicore import MulticoreEngine
-    from repro.exec.services import LiveSyscalls
-    from repro.oskernel.kernel import Kernel
-
-    kernel = Kernel(instance.setup, instance.image.heap_base)
-    boot = MulticoreEngine.boot(instance.image, machine, LiveSyscalls(kernel))
-    initial = CheckpointManager().initial(boot)
-    recording = Recording.from_plain(payload["recording"], initial)
+    recording = Recording.load_plain(
+        payload["recording"], instance.image, instance.setup, machine
+    )
     return meta, instance, machine, recording
 
 

@@ -9,7 +9,16 @@ Record proceeds in *segments*. Within a segment:
    (``repro.core.epoch_runner``): one simulated CPU, injected syscalls,
    hint-ordered grants, stopping at the next checkpoint's per-thread
    retired-op targets. Matching end state ⇒ the epoch's timeslice schedule
-   is committed to the recording.
+   is committed to the recording. At ``jobs=1`` the epochs run here,
+   inline, in order (``_run_inline`` — the oracle every parity slice
+   compares against). At ``jobs>1`` a unit is cut once per need, pushed
+   once per cut and merged in order: epoch *p*'s unit is cut
+   (``_cut_unit``) and pushed to the pool once boundary *p*+2 exists,
+   the last two when the thread-parallel run ends, and the segment's
+   one merge (``SpeculativeSession.harvest``) commits each epoch as its
+   result arrives; what the merge lacks — a result lost to a host
+   fault, or invalidated by what was logged after its cut — it cuts
+   again, with the same ``_cut_unit``.
 3. On divergence, forward recovery (``repro.core.recovery``) re-executes
    the epoch live, commits its result, discards the abandoned
    thread-parallel future, and a new segment starts from the recovered
@@ -205,19 +214,20 @@ class DoublePlayRecorder:
         ahead (:meth:`SpeculativeSession.harvest`): results are waited
         for, validated and yielded one position at a time, so the caller
         commits an epoch while the units behind it still execute, and
-        only a position with no usable result is built again — with full
-        knowledge — and run. Without one (``jobs=1``) every position
-        runs here, lazily, except a verdict the schedule already ran
-        that may stand in. Both stop after the first failure, so an
-        early divergence runs nothing past it; both produce identical
-        result streams, because epoch execution is a deterministic
-        function of the checkpoints and logs.
+        only a position with no usable result is cut again — now, with
+        full knowledge — and run. Without one (``jobs=1``) every
+        position runs here, lazily, except a verdict the schedule
+        already ran that may stand in. The caller closes the stream at
+        the first failure, so an early divergence runs (and awaits)
+        nothing past it; both produce identical result streams, because
+        epoch execution is a deterministic function of the checkpoints
+        and logs.
         """
         positions = len(segment.checkpoints) - 1
         valid = functools.partial(self._speculation_valid, segment)
         if segment.session is not None:
             yield from segment.session.harvest(
-                positions, valid, functools.partial(self._full_units, segment)
+                positions, valid, functools.partial(self._cut_unit, segment)
             )
             return
         syscalls = InjectionLog(segment.syscall_log)
@@ -226,25 +236,6 @@ class DoublePlayRecorder:
             if result is None or not valid(position, result):
                 result = self._run_inline(segment, position, syscalls)
             yield position, result
-            if not result.ok:
-                return
-
-    def _full_units(self, segment: _Segment, positions) -> list:
-        """Full-knowledge units of ``positions``, in the session's blob set."""
-        from repro.host.wire import record_units_for_segment
-
-        return record_units_for_segment(
-            segment.checkpoints,
-            segment.hints,
-            segment.hint_marks,
-            segment.syscall_log,
-            segment.signal_log,
-            segment.first_epoch,
-            self.config.use_sync_hints,
-            positions=positions,
-            blobs=segment.session.blobs,
-            logs=segment.logs,
-        ).units
 
     # ------------------------------------------------------------------
     # Stages of one segment's thread-parallel run.
@@ -271,45 +262,54 @@ class DoublePlayRecorder:
             )
         return status
 
-    def _cut_unit(self, segment: _Segment, position: int) -> None:
+    def _cut_unit(self, segment: _Segment, position: int):
         """Cut one position's unit: its hints and logs are the snapshots of *now*.
 
-        The two-deep commit pipeline cuts epoch p once boundary p+2
+        The one way a record unit is made. Whether its result may stand
+        in for the full-knowledge run is decided when it is merged
+        (``_speculation_valid``, against the cuts noted here); a cut
+        made once the thread-parallel run is over — on the tail, or
+        again at the merge — *is* full knowledge. Without a session
+        (``jobs=1``) there is no unit to build: the cuts alone say what
+        an inline verdict may read.
+        """
+        segment.cuts[position] = (
+            len(segment.hints), len(segment.syscall_log), len(segment.signal_log)
+        )
+        if segment.session is None:
+            return None
+        from repro.host.wire import _record_unit
+
+        return _record_unit(
+            position,
+            segment.first_epoch + position,
+            segment.checkpoints[position],
+            segment.checkpoints[position + 1],
+            segment.hints[segment.hint_marks[position] :],
+            segment.logs,
+            self.config.use_sync_hints,
+            segment.session.blobs,
+        )
+
+    def _push_unit(self, segment: _Segment, position: int) -> None:
+        """Cut ``position`` and push its unit, unless that was done before.
+
+        The two-deep commit pipeline pushes epoch p once boundary p+2
         exists, and whatever is left when the thread-parallel run
-        finishes. With a session the unit is pushed — shipped to the
-        pool while the thread-parallel run executes ahead, or while the
-        merge commits earlier epochs. Whether its result may stand in
-        for the full-knowledge run is decided when it is merged
-        (``_speculation_valid``); a cut made at the segment's end *is*
-        full knowledge.
+        finishes: shipped to the pool while the thread-parallel run
+        executes ahead, or while the merge commits earlier epochs. At
+        ``jobs=1`` only an armed verdict schedule needs a cut.
         """
         session = segment.session
         if (
             position < 0
             or position in segment.cuts
-            or not (segment.may_cut or (session is not None and session.ahead))
+            or not (segment.may_cut or session is not None)
         ):
             return
-        segment.cuts[position] = (
-            len(segment.hints), len(segment.syscall_log), len(segment.signal_log)
-        )
-        if session is None:
-            return
-        from repro.host.wire import speculative_record_unit
-
-        start = segment.checkpoints[position]
-        session.push(
-            speculative_record_unit(
-                position,
-                segment.first_epoch + position,
-                start,
-                segment.checkpoints[position + 1],
-                segment.hints[segment.hint_marks[position] :],
-                segment.logs,
-                self.config.use_sync_hints,
-                session.blobs,
-            )
-        )
+        unit = self._cut_unit(segment, position)
+        if session is not None:
+            session.push(unit)
 
     def _consume_verdict(self, segment: _Segment, lag: int) -> bool:
         """Verdict schedule: consume the verdict ``lag`` boundaries back.
@@ -332,7 +332,7 @@ class DoublePlayRecorder:
         position = len(segment.checkpoints) - 1 - lag
         if position < 0:
             return False
-        self._cut_unit(segment, position)  # lag 2: cut at this very boundary
+        self._push_unit(segment, position)  # lag 2: cut at this very boundary
         if segment.session is not None:
             result = segment.session.wait(position)
         else:
@@ -395,13 +395,14 @@ class DoublePlayRecorder:
     # ------------------------------------------------------------------
     def _commit_epoch(
         self, recording, sink, manager, index, start_cp, end_cp, outcome,
-        syscall_log, signal_log, recovered=False,
+        logs, recovered=False,
     ) -> None:
         """Fold one epoch into the recording, the durable sink, the journal.
 
         ``outcome`` is the epoch's clean ``EpochRunResult`` or, after a
         divergence, its ``RecoveryResult``; ``end_cp`` the checkpoint it
-        ended at.
+        ended at; ``logs`` the index over the raw logs the sink takes
+        the epoch's records from.
         """
         record = EpochRecord(
             index=index,
@@ -418,7 +419,7 @@ class DoublePlayRecorder:
         recording.epochs.append(record)
         manager.commit(end_cp, self.machine.costs)
         if sink is not None:
-            sink.commit_epoch(record, start_cp, end_cp, syscall_log, signal_log)
+            sink.commit_epoch(record, start_cp, end_cp, logs)
             if self.config.log_spill:
                 record.spill()
         obs_events.emit(
@@ -503,6 +504,11 @@ class DoublePlayRecorder:
             executor = HostExecutor(opts, dispatcher=config.host_dispatcher)
 
         committed = initial
+        #: the one index pair over the raw logs: cuts, validity checks
+        #: and the sink's shard extents all ask it. Rebuilt only where
+        #: the logs change in place — after a recovery's prune, and
+        #: after flight-recorder mode clears them.
+        logs = SegmentLogs(syscall_log, signal_log, initial)
         divergences = 0
         recoveries = 0
         epoch_index = 0
@@ -545,13 +551,11 @@ class DoublePlayRecorder:
                 # Armed by the committed history, not by a setting: a run
                 # that never diverged consumes nothing and pays nothing.
                 may_cut=recoveries > 0,
-                # Built here because a restart has just pruned the logs
-                # in place; within the segment they only grow.
-                logs=SegmentLogs(syscall_log, signal_log, committed),
+                logs=logs,
             )
             if executor is not None:
                 segment.session = SpeculativeSession(
-                    executor, self.program, self.machine, ahead=opts.pipeline
+                    executor, "record", self.program, self.machine
                 )
             engine.acquisition_log = segment.hints
             policy.start_segment(engine.time)
@@ -573,13 +577,13 @@ class DoublePlayRecorder:
                         segment, verdict_lag
                     ):
                         break
-                    self._cut_unit(segment, len(segment.checkpoints) - 3)
-                if segment.session is not None and segment.session.ahead:
+                    self._push_unit(segment, len(segment.checkpoints) - 3)
+                if segment.session is not None:
                     # The run is over, so these cuts are full knowledge:
                     # the tail executes while the merge below commits
                     # the epochs ahead of it.
                     for position in range(len(segment.checkpoints) - 1):
-                        self._cut_unit(segment, position)
+                        self._push_unit(segment, position)
             except BaseException:
                 if segment.session is not None:
                     segment.session.close()
@@ -612,7 +616,7 @@ class DoublePlayRecorder:
                         ):
                             self._commit_epoch(
                                 recording, sink, manager, epoch_index, start_cp,
-                                end_cp, result, syscall_log, signal_log,
+                                end_cp, result, logs,
                             )
                         obs_histo.observe(
                             "commit_wall_s", time.perf_counter() - commit_started
@@ -621,8 +625,12 @@ class DoublePlayRecorder:
                         epoch_index += 1
                         continue
                     # ------------------------------------------------------
-                    # Divergence: forward recovery.
+                    # Divergence: forward recovery. Everything past it
+                    # belongs to a squashed future: the stream is closed
+                    # first, so recovery never competes for cores with
+                    # units that are already doomed.
                     # ------------------------------------------------------
+                    results.close()
                     divergences += 1
                     attempt_duration = result.duration
                     obs_events.emit(
@@ -656,10 +664,12 @@ class DoublePlayRecorder:
                     obs_events.emit(
                         "recovery", epoch=epoch_index, cycles=recovery.duration
                     )
+                    # The prune rewrote the logs in place: one new index,
+                    # for this commit and for the segment that follows.
+                    logs = SegmentLogs(syscall_log, signal_log, recovery.committed)
                     self._commit_epoch(
                         recording, sink, manager, epoch_index, start_cp,
-                        recovery.committed, recovery, syscall_log, signal_log,
-                        recovered=True,
+                        recovery.committed, recovery, logs, recovered=True,
                     )
                     committed = recovery.committed
                     epoch_index += 1
@@ -738,6 +748,7 @@ class DoublePlayRecorder:
                 # them grow with run length.
                 syscall_log.clear()
                 signal_log.clear()
+                logs = SegmentLogs(syscall_log, signal_log, committed)
 
         recording.stats = {
             "divergences": divergences,

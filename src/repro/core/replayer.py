@@ -14,6 +14,12 @@ Two strategies, both offered by the paper:
   checkpoint, exactly like the epoch-parallel execution at record time.
   Replay wall-time approaches the original multicore run's. Needs the
   in-memory checkpoints (or ``materialize_checkpoints`` to rebuild them).
+  With ``jobs > 1`` it is the mirror of a record segment: every unit is
+  pushed into a :class:`~repro.host.executor.SpeculativeSession` and the
+  same in-order merge is consumed — to the end, collecting every
+  failure, where a recorder stops at the first. ``jobs=1`` runs the
+  epochs inline (``_replay_one``), the oracle the pooled path is
+  compared against.
 
 ``replay_epoch`` replays one epoch in isolation — the debugging workflow
 the paper motivates (jump straight to the interval containing the bug).
@@ -218,12 +224,15 @@ class Replayer:
         replay is the best-scaling phase of the system), with verdicts,
         cycles and makespans bit-identical to the serial path.
 
-        Host worker failures are contained per epoch (retry once on a
-        fresh pool, then in-coordinator serial execution — see
+        Host worker failures are contained per epoch (a unit whose
+        pushed attempt is lost gets two counted pool attempts, then
+        in-coordinator serial execution — see
         :mod:`repro.host.executor`), so the replay always completes with the
         serial verdict; ``unit_timeout`` bounds a hung worker's unit in
         wall-clock seconds (None = the runtime option's value, 0
-        disables). Containment counters land in ``host["faults"]``.
+        disables). Containment counters land in ``host["faults"]``,
+        and ``host["speculation"]`` reads pushed / accepted like a
+        record's (N / N / 0 / 0 on a healthy host).
 
         ``dispatcher`` overrides the executor's submission path (the
         service layer's per-session fleet handle) and ``fault_specs``
@@ -235,15 +244,28 @@ class Replayer:
         with options.run(
             host_jobs=jobs, unit_timeout=unit_timeout, host_faults=fault_specs
         ) as opts:
-            if opts.host_jobs > 1 and len(recording.epochs) > 1:
-                from repro.host.executor import HostExecutor
+            if opts.host_jobs > 1:
+                from repro.host.executor import HostExecutor, SpeculativeSession
                 from repro.host.wire import replay_units_for_recording
 
                 batch = replay_units_for_recording(recording)
                 executor = HostExecutor(opts, dispatcher=dispatcher)
-                outcomes = executor.run_replay_units(
-                    self.program, self.machine, batch
+                session = SpeculativeSession(
+                    executor, "replay", self.program, self.machine, batch.blobs
                 )
+                try:
+                    for unit in batch.units:
+                        session.push(unit)
+                    # A replay unit is full knowledge as pushed: any value
+                    # stands, and cutting one again is looking it up.
+                    outcomes = [
+                        outcome for _, outcome in session.harvest(
+                            len(batch), lambda position, outcome: True,
+                            batch.units.__getitem__,
+                        )
+                    ]
+                finally:
+                    session.close()
                 host = executor.timing_summary()
             else:
                 syscalls = InjectionLog(recording.syscalls_for_epochs())

@@ -1,25 +1,21 @@
-"""The coordinator side: dispatch, containment and ordered merge of units.
+"""The coordinator side: dispatch, containment and the one ordered merge.
 
-``HostExecutor`` runs epoch work units on a pool of worker processes.
-Every unit — replay, pushed ahead, rebuilt at the merge, under the
-direct pool or a service fleet — takes one path:
-:meth:`HostExecutor._dispatch` puts it in a pool and
-:func:`~repro.host.worker.run_unit` executes it there; a unit the pool
-cannot finish runs through :func:`~repro.host.worker.run_unit_serial` on
-the coordinator.
-
-Results are consumed strictly in position order, so the merge on the
-coordinator is deterministic regardless of completion order. A replay
-runs every unit of its batch; a record segment is a
-:class:`SpeculativeSession`: units are pushed while the thread-parallel
-run is still going, the merge walks them in order, and the first
-divergence cancels everything not yet started — epochs after a
-divergence belong to an abandoned thread-parallel future and their
-results would be discarded anyway. A worker that is already mid-epoch
-runs to completion harmlessly; its result is dropped. Units built at
-merge time are dispatched lazily inside a bounded submission window
-(about two per worker), so blobs are encoded and put only for units
-that will actually run.
+``HostExecutor`` runs epoch work units on a pool of worker processes,
+and one contract covers every unit — a record segment's or a replay's,
+under the direct pool or a service fleet: *a unit is cut once per need,
+pushed once per cut, merged in order; what the merge lacks it cuts
+again.* :class:`SpeculativeSession` is that contract. ``push`` is the
+only way a unit reaches a pool (through :meth:`HostExecutor._dispatch`,
+the only place one enters), ``wait`` serves the recorder's verdict
+schedule, and ``harvest`` is the only loop that walks positions and
+awaits unit futures: the recorder commits each epoch as it arrives and
+closes the session at the first divergence — everything behind it
+belongs to an abandoned thread-parallel future and is cancelled, never
+awaited — while a replay pushes every unit of its recording and
+consumes the same stream to the end, collecting every failure.
+:func:`~repro.host.worker.run_unit` executes a unit in a worker; a unit
+the pool cannot finish runs through
+:func:`~repro.host.worker.run_unit_serial` on the coordinator.
 
 **The blob plane, coordinator side.** A unit names digests and a pack;
 whoever lacks a digest reads it. Before a unit is submitted, the blobs
@@ -33,20 +29,21 @@ read a digest answers with a task error, contained like any other.
 
 **Fault containment.** A failed epoch-parallel attempt is disposable by
 design — that is the paper's core insight — so host faults are treated
-the same way a guest divergence is: contain, re-execute, keep going.
-Three failure classes, one policy (per unit: retry once on a fresh pool,
-then fall back to in-coordinator serial execution):
+the same way a guest divergence is: contain, re-execute, keep going. A
+pushed attempt is free and silent: one that crashes, hangs or raises is
+never a fault. A position the merge (or the verdict schedule) must
+re-obtain gets counted attempts, one policy for three failure classes
+(two pool attempts, then in-coordinator serial execution):
 
 * **crash** — a worker process died; ``concurrent.futures`` breaks the
-  whole pool, so surviving results are harvested out of their futures,
-  the pool is rebuilt, and unfinished units are resubmitted. The crash
-  is attributed to the unit the coordinator was waiting on; collateral
-  victims are resubmitted without blame (they may occasionally burn an
-  attempt of their own — that costs parallelism, never correctness).
+  whole pool, so the pool is abandoned and rebuilt, and every
+  not-yet-merged position whose pushed attempt died with it is pushed
+  again, without blame, before the failed position's retry is awaited:
+  one crash never serialises the positions behind it.
 * **timeout** — a unit exceeded the per-unit wall-clock budget (the
   ``unit_timeout`` runtime option; 0 disables). The hung worker cannot
-  be recalled, so the pool's processes are terminated and the pool
-  rebuilt.
+  be recalled, so the pool's processes are terminated and the pool is
+  abandoned the same way.
 * **task error** — the unit raised inside the worker and came home as a
   structured :class:`~repro.errors.WorkerTaskError` result, so the pool
   stays healthy. A deterministic guest error reproduces during the
@@ -78,8 +75,13 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.host import faults as fault_injection
-from repro.host.pool import _scratch_packs, invalidate_shared_pool, shared_pool
-from repro.host.wire import UnitBatch, UnitTiming
+from repro.host.pool import (
+    _scratch_packs,
+    invalidate_shared_pool,
+    shared_pool,
+    shared_pool_is_up,
+)
+from repro.host.wire import UnitTiming
 from repro.host.worker import UnitDispatch, run_unit, run_unit_serial
 from repro.memory.blob import blob_digest, encode_object
 from repro.obs import events as obs_events
@@ -115,25 +117,27 @@ class _Batch:
     #: accumulated across re-dispatches
     bytes_shipped: List[int] = field(default_factory=list)
     blobs_sent: List[int] = field(default_factory=list)
+    #: position -> its pushed attempt's future, until the merge (or the
+    #: verdict schedule) resolves it
+    futures: Dict[int, Future] = field(default_factory=dict)
 
     def _add_unit(self, unit) -> int:
-        """Stamp the unit's fault specs and slot it at its position; its index.
+        """Stamp the unit's fault specs and slot it at its position (returned).
 
         Units arrive in position order, so a new position is the next
-        slot. A position added again (the merge's full-knowledge rebuild
-        of a unit cut earlier) replaces the unit and keeps the slot's
-        wire accounting: what a position cost is every attempt's bytes.
+        slot. A position added again (the merge cutting it a second
+        time) replaces the unit and keeps the slot's wire accounting:
+        what a position cost is every attempt's bytes.
         """
         unit.faults = fault_injection.faults_for(
             self.fault_specs, self.kind, unit.position
         )
-        if unit.position < len(self.units):
-            self.units[unit.position] = unit
-            return unit.position
-        self.units.append(unit)
-        self.bytes_shipped.append(0)
-        self.blobs_sent.append(0)
-        return len(self.units) - 1
+        if unit.position == len(self.units):
+            self.units.append(unit)
+            self.bytes_shipped.append(0)
+            self.blobs_sent.append(0)
+        self.units[unit.position] = unit
+        return unit.position
 
     def stamp(self, index: int, timing: UnitTiming) -> None:
         """Write what position ``index`` cost the scratch pack onto its timing."""
@@ -248,10 +252,10 @@ class HostExecutor:
             cached = self._program_blob
         return cached[1], cached[2]
 
-    def _begin_batch(self, kind: str, program, machine, units=(), blobs=()) -> _Batch:
-        """A batch holding ``units``, their blobs and the program's."""
+    def _begin_batch(self, kind: str, program, machine, blobs=()) -> _Batch:
+        """An empty batch over ``blobs`` plus the program's."""
         digest, blob = self._program_wire(program)
-        batch = _Batch(
+        return _Batch(
             kind=kind,
             program=program,
             machine=machine,
@@ -259,9 +263,6 @@ class HostExecutor:
             blobs={**dict(blobs), digest: blob},
             fault_specs=self._fault_specs,
         )
-        for unit in units:
-            batch._add_unit(unit)
-        return batch
 
     def _make_dispatch(self, batch: _Batch, position: int) -> UnitDispatch:
         """Build one dispatch: put what the scratch pack lacks, name the pack.
@@ -291,7 +292,7 @@ class HostExecutor:
             placed=placed,
         )
 
-    def _dispatch(self, batch: _Batch, index: int, **span_args) -> Future:
+    def _dispatch(self, batch: _Batch, position: int, **span_args) -> Future:
         """Submit one unit: the only place a unit enters a pool.
 
         Builds the dispatch (the unit's new blobs go into the scratch
@@ -308,11 +309,10 @@ class HostExecutor:
         t0 = time.perf_counter()
         tracer = obs_spans.current()
         span_start = tracer.now() if tracer is not None else 0.0
-        bytes_before = batch.bytes_shipped[index]
-        position = batch.units[index].position
+        bytes_before = batch.bytes_shipped[position]
         try:
             try:
-                dispatch = self._make_dispatch(batch, index)
+                dispatch = self._make_dispatch(batch, position)
             except OSError as exc:
                 return _lost(position, f"the scratch pack cannot be written ({exc!r})")
             try:
@@ -333,34 +333,11 @@ class HostExecutor:
                 tracer.now(),
                 args={
                     "position": position,
-                    "bytes": batch.bytes_shipped[index] - bytes_before,
+                    "bytes": batch.bytes_shipped[position] - bytes_before,
                     **span_args,
                 },
             )
         return future
-
-    def _fill_window(self, batch, futures, done, start, skip) -> None:
-        """Keep the submission window full of live futures from ``start``.
-
-        Dispatches are built lazily, at most ~2 per worker ahead of the
-        merge head (the head position itself is always submitted): blobs
-        are encoded and put only for units that will actually run, so
-        a divergence exit wastes no dispatch work on cancelled tails. If
-        a unit cannot be submitted (the pool broke under a unit submitted
-        just before), the loop stops quietly: the head future carries the
-        breakage, and waiting on it attributes the failure and rebuilds.
-        """
-        window = max(2 * self.jobs, 2)
-        live = sum(1 for f in futures.values() if not f.done())
-        for position in range(start, len(batch.units)):
-            if position in done or position in futures or position in skip:
-                continue
-            if position > start and live >= window:
-                break
-            future = futures[position] = self._dispatch(batch, position)
-            if future.done():
-                break
-            live += 1
 
     def _await(self, future, position: int):
         """Wait for one submitted unit: ``(outcome, failure)``, one is None."""
@@ -426,94 +403,77 @@ class HostExecutor:
             position=failure.position, attempt=failure.attempt,
         )
 
-    @staticmethod
-    def _harvest(futures, done) -> None:
-        """Salvage completed results out of a broken batch, drop the rest."""
-        for position, future in list(futures.items()):
-            if future.done() and not future.cancelled():
-                try:
-                    if future.exception(timeout=0) is None:
-                        done[position] = future.result(timeout=0)
-                except Exception:
-                    pass
-        futures.clear()
+    def _push(self, batch: _Batch, position: int) -> None:
+        """Dispatch one free attempt of ``position``: a failure is never a fault."""
+        self.speculation["dispatched"] += 1
+        batch.futures[position] = self._dispatch(batch, position, speculative=True)
 
-    def _run_contained(self, batch: _Batch, position: int, futures, done, skip):
-        """Run the merge head to a value: ``(timing label, value, timing)``.
+    def _merged(self, label: str, position: int, timing: UnitTiming) -> None:
+        """Fold one unit's result into the run's accounting, in merge order.
 
-        Per-unit policy: run in the pool; on crash/timeout/task-error,
-        retry once (crash and timeout also rebuild the pool); on a
-        second failure, execute the unit serially in the coordinator.
+        Coordinator-side, merged results only: dropped attempts
+        (cancelled divergence tails, crashed pushes) never observe.
         """
-        attempt = 0
-        while True:
-            outcome, failure = done.pop(position, None), None
-            if outcome is None:
-                self._fill_window(batch, futures, done, position, skip)
-                outcome, failure = self._await(futures.pop(position, None), position)
+        self._ingest_observability(timing)
+        obs_histo.observe("unit_wall_s", timing.wall)
+        obs_histo.observe("unit_bytes", timing.bytes_shipped)
+        self.unit_timings.append((label, position, timing))
+
+    def _run_contained(self, batch: _Batch, position: int):
+        """Obtain one position's value: ``(timing label, value, timing)``.
+
+        The counted path, for a position whose pushed attempt left no
+        usable result: dispatch it, await it; on crash/timeout/task
+        error retry once, then execute the unit serially in the
+        coordinator. A crash or a hang makes the pool itself suspect: it
+        is abandoned (the next dispatch rebuilds it), and every other
+        position of the batch whose pushed attempt has died with a pool
+        — this one, or the one a pushed attempt's crash broke earlier —
+        is pushed again, without blame, before this position's retry is
+        dispatched: the positions behind a fault keep executing
+        concurrently instead of arriving here one by one. (An attempt
+        that never reached a pool — :func:`_lost` — is left alone: the
+        wall it hit is still there.) A counted attempt never shares a
+        pool with another counted attempt, so a fault is blamed on the
+        position that has it.
+        """
+        for attempt in range(_POOL_ATTEMPTS):
+            if attempt:
+                self.counters["retries"] += 1
+                obs_events.emit("fault-retry", position=position)
+            outcome, failure = self._await(self._dispatch(batch, position), position)
             if outcome is not None:
                 _, value, timing = outcome
                 if not isinstance(value, WorkerTaskError):
                     batch.stamp(position, timing)
-                    self._ingest_observability(timing)
-                    # Coordinator-side, merged results only: dropped
-                    # speculation/divergence tails never observe.
-                    obs_histo.observe("unit_wall_s", timing.wall)
-                    obs_histo.observe("unit_bytes", timing.bytes_shipped)
                     return batch.kind, value, timing
                 failure = value
-            # Containment: the unit failed in the pool.
             failure.attempt = attempt
             self._note_fault(failure)
             if not isinstance(failure, WorkerTaskError):
-                # Crash/hang: the pool itself is suspect — salvage
-                # finished results, then rebuild on the next submit.
-                self._harvest(futures, done)
                 self._dispatch_path.abandon(
                     kill=isinstance(failure, WorkerTimeoutError)
                 )
-            attempt += 1
-            if attempt < _POOL_ATTEMPTS:
-                self.counters["retries"] += 1
-                obs_events.emit("fault-retry", position=position)
-                continue
-            self.counters["serial_fallbacks"] += 1
-            obs_events.emit("serial-fallback", position=position)
-            _, value, timing = run_unit_serial(
-                UnitDispatch(
-                    batch.machine,
-                    batch.units[position],
-                    batch.program_digest,
-                    _local_program=batch.program,
-                )
+                for other, future in batch.futures.items():
+                    if future.done() and (
+                        future.cancelled()
+                        or not isinstance(
+                            future.exception(), (type(None), WorkerCrashError)
+                        )
+                    ):
+                        self._push(batch, other)
+        self.counters["serial_fallbacks"] += 1
+        obs_events.emit("serial-fallback", position=position)
+        _, value, timing = run_unit_serial(
+            UnitDispatch(
+                batch.machine,
+                batch.units[position],
+                batch.program_digest,
+                _local_program=batch.program,
             )
-            batch.stamp(position, timing)
-            return batch.kind + "-serial", value, timing
-
-    def run_replay_units(
-        self, program, machine, batch: UnitBatch
-    ) -> List[Tuple[int, object]]:
-        """Every unit's ``(cycles, failure)``, in position order.
-
-        Worker crashes, hangs and exceptions are contained per unit
-        (retry once, then serial fallback), so the list is always
-        complete and bit-identical to the serial path.
-        """
-        state = self._begin_batch("replay", program, machine, batch.units, batch.blobs)
-        futures: Dict[int, object] = {}
-        done: Dict[int, tuple] = {}
-        values = []
-        try:
-            for position in range(len(state.units)):
-                label, value, timing = self._run_contained(
-                    state, position, futures, done, ()
-                )
-                self.unit_timings.append((label, position, timing))
-                values.append(value)
-        finally:
-            for pending in futures.values():
-                pending.cancel()
-        return values
+        )
+        batch.stamp(position, timing)
+        return batch.kind + "-serial", value, timing
 
     # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
@@ -548,66 +508,67 @@ class HostExecutor:
 
 
 class SpeculativeSession:
-    """One segment's record units: pushed ahead, then merged in order.
+    """One segment's (or one replay's) units: pushed, then merged in order.
 
-    The recorder creates a session per segment. :meth:`push` hands it
-    one cut epoch unit; with ``ahead`` (the commit pipeline, on by
-    default) the unit ships to the pool at once — *while the
-    thread-parallel run is still producing later epochs*, and, for the
-    tail units cut when that run finishes, while the merge is committing
-    earlier ones — strictly non-blocking, so a broken pool or full queue
-    costs nothing but the speculation. Without ``ahead`` the unit is
-    only held for the verdict that may ask for it. :meth:`wait` blocks
-    for one unit's verdict (the recorder's verdict schedule, armed once
-    a run has diverged); :meth:`harvest` is the segment's merge, a
-    single in-order stream over everything the session holds.
+    :meth:`push` hands the session one cut unit and ships it to the pool
+    at once, strictly non-blocking on failure: a record segment pushes
+    *while the thread-parallel run is still producing later epochs* and,
+    for the tail units cut when that run finishes, while the merge is
+    committing earlier ones; a replay pushes every unit of its
+    recording. A broken pool or a failed submission costs nothing but
+    the attempt. :meth:`wait` blocks for one unit's verdict (the
+    recorder's verdict schedule, armed once a run has diverged);
+    :meth:`harvest` is the merge, a single in-order stream over
+    everything the session holds.
 
-    An attempt pushed ahead that crashes, hangs or raises is never
-    retried on its own account and never counts as a fault: the merge
-    rebuilds the position with full knowledge and runs that through the
-    executor's contained path. Only a verdict the schedule *consumes*
-    must not depend on host luck, so :meth:`wait` re-obtains a lost one
-    through the contained path itself. Observability ingest and timing
-    records are deferred to the consume or the merge — a never-consumed
-    result leaves no trace in the run metrics, which is what keeps
-    ``jobs=1`` and ``jobs=N`` metrics identical.
+    A pushed attempt that crashes, hangs or raises is never retried on
+    its own account and never counts as a fault: the merge cuts the
+    position again and runs that through the executor's contained path.
+    Only a verdict the schedule *consumes* must not depend on host luck,
+    so :meth:`wait` re-obtains a lost one through the contained path
+    itself. Observability ingest and timing records are deferred to the
+    consume or the merge — a never-consumed result leaves no trace in
+    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
+    metrics identical.
     """
 
-    def __init__(self, executor: HostExecutor, program, machine, ahead: bool = True):
+    def __init__(self, executor: HostExecutor, kind: str, program, machine, blobs=()):
         self.executor = executor
-        self.ahead = ahead
-        self._batch = executor._begin_batch("record", program, machine)
-        #: position -> in-flight future
-        self._futures: Dict[int, object] = {}
+        self._batch = executor._begin_batch(kind, program, machine, blobs)
         #: position -> settled ``(value, timing)``; ``value`` is None
         #: for an answer lost to a host reason
         self._outcomes: Dict[int, tuple] = {}
         #: positions pushed but not yet submitted (the pool was not up)
         self._deferred: List[int] = []
-        #: position -> in-flight future of a unit the merge rebuilt
-        self._reruns: Dict[int, object] = {}
-        #: set by the warm-up thread; read (GIL-atomic) by push/harvest
+        #: set by the warm-up; read (GIL-atomic) by push/harvest
         self._ready = False
-        self._warm = threading.Thread(target=self._warm_pool, daemon=True)
-        self._warm.start()
+        #: the warm-up thread, only when there is a pool to spawn: over a
+        #: live pool (a fleet's is the same one) nothing is deferred, and
+        #: when the first unit reaches a worker hangs on no new thread
+        self._warm: Optional[threading.Thread] = None
+        if shared_pool_is_up(executor.jobs):
+            self._warm_pool()
+        else:
+            self._warm = threading.Thread(target=self._warm_pool, daemon=True)
+            self._warm.start()
 
     @property
     def blobs(self) -> Dict[int, bytes]:
-        """The segment's blob set every unit of the session interns into."""
+        """The blob set every unit of the session interns into."""
         return self._batch.blobs
 
     def _warm_pool(self) -> None:
         """Bring the worker pool up off the thread-parallel run's path.
 
         Spawning worker processes costs ~a second of wall — paid inline
-        it would stall the guest at the first speculative dispatch. The
-        warm-up overlaps the thread-parallel run instead; pushes arriving
-        before the pool is ready are buffered and flushed the moment it
-        is (or at the first wait/harvest, whichever comes first). A
-        failed spawn leaves ``_ready`` unset: the buffered units count
-        as lost and the contained path reports the pool problem the
-        normal way. (A fleet dispatcher's ``warm`` is a no-op — the
-        service owns the pool.)
+        it would stall the guest at the first push. The warm-up overlaps
+        the thread-parallel run instead; pushes arriving before the pool
+        is ready are buffered and flushed the moment it is (or at the
+        first wait/harvest, whichever comes first). A failed spawn
+        leaves ``_ready`` unset: the buffered units count as lost and
+        the contained path reports the pool problem the normal way. (A
+        fleet dispatcher's ``warm`` is a no-op — the service owns the
+        pool.)
         """
         try:
             self.executor._dispatch_path.warm()
@@ -618,10 +579,7 @@ class SpeculativeSession:
     def _flush(self) -> None:
         """Submit every buffered unit, if the pool is up."""
         while self._ready and self._deferred:
-            position = self._deferred.pop(0)
-            self._futures[position] = self.executor._dispatch(
-                self._batch, position, speculative=True
-            )
+            self.executor._push(self._batch, self._deferred.pop(0))
 
     def push(self, unit) -> None:
         """Take one cut unit; non-blocking, and no host failure raises.
@@ -629,11 +587,7 @@ class SpeculativeSession:
         Units arrive in position order from 0, so a unit's index in the
         session's batch *is* its position.
         """
-        position = self._batch._add_unit(unit)
-        if not self.ahead:
-            return
-        self._deferred.append(position)
-        self.executor.speculation["dispatched"] += 1
+        self._deferred.append(self._batch._add_unit(unit))
         self._flush()
 
     def _resolve(self, position: int) -> tuple:
@@ -647,7 +601,7 @@ class SpeculativeSession:
         """
         if position not in self._outcomes:
             executor, batch = self.executor, self._batch
-            outcome, _ = executor._await(self._futures.pop(position, None), position)
+            outcome, _ = executor._await(batch.futures.pop(position, None), position)
             value = timing = None
             if outcome is not None:
                 _, value, timing = outcome
@@ -660,7 +614,8 @@ class SpeculativeSession:
 
     def _join_pool(self) -> None:
         """Before anything blocks: the pool is up and every push is in it."""
-        self._warm.join()
+        if self._warm is not None:
+            self._warm.join()
         self._flush()
 
     def wait(self, position: int):
@@ -668,89 +623,59 @@ class SpeculativeSession:
 
         Which boundary consumes which verdict is the recorder's rule and
         a function of the committed history alone; so must the verdict
-        be. One lost to a host reason (or, without ``ahead``, never
-        submitted) is therefore obtained here through the contained path
-        (retry, serial fallback — the same cut-at-push
-        unit, so the same result), and its counters fold in now: a
-        consumed verdict is part of the run at any ``jobs``, whatever
-        the merge later makes of it.
+        be. One lost to a host reason is therefore obtained here through
+        the contained path (retry, serial fallback — the same
+        cut-at-push unit, so the same result), and its counters fold in
+        now: a consumed verdict is part of the run at any ``jobs``,
+        whatever the merge later makes of it.
         """
         self._join_pool()
-        executor, batch = self.executor, self._batch
         value, timing = self._resolve(position)
         if value is None:
-            _, value, timing = executor._run_contained(
-                batch, position, {}, {}, range(position + 1, len(batch.units))
-            )
+            _, value, timing = self.executor._run_contained(self._batch, position)
             self._outcomes[position] = (value, timing)
-        executor._ingest_observability(timing)
+        self.executor._ingest_observability(timing)
         return value
 
-    def harvest(self, positions: int, valid, rebuild) -> Iterator[Tuple[int, object]]:
-        """The segment's merge: yield ``(position, result)`` in order.
+    def harvest(self, positions: int, valid, recut) -> Iterator[Tuple[int, object]]:
+        """The merge: yield ``(position, value)`` for every position, in order.
 
-        Walks the segment's ``positions`` epochs, waiting for each unit
-        in turn, so the caller commits epoch *p* while the units behind
-        it still execute. A pushed unit's result stands when the
-        recorder's ``valid(position, result)`` accepts it. A position
-        without one — never pushed, lost to a host reason, invalidated —
-        is built again with full knowledge (``rebuild(positions)``,
-        asked together with every later position never pushed, so they
-        share a submission window) and run through the contained path:
-        the stream always completes, bit-identical to the serial path.
-        It ends after the first failing result: a real divergence, past
-        which everything belongs to a squashed future — cancelled, never
-        awaited. Observability ingest and timing records happen here, in
-        merge order, so a divergence drops later results' counters
-        exactly as the serial loop never runs them.
+        Waits for each unit in turn, so the caller commits epoch *p*
+        while the units behind it still execute. A pushed unit's value
+        stands when the caller's ``valid(position, value)`` accepts it.
+        A position without one — lost to a host reason, or cut
+        mid-segment and invalidated by what was logged since — is cut
+        again now (``recut(position)``; the thread-parallel run is over,
+        so a cut made now is full knowledge) and run through the
+        contained path: the stream always completes, bit-identical to
+        the serial path. What a value means is the caller's business: a
+        recorder stops at its first divergence by closing the stream —
+        everything behind it is cancelled, never awaited — and a replay
+        consumes it to the end. Observability ingest and timing records
+        happen here, in merge order, so results past a divergence drop
+        their counters exactly as the serial loop never runs them.
         """
         self._join_pool()
         executor, batch = self.executor, self._batch
-        #: what a pool that broke under a rebuilt unit salvaged
-        done: Dict[int, tuple] = {}
-        #: positions a pushed unit may still answer for; pushes and
-        #: rebuilds both fill the batch in position order, so the
-        #: positions never pushed are those past its end
-        pushed = set(range(len(batch.units)))
         try:
             for position in range(positions):
-                label, value, timing = batch.kind, None, None
-                if position in pushed:
-                    value, timing = self._resolve(position)
-                    if value is not None and not valid(position, value):
-                        if self.ahead:
-                            executor.speculation["invalidated"] += 1
-                        value = None
+                label = batch.kind
+                value, timing = self._resolve(position)
+                if value is not None and not valid(position, value):
+                    executor.speculation["invalidated"] += 1
+                    value = None
                 if value is not None:
-                    if self.ahead:
-                        executor.speculation["accepted"] += 1
-                    executor._ingest_observability(timing)
+                    executor.speculation["accepted"] += 1
                 else:
-                    if position in pushed or position == len(batch.units):
-                        pushed.discard(position)
-                        never_pushed = range(
-                            max(position + 1, len(batch.units)), positions
-                        )
-                        for unit in rebuild([position, *never_pushed]):
-                            batch._add_unit(unit)
-                    label, value, timing = executor._run_contained(
-                        batch, position, self._reruns, done, pushed
-                    )
-                executor.unit_timings.append((label, position, timing))
-                if not value.ok:
-                    # Cancel *before* handing the divergence to the
-                    # caller: its forward recovery must never compete
-                    # for cores with units that are already doomed.
-                    self.close()
+                    batch._add_unit(recut(position))
+                    label, value, timing = executor._run_contained(batch, position)
+                executor._merged(label, position, timing)
                 yield position, value
-                if not value.ok:
-                    return
         finally:
             self.close()
 
     def close(self) -> None:
         """Abandon whatever is still in flight."""
-        for futures in (self._futures, self._reruns):
-            for future in futures.values():
-                future.cancel()
-            futures.clear()
+        for future in self._batch.futures.values():
+            future.cancel()
+        self._batch.futures.clear()

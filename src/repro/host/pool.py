@@ -104,7 +104,12 @@ def _new_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def _kill_workers(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool whose workers may be hung (they cannot be recalled)."""
+    """Terminate a pool whose workers may be hung (they cannot be recalled).
+
+    On return every future the pool still held has settled — failed or
+    cancelled by the pool's manager thread, which is joined for that:
+    the executor pushes again exactly the units that died here.
+    """
     processes = list(getattr(pool, "_processes", {}).values())
     for process in processes:
         try:
@@ -112,9 +117,10 @@ def _kill_workers(pool: ProcessPoolExecutor) -> None:
         except Exception:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
+    manager = getattr(pool, "_executor_manager_thread", None)
+    for joinable in filter(None, (*processes, manager)):
         try:
-            process.join(timeout=5)
+            joinable.join(timeout=5)
         except Exception:
             pass
 
@@ -139,6 +145,21 @@ def shared_pool(jobs: int) -> ProcessPoolExecutor:
             _shared_pool = _new_pool(jobs)
             _shared_size = jobs
         return _shared_pool
+
+
+def shared_pool_is_up(jobs: int) -> bool:
+    """Whether ``shared_pool(jobs)`` would return the live pool at once.
+
+    Lock-free on purpose — a hint for callers choosing between calling
+    ``shared_pool`` inline and off-thread; a stale answer costs one or
+    the other, never correctness.
+    """
+    pool = _shared_pool
+    return (
+        pool is not None
+        and _shared_size >= jobs
+        and not getattr(pool, "_broken", False)
+    )
 
 
 def invalidate_shared_pool(kill: bool = False) -> None:

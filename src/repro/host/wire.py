@@ -24,8 +24,8 @@ and whole recordings:
   segment's :class:`SegmentLogs` cuts the syscall log wherever a unit
   is cut, each chunk is encoded and interned exactly once, and a unit
   names the chunks covering the log from the first record its start
-  can reach to the cut — cut ahead, on the tail or rebuilt at the
-  merge alike. A chunk is an ``InjectionLog`` of plain-form
+  can reach to the cut — cut ahead, on the tail or again at the merge
+  alike. A chunk is an ``InjectionLog`` of plain-form
   records (:func:`~repro.oskernel.syscalls.encode_record`), so a worker
   decodes and indexes it once per cached blob and joins the indices of
   the chunks a unit names. Never the tighter per-epoch window: what a
@@ -36,9 +36,10 @@ and whole recordings:
 * **Hints by window.** The sync hints a record unit needs are the
   suffix of the segment's acquisition hints from its epoch's start mark
   (cutting them at the epoch boundary would change how the oracle hands
-  objects out — see ``DoublePlayRecorder``). A unit cut mid-segment
-  carries its window so far as its own tuple; units built at the merge
-  share the whole segment tuple and carry an integer start offset.
+  objects out — see ``DoublePlayRecorder``). A unit carries that window
+  as it stood when the unit was cut, as its own tuple: the window so
+  far for a unit cut mid-segment, the whole suffix for one cut once the
+  thread-parallel run is over.
 
 ``BlobRef`` and ``WireCheckpoint`` keep coordinator-side ``_local``
 shortcuts to the original objects. They are stripped at the pickle
@@ -50,19 +51,14 @@ objects, zero-decode and trivially bit-identical to the ``jobs=1`` path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint, WireCheckpoint
 from repro.exec.services import InjectionLog
 from repro.memory.blob import blob_digest, encode_object
 from repro.obs import metrics as obs_metrics
 from repro.oskernel.syscalls import SyscallRecord
-from repro.record.log_index import (  # noqa: F401 — long-standing import path
-    SegmentLogs,
-    ThreadLogIndex,
-    signal_slice,
-    syscall_slice,
-)
+from repro.record.log_index import SegmentLogs
 
 
 @dataclass
@@ -143,11 +139,8 @@ class RecordEpochUnit:
     syscalls: Tuple[BlobRef, ...]
     #: the signal deliveries reachable from ``start``, logged by the cut
     signals: BlobRef
-    #: the acquisition hints the unit's window is a suffix of
+    #: the acquisition hints from the epoch's start mark to the cut
     sync_events: BlobRef
-    #: this unit's start offset into the hint tuple (its hints are the
-    #: suffix ``hints[sync_start:]``)
-    sync_start: int = 0
     use_sync_hints: bool = True
     #: fault-injection directives for this unit (testing knob; stamped by
     #: the executor from ``REPRO_FAULT``, applied by the worker — see
@@ -199,7 +192,7 @@ class ReplayEpochUnit:
 
 @dataclass
 class UnitBatch:
-    """A segment's (or recording's) units plus their shared blob set.
+    """A recording's replay units plus their shared blob set.
 
     ``blobs`` holds every blob any unit in the batch references, keyed by
     digest — the executor puts into the scratch pack only those the pack
@@ -246,19 +239,31 @@ def _intern_pages(pages: Iterable, blobs: Dict[int, bytes]) -> None:
 
 
 def _record_unit(
-    position: int, start: Checkpoint, boundary: Checkpoint,
-    logs: SegmentLogs, blobs: Dict[int, bytes], **fields,
+    position: int,
+    epoch_index: int,
+    start: Checkpoint,
+    boundary: Checkpoint,
+    hints: Sequence[tuple],
+    logs: SegmentLogs,
+    use_sync_hints: bool,
+    blobs: Dict[int, bytes],
 ) -> RecordEpochUnit:
     """The record unit of the epoch ``start`` → ``boundary``, cut now.
 
-    The one place a :class:`RecordEpochUnit` is built. The boundary
-    ships as a delta and only the pages that delta names are interned:
-    ``blobs`` is one segment's set, filled in position order, so every
-    other page of either checkpoint came in with an earlier position —
-    or, at position 0, with the one full walk of the start table. The
-    logs are what ``start`` can reach of everything logged so far: the
-    syscalls as ``logs``' chunks (only those not cut before are encoded
-    now), the signals as one slice.
+    The one place a :class:`RecordEpochUnit` is built — pushed while its
+    segment is in progress, on the tail, or again at the merge. It ships
+    what exists *now*: ``hints`` is the acquisition window from the
+    epoch's start mark so far, the logs are what ``start`` can reach of
+    everything logged so far — the syscalls as ``logs``' chunks (only
+    those not cut before are encoded now), the signals as one slice. The
+    recorder validates, when it merges the result, that nothing arriving
+    after the cut could have been consulted (see ``DoublePlayRecorder``)
+    — trivially so once the thread-parallel run has finished. The
+    boundary ships as a delta and only the pages that delta names are
+    interned: ``blobs`` is one segment's set, filled in position order,
+    so every other page of either checkpoint came in with an earlier
+    position — or, at position 0, with the one full walk of the start
+    table. A position cut twice interns nothing twice.
     """
     delta = boundary.wire_delta(start)
     if position == 0:
@@ -271,91 +276,12 @@ def _record_unit(
     obs_metrics.process_stats().add("work.units_built")
     return RecordEpochUnit(
         position=position,
+        epoch_index=epoch_index,
         start=start.to_wire(),
         boundary=delta,
         syscalls=tuple(chunks),
         signals=intern_object(logs.signals_from(start), blobs),
-        **fields,
-    )
-
-
-def record_units_for_segment(
-    checkpoints: Sequence[Checkpoint],
-    hints: Sequence[tuple],
-    hint_marks: Sequence[int],
-    syscall_log: Sequence[SyscallRecord],
-    signal_log: Sequence[tuple],
-    first_epoch_index: int,
-    use_sync_hints: bool,
-    positions: Optional[Iterable[int]] = None,
-    blobs: Optional[Dict[int, bytes]] = None,
-    logs: Optional[SegmentLogs] = None,
-) -> UnitBatch:
-    """Package epochs of a finished segment as full-knowledge work units.
-
-    ``positions`` names the epochs to build (default: all) — the merge
-    asks only for those it has no usable result for; ``blobs`` is the
-    segment's blob set they join (default: a fresh one, which needs
-    position 0 among them) and ``logs`` its index and chunks (default:
-    built here; the two belong together — a chunk is interned into the
-    blob set that was current when it was cut).
-
-    The hints ship ONCE, as the segment's whole tuple, and every unit
-    carries its start offset into it.
-    """
-    blobs = {} if blobs is None else blobs
-    logs = logs or SegmentLogs(syscall_log, signal_log, checkpoints[0])
-    hints_ref = intern_object(tuple(hints), blobs)
-    if positions is None:
-        positions = range(len(checkpoints) - 1)
-    units = [
-        _record_unit(
-            position,
-            checkpoints[position],
-            checkpoints[position + 1],
-            logs,
-            blobs,
-            epoch_index=first_epoch_index + position,
-            sync_events=hints_ref,
-            sync_start=hint_marks[position],
-            use_sync_hints=use_sync_hints,
-        )
-        for position in positions
-    ]
-    return UnitBatch(units, blobs)
-
-
-def speculative_record_unit(
-    position: int,
-    epoch_index: int,
-    start: Checkpoint,
-    boundary: Checkpoint,
-    hints_window: Sequence[tuple],
-    logs: SegmentLogs,
-    use_sync_hints: bool,
-    blobs: Dict[int, bytes],
-) -> RecordEpochUnit:
-    """Package one epoch for dispatch while its segment is in progress.
-
-    Unlike :func:`record_units_for_segment` the unit ships its hints as
-    a snapshot cut at dispatch time: the window ``hints[mark:cut]`` as
-    its own tuple (``sync_start=0``), beside the records reachable from
-    ``start`` logged *so far*. The recorder validates, when it merges
-    the result, that nothing arriving after the cut could have been
-    consulted (see ``DoublePlayRecorder``) — trivially so for the tail
-    units it cuts once the thread-parallel run has finished. Blob
-    interning goes through the session-shared ``blobs`` dict so
-    consecutive units dedupe their checkpoint pages and log chunks.
-    """
-    return _record_unit(
-        position,
-        start,
-        boundary,
-        logs,
-        blobs,
-        epoch_index=epoch_index,
-        sync_events=intern_object(tuple(hints_window), blobs),
-        sync_start=0,
+        sync_events=intern_object(tuple(hints), blobs),
         use_sync_hints=use_sync_hints,
     )
 

@@ -7,8 +7,9 @@ input hydration, pure body), hydrates the inputs and times the body.
 Two thin callers wrap it:
 
 * :func:`run_unit` — the worker entry point, for every pool submission
-  (batch, speculative, fleet). It adopts the coordinator's runtime
-  options from the dispatch (never this process's own environment),
+  (pushed or contained, direct pool or fleet). It adopts the
+  coordinator's runtime options from the dispatch (never this process's
+  own environment),
   applies injected faults, resolves the unit's digests through this
   process's cache and, for those it lacks, the scratch pack the dispatch
   names, executes, ships spans and drained counters home on the
@@ -196,7 +197,7 @@ def _record_body(program, machine, unit, start, boundary, syscalls, signals, hin
         start,
         boundary,
         syscalls,
-        SyncOrderLog(hints[unit.sync_start :]),
+        SyncOrderLog(hints),
         unit.use_sync_hints,
         signal_records=signals,
     )

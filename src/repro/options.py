@@ -36,8 +36,6 @@ class RuntimeOptions:
     host_jobs: int = 1
     #: per-unit wall-clock hang budget in seconds; 0 disables detection
     unit_timeout: float = 60.0
-    #: two-deep speculative commit pipeline during the thread-parallel run
-    pipeline: bool = True
     #: superblock fusion in the interpreter
     superblocks: bool = True
     #: fault-injection directives (:mod:`repro.host.faults` grammar,
@@ -68,7 +66,6 @@ def _switch(raw: str) -> bool:
 VARIABLES = (
     ("REPRO_TEST_JOBS", "host_jobs", int),
     ("REPRO_UNIT_TIMEOUT", "unit_timeout", float),
-    ("REPRO_PIPELINE", "pipeline", _switch),
     ("REPRO_SUPERBLOCKS", "superblocks", _switch),
     ("REPRO_FAULT", "host_faults", str),
     ("REPRO_FAULT_STATE", "fault_state", str),

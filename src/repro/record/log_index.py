@@ -9,8 +9,9 @@ the recorder cuts epoch work units and checks its speculation that way
 (:mod:`repro.core.recorder`), and the host wire slices what a unit
 ships (:mod:`repro.host.wire`). :class:`ThreadLogIndex` answers it with
 a bisect per thread; :class:`SegmentLogs` keeps a pair of them current
-over a growing log at O(new records) per query, and cuts the syscall
-log into the chunks the wire encodes once each.
+over a growing log at O(new records) per query — the one index pair of
+a segment, which every one of those consumers asks — and cuts the
+syscall log into the chunks the wire encodes once each.
 """
 
 from __future__ import annotations
@@ -263,6 +264,20 @@ class SegmentLogs:
         if first < bounds[0]:
             raise ValueError("start lies before the segment's own start")
         return self._chunks[bisect_right(bounds, first) - 1 :]
+
+    def epoch_records(
+        self, start: Checkpoint, end: Optional[Checkpoint]
+    ) -> Tuple[tuple, tuple]:
+        """The ``(syscall, signal)`` records of the epoch ``start`` →
+        ``end``, in log order: the durable log's shard extents
+        (:meth:`ThreadLogIndex.positions_between`). ``end=None`` means
+        no upper bound — the final epoch of a finished log."""
+        return tuple(
+            index.extend_to(log).slice_between(
+                floors(start), None if end is None else floors(end)
+            )
+            for index, log, floors in self._logs
+        )
 
     def late_below(self, boundary: Checkpoint, cuts: Sequence[int]) -> bool:
         """Was anything logged at or past ``cuts`` (a log length per log)

@@ -242,6 +242,19 @@ class Recording:
         ]
         return recording
 
+    @classmethod
+    def load_plain(cls, plain: Dict, program, setup, machine) -> "Recording":
+        """:meth:`from_plain` for a recording of ``program``: boots it on
+        ``machine`` to take the initial checkpoint the logs start from."""
+        from repro.checkpoint.manager import CheckpointManager
+        from repro.exec.multicore import MulticoreEngine
+        from repro.exec.services import LiveSyscalls
+        from repro.oskernel.kernel import Kernel
+
+        kernel = Kernel(setup, program.heap_base)
+        boot = MulticoreEngine.boot(program, machine, LiveSyscalls(kernel))
+        return cls.from_plain(plain, CheckpointManager().initial(boot))
+
 
 def prune_syscall_records(
     records: List[SyscallRecord], counts: Dict[int, int]

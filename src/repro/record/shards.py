@@ -46,10 +46,11 @@ Shard extents reuse the epoch index
 -----------------------------------
 Which records belong to epoch *e* for thread *t* is exactly the
 ``[start_floor, end_floor)`` per-thread key window between consecutive
-checkpoints — the same query :class:`~repro.host.wire.ThreadLogIndex`
-answers for wire slicing, so shard-extent lookup calls
-``positions_between`` on that index rather than re-implementing the
-bisect.
+checkpoints — the query :class:`~repro.record.log_index.ThreadLogIndex`
+answers for wire slicing too, so ``commit_epoch`` asks the index pair
+the recorder already keeps over its segment's logs
+(:meth:`~repro.record.log_index.SegmentLogs.epoch_records`) and builds
+none of its own.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint
 from repro.errors import ReplayError
-from repro.record.log_index import ThreadLogIndex
+from repro.record.log_index import SegmentLogs
 from repro.memory.address_space import MemorySnapshot
 from repro.memory.blob import blob_digest, decode_blob, encode_object
 from repro.memory.page import Page
@@ -116,46 +117,6 @@ def _repeat_packer(count: int) -> struct.Struct:
 PACK_COMPACT_BYTES = 256 << 10
 
 
-class _LogIndexCache:
-    """Reuses one :class:`ThreadLogIndex` across a segment's commits.
-
-    The index is O(records) to build, and the recorder's log *grows*
-    between commits — rebuilding per epoch would make streaming commits
-    quadratic in run length. Same list object + a longer tail extends
-    the index in O(new records) instead. A rebuild happens on a new
-    list, a shrink, or the ``force`` flag, which covers the one case
-    where contents change in place without shrinking (forward recovery
-    prunes then appends).
-    """
-
-    def __init__(self, factory):
-        self._factory = factory
-        self._key = None
-        self._index: Optional[ThreadLogIndex] = None
-
-    def index_for(self, log: Sequence, force: bool = False) -> ThreadLogIndex:
-        key = (id(log), len(log))
-        if (
-            force
-            or self._index is None
-            or key[0] != self._key[0]
-            or key[1] < self._key[1]
-        ):
-            self._index = self._factory(log)
-        elif key[1] > self._key[1]:
-            self._index.extend_to(log)
-        self._key = key
-        return self._index
-
-
-def checkpoint_floors(checkpoint: Checkpoint) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """``(syscall_count, retired)`` per-thread floors of a checkpoint."""
-    return (
-        {tid: ctx.syscall_count for tid, ctx in checkpoint.contexts.items()},
-        {tid: ctx.retired for tid, ctx in checkpoint.contexts.items()},
-    )
-
-
 class ShardedLogWriter:
     """Streams committed epochs into the durable sharded log."""
 
@@ -189,8 +150,6 @@ class ShardedLogWriter:
         self._sealed: List[dict] = []
         #: manifest entries whose frames sit in the group-commit buffer
         self._pending: List[dict] = []
-        self._syscall_index = _LogIndexCache(ThreadLogIndex.for_syscalls)
-        self._signal_index = _LogIndexCache(ThreadLogIndex.for_signals)
         self._final: dict = {"final_digest": 0, "stats": {}, "complete": False}
         self._closed = False
         self.peak_buffered = 0
@@ -212,8 +171,6 @@ class ShardedLogWriter:
         self._block_refs: Dict[Tuple[int, int], int] = {}
         #: segment index -> count of its blocks still referenced
         self._live_blocks: Dict[int, int] = {}
-        #: segment files to unlink once the manifest stops naming them
-        self._doomed_segments: List[Tuple[int, str]] = []
         self.epochs_dropped = 0
         self.segments_deleted = 0
         self.bytes_reclaimed = 0
@@ -368,11 +325,10 @@ class ShardedLogWriter:
         ]
 
     def _syscall_frames(
-        self, epoch: int, log: Sequence[SyscallRecord], positions: Sequence[int]
+        self, epoch: int, records: Sequence[SyscallRecord]
     ) -> List[bytes]:
         per_tid: Dict[int, list] = {}
-        for rank, position in enumerate(positions):
-            record = log[position]
+        for rank, record in enumerate(records):
             per_tid.setdefault(record.tid, []).append(
                 (rank, encode_record(record))
             )
@@ -384,12 +340,9 @@ class ShardedLogWriter:
             for tid, entries in sorted(per_tid.items())
         ]
 
-    def _signal_frames(
-        self, epoch: int, log: Sequence[tuple], positions: Sequence[int]
-    ) -> List[bytes]:
+    def _signal_frames(self, epoch: int, records: Sequence[tuple]) -> List[bytes]:
         per_tid: Dict[int, list] = {}
-        for rank, position in enumerate(positions):
-            record = log[position]
+        for rank, record in enumerate(records):
             per_tid.setdefault(record[0], []).append((rank, tuple(record)))
         return [
             self._frame(
@@ -405,8 +358,7 @@ class ShardedLogWriter:
         record: EpochRecord,
         start_checkpoint: Checkpoint,
         end_checkpoint: Optional[Checkpoint],
-        syscall_log: Sequence[SyscallRecord],
-        signal_log: Sequence[tuple],
+        logs: SegmentLogs,
     ) -> None:
         """Append one committed epoch's shards to the group-commit buffer.
 
@@ -415,7 +367,9 @@ class ShardedLogWriter:
         ``[start.syscall_count, end.syscall_count)`` and signal records
         with ``retired`` in the matching window belong to this epoch —
         disjoint across epochs and (by checkpoint monotonicity)
-        concatenation-exact in global log order. ``end_checkpoint=None``
+        concatenation-exact in global log order. ``logs`` is the index
+        pair over the raw logs that the caller keeps (the recorder's,
+        per segment): the sink indexes nothing. ``end_checkpoint=None``
         means no upper bound (the run's final epoch when the closing
         checkpoint is not at hand — offline persistence): the logs were
         already pruned to the committed prefix, so unbounded selects the
@@ -425,22 +379,12 @@ class ShardedLogWriter:
             raise ValueError("durable log already closed")
         stats = self._stats()
         epoch = record.index
-        start_sys, start_sig = checkpoint_floors(start_checkpoint)
-        if end_checkpoint is None:
-            end_sys = end_sig = None
-        else:
-            end_sys, end_sig = checkpoint_floors(end_checkpoint)
-        syscall_positions = self._syscall_index.index_for(
-            syscall_log, force=record.recovered
-        ).positions_between(start_sys, end_sys)
-        signal_positions = self._signal_index.index_for(
-            signal_log, force=record.recovered
-        ).positions_between(start_sig, end_sig)
+        syscalls, signals = logs.epoch_records(start_checkpoint, end_checkpoint)
 
         frames = self._schedule_frames(epoch, record.schedule)
         frames += self._sync_frames(epoch, record.sync_log)
-        frames += self._syscall_frames(epoch, syscall_log, syscall_positions)
-        frames += self._signal_frames(epoch, signal_log, signal_positions)
+        frames += self._syscall_frames(epoch, syscalls)
+        frames += self._signal_frames(epoch, signals)
         meta = {
             "index": epoch,
             "targets": dict(record.targets),
@@ -450,8 +394,8 @@ class ShardedLogWriter:
             "counts": {
                 "schedule": len(record.schedule),
                 "sync": len(record.sync_log),
-                "syscall": len(syscall_positions),
-                "signal": len(signal_positions),
+                "syscall": len(syscalls),
+                "signal": len(signals),
             },
         }
         frames.append(
@@ -806,19 +750,18 @@ def persist_recording(
         pack_compact_bytes=pack_compact_bytes,
     )
     epochs = recording.epochs
+    logs = SegmentLogs(
+        recording.syscall_records,
+        recording.signal_records,
+        recording.initial_checkpoint,
+    )
     for position, record in enumerate(epochs):
         end = (
             epochs[position + 1].start_checkpoint
             if position + 1 < len(epochs)
             else None
         )
-        writer.commit_epoch(
-            record,
-            record.start_checkpoint,
-            end,
-            recording.syscall_records,
-            recording.signal_records,
-        )
+        writer.commit_epoch(record, record.start_checkpoint, end, logs)
     writer.close(final_digest=recording.final_digest, stats=recording.stats)
     return writer.totals()
 

@@ -398,16 +398,11 @@ class RecordService:
         if request.recording_plain is None:
             raise ValueError("replay session requires recording_plain")
         instance, machine, _ = self._build(request)
-        from repro.checkpoint.manager import CheckpointManager
-        from repro.exec.multicore import MulticoreEngine
-        from repro.exec.services import LiveSyscalls
-        from repro.oskernel.kernel import Kernel
         from repro.record.recording import Recording
 
-        kernel = Kernel(instance.setup, instance.image.heap_base)
-        boot = MulticoreEngine.boot(instance.image, machine, LiveSyscalls(kernel))
-        initial = CheckpointManager().initial(boot)
-        recording = Recording.from_plain(request.recording_plain, initial)
+        recording = Recording.load_plain(
+            request.recording_plain, instance.image, instance.setup, machine
+        )
         replayer = Replayer(instance.image, machine)
         replayer.materialize_checkpoints(recording)
         outcome = replayer.replay_parallel(

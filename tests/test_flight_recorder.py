@@ -24,6 +24,7 @@ from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
+from repro.record.log_index import SegmentLogs
 from repro.record.shards import (
     ShardedLogReader,
     ShardedLogWriter,
@@ -230,19 +231,17 @@ def test_close_partial_seals_buffered_epochs(tmp_path):
         group_commit_bytes=1 << 30,
     )
     epochs = recording.epochs
+    logs = SegmentLogs(
+        recording.syscall_records, recording.signal_records,
+        recording.initial_checkpoint,
+    )
     for position, record in enumerate(epochs):
         end = (
             epochs[position + 1].start_checkpoint
             if position + 1 < len(epochs)
             else None
         )
-        writer.commit_epoch(
-            record,
-            record.start_checkpoint,
-            end,
-            recording.syscall_records,
-            recording.signal_records,
-        )
+        writer.commit_epoch(record, record.start_checkpoint, end, logs)
     writer.close_partial("ValueError: boom")
     assert writer.closed
     writer.close_partial("second call is a no-op")

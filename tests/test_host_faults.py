@@ -267,33 +267,33 @@ def test_record_crash_and_hang_complete_via_fallback(monkeypatch):
 def test_record_crash_once_recovers_on_retry(monkeypatch, tmp_path):
     """With a one-shot fault the retry (not the fallback) saves the unit.
 
-    Pipelining is pinned off: this test exercises the *batch* retry path,
-    and a speculative dispatch would otherwise blow the one-shot fuse
-    before the batch ever dispatched (the speculative variants live in
-    the pipelined-fault tests below).
+    Two fuses, because every unit is pushed first and a pushed attempt
+    is free: the push burns the ``error`` fuse silently, the merge's
+    first counted attempt burns the ``crash`` fuse — a contained crash —
+    and its retry runs clean (a one-shot crash that only ever meets the
+    push is the pipelined test further down).
     """
-    monkeypatch.setenv("REPRO_PIPELINE", "0")
     _, _, serial = _record("fft", 2, jobs=1)
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    monkeypatch.setenv("REPRO_FAULT", "crash:unit1:once")
+    monkeypatch.setenv("REPRO_FAULT", "error:unit1:once,crash:unit1:once")
     _, _, faulted = _record("fft", 2, jobs=4)
     _assert_bit_identical(faulted, serial)
     counts = faulted.host["faults"]
-    assert counts["crashes"] >= 1
-    assert counts["retries"] >= 1
-    # The fuse blew on the first attempt, so nothing ever needed the
-    # serial fallback: every retry ran clean.
+    assert counts["crashes"] == 1
+    assert counts["retries"] == 1
+    # Both fuses were blown by then, so nothing ever needed the serial
+    # fallback: the retry ran clean.
     assert counts["serial_fallbacks"] == 0
     assert counts["timeouts"] == 0 and counts["task_errors"] == 0
 
 
 def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
     """Host containment composes with guest forward recovery."""
-    monkeypatch.setenv("REPRO_PIPELINE", "0")  # one-shot fuse, batch path
     _, _, serial = _record("racy-counter", 2, jobs=1)
     assert serial.stats["divergences"] > 0  # the workload actually diverges
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    monkeypatch.setenv("REPRO_FAULT", "crash:unit0:once")
+    # One fuse for the free pushed attempt, one for the counted one.
+    monkeypatch.setenv("REPRO_FAULT", "error:unit0:once,crash:unit0:once")
     _, _, faulted = _record("racy-counter", 2, jobs=2)
     _assert_bit_identical(faulted, serial)
     assert faulted.host["faults"]["crashes"] >= 1
@@ -302,13 +302,12 @@ def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
 # ----------------------------------------------------------------------
 # Pipelined speculation under faults
 #
-# With the two-deep commit pipeline on (the default), epoch N's unit is
-# dispatched while the thread-parallel run executes N+1 and beyond. A
-# speculative attempt is disposable twice over: host faults silently
-# discard it (the full-knowledge batch re-runs the position with normal
-# containment), and segment-end validation drops any run whose snapshot
-# cuts proved stale. Either way the recording must stay byte-identical
-# to jobs=1.
+# Epoch N's unit is pushed while the thread-parallel run executes N+1
+# and beyond. A pushed attempt is disposable twice over: host faults
+# silently discard it (the merge cuts the position again and runs that
+# with normal containment), and segment-end validation drops any run
+# whose snapshot cuts proved stale. Either way the recording must stay
+# byte-identical to jobs=1.
 # ----------------------------------------------------------------------
 def test_pipelined_clean_run_accepts_speculation():
     """No faults: speculative results are accepted, never re-run."""
@@ -381,16 +380,6 @@ def test_pipelined_divergence_while_speculating():
     _assert_bit_identical(parallel, serial)
     assert parallel.host["speculation"]["dispatched"] >= 1
     assert not any(parallel.host["faults"].values())
-
-
-def test_pipeline_env_toggle_is_parity(monkeypatch):
-    """REPRO_PIPELINE=0 changes wall-clock shape only, never results."""
-    _, _, piped = _record("pbzip", 2, jobs=2)
-    assert piped.host["speculation"]["dispatched"] >= 1
-    monkeypatch.setenv("REPRO_PIPELINE", "0")
-    _, _, phased = _record("pbzip", 2, jobs=2)
-    assert phased.host["speculation"]["dispatched"] == 0
-    _assert_bit_identical(piped, phased)
 
 
 # ----------------------------------------------------------------------

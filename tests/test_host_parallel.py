@@ -140,6 +140,29 @@ def test_replay_parallel_jobs_bit_identical(name, workers):
     assert len(parallel.host["unit_cpu"]) == parallel.epochs_replayed
 
 
+def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
+    """Regression: ``replay_parallel`` ran a one-epoch recording serially
+    at any ``jobs`` — ``host == {"jobs": 1}`` — and still returned
+    ``ReplayResult.jobs == 2`` (the CLI printed ``parallel[jobs=2]`` for
+    a replay that never touched a pool). A one-unit session is a session.
+    """
+    instance, machine, config = _build("fft", 2)
+    recording = DoublePlayRecorder(
+        instance.image, instance.setup, config.replace(epoch_cycles=10**9)
+    ).record().recording
+    assert recording.epoch_count() == 1
+    replayer = Replayer(instance.image, machine)
+    serial = replayer.replay_parallel(recording, jobs=1)
+    pooled = replayer.replay_parallel(recording, jobs=2)
+    assert (serial.jobs, serial.host["jobs"]) == (1, 1)
+    assert pooled.jobs == pooled.host["jobs"] == 2
+    assert pooled.host["units"] == 1 and pooled.host["unit_pids"][0] > 0
+    assert pooled.verified and serial.verified
+    assert (pooled.total_cycles, pooled.makespan, pooled.epochs_replayed) == (
+        serial.total_cycles, serial.makespan, 1,
+    )
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_replay_failure_reports_epoch_index(jobs):
     instance, machine, result = _record("fft", 2, jobs=1)

@@ -1,10 +1,10 @@
 """One epoch-unit path: execute and dispatch exist once each.
 
 The host layer runs a unit through one routine wherever it runs — a pool
-worker (batch, speculative or fleet submission) or the coordinator's
-serial fallback. These tests pin that directly: the two callers of the
-one execute routine agree on values and counters, the one dispatch
-routine still emits every span the three old submission paths did, a
+worker (pushed or counted attempt, direct pool or fleet) or the
+coordinator's serial fallback. These tests pin that directly: the two
+callers of the one execute routine agree on values and counters, the
+one dispatch routine emits every span, for a record and a replay, a
 bug in building a dispatch is not mistaken for a host fault, and a warm
 pool honours the coordinator's runtime options (superblock switch,
 histogram switch), not its spawn environment.
@@ -179,7 +179,7 @@ def test_replay_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
 
 
 def test_one_dispatch_routine_emits_every_span():
-    """Speculative push, contained retry and serial fallback, traced.
+    """Pushes (record and replay), contained retry and serial fallback, traced.
 
     A jobs=2 record where unit 1 raises in the worker on both pool
     attempts (it must fall back to the coordinator).
@@ -205,9 +205,15 @@ def test_one_dispatch_routine_emits_every_span():
     dispatches = spans("dispatch")
     assert all(s.cat == obs_spans.CAT_WIRE for s in dispatches)
     speculative = [s for s in dispatches if s.args.get("speculative")]
-    assert speculative, "no mid-segment speculative dispatch span"
+    assert speculative, "no pushed dispatch span"
     assert all(s.args["speculative"] is True for s in speculative)
-    assert result.host["speculation"]["dispatched"] == len(speculative)
+    # Every push is one such span, a record's and a replay's alike; a
+    # healthy replay pushes each unit once and accepts it.
+    epochs = result.recording.epoch_count()
+    assert outcome.host["speculation"] == {
+        "dispatched": epochs, "accepted": epochs, "invalidated": 0, "discarded": 0,
+    }
+    assert result.host["speculation"]["dispatched"] + epochs == len(speculative)
     for span in dispatches:
         assert set(span.args) - {"speculative"} == {"position", "bytes"}
     # What the spans say was put is what the run accounts, and no other

@@ -21,17 +21,14 @@ from repro.exec.interpreter import decode_program
 from repro.host import executor as host_executor
 from repro.host.blobs import ScratchPacks, decode_blob_object
 from repro.host.executor import HostExecutor
-from repro.host.wire import (
-    record_units_for_segment,
-    replay_units_for_recording,
-    signal_slice,
-    syscall_slice,
-)
+from repro.host.wire import _record_unit, replay_units_for_recording
 from repro.machine.config import MachineConfig
 from repro.memory.address_space import AddressSpace, MemorySnapshot
 from repro.memory.layout import PAGE_WORDS
 from repro.isa.assembler import Assembler
 from repro.memory.page import Page
+from repro.obs.metrics import process_stats
+from repro.record.log_index import SegmentLogs, signal_slice, syscall_slice
 from repro.workloads import build_workload
 
 
@@ -340,8 +337,10 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
         for history in ("cold", "warm"):
             executor = HostExecutor(options.resolve(host_jobs=2))
             batch = executor._begin_batch(
-                "replay", instance.image, machine, wire.units, wire.blobs
+                "replay", instance.image, machine, wire.blobs
             )
+            for unit in wire.units:
+                batch._add_unit(unit)
             dispatches = [
                 executor._make_dispatch(batch, index)
                 for index in range(len(batch.units))
@@ -363,6 +362,24 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
     assert whole_objects >= 5 * sum(sizes[0])
 
 
+def _cut_every_position(recording):
+    """A finished recording's epochs, each cut as a record unit by the one
+    builder: ``(checkpoints, units, logs, blobs)``."""
+    checkpoints = [epoch.start_checkpoint for epoch in recording.epochs]
+    logs = SegmentLogs(
+        recording.syscall_records, recording.signal_records, checkpoints[0]
+    )
+    blobs = {}
+    units = [
+        _record_unit(
+            position, position, checkpoints[position], checkpoints[position + 1],
+            (), logs, True, blobs,
+        )
+        for position in range(len(checkpoints) - 1)
+    ]
+    return checkpoints, units, logs, blobs
+
+
 def test_record_units_share_pages_by_content():
     """A page unchanged across the epoch must never be re-shipped.
 
@@ -373,19 +390,9 @@ def test_record_units_share_pages_by_content():
     fast path, and the wire carries only the epoch's dirty pages.
     """
     _, _, result = _record()
-    recording = result.recording
-    checkpoints = [e.start_checkpoint for e in recording.epochs]
-    batch = record_units_for_segment(
-        checkpoints,
-        hints=[],
-        hint_marks=[0] * len(checkpoints),
-        syscall_log=recording.syscall_records,
-        signal_log=recording.signal_records,
-        first_epoch_index=0,
-        use_sync_hints=True,
-    )
+    checkpoints, units, _, blobs = _cut_every_position(result.recording)
     checked = 0
-    for unit in batch.units:
+    for unit in units:
         start_cp = checkpoints[unit.position]
         boundary_cp = checkpoints[unit.position + 1]
         assert not unit.start.is_delta
@@ -398,7 +405,7 @@ def test_record_units_share_pages_by_content():
         # Object-shared pages never appear in the delta.
         assert not (set(unit.boundary.page_changes) & shared_before)
         clone = roundtrip(unit)
-        resolve = _blob_resolver(batch.blobs)
+        resolve = _blob_resolver(blobs)
         start = clone.start.hydrate(resolve)
         boundary = clone.boundary.hydrate(resolve, base_pages=start.memory.pages)
         shared_after = {
@@ -416,3 +423,43 @@ def test_record_units_share_pages_by_content():
         if shared_before:
             checked += 1
     assert checked, "no unit had a surviving shared page — widen the workload"
+
+
+def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch):
+    """What the merge lacks it cuts again, with the same builder: over
+    finished logs the second cut of a position is the first one — equal
+    unit, no blob interned, no log record encoded, nothing put into the
+    scratch pack by its dispatch.
+
+    Fails if ``_record_unit`` interns the hint window under a per-cut key
+    (say, a tuple carrying the cut's ordinal).
+    """
+    instance, machine, result = _record("apache", scale=24)
+    checkpoints, units, logs, blobs = _cut_every_position(result.recording)
+    assert len(units) >= 8 and all(unit.syscalls for unit in units)
+    held = dict(blobs)
+    stats = process_stats()
+    encoded = stats.get("work.syscall_records_encoded")
+    packs = ScratchPacks()
+    monkeypatch.setattr(host_executor, "_scratch_packs", packs)
+    try:
+        executor = HostExecutor(options.resolve(host_jobs=2))
+        batch = executor._begin_batch("record", instance.image, machine, blobs)
+        for unit in units:
+            packs.release(executor._make_dispatch(batch, batch._add_unit(unit)).pack)
+        shipped = list(batch.bytes_shipped)
+        assert sum(shipped) > 0
+        for position in (0, len(units) // 2, len(units) - 1):
+            again = _record_unit(
+                position, position, checkpoints[position],
+                checkpoints[position + 1], (), logs, True, blobs,
+            )
+            assert again == units[position] and again is not units[position]
+            assert batch._add_unit(again) == position
+            dispatch = executor._make_dispatch(batch, position)
+            packs.release(dispatch.pack)
+            assert dispatch.placed[:2] == (0, 0)
+        assert batch.bytes_shipped == shipped and blobs == held
+        assert stats.get("work.syscall_records_encoded") == encoded
+    finally:
+        packs.close()

@@ -313,9 +313,9 @@ def test_goldens_without_superblocks_parallel(monkeypatch, name, workers, jobs):
 
 # Pipelined-commit parity: the two-deep speculative pipeline dispatches
 # epoch N while the thread-parallel run executes ahead — wall-clock
-# overlap only, results bit-identical. Each configuration records three
-# ways (pipelined jobs=N, phased jobs=N via REPRO_PIPELINE=0, serial
-# jobs=1) and all three must agree byte-for-byte and hit the goldens.
+# overlap only, results bit-identical. Each configuration records both
+# ways (pushed jobs=N, serial jobs=1) and the two must agree
+# byte-for-byte and hit the goldens.
 # (name, workers, jobs, expect_speculation)
 PIPELINE_PARITY = [
     ("pbzip", 2, 4, True),
@@ -327,9 +327,7 @@ PIPELINE_PARITY = [
 
 
 @pytest.mark.parametrize("name,workers,jobs,expect_spec", PIPELINE_PARITY)
-def test_goldens_survive_pipelined_commit(
-    monkeypatch, name, workers, jobs, expect_spec
-):
+def test_goldens_survive_pipelined_commit(name, workers, jobs, expect_spec):
     instance = build_workload(name, workers=workers, scale=2, seed=11)
     machine = MachineConfig(cores=workers)
     native = run_native(instance.image, instance.setup, machine)
@@ -341,35 +339,29 @@ def test_goldens_survive_pipelined_commit(
     piped = DoublePlayRecorder(
         instance.image, instance.setup, config.replace(host_jobs=jobs)
     ).record()
-    monkeypatch.setenv("REPRO_PIPELINE", "0")
-    phased = DoublePlayRecorder(
-        instance.image, instance.setup, config.replace(host_jobs=jobs)
-    ).record()
 
     canonical = json.dumps(serial.recording.to_plain(), sort_keys=True)
-    for result in (piped, phased):
-        assert json.dumps(result.recording.to_plain(), sort_keys=True) == canonical
-        assert (result.makespan, result.tp_finish, result.app_time) == (
-            serial.makespan, serial.tp_finish, serial.app_time,
-        )
-        assert result.stats == serial.stats
-        observed = (
-            native.duration,
-            native.final_digest,
-            result.makespan,
-            result.recording.epoch_count(),
-            result.recording.final_digest,
-            combine_hashes([e.end_digest for e in result.recording.epochs]),
-            result.recording.total_log_bytes(),
-        )
-        assert observed == GOLDEN[(name, workers)]
+    assert json.dumps(piped.recording.to_plain(), sort_keys=True) == canonical
+    assert (piped.makespan, piped.tp_finish, piped.app_time) == (
+        serial.makespan, serial.tp_finish, serial.app_time,
+    )
+    assert piped.stats == serial.stats
+    observed = (
+        native.duration,
+        native.final_digest,
+        piped.makespan,
+        piped.recording.epoch_count(),
+        piped.recording.final_digest,
+        combine_hashes([e.end_digest for e in piped.recording.epochs]),
+        piped.recording.total_log_bytes(),
+    )
+    assert observed == GOLDEN[(name, workers)]
 
     spec = piped.host["speculation"]
     if expect_spec:
         # Race-free segments are long enough that speculation engages and
         # (with the boundary-floor validity rule) is actually accepted.
         assert spec["dispatched"] >= 1 and spec["accepted"] >= 1
-    assert phased.host["speculation"]["dispatched"] == 0
 
 
 # Fault parity: the goldens must also survive injected host-worker

@@ -38,9 +38,6 @@ TABLE = {
     "REPRO_UNIT_TIMEOUT": ("unit_timeout", [
         (None, 60.0), ("2.5", 2.5), ("not-a-number", 60.0), ("-3", 0.0), ("0", 0.0),
     ]),
-    "REPRO_PIPELINE": ("pipeline", [
-        (None, True), ("", True), ("0", False), ("1", True), ("junk", True),
-    ]),
     "REPRO_SUPERBLOCKS": ("superblocks", [
         (None, True), ("0", False), ("1", True), ("junk", True),
     ]),
@@ -66,6 +63,8 @@ DELETED = {
     "REPRO_TRACE": "/tmp/trace.json",
     # the worker cache budget and the scratch-pack cap are constants
     "REPRO_BLOB_CACHE_MB": "0",
+    # units are always pushed: the held-unit arm is gone
+    "REPRO_PIPELINE": "0",
 }
 
 
@@ -101,7 +100,7 @@ def test_variable_parses_and_clamps(monkeypatch, name, field, raw, expected):
 
 def test_defaults_are_the_product_defaults():
     assert DEFAULTS == RuntimeOptions(
-        host_jobs=1, unit_timeout=60.0, pipeline=True, superblocks=True,
+        host_jobs=1, unit_timeout=60.0, superblocks=True,
         host_faults="", fault_state="",
         log_group_bytes=32 * 1024, log_fsync=True,
         flight_window=None, histograms=True,
@@ -114,6 +113,13 @@ def test_deleted_variables_are_inert(monkeypatch):
         monkeypatch.setenv(name, value)
     assert options.from_env() == DEFAULTS
     assert options.resolve(DoublePlayConfig()) == DEFAULTS
+    # ...REPRO_PIPELINE=0 included: every position is still pushed.
+    instance = build_workload("fft", workers=2, scale=2, seed=11)
+    config = DoublePlayConfig(
+        machine=MachineConfig(cores=2), epoch_cycles=500, host_jobs=2
+    )
+    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    assert result.host["speculation"]["dispatched"] == result.stats["epochs"] > 2
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +217,7 @@ def test_dispatch_carries_non_default_options_across_pickle():
 
 
 def test_each_run_journals_its_resolved_options(monkeypatch):
-    monkeypatch.setenv("REPRO_PIPELINE", "0")
+    monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
     instance = build_workload("fft", workers=2, scale=2, seed=11)
     config = DoublePlayConfig(
         machine=MachineConfig(cores=2), epoch_cycles=2000,
@@ -227,7 +233,7 @@ def test_each_run_journals_its_resolved_options(monkeypatch):
     first = events[0]
     assert first["kind"] == "options"
     expected = dataclasses.replace(
-        DEFAULTS, pipeline=False, unit_timeout=9.0
+        DEFAULTS, log_fsync=False, unit_timeout=9.0
     )
     assert {k: first[k] for k in vars(expected)} == vars(expected)
 

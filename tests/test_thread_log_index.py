@@ -11,9 +11,8 @@ recording's checkpoint floors.
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
-from repro.host.wire import ThreadLogIndex
 from repro.machine.config import MachineConfig
-from repro.record.shards import checkpoint_floors
+from repro.record.log_index import ThreadLogIndex
 from repro.workloads import build_workload
 
 
@@ -153,8 +152,7 @@ def test_checkpoint_floors_partition_a_real_syscall_log():
 
     index = ThreadLogIndex.for_syscalls(recording.syscall_records)
     floors = [
-        checkpoint_floors(epoch.start_checkpoint)[0]
-        for epoch in recording.epochs
+        epoch.start_checkpoint.syscall_counts() for epoch in recording.epochs
     ]
     windows = [
         index.slice_between(
@@ -190,7 +188,7 @@ def test_segment_chunks_cover_what_each_start_reaches_and_encode_each_record_onc
     ).record().recording
     starts = [epoch.start_checkpoint for epoch in recording.epochs]
     index = ThreadLogIndex.for_syscalls(recording.syscall_records)
-    floors = [checkpoint_floors(start)[0] for start in starts]
+    floors = [start.syscall_counts() for start in starts]
     windows = [
         index.slice_between(floors[i], floors[i + 1] if i + 1 < len(floors) else None)
         for i in range(len(floors))

@@ -7,13 +7,17 @@ logged, the positions actually missing at the merge, the pages actually
 dirtied, the log blobs actually decoded, the kernel state actually
 touched, the log records actually encoded, the blobs actually put into
 the scratch pack and the bytes actually written to a worker's pipe —
-not to the run so far. The last one counts the calls into the telemetry
-plane itself: with telemetry off they follow the epochs, never the
-guest ops.
+not to the run so far. A record's and a replay's units take one path
+(cut, pushed, merged in order by one stream), so the same counts say
+what that stream does: each position cut once, what is lost cut again
+alone, and the positions behind a crash still executing concurrently.
+The last test counts the calls into the telemetry plane itself: with
+telemetry off they follow the epochs, never the guest ops.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -21,7 +25,7 @@ import pytest
 from repro.baselines import run_native
 from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
-from repro.host.executor import _DirectDispatcher
+from repro.host.executor import HostExecutor, _DirectDispatcher
 from repro.host.pool import shutdown_shared_pool
 from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
@@ -29,7 +33,9 @@ from repro.obs import events as obs_events
 from repro.obs import histo as obs_histo
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import process_stats
+from repro.record.log_index import SegmentLogs
 from repro.workloads import build_workload
+from tests.test_core_early_cut import _racy_io
 
 JOBS = 2
 
@@ -58,45 +64,139 @@ def _work(result, name):
     return result.metrics.get("work", name)
 
 
-def test_each_log_record_is_indexed_once_per_segment(server):
-    """Cutting a unit absorbs the records logged since the last cut.
+@pytest.fixture
+def contained_runs(monkeypatch):
+    """Every entry into the counted path, as ``(batch kind, position)``."""
+    entered = []
+    run_contained = HostExecutor._run_contained
 
-    One segment, no durable sink (which keeps an index of its own): the
-    segment's index pair absorbed each record exactly once, however
-    many units were cut from it.
+    def counted(self, batch, position):
+        entered.append((batch.kind, position))
+        return run_contained(self, batch, position)
+
+    monkeypatch.setattr(HostExecutor, "_run_contained", counted)
+    return entered
+
+
+@pytest.mark.parametrize("program", ["server", "racy-io"])
+@pytest.mark.parametrize("sink", ["memory", "log_dir"])
+def test_each_log_record_is_indexed_once_per_segment(
+    server, monkeypatch, tmp_path, program, sink
+):
+    """One index pair per segment, and nobody else indexes anything.
+
+    Cutting a unit absorbs the records logged since the last cut; the
+    durable sink takes an epoch's shard extents from that same index. So
+    the records indexed are, per segment, the log as that segment saw it
+    — with a sink or without, in a run that never diverges (one segment:
+    each record once) and in one that recovers a dozen times (a recovery
+    prunes the log in place, so the next segment indexes what is left).
+
+    Fails if ``ShardedLogWriter.commit_epoch`` builds a ``ThreadLogIndex``
+    of its own over the raw logs (the parent's, with a sink, indexed
+    12 032 records for the 6 016 logged).
     """
-    result = _record(server)
+    segments = []
+    init = SegmentLogs.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        segments.append(self)
+
+    monkeypatch.setattr(SegmentLogs, "__init__", tracked)
+    overrides = {"log_dir": str(tmp_path / "log")} if sink == "log_dir" else {}
+    if program == "server":
+        result = _record(server, **overrides)
+        assert result.stats["recoveries"] == 0 and result.stats["epochs"] >= 8
+    else:
+        image, setup, config = _racy_io()
+        result = DoublePlayRecorder(
+            image, setup, config.replace(host_jobs=JOBS, **overrides)
+        ).record()
+        assert result.stats["recoveries"] > 10
     recording = result.recording
-    assert result.stats["recoveries"] == 0 and result.stats["epochs"] >= 8
     logged = len(recording.syscall_records) + len(recording.signal_records)
     assert logged > 100 * result.stats["epochs"] // 8
-    assert _work(result, "log_index_records") == logged
+    assert len(segments) == result.stats["recoveries"] + 1
+    indexed = sum(
+        len(index._records) for logs in segments for index, _, _ in logs._logs
+    )
+    assert _work(result, "log_index_records") == indexed >= logged
+    if program == "server":
+        assert indexed == logged
 
 
-def test_the_merge_builds_only_the_positions_not_in_hand(server, monkeypatch):
-    """Every position is cut once, ahead; the merge rebuilds what it lost."""
+def test_the_merge_builds_only_the_positions_not_in_hand(
+    server, monkeypatch, contained_runs
+):
+    """Every position is cut once and pushed; one task error on a pushed
+    position cuts that position again, alone.
+
+    Fails if ``SpeculativeSession.harvest`` cuts again a position whose
+    pushed value stands.
+    """
     clean = _record(server)
     epochs = clean.stats["epochs"]
     assert clean.host["speculation"] == {
         "dispatched": epochs, "accepted": epochs, "invalidated": 0, "discarded": 0,
     }
-    assert _work(clean, "units_built") == epochs
+    assert _work(clean, "units_built") == epochs and not contained_runs
 
     # One position's pushed unit is lost to a task error: it alone is
-    # built again (and contained: the error fires on every dispatch).
+    # cut again (and contained: the error fires on every dispatch).
     monkeypatch.setenv("REPRO_FAULT", "error:unit3")
     faulted = _record(server)
     assert faulted.host["speculation"]["discarded"] == 1
     assert faulted.host["faults"]["serial_fallbacks"] == 1
     assert _work(faulted, "units_built") == epochs + 1
+    assert contained_runs == [("record", 3)]
+    assert faulted.recording.to_plain() == clean.recording.to_plain()
 
-    # Nothing pushed ahead: every position is missing at the merge.
-    monkeypatch.delenv("REPRO_FAULT")
-    monkeypatch.setenv("REPRO_PIPELINE", "0")
-    phased = _record(server)
-    assert phased.host["speculation"]["dispatched"] == 0
-    assert _work(phased, "units_built") == epochs
-    assert phased.recording.to_plain() == clean.recording.to_plain()
+
+@pytest.mark.parametrize(
+    "name,scale", [("fft", 8), ("apache", 60), ("racy-counter", 8)]
+)
+def test_a_fault_free_record_cuts_each_position_exactly_once(
+    contained_runs, name, scale
+):
+    """Units built == units pushed, nothing invalidated, no counted run —
+    on a page-heavy program, a syscall-heavy one and one that recovers in
+    most epochs (whose squashed futures' units are pushed and discarded,
+    never cut twice).
+
+    Fails if ``harvest`` treats every pushed value as invalid.
+    """
+    instance = build_workload(name, workers=2, scale=scale, seed=11)
+    machine = MachineConfig(cores=2)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine, epoch_cycles=max(native.duration // 12, 500), host_jobs=JOBS
+    )
+    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    spec = result.host["speculation"]
+    assert _work(result, "units_built") == spec["dispatched"] >= result.stats["epochs"]
+    assert spec["invalidated"] == 0 and not contained_runs
+    assert not any(result.host["faults"].values())
+    if name == "racy-counter":
+        assert result.stats["recoveries"] > 1 and spec["discarded"] > 0
+    else:
+        assert spec["accepted"] == spec["dispatched"] == result.stats["epochs"]
+
+
+def test_a_fleet_tenant_cuts_each_position_exactly_once(contained_runs):
+    from repro.service import RecordService, ServiceConfig, SessionRequest
+
+    report = RecordService(ServiceConfig(jobs=JOBS, max_active=2)).run([
+        SessionRequest(sid=f"fft-{tenant}", workload="fft", workers=2, scale=4, seed=11)
+        for tenant in range(2)
+    ])
+    assert report.ok, [r.error for r in report.results]
+    for result in report.results:
+        metrics = result.metrics
+        assert metrics["work"]["units_built"] == metrics["record"]["epochs"] >= 8
+        assert metrics["host"]["units"] == metrics["record"]["epochs"]
+        assert not any(metrics["faults"].values())
+    assert not contained_runs
 
 
 def test_interning_visits_the_dirty_pages_and_one_table(server, monkeypatch):
@@ -114,6 +214,118 @@ def test_interning_visits_the_dirty_pages_and_one_table(server, monkeypatch):
     dirty = sum(checkpoint.dirty_pages for checkpoint in taken)
     assert len(taken) == result.stats["epochs"] and dirty > 0
     assert 0 < _work(result, "pages_interned") <= dirty + first_table
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_a_replay_runs_every_unit_once_through_the_session(
+    server, contained_runs, jobs
+):
+    """A replay is a session like a record segment's: N units pushed, N
+    accepted, none through the counted path — and the ``jobs=1`` verdict.
+
+    Fails if ``harvest`` cuts again a position whose pushed value
+    stands (at the parent a replay had its own loop, and
+    ``host["speculation"]`` read all-zero).
+    """
+    instance, machine, _ = server
+    recording = _record(server, host_jobs=1).recording
+    replayer = Replayer(instance.image, machine)
+    serial = replayer.replay_parallel(recording, jobs=1)
+    pooled = replayer.replay_parallel(recording, jobs=jobs)
+    units = len(recording.epochs)
+    assert units >= 12 and pooled.host["units"] == units
+    assert pooled.host["speculation"] == {
+        "dispatched": units, "accepted": units, "invalidated": 0, "discarded": 0,
+    }
+    assert not contained_runs and not any(pooled.host["faults"].values())
+    assert pooled.verified and serial.verified
+    assert (pooled.total_cycles, pooled.makespan, pooled.epochs_replayed) == (
+        serial.total_cycles, serial.makespan, serial.epochs_replayed,
+    )
+    assert pooled.jobs == pooled.host["jobs"] == jobs
+
+
+#: the position whose every first two dispatches crash their worker
+CRASHED = 3
+
+
+@pytest.mark.parametrize("kind", ["replay", "record"])
+def test_the_positions_behind_a_crash_keep_executing_concurrently(
+    server, monkeypatch, tmp_path, contained_runs, kind
+):
+    """One crash does not serialise what is behind it.
+
+    Position K's pushed attempt kills its worker, and with it the pool
+    and every attempt in it; so does K's first counted attempt; its
+    retry runs clean. What died is pushed again, without blame, when
+    containment abandons the pool — before K's retry is even dispatched
+    — so no position behind K goes through the counted path, the fault
+    counters name K alone, and the result is the ``jobs=1`` one. (The
+    record segment's last unit is slowed so that it is in the pool when
+    K's counted attempt kills it; a replay pushes all its units up
+    front, so everything behind K dies with K's pushed attempt.)
+
+    Fails if ``_run_contained`` does not push the dead attempts again
+    after ``abandon`` — the parent's record merge, where each position
+    that died went through the counted path after K, one at a time.
+    """
+    instance, machine, config = server
+    monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
+    # Two one-shot fuses for one unit: they differ in scope.
+    faults = f"crash:unit{CRASHED}:once,{kind}:crash:unit{CRASHED}:once"
+    serial = _record(server, host_jobs=1)
+    recording = serial.recording
+    units = len(recording.epochs)
+    assert units >= 12
+    replayer = Replayer(instance.image, machine)
+    tracer = obs_spans.start_trace()
+    try:
+        if kind == "record":
+            faults += f",record:slow:unit{units - 1}:0.4"
+            result = _record(server, host_faults=faults)
+            assert result.recording.to_plain() == recording.to_plain()
+            assert result.stats == serial.stats
+            host = result.host
+        else:
+            expected = replayer.replay_parallel(recording, jobs=1)
+            outcome = replayer.replay_parallel(recording, jobs=JOBS, fault_specs=faults)
+            assert outcome.verified and (outcome.total_cycles, outcome.makespan) == (
+                expected.total_cycles, expected.makespan,
+            )
+            host = outcome.host
+    finally:
+        obs_spans.stop_trace()
+        shutdown_shared_pool()  # killed workers stay out of later tests
+    # Blame: K's one counted crash, saved by its retry.
+    assert {event["position"] for event in host["fault_events"]} == {CRASHED}
+    assert host["faults"] == {
+        "crashes": 1, "timeouts": 0, "task_errors": 0, "retries": 1,
+        "serial_fallbacks": 0,
+    }
+    # Nothing behind K went through the counted path, or ran here.
+    assert (kind, CRASHED) in contained_runs
+    assert all(position <= CRASHED for _, position in contained_runs)
+    behind = host["unit_pids"][CRASHED + 1:]
+    assert os.getpid() not in behind
+    # Every attempt pushed again started before K's retry had finished.
+    spans = [s for s in tracer.spans if s.args.get("position") is not None]
+    dispatched = sorted(
+        (s for s in spans if s.name == "dispatch" and s.args["position"] == CRASHED),
+        key=lambda s: s.start,
+    )
+    (retried,) = [
+        s for s in spans if s.name == "execute"
+        and s.args["position"] == CRASHED and s.args["kind"] == kind
+    ]
+    assert len(dispatched) == 3 and retried.track != tracer.pid
+    pushed_again = [
+        s for s in spans if s.name == "dispatch" and s.args["position"] > CRASHED
+        and s.start > dispatched[1].start
+    ]
+    assert all(s.args.get("speculative") for s in pushed_again)
+    assert all(s.start < dispatched[2].start < retried.end for s in pushed_again)
+    if kind == "replay":
+        assert pushed_again and len(set(behind)) >= 2  # two workers, still
 
 
 def test_a_replay_indexes_the_log_once_per_worker(server):
@@ -179,17 +391,13 @@ def test_snapshots_freeze_what_the_epoch_touched(server):
     assert same_state == state and finer_words <= 1.2 * words
 
 
-@pytest.mark.parametrize("pipeline", ["1", "0"])
-def test_each_log_record_is_encoded_once_per_segment(server, monkeypatch, pipeline):
+def test_each_log_record_is_encoded_once_per_segment(server):
     """The log travels as chunks: however many units can see a record —
-    cut ahead, on the tail or rebuilt at the merge — it is encoded for
+    cut ahead, on the tail or again at the merge — it is encoded for
     the wire exactly once."""
-    monkeypatch.setenv("REPRO_PIPELINE", pipeline)
     result = _record(server)
     assert result.stats["recoveries"] == 0
-    assert result.host["speculation"]["dispatched"] == (
-        result.stats["epochs"] if pipeline == "1" else 0
-    )
+    assert result.host["speculation"]["dispatched"] == result.stats["epochs"]
     logged = len(result.recording.syscall_records)
     assert _work(result, "syscall_records_encoded") == logged > 1000
 
