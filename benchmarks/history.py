@@ -9,6 +9,11 @@ so drift on the box lands on both. Only run.py's last line, its JSON result, is
 read; a run that fails its own checks ends this script with an error. Append-only:
 the trajectory is the file's lines in order. Each workload also prints a table of
 medians, every later side beside the first with its relative change.
+
+After the untraced passes each side runs one ``--trace 1`` pass, appended as a
+second kind of line (``"kind": "per_layer"``, one value per metric, no quartiles:
+it is one run) so the layer shares have a trajectory too. Lines without a
+``kind`` are the end-to-end ones.
 """
 import argparse
 import json
@@ -22,8 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PASSES = 5  # runs per side and workload; quartiles need at least two
 
 
-def measure(checkout: str, workload: str) -> dict:
-    command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload, "--trace", "0"]
+def measure(checkout: str, workload: str, trace: int = 0) -> dict:
+    command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+               "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
@@ -81,3 +87,8 @@ if __name__ == "__main__":
                 history.write(json.dumps(line) + "\n")
             lines.append(line)
         print(table(workload, lines, contract), flush=True)
+        for label, checkout in sides:
+            layers = {"commit": label, "workload": workload, "kind": "per_layer",
+                      **stamp, "passes": 1, "metrics": measure(checkout, workload, trace=1)}
+            with open(ROOT / "BENCH_history.jsonl", "a") as history:
+                history.write(json.dumps(layers) + "\n")

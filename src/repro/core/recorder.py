@@ -60,10 +60,8 @@ from repro.errors import SimulationError
 from repro.exec.multicore import MulticoreEngine
 from repro.exec.services import InjectionLog, LiveSyscalls
 from repro.isa.program import ProgramImage
-from repro.obs import events as obs_events
-from repro.obs import histo as obs_histo
+from repro.obs import lifecycle
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
 from repro.obs.metrics import RunMetrics
 from repro.oskernel.kernel import Kernel, KernelSetup
 from repro.oskernel.syscalls import SyscallRecord
@@ -136,6 +134,8 @@ class _Segment:
     #: every verdict consumed so far was final, so a failing one may
     #: still squash the thread-parallel run. Armed by the first recovery.
     may_cut: bool
+    #: the run's epoch lives (shared by every segment; observed, never read)
+    lives: lifecycle.Lives
     #: the pool's side of the segment: units pushed ahead of the merge,
     #: then the merge itself (None at ``jobs=1``)
     session: Optional[object] = None
@@ -151,6 +151,18 @@ class _Segment:
     inline: Dict[int, EpochRunResult] = field(default_factory=dict)
     #: the thread-parallel run was stopped at a final failing verdict
     squashed: bool = False
+
+
+@dataclass
+class _Timeline:
+    """The recording timeline, composed one segment at a time."""
+
+    #: when each epoch-parallel executor slot is next free
+    worker_free: List[int]
+    #: recording-time minus app-time for the current segment
+    offset: int = 0
+    makespan: int = 0
+    tp_finish: int = 0
 
 
 class DoublePlayRecorder:
@@ -190,11 +202,7 @@ class DoublePlayRecorder:
             c_hint, c_sys, c_sig = cuts
             syscalls, signals = syscalls[:c_sys], signals[:c_sig]
         window = segment.hints[segment.hint_marks[position] : c_hint]
-        with obs_spans.span(
-            "execute", obs_spans.CAT_EPOCH,
-            epoch=segment.first_epoch + position,
-            position=position, kind="record",
-        ):
+        with segment.lives.here(position, "record"):
             return run_epoch(
                 self.program,
                 self.machine,
@@ -242,8 +250,7 @@ class DoublePlayRecorder:
     # ------------------------------------------------------------------
     def _run_to_boundary(self, engine, policy, manager, segment: _Segment) -> str:
         """Run the thread-parallel engine one epoch; checkpoint the boundary."""
-        tracer = obs_spans.current()
-        span_start = tracer.now() if tracer is not None else 0.0
+        started = time.perf_counter()
         status = engine.run(
             stop_check=lambda e: policy.should_checkpoint(e.time),
             stop_after=policy.next_boundary(),
@@ -254,12 +261,10 @@ class DoublePlayRecorder:
         policy.note_checkpoint(engine.time)
         segment.checkpoints.append(checkpoint)
         segment.hint_marks.append(len(segment.hints))
-        if tracer is not None:
-            position = len(segment.checkpoints) - 2
-            tracer.add(
-                "tp-epoch", obs_spans.CAT_SEGMENT, span_start, tracer.now(),
-                args={"epoch": segment.first_epoch + position, "position": position},
-            )
+        segment.lives.cut(
+            segment.first_epoch + len(segment.checkpoints) - 2,
+            (started, time.perf_counter()),
+        )
         return status
 
     def _cut_unit(self, segment: _Segment, position: int):
@@ -393,19 +398,23 @@ class DoublePlayRecorder:
         return True
 
     # ------------------------------------------------------------------
+    # Stages of one segment's merge.
+    # ------------------------------------------------------------------
     def _commit_epoch(
-        self, recording, sink, manager, index, start_cp, end_cp, outcome,
-        logs, recovered=False,
+        self, recording, sink, manager, segment: _Segment, position: int,
+        end_cp, outcome, logs, recovered=False,
     ) -> None:
-        """Fold one epoch into the recording, the durable sink, the journal.
+        """Fold one epoch into the recording and the durable sink.
 
         ``outcome`` is the epoch's clean ``EpochRunResult`` or, after a
         divergence, its ``RecoveryResult``; ``end_cp`` the checkpoint it
         ended at; ``logs`` the index over the raw logs the sink takes
         the epoch's records from.
         """
+        started = time.perf_counter()
+        start_cp = segment.checkpoints[position]
         record = EpochRecord(
-            index=index,
+            index=segment.first_epoch + position,
             start_checkpoint=start_cp,
             targets=end_cp.targets(),
             schedule=outcome.schedule,
@@ -422,10 +431,85 @@ class DoublePlayRecorder:
             sink.commit_epoch(record, start_cp, end_cp, logs)
             if self.config.log_spill:
                 record.spill()
-        obs_events.emit(
-            "epoch-commit", epoch=index, cycles=outcome.duration,
-            **({"recovered": True} if recovered else {}),
+        segment.lives.committed(
+            position, started, time.perf_counter(), outcome.duration
         )
+
+    def _discard_future(self, segment: _Segment, position: int, result, manager) -> None:
+        """Divergence: drop what the squashed thread-parallel future logged."""
+        started = time.perf_counter()
+        start_cp = segment.checkpoints[position]
+        segment.syscall_log[:] = prune_syscall_records(
+            segment.syscall_log, start_cp.syscall_counts()
+        )
+        segment.signal_log[:] = prune_signal_records(
+            segment.signal_log, start_cp.targets()
+        )
+        # Release the squashed future's checkpoints.
+        manager.discard_after(start_cp.index)
+        segment.lives.diverged(
+            position, result.reason[:120], started, time.perf_counter()
+        )
+
+    def _recover(self, segment: _Segment, position: int):
+        """Forward recovery: re-execute the divergent epoch live."""
+        started = time.perf_counter()
+        recovery = recover_epoch(
+            self.program,
+            self.machine,
+            self.setup,
+            segment.checkpoints[position],
+            self.config.epoch_cycles,
+            segment.syscall_log,
+            signal_log=segment.signal_log,
+        )
+        segment.lives.recovered(
+            position, started, time.perf_counter(), recovery.duration
+        )
+        return recovery
+
+    def _compose_timing(
+        self, timeline: _Timeline, segment: _Segment, timings: List[EpochTiming],
+        app_start: int, diverged_at: Optional[int], recovery,
+    ) -> None:
+        """Place one merged segment — and its recovery — on the timeline."""
+        config, costs = self.config, self.machine.costs
+        # The thread-parallel run is on the committed timeline up to the
+        # boundary that ended the divergent epoch (or, clean, to its
+        # last boundary); what it did past that was squashed.
+        segment_tp_finish = segment.checkpoints[
+            -1 if diverged_at is None else diverged_at + 1
+        ].time
+        if config.spare_cores:
+            pipeline = schedule_spare_cores(
+                timings,
+                workers=len(timeline.worker_free),
+                dispatch_cost=costs.epoch_dispatch,
+                max_inflight=config.inflight_bound(),
+                worker_free=timeline.worker_free,
+            )
+        else:
+            pipeline = schedule_shared_cores(
+                timings,
+                tp_span=segment_tp_finish - app_start,
+                cores=self.machine.cores,
+                dispatch_cost=costs.epoch_dispatch,
+                segment_start=app_start + timeline.offset,
+            )
+        timeline.makespan = max(timeline.makespan, pipeline.makespan)
+        timeline.tp_finish = max(
+            timeline.tp_finish,
+            segment_tp_finish + timeline.offset + pipeline.throttle_stall,
+        )
+        if diverged_at is None:
+            return
+        detection = pipeline.commits[diverged_at].finish
+        recovery_finish = detection + costs.restore_base + recovery.duration
+        timeline.makespan = max(timeline.makespan, recovery_finish)
+        timeline.worker_free = [recovery_finish] * len(timeline.worker_free)
+        timeline.offset = recovery_finish - recovery.committed.time
+        if recovery.finished:
+            timeline.tp_finish = max(timeline.tp_finish, recovery_finish)
 
     def record(self) -> RecordResult:
         """Record one run; the durable sink never leaks on a crash.
@@ -495,13 +579,14 @@ class DoublePlayRecorder:
         elif opts.flight_window:
             raise ValueError("flight_window requires log_dir")
 
+        lives = lifecycle.begin()
         executor = None
         if opts.host_jobs > 1:
             # Imported lazily: jobs=1 (the default) never touches the
             # host-parallelism layer at all.
             from repro.host.executor import HostExecutor, SpeculativeSession
 
-            executor = HostExecutor(opts, dispatcher=config.host_dispatcher)
+            executor = HostExecutor(opts, lives, dispatcher=config.host_dispatcher)
 
         committed = initial
         #: the one index pair over the raw logs: cuts, validity checks
@@ -512,16 +597,11 @@ class DoublePlayRecorder:
         divergences = 0
         recoveries = 0
         epoch_index = 0
-        slots = config.executor_slots()
         #: boundaries between an epoch's end and its verdict's consumption:
         #: the in-flight bound the thread-parallel run is throttled at (a
         #: unit exists only once the boundary two past its start does)
         verdict_lag = max(config.inflight_bound(), 2)
-        worker_free = [0] * slots
-        #: recording-time minus app-time for the current segment
-        timeline_offset = 0
-        makespan = 0
-        tp_finish = 0
+        timeline = _Timeline(worker_free=[0] * config.executor_slots())
         finished = False
 
         while not finished:
@@ -551,8 +631,10 @@ class DoublePlayRecorder:
                 # Armed by the committed history, not by a setting: a run
                 # that never diverged consumes nothing and pays nothing.
                 may_cut=recoveries > 0,
+                lives=lives,
                 logs=logs,
             )
+            lives.segment()
             if executor is not None:
                 segment.session = SpeculativeSession(
                     executor, "record", self.program, self.machine
@@ -604,25 +686,18 @@ class DoublePlayRecorder:
                     timings.append(
                         EpochTiming(
                             index=epoch_index,
-                            ready_time=start_cp.time + timeline_offset,
-                            boundary_time=end_cp.time + timeline_offset,
+                            ready_time=start_cp.time + timeline.offset,
+                            boundary_time=end_cp.time + timeline.offset,
                             duration=result.duration,
                         )
                     )
+                    epoch_index += 1
                     if result.ok:
-                        commit_started = time.perf_counter()
-                        with obs_spans.span(
-                            "commit", obs_spans.CAT_COMMIT, epoch=epoch_index
-                        ):
-                            self._commit_epoch(
-                                recording, sink, manager, epoch_index, start_cp,
-                                end_cp, result, logs,
-                            )
-                        obs_histo.observe(
-                            "commit_wall_s", time.perf_counter() - commit_started
+                        self._commit_epoch(
+                            recording, sink, manager, segment, position,
+                            end_cp, result, logs,
                         )
                         committed = end_cp
-                        epoch_index += 1
                         continue
                     # ------------------------------------------------------
                     # Divergence: forward recovery. Everything past it
@@ -633,46 +708,16 @@ class DoublePlayRecorder:
                     results.close()
                     divergences += 1
                     attempt_duration = result.duration
-                    obs_events.emit(
-                        "divergence", epoch=epoch_index,
-                        reason=result.reason[:120],
-                    )
-                    with obs_spans.span(
-                        "divergence", obs_spans.CAT_RECOVERY,
-                        epoch=epoch_index, reason=result.reason[:120],
-                    ):
-                        syscall_log[:] = prune_syscall_records(
-                            syscall_log, start_cp.syscall_counts()
-                        )
-                        signal_log[:] = prune_signal_records(
-                            signal_log, start_cp.targets()
-                        )
-                        # Release the squashed future's checkpoints.
-                        manager.discard_after(start_cp.index)
-                    with obs_spans.span(
-                        "recovery", obs_spans.CAT_RECOVERY, epoch=epoch_index
-                    ):
-                        recovery = recover_epoch(
-                            self.program,
-                            self.machine,
-                            self.setup,
-                            start_cp,
-                            config.epoch_cycles,
-                            syscall_log,
-                            signal_log=signal_log,
-                        )
-                    obs_events.emit(
-                        "recovery", epoch=epoch_index, cycles=recovery.duration
-                    )
+                    self._discard_future(segment, position, result, manager)
+                    recovery = self._recover(segment, position)
                     # The prune rewrote the logs in place: one new index,
                     # for this commit and for the segment that follows.
                     logs = SegmentLogs(syscall_log, signal_log, recovery.committed)
                     self._commit_epoch(
-                        recording, sink, manager, epoch_index, start_cp,
+                        recording, sink, manager, segment, position,
                         recovery.committed, recovery, logs, recovered=True,
                     )
                     committed = recovery.committed
-                    epoch_index += 1
                     diverged_at = position
                     break
             if segment.squashed and diverged_at is None:
@@ -680,37 +725,8 @@ class DoublePlayRecorder:
                     "a squashed segment committed clean: its failing verdict "
                     "was final and must have been merged"
                 )
-
-            # ----------------------------------------------------------
-            # Timing composition for this segment.
-            # ----------------------------------------------------------
-            # The thread-parallel run is on the committed timeline up to the
-            # boundary that ended the divergent epoch (or, clean, to its
-            # last boundary); what it did past that was squashed.
-            segment_tp_finish = segment.checkpoints[
-                -1 if diverged_at is None else diverged_at + 1
-            ].time
-            segment_start_rec = segment_app_start + timeline_offset
-            if config.spare_cores:
-                pipeline = schedule_spare_cores(
-                    timings,
-                    workers=slots,
-                    dispatch_cost=costs.epoch_dispatch,
-                    max_inflight=config.inflight_bound(),
-                    worker_free=worker_free,
-                )
-            else:
-                pipeline = schedule_shared_cores(
-                    timings,
-                    tp_span=segment_tp_finish - segment_app_start,
-                    cores=self.machine.cores,
-                    dispatch_cost=costs.epoch_dispatch,
-                    segment_start=segment_start_rec,
-                )
-            makespan = max(makespan, pipeline.makespan)
-            tp_finish = max(
-                tp_finish,
-                segment_tp_finish + timeline_offset + pipeline.throttle_stall,
+            self._compose_timing(
+                timeline, segment, timings, segment_app_start, diverged_at, recovery
             )
 
             if diverged_at is None:
@@ -725,18 +741,10 @@ class DoublePlayRecorder:
                     raise SimulationError(
                         f"recording exceeded {config.max_recoveries} recoveries"
                     )
-                detection = pipeline.commits[diverged_at].finish
-                recovery_finish = (
-                    detection + costs.restore_base + recovery.duration
-                )
-                makespan = max(makespan, recovery_finish)
-                worker_free = [recovery_finish] * slots
-                timeline_offset = recovery_finish - committed.time
                 engine = None
                 if recovery.finished:
                     finished = True
                     recording.final_digest = recovery.end_digest
-                    tp_finish = max(tp_finish, recovery_finish)
             if config.log_spill and not finished:
                 # Flight-recorder mode: at a segment restart every record
                 # still in the raw logs belongs to a committed (hence
@@ -756,8 +764,8 @@ class DoublePlayRecorder:
             "faulted": 1 if fault is not None else 0,
             "epochs": len(recording.epochs),
             "checkpoint_cost": manager.committed_cost,
-            "makespan": makespan,
-            "tp_finish": tp_finish,
+            "makespan": timeline.makespan,
+            "tp_finish": timeline.tp_finish,
             "app_time": committed.time,
             "attempt_waste": attempt_duration if divergences else 0,
         }
@@ -782,12 +790,13 @@ class DoublePlayRecorder:
         run_metrics = obs_metrics.build_run_metrics(
             obs_metrics.delta_since(stats_baseline),
             host=host_summary,
+            histo=lives.distributions(),
             record=recording.stats,
         )
         return RecordResult(
             recording=recording,
-            makespan=makespan,
-            tp_finish=tp_finish,
+            makespan=timeline.makespan,
+            tp_finish=timeline.tp_finish,
             app_time=committed.time,
             stats=dict(recording.stats),
             final_kernel_state=committed.kernel_state,

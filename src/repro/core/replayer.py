@@ -38,8 +38,8 @@ from repro.exec.services import InjectedSyscalls, InjectionLog
 from repro.exec.uniprocessor import UniprocessorEngine
 from repro.isa.program import ProgramImage
 from repro.machine.config import MachineConfig
+from repro.obs import lifecycle
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
 from repro.obs.metrics import RunMetrics
 from repro.record.recording import EpochRecord, Recording
 from repro.record.sync_log import SyncOrderOracle
@@ -157,18 +157,17 @@ class Replayer:
         self.machine = machine
 
     # ------------------------------------------------------------------
-    def _replay_one(self, recording: Recording, epoch: EpochRecord, syscalls):
-        """Replay ``epoch``; ``syscalls`` is the recording's injectable
-        log (an :class:`InjectionLog` shared by every epoch of one call)."""
+    def _replay_one(self, lives, recording: Recording, epoch: EpochRecord, syscalls):
+        """Replay ``epoch`` as the next life of ``lives``; ``syscalls`` is
+        the recording's injectable log (an :class:`InjectionLog` shared
+        by every epoch of one call)."""
         start = epoch.start_checkpoint
         if start is None:
             raise ReplayError(
                 f"epoch {epoch.index} has no materialised checkpoint; "
                 "run materialize_checkpoints() or replay sequentially"
             )
-        with obs_spans.span(
-            "execute", obs_spans.CAT_EPOCH, epoch=epoch.index, kind="replay"
-        ):
+        with lives.here(lives.cut(epoch.index), "replay"):
             return run_replay_epoch(
                 self.program,
                 self.machine,
@@ -188,6 +187,7 @@ class Replayer:
         """Replay one epoch from its checkpoint and verify its end state."""
         baseline = obs_metrics.process_stats().snapshot()
         cycles, failure = self._replay_one(
+            lifecycle.begin(),
             recording,
             self._find_epoch(recording, index),
             recording.syscalls_for_epochs(),
@@ -241,6 +241,7 @@ class Replayer:
         """
         baseline = obs_metrics.process_stats().snapshot()
         host: Dict[str, object] = {"jobs": 1}
+        lives = lifecycle.begin()
         with options.run(
             host_jobs=jobs, unit_timeout=unit_timeout, host_faults=fault_specs
         ) as opts:
@@ -249,12 +250,13 @@ class Replayer:
                 from repro.host.wire import replay_units_for_recording
 
                 batch = replay_units_for_recording(recording)
-                executor = HostExecutor(opts, dispatcher=dispatcher)
+                executor = HostExecutor(opts, lives, dispatcher=dispatcher)
                 session = SpeculativeSession(
                     executor, "replay", self.program, self.machine, batch.blobs
                 )
                 try:
                     for unit in batch.units:
+                        lives.cut(unit.epoch_index)
                         session.push(unit)
                     # A replay unit is full knowledge as pushed: any value
                     # stands, and cutting one again is looking it up.
@@ -270,7 +272,7 @@ class Replayer:
             else:
                 syscalls = InjectionLog(recording.syscalls_for_epochs())
                 outcomes = [
-                    self._replay_one(recording, epoch, syscalls)
+                    self._replay_one(lives, recording, epoch, syscalls)
                     for epoch in recording.epochs
                 ]
         details = [failure for _, failure in outcomes if failure]
@@ -297,7 +299,8 @@ class Replayer:
             details=details,
             host=host,
             metrics=obs_metrics.build_run_metrics(
-                obs_metrics.delta_since(baseline), host=host
+                obs_metrics.delta_since(baseline), host=host,
+                histo=lives.distributions(),
             ),
         )
 
@@ -306,14 +309,12 @@ class Replayer:
         """Replay the whole execution on one engine, epoch by epoch."""
         engine = self._whole_run_engine(recording, "seqreplay")
         baseline = obs_metrics.process_stats().snapshot()
+        lives = lifecycle.begin()
         details: List[ReplayFailure] = []
         for epoch in recording.epochs:
             self._swap_oracle(engine, epoch)
             epoch_start_time = engine.time
-            with obs_spans.span(
-                "execute", obs_spans.CAT_EPOCH,
-                epoch=epoch.index, kind="replay-seq",
-            ):
+            with lives.here(lives.cut(epoch.index), "replay-seq"):
                 engine.run_schedule(epoch.schedule)
             failure = _verify(engine, epoch.index, epoch.end_digest)
             # The engine runs continuously, so the per-epoch cycle count

@@ -53,10 +53,14 @@ Because epoch execution is a deterministic function of the checkpoints
 and logs, and the serial fallback runs the identical pure function in
 the coordinator, every recording and replay verdict is bit-identical to
 ``jobs=1`` no matter which workers crashed, hung or raised along the
-way. Faults and blob traffic change only
-wall-clock time and the host accounting (``timing_summary()["faults"]``
-/ ``["wire"]``), which is surfaced on ``RecordResult.host`` /
-``ReplayResult.host`` and never stored in a recording.
+way. Faults and blob traffic change only wall-clock time and the host
+accounting, which is never stored in a recording.
+
+**Accounting.** The executor keeps no tally. Every dispatch, consumed
+execution, contained fault and fate is one call into the run's epoch
+lives (:mod:`repro.obs.lifecycle`), and ``timing_summary()`` — what
+``RecordResult.host`` / ``ReplayResult.host`` surface — is derived from
+them.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
-    HostPoolError,
     WorkerCrashError,
     WorkerTaskError,
     WorkerTimeoutError,
@@ -81,23 +84,14 @@ from repro.host.pool import (
     shared_pool,
     shared_pool_is_up,
 )
-from repro.host.wire import UnitTiming
 from repro.host.worker import UnitDispatch, run_unit, run_unit_serial
 from repro.memory.blob import blob_digest, encode_object
-from repro.obs import events as obs_events
-from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
+from repro.obs.lifecycle import Lives, UnitTiming
 from repro.options import RuntimeOptions
 
 #: pool attempts per unit before the serial fallback (initial + 1 retry)
 _POOL_ATTEMPTS = 2
-
-_COUNTER_BY_KIND = {
-    "crash": "crashes",
-    "timeout": "timeouts",
-    "task-error": "task_errors",
-}
 
 
 @dataclass
@@ -113,10 +107,6 @@ class _Batch:
     blobs: Dict[int, bytes]
     fault_specs: Tuple = ()
     units: List[object] = field(default_factory=list)
-    #: per-index blob bytes / blobs newly put into the scratch pack,
-    #: accumulated across re-dispatches
-    bytes_shipped: List[int] = field(default_factory=list)
-    blobs_sent: List[int] = field(default_factory=list)
     #: position -> its pushed attempt's future, until the merge (or the
     #: verdict schedule) resolves it
     futures: Dict[int, Future] = field(default_factory=dict)
@@ -125,24 +115,16 @@ class _Batch:
         """Stamp the unit's fault specs and slot it at its position (returned).
 
         Units arrive in position order, so a new position is the next
-        slot. A position added again (the merge cutting it a second
-        time) replaces the unit and keeps the slot's wire accounting:
-        what a position cost is every attempt's bytes.
+        slot; a position added again (the merge cutting it a second
+        time) replaces the unit.
         """
         unit.faults = fault_injection.faults_for(
             self.fault_specs, self.kind, unit.position
         )
         if unit.position == len(self.units):
             self.units.append(unit)
-            self.bytes_shipped.append(0)
-            self.blobs_sent.append(0)
         self.units[unit.position] = unit
         return unit.position
-
-    def stamp(self, index: int, timing: UnitTiming) -> None:
-        """Write what position ``index`` cost the scratch pack onto its timing."""
-        timing.bytes_shipped = self.bytes_shipped[index]
-        timing.blobs_sent = self.blobs_sent[index]
 
 
 def _lost(position: int, why: str) -> Future:
@@ -191,14 +173,21 @@ class HostExecutor:
     junk raises) from it, and carries it on every dispatch so workers follow
     the coordinator, never their spawn-time environment.
 
+    ``lives`` is the run's epoch-lifecycle record
+    (:mod:`repro.obs.lifecycle`): every dispatch, consumed execution,
+    contained fault and fate is written there, once, and
+    :meth:`timing_summary` is derived from it. The executor keeps no
+    tally of its own.
+
     ``dispatcher`` overrides the submission path (see
     :class:`_DirectDispatcher`); the service layer injects a per-session
     fleet dispatcher here so many concurrent sessions share one pool
     with fair-share scheduling and bounded backpressure.
     """
 
-    def __init__(self, options: RuntimeOptions, dispatcher=None):
+    def __init__(self, options: RuntimeOptions, lives: Lives, dispatcher=None):
         self.options = options
+        self.lives = lives
         self.jobs = options.host_jobs
         self.unit_timeout = options.unit_timeout
         self._fault_specs = fault_injection.parse_fault_specs(
@@ -213,34 +202,6 @@ class HostExecutor:
         self._seen: Set[int] = set()
         #: (program object, digest, blob) of the last program shipped
         self._program_blob: Optional[Tuple[object, int, bytes]] = None
-        #: per-unit worker timings, in merge order: (kind, position,
-        #: UnitTiming). Serial-fallback units record coordinator timings
-        #: under "<kind>-serial".
-        self.unit_timings: List[Tuple[str, int, UnitTiming]] = []
-        #: coordinator seconds spent building + submitting dispatches
-        self.dispatch_wall = 0.0
-        #: containment counters (crashes, timeouts, task_errors, retries,
-        #: serial_fallbacks) — surfaced via ``timing_summary()``
-        self.counters: Dict[str, int] = dict.fromkeys(
-            ("crashes", "timeouts", "task_errors", "retries", "serial_fallbacks"),
-            0,
-        )
-        #: one entry per observed failure: kind, position, attempt, error
-        self.fault_events: List[Dict[str, object]] = []
-        #: two-deep commit pipeline accounting (see
-        #: :class:`SpeculativeSession`): units dispatched during the
-        #: thread-parallel run, how many results were accepted into the
-        #: merge (a failing verdict that sends the segment to recovery
-        #: included — it was used) and how many were invalidated by
-        #: late-arriving log/hint events. Every other dispatched unit
-        #: was discarded — lost to a host reason, cancelled behind a
-        #: divergence, or never reached by the merge — so
-        #: ``timing_summary()`` derives ``discarded`` as the remainder.
-        #: Kept out of ``counters`` — speculation failures are never
-        #: faults, just discarded wall-clock.
-        self.speculation: Dict[str, int] = dict.fromkeys(
-            ("dispatched", "accepted", "invalidated"), 0
-        )
 
     # ------------------------------------------------------------------
     def _program_wire(self, program) -> Tuple[int, bytes]:
@@ -275,68 +236,53 @@ class HostExecutor:
         pack, fresh = _scratch_packs.place(required, batch.blobs)
         found = required.difference(fresh, self._seen)
         self._seen |= required
-        placed = (
-            len(fresh), sum(len(batch.blobs[digest]) for digest in fresh),
-            len(found), sum(len(batch.blobs[digest]) for digest in found),
-        )
-        batch.blobs_sent[position] += placed[0]
-        batch.bytes_shipped[position] += placed[1]
         return UnitDispatch(
             machine=batch.machine,
             unit=unit,
             program_digest=batch.program_digest,
             pack=pack,
-            trace=obs_spans.enabled(),
             options=self.options,
             _local_program=batch.program,
-            placed=placed,
+            placed=(
+                len(fresh), sum(len(batch.blobs[digest]) for digest in fresh),
+                len(found), sum(len(batch.blobs[digest]) for digest in found),
+            ),
         )
 
-    def _dispatch(self, batch: _Batch, position: int, **span_args) -> Future:
+    def _dispatch(self, batch: _Batch, position: int, pushed: bool = False) -> Future:
         """Submit one unit: the only place a unit enters a pool.
 
         Builds the dispatch (the unit's new blobs go into the scratch
-        pack first), submits it through the dispatcher seam, accounts
-        the coordinator time and emits the ``dispatch`` span. Two
-        failures are contained: a scratch pack that cannot be written
-        (``OSError`` — disk full, its directory gone) and a pool that
-        cannot take the unit (broken, unbuildable, shutting down). The
-        future returned has then already failed with the cause, and the
-        caller's containment — or, for speculation, a discard — takes
-        over. Anything else is a bug in building the dispatch, and
+        pack first), submits it through the dispatcher seam and records
+        the attempt — its interval and what it put — on the position's
+        life. Two failures are contained: a scratch pack that cannot be
+        written (``OSError`` — disk full, its directory gone) and a pool
+        that cannot take the unit (broken, unbuildable, shutting down).
+        The future returned has then already failed with the cause, and
+        the caller's containment — or, for a pushed attempt, a discard —
+        takes over. Anything else is a bug in building the dispatch, and
         raises.
         """
-        t0 = time.perf_counter()
-        tracer = obs_spans.current()
-        span_start = tracer.now() if tracer is not None else 0.0
-        bytes_before = batch.bytes_shipped[position]
+        start = time.perf_counter()
+        placed = (0, 0)
         try:
             try:
                 dispatch = self._make_dispatch(batch, position)
             except OSError as exc:
                 return _lost(position, f"the scratch pack cannot be written ({exc!r})")
+            placed = dispatch.placed[:2]
             try:
                 future = self._dispatch_path.submit(run_unit, dispatch)
             except Exception as exc:
                 _scratch_packs.release(dispatch.pack)
                 return _lost(position, f"the pool refused it ({exc!r})")
         finally:
-            self.dispatch_wall += time.perf_counter() - t0
+            self.lives.dispatched(
+                position, batch.kind, pushed, start, time.perf_counter(), *placed
+            )
         future.add_done_callback(
             lambda _, pack=dispatch.pack: _scratch_packs.release(pack)
         )
-        if tracer is not None:
-            tracer.add(
-                "dispatch",
-                obs_spans.CAT_WIRE,
-                span_start,
-                tracer.now(),
-                args={
-                    "position": position,
-                    "bytes": batch.bytes_shipped[position] - bytes_before,
-                    **span_args,
-                },
-            )
         return future
 
     def _await(self, future, position: int):
@@ -362,65 +308,25 @@ class HostExecutor:
                 position=position,
             )
 
-    def _ingest_observability(self, timing: UnitTiming) -> None:
-        """Fold a merged unit's piggybacked counters/spans into this process.
+    def _consume(self, position: int, timing: UnitTiming) -> None:
+        """A unit's result is part of the run: fold its counters, attach
+        its execution to the position's life.
 
-        Called only for results that actually merge or that the verdict
-        schedule consumed — dropped results (cancelled divergence tails,
-        crashed attempts) drop their counters with them, which is what
-        keeps ``jobs=1`` and ``jobs=N`` metrics identical. The
-        piggybacks are drained as they fold, so a verdict ingested when
-        it was consumed merges later without counting twice.
+        Called only for results that merge or that the verdict schedule
+        consumed — dropped results (cancelled divergence tails, crashed
+        attempts) drop their counters and their execution with them,
+        which is what keeps ``jobs=1`` and ``jobs=N`` metrics identical.
         """
-        if timing.metrics:
-            obs_metrics.process_stats().update_from(dict(timing.metrics))
-            timing.metrics = ()
-        if timing.spans:
-            tracer = obs_spans.current()
-            if tracer is not None:
-                tracer.ingest(
-                    timing.spans,
-                    track=timing.worker_pid,
-                    annotate={
-                        "bytes_shipped": timing.bytes_shipped,
-                        "blobs_sent": timing.blobs_sent,
-                    },
-                )
-            timing.spans = ()
-
-    def _note_fault(self, failure: HostPoolError) -> None:
-        self.counters[_COUNTER_BY_KIND[failure.kind]] += 1
-        self.fault_events.append(
-            {
-                "kind": failure.kind,
-                "position": failure.position,
-                "attempt": failure.attempt,
-                "error": str(failure),
-            }
-        )
-        obs_events.emit(
-            "fault-contained", fault=failure.kind,
-            position=failure.position, attempt=failure.attempt,
-        )
+        obs_metrics.process_stats().update_from(dict(timing.metrics))
+        timing.metrics = ()
+        self.lives.executed(position, timing)
 
     def _push(self, batch: _Batch, position: int) -> None:
         """Dispatch one free attempt of ``position``: a failure is never a fault."""
-        self.speculation["dispatched"] += 1
-        batch.futures[position] = self._dispatch(batch, position, speculative=True)
-
-    def _merged(self, label: str, position: int, timing: UnitTiming) -> None:
-        """Fold one unit's result into the run's accounting, in merge order.
-
-        Coordinator-side, merged results only: dropped attempts
-        (cancelled divergence tails, crashed pushes) never observe.
-        """
-        self._ingest_observability(timing)
-        obs_histo.observe("unit_wall_s", timing.wall)
-        obs_histo.observe("unit_bytes", timing.bytes_shipped)
-        self.unit_timings.append((label, position, timing))
+        batch.futures[position] = self._dispatch(batch, position, pushed=True)
 
     def _run_contained(self, batch: _Batch, position: int):
-        """Obtain one position's value: ``(timing label, value, timing)``.
+        """Obtain one position's value, consumed.
 
         The counted path, for a position whose pushed attempt left no
         usable result: dispatch it, await it; on crash/timeout/task
@@ -438,18 +344,15 @@ class HostExecutor:
         position that has it.
         """
         for attempt in range(_POOL_ATTEMPTS):
-            if attempt:
-                self.counters["retries"] += 1
-                obs_events.emit("fault-retry", position=position)
             outcome, failure = self._await(self._dispatch(batch, position), position)
             if outcome is not None:
                 _, value, timing = outcome
                 if not isinstance(value, WorkerTaskError):
-                    batch.stamp(position, timing)
-                    return batch.kind, value, timing
+                    self._consume(position, timing)
+                    return value
                 failure = value
             failure.attempt = attempt
-            self._note_fault(failure)
+            self.lives.failed(position, failure)
             if not isinstance(failure, WorkerTaskError):
                 self._dispatch_path.abandon(
                     kill=isinstance(failure, WorkerTimeoutError)
@@ -462,8 +365,6 @@ class HostExecutor:
                         )
                     ):
                         self._push(batch, other)
-        self.counters["serial_fallbacks"] += 1
-        obs_events.emit("serial-fallback", position=position)
         _, value, timing = run_unit_serial(
             UnitDispatch(
                 batch.machine,
@@ -472,39 +373,13 @@ class HostExecutor:
                 _local_program=batch.program,
             )
         )
-        batch.stamp(position, timing)
-        return batch.kind + "-serial", value, timing
+        self.lives.ran(position, batch.kind + "-serial", timing)
+        return value
 
     # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
         """Host-cost accounting for benchmarks and ``RecordResult.host``."""
-        timings = [t for _, _, t in self.unit_timings]
-        return {
-            "jobs": self.jobs,
-            "units": len(self.unit_timings),
-            "unit_wall": [round(t.wall, 6) for t in timings],
-            "unit_cpu": [round(t.cpu, 6) for t in timings],
-            "unit_pids": [t.worker_pid for t in timings],
-            "dispatch_wall": round(self.dispatch_wall, 6),
-            "faults": dict(self.counters),
-            "fault_events": list(self.fault_events),
-            "speculation": {
-                **self.speculation,
-                "discarded": self.speculation["dispatched"]
-                - self.speculation["accepted"]
-                - self.speculation["invalidated"],
-            },
-            "wire": {
-                "bytes_shipped": sum(t.bytes_shipped for t in timings),
-                "blobs_sent": sum(t.blobs_sent for t in timings),
-                "blob_cache_hits": sum(t.blob_cache_hits for t in timings),
-                "blob_cache_misses": sum(t.blob_cache_misses for t in timings),
-                # Nothing is ever sent twice: constant until a benchmark
-                # PR drops the row benchmarks/e2e reads it into.
-                "blob_resends": 0,
-                "unit_bytes": [t.bytes_shipped for t in timings],
-            },
-        }
+        return self.lives.host_summary(self.jobs)
 
 
 class SpeculativeSession:
@@ -526,17 +401,20 @@ class SpeculativeSession:
     position again and runs that through the executor's contained path.
     Only a verdict the schedule *consumes* must not depend on host luck,
     so :meth:`wait` re-obtains a lost one through the contained path
-    itself. Observability ingest and timing records are deferred to the
-    consume or the merge — a never-consumed result leaves no trace in
-    the run metrics, which is what keeps ``jobs=1`` and ``jobs=N``
-    metrics identical.
+    itself. A result's counters and execution join the run at the
+    consume or the merge (``HostExecutor._consume``) — a never-consumed
+    result leaves no trace in the run metrics, which is what keeps
+    ``jobs=1`` and ``jobs=N`` metrics identical. Each position's fate is
+    written once, by whoever learns it first: ``lost`` where the pushed
+    attempt yields nothing, ``invalidated`` / ``accepted`` at the merge,
+    ``discarded`` at :meth:`close` for whatever the merge never reached.
     """
 
     def __init__(self, executor: HostExecutor, kind: str, program, machine, blobs=()):
         self.executor = executor
         self._batch = executor._begin_batch(kind, program, machine, blobs)
         #: position -> settled ``(value, timing)``; ``value`` is None
-        #: for an answer lost to a host reason
+        #: for an answer lost to a host reason, ``timing`` once consumed
         self._outcomes: Dict[int, tuple] = {}
         #: positions pushed but not yet submitted (the pool was not up)
         self._deferred: List[int] = []
@@ -607,8 +485,8 @@ class SpeculativeSession:
                 _, value, timing = outcome
                 if isinstance(value, WorkerTaskError):
                     value = None
-                else:
-                    batch.stamp(position, timing)
+            if value is None:
+                executor.lives.fate(position, "lost")
             self._outcomes[position] = (value, timing)
         return self._outcomes[position]
 
@@ -632,9 +510,10 @@ class SpeculativeSession:
         self._join_pool()
         value, timing = self._resolve(position)
         if value is None:
-            _, value, timing = self.executor._run_contained(self._batch, position)
-            self._outcomes[position] = (value, timing)
-        self.executor._ingest_observability(timing)
+            value = self.executor._run_contained(self._batch, position)
+        elif timing is not None:
+            self.executor._consume(position, timing)
+        self._outcomes[position] = (value, None)
         return value
 
     def harvest(self, positions: int, valid, recut) -> Iterator[Tuple[int, object]]:
@@ -651,25 +530,25 @@ class SpeculativeSession:
         the serial path. What a value means is the caller's business: a
         recorder stops at its first divergence by closing the stream —
         everything behind it is cancelled, never awaited — and a replay
-        consumes it to the end. Observability ingest and timing records
-        happen here, in merge order, so results past a divergence drop
-        their counters exactly as the serial loop never runs them.
+        consumes it to the end. Results are consumed here, in merge
+        order, so those past a divergence drop their counters exactly as
+        the serial loop never runs them.
         """
         self._join_pool()
         executor, batch = self.executor, self._batch
         try:
             for position in range(positions):
-                label = batch.kind
                 value, timing = self._resolve(position)
                 if value is not None and not valid(position, value):
-                    executor.speculation["invalidated"] += 1
+                    executor.lives.fate(position, "invalidated")
                     value = None
-                if value is not None:
-                    executor.speculation["accepted"] += 1
-                else:
+                if value is None:
                     batch._add_unit(recut(position))
-                    label, value, timing = executor._run_contained(batch, position)
-                executor._merged(label, position, timing)
+                    value = executor._run_contained(batch, position)
+                else:
+                    executor.lives.fate(position, "accepted")
+                    if timing is not None:
+                        executor._consume(position, timing)
                 yield position, value
         finally:
             self.close()
@@ -679,3 +558,5 @@ class SpeculativeSession:
         for future in self._batch.futures.values():
             future.cancel()
         self._batch.futures.clear()
+        for position in range(len(self._batch.units)):
+            self.executor.lives.fate(position, "discarded")

@@ -62,44 +62,6 @@ from repro.record.log_index import SegmentLogs
 
 
 @dataclass
-class UnitTiming:
-    """Host-side cost of one work unit.
-
-    ``wall``/``cpu``, the blob-cache fields, and the observability
-    piggybacks (``spans``/``metrics``) are measured in the worker;
-    ``bytes_shipped``/``blobs_sent`` are filled by the coordinator (it is
-    the side that puts a unit's new blobs into the scratch pack).
-    """
-
-    #: worker wall-clock seconds spent executing the unit
-    wall: float = 0.0
-    #: worker CPU seconds spent executing the unit. On an oversubscribed
-    #: host (more workers than cores) this is the honest per-unit cost:
-    #: wall time there includes time-slicing against sibling workers.
-    cpu: float = 0.0
-    #: referenced digests already resident in the worker's blob cache
-    blob_cache_hits: int = 0
-    #: referenced digests the worker had to read from the scratch pack
-    blob_cache_misses: int = 0
-    #: pid of the process that ran the unit — a worker's, or the
-    #: coordinator's own for serial fallbacks (every executed unit is
-    #: attributable to a real track; 0 only on never-run placeholders)
-    worker_pid: int = 0
-    #: blob bytes newly put into the scratch pack for this unit (all
-    #: dispatch attempts); what the pack already held costs nothing
-    bytes_shipped: int = 0
-    #: blobs newly put for this unit (all dispatch attempts)
-    blobs_sent: int = 0
-    #: raw-clock worker spans ``(name, cat, start, end, args)`` collected
-    #: when the dispatch asked for tracing (see :mod:`repro.obs.spans`);
-    #: the coordinator re-bases them onto its trace timeline
-    spans: Tuple[tuple, ...] = ()
-    #: worker-process counter delta for this unit, as sorted
-    #: ``(name, amount)`` pairs (see :mod:`repro.obs.metrics`)
-    metrics: Tuple[Tuple[str, int], ...] = ()
-
-
-@dataclass
 class BlobRef:
     """A by-digest reference to a shared batch blob.
 

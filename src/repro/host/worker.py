@@ -2,9 +2,11 @@
 
 An epoch-parallel execution is a pure, disposable function of (start
 checkpoint, logs), so one routine serves every place a unit runs.
-:func:`_execute` looks the unit's kind up in a two-entry table (label,
-input hydration, pure body), hydrates the inputs and times the body.
-Two thin callers wrap it:
+:func:`_execute` looks the unit's kind up in a two-entry table (input
+hydration, pure body), hydrates the inputs, runs the body and stamps
+when and for how long onto the attempt's
+:class:`~repro.obs.lifecycle.UnitTiming` — the one record of an
+execution, whichever process made it. Two thin callers wrap it:
 
 * :func:`run_unit` — the worker entry point, for every pool submission
   (pushed or contained, direct pool or fleet). It adopts the
@@ -12,8 +14,8 @@ Two thin callers wrap it:
   own environment),
   applies injected faults, resolves the unit's digests through this
   process's cache and, for those it lacks, the scratch pack the dispatch
-  names, executes, ships spans and drained counters home on the
-  :class:`~repro.host.wire.UnitTiming`, and converts any exception — a
+  names, executes, ships its stamps and drained counters home on the
+  timing, and converts any exception — a
   digest the pack does not hold, a pack that is gone or is not a pack
   included — into a structured :class:`~repro.errors.WorkerTaskError`
   *result*, so a bad unit can never break the pool.
@@ -39,10 +41,9 @@ from repro.errors import WorkerTaskError
 from repro.exec.services import InjectionLog
 from repro.host import faults as fault_injection
 from repro.host.blobs import WORKER_CACHE_BYTES, BlobCache
-from repro.host.wire import RecordEpochUnit, ReplayEpochUnit, UnitTiming
-from repro.obs import histo as obs_histo
+from repro.host.wire import RecordEpochUnit, ReplayEpochUnit
 from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
+from repro.obs.lifecycle import UnitTiming
 from repro.options import RuntimeOptions
 from repro.record.pack import BlobStore
 from repro.record.sync_log import SyncOrderLog
@@ -64,13 +65,9 @@ class UnitDispatch:
     #: root of the :class:`~repro.record.pack.BlobStore` that holds every
     #: digest the unit references (see :mod:`repro.host.blobs`)
     pack: str = ""
-    #: when True the worker collects observability spans for this unit
-    #: and ships them home on ``UnitTiming.spans`` (set from the
-    #: coordinator's active tracer; workers have no tracer of their own)
-    trace: bool = False
     #: the coordinator's resolved runtime options. Shipped, not inherited
     #: (a warm pool keeps its spawn environment): the worker adopts its
-    #: fusion switch and histogram switch before any work.
+    #: fusion switch before any work.
     options: RuntimeOptions = RuntimeOptions()
     _local_program: object = field(default=None, repr=False)
     #: what building this dispatch did to the scratch pack, for a fleet
@@ -128,14 +125,14 @@ def _pack_reader(root: str) -> BlobStore:
     return _worker_pack
 
 
-def _resolver(dispatch: UnitDispatch):
-    """``(resolve, timing)`` for one dispatch.
+def _resolver(dispatch: UnitDispatch, timing: UnitTiming):
+    """The digest resolver for one dispatch.
 
-    ``resolve`` maps a digest to its decoded object: out of this
-    worker's cache, else read from the pack the dispatch names (and
-    cached). It raises when the pack does not hold the digest either.
-    ``timing`` counts, of the digests the unit references, those already
-    cached (hits) and those the pack has to serve (misses).
+    It maps a digest to its decoded object: out of this worker's cache,
+    else read from the pack the dispatch names (and cached). It raises
+    when the pack does not hold the digest either. ``timing`` is told,
+    of the digests the unit references, how many are already cached
+    (hits) and how many the pack has to serve (misses).
     """
     cache = _worker_cache
     required = dispatch.required_digests()
@@ -150,12 +147,9 @@ def _resolver(dispatch: UnitDispatch):
             obj = cache.insert(digest, _pack_reader(dispatch.pack).get(digest))
         return obj
 
-    timing = UnitTiming(
-        blob_cache_hits=len(required) - misses,
-        blob_cache_misses=misses,
-        worker_pid=os.getpid(),
-    )
-    return resolve, timing
+    timing.blob_cache_hits = len(required) - misses
+    timing.blob_cache_misses = misses
+    return resolve
 
 
 # ----------------------------------------------------------------------
@@ -226,28 +220,29 @@ def _replay_body(program, machine, unit, start, syscalls, signals):
     )
 
 
-#: unit type -> (label, input hydration, pure body)
+#: unit type -> (input hydration, pure body)
 _KINDS = {
-    RecordEpochUnit: ("record", _record_inputs, _record_body),
-    ReplayEpochUnit: ("replay", _replay_inputs, _replay_body),
+    RecordEpochUnit: (_record_inputs, _record_body),
+    ReplayEpochUnit: (_replay_inputs, _replay_body),
 }
 
 
-def _execute(dispatch: UnitDispatch, program, resolve):
-    """Hydrate and run one unit: ``(label, value, started, wall, cpu)``.
+def _execute(dispatch: UnitDispatch, program, resolve, timing: UnitTiming):
+    """Hydrate and run one unit; stamp the execution onto ``timing``.
 
-    ``value`` is the kind's result (an ``EpochRunResult``, or a replay's
-    ``(cycles, failure)``); ``started`` is the raw ``perf_counter``
-    instant the body began, after hydration.
+    Returns the kind's result (an ``EpochRunResult``, or a replay's
+    ``(cycles, failure)``). The body starts, and is timed, after
+    hydration.
     """
     unit = dispatch.unit
-    label, hydrate, body = _KINDS[type(unit)]
+    hydrate, body = _KINDS[type(unit)]
     inputs = hydrate(unit, resolve)
-    started = time.perf_counter()
+    timing.started = time.perf_counter()
     cpu0 = time.process_time()
     value = body(program, dispatch.machine, unit, *inputs)
-    wall = time.perf_counter() - started
-    return label, value, started, wall, time.process_time() - cpu0
+    timing.wall = time.perf_counter() - timing.started
+    timing.cpu = time.process_time() - cpu0
+    return value
 
 
 def run_unit(dispatch: UnitDispatch):
@@ -256,36 +251,17 @@ def run_unit(dispatch: UnitDispatch):
     # A fresh registry per task: whatever an aborted or dropped previous
     # task accumulated must never ride home with this unit's counters.
     obs_metrics.process_stats().clear()
-    obs_histo.set_enabled(dispatch.options.histograms)
     try:
         with options.activate(dispatch.options):
             fault_injection.inject(unit.faults)
-            decode_start = time.perf_counter()
-            resolve, timing = _resolver(dispatch)
-            label, value, started, timing.wall, timing.cpu = _execute(
-                dispatch, _worker_program(dispatch.program_digest, resolve), resolve
+            timing = UnitTiming(
+                worker_pid=os.getpid(), decode_started=time.perf_counter()
             )
-        if dispatch.trace:
-            spanlog = obs_spans.WorkerSpanLog()
-            spanlog.add(
-                "wire-decode",
-                obs_spans.CAT_WIRE,
-                decode_start,
-                started,
-                position=unit.position,
-                cache_hits=timing.blob_cache_hits,
-                cache_misses=timing.blob_cache_misses,
+            resolve = _resolver(dispatch, timing)
+            value = _execute(
+                dispatch, _worker_program(dispatch.program_digest, resolve),
+                resolve, timing,
             )
-            spanlog.add(
-                "execute",
-                obs_spans.CAT_EPOCH,
-                started,
-                started + timing.wall,
-                epoch=unit.epoch_index,
-                position=unit.position,
-                kind=label,
-            )
-            timing.spans = spanlog.export()
         timing.metrics = tuple(sorted(obs_metrics.drain_process().items()))
         return unit.position, value, timing
     except Exception as exc:
@@ -300,23 +276,6 @@ def run_unit(dispatch: UnitDispatch):
 
 def run_unit_serial(dispatch: UnitDispatch):
     """The coordinator's serial fallback for one unit (see module doc)."""
-    unit = dispatch.unit
-    label, value, started, wall, cpu = _execute(
-        dispatch, dispatch._local_program, None
-    )
-    tracer = obs_spans.current()
-    if tracer is not None:
-        tracer.add(
-            "execute",
-            obs_spans.CAT_EPOCH,
-            tracer.rebase(started),
-            tracer.rebase(started + wall),
-            args={
-                "epoch": unit.epoch_index,
-                "position": unit.position,
-                "kind": label + "-serial",
-            },
-        )
-    return unit.position, value, UnitTiming(
-        wall=wall, cpu=cpu, worker_pid=os.getpid()
-    )
+    timing = UnitTiming(worker_pid=os.getpid())
+    value = _execute(dispatch, dispatch._local_program, None, timing)
+    return dispatch.unit.position, value, timing

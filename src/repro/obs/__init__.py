@@ -1,34 +1,39 @@
-"""Unified observability: epoch-span tracing, run metrics, timeline export.
+"""Unified observability: one epoch-lifecycle record, and views over it.
 
 DoublePlay's value proposition is a *timeline* claim — epochs recorded
 in parallel, offset in time, stitched back into one sequential
-execution — and this package is how we see it:
+execution — and its unit of everything is the epoch. The contract here
+is: *a fact about an epoch is written once, at the transition that
+creates it; everything an operator or a benchmark reads is derived.*
 
-* :mod:`repro.obs.spans` — a near-zero-overhead span tracer. Disabled
-  (the default) it is a module-level ``None`` check on every
-  instrumentation site; enabled (``--trace PATH``) it records
-  epoch-lifecycle spans on the coordinator and, piggybacked on the
-  ``UnitTiming`` result path, inside worker processes, re-basing worker
-  timestamps onto the coordinator clock.
-* :mod:`repro.obs.metrics` — a hierarchical, mergeable run-wide counter
-  registry. Workers drain their process-local counters into unit
-  results; the coordinator merges them with its own and with the host
-  executor's wire/fault accounting into one :class:`RunMetrics`
-  snapshot exposed on ``RecordResult.metrics`` / ``ReplayResult.metrics``.
+* :mod:`repro.obs.lifecycle` — the write side. One ``EpochLife`` per
+  (segment, position), filled by one call per stage transition in the
+  recorder, the replayer, the host executor and (through the
+  ``UnitTiming`` a unit result carries home) the workers; always on,
+  O(epochs). Host accounting (``RecordResult.host``), the wall-clock
+  histograms and the journal's epoch-scoped lines are derived there.
+* :mod:`repro.obs.spans` — the span view of the lives plus the switch
+  (``start_trace`` / ``stop_trace``, ``--trace PATH``) that says "export
+  a timeline at the end"; nothing on the run path writes a span.
+* :mod:`repro.obs.metrics` — the thread's run scope (session id,
+  counter registry, tracer) and the mergeable run-wide counters: O(1)
+  sums that are not facts about one epoch. Workers drain theirs into
+  unit results; a run's counters, host accounting and histograms form
+  one :class:`RunMetrics` snapshot on ``RecordResult.metrics`` /
+  ``ReplayResult.metrics``.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``; one track per worker pid plus a
   coordinator track) plus schema validation and the ``repro trace
   summarize`` analysis (overlap ratio, top-N slowest epochs, straggler
   attribution).
-* :mod:`repro.obs.histo` — mergeable log-bucketed latency/size
-  histograms, encoded as dotted counters so they ride the worker
-  round-trip unchanged (p50/p90/p99 via ``RunMetrics.histogram``).
+* :mod:`repro.obs.histo` — mergeable log-bucketed histograms, encoded
+  as dotted counters (p50/p90/p99 via ``RunMetrics.histogram``).
 * :mod:`repro.obs.events` — a bounded structured event journal (ring +
-  optional JSON-lines sink) emitted at every load-bearing transition;
-  ``repro events tail`` reads it.
-* :mod:`repro.obs.expo` — the live telemetry hub and its HTTP
-  endpoints (``/metrics`` Prometheus text, ``/sessions`` JSON,
-  ``/healthz``) behind ``repro serve --telemetry-port``.
+  optional JSON-lines sink); ``repro events tail`` reads it.
+* :mod:`repro.obs.expo` — the live telemetry hub, fed by the journal
+  alone, and its HTTP endpoints (``/metrics`` Prometheus text,
+  ``/sessions`` JSON, ``/healthz``) behind ``repro serve
+  --telemetry-port``.
 * :mod:`repro.obs.health` — pure SLO evaluation (stalled lanes,
   admission-wait breach, fault/fallback budgets, dedup regression)
   driving ``/healthz`` and the service ``--verify`` exit.
@@ -50,31 +55,24 @@ from repro.obs.health import HealthPolicy, HealthReport
 from repro.obs.health import evaluate as evaluate_health
 from repro.obs.histo import LogHistogram
 from repro.obs.metrics import RunMetrics, build_run_metrics, process_stats
-from repro.obs.spans import (
-    SpanRecord,
-    Tracer,
-    current,
-    enabled,
-    span,
-    start_trace,
-    stop_trace,
-)
+from repro.obs.lifecycle import EpochLife, Lives
+from repro.obs.spans import SpanRecord, Tracer, enabled, start_trace, stop_trace
 
 __all__ = [
+    "EpochLife",
     "HealthPolicy",
     "HealthReport",
+    "Lives",
     "LogHistogram",
     "RunMetrics",
     "SpanRecord",
     "Tracer",
     "build_run_metrics",
     "chrome_trace",
-    "current",
     "enabled",
     "evaluate_health",
     "load_trace",
     "process_stats",
-    "span",
     "start_trace",
     "stop_trace",
     "summarize_trace",

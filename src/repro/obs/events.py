@@ -27,8 +27,10 @@ Worker processes never install a journal — every emission site lives
 on the coordinator, where transitions are decided.
 
 Sessions run as threads of one coordinator process, so events carry the
-emitting thread's session label (:func:`set_event_context`): one
-journal, per-tenant attribution.
+session id of the emitting thread's run scope
+(:func:`repro.obs.metrics.session_scope`): one journal, per-tenant
+attribution. The epoch-scoped kinds are emitted by the transitions of
+:class:`repro.obs.lifecycle.Lives`, from the values they record.
 """
 
 from __future__ import annotations
@@ -40,15 +42,18 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-#: event kinds emitted by the core layers (one place to see the taxonomy)
+from repro.obs import metrics as obs_metrics
+
+#: event kinds (one place to see the taxonomy); the epoch-scoped ones
+#: are emitted by the transitions of ``repro.obs.lifecycle.Lives`` only
 KINDS = (
     "options",             # run entry: the resolved runtime options
-    "epoch-commit",        # recorder: one epoch folded into the recording
-    "divergence",          # recorder: epoch result rejected, log pruned
-    "recovery",            # recorder: forward recovery re-execution done
-    "fault-contained",     # host: worker crash/timeout/task-error observed
-    "fault-retry",         # host: blamed unit retried on a fresh pool
-    "serial-fallback",     # host: unit re-run serially on the coordinator
+    "epoch-commit",        # lives: one epoch folded into the recording
+    "divergence",          # lives: epoch result rejected, log pruned
+    "recovery",            # lives: forward recovery re-execution done
+    "fault-contained",     # lives: worker crash/timeout/task-error observed
+    "fault-retry",         # lives: blamed unit retried on a fresh pool
+    "serial-fallback",     # lives: unit re-run serially on the coordinator
     "flight-window-slide", # durable log: manifest window slid forward
     "segment-gc",          # durable log: dead sealed segment deleted
     "pack-compaction",     # durable log: blob pack rewritten survivors-only
@@ -83,7 +88,7 @@ class EventJournal:
             "t": round(time.perf_counter() - self.origin, 6),
             "kind": kind,
         }
-        sid = _context_sid()
+        sid = obs_metrics.scope().sid
         if sid is not None:
             event["sid"] = sid
         event.update(fields)
@@ -126,19 +131,9 @@ class EventJournal:
 
 
 # ----------------------------------------------------------------------
-# Process-wide installation + per-thread session context.
+# Process-wide installation.
 # ----------------------------------------------------------------------
 _journal: Optional[EventJournal] = None
-_context = threading.local()
-
-
-def _context_sid() -> Optional[str]:
-    return getattr(_context, "sid", None)
-
-
-def set_event_context(sid: Optional[str]) -> None:
-    """Stamp this thread's future events with a session id (None clears)."""
-    _context.sid = sid
 
 
 def journal() -> Optional[EventJournal]:

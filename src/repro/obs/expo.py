@@ -1,18 +1,16 @@
 """Live metrics exposition: the telemetry hub and its HTTP endpoints.
 
 :class:`TelemetryHub` is the mutable, thread-safe state behind the
-service's live telemetry. It is fed from two directions:
-
-* the **event journal** (:mod:`repro.obs.events`) — the hub subscribes
-  as a listener and derives per-session live state (epoch commit
-  counts, inter-commit intervals, contained-fault counts) from the
-  same stream an operator tails, so there is one source of truth;
-* the **service** — admission and completion are reported directly
-  (:meth:`session_admitted` / :meth:`session_completed`), and an
-  attached :class:`~repro.service.fleet.FleetScheduler` is polled for
-  live lane state (inflight, queue high water, credit waits) whenever
-  a snapshot is taken. Polling at read time means zero steady-state
-  cost: an unscraped hub does no aggregation work.
+service's live telemetry. It has one feed, the **event journal**
+(:mod:`repro.obs.events`): the hub subscribes as a listener and derives
+per-session state — admission wait, epoch commit counts, inter-commit
+intervals, contained-fault counts, the completion verdict and the
+lane's final summary — from the same stream an operator tails, so there
+is one source of truth. An attached
+:class:`~repro.service.fleet.FleetScheduler` is *read*, not fed: it is
+polled for live lane state (inflight, queue high water, credit waits)
+whenever a snapshot is taken, so an unscraped hub does no aggregation
+work.
 
 :class:`TelemetryServer` exposes the hub over HTTP on the service's
 own asyncio loop (stdlib only, no framework):
@@ -37,6 +35,7 @@ import json
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import health as obs_health
@@ -45,47 +44,28 @@ from repro.obs.histo import LogHistogram
 _QUANTILES = (0.50, 0.90, 0.99)
 
 
+@dataclass
 class _SessionView:
     """One session's accumulated telemetry (hub-internal)."""
 
-    __slots__ = (
-        "sid",
-        "status",
-        "admitted_t",
-        "admission_wait",
-        "completed_t",
-        "ok",
-        "epochs",
-        "last_commit_t",
-        "commit_intervals",
-        "interval_hist",
-        "faults",
-        "serial_fallbacks",
-        "backpressure_hits",
-        "duration",
-        "summary",
-        "error",
-    )
-
-    def __init__(self, sid: str, now: float):
-        self.sid = sid
-        self.status = "running"
-        self.admitted_t = now
-        self.admission_wait = 0.0
-        self.completed_t: Optional[float] = None
-        self.ok: Optional[bool] = None
-        self.epochs = 0
-        self.last_commit_t: Optional[float] = None
-        #: recent inter-commit gaps (the stall detector's baseline)
-        self.commit_intervals: deque = deque(maxlen=32)
-        self.interval_hist = LogHistogram()
-        self.faults = 0
-        self.serial_fallbacks = 0
-        self.backpressure_hits = 0
-        self.duration = 0.0
-        #: the lane's final queueing/wire summary (set at completion)
-        self.summary: Dict[str, object] = {}
-        self.error: Optional[str] = None
+    sid: str
+    admitted_t: float
+    status: str = "running"
+    admission_wait: float = 0.0
+    completed_t: Optional[float] = None
+    ok: Optional[bool] = None
+    epochs: int = 0
+    last_commit_t: Optional[float] = None
+    #: recent inter-commit gaps (the stall detector's baseline)
+    commit_intervals: deque = field(default_factory=lambda: deque(maxlen=32))
+    interval_hist: LogHistogram = field(default_factory=LogHistogram)
+    faults: int = 0
+    serial_fallbacks: int = 0
+    backpressure_hits: int = 0
+    duration: float = 0.0
+    #: the lane's final queueing/wire summary (set at completion)
+    summary: Dict[str, object] = field(default_factory=dict)
+    error: Optional[str] = None
 
     def to_plain(self) -> Dict[str, object]:
         return {
@@ -118,8 +98,6 @@ class TelemetryHub:
         self._fleet = None
         self.origin = time.perf_counter()
         self.admission_hist = LogHistogram()
-        self.completed = 0
-        self.failed = 0
 
     def now(self) -> float:
         return time.perf_counter() - self.origin
@@ -135,35 +113,6 @@ class TelemetryHub:
         if view is None:
             view = self._sessions[sid] = _SessionView(sid, self.now())
         return view
-
-    def session_admitted(self, sid: str, wait: float) -> None:
-        with self._lock:
-            view = self._view(sid)
-            view.admission_wait = wait
-            self.admission_hist.observe(wait)
-
-    def session_completed(
-        self,
-        sid: str,
-        ok: bool,
-        epochs: int,
-        duration: float,
-        summary: Optional[Dict[str, object]] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        with self._lock:
-            view = self._view(sid)
-            view.status = "completed" if ok else "failed"
-            view.completed_t = self.now()
-            view.ok = ok
-            view.epochs = max(view.epochs, epochs)
-            view.duration = duration
-            view.summary = dict(summary or {})
-            view.error = error
-            if ok:
-                self.completed += 1
-            else:
-                self.failed += 1
 
     def ingest_event(self, event: Dict[str, object]) -> None:
         """Journal listener: derive live state from the event stream."""
@@ -187,6 +136,18 @@ class TelemetryHub:
                 view.serial_fallbacks += 1
             elif kind == "session-backpressure":
                 view.backpressure_hits += 1
+            elif kind == "session-admitted":
+                view.admission_wait = event["wait"]
+                self.admission_hist.observe(event["wait"])
+            elif kind == "session-completed":
+                view.status = "completed" if event["ok"] else "failed"
+                view.completed_t = self.now()
+                view.ok = event["ok"]
+                # A replay commits nothing: its epochs are the recording's.
+                view.epochs = event["epochs"]
+                view.duration = event["duration"]
+                view.summary = dict(event["lane"])
+                view.error = event["error"]
 
     # ------------------------------------------------------------------
     # Reading (endpoints, health, ``repro top``).
@@ -205,15 +166,14 @@ class TelemetryHub:
                 lane = live.get(sid) if view.status == "running" else None
                 plain["lane"] = lane if lane is not None else dict(view.summary)
                 sessions.append(plain)
+            status = [view.status for view in self._sessions.values()]
             return {
                 "now": self.now(),
                 "sessions": sessions,
-                "registered": len(self._sessions),
-                "running": sum(
-                    1 for s in self._sessions.values() if s.status == "running"
-                ),
-                "completed": self.completed,
-                "failed": self.failed,
+                "registered": len(status),
+                "running": status.count("running"),
+                "completed": status.count("completed"),
+                "failed": status.count("failed"),
                 "admission_wait": {
                     label: round(value, 6)
                     for label, value in self.admission_hist.quantiles(

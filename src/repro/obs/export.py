@@ -44,7 +44,8 @@ def chrome_trace(tracer: Tracer, counters: Optional[dict] = None) -> dict:
     """
     events: List[dict] = []
     track_order: List[int] = []
-    for record in tracer.spans:
+    spans = tracer.spans  # derived on access: once
+    for record in spans:
         if record.track not in track_order:
             track_order.append(record.track)
     # The coordinator track leads regardless of which span came first.
@@ -71,7 +72,7 @@ def chrome_trace(tracer: Tracer, counters: Optional[dict] = None) -> dict:
                 "args": {"sort_index": sort_index},
             }
         )
-    for record in tracer.spans:
+    for record in spans:
         start_us = _us(record.start)
         events.append(
             {

@@ -25,11 +25,12 @@ latency and whether the tail is moving, and a single mean hides both.
   ``RunMetrics`` (group ``histo``) where
   :meth:`~repro.obs.metrics.RunMetrics.histogram` reconstructs it.
 
-Observation sites are epoch/unit/admission granularity only — never
-per-op — so the cost is a ``math.log10`` and a dict increment a few
-dozen times per run. :func:`set_enabled` switches collection off
-entirely (one module-global check per site, same contract as spans);
-the coordinator's setting rides every dispatch, so workers follow it.
+One observation is made where it happens: :func:`observe` counts an
+executed epoch's simulated cycles (``core/epoch_runner.py``), in
+whichever process ran it. The wall-clock and size distributions
+(``unit_wall_s``, ``unit_bytes``, ``commit_wall_s``) are not observed
+anywhere — :meth:`repro.obs.lifecycle.Lives.distributions` derives them
+from the run's epoch lives when its metrics are assembled.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ GROUP = "histo"
 def bucket_index(value: float) -> int:
     """The log-spaced bucket index holding ``value``."""
     return math.floor(math.log10(max(value, _FLOOR)) * BUCKETS_PER_DECADE)
+
+
+def bucket_key(name: str, value: float) -> str:
+    """The counter one observation of ``value`` increments: ``<name>.b<index>``."""
+    return f"{name}.b{bucket_index(value)}"
 
 
 def bucket_upper_bound(index: int) -> float:
@@ -144,23 +150,6 @@ class LogHistogram:
         return cls(counts)
 
 
-# ----------------------------------------------------------------------
-# Process-wide collection (the instrumentation-site API).
-# ----------------------------------------------------------------------
-_enabled = True
-
-
-def enabled() -> bool:
-    return _enabled
-
-
-def set_enabled(on: bool) -> bool:
-    """Flip collection on/off; returns the previous state."""
-    global _enabled
-    previous, _enabled = _enabled, bool(on)
-    return previous
-
-
 def observe(name: str, value: float) -> None:
     """Count ``value`` into the named histogram in this thread's registry.
 
@@ -168,11 +157,7 @@ def observe(name: str, value: float) -> None:
     (``histo.<name>.b<index>``), so it follows whatever registry scoping
     and worker round-trip rules counters already follow.
     """
-    if not _enabled:
-        return
-    obs_metrics.process_stats().add(
-        f"{GROUP}.{name}.b{bucket_index(value)}", 1
-    )
+    obs_metrics.process_stats().add(f"{GROUP}.{bucket_key(name, value)}", 1)
 
 
 def histogram_names(counters: Mapping[str, int]) -> Tuple[str, ...]:

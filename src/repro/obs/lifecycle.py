@@ -1,0 +1,283 @@
+"""One record per epoch: a fact is written once, everything else is derived.
+
+DoublePlay's unit of everything is the epoch — cut, run in parallel,
+compared, committed or thrown away and recovered. An :class:`EpochLife`
+holds what happened to one, and a run's :class:`Lives` is the only thing
+the record / replay path writes telemetry into: each stage transition is
+one method that fills one field with raw ``perf_counter`` stamps (one
+system-wide clock: a worker's stamps need no handshake) and, when a
+journal is installed, emits that transition's line from the same values.
+Always on, O(epochs), never per guest op.
+
+Derived from the lives: ``RecordResult.host`` / ``ReplayResult.host``
+(:meth:`Lives.host_summary`), the ``histo`` group's wall-clock and size
+histograms (:meth:`Lives.distributions`), the Chrome trace
+(:attr:`repro.obs.spans.Tracer.spans`) and the journal's epoch-scoped
+kinds (the transitions). Counters (:func:`repro.obs.metrics.process_stats`)
+stay O(1) sums that are not facts about one epoch; they ride home on
+:attr:`UnitTiming.metrics` and fold in where the timing is attached, so
+a result nobody consumed leaves neither a counter nor an execution.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import time
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
+
+from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
+from repro.obs.histo import bucket_key
+
+#: a raw ``perf_counter`` interval
+Interval = Tuple[float, float]
+
+#: fates of a unit the merge obtained a value for (see ``EpochLife.fate``)
+_MERGED = ("accepted", "invalidated", "lost")
+
+
+@dataclass
+class UnitTiming:
+    """Where, and for how long, one attempt executed: filled in the
+    process that ran it, attached to its :class:`Attempt` when the
+    coordinator consumes the result."""
+
+    #: wall-clock / CPU seconds executing the unit (on an oversubscribed
+    #: host wall includes time-slicing against sibling workers)
+    wall: float = 0.0
+    cpu: float = 0.0
+    #: referenced digests already cached / read from the scratch pack
+    blob_cache_hits: int = 0
+    blob_cache_misses: int = 0
+    #: pid that ran the unit (0: it failed before anything ran)
+    worker_pid: int = 0
+    #: raw instants digest resolution and the body began
+    decode_started: float = 0.0
+    started: float = 0.0
+    #: the running process's counter delta for this unit, as sorted
+    #: ``(name, amount)`` pairs (see :mod:`repro.obs.metrics`)
+    metrics: Tuple[Tuple[str, int], ...] = ()
+
+
+@dataclass
+class Attempt:
+    """One try at executing an epoch."""
+
+    #: ``record`` / ``replay`` / ``replay-seq``; ``-serial`` marks the
+    #: coordinator's fallback for a unit the pool could not finish
+    kind: str
+    #: a free attempt pushed ahead of the merge (never a fault), as
+    #: opposed to a counted one or a run on the coordinator
+    pushed: bool = False
+    #: building + submitting the dispatch (None: it never left this process)
+    dispatch: Optional[Interval] = None
+    #: blobs / bytes the dispatch newly put into the scratch pack
+    blobs: int = 0
+    bytes: int = 0
+    #: the execution, once its result was consumed; a dropped result
+    #: (cancelled behind a divergence, crashed) never gets one
+    timing: Optional[UnitTiming] = None
+    #: the contained fault that ended a counted attempt
+    failure: Optional[Exception] = None
+
+
+@dataclass
+class EpochLife:
+    """Everything that happened to one epoch of one segment (or replay)."""
+
+    epoch: int
+    #: position within its segment: the key the merge and the pool use
+    position: int
+    #: the thread-parallel run's slice that produced it (record only)
+    tp: Optional[Interval] = None
+    attempts: List[Attempt] = field(default_factory=list)
+    #: what became of the unit handed to the pool — ``accepted``,
+    #: ``invalidated`` (by what was logged after its cut), ``lost`` (to
+    #: a host fault), ``discarded`` (never reached by the merge) — or
+    #: ``inline`` at ``jobs=1``; None when the epoch-parallel side never
+    #: ran it (a squashed future)
+    fate: Optional[str] = None
+    commit: Optional[Interval] = None
+    #: why its result was rejected, and the log pruning that followed
+    reason: str = ""
+    divergence: Optional[Interval] = None
+    recovery: Optional[Interval] = None
+    #: simulated cycles of the committed (or recovered) execution
+    cycles: int = 0
+
+
+class Lives:
+    """One run's epoch lives, in the order the epochs were cut."""
+
+    def __init__(self) -> None:
+        self.all: List[EpochLife] = []
+        #: index of the current segment's position 0
+        self._base = 0
+
+    def __getitem__(self, position: int) -> EpochLife:
+        return self.all[self._base + position]
+
+    # ------------------------------------------------------------------
+    # Transitions: one call, one field, one journal line.
+    # ------------------------------------------------------------------
+    def segment(self) -> None:
+        """Positions count from here: a new thread-parallel segment."""
+        self._base = len(self.all)
+
+    def cut(self, epoch: int, tp: Optional[Interval] = None) -> int:
+        """The next position (returned) exists: a record boundary was
+        reached, or a replay took up the epoch."""
+        life = EpochLife(epoch, len(self.all) - self._base, tp)
+        self.all.append(life)
+        return life.position
+
+    def dispatched(
+        self, position: int, kind: str, pushed: bool, start: float, end: float,
+        blobs: int, size: int,
+    ) -> None:
+        attempts = self[position].attempts
+        if not pushed and attempts and attempts[-1].failure is not None:
+            obs_events.emit("fault-retry", position=position)
+        attempts.append(Attempt(kind, pushed, (start, end), blobs, size))
+
+    def executed(self, position: int, timing: UnitTiming) -> None:
+        """The latest dispatch's result came home and was consumed."""
+        self[position].attempts[-1].timing = timing
+
+    def ran(self, position: int, kind: str, timing: UnitTiming) -> None:
+        """It executed in this process: inline, or the serial fallback."""
+        if kind.endswith("-serial"):
+            obs_events.emit("serial-fallback", position=position)
+        else:
+            self[position].fate = "inline"
+        self[position].attempts.append(Attempt(kind, timing=timing))
+
+    @contextlib.contextmanager
+    def here(self, position: int, kind: str) -> Iterator[None]:
+        """Time a block as ``position``'s inline execution."""
+        timing = UnitTiming(worker_pid=os.getpid(), started=time.perf_counter())
+        try:
+            yield
+        finally:
+            timing.wall = time.perf_counter() - timing.started
+            self.ran(position, kind, timing)
+
+    def failed(self, position: int, failure) -> None:
+        """A counted attempt crashed, hung or raised: contained."""
+        self[position].attempts[-1].failure = failure
+        obs_events.emit(
+            "fault-contained", fault=failure.kind,
+            position=failure.position, attempt=failure.attempt,
+        )
+
+    def fate(self, position: int, fate: str) -> None:
+        """The first verdict on a pushed unit stands."""
+        life = self[position]
+        life.fate = life.fate or fate
+
+    def diverged(self, position: int, reason: str, start: float, end: float) -> None:
+        life = self[position]
+        life.reason, life.divergence = reason, (start, end)
+        obs_events.emit("divergence", epoch=life.epoch, reason=reason)
+
+    def recovered(self, position: int, start: float, end: float, cycles: int) -> None:
+        life = self[position]
+        life.recovery, life.cycles = (start, end), cycles
+        obs_events.emit("recovery", epoch=life.epoch, cycles=cycles)
+
+    def committed(self, position: int, start: float, end: float, cycles: int) -> None:
+        life = self[position]
+        life.commit, life.cycles = (start, end), cycles
+        obs_events.emit(
+            "epoch-commit", epoch=life.epoch, cycles=cycles,
+            **({"recovered": True} if life.recovery else {}),
+        )
+
+    # ------------------------------------------------------------------
+    # Derived views.
+    # ------------------------------------------------------------------
+    def _units(self) -> List[EpochLife]:
+        """The lives the merge obtained a value for: a unit's timing is
+        its last attempt's, its bytes every attempt's."""
+        return [life for life in self.all if life.fate in _MERGED]
+
+    def host_summary(self, jobs: int) -> dict:
+        """Host-cost accounting: ``RecordResult.host`` / ``ReplayResult.host``.
+
+        The speculation counts are counts of fates, so they partition
+        the lives handed to the pool.
+        """
+        units = self._units()
+        timings = [life.attempts[-1].timing for life in units]
+        unit_bytes = [sum(a.bytes for a in life.attempts) for life in units]
+        attempts = [a for life in self.all for a in life.attempts]
+        failures = [a.failure for a in attempts if a.failure is not None]
+        fates = [life.fate for life in self.all]
+        return {
+            "jobs": jobs,
+            "units": len(units),
+            "unit_wall": [round(t.wall, 6) for t in timings],
+            "unit_cpu": [round(t.cpu, 6) for t in timings],
+            "unit_pids": [t.worker_pid for t in timings],
+            "dispatch_wall": round(
+                sum(a.dispatch[1] - a.dispatch[0] for a in attempts if a.dispatch), 6
+            ),
+            "faults": {
+                "crashes": sum(f.kind == "crash" for f in failures),
+                "timeouts": sum(f.kind == "timeout" for f in failures),
+                "task_errors": sum(f.kind == "task-error" for f in failures),
+                "retries": sum(
+                    failed.failure is not None and bool(retry.dispatch)
+                    for life in self.all
+                    for failed, retry in zip(life.attempts, life.attempts[1:])
+                ),
+                "serial_fallbacks": sum(a.kind.endswith("-serial") for a in attempts),
+            },
+            "fault_events": [
+                {"kind": f.kind, "position": f.position, "attempt": f.attempt,
+                 "error": str(f)}
+                for f in failures
+            ],
+            "speculation": {
+                "dispatched": sum(f in _MERGED or f == "discarded" for f in fates),
+                "accepted": fates.count("accepted"),
+                "invalidated": fates.count("invalidated"),
+                "discarded": fates.count("lost") + fates.count("discarded"),
+            },
+            "wire": {
+                "bytes_shipped": sum(unit_bytes),
+                "blobs_sent": sum(a.blobs for life in units for a in life.attempts),
+                "blob_cache_hits": sum(t.blob_cache_hits for t in timings),
+                "blob_cache_misses": sum(t.blob_cache_misses for t in timings),
+                # Nothing is ever sent twice: constant until a benchmark
+                # PR drops the row benchmarks/e2e reads it into.
+                "blob_resends": 0,
+                "unit_bytes": unit_bytes,
+            },
+        }
+
+    def distributions(self) -> Dict[str, int]:
+        """The ``histo`` group's wall-clock and size histograms, counter-encoded."""
+        units = self._units()
+        samples = {
+            "unit_wall_s": [life.attempts[-1].timing.wall for life in units],
+            "unit_bytes": [sum(a.bytes for a in life.attempts) for life in units],
+            "commit_wall_s": [
+                life.commit[1] - life.commit[0] for life in self.all if life.commit
+            ],
+        }
+        return Counter(
+            bucket_key(name, value) for name, values in samples.items() for value in values
+        )
+
+
+def begin() -> Lives:
+    """A run starts; a trace collecting on this thread will export it."""
+    lives = Lives()
+    trace = obs_metrics.scope().trace
+    if trace is not None:
+        trace.runs.append(lives)
+    return lives

@@ -1,74 +1,88 @@
-"""Run-wide mergeable metrics: one snapshot per record/replay.
+"""The thread's run scope, and run-wide mergeable counters.
 
-Two pieces:
-
-* A **process-global** :class:`~repro.sim.stats.StatsRegistry`
-  (:func:`process_stats`) that execution code increments with dotted
-  names (``"exec.epochs"``, ``"replay.verify_failures"``…). Counters
-  are cheap dict increments and only rare events are instrumented, so
-  the always-on cost is O(epochs), never O(guest ops)
-  (``tests/test_work_counts.py`` counts the calls).
+* :class:`RunScope` — what the runs on one thread report into: a
+  session id, a counter registry, a tracer. The one thread-scoped thing
+  in the telemetry plane; the process has a default one.
+* :func:`process_stats` — the scope's
+  :class:`~repro.sim.stats.StatsRegistry`, which execution code
+  increments with dotted names (``"exec.epochs"``,
+  ``"replay.verify_failures"``…). Counters are O(1) sums that are not
+  facts about one epoch (those go in :mod:`repro.obs.lifecycle`); only
+  rare events count, so the always-on cost is O(epochs), never O(guest
+  ops) (``tests/test_work_counts.py`` counts the calls).
 * :class:`RunMetrics` — a hierarchical ``group → counter → number``
-  snapshot assembled at the end of a run from (a) the coordinator's
-  counter *delta* over the run, (b) counters drained out of worker
-  processes, and (c) the host executor's wire/fault accounting.
-  Exposed on ``RecordResult.metrics`` / ``ReplayResult.metrics``.
+  snapshot assembled at the end of a run from the scope's counter
+  *delta* over the run and what the run's epoch lives derive (host
+  accounting, histograms). Exposed on ``RecordResult.metrics`` /
+  ``ReplayResult.metrics``.
 
-**The worker round-trip.** Counters incremented inside worker processes
-used to be silently lost — each spawn-fresh worker had its own registry
-and nobody ever read it. Now the worker task clears the process
-registry when a unit starts and drains it (snapshot + clear) into
-``UnitTiming.metrics`` when the unit finishes; the coordinator folds
-harvested metrics into its own registry as results merge. Clearing at
-task start means an aborted previous task can never leak partial
-counters into the next unit, and dropped results (cancelled divergence
-tails, crashed attempts) drop their counters with them — which is
-exactly what keeps ``jobs=1`` and ``jobs=N`` metrics identical.
+**The worker round-trip.** A worker task clears its process registry
+when a unit starts and drains it into ``UnitTiming.metrics`` when the
+unit finishes; the coordinator folds them into its own registry when it
+consumes the result. Clearing at task start means an aborted previous
+task can never leak partial counters into the next unit, and dropped
+results (cancelled divergence tails, crashed attempts) drop their
+counters with them — which is what keeps ``jobs=1`` and ``jobs=N``
+metrics identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
-from typing import Collection, Dict, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Collection, Dict, Iterator, Mapping, Optional
 
 from repro.sim.stats import StatsRegistry
 
-#: this process's execution counters (coordinator or worker)
-_process = StatsRegistry()
 
-#: per-thread registry override (see :func:`activate_session_registry`):
-#: the service layer runs many sessions as threads of one coordinator
-#: process, and their counters must not merge into each other's runs.
-#: Single-threaded paths — including every worker process — never set
-#: an override, so the process-global fast path is unchanged.
+@dataclass
+class RunScope:
+    """What the runs on one thread report into.
+
+    The process has one (the coordinator's, and every worker's); the
+    service enters a private one per session thread, so interleaved
+    sessions never merge counters, journal under their own id and trace
+    only when their request asked to.
+    """
+
+    #: stamped on every journal line emitted under the scope
+    sid: Optional[str] = None
+    #: the counter registry :func:`process_stats` hands out
+    registry: StatsRegistry = field(default_factory=StatsRegistry)
+    #: the :class:`~repro.obs.spans.Tracer` collecting the scope's runs
+    #: for export; None when nobody asked for a trace
+    trace: Optional[object] = None
+
+
+_process = RunScope()
 _scoped = threading.local()
 
 
-def process_stats() -> StatsRegistry:
-    """The calling thread's counter registry (scoped, else process-global)."""
-    return getattr(_scoped, "registry", None) or _process
+def scope() -> RunScope:
+    """The calling thread's run scope (its session's, else the process's)."""
+    return getattr(_scoped, "scope", _process)
 
 
-def activate_session_registry(
-    registry: Optional[StatsRegistry] = None,
-) -> StatsRegistry:
-    """Route this thread's counters into a private registry.
+@contextlib.contextmanager
+def session_scope(sid: Optional[str] = None, trace=None) -> Iterator[RunScope]:
+    """Give this thread a private scope for the block.
 
-    The service layer calls this at session-thread start; everything the
-    session's record/replay increments — and every worker counter its
-    merged unit results fold home — lands in the session's own registry,
-    so ``RecordResult.metrics`` is identical to the same run performed
-    solo in a fresh process. Pass an existing registry to resume one.
+    Everything a session's record/replay counts — and every worker
+    counter its consumed unit results fold home — lands in the scope's
+    own registry, so ``RecordResult.metrics`` is identical to the same
+    run performed solo in a fresh process.
     """
-    if registry is None:
-        registry = StatsRegistry()
-    _scoped.registry = registry
-    return registry
+    _scoped.scope = entered = RunScope(sid=sid, trace=trace)
+    try:
+        yield entered
+    finally:
+        del _scoped.scope
 
 
-def deactivate_session_registry() -> None:
-    """Restore this thread to the process-global registry."""
-    _scoped.registry = None
+def process_stats() -> StatsRegistry:
+    """The calling thread's counter registry."""
+    return scope().registry
 
 
 def drain_process() -> Dict[str, int]:
@@ -120,12 +134,10 @@ class RunMetrics:
     ) -> None:
         """Fold a mapping's *numeric scalars* into ``group``.
 
-        Non-numeric values used to vanish without a trace, which made
-        schema drift in worker payloads invisible. Now every unexpected
-        drop is counted under ``obs.metrics_dropped``; callers that
-        *know* a mapping carries structural detail (per-unit lists,
-        nested wire/fault dicts) name those keys in ``ignore`` so the
-        counter stays a pure drift signal.
+        Every other value dropped is counted under
+        ``obs.metrics_dropped``; callers that *know* a mapping carries
+        structural detail (per-unit lists, nested wire/fault dicts) name
+        those keys in ``ignore`` so the counter stays a pure drift signal.
         """
         if not mapping:
             return
@@ -209,10 +221,11 @@ def build_run_metrics(
     """Assemble one run's :class:`RunMetrics` snapshot.
 
     ``counter_delta`` is the dotted-name process delta (split into
-    groups on the first ``.``); ``host`` is the executor's
-    ``timing_summary()`` (its numeric scalars plus the nested ``wire``
-    and ``faults`` dicts); extra keyword groups merge verbatim (the
-    recorder passes its recording stats as ``record=...``).
+    groups on the first ``.``); ``host`` is the lives' ``host_summary()``
+    (its numeric scalars plus the nested ``wire`` and ``faults`` dicts);
+    extra keyword groups merge verbatim (the recorder passes its
+    recording stats as ``record=...`` and the lives' distributions as
+    ``histo=...``).
     """
     metrics = RunMetrics()
     for name, value in counter_delta.items():

@@ -1,58 +1,48 @@
-"""Epoch-lifecycle span tracing across the coordinator and its workers.
+"""The span view of a run's epoch lives, and the switch that asks for it.
 
-Design constraints, in order:
+Nothing on the record / replay path writes a span: every stage fills a
+field of an :class:`~repro.obs.lifecycle.EpochLife` with raw
+``perf_counter`` stamps, traced or not. :func:`start_trace` only hangs a
+:class:`Tracer` on the calling thread's run scope, every run begun under
+it hands the tracer its lives, and :attr:`Tracer.spans` derives the
+timeline when somebody exports it:
 
-1. **Disabled means free.** Tracing is off by default and every
-   instrumentation site costs one module-global ``is None`` check (the
-   :func:`span` context manager short-circuits on it; hot per-op code
-   is never instrumented at all — spans exist only at epoch/dispatch
-   granularity; ``tests/test_work_counts.py`` counts the calls).
-2. **One clock.** ``time.perf_counter()`` is the system-wide monotonic
-   clock on every platform we support, so worker processes ship *raw*
-   timestamps and the coordinator re-bases them by subtracting its own
-   trace origin (:meth:`Tracer.rebase`). No cross-process handshake,
-   no skew model — spans from every process land on one timeline.
-3. **Flat spans.** Spans never nest within a track: the taxonomy is
-   chosen so that per-track intervals are naturally disjoint (a worker
-   decodes, then executes; the coordinator dispatches, then commits),
-   which is what makes the exported timeline legible and lets the
-   schema test assert per-track monotonicity.
+1. **One clock.** ``time.perf_counter()`` is the system-wide monotonic
+   clock on every platform we support, so a worker's stamps and the
+   coordinator's land on one timeline by subtracting the trace origin.
+   No cross-process handshake, no skew model.
+2. **Flat spans.** Spans never nest within a track: a worker decodes,
+   then executes; the coordinator cuts, dispatches, then commits. That
+   keeps the exported timeline legible and lets the schema test assert
+   per-track monotonicity.
 
-Span taxonomy (``cat`` → names):
+Span taxonomy (``cat`` → names; every span carries ``position``, and
+``epoch`` unless said otherwise):
 
 * ``segment`` — ``tp-epoch``: one epoch's slice of the thread-parallel
-  run on the coordinator (live kernel, checkpoints, hint capture),
-  emitted boundary-to-boundary so the timeline shows which epoch the
-  TP run was producing while the commit pipeline worked behind it.
-* ``wire`` — ``dispatch`` (build + submit one unit, coordinator;
-  ``args["speculative"]`` marks mid-segment pipeline dispatches),
-  ``wire-decode`` (resolve the unit's digests through the worker's
-  blob cache and the scratch pack, and hydrate the checkpoints,
-  worker side).
-* ``epoch`` — ``execute``: one epoch's uniprocessor execution. Worker
-  side for pool units, coordinator side for the serial path and the
-  serial fallback (``args["kind"]`` distinguishes record / replay /
-  ``*-serial``). The coordinator annotates harvested execute spans
-  with the unit's wire cost (``bytes_shipped`` / ``blobs_sent``).
-* ``commit`` — ``commit``: folding one epoch's result into the
-  recording on the coordinator.
-* ``recovery`` — ``divergence`` (log pruning after a failed epoch)
-  and ``recovery`` (the live forward-recovery re-execution).
-
-Worker spans travel home as plain tuples
-``(name, cat, raw_start, raw_end, args)`` on
-``repro.host.wire.UnitTiming.spans`` — picklable, tiny, and absent
-(``()``) when tracing is off.
+  run on the coordinator, boundary to boundary.
+* ``wire`` — ``dispatch`` (build + submit one unit, coordinator; no
+  ``epoch``; ``bytes`` newly put into the scratch pack, ``speculative``
+  on a pushed attempt) and ``wire-decode`` (resolve the unit's digests
+  through the worker's cache and the pack, worker side; no ``epoch``).
+* ``epoch`` — ``execute``: one uniprocessor execution, on the track of
+  the process that ran it; ``kind`` says record / replay / ``-serial``.
+  Pool executions carry the unit's wire cost so far (``bytes_shipped``
+  / ``blobs_sent``). Only consumed results have one.
+* ``commit`` — ``commit``: folding the epoch into the recording (and
+  the durable sink), clean or recovered (no ``position``).
+* ``recovery`` — ``divergence`` (log pruning after a rejected result)
+  and ``recovery`` (the live forward re-execution); no ``position``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
+
+from repro.obs import metrics as obs_metrics
 
 #: span categories (the ``cat`` field; see the module docstring)
 CAT_SEGMENT = "segment"
@@ -64,10 +54,10 @@ CAT_RECOVERY = "recovery"
 
 @dataclass
 class SpanRecord:
-    """One completed span on the coordinator timeline.
+    """One span on the coordinator timeline.
 
-    ``start``/``end`` are seconds since the trace origin (coordinator
-    clock); ``track`` is the host pid that did the work.
+    ``start``/``end`` are seconds since the trace origin; ``track`` is
+    the host pid that did the work.
     """
 
     name: str
@@ -83,7 +73,7 @@ class SpanRecord:
 
 
 class Tracer:
-    """Coordinator-side span collector for one traced run."""
+    """The runs one trace will export, and the timeline they derive."""
 
     def __init__(self, path: Optional[str] = None):
         #: where the CLI writes the Chrome trace when the run ends
@@ -91,158 +81,78 @@ class Tracer:
         self.pid = os.getpid()
         #: raw ``perf_counter`` instant all span times are relative to
         self.origin = time.perf_counter()
-        self.spans: List[SpanRecord] = []
+        #: the :class:`~repro.obs.lifecycle.Lives` of every run begun
+        #: while this tracer was its thread's (``lifecycle.begin``)
+        self.runs: List = []
 
-    def now(self) -> float:
-        """Seconds since the trace origin."""
-        return time.perf_counter() - self.origin
+    def _span(self, name, cat, interval, track, args) -> SpanRecord:
+        # A stamp can never precede the trace it belongs to, nor a span
+        # end before it starts, whatever a platform clock does.
+        start = max(0.0, interval[0] - self.origin)
+        end = max(start, interval[1] - self.origin)
+        return SpanRecord(name, cat, start, end, track or self.pid, args)
 
-    def add(
-        self,
-        name: str,
-        cat: str,
-        start: float,
-        end: float,
-        track: int = 0,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.spans.append(
-            SpanRecord(
-                name=name,
-                cat=cat,
-                start=start,
-                end=max(end, start),
-                track=track or self.pid,
-                args=args or {},
-            )
-        )
+    def _life_spans(self, life) -> List[SpanRecord]:
+        """One life's spans: ``(name, cat, interval, track, args)`` rows,
+        a row whose interval never happened dropped."""
+        epoch, at = {"epoch": life.epoch}, {"position": life.position}
+        rows = [("tp-epoch", CAT_SEGMENT, life.tp, 0, {**epoch, **at})]
+        shipped = blobs = 0
+        for attempt in life.attempts:
+            shipped, blobs = shipped + attempt.bytes, blobs + attempt.blobs
+            pushed = {"speculative": True} if attempt.pushed else {}
+            rows.append((
+                "dispatch", CAT_WIRE, attempt.dispatch, 0,
+                {**at, "bytes": attempt.bytes, **pushed},
+            ))
+            timing = attempt.timing
+            if timing is None:
+                continue  # a dropped result: nothing of it is in the run
+            wire = {}
+            if attempt.dispatch:  # it ran in a pool worker
+                rows.append((
+                    "wire-decode", CAT_WIRE, (timing.decode_started, timing.started),
+                    timing.worker_pid,
+                    {**at, "cache_hits": timing.blob_cache_hits,
+                     "cache_misses": timing.blob_cache_misses},
+                ))
+                wire = {"bytes_shipped": shipped, "blobs_sent": blobs}
+            rows.append((
+                "execute", CAT_EPOCH, (timing.started, timing.started + timing.wall),
+                timing.worker_pid, {**epoch, **at, "kind": attempt.kind, **wire},
+            ))
+        rows += [
+            ("divergence", CAT_RECOVERY, life.divergence, 0,
+             {**epoch, "reason": life.reason}),
+            ("recovery", CAT_RECOVERY, life.recovery, 0, {**epoch}),
+            ("commit", CAT_COMMIT, life.commit, 0, {**epoch}),
+        ]
+        return [self._span(*row) for row in rows if row[2]]
 
-    def rebase(self, raw: float) -> float:
-        """Re-base a worker's raw ``perf_counter`` stamp onto this trace.
-
-        ``perf_counter`` is system-wide monotonic, so re-basing is one
-        subtraction; the clamp guards against a pathological platform
-        clock (a span can never precede the trace it belongs to).
-        """
-        return max(0.0, raw - self.origin)
-
-    def ingest(
-        self,
-        raw_spans: Sequence[tuple],
-        track: int,
-        annotate: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Fold a worker's raw-clock spans into the coordinator timeline.
-
-        ``annotate`` is merged into the args of the worker's ``epoch``
-        spans — the coordinator is the side that knows the unit's wire
-        cost, the worker the side that knows its execution interval.
-        """
-        for name, cat, raw_start, raw_end, args in raw_spans:
-            merged = dict(args)
-            if annotate and cat == CAT_EPOCH:
-                merged.update(annotate)
-            self.add(
-                name,
-                cat,
-                self.rebase(raw_start),
-                self.rebase(raw_end),
-                track=track,
-                args=merged,
-            )
-
-
-class WorkerSpanLog:
-    """Raw-clock span collection inside a worker process.
-
-    Created per task only when the dispatch asked for tracing; spans are
-    plain tuples ``(name, cat, raw_start, raw_end, args)`` ready to ride
-    home on ``UnitTiming.spans``.
-    """
-
-    __slots__ = ("spans",)
-
-    def __init__(self) -> None:
-        self.spans: List[tuple] = []
-
-    def add(self, name: str, cat: str, raw_start: float, raw_end: float,
-            **args) -> None:
-        self.spans.append((name, cat, raw_start, raw_end, args))
-
-    def export(self) -> Tuple[tuple, ...]:
-        return tuple(self.spans)
-
-
-#: the active tracer, or None — the disabled fast path is this check
-_tracer: Optional[Tracer] = None
-
-#: per-thread tracer override (service sessions). The sentinel
-#: distinguishes "no override installed" (fall through to the module
-#: global) from "explicitly no tracer" (a session that is not tracing
-#: must not leak spans into a trace the main thread happens to have
-#: active).
-_SCOPE_UNSET = object()
-_scoped = threading.local()
-
-
-def _active() -> Optional[Tracer]:
-    tracer = getattr(_scoped, "tracer", _SCOPE_UNSET)
-    if tracer is not _SCOPE_UNSET:
-        return tracer
-    return _tracer
+    @property
+    def spans(self) -> List[SpanRecord]:
+        """Every span of every collected run, derived now."""
+        return [
+            span
+            for run in self.runs
+            for life in run.all
+            for span in self._life_spans(life)
+        ]
 
 
 def enabled() -> bool:
     """Is a trace being collected on this thread?"""
-    return _active() is not None
-
-
-def current() -> Optional[Tracer]:
-    """The active tracer (None when tracing is disabled)."""
-    return _active()
+    return obs_metrics.scope().trace is not None
 
 
 def start_trace(path: Optional[str] = None) -> Tracer:
-    """Begin collecting spans; returns the (now-active) tracer."""
-    global _tracer
-    _tracer = Tracer(path)
-    return _tracer
-
-
-def stop_trace() -> Optional[Tracer]:
-    """Detach and return the active tracer (export is the caller's job)."""
-    global _tracer
-    tracer, _tracer = _tracer, None
+    """Collect this thread's runs from now on; returns the tracer."""
+    tracer = obs_metrics.scope().trace = Tracer(path)
     return tracer
 
 
-def set_session_tracer(tracer: Optional[Tracer]) -> None:
-    """Install a per-thread tracer override (service session isolation).
-
-    ``None`` is an explicit override too: the session collects no spans
-    even while another thread's global trace is running. Use
-    :func:`clear_session_tracer` to remove the override entirely.
-    """
-    _scoped.tracer = tracer
-
-
-def clear_session_tracer() -> None:
-    """Drop this thread's tracer override (back to the module global)."""
-    try:
-        del _scoped.tracer
-    except AttributeError:
-        pass
-
-
-@contextlib.contextmanager
-def span(name: str, cat: str, **args):
-    """Record one coordinator span around a block (no-op when disabled)."""
-    tracer = _active()
-    if tracer is None:
-        yield
-        return
-    start = tracer.now()
-    try:
-        yield
-    finally:
-        tracer.add(name, cat, start, tracer.now(), args=args)
+def stop_trace() -> Optional[Tracer]:
+    """Detach and return the tracer (export is the caller's job)."""
+    scope = obs_metrics.scope()
+    tracer, scope.trace = scope.trace, None
+    return tracer

@@ -7,12 +7,12 @@ means adding a row here, not a function in ``cli.py``; both ``record``
 and ``replay`` (and the service driver) render through the same
 :func:`render_metric_lines`.
 
-Histogram rows render for free: every latency/size distribution the run
-collected (:mod:`repro.obs.histo` — the ``histo`` metrics group) gets a
+Histogram rows render for free: every latency/size distribution in the
+run's ``histo`` metrics group (:mod:`repro.obs.histo` — observed where
+an epoch executes, or derived from the epoch lives) gets a
 ``p50/p90/p99`` line, labelled and unit-formatted by
 :data:`HISTOGRAM_LABELS` with a plain fallback for names nobody
-registered. A new ``histo.observe`` call site anywhere in the tree
-shows up in the CLI summary with zero CLI changes.
+registered.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ HISTOGRAM_LABELS = {
     "unit_wall_s": ("unit latency", "s"),
     "commit_wall_s": ("commit latency", "s"),
     "unit_bytes": ("unit ship size", "bytes"),
-    "admission_wait_s": ("admission wait", "s"),
 }
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.obs import events as obs_events
-from repro.obs import histo as obs_histo
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,6 @@ class RuntimeOptions:
     log_fsync: bool = True
     #: rolling flight-recorder window in epochs; None = keep everything
     flight_window: Optional[int] = None
-    #: histogram collection (:func:`repro.obs.histo.set_enabled`)
-    histograms: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "host_jobs", max(1, int(self.host_jobs)))
@@ -76,7 +73,7 @@ VARIABLES = (
 
 
 def from_env() -> RuntimeOptions:
-    """What the environment (and ``obs.histo.set_enabled``) selects."""
+    """What the environment selects."""
     values = {}
     for name, field, parse in VARIABLES:
         raw = os.environ.get(name, "")
@@ -85,7 +82,7 @@ def from_env() -> RuntimeOptions:
                 values[field] = parse(raw)
             except (ValueError, OverflowError):
                 pass
-    return RuntimeOptions(histograms=obs_histo.enabled(), **values)
+    return RuntimeOptions(**values)
 
 
 #: the run in progress in this thread / asyncio task (see :func:`activate`)

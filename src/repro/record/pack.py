@@ -76,15 +76,18 @@ class BlobStore:
 
         A torn tail entry ends the scan without error and stays
         unindexed: a crash's dead bytes, or another process's append in
-        progress that the next scan picks up whole. No pack file at all
-        indexes nothing.
+        progress that the next scan picks up whole. No pack file at all,
+        or one torn inside its header, indexes nothing.
         """
         try:
             handle = open(self.path, "rb")
         except FileNotFoundError:
             return
         with handle:
-            if handle.read(len(PACK_MAGIC)) != PACK_MAGIC:
+            header = handle.read(len(PACK_MAGIC))
+            if len(header) < len(PACK_MAGIC) and PACK_MAGIC.startswith(header):
+                return
+            if header != PACK_MAGIC:
                 raise ReplayError(f"{self.path}: not a blob pack")
             handle.seek(self._disk_end)
             data = handle.read()
@@ -123,10 +126,14 @@ class BlobStore:
         if not self._buffer:
             return False
         if self._append is None:
-            if os.path.exists(self.path):
+            if (
+                os.path.exists(self.path)
+                and os.path.getsize(self.path) >= len(PACK_MAGIC)
+            ):
                 # Resume at the last verified entry: a torn tail past it
                 # is dead bytes a plain append would corrupt the index
-                # against, so cut it before writing.
+                # against, so cut it before writing. (A pack torn inside
+                # its header holds nothing: it is written afresh.)
                 self._append = open(self.path, "r+b")
                 self._append.truncate(self._disk_end)
                 self._append.seek(self._disk_end)

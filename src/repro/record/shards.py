@@ -1072,13 +1072,47 @@ class ShardedLogReader:
         return recording
 
     def verify(self) -> List[str]:
-        """Integrity sweep: every referenced block and blob must verify."""
+        """Integrity sweep: every block and blob the manifest names verifies.
+
+        Walks what the manifest names — ``initial`` and every epoch's
+        checkpoint skeleton, and every page in each skeleton's table —
+        reading each blob once and reporting one that is missing or does
+        not hash to its address. Only here: the load path trusts the
+        pack, so replay does not pay for the digests.
+        """
         problems: List[str] = []
-        for entry in self.manifest["epochs"]:
-            if not self.store.has(int(entry["checkpoint"], 16)):
+        seen = set()
+
+        def blob(digest: int, what: str) -> Optional[bytes]:
+            """The blob at ``digest`` if this is its first, sound, read."""
+            if digest in seen:
+                return None
+            seen.add(digest)
+            if not self.store.has(digest):
+                problems.append(f"{what} blob missing: {_hex(digest)}")
+                return None
+            data = self.store.get(digest)
+            if blob_digest(data) != digest:
                 problems.append(
-                    f"epoch {entry['index']}: checkpoint blob missing"
+                    f"{what} blob does not hash to its address: {_hex(digest)}"
                 )
+                return None
+            return data
+
+        named = [("initial", self.manifest["initial"])] + [
+            (f"epoch {entry['index']}", entry["checkpoint"])
+            for entry in self.manifest["epochs"]
+        ]
+        for who, ref in named:
+            skeleton = blob(int(ref, 16), f"{who}: checkpoint")
+            if skeleton is None:
+                continue
+            kind, decoded = decode_blob(skeleton)
+            if kind != "object":
+                problems.append(f"{who}: checkpoint blob is not a skeleton")
+                continue
+            for page_no, digest in sorted(decoded[5].items()):
+                blob(digest, f"{who}: page {page_no}")
         for segment_index, segment in enumerate(self.manifest["segments"]):
             if segment.get("file") is None:
                 continue  # slid out of the flight window and deleted

@@ -11,10 +11,10 @@ record/replay sessions concurrently against a single
 2. registers a fleet **lane** and receives the dispatcher that its
    private ``HostExecutor`` will submit epoch units through;
 3. runs the ordinary blocking record/replay path on a worker thread
-   (``loop.run_in_executor``), with this thread's observability scoped:
-   a private :class:`~repro.sim.stats.StatsRegistry` and a private (or
-   absent) tracer, so interleaved sessions never bleed counters or
-   spans into each other;
+   (``loop.run_in_executor``) inside one private run scope
+   (:func:`repro.obs.metrics.session_scope`: its session id, its own
+   counter registry, its own — or no — tracer), so interleaved sessions
+   never bleed counters, journal lines or spans into each other;
 4. folds its lane's queueing/wire numbers into the run's
    :class:`~repro.obs.metrics.RunMetrics` under the ``service`` group
    and releases its lane and slot.
@@ -288,7 +288,6 @@ class RecordService:
         t_arrive = time.perf_counter()
         async with admission:
             admission_wait = time.perf_counter() - t_arrive
-            self.hub.session_admitted(request.sid, admission_wait)
             obs_events.emit(
                 "session-admitted", sid=request.sid,
                 wait=round(admission_wait, 6),
@@ -304,17 +303,10 @@ class RecordService:
             finally:
                 fleet.release(request.sid)
             result.admission_wait = admission_wait
-            self.hub.session_completed(
-                request.sid,
-                ok=result.ok,
-                epochs=result.epochs,
-                duration=result.duration,
-                summary=result.metrics.get("service"),
-                error=result.error,
-            )
             obs_events.emit(
                 "session-completed", sid=request.sid, ok=result.ok,
-                epochs=result.epochs,
+                epochs=result.epochs, duration=round(result.duration, 6),
+                lane=result.metrics.get("service") or {}, error=result.error,
             )
             return result
 
@@ -324,31 +316,23 @@ class RecordService:
         """The blocking session body (runs on a service worker thread)."""
         t0 = time.perf_counter()
         result = SessionResult(sid=request.sid, kind=request.kind, ok=False)
-        # Scope this thread's observability: a private counter registry
-        # and a private (or explicitly absent) tracer. Nothing this
-        # session records can bleed into another session or the caller.
-        obs_metrics.activate_session_registry()
-        tracer = obs_spans.Tracer() if request.trace else None
-        obs_spans.set_session_tracer(tracer)
-        # Stamp every event this thread emits (epoch commits, contained
-        # faults, backpressure) with the tenant's session id.
-        obs_events.set_event_context(request.sid)
-        try:
-            if request.kind == "record":
-                self._run_record(request, dispatcher, result)
-            elif request.kind == "replay":
-                self._run_replay(request, dispatcher, result)
-            else:
-                raise ValueError(f"unknown session kind {request.kind!r}")
-            result.ok = result.error is None
-        except Exception as exc:  # a failed tenant, not a failed service
-            result.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            result.tracer = tracer
-            obs_events.set_event_context(None)
-            obs_spans.clear_session_tracer()
-            obs_metrics.deactivate_session_registry()
-            result.duration = time.perf_counter() - t0
+        result.tracer = obs_spans.Tracer() if request.trace else None
+        # One private run scope: this thread's counters, the session id
+        # on every line it journals (epoch commits, contained faults,
+        # backpressure) and its tracer — explicitly none unless asked, so
+        # nothing bleeds into another session or the caller's trace.
+        with obs_metrics.session_scope(request.sid, result.tracer):
+            try:
+                if request.kind == "record":
+                    self._run_record(request, dispatcher, result)
+                elif request.kind == "replay":
+                    self._run_replay(request, dispatcher, result)
+                else:
+                    raise ValueError(f"unknown session kind {request.kind!r}")
+                result.ok = result.error is None
+            except Exception as exc:  # a failed tenant, not a failed service
+                result.error = f"{type(exc).__name__}: {exc}"
+        result.duration = time.perf_counter() - t0
         return result
 
     def _build(self, request: SessionRequest):

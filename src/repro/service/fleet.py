@@ -70,43 +70,27 @@ class _Ticket:
     t_submit: float
 
 
+@dataclass(eq=False)
 class _Lane:
-    """One session's queue state inside the fleet."""
+    """One session's queue state inside the fleet, and every number the
+    fleet keeps about it (the fleet-wide ones are sums over lanes)."""
 
-    __slots__ = (
-        "sid",
-        "credit",
-        "pending",
-        "inflight",
-        "submitted",
-        "completed",
-        "backpressure_wait",
-        "backpressure_hits",
-        "deficit",
-        "latencies",
-        "queue_high_water",
-        "cross_hits",
-        "cross_bytes_saved",
-        "bytes_shipped",
-    )
-
-    def __init__(self, sid: str, depth: int):
-        self.sid = sid
-        #: admission credits: one per outstanding (queued or in-flight)
-        #: unit; acquire blocks the session thread at the bound
-        self.credit = threading.Semaphore(depth)
-        self.pending: Deque[_Ticket] = deque()
-        self.inflight = 0
-        self.submitted = 0
-        self.completed = 0
-        self.backpressure_wait = 0.0
-        self.backpressure_hits = 0
-        self.deficit = 0
-        self.latencies: List[float] = []
-        self.queue_high_water = 0
-        self.cross_hits = 0
-        self.cross_bytes_saved = 0
-        self.bytes_shipped = 0
+    sid: str
+    #: admission credits: one per outstanding (queued or in-flight)
+    #: unit; acquire blocks the session thread at the bound
+    credit: threading.Semaphore
+    pending: Deque[_Ticket] = field(default_factory=deque)
+    inflight: int = 0
+    submitted: int = 0
+    completed: int = 0
+    backpressure_wait: float = 0.0
+    backpressure_hits: int = 0
+    deficit: int = 0
+    latencies: List[float] = field(default_factory=list)
+    queue_high_water: int = 0
+    cross_hits: int = 0
+    cross_bytes_saved: int = 0
+    bytes_shipped: int = 0
 
 
 class SessionDispatcher:
@@ -163,6 +147,9 @@ class FleetScheduler:
         self.max_inflight = max(1, max_inflight or max(2 * self.jobs, 2))
         self._lock = threading.Lock()
         self._lanes: Dict[str, _Lane] = {}
+        #: released sessions' lanes: the fleet-wide numbers are sums over
+        #: every lane there ever was, each kept once, on its lane
+        self._retired: List[_Lane] = []
         self._rr: Deque[str] = deque()
         self._inflight = 0
         self._pending_total = 0
@@ -170,15 +157,9 @@ class FleetScheduler:
         self._wake: Optional[asyncio.Event] = None
         self._pump_task: Optional[asyncio.Task] = None
         self._stopping = False
-        # ---- fleet-wide accounting ----
-        self._latencies: List[float] = []
-        self._bytes_shipped = 0
+        # ---- fleet-wide accounting with no per-lane twin ----
         self._blobs_shipped = 0
-        self._cross_hits = 0
-        self._cross_bytes_saved = 0
         self._queue_high_water = 0
-        self._deficits = 0
-        self._backpressure_wait = 0.0
         self._sessions_registered = 0
         self._rebuilds = 0
 
@@ -211,7 +192,7 @@ class FleetScheduler:
         with self._lock:
             if sid in self._lanes:
                 raise ValueError(f"session id {sid!r} already registered")
-            lane = _Lane(sid, self.queue_depth)
+            lane = _Lane(sid, threading.Semaphore(self.queue_depth))
             self._lanes[sid] = lane
             self._rr.append(sid)
             self._sessions_registered += 1
@@ -223,6 +204,7 @@ class FleetScheduler:
             lane = self._lanes.pop(sid, None)
             if lane is None:
                 return
+            self._retired.append(lane)
             try:
                 self._rr.remove(sid)
             except ValueError:
@@ -248,8 +230,6 @@ class FleetScheduler:
             wait = time.perf_counter() - t0
             lane.backpressure_hits += 1
             lane.backpressure_wait += wait
-            with self._lock:
-                self._backpressure_wait += wait
             obs_events.emit(
                 "session-backpressure", wait=round(wait, 6),
             )
@@ -267,9 +247,6 @@ class FleetScheduler:
             lane.cross_hits += cross_hits
             lane.cross_bytes_saved += cross_size
             self._blobs_shipped += blobs
-            self._bytes_shipped += size
-            self._cross_hits += cross_hits
-            self._cross_bytes_saved += cross_size
             lane.pending.append(ticket)
             lane.submitted += 1
             self._pending_total += 1
@@ -377,7 +354,6 @@ class FleetScheduler:
                 # held at its fair-share cap while another lane won the
                 # slot. Surfaced per session and fleet-wide.
                 lane.deficit += 1
-                self._deficits += 1
         ticket = chosen.pending.popleft()
         chosen.inflight += 1
         self._inflight += 1
@@ -391,9 +367,7 @@ class FleetScheduler:
             self._inflight -= 1
             lane.completed += 1
             if record_latency:
-                latency = time.perf_counter() - ticket.t_submit
-                lane.latencies.append(latency)
-                self._latencies.append(latency)
+                lane.latencies.append(time.perf_counter() - ticket.t_submit)
         lane.credit.release()
         self._wake_pump()
 
@@ -456,7 +430,8 @@ class FleetScheduler:
     def summary(self) -> Dict[str, object]:
         """Fleet-wide queueing and wire accounting (service report)."""
         with self._lock:
-            latencies = sorted(self._latencies)
+            lanes = [*self._retired, *self._lanes.values()]
+            latencies = sorted(t for lane in lanes for t in lane.latencies)
             return {
                 "jobs": self.jobs,
                 "queue_depth": self.queue_depth,
@@ -466,13 +441,17 @@ class FleetScheduler:
                 "unit_latency_p50": round(_percentile(latencies, 0.50), 6),
                 "unit_latency_p99": round(_percentile(latencies, 0.99), 6),
                 "queue_high_water": self._queue_high_water,
-                "backpressure_wait": round(self._backpressure_wait, 6),
-                "fair_share_deficits": self._deficits,
+                "backpressure_wait": round(
+                    sum(lane.backpressure_wait for lane in lanes), 6
+                ),
+                "fair_share_deficits": sum(lane.deficit for lane in lanes),
                 "pool_rebuilds": self._rebuilds,
                 "wire": {
-                    "bytes_shipped": self._bytes_shipped,
+                    "bytes_shipped": sum(lane.bytes_shipped for lane in lanes),
                     "blobs_shipped": self._blobs_shipped,
-                    "cross_session_hits": self._cross_hits,
-                    "cross_session_bytes_saved": self._cross_bytes_saved,
+                    "cross_session_hits": sum(lane.cross_hits for lane in lanes),
+                    "cross_session_bytes_saved": sum(
+                        lane.cross_bytes_saved for lane in lanes
+                    ),
                 },
             }

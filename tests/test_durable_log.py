@@ -7,18 +7,23 @@ recordings: durable round trips, ``--from-epoch`` suffix loads, spill
 (flight-recorder) mode, and the group-commit/fsync knobs.
 """
 
+import io
 import json
 import os
 import struct
+import tempfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
-from repro.record.pack import BlobStore
+from repro.memory.blob import blob_digest, decode_blob
+from repro.record.pack import PACK_MAGIC, BlobStore
 from repro.record.segment import (
     SEGMENT_MAGIC,
     SegmentCorruption,
@@ -173,6 +178,44 @@ def test_blob_pack_torn_tail_truncates(tmp_path):
     assert not reopened.has(0xCD)
     # The torn tail is overwritten by the next append at the same spot.
     assert reopened.put(0xCD, b"second blob") is True
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.binary(max_size=48), min_size=1, max_size=5, unique=True))
+def test_a_pack_truncated_anywhere_indexes_a_prefix_of_whole_entries(blobs):
+    """Every crash prefix of a small pack (ROADMAP 2(d), for the pack):
+    a reader never raises, indexes exactly the entries that are whole,
+    and never returns bytes that do not hash to the digest asked for;
+    an appender that resumes on the prefix puts the rest back."""
+    with tempfile.TemporaryDirectory() as scratch:
+        whole = BlobStore(os.path.join(scratch, "whole"))
+        ends = [len(PACK_MAGIC)]
+        for blob in blobs:
+            whole.put(blob_digest(blob), blob)
+            ends.append(whole.pack_bytes)
+        whole.close()
+        data = open(whole.path, "rb").read()
+        assert len(data) == ends[-1]
+        for cut in range(len(data) + 1):
+            root = os.path.join(scratch, f"cut{cut}")
+            os.makedirs(root)
+            with open(os.path.join(root, "pack.dppack"), "wb") as handle:
+                handle.write(data[:cut])
+            torn = BlobStore(root)
+            survivors = sum(1 for end in ends[1:] if end <= cut)
+            for number, blob in enumerate(blobs):
+                digest = blob_digest(blob)
+                assert torn.has(digest) == (number < survivors)
+                if number < survivors:
+                    assert blob_digest(torn.get(digest)) == digest
+                else:
+                    with pytest.raises(ReplayError):
+                        torn.get(digest)
+                    assert torn.put(digest, blob) is True
+            torn.close()
+            again = BlobStore(root)
+            assert all(again.get(blob_digest(blob)) == blob for blob in blobs)
+            again.close()
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +392,56 @@ def test_verify_reports_missing_blobs(tmp_path):
     os.remove(os.path.join(log_dir, "blobs", "pack.dppack"))
     problems = ShardedLogReader(log_dir).verify()
     assert any("checkpoint blob missing" in problem for problem in problems)
+
+
+def test_verify_reports_a_page_that_no_longer_matches_its_address(tmp_path):
+    """One payload byte of one page entry flipped in a fresh fft log.
+
+    ``verify()`` walks what the manifest names — not just that each
+    skeleton digest is indexed — so the page is reported with the epoch
+    and page number that name it, and ``repro log recover`` refuses the
+    log. (At the parent ``verify()`` returned ``[]``, recover printed a
+    clean bill and the replay failed with an unattributed "epoch 0
+    replayed to a different state".)
+    """
+    from repro.cli import main as cli_main
+
+    log_dir = str(tmp_path / "log")
+    _record("fft", log_dir=log_dir)
+    reader = ShardedLogReader(log_dir)
+    assert reader.verify() == []
+    entry = reader.manifest["epochs"][1]
+    _, skeleton = decode_blob(reader.store.get(int(entry["checkpoint"], 16)))
+    initial_pages = decode_blob(
+        reader.store.get(int(reader.manifest["initial"], 16))
+    )[1][5]
+    # A page epoch 1's start is the first to name: one it dirtied.
+    page_no, digest = next(
+        (no, d) for no, d in sorted(skeleton[5].items())
+        if initial_pages.get(no) != d
+    )
+    reader.store.close()
+    # Find the entry by the format's description: magic, then
+    # (digest, length, payload) entries.
+    pack = os.path.join(log_dir, "blobs", "pack.dppack")
+    data = bytearray(open(pack, "rb").read())
+    offset = len(PACK_MAGIC)
+    while True:
+        found, length = struct.unpack_from("<16sI", data, offset)
+        if int.from_bytes(found, "big") == digest:
+            break
+        offset += 20 + length
+    data[offset + 20 + length // 2] ^= 0x01
+    open(pack, "wb").write(data)
+
+    problems = ShardedLogReader(log_dir).verify()
+    assert problems == [
+        f"epoch {entry['index']}: page {page_no} blob does not hash to its "
+        f"address: {digest:032x}"
+    ]
+    out = io.StringIO()
+    assert cli_main(["log", "recover", log_dir], out=out) == 1
+    assert f"page {page_no}" in out.getvalue() and "recover FAILED" in out.getvalue()
 
 
 def test_group_commit_and_fsync_knobs(tmp_path, monkeypatch):

@@ -4,10 +4,10 @@ The host layer runs a unit through one routine wherever it runs — a pool
 worker (pushed or counted attempt, direct pool or fleet) or the
 coordinator's serial fallback. These tests pin that directly: the two
 callers of the one execute routine agree on values and counters, the
-one dispatch routine emits every span, for a record and a replay, a
-bug in building a dispatch is not mistaken for a host fault, and a warm
-pool honours the coordinator's runtime options (superblock switch,
-histogram switch), not its spawn environment.
+one dispatch routine records every attempt (so every span derives from
+it), for a record and a replay, a bug in building a dispatch is not
+mistaken for a host fault, and a warm pool honours the coordinator's
+runtime options (the superblock switch), not its spawn environment.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.host.pool import shared_pool, shutdown_shared_pool
 from repro.host.wire import RecordEpochUnit, ReplayEpochUnit
 from repro.machine.config import MachineConfig
 from repro.memory.hashing import combine_hashes
-from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.workloads import build_workload
@@ -306,24 +305,36 @@ def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
         shutdown_shared_pool()
 
 
-@pytest.mark.parametrize("on", [False, True])
-def test_histogram_switch_reaches_the_workers(on):
-    """Regression: workers never heard ``set_enabled`` — metrics by jobs."""
-    instance, _, _, config = _setup("fft", 2)
-    previous = obs_histo.set_enabled(on)
-    try:
-        names = [
-            DoublePlayRecorder(
-                instance.image, instance.setup, config.replace(host_jobs=jobs)
-            ).record().metrics.histogram_names()
-            for jobs in (1, 2)
-        ]
-    finally:
-        obs_histo.set_enabled(previous)
-    serial, pooled = (set(found) for found in names)
-    if not on:
-        assert serial == pooled == set()
-        return
-    assert "epoch_cycles" in serial
-    # Only the coordinator's per-dispatch families are new at jobs=2.
-    assert serial <= pooled <= serial | {"unit_wall_s", "unit_bytes"}
+def test_a_pool_that_never_comes_up_is_accounted_as_lost_units(monkeypatch):
+    """``warm`` and ``submit`` both raise: nothing is ever pushed, every
+    verdict and every merge position goes through the contained path —
+    and the recording is still the ``jobs=1`` one.
+
+    The speculation counts are counts of fates, so they partition the
+    units handed to the session whatever the pool did. (At the parent
+    this run read dispatched 0 / accepted 10 / discarded -10: ``wait``
+    re-obtained verdicts nothing had pushed, ``harvest`` counted them
+    accepted, and ``discarded`` was a remainder.)
+    """
+    def no_pool(self, *args):
+        raise RuntimeError("the pool cannot be brought up")
+
+    instance, _, _, config = _setup("racy-counter", host_jobs=1)
+    serial = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    assert serial.stats["recoveries"] >= 3
+    monkeypatch.setattr(host_executor._DirectDispatcher, "warm", no_pool)
+    monkeypatch.setattr(host_executor._DirectDispatcher, "submit", no_pool)
+    shutdown_shared_pool()  # not up, so the session warms it off-thread
+    result = DoublePlayRecorder(
+        instance.image, instance.setup, config.replace(host_jobs=2)
+    ).record()
+    assert result.recording.to_plain() == serial.recording.to_plain()
+    assert result.stats == serial.stats
+    speculation = result.host["speculation"]
+    assert all(count >= 0 for count in speculation.values()), speculation
+    assert speculation["dispatched"] == (
+        speculation["accepted"] + speculation["invalidated"]
+        + speculation["discarded"]
+    ) >= result.host["units"] > 0
+    assert speculation["accepted"] == 0
+    assert result.host["faults"]["serial_fallbacks"] >= result.host["units"]

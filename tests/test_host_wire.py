@@ -27,6 +27,7 @@ from repro.memory.address_space import AddressSpace, MemorySnapshot
 from repro.memory.layout import PAGE_WORDS
 from repro.isa.assembler import Assembler
 from repro.memory.page import Page
+from repro.obs.lifecycle import Lives
 from repro.obs.metrics import process_stats
 from repro.record.log_index import SegmentLogs, signal_slice, syscall_slice
 from repro.workloads import build_workload
@@ -335,7 +336,7 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
     try:
         sizes = []
         for history in ("cold", "warm"):
-            executor = HostExecutor(options.resolve(host_jobs=2))
+            executor = HostExecutor(options.resolve(host_jobs=2), Lives())
             batch = executor._begin_batch(
                 "replay", instance.image, machine, wire.blobs
             )
@@ -347,11 +348,13 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
             ]
             assert len(dispatches) == recording.epoch_count() >= 8
             assert len({dispatch.pack for dispatch in dispatches}) == 1
+            blobs_put = sum(dispatch.placed[0] for dispatch in dispatches)
+            bytes_put = sum(dispatch.placed[1] for dispatch in dispatches)
             if history == "cold":
-                assert sum(batch.blobs_sent) == len(batch.blobs)
-                assert sum(batch.bytes_shipped) == sum(map(len, batch.blobs.values()))
+                assert blobs_put == len(batch.blobs)
+                assert bytes_put == sum(map(len, batch.blobs.values()))
             else:
-                assert sum(batch.bytes_shipped) == sum(batch.blobs_sent) == 0
+                assert bytes_put == blobs_put == 0
             sizes.append([len(pickle.dumps(dispatch)) for dispatch in dispatches])
             for dispatch in dispatches:
                 packs.release(dispatch.pack)
@@ -443,12 +446,14 @@ def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch
     packs = ScratchPacks()
     monkeypatch.setattr(host_executor, "_scratch_packs", packs)
     try:
-        executor = HostExecutor(options.resolve(host_jobs=2))
+        executor = HostExecutor(options.resolve(host_jobs=2), Lives())
         batch = executor._begin_batch("record", instance.image, machine, blobs)
+        shipped = 0
         for unit in units:
-            packs.release(executor._make_dispatch(batch, batch._add_unit(unit)).pack)
-        shipped = list(batch.bytes_shipped)
-        assert sum(shipped) > 0
+            dispatch = executor._make_dispatch(batch, batch._add_unit(unit))
+            packs.release(dispatch.pack)
+            shipped += dispatch.placed[1]
+        assert shipped > 0
         for position in (0, len(units) // 2, len(units) - 1):
             again = _record_unit(
                 position, position, checkpoints[position],
@@ -459,7 +464,7 @@ def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch
             dispatch = executor._make_dispatch(batch, position)
             packs.release(dispatch.pack)
             assert dispatch.placed[:2] == (0, 0)
-        assert batch.bytes_shipped == shipped and blobs == held
+        assert blobs == held
         assert stats.get("work.syscall_records_encoded") == encoded
     finally:
         packs.close()

@@ -1,13 +1,14 @@
-"""The observability layer: spans, mergeable metrics, Perfetto export.
+"""The observability layer: epoch lives, mergeable metrics, Perfetto export.
 
 The layer's contract is one-way glass — it may observe everything and
-influence nothing. These tests cover the pieces in isolation (tracer
-clock re-basing, RunMetrics merging, export schema, timeline analysis)
-and the cross-process plumbing end to end: worker counters survive the
-round-trip, serial and parallel runs report identical execution
-metrics, every executed unit is attributable to a real pid, and the
-CLI round-trips a trace through ``record --trace`` / ``trace
-summarize``.
+influence nothing — and one write per fact: a run fills its epoch lives,
+everything read is derived. These tests cover the pieces in isolation
+(the span view's clock re-basing, RunMetrics merging, export schema,
+timeline analysis) and the cross-process plumbing end to end: worker
+counters survive the round-trip, serial and parallel runs report
+identical execution metrics, every executed unit is attributable to a
+real pid, every view of a run counts the same commits, and the CLI
+round-trips a trace through ``record --trace`` / ``trace summarize``.
 """
 
 import io
@@ -20,9 +21,12 @@ from repro.baselines import run_native
 from repro.cli import main as cli_main
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.machine.config import MachineConfig
+from repro.obs import events as obs_events
 from repro.obs import export as obs_export
+from repro.obs import lifecycle
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
+from repro.obs.lifecycle import UnitTiming
 from repro.obs.metrics import RunMetrics, build_run_metrics
 from repro.sim.stats import StatsRegistry
 from repro.workloads import build_workload
@@ -32,11 +36,11 @@ from repro.workloads import build_workload
 def _no_leaked_tracer():
     """No test may leak an active tracer into the next."""
     yield
-    assert obs_spans.current() is None, "test leaked an active tracer"
+    assert not obs_spans.enabled(), "test leaked an active tracer"
     obs_spans.stop_trace()
 
 
-def _record(name="pbzip", workers=2, jobs=1, scale=2, seed=11):
+def _record(name="pbzip", workers=2, jobs=1, scale=2, seed=11, **overrides):
     instance = build_workload(name, workers=workers, scale=scale, seed=seed)
     machine = MachineConfig(cores=workers)
     native = run_native(instance.image, instance.setup, machine)
@@ -44,6 +48,7 @@ def _record(name="pbzip", workers=2, jobs=1, scale=2, seed=11):
         machine=machine,
         epoch_cycles=max(native.duration // 12, 500),
         host_jobs=jobs,
+        **overrides,
     )
     return (
         DoublePlayRecorder(instance.image, instance.setup, config).record(),
@@ -163,51 +168,62 @@ def test_delta_since_reports_only_growth():
 
 
 # ---------------------------------------------------------------------------
-# Tracer
+# Tracer: the span view of the epoch lives
 # ---------------------------------------------------------------------------
-
-
-def test_span_is_noop_when_disabled():
-    assert not obs_spans.enabled()
-    with obs_spans.span("execute", obs_spans.CAT_EPOCH, epoch=0):
-        pass  # must not raise, must not record anywhere
 
 
 def test_tracer_records_and_clamps():
     tracer = obs_spans.start_trace()
     try:
-        with obs_spans.span("execute", obs_spans.CAT_EPOCH, epoch=7):
-            pass
-        tracer.add("weird", obs_spans.CAT_WIRE, start=2.0, end=1.0)
+        lives = lifecycle.begin()
     finally:
         obs_spans.stop_trace()
-    assert [s.name for s in tracer.spans] == ["execute", "weird"]
-    execute = tracer.spans[0]
-    assert execute.args == {"epoch": 7}
+    unseen = lifecycle.begin()  # begun with the switch off: never exported
+    unseen.cut(99)
+    origin = tracer.origin
+    position = lives.cut(7, (origin + 1.0, origin + 2.0))
+    with lives.here(position, "record"):
+        pass
+    # A commit whose clock ran backwards: spans never end before they start.
+    lives.committed(position, origin + 3.0, origin + 2.5, cycles=5)
+    assert tracer.runs == [lives]
+    tp, execute, commit = tracer.spans
+    assert [s.name for s in (tp, execute, commit)] == ["tp-epoch", "execute", "commit"]
+    assert (tp.start, tp.end) == (pytest.approx(1.0), pytest.approx(2.0))
+    assert execute.args == {"epoch": 7, "position": 0, "kind": "record"}
     assert execute.track == tracer.pid
     assert 0.0 <= execute.start <= execute.end
-    # end is clamped to start: duration can never go negative
-    assert tracer.spans[1].duration == 0.0
+    assert commit.start == pytest.approx(3.0) and commit.duration == 0.0
 
 
 def test_ingest_rebases_worker_spans_onto_coordinator_clock():
     tracer = obs_spans.start_trace()
+    lives = lifecycle.begin()
     obs_spans.stop_trace()
-    log = obs_spans.WorkerSpanLog()
-    raw = tracer.origin + 0.5
-    log.add("execute", obs_spans.CAT_EPOCH, raw, raw + 0.25, epoch=3)
-    log.add("wire-decode", obs_spans.CAT_WIRE, tracer.origin - 5.0,
-            tracer.origin - 4.0)
-    tracer.ingest(log.export(), track=4242, annotate={"bytes_shipped": 99})
-    execute, decode = tracer.spans
-    assert execute.track == 4242
+    origin = tracer.origin
+    position = lives.cut(3)
+    lives.dispatched(
+        position, "record", True, origin + 0.1, origin + 0.2, blobs=4, size=99
+    )
+    # The worker ships raw perf_counter stamps: one system-wide clock.
+    lives.executed(position, UnitTiming(
+        wall=0.25, worker_pid=4242, blob_cache_hits=1, blob_cache_misses=3,
+        decode_started=origin - 5.0, started=origin + 0.5,
+    ))
+    dispatch, decode, execute = tracer.spans
+    assert dispatch.track == tracer.pid
+    assert dispatch.args == {"position": 0, "bytes": 99, "speculative": True}
+    assert execute.track == decode.track == 4242
     assert execute.start == pytest.approx(0.5)
     assert execute.end == pytest.approx(0.75)
-    # the coordinator's wire-cost annotation lands on epoch spans only
-    assert execute.args == {"epoch": 3, "bytes_shipped": 99}
-    assert decode.args == {}
+    # the unit's wire cost lands on epoch spans only
+    assert execute.args == {
+        "epoch": 3, "position": 0, "kind": "record",
+        "bytes_shipped": 99, "blobs_sent": 4,
+    }
+    assert decode.args == {"position": 0, "cache_hits": 1, "cache_misses": 3}
     # a pathological pre-origin stamp clamps to the trace start
-    assert decode.start == 0.0 and decode.end == 0.0
+    assert decode.start == 0.0 and decode.end == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +232,26 @@ def test_ingest_rebases_worker_spans_onto_coordinator_clock():
 
 
 def _crafted_tracer():
+    """One segment cut on the coordinator, two epochs executing on two
+    workers at overlapping times, the first committed."""
     tracer = obs_spans.start_trace()
+    lives = lifecycle.begin()
     obs_spans.stop_trace()
-    # coordinator: a segment then two commits
-    tracer.add("tp-run", obs_spans.CAT_SEGMENT, 0.0, 0.010)
-    tracer.add("commit", obs_spans.CAT_COMMIT, 0.030, 0.031, args={"epoch": 0})
-    # two workers executing epochs that overlap in time
-    tracer.add("execute", obs_spans.CAT_EPOCH, 0.010, 0.030, track=101,
-               args={"epoch": 0, "kind": "record", "bytes_shipped": 10})
-    tracer.add("execute", obs_spans.CAT_EPOCH, 0.012, 0.028, track=102,
-               args={"epoch": 1, "kind": "record", "bytes_shipped": 20})
+    origin = tracer.origin
+    lives.cut(0, (origin, origin + 0.005))
+    lives.cut(1)
+    for position, pid, start, wall, size in (
+        (0, 101, 0.010, 0.020, 10), (1, 102, 0.012, 0.016, 20),
+    ):
+        lives.dispatched(
+            position, "record", True, origin + start - 0.002,
+            origin + start - 0.001, blobs=1, size=size,
+        )
+        lives.executed(position, UnitTiming(
+            wall=wall, worker_pid=pid, decode_started=origin + start - 0.001,
+            started=origin + start,
+        ))
+    lives.committed(0, origin + 0.030, origin + 0.031, cycles=1)
     return tracer
 
 
@@ -246,8 +272,11 @@ def test_chrome_trace_structure(tmp_path):
     assert sort_index[tracer.pid] == 0  # coordinator track on top
 
     events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-    assert len(events) == 4
-    execute = next(e for e in events if e["pid"] == 101)
+    assert [e["name"] for e in events] == [
+        "tp-epoch", "dispatch", "wire-decode", "execute", "commit",
+        "dispatch", "wire-decode", "execute",
+    ]
+    execute = next(e for e in events if e["pid"] == 101 and e["name"] == "execute")
     assert execute["ts"] == pytest.approx(10000.0)
     assert execute["dur"] == pytest.approx(20000.0)
     assert execute["args"]["bytes_shipped"] == 10
@@ -256,9 +285,12 @@ def test_chrome_trace_structure(tmp_path):
 
 def test_validate_trace_catches_overlap_and_bad_events():
     tracer = obs_spans.start_trace()
+    lives = lifecycle.begin()
     obs_spans.stop_trace()
-    tracer.add("a", obs_spans.CAT_EPOCH, 0.0, 0.010, track=7)
-    tracer.add("b", obs_spans.CAT_EPOCH, 0.005, 0.015, track=7)  # overlaps a
+    for epoch, started in enumerate((0.0, 0.005)):  # the second overlaps the first
+        lives.ran(lives.cut(epoch), "record", UnitTiming(
+            wall=0.010, worker_pid=7, started=tracer.origin + started,
+        ))
     payload = obs_export.chrome_trace(tracer)
     problems = obs_export.validate_trace(payload)
     assert any("overlaps" in problem for problem in problems)
@@ -277,7 +309,7 @@ def test_summarize_trace_overlap_ratio():
     payload = obs_export.chrome_trace(_crafted_tracer())
     summary = obs_export.summarize_trace(payload, top=1)
     assert summary["epochs"] == 2
-    assert summary["spans"] == 4
+    assert summary["spans"] == 8
     # busy 20ms + 16ms over a 20ms union: 1.8x overlap
     assert summary["overlap_ratio"] == pytest.approx(1.8)
     assert summary["tracks"][101]["execute_spans"] == 1
@@ -352,6 +384,35 @@ def test_serial_fallback_units_attributed_to_coordinator(monkeypatch):
     assert os.getpid() in pids
 
 
+@pytest.mark.parametrize("sink", ["memory", "log_dir"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_view_counts_the_same_commits(tmp_path, jobs, sink):
+    """One record per epoch, so the views cannot disagree: on a run that
+    recovers most of its epochs the ``commit`` spans, the
+    ``commit_wall_s`` histogram, the journal's ``epoch-commit`` lines and
+    ``stats["epochs"]`` are one number — recovered commits included.
+    (At the parent a recovered commit, sink write and all, was wrapped
+    by neither the span nor the histogram.)"""
+    overrides = {"log_dir": str(tmp_path / "log")} if sink == "log_dir" else {}
+    journal = obs_events.install_journal()
+    tracer = obs_spans.start_trace()
+    try:
+        result, _, _ = _record("racy-counter", jobs=jobs, scale=8, **overrides)
+    finally:
+        obs_spans.stop_trace()
+        obs_events.uninstall_journal()
+    epochs = result.stats["epochs"]
+    assert result.stats["recoveries"] >= 3 and epochs > result.stats["recoveries"]
+    commits = [s for s in tracer.spans if s.name == "commit"]
+    lines = [e for e in journal.tail() if e["kind"] == "epoch-commit"]
+    assert len(commits) == len(lines) == epochs
+    assert result.metrics.histogram("commit_wall_s").count == epochs
+    assert sum(1 for e in lines if e.get("recovered")) == result.stats["recoveries"]
+    assert [s.args["epoch"] for s in commits] == [e["epoch"] for e in lines]
+    if sink == "log_dir":
+        assert result.metrics.get("durable", "epochs") == epochs
+
+
 def test_cli_record_trace_and_summarize(tmp_path, monkeypatch):
     trace_path = tmp_path / "out.json"
     out = io.StringIO()
@@ -364,7 +425,7 @@ def test_cli_record_trace_and_summarize(tmp_path, monkeypatch):
     text = out.getvalue()
     assert f"wrote trace to {trace_path}" in text
     assert "host wire:" in text
-    assert obs_spans.current() is None  # CLI stopped its trace
+    assert not obs_spans.enabled()  # CLI stopped its trace
 
     payload = obs_export.load_trace(str(trace_path))
     assert obs_export.validate_trace(payload) == []

@@ -1,14 +1,14 @@
-"""Per-session observability isolation (the service's scoped obs).
+"""Per-session observability isolation (the service's run scope).
 
 The service runs many record/replay sessions on concurrent threads of
-one process, so the obs layer grew thread-scoped overrides: a session
-activates a private ``StatsRegistry`` (counters) and installs a private
-— or explicitly absent — ``Tracer`` (spans). These tests pin the
-isolation contract at both levels:
+one process, so each session thread enters one private run scope
+(``obs_metrics.session_scope``): its own counter registry, its session
+id on every journal line, and its own — or explicitly no — tracer.
+These tests pin the isolation contract at both levels:
 
-* unit level — the scoped registry/tracer primitives themselves:
-  overrides are per-thread, ``None`` is an explicit "no tracing here"
-  override, and clearing restores the module global;
+* unit level — the scope itself: it is per-thread, a session that did
+  not ask for a trace has none even while another thread traces, and
+  leaving the scope restores the process's;
 * service level — interleaved sessions report the same execution
   counters a solo run does, traced sessions collect exactly their own
   spans, and nothing ever lands in another session's (or the main
@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.obs import lifecycle
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.service import RecordService, ServiceConfig, SessionRequest
@@ -27,16 +28,15 @@ from repro.service import RecordService, ServiceConfig, SessionRequest
 
 @pytest.fixture(autouse=True)
 def _no_leaked_scope():
-    """No test may leak a scoped registry/tracer or a global trace."""
+    """No test may leak a session scope or a process-wide trace."""
     yield
-    assert obs_spans.current() is None, "test leaked an active tracer"
+    assert not obs_spans.enabled(), "test leaked an active tracer"
+    assert obs_metrics.scope().sid is None, "test leaked a session scope"
     obs_spans.stop_trace()
-    obs_spans.clear_session_tracer()
-    obs_metrics.deactivate_session_registry()
 
 
 # ---------------------------------------------------------------------------
-# Unit level: the scoped primitives.
+# Unit level: the run scope.
 # ---------------------------------------------------------------------------
 
 
@@ -46,14 +46,11 @@ def test_session_registry_is_thread_scoped():
     ready = threading.Barrier(2)
 
     def session(name, bumps):
-        registry = obs_metrics.activate_session_registry()
-        try:
+        with obs_metrics.session_scope(name) as scope:
             ready.wait(timeout=10)
             for _ in range(bumps):
                 obs_metrics.process_stats().add(f"{name}.counter")
-            results[name] = registry.snapshot()
-        finally:
-            obs_metrics.deactivate_session_registry()
+            results[name] = scope.registry.snapshot()
 
     threads = [
         threading.Thread(target=session, args=("a", 3)),
@@ -72,9 +69,8 @@ def test_session_registry_is_thread_scoped():
 
 
 def test_deactivated_registry_falls_back_to_process_global():
-    obs_metrics.activate_session_registry()
-    obs_metrics.process_stats().add("scoped.only")
-    obs_metrics.deactivate_session_registry()
+    with obs_metrics.session_scope():
+        obs_metrics.process_stats().add("scoped.only")
     assert "scoped.only" not in obs_metrics.process_stats().snapshot()
 
 
@@ -84,25 +80,17 @@ def test_session_tracer_override_is_thread_scoped():
         outcomes = {}
 
         def silent_session():
-            # Explicit None: this session must not see (or feed) the
-            # main thread's live trace.
-            obs_spans.set_session_tracer(None)
-            try:
+            # No tracer asked for: this session must not see (or feed)
+            # the main thread's live trace.
+            with obs_metrics.session_scope("silent"):
                 outcomes["silent_enabled"] = obs_spans.enabled()
-                with obs_spans.span("ghost", obs_spans.CAT_EPOCH):
-                    pass
-            finally:
-                obs_spans.clear_session_tracer()
+                lifecycle.begin().cut(0)
 
         def traced_session():
             mine = obs_spans.Tracer()
-            obs_spans.set_session_tracer(mine)
-            try:
-                with obs_spans.span("own-span", obs_spans.CAT_EPOCH):
-                    pass
-                outcomes["own_spans"] = [s.name for s in mine.spans]
-            finally:
-                obs_spans.clear_session_tracer()
+            with obs_metrics.session_scope("traced", mine):
+                lifecycle.begin().cut(7, (mine.origin, mine.origin + 1.0))
+            outcomes["own_spans"] = [(s.name, s.args["epoch"]) for s in mine.spans]
 
         threads = [
             threading.Thread(target=silent_session),
@@ -114,19 +102,13 @@ def test_session_tracer_override_is_thread_scoped():
             thread.join(timeout=10)
 
         assert outcomes["silent_enabled"] is False
-        assert outcomes["own_spans"] == ["own-span"]
+        assert outcomes["own_spans"] == [("tp-epoch", 7)]
         # The main thread's trace never saw either session.
-        assert [s.name for s in global_tracer.spans] == []
+        assert global_tracer.runs == []
         # And the main thread itself still traces.
-        assert obs_spans.current() is global_tracer
+        assert obs_metrics.scope().trace is global_tracer
     finally:
         obs_spans.stop_trace()
-
-
-def test_clear_session_tracer_without_override_is_harmless():
-    obs_spans.clear_session_tracer()
-    obs_spans.clear_session_tracer()
-    assert obs_spans.current() is None
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +175,7 @@ def test_traced_session_collects_only_its_own_spans():
     )
     assert shape0 == shape1
     # The service never leaks a trace into the caller's thread.
-    assert obs_spans.current() is None
+    assert not obs_spans.enabled()
 
 
 def test_sessions_never_touch_the_callers_global_trace():
@@ -202,10 +184,9 @@ def test_sessions_never_touch_the_callers_global_trace():
         service = RecordService(ServiceConfig(jobs=2, max_active=2))
         report = service.run(_session_requests(2))
         assert report.ok, [r.error for r in report.results]
-        # The caller's trace saw no session spans: sessions without
-        # trace=True run with the explicit None override, not the
-        # module-global tracer.
-        assert [s.name for s in global_tracer.spans] == []
+        # The caller's trace saw no session spans: a session without
+        # trace=True runs in a scope with no tracer, not the process's.
+        assert global_tracer.spans == []
     finally:
         obs_spans.stop_trace()
 

@@ -50,10 +50,10 @@ from repro.workloads import build_workload
 
 @pytest.fixture(autouse=True)
 def _no_leaked_journal():
-    """No test may leak a process-global journal or event context."""
+    """No test may leak a process-global journal or a session scope."""
     yield
     obs_events.uninstall_journal()
-    obs_events.set_event_context(None)
+    assert obs_metrics.scope().sid is None, "test leaked a session scope"
 
 
 def run_cli(*argv):
@@ -127,19 +127,11 @@ def test_counter_encoding_round_trips():
     )
 
 
-def test_observe_writes_scoped_counters_and_respects_disable():
-    registry = obs_metrics.activate_session_registry()
-    try:
+def test_observe_writes_scoped_counters():
+    with obs_metrics.session_scope() as scope:
         obs_histo.observe("t", 0.5)
         obs_histo.observe("t", 0.5)
-        previous = obs_histo.set_enabled(False)
-        try:
-            obs_histo.observe("t", 0.5)
-        finally:
-            obs_histo.set_enabled(previous)
-        snap = registry.snapshot()
-    finally:
-        obs_metrics.deactivate_session_registry()
+        snap = scope.registry.snapshot()
     key = f"histo.t.b{obs_histo.bucket_index(0.5)}"
     assert snap == {key: 2}
 
@@ -178,8 +170,13 @@ def _record_metrics(jobs: int):
 
 
 def test_epoch_cycles_histogram_identical_across_jobs():
-    solo = _record_metrics(jobs=1).histogram("epoch_cycles")
-    fleet = _record_metrics(jobs=4).histogram("epoch_cycles")
+    serial, pooled = _record_metrics(jobs=1), _record_metrics(jobs=4)
+    # Only the pool's per-unit families are new at jobs>1, and the
+    # commit distribution is there at any jobs.
+    names = set(serial.histogram_names())
+    assert {"epoch_cycles", "commit_wall_s"} <= names
+    assert names <= set(pooled.histogram_names()) <= names | {"unit_wall_s", "unit_bytes"}
+    solo, fleet = serial.histogram("epoch_cycles"), pooled.histogram("epoch_cycles")
     assert solo.count >= 2
     # Guest cycles are deterministic and merged-results-only ingestion
     # drops speculative/divergence tails, so the distributions are
@@ -233,11 +230,8 @@ def test_events_carry_thread_session_context():
     journal.add_listener(seen.append)
 
     def tenant(sid):
-        obs_events.set_event_context(sid)
-        try:
+        with obs_metrics.session_scope(sid):
             obs_events.emit("epoch-commit", epoch=0)
-        finally:
-            obs_events.set_event_context(None)
 
     threads = [
         threading.Thread(target=tenant, args=(f"s{i}",)) for i in range(3)
@@ -346,22 +340,26 @@ def test_dedup_regression_detector():
 # ---------------------------------------------------------------------------
 
 
+def _completed(sid, epochs, duration, lane=None, ok=True, error=None):
+    """The service's ``session-completed`` line: the hub's only feed."""
+    obs_events.emit(
+        "session-completed", sid=sid, ok=ok, epochs=epochs, duration=duration,
+        lane=lane or {}, error=error,
+    )
+
+
 def _fed_hub():
     hub = TelemetryHub()
     journal = obs_events.install_journal()
     journal.add_listener(hub.ingest_event)
-    hub.session_admitted("s0", 0.001)
-    obs_events.set_event_context("s0")
-    try:
+    obs_events.emit("session-admitted", sid="s0", wait=0.001)
+    with obs_metrics.session_scope("s0"):
         for i in range(4):
             obs_events.emit("epoch-commit", epoch=i, cycles=900)
         obs_events.emit("fault-contained", fault="crash", position=1)
-    finally:
-        obs_events.set_event_context(None)
-    hub.session_completed(
-        "s0", ok=True, epochs=4, duration=0.5,
-        summary={"unit_latency_p50": 0.01, "unit_latency_p99": 0.02,
-                 "inflight": 0},
+    _completed(
+        "s0", epochs=4, duration=0.5,
+        lane={"unit_latency_p50": 0.01, "unit_latency_p99": 0.02, "inflight": 0},
     )
     return hub
 
@@ -376,6 +374,8 @@ def test_hub_derives_session_state_from_the_event_stream():
     assert session["faults"] == 1
     assert len(session["commit_intervals"]) == 3
     assert session["lane"]["unit_latency_p99"] == 0.02
+    assert session["admission_wait"] == 0.001 and session["duration"] == 0.5
+    assert snap["admission_wait"]["p50"] > 0
     # One fault against a zero budget: degraded.
     assert not hub.evaluate().ok
 
@@ -444,8 +444,9 @@ def test_endpoints_serve_metrics_sessions_and_health():
 
 def test_healthz_is_200_when_clean():
     hub = TelemetryHub()
-    hub.session_admitted("s0", 0.0)
-    hub.session_completed("s0", ok=True, epochs=2, duration=0.1)
+    obs_events.install_journal().add_listener(hub.ingest_event)
+    obs_events.emit("session-admitted", sid="s0", wait=0.0)
+    _completed("s0", epochs=2, duration=0.1)
     server, shutdown = _serve_hub(hub)
     try:
         body = json.loads(http_get(f"{server.url}/healthz"))
@@ -567,12 +568,9 @@ def test_live_endpoint_during_service_run(tmp_path):
 def test_cli_events_tail(tmp_path):
     sink = tmp_path / "events.jsonl"
     journal = obs_events.install_journal(sink_path=str(sink))
-    obs_events.set_event_context("s7")
-    try:
+    with obs_metrics.session_scope("s7"):
         for i in range(5):
             journal.emit("epoch-commit", epoch=i)
-    finally:
-        obs_events.set_event_context(None)
     obs_events.uninstall_journal()
     code, text = run_cli("events", "tail", str(tmp_path), "-n", "2")
     assert code == 0

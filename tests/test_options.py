@@ -24,7 +24,7 @@ from repro.host.faults import FaultSpec
 from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
-from repro.obs import histo as obs_histo
+from repro.obs.lifecycle import Lives
 from repro.options import RuntimeOptions
 from repro.workloads import build_workload
 
@@ -103,8 +103,9 @@ def test_defaults_are_the_product_defaults():
         host_jobs=1, unit_timeout=60.0, superblocks=True,
         host_faults="", fault_state="",
         log_group_bytes=32 * 1024, log_fsync=True,
-        flight_window=None, histograms=True,
+        flight_window=None,
     )
+    assert len(dataclasses.fields(RuntimeOptions)) == 8
     assert options.from_env() == DEFAULTS
 
 
@@ -135,7 +136,8 @@ def test_precedence_unit_timeout(monkeypatch):
     assert options.resolve(config, unit_timeout=1.25).unit_timeout == 1.25
     assert options.resolve(config, unit_timeout=None).unit_timeout == 7.0
     assert options.resolve(unit_timeout=-1).unit_timeout == 0.0
-    assert HostExecutor(options.resolve(host_jobs=2, unit_timeout=1.25)).unit_timeout == 1.25
+    executor = HostExecutor(options.resolve(host_jobs=2, unit_timeout=1.25), Lives())
+    assert executor.unit_timeout == 1.25
 
 
 def test_precedence_faults(monkeypatch, tmp_path):
@@ -146,17 +148,19 @@ def test_precedence_faults(monkeypatch, tmp_path):
     config = DoublePlayConfig(host_faults="error:unit2")
     assert options.resolve(config).host_faults == "error:unit2"
     assert options.resolve(config, host_faults="slow:unit0").host_faults == "slow:unit0"
-    executor = HostExecutor(options.resolve(config, host_jobs=2))
+    executor = HostExecutor(options.resolve(config, host_jobs=2), Lives())
     assert executor._fault_specs == (FaultSpec(kind="error", position=2),)
     # Junk still raises, where the executor is built; `once` still needs
     # the fuse directory.
     with pytest.raises(ValueError):
-        HostExecutor(options.resolve(host_jobs=2, host_faults="nonsense"))
+        HostExecutor(options.resolve(host_jobs=2, host_faults="nonsense"), Lives())
     with pytest.raises(ValueError, match="REPRO_FAULT_STATE"):
-        HostExecutor(options.resolve(host_jobs=2, host_faults="crash:unit1:once"))
+        HostExecutor(
+            options.resolve(host_jobs=2, host_faults="crash:unit1:once"), Lives()
+        )
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
     (spec,) = HostExecutor(
-        options.resolve(host_jobs=2, host_faults="crash:unit1:once")
+        options.resolve(host_jobs=2, host_faults="crash:unit1:once"), Lives()
     )._fault_specs
     assert spec.once and spec.state_dir == str(tmp_path)
 
@@ -190,22 +194,11 @@ def test_nested_run_inherits_instead_of_rereading_the_environment(monkeypatch):
     assert options.current().superblocks
 
 
-def test_histogram_switch_is_resolved_from_set_enabled():
-    previous = obs_histo.set_enabled(False)
-    try:
-        assert options.resolve().histograms is False
-    finally:
-        obs_histo.set_enabled(previous)
-    assert options.resolve().histograms is previous
-
-
 # ----------------------------------------------------------------------
 # What reaches workers, and what the journal shows.
 # ----------------------------------------------------------------------
 def test_dispatch_carries_non_default_options_across_pickle():
-    shipped = RuntimeOptions(
-        superblocks=False, histograms=False, host_jobs=2
-    )
+    shipped = RuntimeOptions(superblocks=False, host_jobs=2)
     dispatch = UnitDispatch(
         machine=MachineConfig(cores=2), unit=None, program_digest=7,
         options=shipped, _local_program=object(),

@@ -287,6 +287,33 @@ def test_cross_session_dedup_cuts_shipped_bytes():
         host_pool.shutdown_shared_pool()
 
 
+def test_fleet_totals_are_sums_over_its_lanes():
+    """Each number is kept once, on its lane: a burst of 8 sessions through
+    3 slots, and every fleet-wide count equals the sum of what the tenants
+    were told — retired lanes included."""
+    service = RecordService(ServiceConfig(jobs=2, max_active=3, queue_depth=2))
+    report = service.run(
+        [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=9)
+         for i in range(8)]
+    )
+    assert report.ok, [r.error for r in report.results]
+    lanes = [r.metrics["service"] for r in report.results]
+    fleet, wire = report.fleet, report.fleet["wire"]
+    assert fleet["sessions"] == 8
+    assert fleet["units"] == sum(lane["units"] for lane in lanes) > 8
+    for total, key in (
+        (wire["bytes_shipped"], "bytes_shipped"),
+        (wire["cross_session_hits"], "cross_session_hits"),
+        (wire["cross_session_bytes_saved"], "cross_session_bytes_saved"),
+        (fleet["fair_share_deficits"], "fair_share_deficits"),
+    ):
+        assert total == sum(lane[key] for lane in lanes), key
+    assert fleet["backpressure_wait"] == pytest.approx(
+        sum(lane["backpressure_wait"] for lane in lanes), abs=1e-4
+    )
+    assert wire["cross_session_hits"] > 0 and fleet["backpressure_wait"] > 0
+
+
 def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
     """Regression: the fleet remembered who first shipped every digest,
     for ever — a ``repro serve`` leaked coordinator memory per tenant page.

@@ -11,8 +11,10 @@ not to the run so far. A record's and a replay's units take one path
 (cut, pushed, merged in order by one stream), so the same counts say
 what that stream does: each position cut once, what is lost cut again
 alone, and the positions behind a crash still executing concurrently.
-The last test counts the calls into the telemetry plane itself: with
-telemetry off they follow the epochs, never the guest ops.
+Two tests read the epoch lives themselves: the stream's order (every
+push before the segment's first commit, no commit before its own unit
+finished) and the calls into the telemetry plane, which follow the
+epochs, never the guest ops.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
 from repro.obs import histo as obs_histo
 from repro.obs import spans as obs_spans
+from repro.obs.lifecycle import Lives
 from repro.obs.metrics import process_stats
 from repro.record.log_index import SegmentLogs
 from repro.workloads import build_workload
@@ -278,6 +281,8 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     units = len(recording.epochs)
     assert units >= 12
     replayer = Replayer(instance.image, machine)
+    # Outside the trace: an inline replay's execute spans name positions too.
+    expected = replayer.replay_parallel(recording, jobs=1)
     tracer = obs_spans.start_trace()
     try:
         if kind == "record":
@@ -287,7 +292,6 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
             assert result.stats == serial.stats
             host = result.host
         else:
-            expected = replayer.replay_parallel(recording, jobs=1)
             outcome = replayer.replay_parallel(recording, jobs=JOBS, fault_specs=faults)
             assert outcome.verified and (outcome.total_cycles, outcome.makespan) == (
                 expected.total_cycles, expected.makespan,
@@ -428,7 +432,7 @@ def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, jobs):
     against a full one: at any ``jobs`` (executor-side: the window, the
     pipeline; one two-worker pool serves them all, warm from whatever ran
     before) each unit's pickled dispatch is exactly ``pickle.dumps`` of
-    its machine, unit, program digest, pack path, trace flag and options
+    its machine, unit, program digest, pack path and options
     — while the pack took every blob the first time and none the second.
     (``jobs=1`` never builds a dispatch at all.)
 
@@ -450,7 +454,7 @@ def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, jobs):
             skeleton = UnitDispatch(
                 machine=dispatch.machine, unit=unit,
                 program_digest=dispatch.program_digest, pack=dispatch.pack,
-                trace=dispatch.trace, options=dispatch.options,
+                options=dispatch.options,
             )
             assert pickled == len(pickle.dumps(skeleton))
     (cold, cold_result), (warm, warm_result) = runs
@@ -546,15 +550,80 @@ def test_a_cold_record_ships_the_log_as_shared_chunks():
     assert 0 < result.host["wire"]["bytes_shipped"] <= 0.7 * PARENT_COLD_BYTES
 
 
-def test_telemetry_off_costs_per_epoch_never_per_op(monkeypatch):
-    """Disabled means free, as a count: 4x the guest ops, the same calls.
+@pytest.mark.parametrize("jobs", [2, 4])
+@pytest.mark.parametrize("program", ["pbzip", "racy-counter"])
+def test_the_merge_is_one_in_order_stream(program, jobs):
+    """The stream's order, read off the epoch lives (no wall-clock ratio).
 
-    Every hook a record passes through — process counters, span sites,
-    histogram observes, journal emits — is spied on during a ``jobs=1``
-    record with no tracer and no journal. Two fft runs cut into the same
-    number of epochs, one with four times the guest ops, must make
-    exactly the same number of calls into each.
+    When the thread-parallel run of a segment ends its tail units are
+    pushed first, then epochs commit while the units behind the merge
+    head still execute: every pushed attempt's dispatch starts before
+    its segment's first commit does, and no epoch commits before the
+    execution it commits — its unit's, or its recovery — has finished.
+    pbzip never diverges (one segment, every push accepted);
+    racy-counter squashes, recovers and restarts most of its segments.
     """
+    instance = build_workload(program, workers=2, scale=16, seed=11)
+    machine = MachineConfig(cores=2)
+    native = run_native(instance.image, instance.setup, machine)
+    config = DoublePlayConfig(
+        machine=machine, epoch_cycles=max(native.duration // 12, 500), host_jobs=jobs
+    )
+    tracer = obs_spans.start_trace()
+    try:
+        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    finally:
+        obs_spans.stop_trace()
+    (lives,) = tracer.runs
+    segments = []
+    for life in lives.all:
+        if life.position == 0:
+            segments.append([])
+        segments[-1].append(life)
+    assert len(segments) == result.stats["recoveries"] + (
+        0 if lives.all[-1].recovery else 1
+    )
+    committed = [life for life in lives.all if life.commit]
+    assert len(committed) == result.stats["epochs"] > 2
+    for segment in segments:
+        commits = [life.commit[0] for life in segment if life.commit]
+        pushes = [
+            attempt.dispatch[0]
+            for life in segment for attempt in life.attempts if attempt.pushed
+        ]
+        assert pushes and commits and max(pushes) < min(commits)
+    for life in committed:
+        timing = life.attempts[-1].timing
+        finished = timing.started + timing.wall
+        if life.recovery:
+            assert life.fate == "accepted" and finished <= life.divergence[0]
+            finished = life.recovery[1]
+        assert finished <= life.commit[0], f"epoch {life.epoch} committed early"
+    if program == "pbzip":
+        assert len(segments) == 1
+        assert {life.fate for life in lives.all} == {"accepted"}
+
+
+def test_telemetry_off_costs_per_epoch_never_per_op(monkeypatch):
+    """Always on, O(epochs), as a count: 4x the guest ops, the same calls.
+
+    Every hook a record passes through — process counters, the epoch
+    lives' transitions, histogram observes, journal emits — is spied on
+    during a ``jobs=1`` record with no tracer and no journal. Two fft
+    runs cut into the same number of epochs, one with four times the
+    guest ops, must make exactly the same number of calls into each.
+
+    Fails if a hook moves onto the guest's path, e.g. with
+    ``obs_metrics.process_stats().add("exec.timeslices")`` beside
+    ``budget = self.config.quantum`` in ``UniprocessorEngine.run`` (one
+    call per timeslice: 4x the ops, 4x the calls). The engines are handed
+    no ``Lives``, so a transition cannot get there at all.
+    """
+    transitions = [
+        name for name, member in vars(Lives).items()
+        if callable(member) and not name.startswith("_")
+    ]
+
     def calls_of_a_record(scale):
         instance = build_workload("fft", workers=2, scale=scale, seed=11)
         machine = MachineConfig(cores=2)
@@ -562,13 +631,14 @@ def test_telemetry_off_costs_per_epoch_never_per_op(monkeypatch):
         config = DoublePlayConfig(
             machine=machine, epoch_cycles=max(native.duration // 18, 500), host_jobs=1
         )
-        calls = dict.fromkeys(("add", "span", "observe", "emit"), 0)
+        calls = dict.fromkeys(("add", "lives", "observe", "emit"), 0)
         with monkeypatch.context() as patch:
-            for owner, name in (
-                (process_stats(), "add"), (obs_spans, "span"),
-                (obs_histo, "observe"), (obs_events, "emit"),
+            for owner, name, counted in (
+                (process_stats(), "add", "add"), (obs_histo, "observe", "observe"),
+                (obs_events, "emit", "emit"),
+                *((Lives, name, "lives") for name in transitions),
             ):
-                def spy(*args, _name=name, _hook=getattr(owner, name), **kwargs):
+                def spy(*args, _name=counted, _hook=getattr(owner, name), **kwargs):
                     calls[_name] += 1
                     return _hook(*args, **kwargs)
 
