@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Append end-to-end numbers to BENCH_history.jsonl: one line per (commit, workload).
 
-    python3 benchmarks/history.py 51c3881=/root/scratch/parent pr17=. [--workload W ...]
+    python3 benchmarks/history.py 51c3881=/root/scratch/parent pr17=. [--workload W ...] [--seed 7]
 
 Each LABEL=CHECKOUT runs its own ``benchmarks/e2e/run.py --workload W --trace 0``
 (untraced, end to end); the checkouts take turns, the order flipping every pass,
@@ -27,9 +27,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PASSES = 5  # runs per side and workload; quartiles need at least two
 
 
-def measure(checkout: str, workload: str, trace: int = 0) -> dict:
+def measure(checkout: str, workload: str, trace: int = 0, seed: int = None) -> dict:
     command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
                "--trace", str(trace)]
+    if seed is not None:
+        command += ["--seed", str(seed)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
@@ -64,16 +66,20 @@ if __name__ == "__main__":
     parser.add_argument("sides", nargs="+", metavar="LABEL=CHECKOUT")
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="measure only this workload (repeatable; default: all)")
+    parser.add_argument("--seed", type=int,
+                        help="input seed for run.py (default: its own; 7 is held out)")
     args = parser.parse_args()
     if not all("=" in side for side in args.sides):
         parser.error("each side is LABEL=CHECKOUT")
     sides = [side.split("=", 1) for side in args.sides]
     stamp = {"nproc": os.cpu_count(), "python": sys.version.split()[0], "passes": PASSES}
+    if args.seed is not None:
+        stamp["seed"] = args.seed
     for workload in args.workload or workloads:
         runs = {label: [] for label, _ in sides}
         for turn in range(PASSES):
             for label, checkout in sides[::-1] if turn % 2 else sides:
-                runs[label].append(measure(checkout, workload))
+                runs[label].append(measure(checkout, workload, seed=args.seed))
         lines = []
         for label, _ in sides:
             line = {"commit": label, "workload": workload, **stamp, "metrics": {}}
@@ -89,6 +95,7 @@ if __name__ == "__main__":
         print(table(workload, lines, contract), flush=True)
         for label, checkout in sides:
             layers = {"commit": label, "workload": workload, "kind": "per_layer",
-                      **stamp, "passes": 1, "metrics": measure(checkout, workload, trace=1)}
+                      **stamp, "passes": 1,
+                      "metrics": measure(checkout, workload, trace=1, seed=args.seed)}
             with open(ROOT / "BENCH_history.jsonl", "a") as history:
                 history.write(json.dumps(layers) + "\n")

@@ -247,23 +247,25 @@ class Replayer:
         ) as opts:
             if opts.host_jobs > 1:
                 from repro.host.executor import HostExecutor, SpeculativeSession
-                from repro.host.wire import replay_units_for_recording
+                from repro.host.wire import replay_units
 
-                batch = replay_units_for_recording(recording)
                 executor = HostExecutor(opts, lives, dispatcher=dispatcher)
                 session = SpeculativeSession(
-                    executor, "replay", self.program, self.machine, batch.blobs
+                    executor, "replay", self.program, self.machine
                 )
+                units = []
                 try:
-                    for unit in batch.units:
+                    # Unit p executes while unit p + 1 is being cut.
+                    for unit in replay_units(recording, session.blobs):
                         lives.cut(unit.epoch_index)
                         session.push(unit)
+                        units.append(unit)
                     # A replay unit is full knowledge as pushed: any value
                     # stands, and cutting one again is looking it up.
                     outcomes = [
                         outcome for _, outcome in session.harvest(
-                            len(batch), lambda position, outcome: True,
-                            batch.units.__getitem__,
+                            len(units), lambda position, outcome: True,
+                            units.__getitem__,
                         )
                     ]
                 finally:

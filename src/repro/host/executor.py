@@ -35,15 +35,15 @@ never a fault. A position the merge (or the verdict schedule) must
 re-obtain gets counted attempts, one policy for three failure classes
 (two pool attempts, then in-coordinator serial execution):
 
-* **crash** — a worker process died; ``concurrent.futures`` breaks the
-  whole pool, so the pool is abandoned and rebuilt, and every
-  not-yet-merged position whose pushed attempt died with it is pushed
-  again, without blame, before the failed position's retry is awaited:
-  one crash never serialises the positions behind it.
+* **crash** — a worker process died and took the units in its window
+  with it (:mod:`repro.host.pool`); the pool is abandoned and rebuilt,
+  and every not-yet-merged position whose pushed attempt died with it
+  is pushed again, without blame, before the failed position's retry is
+  awaited: one crash never serialises the positions behind it.
 * **timeout** — a unit exceeded the per-unit wall-clock budget (the
-  ``unit_timeout`` runtime option; 0 disables). The hung worker cannot
-  be recalled, so the pool's processes are terminated and the pool is
-  abandoned the same way.
+  ``unit_timeout`` runtime option; 0 disables; a pool's spawn is not on
+  that clock). The hung worker cannot be recalled, so the pool's
+  processes are terminated and the pool is abandoned the same way.
 * **task error** — the unit raised inside the worker and came home as a
   structured :class:`~repro.errors.WorkerTaskError` result, so the pool
   stays healthy. A deterministic guest error reproduces during the
@@ -65,7 +65,6 @@ them.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -78,12 +77,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.host import faults as fault_injection
-from repro.host.pool import (
-    _scratch_packs,
-    invalidate_shared_pool,
-    shared_pool,
-    shared_pool_is_up,
-)
+from repro.host.pool import _scratch_packs, invalidate_shared_pool, shared_pool
 from repro.host.worker import UnitDispatch, run_unit, run_unit_serial
 from repro.memory.blob import blob_digest, encode_object
 from repro.obs import metrics as obs_metrics
@@ -141,19 +135,14 @@ def _lost(position: int, why: str) -> Future:
 class _DirectDispatcher:
     """The default submission path: the coordinator-wide shared pool.
 
-    This is the seam the service layer replaces: a dispatcher owns how
-    the pool is brought up (``warm``), *where* a built dispatch goes
-    (``submit``) and what abandoning a suspect pool means (``abandon``).
-    A fleet dispatcher (``repro.service``) routes the same calls through
-    per-session queues into one multiplexed pool.
+    This is the seam the service layer replaces: a dispatcher owns
+    *where* a built dispatch goes (``submit``) and what abandoning a
+    suspect pool means (``abandon``); a fleet dispatcher
+    (``repro.service``) routes both through per-session queues.
     """
 
     def __init__(self, jobs: int):
         self._jobs = jobs
-
-    def warm(self) -> None:
-        """Bring the pool up (speculative sessions warm off-thread)."""
-        shared_pool(self._jobs)
 
     def submit(self, fn, dispatch: UnitDispatch):
         return shared_pool(self._jobs).submit(fn, dispatch)
@@ -410,54 +399,17 @@ class SpeculativeSession:
     ``discarded`` at :meth:`close` for whatever the merge never reached.
     """
 
-    def __init__(self, executor: HostExecutor, kind: str, program, machine, blobs=()):
+    def __init__(self, executor: HostExecutor, kind: str, program, machine):
         self.executor = executor
-        self._batch = executor._begin_batch(kind, program, machine, blobs)
+        self._batch = executor._begin_batch(kind, program, machine)
         #: position -> settled ``(value, timing)``; ``value`` is None
         #: for an answer lost to a host reason, ``timing`` once consumed
         self._outcomes: Dict[int, tuple] = {}
-        #: positions pushed but not yet submitted (the pool was not up)
-        self._deferred: List[int] = []
-        #: set by the warm-up; read (GIL-atomic) by push/harvest
-        self._ready = False
-        #: the warm-up thread, only when there is a pool to spawn: over a
-        #: live pool (a fleet's is the same one) nothing is deferred, and
-        #: when the first unit reaches a worker hangs on no new thread
-        self._warm: Optional[threading.Thread] = None
-        if shared_pool_is_up(executor.jobs):
-            self._warm_pool()
-        else:
-            self._warm = threading.Thread(target=self._warm_pool, daemon=True)
-            self._warm.start()
 
     @property
     def blobs(self) -> Dict[int, bytes]:
         """The blob set every unit of the session interns into."""
         return self._batch.blobs
-
-    def _warm_pool(self) -> None:
-        """Bring the worker pool up off the thread-parallel run's path.
-
-        Spawning worker processes costs ~a second of wall — paid inline
-        it would stall the guest at the first push. The warm-up overlaps
-        the thread-parallel run instead; pushes arriving before the pool
-        is ready are buffered and flushed the moment it is (or at the
-        first wait/harvest, whichever comes first). A failed spawn
-        leaves ``_ready`` unset: the buffered units count as lost and
-        the contained path reports the pool problem the normal way. (A
-        fleet dispatcher's ``warm`` is a no-op — the service owns the
-        pool.)
-        """
-        try:
-            self.executor._dispatch_path.warm()
-            self._ready = True
-        except Exception:
-            pass
-
-    def _flush(self) -> None:
-        """Submit every buffered unit, if the pool is up."""
-        while self._ready and self._deferred:
-            self.executor._push(self._batch, self._deferred.pop(0))
 
     def push(self, unit) -> None:
         """Take one cut unit; non-blocking, and no host failure raises.
@@ -465,8 +417,7 @@ class SpeculativeSession:
         Units arrive in position order from 0, so a unit's index in the
         session's batch *is* its position.
         """
-        self._deferred.append(self._batch._add_unit(unit))
-        self._flush()
+        self.executor._push(self._batch, self._batch._add_unit(unit))
 
     def _resolve(self, position: int) -> tuple:
         """Resolve one unit's future, exactly once.
@@ -490,12 +441,6 @@ class SpeculativeSession:
             self._outcomes[position] = (value, timing)
         return self._outcomes[position]
 
-    def _join_pool(self) -> None:
-        """Before anything blocks: the pool is up and every push is in it."""
-        if self._warm is not None:
-            self._warm.join()
-        self._flush()
-
     def wait(self, position: int):
         """Block for one pushed unit's result — the verdict schedule's consume.
 
@@ -507,7 +452,6 @@ class SpeculativeSession:
         now: a consumed verdict is part of the run at any ``jobs``,
         whatever the merge later makes of it.
         """
-        self._join_pool()
         value, timing = self._resolve(position)
         if value is None:
             value = self.executor._run_contained(self._batch, position)
@@ -534,7 +478,6 @@ class SpeculativeSession:
         order, so those past a divergence drop their counters exactly as
         the serial loop never runs them.
         """
-        self._join_pool()
         executor, batch = self.executor, self._batch
         try:
             for position in range(positions):

@@ -51,7 +51,7 @@ objects, zero-decode and trivially bit-identical to the ``jobs=1`` path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint, WireCheckpoint
 from repro.exec.services import InjectionLog
@@ -248,8 +248,10 @@ def _record_unit(
     )
 
 
-def replay_units_for_recording(recording) -> UnitBatch:
-    """Package every committed epoch of a recording for parallel replay.
+def replay_units(recording, blobs: Dict[int, bytes]) -> Iterator[ReplayEpochUnit]:
+    """Cut a recording's committed epochs into replay units, one at a time:
+    a unit's blobs are in ``blobs`` when it is yielded, so unit *p* can be
+    pushed before unit *p + 1* is built.
 
     Requires materialised start checkpoints (like any parallel replay).
     The logs ship whole — exactly what the serial replayer consumes — as
@@ -257,10 +259,8 @@ def replay_units_for_recording(recording) -> UnitBatch:
     """
     from repro.errors import ReplayError
 
-    blobs: Dict[int, bytes] = {}
     syscalls = (_intern_chunk(recording.syscalls_for_epochs(), blobs),)
     signals_ref = intern_object(tuple(recording.signal_records), blobs)
-    units = []
     for position, epoch in enumerate(recording.epochs):
         start = epoch.start_checkpoint
         if start is None:
@@ -269,17 +269,20 @@ def replay_units_for_recording(recording) -> UnitBatch:
                 "run materialize_checkpoints() or replay sequentially"
             )
         _intern_pages(start.memory.pages.values(), blobs)
-        units.append(
-            ReplayEpochUnit(
-                position=position,
-                epoch_index=epoch.index,
-                start=start.to_wire(),
-                targets=dict(epoch.targets),
-                schedule=epoch.schedule,
-                sync_events=epoch.sync_log.events,
-                end_digest=epoch.end_digest,
-                syscalls=syscalls,
-                signals=signals_ref,
-            )
+        yield ReplayEpochUnit(
+            position=position,
+            epoch_index=epoch.index,
+            start=start.to_wire(),
+            targets=dict(epoch.targets),
+            schedule=epoch.schedule,
+            sync_events=epoch.sync_log.events,
+            end_digest=epoch.end_digest,
+            syscalls=syscalls,
+            signals=signals_ref,
         )
-    return UnitBatch(units, blobs)
+
+
+def replay_units_for_recording(recording) -> UnitBatch:
+    """Every replay unit of a recording and their blob set, built at once."""
+    blobs: Dict[int, bytes] = {}
+    return UnitBatch(list(replay_units(recording, blobs)), blobs)

@@ -72,7 +72,9 @@ class Attempt:
     #: a free attempt pushed ahead of the merge (never a fault), as
     #: opposed to a counted one or a run on the coordinator
     pushed: bool = False
-    #: building + submitting the dispatch (None: it never left this process)
+    #: building, pickling and writing (or queueing) the dispatch, all on
+    #: the submitting thread — under a fleet the pickle is the pump's and
+    #: falls outside (None: it never left this process)
     dispatch: Optional[Interval] = None
     #: blobs / bytes the dispatch newly put into the scratch pack
     blobs: int = 0

@@ -5,8 +5,10 @@ on behalf of every concurrent record/replay session. Each session
 registers a *lane* and receives a :class:`SessionDispatcher` — the
 object that slots into ``HostExecutor``'s submission seam (see
 ``repro.host.executor._DirectDispatcher``). Instead of submitting straight
-into the process pool, a session's dispatch lands in its lane's FIFO
-queue; an asyncio *pump* task drains the lanes into the pool with:
+into the worker pool, a session's dispatch lands in its lane's FIFO
+queue; an asyncio *pump* task drains the lanes into the pool and the
+same loop reads the pool's replies (``loop.add_reader`` on the worker
+pipes): the fleet is the pool's single caller, on one thread, with:
 
 * **fair-share scheduling** — deficit round-robin over lanes with
   queued work, with a per-lane in-flight cap of its fair share of the
@@ -17,13 +19,14 @@ queue; an asyncio *pump* task drains the lanes into the pool with:
   bound blocks until its own completions free credits (admission
   control at the unit level, measured and surfaced per session);
 * **a fleet in-flight bound** — at most ``max_inflight`` units occupy
-  the pool at once, keeping the pool's internal queue shallow so a
-  divergence exit cancels queued proxies before they ship.
+  the pool at once (the default is what its workers' windows hold), so
+  a divergence exit cancels queued proxies before they ship.
 
 **Isolation.** Containment stays per session: each session keeps its
 own ``HostExecutor`` (its own retry counters, serial fallback, fault
-specs), and the fleet only routes futures. A worker crash breaks the
-shared pool for everyone — inherent to sharing — but each session's
+specs), and the fleet only routes futures. A worker crash fails the
+units in that worker's window and the rebuild that follows takes the
+rest of the pool with it — inherent to sharing — but each session's
 containment then retries *its own* units; other tenants lose
 wall-clock, never correctness. Proxy futures returned to sessions are
 plain ``concurrent.futures.Future`` objects, so the executor's merge
@@ -97,7 +100,7 @@ class SessionDispatcher:
     """One session's handle into the fleet (the executor's dispatcher).
 
     Implements the submission-path protocol ``HostExecutor`` expects:
-    ``warm``/``submit``/``abandon``. Slot it into a recorder via
+    ``submit``/``abandon``. Slot it into a recorder via
     ``DoublePlayConfig(host_dispatcher=...)`` or a replayer via
     ``replay_parallel(dispatcher=...)``.
     """
@@ -113,9 +116,6 @@ class SessionDispatcher:
     @property
     def jobs(self) -> int:
         return self._fleet.jobs
-
-    def warm(self) -> None:
-        """No-op: the fleet brought the pool up at service start."""
 
     def submit(self, fn, dispatch) -> Future:
         return self._fleet.submit(self._lane, fn, dispatch)
@@ -156,7 +156,9 @@ class FleetScheduler:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
         self._pump_task: Optional[asyncio.Task] = None
-        self._stopping = False
+        #: the pool whose pipes the loop reads, and their descriptors
+        self._watched = None
+        self._fds: List[int] = []
         # ---- fleet-wide accounting with no per-lane twin ----
         self._blobs_shipped = 0
         self._queue_high_water = 0
@@ -167,17 +169,17 @@ class FleetScheduler:
     # Lifecycle (called from the service's event loop).
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind to the running loop, warm the pool, start the pump."""
+        """Bind to the running loop, start the workers and the pump."""
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        # Spawn cost is paid here, once, off every session's path.
-        await self._loop.run_in_executor(None, shared_pool, self.jobs)
+        # Returns once the workers are started: they import and say hello
+        # while the first sessions build their programs.
+        self._watch(shared_pool(self.jobs))
         self._pump_task = self._loop.create_task(self._pump())
 
     async def stop(self) -> None:
         """Stop the pump (sessions must already be drained) and delete
         the scratch packs the service's sessions filled."""
-        self._stopping = True
         if self._pump_task is not None:
             self._pump_task.cancel()
             try:
@@ -185,6 +187,7 @@ class FleetScheduler:
             except asyncio.CancelledError:
                 pass
             self._pump_task = None
+        self._watch(None)
         _scratch_packs.close()
 
     def register(self, sid: str) -> SessionDispatcher:
@@ -292,6 +295,20 @@ class FleetScheduler:
             self._wake.clear()
             self._drain()
 
+    def _watch(self, pool) -> None:
+        """Read ``pool``'s replies from the event loop, and no other pool's.
+        The old pool's descriptors go first, closed or not: a rebuilt
+        pool's pipes reuse their numbers, and a reader left registered
+        under one would shadow the new pipe."""
+        if pool is self._watched:
+            return
+        for fd in self._fds:
+            self._loop.remove_reader(fd)
+        self._watched = pool
+        self._fds = pool.filenos() if pool is not None else []
+        for fd in self._fds:
+            self._loop.add_reader(fd, pool.pump)
+
     def _drain(self) -> None:
         """Submit queued tickets until the fleet bound or the queues empty."""
         while True:
@@ -305,7 +322,9 @@ class FleetScheduler:
                 self._finish_ticket(ticket, record_latency=False)
                 continue
             try:
-                real = shared_pool(self.jobs).submit(ticket.fn, ticket.dispatch)
+                pool = shared_pool(self.jobs)
+                self._watch(pool)
+                real = pool.submit(ticket.fn, ticket.dispatch)
             except Exception as exc:
                 # Pool unbuildable or shutting down: the session's
                 # containment turns this into a crash failure.
@@ -375,17 +394,15 @@ class FleetScheduler:
         """Copy the pool future's outcome onto the session's proxy."""
         result = exc = None
         if real.cancelled():
-            # cancel_futures=True during another session's rebuild: the
-            # unit never ran. Surface an Exception (not CancelledError,
-            # which would escape the executor's containment) so the
-            # owning session retries it like any crash casualty.
+            # Still queued at another session's rebuild: the unit never
+            # ran. Surface an Exception (not CancelledError, which would
+            # escape the executor's containment) so the owning session
+            # retries it like any crash casualty.
             exc = RuntimeError("fleet pool was rebuilt while this unit was queued")
         else:
             exc = real.exception()
             if exc is None:
                 result = real.result()
-            elif not isinstance(exc, Exception):
-                exc = RuntimeError(f"unit future aborted: {exc!r}")
         try:
             if exc is not None:
                 ticket.proxy.set_exception(exc)

@@ -25,7 +25,6 @@ import sys
 import time
 
 import pytest
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
@@ -38,7 +37,6 @@ from repro.errors import (
 from repro.host import faults as fault_mod
 from repro.host.pool import (
     _scratch_packs,
-    _worker_ping,
     invalidate_shared_pool,
     shared_pool,
     shutdown_shared_pool,
@@ -77,18 +75,18 @@ def _assert_bit_identical(faulted, serial):
 # ----------------------------------------------------------------------
 def test_shared_pool_rebuilds_after_worker_death():
     pool = shared_pool(2)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(HostPoolError, match="died with this unit in its window"):
         pool.submit(os._exit, 70).result(timeout=60)
     # Regression: the broken pool used to be cached and returned forever.
     rebuilt = shared_pool(2)
     assert rebuilt is not pool
-    assert rebuilt.submit(_worker_ping).result(timeout=60) > 0
+    assert rebuilt.submit(os.getpid).result(timeout=60) > 0
 
 
 def test_record_succeeds_after_pool_poisoned():
     """A worker death in one run must not poison the next recording."""
     pool = shared_pool(2)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(HostPoolError, match="died with this unit in its window"):
         pool.submit(os._exit, 70).result(timeout=60)
     _, _, serial = _record("fft", 2, jobs=1)
     _, _, parallel = _record("fft", 2, jobs=2)
@@ -145,16 +143,17 @@ def test_scratch_packs_go_with_the_interpreter(tmp_path):
 
 
 def test_worker_import_path_is_scoped(monkeypatch):
-    """Spawning workers must not persistently mutate os.environ."""
+    """Spawning workers must not mutate os.environ, and needs nothing from
+    it: spawn hands a worker the coordinator's ``sys.path``."""
     shutdown_shared_pool()
     monkeypatch.setenv("PYTHONPATH", "/tmp/unrelated-entry")
     pool = shared_pool(1)
-    assert pool.submit(_worker_ping).result(timeout=60) > 0
+    assert pool.submit(os.getpid).result(timeout=60) > 0
     assert os.environ["PYTHONPATH"] == "/tmp/unrelated-entry"
     shutdown_shared_pool()
     monkeypatch.delenv("PYTHONPATH")
     pool = shared_pool(1)
-    assert pool.submit(_worker_ping).result(timeout=60) > 0
+    assert pool.submit(os.getpid).result(timeout=60) > 0
     assert "PYTHONPATH" not in os.environ
     shutdown_shared_pool()
 

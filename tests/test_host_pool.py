@@ -1,0 +1,242 @@
+"""The worker pool itself: one pipe per worker, pumped by whoever calls it.
+
+The contract (``repro/host/pool.py``): *a unit is written to a worker by
+the thread that submits it and read by the thread that needs it; the
+coordinator has no other thread.* These tests hold the pool to it
+directly — the thread census of a record and a replay, the window that
+bounds what sits in a pipe, a large pickle that must not park the
+submitter, the cold start, a worker's death, a cancelled unit's reply —
+with ``WorkerPool`` objects of their own, so a killed worker never
+outlives its test. (Concurrent ``shared_pool`` / ``invalidate_shared_pool``
+callers are ``tests/test_service_sessions.py``'s stress test.)
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.core import DoublePlayRecorder, Replayer
+from repro.errors import HostPoolError
+from repro.host import executor as host_executor
+from repro.host import pool as host_pool
+from repro.host.pool import WorkerPool, _scratch_packs, shared_pool, shutdown_shared_pool
+from tests.test_host_unit_path import _setup
+
+
+def _until_ready(pool: WorkerPool) -> WorkerPool:
+    while not all(worker.ready for worker in pool._workers):
+        pool.pump(0.05)  # until every worker has said hello
+    return pool
+
+
+@pytest.fixture
+def pool_of():
+    """``pool_of(jobs)``: a private pool, killed when the test is over."""
+    pools = []
+
+    def make(jobs: int, warm: bool = True) -> WorkerPool:
+        pool = WorkerPool(jobs)
+        pools.append(pool)
+        return _until_ready(pool) if warm else pool
+
+    yield make
+    for pool in pools:
+        pool.shutdown(kill=True)
+
+
+def _in_pipes(pool: WorkerPool) -> int:
+    return sum(len(worker.window) for worker in pool._workers)
+
+
+# ----------------------------------------------------------------------
+# (a) The thread census.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["pbzip", "racy-counter"])
+def test_a_record_and_a_replay_run_on_one_thread(monkeypatch, name):
+    """No thread exists for the pool's sake: at every push of a warm
+    ``jobs=2`` record and parallel replay, and when they are over, the
+    process holds the threads it held before (under plain pytest, the
+    main thread alone).
+
+    The mutation that fails it: ``_DirectDispatcher.submit`` handing the
+    unit to a helper — ``return ThreadPoolExecutor(1).submit(lambda:
+    shared_pool(self._jobs).submit(fn, dispatch).result())`` — or any
+    executor, queue feeder or reader thread that outlives a push.
+    """
+    shared_pool(2).submit(os.getpid).result(60)  # warm: spawned and said hello
+    before = set(threading.enumerate())
+    assert threading.main_thread() in before
+    census = []
+
+    def sampled(method):
+        def wrapper(self, *args, **kwargs):
+            census.append(set(threading.enumerate()) - before)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        DoublePlayRecorder, "_push_unit", sampled(DoublePlayRecorder._push_unit)
+    )
+    monkeypatch.setattr(
+        host_executor.SpeculativeSession, "push",
+        sampled(host_executor.SpeculativeSession.push),
+    )
+    instance, machine, _, config = _setup(name, host_jobs=2)
+    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    pushes = len(census)
+    assert pushes >= result.host["units"] > 0
+    outcome = Replayer(instance.image, machine).replay_parallel(
+        result.recording, jobs=2
+    )
+    assert outcome.verified and len(census) == pushes + outcome.epochs_replayed
+    census.append(set(threading.enumerate()) - before)
+    assert not any(census), [extra for extra in census if extra]
+
+
+def test_the_library_pool_is_gone_from_the_source():
+    source = pathlib.Path(host_pool.__file__).resolve().parents[1]
+    for path in source.rglob("*.py"):
+        assert "ProcessPoolExecutor" not in path.read_text(), path
+
+
+# ----------------------------------------------------------------------
+# (b) The window bounds what sits in a pipe, in both directions.
+# ----------------------------------------------------------------------
+def test_300_units_pushed_up_front_settle_without_a_reply_read(monkeypatch, pool_of):
+    """Each reply (300 KB) is more than a pipe buffers, so a worker
+    blocks writing its first until the coordinator reads it — and the
+    coordinator, reading nothing while it submits, must never be
+    blocked writing to that worker: the window keeps the other 296 on
+    its own side."""
+    pool = pool_of(2)
+    bound = 2 * host_pool._WINDOW
+    with monkeypatch.context() as patch:
+        # Nothing is read during the submits: no reply, no end-of-file.
+        patch.setattr(host_pool.connection, "wait", lambda objects, timeout=None: [])
+        futures = []
+        for _ in range(300):
+            futures.append(pool.submit(bytes, 300_000))
+            assert _in_pipes(pool) <= bound
+        assert _in_pipes(pool) == bound and len(pool._queue) == 300 - bound
+        assert not any(future.done() for future in futures)
+    for future in reversed(futures):
+        assert len(future.result(60)) == 300_000
+        assert _in_pipes(pool) <= bound
+    assert not pool._queue and not pool.broken
+
+
+# ----------------------------------------------------------------------
+# (c) A large pickle never parks the submitter behind a busy worker.
+# ----------------------------------------------------------------------
+def test_a_large_dispatch_to_a_busy_worker_returns_at_once(pool_of):
+    """300 KB is more than the pipe buffers and the worker reads nothing
+    for 200 ms: written now, the submit would return when the sleep
+    does. (The mutation that fails it: drop the ``_INLINE_BYTES`` clause
+    of ``WorkerPool._feed``.)"""
+    pool = pool_of(1)
+    busy = pool.submit(time.sleep, 0.2)
+    payload = b"x" * 300_000
+    start = time.perf_counter()
+    large = pool.submit(len, payload)
+    took = time.perf_counter() - start
+    assert took < 0.02, f"submit blocked for {took * 1e3:.1f} ms"
+    assert len(pool._queue) == 1 and not busy.done()
+    small = pool.submit(len, b"xy")  # keeps its place behind the large one
+    assert _in_pipes(pool) == 1
+    assert large.result(60) == len(payload) and busy.done()
+    assert small.result(60) == 2
+
+
+# ----------------------------------------------------------------------
+# (d) Cold start.
+# ----------------------------------------------------------------------
+def test_units_submitted_before_the_hello_run_in_submit_order(pool_of):
+    pool = pool_of(1, warm=False)
+    futures = [pool.submit(time.monotonic_ns) for _ in range(6)]
+    assert len(pool._queue) == 6 and _in_pipes(pool) == 0, "written before the hello"
+    stamps = [future.result(60) for future in reversed(futures)][::-1]
+    assert stamps == sorted(stamps) and len(set(stamps)) == 6
+    assert pool._workers[0].ready and not pool.broken
+
+
+def _mute_worker(conn) -> None:
+    """A worker that is spawned and never says hello."""
+    time.sleep(60)
+
+
+def test_a_worker_that_never_says_hello_fails_what_waited_for_it(monkeypatch, pool_of):
+    monkeypatch.setattr(host_pool, "_SPAWN_TIMEOUT", 1.0)
+    monkeypatch.setattr(host_pool, "_worker_main", _mute_worker)
+    pool = pool_of(1, warm=False)
+    futures = [pool.submit(os.getpid) for _ in range(3)]
+    start = time.perf_counter()
+    # The hello deadline is the first waiter's, not its own budget's.
+    with pytest.raises(HostPoolError, match="said no hello in 1s"):
+        futures[0].result(0.01)
+    assert 0.5 < time.perf_counter() - start < 30
+    for future in futures[1:]:
+        assert "said no hello" in str(future.exception(0))
+    assert "said no hello" in pool.broken
+    assert not pool._workers[0].process.is_alive()
+
+
+# ----------------------------------------------------------------------
+# (e) A worker's death fails its window, and nothing else.
+# ----------------------------------------------------------------------
+def test_a_killed_worker_fails_exactly_its_window():
+    shutdown_shared_pool()
+    pool = _until_ready(shared_pool(2))
+    futures = [pool.submit(time.sleep, 0.3) for _ in range(4)]
+    queued = pool.submit(os.getpid)
+    doomed, survivor = pool._workers
+    assert len(doomed.window) == len(survivor.window) == 2
+    lost, kept = list(doomed.window), list(survivor.window)
+    os.kill(doomed.process.pid, signal.SIGKILL)
+    for future in lost:
+        with pytest.raises(HostPoolError, match="died with this unit in its window"):
+            future.result(60)
+    assert sorted(map(id, lost + kept)) == sorted(map(id, futures))
+    assert [future.result(60) for future in kept] == [None, None]
+    assert queued.result(60) == survivor.process.pid, "the queue goes to the survivor"
+    assert pool.broken and not host_pool.shared_pool_is_up(2)
+    fresh = shared_pool(2)
+    assert fresh is not pool and not fresh.broken
+    assert fresh.submit(os.getpid).result(60) not in (
+        doomed.process.pid, survivor.process.pid
+    )
+    assert not survivor.process.is_alive(), "a broken pool is killed, not leaked"
+
+
+# ----------------------------------------------------------------------
+# (f) A cancelled unit's reply is drained and its pack released.
+# ----------------------------------------------------------------------
+def test_a_cancelled_units_reply_is_drained_and_its_callback_fires(pool_of):
+    pool = pool_of(1)
+    fired = []
+    running = pool.submit(time.sleep, 0.1)
+    in_pipe = pool.submit(len, b"written")
+    queued = pool.submit(len, b"waiting")
+    for name, future in (("in_pipe", in_pipe), ("queued", queued)):
+        future.add_done_callback(lambda _, name=name: fired.append(name))
+    assert queued.cancel() and fired == ["queued"]
+    assert not in_pipe.cancel(), "a written unit cannot be recalled"
+    pool.shutdown()  # drains what was written; nothing is left to run
+    assert running.done() and in_pipe.result(0) == 7 and queued.cancelled()
+    assert fired == ["queued", "in_pipe"]
+    assert _in_pipes(pool) == 0 and not pool._queue and not pool.broken
+
+
+def test_a_diverging_record_leaves_no_scratch_pack_named():
+    """racy-counter's divergence exits cancel pushed units, in a pipe and
+    queued alike; every one of them still releases the pack it named."""
+    instance, _, _, config = _setup("racy-counter", host_jobs=2)
+    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    assert result.host["speculation"]["discarded"] > 0
+    shutdown_shared_pool()
+    assert _scratch_packs._named == {} and _scratch_packs._dir is None

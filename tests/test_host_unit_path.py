@@ -68,9 +68,6 @@ class _CapturingDispatcher:
     def __init__(self):
         self.dispatches = []
 
-    def warm(self):
-        pass
-
     def submit(self, fn, dispatch):
         assert fn is host_worker.run_unit, "a second worker entry point exists"
         self.dispatches.append(dispatch)
@@ -306,7 +303,7 @@ def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
 
 
 def test_a_pool_that_never_comes_up_is_accounted_as_lost_units(monkeypatch):
-    """``warm`` and ``submit`` both raise: nothing is ever pushed, every
+    """``submit`` raises every time: nothing is ever pushed, every
     verdict and every merge position goes through the contained path —
     and the recording is still the ``jobs=1`` one.
 
@@ -322,9 +319,7 @@ def test_a_pool_that_never_comes_up_is_accounted_as_lost_units(monkeypatch):
     instance, _, _, config = _setup("racy-counter", host_jobs=1)
     serial = DoublePlayRecorder(instance.image, instance.setup, config).record()
     assert serial.stats["recoveries"] >= 3
-    monkeypatch.setattr(host_executor._DirectDispatcher, "warm", no_pool)
     monkeypatch.setattr(host_executor._DirectDispatcher, "submit", no_pool)
-    shutdown_shared_pool()  # not up, so the session warms it off-thread
     result = DoublePlayRecorder(
         instance.image, instance.setup, config.replace(host_jobs=2)
     ).record()

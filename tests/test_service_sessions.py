@@ -410,15 +410,18 @@ def test_fleet_release_cancels_pending_tickets():
 
 
 class _FakePool:
-    """Stands in for a spawned ProcessPoolExecutor (spawn cost: zero)."""
+    """Stands in for a ``WorkerPool`` (spawn cost: zero): what the
+    module-level lifecycle touches of it is ``broken`` and ``shutdown``."""
+
+    created = []
 
     def __init__(self, jobs):
         self.jobs = jobs
-        self._broken = False
-        self._processes = {}
+        self.broken = False
         self.shutdowns = 0
+        self.created.append(self)
 
-    def shutdown(self, wait=True, cancel_futures=False):
+    def shutdown(self, kill=False, cancel=True):
         self.shutdowns += 1
 
 
@@ -432,14 +435,8 @@ def test_shared_pool_concurrent_callers_race(monkeypatch):
     at the end.
     """
     host_pool.shutdown_shared_pool()
-    created = []
-
-    def fake_new_pool(jobs):
-        pool = _FakePool(jobs)
-        created.append(pool)
-        return pool
-
-    monkeypatch.setattr(host_pool, "_new_pool", fake_new_pool)
+    created = _FakePool.created = []
+    monkeypatch.setattr(host_pool, "WorkerPool", _FakePool)
     errors = []
     start = threading.Barrier(8)
 
