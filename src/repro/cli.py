@@ -507,12 +507,12 @@ def _sigterm_ends_linger(service, linger: float):
 
 
 def cmd_serve(args, out) -> int:
-    """Multi-session service driver: N tenants over one shared fleet.
+    """Multi-session service command: N tenants over one shared worker pool.
 
     Records (or replays) the same workload ``--sessions`` times
     concurrently through :class:`repro.service.RecordService` and
     prints per-session and fleet-wide accounting — admission waits,
-    backpressure, fair-share deficits, cross-session blob dedup.
+    unit latency, cross-session blob dedup.
     ``--verify`` additionally checks every tenant's recording against
     a solo ``--jobs 1`` run (the service determinism contract).
     """
@@ -523,7 +523,6 @@ def cmd_serve(args, out) -> int:
     config = ServiceConfig(
         jobs=args.jobs,
         max_active=args.active,
-        queue_depth=args.queue_depth,
         telemetry_port=args.telemetry_port,
         telemetry_linger=args.linger,
         events_path=args.events,
@@ -582,8 +581,6 @@ def cmd_serve(args, out) -> int:
             "epochs": result.epochs,
             "admission_ms": round(result.admission_wait * 1e3, 2),
             "p99_unit_ms": round(svc.get("unit_latency_p99", 0.0) * 1e3, 2),
-            "backpressure": svc.get("backpressure_hits", 0),
-            "deficits": svc.get("fair_share_deficits", 0),
             "cross_hits": svc.get("cross_session_hits", 0),
             "kb_saved": round(svc.get("cross_session_bytes_saved", 0) / 1024, 1),
         })
@@ -664,7 +661,6 @@ def cmd_top(args, out) -> int:
                     "epochs": session.get("epochs", 0),
                     "inflight": lane.get("inflight", 0),
                     "queue_hw": lane.get("queue_high_water", 0),
-                    "bp_hits": session.get("backpressure_hits", 0),
                     "p50_ms": round(
                         float(lane.get("unit_latency_p50", 0.0)) * 1e3, 2),
                     "p99_ms": round(
@@ -703,7 +699,9 @@ def _load_flat_metrics(path: str) -> dict:
     (or a bare ``RunMetrics.snapshot()`` JSON)."""
     with open(path) as handle:
         payload = json.load(handle)
-    snapshot = payload.get("metrics", payload)
+    snapshot = payload.get("metrics", payload) if isinstance(payload, dict) else None
+    if not isinstance(snapshot, dict):
+        raise ReplayError(f"{path}: not a metrics snapshot")
     flat = {}
     for group, counters in snapshot.items():
         if not isinstance(counters, dict):
@@ -822,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = commands.add_parser(
         "serve",
-        help="record N concurrent sessions over one shared worker fleet",
+        help="record N concurrent sessions over one shared worker pool",
     )
     _add_workload_args(serve_parser)
     serve_parser.add_argument(
@@ -830,13 +828,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent record sessions to run (default 4)")
     serve_parser.add_argument(
         "--jobs", type=int, default=2,
-        help="worker processes in the shared fleet (default 2)")
+        help="worker processes in the shared pool (default 2)")
     serve_parser.add_argument(
         "--active", type=int, default=8,
         help="admission bound: sessions running at once (default 8)")
-    serve_parser.add_argument(
-        "--queue-depth", type=int, default=None, metavar="D",
-        help="per-session outstanding-unit bound (default 2*jobs)")
     serve_parser.add_argument(
         "--epoch-divisor", type=int, default=18,
         help="epochs per native runtime (default 18)")

@@ -74,11 +74,6 @@ class DoublePlayConfig:
     #: on-disk bytes by the window regardless of run length. Requires
     #: ``log_dir``. None = keep everything.
     flight_window: Optional[int] = None
-    #: host submission-path override (``repro.service`` injects each
-    #: session's fleet dispatcher here so N concurrent sessions share
-    #: one worker pool). None = the executor's own direct pool path.
-    #: Never affects recordings — only where epoch units execute.
-    host_dispatcher: Optional[object] = None
     #: per-run fault-injection directives (:mod:`repro.host.faults`
     #: grammar). The service scopes injected faults to one tenant with
     #: this; ``""`` explicitly disables injection.

@@ -586,7 +586,7 @@ class DoublePlayRecorder:
             # host-parallelism layer at all.
             from repro.host.executor import HostExecutor, SpeculativeSession
 
-            executor = HostExecutor(opts, lives, dispatcher=config.host_dispatcher)
+            executor = HostExecutor(opts, lives)
 
         committed = initial
         #: the one index pair over the raw logs: cuts, validity checks

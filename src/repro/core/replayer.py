@@ -210,7 +210,6 @@ class Replayer:
         workers: int = 0,
         jobs: int = 1,
         unit_timeout: Optional[float] = None,
-        dispatcher=None,
         fault_specs: Optional[str] = None,
     ) -> ReplayResult:
         """Replay every epoch concurrently from its checkpoint.
@@ -234,10 +233,8 @@ class Replayer:
         and ``host["speculation"]`` reads pushed / accepted like a
         record's (N / N / 0 / 0 on a healthy host).
 
-        ``dispatcher`` overrides the executor's submission path (the
-        service layer's per-session fleet handle) and ``fault_specs``
-        scopes fault-injection directives to this replay (None = the
-        runtime option's value, ``""`` = none).
+        ``fault_specs`` scopes fault-injection directives to this replay
+        (None = the runtime option's value, ``""`` = none).
         """
         baseline = obs_metrics.process_stats().snapshot()
         host: Dict[str, object] = {"jobs": 1}
@@ -249,7 +246,7 @@ class Replayer:
                 from repro.host.executor import HostExecutor, SpeculativeSession
                 from repro.host.wire import replay_units
 
-                executor = HostExecutor(opts, lives, dispatcher=dispatcher)
+                executor = HostExecutor(opts, lives)
                 session = SpeculativeSession(
                     executor, "replay", self.program, self.machine
                 )

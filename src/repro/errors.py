@@ -95,6 +95,18 @@ class WorkerCrashError(HostPoolError):
     kind = "crash"
 
 
+class CollateralLossError(HostPoolError):
+    """A unit lost with a worker that failed on another unit's account.
+
+    It sat behind the unit a worker died running, or in the window of a
+    worker terminated when its pool was replaced. The failure is not its
+    position's: containment dispatches it again without counting an
+    attempt.
+    """
+
+    kind = "collateral"
+
+
 class WorkerTimeoutError(HostPoolError):
     """A unit exceeded the configured per-unit timeout (hung worker)."""
 

@@ -2,11 +2,13 @@
 
 ``HostExecutor`` runs epoch work units on a pool of worker processes,
 and one contract covers every unit — a record segment's or a replay's,
-under the direct pool or a service fleet: *a unit is cut once per need,
+a solo run's or a service tenant's: *a unit is cut once per need,
 pushed once per cut, merged in order; what the merge lacks it cuts
 again.* :class:`SpeculativeSession` is that contract. ``push`` is the
-only way a unit reaches a pool (through :meth:`HostExecutor._dispatch`,
-the only place one enters), ``wait`` serves the recorder's verdict
+only way a unit reaches the pool (through :meth:`HostExecutor._dispatch`,
+the only place one enters: ``shared_pool(jobs).submit``, on the calling
+thread's lane — a service tenant is a thread, so nothing else is needed
+to share the workers), ``wait`` serves the recorder's verdict
 schedule, and ``harvest`` is the only loop that walks positions and
 awaits unit futures: the recorder commits each epoch as it arrives and
 closes the session at the first divergence — everything behind it
@@ -39,7 +41,10 @@ re-obtain gets counted attempts, one policy for three failure classes
   with it (:mod:`repro.host.pool`); the pool is abandoned and rebuilt,
   and every not-yet-merged position whose pushed attempt died with it
   is pushed again, without blame, before the failed position's retry is
-  awaited: one crash never serialises the positions behind it.
+  awaited: one crash never serialises the positions behind it. The
+  pool is shared: what other threads have in its windows dies as
+  collateral — a pushed attempt is lost, a counted one goes again
+  uncounted — and what they have queued moves to the new pool.
 * **timeout** — a unit exceeded the per-unit wall-clock budget (the
   ``unit_timeout`` runtime option; 0 disables; a pool's spawn is not on
   that clock). The hung worker cannot be recalled, so the pool's
@@ -72,12 +77,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
+    CollateralLossError,
     WorkerCrashError,
     WorkerTaskError,
     WorkerTimeoutError,
 )
 from repro.host import faults as fault_injection
-from repro.host.pool import _scratch_packs, invalidate_shared_pool, shared_pool
+from repro.host.pool import _scratch_packs, abandon, shared_pool
 from repro.host.worker import UnitDispatch, run_unit, run_unit_serial
 from repro.memory.blob import blob_digest, encode_object
 from repro.obs import metrics as obs_metrics
@@ -132,26 +138,6 @@ def _lost(position: int, why: str) -> Future:
     return future
 
 
-class _DirectDispatcher:
-    """The default submission path: the coordinator-wide shared pool.
-
-    This is the seam the service layer replaces: a dispatcher owns
-    *where* a built dispatch goes (``submit``) and what abandoning a
-    suspect pool means (``abandon``); a fleet dispatcher
-    (``repro.service``) routes both through per-session queues.
-    """
-
-    def __init__(self, jobs: int):
-        self._jobs = jobs
-
-    def submit(self, fn, dispatch: UnitDispatch):
-        return shared_pool(self._jobs).submit(fn, dispatch)
-
-    def abandon(self, kill: bool) -> None:
-        """After a crash/timeout: drop the pool; the next call rebuilds."""
-        invalidate_shared_pool(kill=kill)
-
-
 class HostExecutor:
     """Runs epoch work units on a pool of worker processes.
 
@@ -167,14 +153,9 @@ class HostExecutor:
     contained fault and fate is written there, once, and
     :meth:`timing_summary` is derived from it. The executor keeps no
     tally of its own.
-
-    ``dispatcher`` overrides the submission path (see
-    :class:`_DirectDispatcher`); the service layer injects a per-session
-    fleet dispatcher here so many concurrent sessions share one pool
-    with fair-share scheduling and bounded backpressure.
     """
 
-    def __init__(self, options: RuntimeOptions, lives: Lives, dispatcher=None):
+    def __init__(self, options: RuntimeOptions, lives: Lives):
         self.options = options
         self.lives = lives
         self.jobs = options.host_jobs
@@ -182,12 +163,9 @@ class HostExecutor:
         self._fault_specs = fault_injection.parse_fault_specs(
             options.host_faults, options.fault_state
         )
-        self._dispatch_path = (
-            dispatcher if dispatcher is not None else _DirectDispatcher(self.jobs)
-        )
         #: every digest a dispatch of this executor has named: one the
         #: scratch pack already held *and* this set lacks was put by
-        #: someone else (the fleet's cross-session dedup accounting)
+        #: another run (the service's cross-session dedup accounting)
         self._seen: Set[int] = set()
         #: (program object, digest, blob) of the last program shipped
         self._program_blob: Optional[Tuple[object, int, bytes]] = None
@@ -242,26 +220,27 @@ class HostExecutor:
         """Submit one unit: the only place a unit enters a pool.
 
         Builds the dispatch (the unit's new blobs go into the scratch
-        pack first), submits it through the dispatcher seam and records
-        the attempt — its interval and what it put — on the position's
-        life. Two failures are contained: a scratch pack that cannot be
-        written (``OSError`` — disk full, its directory gone) and a pool
-        that cannot take the unit (broken, unbuildable, shutting down).
+        pack first), submits it to the shared pool and records the
+        attempt — its interval, what it put and what it found already
+        put — on the position's life. Two failures are contained: a
+        scratch pack that cannot be written (``OSError`` — disk full, its
+        directory gone) and a pool that cannot take the unit (broken,
+        unbuildable, shutting down).
         The future returned has then already failed with the cause, and
         the caller's containment — or, for a pushed attempt, a discard —
         takes over. Anything else is a bug in building the dispatch, and
         raises.
         """
         start = time.perf_counter()
-        placed = (0, 0)
+        placed = (0, 0, 0, 0)
         try:
             try:
                 dispatch = self._make_dispatch(batch, position)
             except OSError as exc:
                 return _lost(position, f"the scratch pack cannot be written ({exc!r})")
-            placed = dispatch.placed[:2]
+            placed = dispatch.placed
             try:
-                future = self._dispatch_path.submit(run_unit, dispatch)
+                future = shared_pool(self.jobs).submit(run_unit, dispatch)
             except Exception as exc:
                 _scratch_packs.release(dispatch.pack)
                 return _lost(position, f"the pool refused it ({exc!r})")
@@ -289,8 +268,10 @@ class HostExecutor:
                 position=position,
                 timeout=self.unit_timeout,
             )
-        except WorkerCrashError as lost:
-            return None, lost  # it never reached a pool (see _dispatch)
+        except (WorkerCrashError, CollateralLossError) as lost:
+            # it never reached a pool (see _dispatch), or died on another
+            # unit's account
+            return None, lost
         except Exception as exc:
             return None, WorkerCrashError(
                 f"worker died running unit {position}: {exc!r}",
@@ -320,40 +301,45 @@ class HostExecutor:
         The counted path, for a position whose pushed attempt left no
         usable result: dispatch it, await it; on crash/timeout/task
         error retry once, then execute the unit serially in the
-        coordinator. A crash or a hang makes the pool itself suspect: it
-        is abandoned (the next dispatch rebuilds it), and every other
-        position of the batch whose pushed attempt has died with a pool
-        — this one, or the one a pushed attempt's crash broke earlier —
-        is pushed again, without blame, before this position's retry is
-        dispatched: the positions behind a fault keep executing
-        concurrently instead of arriving here one by one. (An attempt
-        that never reached a pool — :func:`_lost` — is left alone: the
-        wall it hit is still there.) A counted attempt never shares a
-        pool with another counted attempt, so a fault is blamed on the
-        position that has it.
+        coordinator. A crash or a hang makes the pool it ran on suspect:
+        it is abandoned (the next dispatch rebuilds it) — unless another
+        thread's abandon has replaced it already, so that one tenant's
+        fault never has its neighbours' casualties tear down the pool
+        again — and every other position of the batch whose pushed
+        attempt has died with a pool — this one, or the one a pushed
+        attempt's crash broke earlier — is pushed again, without blame,
+        before this position's retry is dispatched: the positions behind a
+        fault keep executing concurrently instead of arriving here one by
+        one. (An attempt that never reached a pool — :func:`_lost` — is
+        left alone: the wall it hit is still there.) A counted attempt
+        never shares a pool with another counted attempt of its run, so a
+        fault is blamed on the position that has it; one lost on another
+        unit's account (:class:`~repro.errors.CollateralLossError` — a
+        neighbour's crash, say) is no attempt: it is dispatched again,
+        uncounted, with the dead pushed attempts.
         """
-        for attempt in range(_POOL_ATTEMPTS):
-            outcome, failure = self._await(self._dispatch(batch, position), position)
+        attempt = 0
+        while attempt < _POOL_ATTEMPTS:
+            future = self._dispatch(batch, position)
+            outcome, failure = self._await(future, position)
             if outcome is not None:
                 _, value, timing = outcome
                 if not isinstance(value, WorkerTaskError):
                     self._consume(position, timing)
                     return value
                 failure = value
-            failure.attempt = attempt
-            self.lives.failed(position, failure)
-            if not isinstance(failure, WorkerTaskError):
-                self._dispatch_path.abandon(
-                    kill=isinstance(failure, WorkerTimeoutError)
-                )
-                for other, future in batch.futures.items():
-                    if future.done() and (
-                        future.cancelled()
-                        or not isinstance(
-                            future.exception(), (type(None), WorkerCrashError)
-                        )
-                    ):
-                        self._push(batch, other)
+            if not isinstance(failure, CollateralLossError):
+                failure.attempt = attempt
+                attempt += 1
+                self.lives.failed(position, failure)
+                if isinstance(failure, WorkerTaskError):
+                    continue
+                abandon(future, kill=isinstance(failure, WorkerTimeoutError))
+            for other, pushed in batch.futures.items():
+                if pushed.done() and not isinstance(
+                    pushed.exception(), (type(None), WorkerCrashError)
+                ):
+                    self._push(batch, other)
         _, value, timing = run_unit_serial(
             UnitDispatch(
                 batch.machine,

@@ -5,14 +5,30 @@ the thread that needs it; the coordinator has no other thread.* The
 thread-parallel run is a Python loop on the coordinator's main thread,
 so a thread of the pool's would take the GIL from exactly the execution
 that is meant to run at native speed. :meth:`WorkerPool.submit` pickles
-the call where it stands and writes it to the least-loaded worker that
-has said hello and holds fewer than :data:`_WINDOW` unanswered units;
-with no such worker the unit waits in one coordinator-side FIFO. Replies
-are read by whoever waits: a future's ``result(timeout)`` reads the
-workers' pipes until it is settled, every ``submit`` reads what has
-already arrived, and both refill the windows from the FIFO. A worker's
-death (end-of-file on its pipe) fails exactly the units in its window
-and marks the pool broken; the units still queued go to the survivors.
+the call where it stands and queues it on the submitting thread's *lane*;
+the lanes are served round-robin, each unit written to the least-loaded
+worker that has said hello and holds fewer than :data:`_WINDOW`
+unanswered units. A solo run is one lane, a FIFO. Under ``serve`` every
+session body runs on a thread of its own, so each tenant is a lane and
+none waits behind another's backlog: there is no other scheduler.
+
+Replies are read by whoever waits, one thread at a time. A future's
+``result(timeout)`` takes the *reader role* and reads the workers' pipes
+until it is settled, settling every reply that arrives, any thread's;
+the other waiting threads sleep until their own future settles or the
+role is free. Every ``submit`` reads what has already arrived if the role
+is free, and never waits for it. The pool's lock guards the lanes and
+windows and is never held across the wait on the pipes, so no ``submit``
+waits for another thread's reply. A worker's death (end-of-file on its
+pipe) fails exactly the units in its window and marks the pool broken:
+the one it was running with :class:`~repro.errors.HostPoolError`, the
+ones behind it with :class:`~repro.errors.CollateralLossError`, which
+the executor never blames on their positions; the units still queued go
+to the survivors. A pool shut down with its workers killed (broken, or
+abandoned after a hang) fails what is in its windows as collateral,
+whichever thread it belongs to, and hands what is still queued, never
+written to a worker, to its replacement, lanes and waiters included
+(with none, that fails too). Any other shutdown lets both run first.
 
 Neither side can park the other. A worker's pipe holds at most one
 unread unit when another is written (its window, less the unit it is
@@ -26,13 +42,13 @@ Spawn (not fork) keeps workers safe on every platform and guarantees
 they import a fresh ``repro`` — nothing leaks from the coordinator but
 what the work units carry (:mod:`repro.host.worker` runs in them,
 :mod:`repro.host.executor` feeds them). Spawning returns at once: a unit
-submitted before a worker's hello waits in the FIFO, and the first
+submitted before a worker's hello waits in its lane, and the first
 thread that waits enforces the hello deadline.
 
 One shared pool is kept per coordinator process (``shared_pool``) so a
-test suite or benchmark sweep pays the spawn cost once, not per
+test suite, benchmark sweep or service pays the spawn cost once, not per
 recording; a broken one is replaced on the next call, and growing it
-drains in-flight work first. The scratch packs the workers read blobs
+lets what is in the windows finish first. The scratch packs the workers read blobs
 from (:class:`~repro.host.blobs.ScratchPacks`) live here too — worker
 caches persist across ``HostExecutor`` instances, so what fed them
 should — and are deleted with the pool, or at interpreter exit.
@@ -49,8 +65,9 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from multiprocessing import connection
+from typing import Dict
 
-from repro.errors import HostPoolError
+from repro.errors import CollateralLossError, HostPoolError
 from repro.host.blobs import ScratchPacks
 
 _shared_pool = None
@@ -114,15 +131,19 @@ def _worker_main(conn) -> None:
 
 
 class _PoolFuture(Future):
-    """A submitted call's future: waiting on its result reads the replies."""
+    """A submitted call's future: waiting on its result reads the replies
+    of the pool that holds it — the one it was handed to, if its own was
+    replaced before writing it."""
 
     def __init__(self, pool: "WorkerPool"):
         super().__init__()
         self._pool = pool
 
     def result(self, timeout=None):
-        if not self.done():
-            self._pool._wait(self, timeout)
+        waited = None
+        while not self.done() and self._pool is not waited:
+            waited = self._pool
+            waited._wait(self, timeout)
         return super().result(0)
 
 
@@ -145,15 +166,22 @@ class _Worker:
 class WorkerPool:
     """``jobs`` spawned workers, fed and read by the threads that call it.
 
-    One lock makes ``submit``, ``pump`` and ``shutdown`` atomic: a solo
-    run never contends for it; under a fleet the event loop submits and
-    pumps while a session thread may shut the pool down.
+    ``_lock`` (a condition) guards the lanes, the windows and the reader
+    role, and is never held across the wait on the pipes; the threads
+    that wait without the role sleep on it.
     """
 
     def __init__(self, jobs: int):
-        self._lock = threading.Lock()
-        #: ``(future, pickled call)`` not yet written to a worker
-        self._queue: deque = deque()
+        self._lock = threading.Condition()
+        #: submitting thread -> its ``(future, pickled call)`` not yet
+        #: written; the lane served last moves to the back
+        self._lanes: Dict[int, deque] = {}
+        #: a thread is reading the pipes (see :meth:`_read_until`)
+        self._reading = False
+        #: shut down: a unit submitted now goes to ``_successor``, the
+        #: pool that replaced this one, or fails at once without one
+        self._closing = False
+        self._successor = None
         #: what became of the first worker lost (it died, or never said
         #: hello); once set, ``shared_pool`` replaces the pool
         self.broken = ""
@@ -162,57 +190,100 @@ class WorkerPool:
         context = multiprocessing.get_context("spawn")
         self._workers = [_Worker(context) for _ in range(jobs)]
 
-    def filenos(self) -> list:
-        """The descriptors replies arrive on (for an event loop's readers)."""
-        with self._lock:
-            return [w.conn.fileno() for w in self._workers if w.conn is not None]
-
     def submit(self, fn, *args) -> Future:
-        """Queue ``fn(*args)``: pickled here, written now if a worker has
-        room; what has already been answered is settled on the way."""
+        """Queue ``fn(*args)`` on the calling thread's lane: pickled here,
+        written now if a worker has room; what has already been answered
+        is settled on the way, unless another thread is reading."""
         payload = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
         future = _PoolFuture(self)
         with self._lock:
-            self._queue.append((future, payload))
+            closing, successor = self._closing, self._successor
+            if not closing:
+                lane = self._lanes.setdefault(threading.get_ident(), deque())
+                lane.append((future, payload))
+                if self._reading:
+                    self._feed()
+                    return future
+                self._reading = True
+        if successor is not None:  # replaced since the caller was given it
+            return successor.submit(fn, *args)
+        if closing:
+            future.set_exception(HostPoolError("the pool is shut down"))
+            return future
+        try:
             self._pump(0)
+        finally:
+            self._let_go()
         return future
 
-    def pump(self, timeout=0) -> None:
-        """Settle what arrives within ``timeout`` seconds; refill the windows."""
-        with self._lock:
-            self._pump(timeout)
-
     def _wait(self, future: Future, timeout) -> None:
-        """Pump until ``future`` is settled or ``timeout`` seconds have passed
-        since every worker said hello (or was given up on): a caller's
-        budget is for its unit, not for a spawn."""
+        """Read until ``future`` is settled (or handed to a successor) or
+        ``timeout`` seconds have passed since every worker said hello (or
+        was given up on): a caller's budget is for its unit, not for a
+        spawn."""
+        def settled():
+            return future.done() or future._pool is not self
+
+        self._read_until(
+            lambda: settled() or all(w.ready or w.conn is None for w in self._workers),
+            None,
+        )
+        self._read_until(settled, timeout)
+
+    def _read_until(self, done, timeout) -> None:
+        """Hold the reader role and pump until ``done()`` or ``timeout``
+        seconds (``None``: no limit). While another thread holds the role,
+        sleep until it lets go — or ``done()``, which its reads may make so."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while not future.done() and any(
-                w.conn is not None and not w.ready for w in self._workers
-            ):
-                self._pump(None)
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not future.done():
+            while self._reading:
                 left = None if deadline is None else deadline - time.monotonic()
-                if left is not None and left <= 0:
+                if done() or (left is not None and left <= 0):
                     return
+                self._lock.wait(left)
+            self._reading = True
+        try:
+            while not done():
+                left = None if deadline is None else max(0.0, deadline - time.monotonic())
                 self._pump(left)
+                if left == 0:
+                    return
+        finally:
+            self._let_go()
+
+    def _let_go(self) -> None:
+        with self._lock:
+            self._reading = False
+            self._lock.notify_all()
 
     def _pump(self, timeout) -> None:
         """One wait on the live workers' pipes (``None``: until something
-        arrives, or the hello deadline); lock held."""
-        live = {w.conn: w for w in self._workers if w.conn is not None}
-        late = [w for w in live.values() if not w.ready]
-        if late:
-            hello_in = max(0.0, self._hello_by - time.monotonic())
-            timeout = hello_in if timeout is None else min(timeout, hello_in)
-        for conn in connection.wait(list(live), timeout) if live else ():
-            self._read(live[conn])
-        if late and time.monotonic() >= self._hello_by:
-            for worker in late:
-                if not worker.ready and worker.conn is not None:
-                    self._retire(worker, f"said no hello in {_SPAWN_TIMEOUT:g}s")
-        self._feed()
+        arrives, or the hello deadline), then settle and refill; the
+        caller holds the reader role."""
+        with self._lock:
+            live = {}
+            for worker in self._workers:
+                if worker.conn is not None:
+                    # (a process sentinel: a worker another thread
+                    # retires ends the wait too)
+                    live[worker.conn] = live[worker.process.sentinel] = worker
+            late = not all(worker.ready for worker in live.values())
+            if late:
+                hello_in = max(0.0, self._hello_by - time.monotonic())
+                timeout = hello_in if timeout is None else min(timeout, hello_in)
+        try:
+            ready = connection.wait(list(live), timeout) if live else ()
+        except OSError:  # a pipe another thread closed since
+            ready = ()
+        with self._lock:
+            for worker in dict.fromkeys(live[obj] for obj in ready):
+                if worker.conn is not None:
+                    self._read(worker)
+            if late and time.monotonic() >= self._hello_by:
+                for worker in self._workers:
+                    if not worker.ready and worker.conn is not None:
+                        self._retire(worker, f"said no hello in {_SPAWN_TIMEOUT:g}s")
+            self._feed()
 
     def _read(self, worker: _Worker) -> None:
         """Settle every reply ``worker`` has written; end-of-file is its death."""
@@ -235,10 +306,12 @@ class WorkerPool:
             self._retire(worker, "died")
 
     def _feed(self) -> None:
-        """Write queued units, in order, to the least-loaded workers with room."""
-        while self._queue:
+        """Write queued units to the least-loaded workers with room, taking
+        the lanes in turn; wake the threads waiting on what settled."""
+        while self._lanes:
+            owner, lane = next(iter(self._lanes.items()))
+            future, payload = lane[0]
             live = [w for w in self._workers if w.conn is not None]
-            future, payload = self._queue[0]
             if live:
                 worker = min(live, key=lambda w: (not w.ready, len(w.window)))
                 if (
@@ -246,8 +319,11 @@ class WorkerPool:
                     or len(worker.window) >= _WINDOW
                     or (worker.window and len(payload) > _INLINE_BYTES)
                 ):
-                    return
-            self._queue.popleft()
+                    break
+            lane.popleft()
+            del self._lanes[owner]
+            if lane:
+                self._lanes[owner] = lane  # to the back: round-robin
             if not future.set_running_or_notify_cancel():
                 continue  # cancelled while it waited
             if not live:
@@ -260,10 +336,15 @@ class WorkerPool:
                 worker.conn.send_bytes(payload)
             except OSError:
                 self._retire(worker, "died")
+        self._lock.notify_all()
 
     def _retire(self, worker: _Worker, lost: str = "") -> None:
         """Close ``worker``'s pipe and reap it: asked to stop, or — ``lost``
-        says how it went — terminated, its window failed, the pool broken."""
+        says how it went — terminated, its window failed, the pool broken.
+
+        A worker that died was running the first unit of its window; the
+        units behind it, and every unit of a worker terminated for another
+        reason, are lost on another unit's account."""
         if lost or not worker.ready:
             worker.process.terminate()
         else:
@@ -276,32 +357,55 @@ class WorkerPool:
             worker.process.kill()
             worker.process.join()
         if lost:
+            error = HostPoolError if lost == "died" else CollateralLossError
             lost = f"worker {worker.process.pid} {lost}"
             self.broken = self.broken or lost
             while worker.window:
                 worker.window.popleft().set_exception(
-                    HostPoolError(f"{lost} with this unit in its window")
+                    error(f"{lost} with this unit in its window")
                 )
+                error = CollateralLossError
 
-    def shutdown(self, kill: bool = False, cancel: bool = True) -> None:
+    def shutdown(self, kill: bool = False, successor: "WorkerPool" = None) -> None:
         """Stop the workers; on return every future of the pool has settled
-        (one submitted later fails at once).
+        or moved to ``successor``, and one submitted later goes there too
+        (without a successor, it fails at once).
 
-        Queued units are cancelled (``cancel=False``: run first). Units in
-        a window are waited for, or with ``kill`` — a worker may be hung —
-        failed as the workers are terminated: the executor pushes again
-        exactly those.
+        Without ``kill``, what is queued or in a window runs first. With
+        it — a worker may be hung — units in a window fail as the workers
+        are terminated (the executor pushes again exactly those), and
+        queued units, never written, move to ``successor``, each in its
+        thread's lane, its waiters following it; without one they fail,
+        whichever thread queued them.
         """
         with self._lock:
-            while cancel and self._queue:
-                self._queue.popleft()[0].cancel()
-            while not kill and (
-                self._queue or any(w.window for w in self._workers)
-            ):
-                self._pump(None)
+            self._closing, self._successor = True, successor
+            lanes = {}
+            if kill:
+                lanes, self._lanes = self._lanes, {}
+            for owner, lane in lanes.items():
+                if successor is not None:
+                    with successor._lock:
+                        successor._lanes.setdefault(owner, deque()).extend(lane)
+                        for future, _ in lane:
+                            future._pool = successor
+                    continue
+                for future, _ in lane:
+                    if future.set_running_or_notify_cancel():
+                        future.set_exception(HostPoolError(
+                            "the pool was shut down before this unit was written"
+                        ))
+            self._lock.notify_all()  # a waiter on a moved unit follows it
+        if not kill:
+            self._read_until(
+                lambda: not self._lanes and not any(w.window for w in self._workers),
+                None,
+            )
+        with self._lock:
             for worker in self._workers:
                 if worker.conn is not None:
                     self._retire(worker, "was terminated" if kill else "")
+            self._lock.notify_all()
 
 
 def shared_pool(jobs: int) -> WorkerPool:
@@ -309,49 +413,62 @@ def shared_pool(jobs: int) -> WorkerPool:
 
     A previously-broken pool (a worker died) is detected here and rebuilt
     transparently — the breakage of one recording must never poison the
-    next. Growing drains in-flight units before replacing the pool.
+    next. Growing lets what the old pool holds, queued or written,
+    finish there first: growth never loses work.
     Returns as soon as the workers are started: what is submitted before
     their hello waits for it.
     """
-    global _shared_pool, _shared_size
     with _pool_lock:
         if _shared_pool is not None and _shared_pool.broken:
             invalidate_shared_pool()
         if _shared_pool is None or _shared_size < jobs:
-            if _shared_pool is not None:
-                # Drain, don't yank: both running and queued units complete
-                # before the pool is replaced (growth must never lose work).
-                _shared_pool.shutdown(cancel=False)
-            _shared_pool = WorkerPool(jobs)
-            _shared_size = jobs
+            _replace(max(jobs, _shared_size), kill=False)
         return _shared_pool
 
 
-def shared_pool_is_up(jobs: int) -> bool:
-    """Whether ``shared_pool(jobs)`` would return the live pool as it is
-    (lock-free: a hint, a stale answer never costs correctness)."""
-    pool = _shared_pool
-    return pool is not None and _shared_size >= jobs and not pool.broken
+def _replace(jobs: int, kill: bool) -> None:
+    """Install a new shared pool of ``jobs`` workers, spawned now, and stop
+    the old one (``kill``, or broken: at once, handing over its queue)."""
+    global _shared_pool, _shared_size
+    old, _shared_pool, _shared_size = _shared_pool, WorkerPool(jobs), jobs
+    if old is not None:
+        old.shutdown(kill=kill or bool(old.broken), successor=_shared_pool)
 
 
 def invalidate_shared_pool(kill: bool = False) -> None:
-    """Drop the cached shared pool so the next ``shared_pool()`` rebuilds it,
-    and the scratch packs its workers read with it.
+    """Replace the shared pool with a new one of its size, and retire the
+    scratch packs its workers read.
 
-    ``kill=True`` terminates the workers first — required after a unit
-    timeout, when one is hung and a drain would never end. A broken pool
-    is always killed: whoever still wants its survivors' units pushes
-    them again.
+    What the old pool queues is never lost: it runs there first, or —
+    the old workers killed — moves to the new pool, so a unit of another
+    thread's dies only if it was in a window. ``kill=True`` terminates
+    the old workers at once — required after a unit timeout, when one is
+    hung and a drain would never end. A broken pool is always killed:
+    whoever still wants its survivors' units pushes them again.
     """
-    global _shared_pool, _shared_size
     with _pool_lock:
         if _shared_pool is not None:
-            _shared_pool.shutdown(kill=kill or bool(_shared_pool.broken))
+            _replace(_shared_size, kill)
         _scratch_packs.close()
-        _shared_pool = None
-        _shared_size = 0
+
+
+def abandon(future: Future, kill: bool = False) -> None:
+    """A counted attempt failed for a host reason: replace the shared pool
+    it ran on (``kill``: see :func:`invalidate_shared_pool`) — unless that
+    pool is gone already, taking the attempt with it, and the one that
+    replaced it has done nothing wrong. An attempt that never reached a
+    pool replaces the current one."""
+    with _pool_lock:
+        if getattr(future, "_pool", _shared_pool) is _shared_pool:
+            invalidate_shared_pool(kill=kill)
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the shared pool (tests and benchmark hygiene)."""
-    invalidate_shared_pool(kill=False)
+    """Tear down the shared pool, failing what it still queues, and the
+    scratch packs with it (tests and benchmark hygiene)."""
+    global _shared_pool, _shared_size
+    with _pool_lock:
+        if _shared_pool is not None:
+            _shared_pool.shutdown()
+        _scratch_packs.close()
+        _shared_pool, _shared_size = None, 0

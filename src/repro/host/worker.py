@@ -9,7 +9,7 @@ when and for how long onto the attempt's
 execution, whichever process made it. Two thin callers wrap it:
 
 * :func:`run_unit` — the worker entry point, for every pool submission
-  (pushed or contained, direct pool or fleet). It adopts the
+  (pushed or contained, solo or a service tenant's). It adopts the
   coordinator's runtime options from the dispatch (never this process's
   own environment),
   applies injected faults, resolves the unit's digests through this
@@ -70,9 +70,9 @@ class UnitDispatch:
     #: fusion switch before any work.
     options: RuntimeOptions = RuntimeOptions()
     _local_program: object = field(default=None, repr=False)
-    #: what building this dispatch did to the scratch pack, for a fleet
-    #: dispatcher's accounting: ``(blobs, bytes)`` newly put, then
-    #: ``(blobs, bytes)`` the pack already held from someone else
+    #: what building this dispatch did to the scratch pack, for the
+    #: attempt's epoch life: ``(blobs, bytes)`` newly put, then
+    #: ``(blobs, bytes)`` the pack already held from another run
     placed: Tuple[int, int, int, int] = field(default=(0, 0, 0, 0), repr=False)
 
     def __getstate__(self):

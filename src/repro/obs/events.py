@@ -4,7 +4,7 @@ Counters say *how many*; the journal says *what happened, in order*.
 Every state transition an operator would grep a log for is emitted as
 one structured event — epoch committed, divergence discarded, fault
 contained/retried/serial-fallback, flight-window slide and GC, session
-admitted/backpressured/completed — into a process-wide :class:`EventJournal`:
+admitted/completed — into a process-wide :class:`EventJournal`:
 
 * **Bounded ring.** Events land in a ``deque(maxlen=capacity)``; the
   journal never grows with run length. Overflow is counted
@@ -59,7 +59,6 @@ KINDS = (
     "pack-compaction",     # durable log: blob pack rewritten survivors-only
     "partial-close",       # durable log: crash path sealed committed prefix
     "session-admitted",    # service: tenant got an admission slot
-    "session-backpressure",# service: tenant blocked on its lane credits
     "session-completed",   # service: tenant finished (ok or failed)
 )
 
@@ -189,9 +188,11 @@ def read_events(path: str, count: Optional[int] = None) -> List[Dict[str, object
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError:
                 continue  # a torn tail line from a crashed writer
+            if isinstance(event, dict):  # (anything else is no event)
+                events.append(event)
     if count is not None:
         events = events[-count:]
     return events

@@ -6,11 +6,11 @@ service's live telemetry. It has one feed, the **event journal**
 per-session state — admission wait, epoch commit counts, inter-commit
 intervals, contained-fault counts, the completion verdict and the
 lane's final summary — from the same stream an operator tails, so there
-is one source of truth. An attached
-:class:`~repro.service.fleet.FleetScheduler` is *read*, not fed: it is
-polled for live lane state (inflight, queue high water, credit waits)
-whenever a snapshot is taken, so an unscraped hub does no aggregation
-work.
+is one source of truth. A running session's lane (units in flight,
+queue high water, unit latency) and the fleet totals are derived from
+the epoch lives the sessions' run scopes collect
+(:func:`~repro.obs.lifecycle.lane_summary`) whenever a snapshot is
+taken, so an unscraped hub does no aggregation work.
 
 :class:`TelemetryServer` exposes the hub over HTTP on the service's
 own asyncio loop (stdlib only, no framework):
@@ -19,8 +19,8 @@ own asyncio loop (stdlib only, no framework):
   gauges, admission-wait as a cumulative-bucket histogram, and
   per-session epoch/unit latency quantiles;
 * ``GET /sessions`` — per-lane JSON (status, inflight, queue high
-  water, backpressure, latency quantiles) plus the fleet summary —
-  the payload ``repro top`` renders;
+  water, latency quantiles) plus the fleet summary — the payload
+  ``repro top`` renders;
 * ``GET /healthz`` — the :mod:`repro.obs.health` verdict; HTTP 200
   when ok, 503 when degraded.
 
@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 
 from repro.obs import health as obs_health
 from repro.obs.histo import LogHistogram
+from repro.obs.lifecycle import fleet_summary, lane_summary
 
 _QUANTILES = (0.50, 0.90, 0.99)
 
@@ -61,7 +62,6 @@ class _SessionView:
     interval_hist: LogHistogram = field(default_factory=LogHistogram)
     faults: int = 0
     serial_fallbacks: int = 0
-    backpressure_hits: int = 0
     duration: float = 0.0
     #: the lane's final queueing/wire summary (set at completion)
     summary: Dict[str, object] = field(default_factory=dict)
@@ -81,7 +81,6 @@ class _SessionView:
             },
             "faults": self.faults,
             "serial_fallbacks": self.serial_fallbacks,
-            "backpressure_hits": self.backpressure_hits,
             "duration": round(self.duration, 6),
             "ok": self.ok,
             "error": self.error,
@@ -95,7 +94,8 @@ class TelemetryHub:
         self.policy = policy or obs_health.HealthPolicy()
         self._lock = threading.RLock()
         self._sessions: Dict[str, _SessionView] = {}
-        self._fleet = None
+        #: the current serve's session id -> the lives its runs began
+        self._lanes: Dict[str, list] = {}
         self.origin = time.perf_counter()
         self.admission_hist = LogHistogram()
 
@@ -105,8 +105,8 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # Feeding (service + journal).
     # ------------------------------------------------------------------
-    def attach_fleet(self, fleet) -> None:
-        self._fleet = fleet
+    def attach_lanes(self, lanes: Dict[str, list]) -> None:
+        self._lanes = lanes
 
     def _view(self, sid: str) -> _SessionView:
         view = self._sessions.get(sid)
@@ -134,8 +134,6 @@ class TelemetryHub:
                 view.faults += 1
             elif kind == "serial-fallback":
                 view.serial_fallbacks += 1
-            elif kind == "session-backpressure":
-                view.backpressure_hits += 1
             elif kind == "session-admitted":
                 view.admission_wait = event["wait"]
                 self.admission_hist.observe(event["wait"])
@@ -153,18 +151,16 @@ class TelemetryHub:
     # Reading (endpoints, health, ``repro top``).
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        live: Dict[str, Dict[str, object]] = {}
-        fleet_summary: Dict[str, object] = {}
-        if self._fleet is not None:
-            live = self._fleet.live_summary()
-            fleet_summary = self._fleet.summary()
+        lanes = dict(self._lanes)
         with self._lock:
             sessions = []
             for sid in sorted(self._sessions):
                 view = self._sessions[sid]
                 plain = view.to_plain()
-                lane = live.get(sid) if view.status == "running" else None
-                plain["lane"] = lane if lane is not None else dict(view.summary)
+                running = view.status == "running" and sid in lanes
+                plain["lane"] = (
+                    lane_summary(lanes[sid]) if running else dict(view.summary)
+                )
                 sessions.append(plain)
             status = [view.status for view in self._sessions.values()]
             return {
@@ -180,7 +176,7 @@ class TelemetryHub:
                         _QUANTILES
                     ).items()
                 },
-                "fleet": fleet_summary,
+                "fleet": fleet_summary(list(lanes.values())) if lanes else {},
             }
 
     def evaluate(self) -> obs_health.HealthReport:
@@ -242,14 +238,6 @@ class TelemetryHub:
                 f"repro_fleet_pool_rebuilds_total {fleet.get('pool_rebuilds', 0)}"
             )
             metric(
-                "repro_fleet_backpressure_wait_seconds_total", "counter",
-                "seconds session threads blocked on lane credits",
-            )
-            lines.append(
-                "repro_fleet_backpressure_wait_seconds_total "
-                f"{fleet.get('backpressure_wait', 0.0)}"
-            )
-            metric(
                 "repro_fleet_bytes_shipped_total", "counter",
                 "blob bytes put into the scratch pack for workers",
             )
@@ -266,7 +254,7 @@ class TelemetryHub:
             )
             metric(
                 "repro_fleet_unit_latency_seconds", "summary",
-                "fleet-wide unit submit-to-complete latency",
+                "fleet-wide unit dispatch-to-complete latency",
             )
             for q in ("p50", "p99"):
                 value = fleet.get(f"unit_latency_{q}", 0.0)
@@ -289,7 +277,7 @@ class TelemetryHub:
         )
         metric(
             "repro_session_unit_latency_seconds", "summary",
-            "per-session unit submit-to-complete latency",
+            "per-session unit dispatch-to-complete latency",
         )
         metric(
             "repro_session_epoch_interval_seconds", "summary",

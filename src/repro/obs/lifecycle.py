@@ -11,7 +11,8 @@ Always on, O(epochs), never per guest op.
 
 Derived from the lives: ``RecordResult.host`` / ``ReplayResult.host``
 (:meth:`Lives.host_summary`), the ``histo`` group's wall-clock and size
-histograms (:meth:`Lives.distributions`), the Chrome trace
+histograms (:meth:`Lives.distributions`), the service's per-session and
+fleet-wide pool accounting (:func:`lane_summary`), the Chrome trace
 (:attr:`repro.obs.spans.Tracer.spans`) and the journal's epoch-scoped
 kinds (the transitions). Counters (:func:`repro.obs.metrics.process_stats`)
 stay O(1) sums that are not facts about one epoch; they ride home on
@@ -26,7 +27,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -73,12 +74,16 @@ class Attempt:
     #: opposed to a counted one or a run on the coordinator
     pushed: bool = False
     #: building, pickling and writing (or queueing) the dispatch, all on
-    #: the submitting thread — under a fleet the pickle is the pump's and
-    #: falls outside (None: it never left this process)
+    #: the submitting thread — a solo run's or a service tenant's alike
+    #: (None: it never left this process)
     dispatch: Optional[Interval] = None
     #: blobs / bytes the dispatch newly put into the scratch pack
     blobs: int = 0
     bytes: int = 0
+    #: blobs / bytes it named that the pack already held from another
+    #: run (the service's cross-session dedup)
+    found: int = 0
+    found_bytes: int = 0
     #: the execution, once its result was consumed; a dropped result
     #: (cancelled behind a divergence, crashed) never gets one
     timing: Optional[UnitTiming] = None
@@ -138,12 +143,14 @@ class Lives:
 
     def dispatched(
         self, position: int, kind: str, pushed: bool, start: float, end: float,
-        blobs: int, size: int,
+        blobs: int, size: int, found: int = 0, found_size: int = 0,
     ) -> None:
         attempts = self[position].attempts
         if not pushed and attempts and attempts[-1].failure is not None:
             obs_events.emit("fault-retry", position=position)
-        attempts.append(Attempt(kind, pushed, (start, end), blobs, size))
+        attempts.append(
+            Attempt(kind, pushed, (start, end), blobs, size, found, found_size)
+        )
 
     def executed(self, position: int, timing: UnitTiming) -> None:
         """The latest dispatch's result came home and was consumed."""
@@ -276,10 +283,93 @@ class Lives:
         )
 
 
+def _percentile(ordered: List[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample (0 if empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))]
+
+
+def _in_flight(life: EpochLife) -> bool:
+    """Its latest attempt went to the pool and has neither come home, nor
+    failed, nor been dropped with its position."""
+    if not life.attempts:
+        return False
+    last = life.attempts[-1]
+    return (
+        last.dispatch is not None and last.timing is None and last.failure is None
+        and (life.fate is None or not last.pushed)
+    )
+
+
+def _most_overlapping(spans: List[Interval]) -> int:
+    edges = sorted(
+        [(start, 1) for start, _ in spans] + [(end, -1) for _, end in spans]
+    )
+    most = now = 0
+    for _, step in edges:
+        now += step
+        most = max(most, now)
+    return most
+
+
+def lane_summary(runs: Sequence[Lives]) -> Dict[str, float]:
+    """What the pool did for a service session's runs — or, given every
+    session's, for the service: the ``service`` metrics group, the
+    ``/sessions`` lane view and the fleet report.
+
+    A unit is a pool attempt whose execution came home; its latency runs
+    from the start of its dispatch to the end of its execution in the
+    worker, on the one ``perf_counter`` clock, and ``queue_high_water``
+    is the most of those intervals that overlapped. Every crash or
+    timeout abandoned the pool, so ``pool_rebuilds`` counts them.
+    """
+    lives = [life for run in runs for life in run.all]
+    attempts = [a for life in lives for a in life.attempts if a.dispatch]
+    spans = [
+        (a.dispatch[0], a.timing.started + a.timing.wall)
+        for a in attempts if a.timing is not None
+    ]
+    latencies = sorted(end - start for start, end in spans)
+    kinds = [a.failure.kind for a in attempts if a.failure is not None]
+    return {
+        "units": len(spans),
+        "inflight": sum(map(_in_flight, lives)),
+        "queue_high_water": _most_overlapping(spans),
+        "unit_latency_p50": round(_percentile(latencies, 0.50), 6),
+        "unit_latency_p99": round(_percentile(latencies, 0.99), 6),
+        # The pool has no lane credits and no fair-share cap, so nothing
+        # waits on either: constant until a benchmark PR drops the rows
+        # benchmarks/e2e reads them into.
+        "backpressure_wait": 0.0,
+        "fair_share_deficits": 0,
+        "pool_rebuilds": kinds.count("crash") + kinds.count("timeout"),
+        "blobs_shipped": sum(a.blobs for a in attempts),
+        "bytes_shipped": sum(a.bytes for a in attempts),
+        "cross_session_hits": sum(a.found for a in attempts),
+        "cross_session_bytes_saved": sum(a.found_bytes for a in attempts),
+    }
+
+
+def fleet_summary(sessions: Sequence[Sequence[Lives]]) -> Dict[str, object]:
+    """:func:`lane_summary` over every session's runs: ``ServiceReport.fleet``."""
+    summary = lane_summary([run for runs in sessions for run in runs])
+    wire = {
+        key: summary.pop(key) for key in (
+            "blobs_shipped", "bytes_shipped",
+            "cross_session_hits", "cross_session_bytes_saved",
+        )
+    }
+    return {"sessions": len(sessions), **summary, "wire": wire}
+
+
 def begin() -> Lives:
-    """A run starts; a trace collecting on this thread will export it."""
+    """A run starts; a trace, and a service session, collecting on this
+    thread take it."""
     lives = Lives()
-    trace = obs_metrics.scope().trace
-    if trace is not None:
-        trace.runs.append(lives)
+    here = obs_metrics.scope()
+    if here.trace is not None:
+        here.trace.runs.append(lives)
+    if here.runs is not None:
+        here.runs.append(lives)
     return lives

@@ -1,8 +1,9 @@
 """The thread's run scope, and run-wide mergeable counters.
 
 * :class:`RunScope` — what the runs on one thread report into: a
-  session id, a counter registry, a tracer. The one thread-scoped thing
-  in the telemetry plane; the process has a default one.
+  session id, a counter registry, a tracer, a service session's runs.
+  The one thread-scoped thing in the telemetry plane; the process has a
+  default one.
 * :func:`process_stats` — the scope's
   :class:`~repro.sim.stats.StatsRegistry`, which execution code
   increments with dotted names (``"exec.epochs"``,
@@ -31,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterator, Mapping, Optional
+from typing import Collection, Dict, Iterator, List, Mapping, Optional
 
 from repro.sim.stats import StatsRegistry
 
@@ -53,6 +54,9 @@ class RunScope:
     #: the :class:`~repro.obs.spans.Tracer` collecting the scope's runs
     #: for export; None when nobody asked for a trace
     trace: Optional[object] = None
+    #: the epoch lives of the runs begun under the scope, collected for
+    #: a service session's pool accounting; None outside a session
+    runs: Optional[List[object]] = None
 
 
 _process = RunScope()
@@ -65,7 +69,9 @@ def scope() -> RunScope:
 
 
 @contextlib.contextmanager
-def session_scope(sid: Optional[str] = None, trace=None) -> Iterator[RunScope]:
+def session_scope(
+    sid: Optional[str] = None, trace=None, runs: Optional[list] = None
+) -> Iterator[RunScope]:
     """Give this thread a private scope for the block.
 
     Everything a session's record/replay counts — and every worker
@@ -73,7 +79,7 @@ def session_scope(sid: Optional[str] = None, trace=None) -> Iterator[RunScope]:
     own registry, so ``RecordResult.metrics`` is identical to the same
     run performed solo in a fresh process.
     """
-    _scoped.scope = entered = RunScope(sid=sid, trace=trace)
+    _scoped.scope = entered = RunScope(sid=sid, trace=trace, runs=runs)
     try:
         yield entered
     finally:

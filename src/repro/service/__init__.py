@@ -1,16 +1,12 @@
-"""Record-as-a-service: async multi-session coordination over one fleet.
+"""Record-as-a-service: many record/replay sessions over one worker pool.
 
 Public surface:
 
 * :class:`RecordService` / :class:`ServiceConfig` — the asyncio
-  coordinator and its knobs (fleet jobs, admission bound, lane depth).
+  coordinator and its knobs (pool size, admission bound, telemetry).
 * :class:`SessionRequest` / :class:`SessionResult` /
   :class:`ServiceReport` — one tenant's job, its outcome, and the
   whole run's accounting.
-* :class:`FleetScheduler` / :class:`SessionDispatcher` — the shared
-  worker fleet and the per-session handle that slots into
-  ``HostExecutor``'s submission seam (``DoublePlayConfig.host_dispatcher``
-  or ``Replayer.replay_parallel(dispatcher=...)``).
 """
 
 from repro.service.coordinator import (
@@ -20,14 +16,11 @@ from repro.service.coordinator import (
     SessionRequest,
     SessionResult,
 )
-from repro.service.fleet import FleetScheduler, SessionDispatcher
 
 __all__ = [
-    "FleetScheduler",
     "RecordService",
     "ServiceConfig",
     "ServiceReport",
-    "SessionDispatcher",
     "SessionRequest",
     "SessionResult",
 ]

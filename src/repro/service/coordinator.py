@@ -1,23 +1,23 @@
-"""Record-as-a-service: N concurrent sessions, one shared worker fleet.
+"""Record-as-a-service: N concurrent sessions, one shared worker pool.
 
-:class:`RecordService` is an asyncio coordinator that runs many
-record/replay sessions concurrently against a single
-:class:`~repro.service.fleet.FleetScheduler`. Each session:
+:class:`RecordService` is an admission semaphore plus a thread per
+admitted session, on an asyncio loop that also serves the telemetry
+endpoint. Each session:
 
 1. waits for an **admission slot** (``max_active`` sessions run at
-   once; the wait is measured and reported — that's the service's
-   admission-control latency, distinct from the fleet's per-unit
-   backpressure);
-2. registers a fleet **lane** and receives the dispatcher that its
-   private ``HostExecutor`` will submit epoch units through;
-3. runs the ordinary blocking record/replay path on a worker thread
-   (``loop.run_in_executor``) inside one private run scope
-   (:func:`repro.obs.metrics.session_scope`: its session id, its own
-   counter registry, its own — or no — tracer), so interleaved sessions
-   never bleed counters, journal lines or spans into each other;
-4. folds its lane's queueing/wire numbers into the run's
-   :class:`~repro.obs.metrics.RunMetrics` under the ``service`` group
-   and releases its lane and slot.
+   once; the wait is measured and reported);
+2. runs the ordinary blocking record/replay path on a thread of its own
+   inside one private run scope (:func:`repro.obs.metrics.session_scope`:
+   its session id, its own counter registry, its own — or no — tracer,
+   and the list its runs' epoch lives are collected in), so interleaved
+   sessions never bleed counters, journal lines or spans into each
+   other. Its units reach the coordinator-wide
+   :func:`~repro.host.pool.shared_pool` the way a solo run's do; the
+   pool gives each submitting thread a lane and serves the lanes in
+   turn, so a session is a lane of it and needs no other scheduler;
+3. reports the ``service`` group of its metrics, derived from its lives
+   (:func:`repro.obs.lifecycle.lane_summary`), as the fleet report is
+   from every session's.
 
 **Determinism contract.** The service changes *where* epoch units
 execute and *when* they are admitted — never what they compute. Every
@@ -43,30 +43,26 @@ from repro import options
 from repro.core.config import DoublePlayConfig
 from repro.core.recorder import DoublePlayRecorder
 from repro.core.replayer import Replayer
+from repro.host.pool import _scratch_packs, shared_pool
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
 from repro.obs import health as obs_health
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.expo import TelemetryHub, TelemetryServer
-from repro.service.fleet import FleetScheduler, SessionDispatcher
+from repro.obs.lifecycle import fleet_summary, lane_summary
 from repro.workloads import build_workload
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Service-wide knobs (the fleet's shape and the admission bound)."""
+    """Service-wide knobs (the pool's size and the admission bound)."""
 
-    #: worker processes in the shared fleet
+    #: worker processes in the shared pool
     jobs: int = 2
     #: sessions allowed to run concurrently (admission control); the
     #: rest wait in the admission queue with their wait time measured
     max_active: int = 8
-    #: per-session outstanding-unit bound (fleet lane credits);
-    #: None = the fleet default (``max(2*jobs, 2)``)
-    queue_depth: Optional[int] = None
-    #: fleet-wide in-flight bound; None = the fleet default
-    max_inflight: Optional[int] = None
     #: serve ``/metrics`` + ``/sessions`` + ``/healthz`` on this port
     #: (0 = an ephemeral port, reported on the service after start;
     #: None = no HTTP endpoint)
@@ -91,7 +87,7 @@ class ServiceConfig:
 class SessionRequest:
     """One tenant's record (or replay) job."""
 
-    #: session id (unique per service run; used in fleet accounting)
+    #: session id (unique per service run)
     sid: str
     #: workload name (``repro.workloads.build_workload``)
     workload: str = "fft"
@@ -141,7 +137,7 @@ class SessionResult:
 
 @dataclass
 class ServiceReport:
-    """One service run: every session's result plus fleet accounting."""
+    """One service run: every session's result plus the pool's accounting."""
 
     results: List[SessionResult]
     fleet: Dict[str, object]
@@ -180,7 +176,7 @@ class ServiceReport:
 
 
 class RecordService:
-    """Async coordinator multiplexing sessions over one worker fleet."""
+    """Async coordinator: admission control and a thread per admitted session."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
@@ -206,31 +202,37 @@ class RecordService:
         return asyncio.run(self.serve(requests))
 
     async def serve(self, requests: Sequence[SessionRequest]) -> ServiceReport:
-        """Run every session concurrently over one shared fleet."""
+        """Run every session concurrently over one shared pool.
+
+        Raises ``ValueError`` before anything runs when two requests
+        share a session id.
+        """
         config = self.config
-        fleet = FleetScheduler(
-            config.jobs,
-            queue_depth=config.queue_depth,
-            max_inflight=config.max_inflight,
-        )
+        sids = [request.sid for request in requests]
+        if len(set(sids)) < len(sids):
+            raise ValueError(f"duplicate session ids in {sids}")
+        jobs = max(1, config.jobs)
+        #: session id -> the epoch lives its runs have begun so far
+        lanes: Dict[str, list] = {}
         # The journal is the telemetry plane's spine: the hub derives
         # live per-session state from the same stream an operator tails.
         journal = obs_events.install_journal(
             capacity=config.journal_capacity, sink_path=config.events_path
         )
         journal.add_listener(self.hub.ingest_event)
-        self.hub.attach_fleet(fleet)
+        self.hub.attach_lanes(lanes)
         server: Optional[TelemetryServer] = None
         bound_port: Optional[int] = None
         if config.telemetry_port is not None:
             server = TelemetryServer(self.hub, port=config.telemetry_port)
             bound_port = await server.start()
-        await fleet.start()
+        # Returns once the workers are started: they import and say hello
+        # while the first sessions build their programs.
+        shared_pool(jobs)
         loop = asyncio.get_running_loop()
         admission = asyncio.Semaphore(max(1, config.max_active))
         # Session bodies are blocking (the ordinary record/replay path);
-        # they run on this dedicated thread pool, one thread per active
-        # session. The worker fleet does the actual epoch execution.
+        # each admitted one runs on a thread of this pool.
         threads = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, config.max_active),
             thread_name_prefix="repro-session",
@@ -238,10 +240,10 @@ class RecordService:
         t0 = time.perf_counter()
         elapsed = 0.0
         try:
-            with options.run(host_jobs=config.jobs):
+            with options.run(host_jobs=jobs):
                 results = await asyncio.gather(
                     *(
-                        self._session(request, fleet, admission, loop, threads)
+                        self._session(request, lanes, admission, loop, threads)
                         for request in requests
                     )
                 )
@@ -259,8 +261,8 @@ class RecordService:
             if not elapsed:
                 elapsed = time.perf_counter() - t0
             self._linger_over.set()  # a cancelled serve must not wait it out
-            await fleet.stop()
             threads.shutdown(wait=True)
+            _scratch_packs.close()  # what the service's sessions filled
             self._linger_over.clear()
             if server is not None:
                 await server.stop()
@@ -268,7 +270,7 @@ class RecordService:
             obs_events.uninstall_journal()
         return ServiceReport(
             results=list(results),
-            fleet=fleet.summary(),
+            fleet=fleet_summary(list(lanes.values())),
             elapsed=elapsed,
             health=health,
             telemetry_port=bound_port,
@@ -280,7 +282,7 @@ class RecordService:
     async def _session(
         self,
         request: SessionRequest,
-        fleet: FleetScheduler,
+        lanes: Dict[str, list],
         admission: asyncio.Semaphore,
         loop: asyncio.AbstractEventLoop,
         threads: concurrent.futures.ThreadPoolExecutor,
@@ -292,16 +294,13 @@ class RecordService:
                 "session-admitted", sid=request.sid,
                 wait=round(admission_wait, 6),
             )
-            dispatcher = fleet.register(request.sid)
-            try:
-                # copy_context: every session thread inherits the options
-                # resolved once for the fleet run, as asyncio.to_thread would.
-                result = await loop.run_in_executor(
-                    threads, contextvars.copy_context().run,
-                    self._session_body, request, dispatcher,
-                )
-            finally:
-                fleet.release(request.sid)
+            runs = lanes[request.sid] = []
+            # copy_context: every session thread inherits the options
+            # resolved once for the service run, as asyncio.to_thread would.
+            result = await loop.run_in_executor(
+                threads, contextvars.copy_context().run,
+                self._session_body, request, runs,
+            )
             result.admission_wait = admission_wait
             obs_events.emit(
                 "session-completed", sid=request.sid, ok=result.ok,
@@ -310,28 +309,28 @@ class RecordService:
             )
             return result
 
-    def _session_body(
-        self, request: SessionRequest, dispatcher: SessionDispatcher
-    ) -> SessionResult:
-        """The blocking session body (runs on a service worker thread)."""
+    def _session_body(self, request: SessionRequest, runs: list) -> SessionResult:
+        """The blocking session body (runs on a session thread)."""
         t0 = time.perf_counter()
         result = SessionResult(sid=request.sid, kind=request.kind, ok=False)
         result.tracer = obs_spans.Tracer() if request.trace else None
         # One private run scope: this thread's counters, the session id
-        # on every line it journals (epoch commits, contained faults,
-        # backpressure) and its tracer — explicitly none unless asked, so
-        # nothing bleeds into another session or the caller's trace.
-        with obs_metrics.session_scope(request.sid, result.tracer):
+        # on every line it journals (epoch commits, contained faults),
+        # its tracer — explicitly none unless asked, so nothing bleeds
+        # into another session or the caller's trace — and its lives.
+        with obs_metrics.session_scope(request.sid, result.tracer, runs):
             try:
                 if request.kind == "record":
-                    self._run_record(request, dispatcher, result)
+                    self._run_record(request, result)
                 elif request.kind == "replay":
-                    self._run_replay(request, dispatcher, result)
+                    self._run_replay(request, result)
                 else:
                     raise ValueError(f"unknown session kind {request.kind!r}")
                 result.ok = result.error is None
             except Exception as exc:  # a failed tenant, not a failed service
                 result.error = f"{type(exc).__name__}: {exc}"
+        if result.metrics:
+            result.metrics["service"] = lane_summary(runs)
         result.duration = time.perf_counter() - t0
         return result
 
@@ -353,32 +352,19 @@ class RecordService:
             )
         return instance, machine, epoch_cycles
 
-    def _run_record(
-        self,
-        request: SessionRequest,
-        dispatcher: SessionDispatcher,
-        result: SessionResult,
-    ) -> None:
+    def _run_record(self, request: SessionRequest, result: SessionResult) -> None:
         instance, machine, epoch_cycles = self._build(request)
         config = DoublePlayConfig(
             machine=machine,
             epoch_cycles=epoch_cycles,
-            host_jobs=dispatcher.jobs,
-            host_dispatcher=dispatcher,
             host_faults=request.faults,
         )
         record = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        record.metrics.merge_group("service", dispatcher.session_summary())
         result.recording_plain = record.recording.to_plain()
         result.epochs = record.recording.epoch_count()
         result.metrics = record.metrics.snapshot()
 
-    def _run_replay(
-        self,
-        request: SessionRequest,
-        dispatcher: SessionDispatcher,
-        result: SessionResult,
-    ) -> None:
+    def _run_replay(self, request: SessionRequest, result: SessionResult) -> None:
         if request.recording_plain is None:
             raise ValueError("replay session requires recording_plain")
         instance, machine, _ = self._build(request)
@@ -391,13 +377,11 @@ class RecordService:
         replayer.materialize_checkpoints(recording)
         outcome = replayer.replay_parallel(
             recording,
-            jobs=dispatcher.jobs,
-            dispatcher=dispatcher,
+            jobs=options.current().host_jobs,
             fault_specs=request.faults,
         )
         result.verified = outcome.verified
         result.epochs = recording.epoch_count()
-        outcome.metrics.merge_group("service", dispatcher.session_summary())
         result.metrics = outcome.metrics.snapshot()
         if not outcome.verified:
             result.error = f"replay diverged: {outcome.details}"

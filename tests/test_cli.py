@@ -211,6 +211,21 @@ class TestOutsideInput:
         assert code == 2
         assert text.startswith("error: ") and text.count("\n") == 1
 
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"metrics": [1]}'])
+    def test_metrics_diff_of_a_file_that_is_no_snapshot(self, tmp_path, content):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        code, text = run_cli("metrics", "diff", str(path), str(path))
+        assert code == 2
+        assert text.startswith("error: ") and text.count("\n") == 1
+
+    def test_events_tail_skips_a_line_that_is_no_event(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('[1]\n{"seq": 1, "kind": "epoch-commit", "epoch": 3}\n7\n')
+        code, text = run_cli("events", "tail", str(path))
+        assert code == 0
+        assert text.count("\n") == 1 and "epoch=3" in text
+
     def test_replay_epoch_out_of_range(self, tmp_path):
         path = tmp_path / "rec.json"
         run_cli("record", "fft", "--scale", "2", "-o", str(path))

@@ -1,7 +1,7 @@
 """One epoch-unit path: execute and dispatch exist once each.
 
 The host layer runs a unit through one routine wherever it runs — a pool
-worker (pushed or counted attempt, direct pool or fleet) or the
+worker (pushed or counted attempt, solo or a service tenant's) or the
 coordinator's serial fallback. These tests pin that directly: the two
 callers of the one execute routine agree on values and counters, the
 one dispatch routine records every attempt (so every span derives from
@@ -57,37 +57,40 @@ def _golden_tuple(native, result):
     )
 
 
-class _CapturingDispatcher:
-    """A submission seam with no pool behind it.
+class _CapturingPool:
+    """Stands in for the shared pool, with no worker behind it.
 
     Every dispatch the executor builds is kept and then refused, so
     each unit exhausts its pool attempts and runs through the
-    coordinator's serial fallback.
+    coordinator's serial fallback. Abandoning it is a no-op, so the
+    scratch pack the dispatches name stays readable.
     """
 
     def __init__(self):
         self.dispatches = []
 
+    def __call__(self, jobs):
+        return self  # as ``shared_pool(jobs)``
+
     def submit(self, fn, dispatch):
         assert fn is host_worker.run_unit, "a second worker entry point exists"
         self.dispatches.append(dispatch)
-        raise RuntimeError("no pool behind this dispatcher")
-
-    def abandon(self, kill):
-        pass
+        raise RuntimeError("no worker behind this pool")
 
 
 @pytest.fixture
-def captured():
+def captured(monkeypatch):
     """One record and one replay dispatch, captured pool-free."""
-    seam = _CapturingDispatcher()
-    instance, machine, native, config = _setup(host_jobs=2, host_dispatcher=seam)
+    seam = _CapturingPool()
+    monkeypatch.setattr(host_executor, "shared_pool", seam)
+    monkeypatch.setattr(host_executor, "abandon", lambda future, kill: None)
+    instance, machine, native, config = _setup(host_jobs=2)
     result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     # Every unit fell back to the serial wrapper and the golden held.
     assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
     assert result.host["faults"]["serial_fallbacks"] == result.host["units"]
     outcome = Replayer(instance.image, machine).replay_parallel(
-        result.recording, jobs=2, dispatcher=seam
+        result.recording, jobs=2
     )
     assert outcome.verified
     by_kind = {}
@@ -313,13 +316,13 @@ def test_a_pool_that_never_comes_up_is_accounted_as_lost_units(monkeypatch):
     re-obtained verdicts nothing had pushed, ``harvest`` counted them
     accepted, and ``discarded`` was a remainder.)
     """
-    def no_pool(self, *args):
+    def no_pool(jobs):
         raise RuntimeError("the pool cannot be brought up")
 
     instance, _, _, config = _setup("racy-counter", host_jobs=1)
     serial = DoublePlayRecorder(instance.image, instance.setup, config).record()
     assert serial.stats["recoveries"] >= 3
-    monkeypatch.setattr(host_executor._DirectDispatcher, "submit", no_pool)
+    monkeypatch.setattr(host_executor, "shared_pool", no_pool)
     result = DoublePlayRecorder(
         instance.image, instance.setup, config.replace(host_jobs=2)
     ).record()

@@ -1,21 +1,23 @@
-"""Record-as-a-service: multi-session coordination over one worker fleet.
+"""Record-as-a-service: multi-session coordination over one worker pool.
 
 Covers the service's four contracts:
 
 1. **Determinism** — every session's recording is bit-identical to the
    same workload recorded solo at ``jobs=1``, no matter how many
-   tenants interleave over the shared fleet (the golden-pinned slice
+   tenants interleave over the shared pool (the golden-pinned slice
    lives in ``test_integration_matrix.py``).
 2. **Isolation** — faults injected into one tenant exercise only that
    session's containment; other tenants' counters stay zero and their
    recordings stay identical. A pool-breaking crash costs neighbours
    wall-clock, never correctness.
-3. **Flow control** — per-session lane credits bound each tenant's
-   outstanding units (backpressure is measured, not silent), and the
-   admission semaphore bounds concurrently-running sessions.
+3. **Flow control** — the admission semaphore bounds concurrently-running
+   sessions, and the pool's windows bound the units in its pipes however
+   many tenants push (each tenant is a lane of the pool: see
+   ``tests/test_host_pool.py``).
 4. **Fleet economics** — digest-identical pages ship once fleet-wide;
    later tenants' dispatches omit what an earlier tenant shipped, and
-   the accounting attributes the saved bytes.
+   the accounting — derived from the sessions' epoch lives — attributes
+   the saved bytes.
 
 Plus the regression test for the ``shared_pool`` module-global race:
 concurrent ``shared_pool()`` / ``invalidate_shared_pool()`` callers
@@ -30,15 +32,10 @@ import pytest
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
+from repro.host import executor as host_executor
 from repro.host import pool as host_pool
-from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
-from repro.service import (
-    FleetScheduler,
-    RecordService,
-    ServiceConfig,
-    SessionRequest,
-)
+from repro.service import RecordService, ServiceConfig, SessionRequest
 from repro.workloads import build_workload
 
 
@@ -187,44 +184,40 @@ def test_pool_breaking_crash_in_one_tenant_is_survivable_by_all():
         canon = _canonical(by_sid["clean0"].recording_plain)
         for result in report.results:
             assert _canonical(result.recording_plain) == canon
-        # Neighbours never have *injected* faults attributed; collateral
-        # crash retries are possible (shared pool), serial fallbacks are
-        # not (fallback only follows a same-unit repeat failure, and the
-        # rebuilt pool runs clean units fine).
+        # Neighbours have nothing attributed: a unit of theirs in a window
+        # of the pool that crashed is collateral, dispatched again
+        # uncounted, and what they had queued moves to the rebuilt pool —
+        # no crash, no retry, no serial fallback.
         for sid in ("clean0", "clean1"):
-            assert by_sid[sid].metrics["faults"]["task_errors"] == 0
+            counters = by_sid[sid].metrics["faults"]
+            assert counters["serial_fallbacks"] == 0
+            assert not any(counters.values()), (sid, counters)
     finally:
         host_pool.shutdown_shared_pool()
 
 
 # ---------------------------------------------------------------------------
-# Flow control: lane backpressure and admission control.
+# Flow control: the pool's windows and admission control.
 # ---------------------------------------------------------------------------
 
 
-def test_lane_credits_bound_outstanding_units():
-    service = RecordService(
-        ServiceConfig(jobs=2, max_active=2, queue_depth=1)
-    )
-    report = service.run(
-        [SessionRequest(sid=f"s{i}", workload="pbzip", scale=1, seed=6)
-         for i in range(2)]
-    )
-    assert report.ok, [r.error for r in report.results]
-    for result in report.results:
-        svc = result.metrics["service"]
-        # pending + in-flight never exceeded the lane's credit depth.
-        assert svc["queue_high_water"] <= 1
-    assert report.fleet["queue_depth"] == 1
-
-
-def test_fleet_holds_at_burst_size():
+def test_fleet_holds_at_burst_size(monkeypatch):
     """Fifty sessions through two slots: nothing drifts, leaks or overruns.
 
-    Each session cuts more units than its lane has credits, so every
-    lane runs against its bound for the whole burst.
+    Each session pushes more units than the pool's windows hold, so both
+    tenants' lanes queue for the whole burst — and at every push no more
+    than ``jobs x _WINDOW`` units sit in the workers' pipes.
     """
-    service = RecordService(ServiceConfig(jobs=2, max_active=2, queue_depth=2))
+    in_pipes = []
+    push = host_executor.SpeculativeSession.push
+
+    def watched(session, unit):
+        push(session, unit)
+        pool = host_pool.shared_pool(2)
+        in_pipes.append(sum(len(worker.window) for worker in pool._workers))
+
+    monkeypatch.setattr(host_executor.SpeculativeSession, "push", watched)
+    service = RecordService(ServiceConfig(jobs=2, max_active=2))
     report = service.run(
         [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=7)
          for i in range(50)]
@@ -233,9 +226,8 @@ def test_fleet_holds_at_burst_size():
     solo = _canonical(_solo_plain("fft", 2, 1, 7))
     assert all(_canonical(r.recording_plain) == solo for r in report.results)
     assert min(r.epochs for r in report.results) > 2
-    assert all(
-        r.metrics["service"]["queue_high_water"] <= 2 for r in report.results
-    )
+    assert len(in_pipes) >= sum(r.epochs for r in report.results)
+    assert max(in_pipes) <= 2 * host_pool._WINDOW
     assert report.fleet["sessions"] == 50
     assert report.fleet["units"] == sum(r.epochs for r in report.results)
 
@@ -288,10 +280,10 @@ def test_cross_session_dedup_cuts_shipped_bytes():
 
 
 def test_fleet_totals_are_sums_over_its_lanes():
-    """Each number is kept once, on its lane: a burst of 8 sessions through
-    3 slots, and every fleet-wide count equals the sum of what the tenants
-    were told — retired lanes included."""
-    service = RecordService(ServiceConfig(jobs=2, max_active=3, queue_depth=2))
+    """Each number is derived once, from the sessions' epoch lives: a burst
+    of 8 sessions through 3 slots, and every fleet-wide count equals the
+    sum of what the tenants were told — finished sessions included."""
+    service = RecordService(ServiceConfig(jobs=2, max_active=3))
     report = service.run(
         [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=9)
          for i in range(8)]
@@ -308,10 +300,8 @@ def test_fleet_totals_are_sums_over_its_lanes():
         (fleet["fair_share_deficits"], "fair_share_deficits"),
     ):
         assert total == sum(lane[key] for lane in lanes), key
-    assert fleet["backpressure_wait"] == pytest.approx(
-        sum(lane["backpressure_wait"] for lane in lanes), abs=1e-4
-    )
-    assert wire["cross_session_hits"] > 0 and fleet["backpressure_wait"] > 0
+    assert fleet["pool_rebuilds"] == sum(lane["pool_rebuilds"] for lane in lanes)
+    assert wire["cross_session_hits"] > 0
 
 
 def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
@@ -362,10 +352,9 @@ def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
     )
     assert len(seen["roots"]) > 12, "the cap never replaced a pack mid-session"
     assert seen["pack_bytes"] <= cap + seen["put"]
-    # (three lanes' outstanding units, queued or running, and the current)
-    assert seen["packs"] <= 3 * service.hub._fleet.queue_depth + 1
     digest_keyed = [
-        name for name, value in vars(service.hub._fleet).items()
+        name for owner in (service, service.hub, host_pool.shared_pool(2))
+        for name, value in vars(owner).items()
         if isinstance(value, (dict, set)) and any(
             isinstance(key, int) and key >> 64 for key in value
         )
@@ -377,31 +366,22 @@ def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Fleet bookkeeping.
+# Service bookkeeping.
 # ---------------------------------------------------------------------------
 
 
-def test_fleet_rejects_duplicate_session_ids():
-    fleet = FleetScheduler(jobs=1)
-    fleet.register("twin")
-    with pytest.raises(ValueError):
-        fleet.register("twin")
-    fleet.release("twin")
-    fleet.register("twin")  # free again after release
+def test_fleet_rejects_duplicate_session_ids(monkeypatch):
+    """A request list naming one session id twice is refused before
+    anything runs: no journal, no pool, no session."""
+    def no_pool(jobs):
+        raise AssertionError("the pool was brought up")
 
-
-def test_fleet_release_cancels_pending_tickets():
-    fleet = FleetScheduler(jobs=1, queue_depth=4)
-    dispatcher = fleet.register("s0")
-    # No pump is running (fleet.start() never called), so submissions
-    # just queue; release must cancel them and refund the credits.
-    futures = [
-        dispatcher.submit(lambda: None, UnitDispatch(None, None, 0)) for _ in range(3)
-    ]
-    fleet.release("s0")
-    assert all(f.cancelled() for f in futures)
-    summary = fleet.summary()
-    assert summary["units"] == 0
+    monkeypatch.setattr("repro.service.coordinator.shared_pool", no_pool)
+    service = RecordService(ServiceConfig(jobs=2, max_active=2))
+    twins = [SessionRequest(sid="twin", workload="fft", scale=1)] * 2
+    with pytest.raises(ValueError, match="duplicate session ids"):
+        service.run(twins)
+    assert service.hub.snapshot()["registered"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +401,7 @@ class _FakePool:
         self.shutdowns = 0
         self.created.append(self)
 
-    def shutdown(self, kill=False, cancel=True):
+    def shutdown(self, kill=False, successor=None):
         self.shutdowns += 1
 
 
@@ -447,7 +427,7 @@ def test_shared_pool_concurrent_callers_race(monkeypatch):
                 if (index + round_) % 3 == 0:
                     host_pool.invalidate_shared_pool()
                 else:
-                    # Growth requests force the drain-and-replace path.
+                    # Growth requests force the replace path.
                     pool = host_pool.shared_pool(1 + (index + round_) % 4)
                     assert isinstance(pool, _FakePool)
         except Exception as exc:  # pragma: no cover - the regression

@@ -27,8 +27,9 @@ import pytest
 from repro.baselines import run_native
 from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
-from repro.host.executor import HostExecutor, _DirectDispatcher
-from repro.host.pool import shutdown_shared_pool
+from repro.host import executor as host_executor
+from repro.host.executor import HostExecutor
+from repro.host.pool import shared_pool, shutdown_shared_pool
 from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
@@ -259,14 +260,16 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     """One crash does not serialise what is behind it.
 
     Position K's pushed attempt kills its worker, and with it the pool
-    and every attempt in it; so does K's first counted attempt; its
-    retry runs clean. What died is pushed again, without blame, when
+    and every attempt in its windows; so does K's first counted attempt;
+    its retry runs clean. What died is pushed again, without blame, when
     containment abandons the pool — before K's retry is even dispatched
-    — so no position behind K goes through the counted path, the fault
-    counters name K alone, and the result is the ``jobs=1`` one. (The
-    record segment's last unit is slowed so that it is in the pool when
-    K's counted attempt kills it; a replay pushes all its units up
-    front, so everything behind K dies with K's pushed attempt.)
+    — and what was still queued moves to the rebuilt pool, so no
+    position behind K goes through the counted path, the fault counters
+    name K alone, and the result is the ``jobs=1`` one. (The record
+    segment's last unit is slowed so that it is in the pool when K's
+    counted attempt kills it; a replay pushes all its units up front, so
+    those behind K run on two pools: what was queued on the first
+    rebuilt one, what was in a window on the next.)
 
     Fails if ``_run_contained`` does not push the dead attempts again
     after ``abandon`` — the parent's record merge, where each position
@@ -406,26 +409,27 @@ def test_each_log_record_is_encoded_once_per_segment(server):
     assert _work(result, "syscall_records_encoded") == logged > 1000
 
 
-class _WatchedDispatcher(_DirectDispatcher):
-    """The direct submission path, keeping what crossed it.
+class _WatchedPool:
+    """The shared ``JOBS``-worker pool, keeping what crossed it; patched in
+    as the executor's ``shared_pool``.
 
     Per dispatch: the unit, the bytes pickled for the worker's pipe, and
     what building it put into the scratch pack (blobs, bytes).
     """
 
-    def __init__(self, jobs):
-        super().__init__(jobs)
+    def __init__(self, monkeypatch):
         self.seen = []
+        monkeypatch.setattr(host_executor, "shared_pool", lambda jobs: self)
 
     def submit(self, fn, dispatch):
         self.seen.append(
             (dispatch.unit, len(pickle.dumps(dispatch)), dispatch.placed[:2], dispatch)
         )
-        return super().submit(fn, dispatch)
+        return shared_pool(JOBS).submit(fn, dispatch)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
-def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, jobs):
+def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, monkeypatch, jobs):
     """What is pickled for a worker is the skeleton dispatch, nothing else.
 
     The same program recorded against an empty scratch pack and again
@@ -442,8 +446,8 @@ def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, jobs):
     shutdown_shared_pool()
     runs = []
     for _ in ("cold", "warm"):
-        seam = _WatchedDispatcher(JOBS)
-        result = _record(server, host_jobs=jobs, host_dispatcher=seam)
+        seam = _WatchedPool(monkeypatch)
+        result = _record(server, host_jobs=jobs)
         runs.append((seam.seen, result))
     if jobs == 1:
         assert not runs[0][0] and not runs[1][0]
@@ -495,7 +499,7 @@ def test_replaying_a_recording_again_puts_nothing():
     assert shipped[0] > 5_000 and shipped[1:] == [0, 0, 0, 0]
 
 
-def test_a_unit_cut_mid_segment_puts_its_delta_and_its_new_chunk(server):
+def test_a_unit_cut_mid_segment_puts_its_delta_and_its_new_chunk(server, monkeypatch):
     """O(new), carried onto the scratch pack: a unit names its whole
     page table and every log chunk it can reach, and puts only what no
     earlier unit named — its epoch's dirty pages, the chunk logged since
@@ -504,8 +508,8 @@ def test_a_unit_cut_mid_segment_puts_its_delta_and_its_new_chunk(server):
     Fails if ``ScratchPacks.place`` rotates at every call.
     """
     shutdown_shared_pool()
-    seam = _WatchedDispatcher(JOBS)
-    result = _record(server, host_dispatcher=seam)
+    seam = _WatchedPool(monkeypatch)
+    result = _record(server)
     assert result.host["speculation"]["accepted"] == result.stats["epochs"] >= 8
     named = set()
     for position, (unit, _, (blobs, _), dispatch) in enumerate(seam.seen):
