@@ -24,8 +24,9 @@ Record proceeds in *segments*. Within a segment:
    thread-parallel future, and a new segment starts from the recovered
    state. Once a run has recovered, a *verdict schedule* consumes each
    epoch's verdict a fixed number of boundaries behind the
-   thread-parallel run and squashes that run at the divergent epoch
-   instead of letting it finish a future nobody will keep.
+   thread-parallel run — a restarted segment's first epoch already at
+   boundary 1 — and squashes that run at the divergent epoch instead of
+   letting it finish a future nobody will keep.
 
 Logical execution and timing are deliberately separated: step 2's results
 cannot depend on *when* executors run (they are deterministic functions of
@@ -149,6 +150,9 @@ class _Segment:
     cuts: Dict[int, tuple] = field(default_factory=dict)
     #: position -> verdict the schedule ran inline (no session)
     inline: Dict[int, EpochRunResult] = field(default_factory=dict)
+    #: the next position whose verdict the schedule has not consumed
+    #: (every one below it was final)
+    consumed: int = 0
     #: the thread-parallel run was stopped at a final failing verdict
     squashed: bool = False
 
@@ -317,27 +321,34 @@ class DoublePlayRecorder:
             session.push(unit)
 
     def _consume_verdict(self, segment: _Segment, lag: int) -> bool:
-        """Verdict schedule: consume the verdict ``lag`` boundaries back.
+        """Verdict schedule: consume the verdict due at this boundary.
 
-        True when it squashes the thread-parallel run. The verdict is
-        the result of the unit as cut at push time — from the pool
-        (blocking if it is not in yet) or, without a session, run here;
-        the same pure function either way. It is *final* when the run
-        was unstarved (hints that do not exist yet cannot change it) and
+        True when it squashes the thread-parallel run. Position *q*'s
+        verdict is due at boundary *q* + ``lag``, and position 0's first
+        at boundary 1: a segment restarts right behind a divergence, so
+        its first epoch is cut and judged at once. The verdict is the
+        result of the unit as cut at push time — from the pool (blocking
+        if it is not in yet) or, without a session, run here; the same
+        pure function either way. It is *final* when the run was
+        unstarved (hints that do not exist yet cannot change it) and
         nothing logged since its cut lands inside its window: then the
         full-knowledge run at segment end would return exactly it. A
-        final failing verdict behind nothing but final passing ones is
-        the segment's first divergence, known now: the segment is
-        truncated to the divergent epoch and the thread-parallel run
-        stops. A verdict that is not final closes the cut for this
-        segment, which runs to its end under the segment-end rule.
-        Everything here is a function of the committed history — never
-        of host timing or ``jobs``.
+        final verdict is consumed once (``segment.consumed``); a final
+        failing one behind nothing but final passing ones is the
+        segment's first divergence, known now: the segment is truncated
+        to the divergent epoch and the thread-parallel run stops. A
+        verdict that is not final closes the cut for this segment, which
+        runs to its end under the segment-end rule — except an early
+        one, which is dropped with its cut: the position is cut again at
+        its usual boundary and consumed at *q* + ``lag``, and that
+        verdict decides. Everything here is a function of the committed
+        history — never of host timing or ``jobs``.
         """
-        position = len(segment.checkpoints) - 1 - lag
-        if position < 0:
+        boundary = len(segment.checkpoints) - 1
+        position = 0 if boundary == 1 else boundary - lag
+        if position < segment.consumed:
             return False
-        self._push_unit(segment, position)  # lag 2: cut at this very boundary
+        self._push_unit(segment, position)  # early, or lag 2: cut right now
         if segment.session is not None:
             result = segment.session.wait(position)
         else:
@@ -345,8 +356,14 @@ class DoublePlayRecorder:
                 segment, position, segment.syscall_log, segment.cuts[position]
             )
         if result.starved or not self._speculation_valid(segment, position, result):
-            segment.may_cut = False
-        elif not result.ok:
+            if boundary < position + lag:
+                del segment.cuts[position]
+                segment.inline.pop(position, None)
+            else:
+                segment.may_cut = False
+            return False
+        segment.consumed = position + 1
+        if not result.ok:
             del segment.checkpoints[position + 2 :]
             del segment.hint_marks[position + 2 :]
             segment.squashed = True
@@ -597,9 +614,10 @@ class DoublePlayRecorder:
         divergences = 0
         recoveries = 0
         epoch_index = 0
-        #: boundaries between an epoch's end and its verdict's consumption:
-        #: the in-flight bound the thread-parallel run is throttled at (a
-        #: unit exists only once the boundary two past its start does)
+        #: boundaries between an epoch's end and its verdict's consumption
+        #: (position 0's excepted, see ``_consume_verdict``): the in-flight
+        #: bound the thread-parallel run is throttled at (a unit is pushed
+        #: once the boundary two past its start exists)
         verdict_lag = max(config.inflight_bound(), 2)
         timeline = _Timeline(worker_free=[0] * config.executor_slots())
         finished = False

@@ -401,8 +401,11 @@ class SpeculativeSession:
         """Take one cut unit; non-blocking, and no host failure raises.
 
         Units arrive in position order from 0, so a unit's index in the
-        session's batch *is* its position.
+        session's batch *is* its position. A position pushed again (the
+        verdict schedule cutting anew one whose early verdict was not
+        final) replaces its unit and forgets its result.
         """
+        self._outcomes.pop(unit.position, None)
         self.executor._push(self._batch, self._batch._add_unit(unit))
 
     def _resolve(self, position: int) -> tuple:

@@ -1,8 +1,9 @@
 """Forced divergence: the verdict schedule and the early cut.
 
 Once a run has recovered, the recorder consumes each epoch's verdict a
-fixed number of boundaries behind the thread-parallel run and squashes
-that run at the divergent epoch. Which boundary consumes which verdict,
+fixed number of boundaries behind the thread-parallel run — a restarted
+segment's first epoch already at boundary 1 — and squashes that run at
+the divergent epoch. Which boundary consumes which verdict,
 and whether it cuts, must be a function of the committed history alone:
 every test here records a diverging program several ways — ``jobs`` 1, 2
 and 3, twice, with and without a durable sink, with a verdict unit lost
@@ -18,6 +19,7 @@ chunks, and the scratch pack full of a squashed future's blobs.
 
 from __future__ import annotations
 
+import collections
 import copy
 import json
 import os
@@ -55,6 +57,20 @@ def tp_entries(monkeypatch):
 
     monkeypatch.setattr(MulticoreEngine, "run", counted)
     return calls
+
+
+@pytest.fixture
+def segment_boundaries(monkeypatch):
+    """``{segment's first epoch: boundaries its thread-parallel run reached}``."""
+    reached = collections.Counter()
+    original = DoublePlayRecorder._run_to_boundary
+
+    def counted(self, engine, policy, manager, segment):
+        reached[segment.first_epoch] += 1
+        return original(self, engine, policy, manager, segment)
+
+    monkeypatch.setattr(DoublePlayRecorder, "_run_to_boundary", counted)
+    return reached
 
 
 def _workload(name, workers, scale=8):
@@ -114,7 +130,7 @@ PROGRAMS = [
 @pytest.mark.parametrize("sink", SINKS)
 @pytest.mark.parametrize("name,workers,scale", PROGRAMS)
 def test_identical_at_any_jobs_and_across_runs(
-    tmp_path, tp_entries, name, workers, scale, sink
+    tmp_path, tp_entries, segment_boundaries, name, workers, scale, sink
 ):
     image, setup, config = _workload(name, workers, scale)
     observed = []
@@ -122,9 +138,18 @@ def test_identical_at_any_jobs_and_across_runs(
         overrides = dict(SINKS[sink], host_jobs=jobs)
         if overrides.get("log_dir"):
             overrides["log_dir"] = str(tmp_path / f"run{run}")
-        observed.append(
-            _observe(image, setup, config.replace(**overrides), tp_entries)
-        )
+        segment_boundaries.clear()
+        result, got = _observe(image, setup, config.replace(**overrides), tp_entries)
+        observed.append((result, got))
+        # A restarted segment whose first epoch diverges is squashed at
+        # its first boundary: that epoch's verdict is consumed there.
+        epochs = result.recording.epochs
+        squashed_at_once = [
+            first for first in segment_boundaries if first and epochs[first].recovered
+        ]
+        assert all(segment_boundaries[first] == 1 for first in squashed_at_once)
+        if name == "racy-counter":
+            assert len(squashed_at_once) > 1
     (reference, expected), *others = observed
     for _, got in others:
         assert got == expected
@@ -217,9 +242,12 @@ def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries):
     original = DoublePlayRecorder._consume_verdict
 
     def spy(self, segment, lag):
-        armed = segment.may_cut
+        before = (segment.consumed, segment.may_cut)
         cut = original(self, segment, lag)
-        consumed.append((segment.first_epoch, armed, segment.may_cut, cut))
+        consumed.append((
+            segment.first_epoch, len(segment.checkpoints) - 1, *before,
+            segment.consumed, segment.may_cut, cut,
+        ))
         return cut
 
     monkeypatch.setattr(DoublePlayRecorder, "_consume_verdict", spy)
@@ -227,11 +255,27 @@ def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries):
     reference, expected = _observe(image, setup, config.replace(host_jobs=1), tp_entries)
     serial_consumed = list(consumed)
     # Some segment's verdict closed the cut without squashing: not final.
-    closed = [first for first, armed, still, cut in consumed if armed and not still]
-    assert closed and not any(cut for first, _, _, cut in consumed if first in closed)
+    closed = [
+        first for first, _, _, armed, _, still, _ in consumed if armed and not still
+    ]
+    assert closed and not any(cut for first, *_, cut in consumed if first in closed)
     # ...and that segment's first epoch did diverge, found at segment end.
     assert all(reference.recording.epochs[first].recovered for first in closed)
-    assert any(cut for _, _, _, cut in consumed), "no other segment was cut"
+    for first in closed:
+        # (boundary, consumed before, armed before, consumed after, armed
+        # after, cut): position 0's early verdict, at boundary 1, was not
+        # final, so it neither counted as consumed nor closed the cut; it
+        # was cut again and consumed at 0 + inflight_bound() = 3, and only
+        # that consumption closed the cut.
+        rows = [row[1:] for row in consumed if row[0] == first]
+        assert rows == [
+            (1, 0, True, 0, True, False),
+            (2, 0, True, 0, True, False),
+            (3, 0, True, 0, False, False),
+        ]
+    assert any(
+        boundary == 1 and cut for _, boundary, *_, cut in consumed
+    ), "no other segment was cut at its first boundary"
     for jobs in (2, 3):
         del consumed[:]
         parallel, got = _observe(

@@ -265,10 +265,13 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     containment abandons the pool — before K's retry is even dispatched
     — and what was still queued moves to the rebuilt pool, so no
     position behind K goes through the counted path, the fault counters
-    name K alone, and the result is the ``jobs=1`` one. (The record
-    segment's last unit is slowed so that it is in the pool when K's
-    counted attempt kills it; a replay pushes all its units up front, so
-    those behind K run on two pools: what was queued on the first
+    name K alone, and the result is the ``jobs=1`` one. (The last unit
+    is slowed so that it is in the pool when K's counted attempt kills
+    it: a record segment pushes it last; a replay pushes all its units
+    up front, so the last one moves to the first rebuilt pool queued
+    just ahead of K's counted attempt — unslowed, it may be home before
+    that attempt dies, and then nothing is pushed again. A replay's
+    units behind K run on two pools: what was queued on the first
     rebuilt one, what was in a window on the next.)
 
     Fails if ``_run_contained`` does not push the dead attempts again
@@ -277,19 +280,21 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     """
     instance, machine, config = server
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
-    # Two one-shot fuses for one unit: they differ in scope.
-    faults = f"crash:unit{CRASHED}:once,{kind}:crash:unit{CRASHED}:once"
     serial = _record(server, host_jobs=1)
     recording = serial.recording
     units = len(recording.epochs)
     assert units >= 12
+    # Two one-shot fuses for K (they differ in scope); the last unit slow.
+    faults = (
+        f"crash:unit{CRASHED}:once,{kind}:crash:unit{CRASHED}:once,"
+        f"{kind}:slow:unit{units - 1}:0.4"
+    )
     replayer = Replayer(instance.image, machine)
     # Outside the trace: an inline replay's execute spans name positions too.
     expected = replayer.replay_parallel(recording, jobs=1)
     tracer = obs_spans.start_trace()
     try:
         if kind == "record":
-            faults += f",record:slow:unit{units - 1}:0.4"
             result = _record(server, host_faults=faults)
             assert result.recording.to_plain() == recording.to_plain()
             assert result.stats == serial.stats
