@@ -223,7 +223,8 @@ class MulticoreEngine(BaseEngine):
                     and not ctx.pending_signals
                     and not self.injected_signals
                 ):
-                    if max_ops - self.ops >= site.length:
+                    max_n = max_ops - self.ops
+                    if max_n >= site.length:
                         # Whole-block-or-nothing: every bound must leave
                         # room for the block's static minimum cost, else
                         # generic dispatch handles the op (measured
@@ -273,11 +274,11 @@ class MulticoreEngine(BaseEngine):
                                 if site.count <= 0:
                                     handler = site.compile()
                         if handler is not None:
-                            n, cum, fault = handler(self, ctx, cost_max)
+                            n, cum, fault = handler(self, ctx, cost_max, max_n)
                             self.ops += n
                             self._sb_calls += 1
                             self._sb_ops += n
-                            if n < site.length:
+                            if n % site.span or fault is not None:
                                 self._sb_exits += 1
                             core_time += cum
                             core.time = core_time

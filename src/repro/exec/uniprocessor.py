@@ -337,7 +337,6 @@ class UniprocessorEngine(BaseEngine):
                         # stop, raise, or interpose an event — a
                         # truncated fused run costs more than it saves
                         # and falls back to generic dispatch instead.
-                        length = site.length
                         cost_max = budget
                         if has_events and next_event is not None:
                             room = next_event - self.time
@@ -347,18 +346,16 @@ class UniprocessorEngine(BaseEngine):
                             room = stop_after - self.time
                             if room < cost_max:
                                 cost_max = room
-                        if (
-                            cost_max >= site.min_cost
-                            and max_ops - self.ops >= length
-                            and (
-                                op_budget is None
-                                or op_budget - self._run_ops >= length
-                            )
-                            and (
-                                target is None
-                                or target - ctx.retired >= length
-                            )
-                        ):
+                        max_n = max_ops - self.ops
+                        if op_budget is not None:
+                            room = op_budget - self._run_ops
+                            if room < max_n:
+                                max_n = room
+                        if target is not None:
+                            room = target - ctx.retired
+                            if room < max_n:
+                                max_n = room
+                        if cost_max >= site.min_cost and max_n >= site.length:
                             # Compilation counts only entries that would
                             # fuse, so blocks starved by their bounds
                             # never pay ``compile()``.
@@ -368,14 +365,14 @@ class UniprocessorEngine(BaseEngine):
                                 if site.count <= 0:
                                     handler = site.compile()
                             if handler is not None:
-                                n, cum, fault = handler(self, ctx, cost_max)
+                                n, cum, fault = handler(self, ctx, cost_max, max_n)
                                 self.ops += n
                                 self._run_ops += n
                                 self.time += cum
                                 budget -= cum
                                 self._sb_calls += 1
                                 self._sb_ops += n
-                                if n < site.length:
+                                if n % site.span or fault is not None:
                                     self._sb_exits += 1
                                 if fault is not None:
                                     self._now = self.time
@@ -564,20 +561,24 @@ class UniprocessorEngine(BaseEngine):
                             site.count -= 1
                             if site.count <= 0:
                                 handler = site.compile()
-                        if handler is not None and (
-                            max_ops - self.ops >= site.length
-                        ):
-                            # Replay has no cycle budget: only the slice's
-                            # remaining op count and max_ops gate fusion
-                            # (fused ops always retire, so the mid-slice
-                            # blocking check cannot be skipped over).
-                            n, cum, fault = handler(self, ctx, _UNBOUNDED_COST)
+                        # Replay has no cycle budget: only the slice's
+                        # remaining op count and max_ops bound fusion
+                        # (fused ops always retire, so the mid-slice
+                        # blocking check cannot be skipped over).
+                        max_n = timeslice.ops - executed
+                        room = max_ops - self.ops
+                        if room < max_n:
+                            max_n = room
+                        if handler is not None and max_n >= site.length:
+                            n, cum, fault = handler(
+                                self, ctx, _UNBOUNDED_COST, max_n
+                            )
                             self.ops += n
                             self.time += cum
                             executed += n
                             self._sb_calls += 1
                             self._sb_ops += n
-                            if n < site.length:
+                            if n % site.span or fault is not None:
                                 self._sb_exits += 1
                             if fault is not None:
                                 self._now = self.time

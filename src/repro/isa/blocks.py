@@ -2,32 +2,38 @@
 
 A *fusable block* is a maximal straight-line run of instructions that
 
-* contains no control flow (the pc only ever advances by one),
 * contains no instruction that can block, trap to the kernel, consult
-  the sync manager, or touch another thread's state, and
+  the sync manager, or touch another thread's state,
+* transfers control only at its end: the run may close with one JMP or
+  conditional branch (:data:`BRANCH_OPS`), and every op before it
+  advances the pc by one, and
 * is never entered except at its head by any *static* control edge.
 
 Such a run is the unit the superinstruction compiler
 (:mod:`repro.exec.superblock`) fuses into a single Python-level handler:
 every logged or ordered event — syscall completions, sync grants, signal
 deliveries, atomic turns, spawns — happens at a block boundary, so
-executing the block's interior in one frame cannot reorder anything the
-recorder logs. Mid-block *dynamic* entry (a thread resuming at an
-interior pc after a preemption or an epoch boundary) is always allowed:
-the engine simply executes generically until it next lands on a block
-head, so the partition affects performance only, never semantics.
+executing the block in one frame cannot reorder anything the recorder
+logs. A block whose closing branch targets its own head is a *self-loop*
+(a bottom-tested loop body); its handler keeps iterating inside the same
+frame while the caller's bounds leave room for a whole iteration.
+Mid-block *dynamic* entry (a thread resuming at an interior pc after a
+preemption or an epoch boundary) is always allowed: the engine simply
+executes generically until it next lands on a block head, so the
+partition affects performance only, never semantics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa.instructions import Instruction, Op
 
 #: Ops a fused handler can execute: pure register/memory work whose only
 #: failure mode is a :class:`~repro.errors.GuestFault` (caught and
 #: re-raised at the exact op by the fused handler). Everything else —
-#: control flow, atomics, sync, threads, syscalls — is a block boundary.
+#: calls, atomics, sync, threads, syscalls — is a block boundary; a
+#: branch (:data:`BRANCH_OPS`) may only close a block.
 FUSABLE_OPS = frozenset(
     {
         Op.LI,
@@ -59,14 +65,24 @@ FUSABLE_OPS = frozenset(
     }
 )
 
-#: Minimum run length worth fusing: a one-op "block" would just add a
-#: guard on top of the generic dispatch it replaces.
+#: Minimum run length worth fusing (closing branch included): a one-op
+#: "block" would just add a guard on top of the generic dispatch it
+#: replaces.
 MIN_BLOCK_LEN = 2
 
 #: ops whose ``c`` operand is a branch target
 _TARGET_C = frozenset(
     {Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BEQI, Op.BNEI, Op.BLTI, Op.BGEI}
 )
+
+#: Control transfers that may close a fusable block: besides retiring,
+#: their only effect is choosing the next pc.
+BRANCH_OPS = _TARGET_C | {Op.JMP}
+
+
+def branch_target(instr: Instruction) -> int:
+    """The code index a JMP or a taken conditional branch transfers to."""
+    return instr.a if instr.op is Op.JMP else instr.c
 
 
 def _static_targets(pc: int, instr: Instruction) -> Tuple[int, ...]:
@@ -109,8 +125,9 @@ def discover_blocks(
     """``head pc → instruction run`` for every fusable block of ``code``.
 
     Runs extend from a leader over consecutive fusable instructions and
-    stop at the next leader or the first non-fusable op; runs shorter
-    than ``min_len`` are dropped.
+    stop at the next leader or the first non-fusable op; a JMP or
+    conditional branch that is not itself a leader closes the run as its
+    last op. Runs shorter than ``min_len`` are dropped.
     """
     leaders = set(block_leaders(code))
     blocks: Dict[int, Tuple[Instruction, ...]] = {}
@@ -122,6 +139,8 @@ def discover_blocks(
             continue
         end = pc + 1
         while end < n and end not in leaders and code[end].op in FUSABLE_OPS:
+            end += 1
+        if end < n and end not in leaders and code[end].op in BRANCH_OPS:
             end += 1
         if end - pc >= min_len:
             blocks[pc] = tuple(code[pc:end])

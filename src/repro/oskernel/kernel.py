@@ -68,8 +68,9 @@ class Kernel:
         self._timer_seq = 0
         # Cached next_event_time (engines poll it once or twice per op).
         # It is a pure function of the net arrival cursor, _sleepers and
-        # _timers, all of which change only inside syscall/wakeups/
-        # signal_deliveries/restore — each of those drops the cache.
+        # _timers, which change only in the ACCEPT, SLEEP and SETTIMER
+        # syscalls and in wakeups/signal_deliveries/restore — each of
+        # those drops the cache; no other syscall does.
         self._next_event_cache = _STALE_EVENT
 
     # ------------------------------------------------------------------
@@ -85,7 +86,6 @@ class Kernel:
     ):
         """Execute one syscall; returns :class:`SyscallDone` or
         :class:`SyscallBlock` (having queued the thread as a waiter)."""
-        self._next_event_cache = _STALE_EVENT
         if kind == SyscallKind.OPEN:
             return SyscallDone(self.fs.open(args[0]))
         if kind == SyscallKind.CLOSE:
@@ -109,6 +109,7 @@ class Kernel:
         if kind == SyscallKind.LISTEN:
             return SyscallDone(self.net.listen())
         if kind == SyscallKind.ACCEPT:
+            self._next_event_cache = _STALE_EVENT
             self.net.admit_arrivals(now)
             fd = self.net.try_accept()
             if fd is not None:
@@ -143,6 +144,7 @@ class Kernel:
             self.output.append(args[0])
             return SyscallDone(0)
         if kind == SyscallKind.SLEEP:
+            self._next_event_cache = _STALE_EVENT
             duration = max(args[0], 0)
             self._sleepers.append((now + duration, self._sleep_seq, tid))
             self._sleep_seq += 1
@@ -150,6 +152,7 @@ class Kernel:
         if kind == SyscallKind.YIELD:
             return SyscallDone(0)
         if kind == SyscallKind.SETTIMER:
+            self._next_event_cache = _STALE_EVENT
             delay = max(args[0], 0)
             self._timers.append((now + delay, self._timer_seq, tid, args[1]))
             self._timer_seq += 1

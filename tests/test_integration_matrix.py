@@ -244,16 +244,22 @@ def test_host_parallel_matches_goldens(name, workers, jobs):
 # with fusion disabled, proving the fused handlers retire the exact
 # instruction stream the generic loop does. The main matrix above runs
 # with fusion ON (the default); this slice re-runs every configuration
-# with ``REPRO_SUPERBLOCKS=0``.
+# with ``REPRO_SUPERBLOCKS=0``, then replays it every way — sequential,
+# parallel through worker processes, one epoch alone, and a
+# ``--from-epoch`` suffix of its durable log — with fusion off and on:
+# verdicts, total cycles and makespans must agree.
 @pytest.mark.parametrize("name,workers", CONFIGS)
-def test_goldens_without_superblocks(monkeypatch, name, workers):
+def test_goldens_without_superblocks(monkeypatch, tmp_path, name, workers):
     monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
+    monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
     instance = build_workload(name, workers=workers, scale=2, seed=11)
     machine = MachineConfig(cores=workers)
     native = run_native(instance.image, instance.setup, machine)
+    log_dir = str(tmp_path / "log")
     config = DoublePlayConfig(
         machine=machine,
         epoch_cycles=max(native.duration // 12, 500),
+        log_dir=log_dir,
     )
     result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     recording = result.recording
@@ -272,6 +278,28 @@ def test_goldens_without_superblocks(monkeypatch, name, workers):
     )
     fused = result.metrics.snapshot().get("superblock", {})
     assert fused.get("fused_calls", 0) == 0, "fusion ran while disabled"
+
+    def replays():
+        from repro.record.shards import ShardedLogReader
+
+        replayer = Replayer(instance.image, machine)
+        mid = recording.epoch_count() // 2
+        suffix = ShardedLogReader(log_dir).load_recording(from_epoch=mid)
+        outcomes = {
+            "sequential": replayer.replay_sequential(recording),
+            "parallel": replayer.replay_parallel(recording, jobs=2),
+            "epoch": replayer.replay_epoch(recording, mid),
+            "suffix": replayer.replay_sequential(suffix),
+        }
+        return {
+            how: (r.verified, r.total_cycles, r.makespan)
+            for how, r in outcomes.items()
+        }
+
+    unfused = replays()
+    monkeypatch.setenv("REPRO_SUPERBLOCKS", "1")
+    assert replays() == unfused
+    assert all(verified for verified, _, _ in unfused.values()), unfused
 
 
 # The same through worker processes: the coordinator's switch rides on

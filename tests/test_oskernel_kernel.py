@@ -1,6 +1,7 @@
 """Simulated kernel: syscalls, wakeups, snapshot/restore."""
 
 import copy
+import random
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -172,6 +173,79 @@ class TestMisc:
     def test_yield_is_immediate(self):
         kernel, mem = make_kernel()
         assert call(kernel, mem, SyscallKind.YIELD).retval == 0
+
+
+def _uncached_next_event(kernel):
+    """``next_event_time`` recomputed from the live state, no cache."""
+    candidates = [wake for wake, _, _ in kernel._sleepers]
+    candidates += [fire for fire, _, _, _ in kernel._timers]
+    arrival = kernel.net.next_arrival_time()
+    if arrival is not None:
+        candidates.append(arrival)
+    return min(candidates) if candidates else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_next_event_cache_survives_any_syscall_sequence(seed):
+    """Only ACCEPT, SLEEP and SETTIMER (besides wakeups, signal
+    deliveries and restore) drop the cached next event; after every call
+    of a seeded random sequence the cached answer is the recomputed one."""
+    rng = random.Random(seed)
+    arrivals = sorted(rng.randrange(0, 600) for _ in range(8))
+    kernel, mem = make_kernel(
+        files={0: list(range(1, 40))},
+        arrivals=[Arrival(time=t, payload=(t, t + 1)) for t in arrivals],
+        seed=seed,
+    )
+    call(kernel, mem, SyscallKind.LISTEN)
+    rfd = call(kernel, mem, SyscallKind.OPEN, 0).retval
+    wfd = call(kernel, mem, SyscallKind.OPEN, 5).retval
+    snapshot = kernel.snapshot()
+    connections = []
+    now = 0
+    for step in range(300):
+        now += rng.randrange(0, 12)
+        tid = rng.randrange(1, 5)
+        kind = rng.choice([
+            "accept", "sleep", "timer", "wake", "read", "write", "recv",
+            "send", "time", "rand", "print", "yield", "alloc", "restore",
+        ])
+        if kind == "accept":
+            outcome = call(kernel, mem, SyscallKind.ACCEPT, 999, tid=tid, now=now)
+            if isinstance(outcome, SyscallDone):
+                connections.append(outcome.retval)
+        elif kind == "sleep":
+            call(kernel, mem, SyscallKind.SLEEP, rng.randrange(0, 90), tid=tid, now=now)
+        elif kind == "timer":
+            call(kernel, mem, SyscallKind.SETTIMER, rng.randrange(0, 90), 7,
+                 tid=tid, now=now)
+        elif kind == "wake":
+            for wakeup in kernel.wakeups(now, mem):
+                if wakeup.retval:
+                    connections.append(wakeup.retval)
+            kernel.signal_deliveries(now)
+        elif kind == "read":
+            call(kernel, mem, SyscallKind.READ, rfd, 8, 3, now=now)
+        elif kind == "write":
+            call(kernel, mem, SyscallKind.WRITE, wfd, 8, 2, now=now)
+        elif kind == "recv" and connections:
+            call(kernel, mem, SyscallKind.RECV, rng.choice(connections), 8, 2, now=now)
+        elif kind == "send" and connections:
+            call(kernel, mem, SyscallKind.SEND, rng.choice(connections), 8, 1, now=now)
+        elif kind == "time":
+            call(kernel, mem, SyscallKind.TIME, now=now)
+        elif kind == "rand":
+            call(kernel, mem, SyscallKind.RAND, now=now)
+        elif kind == "print":
+            call(kernel, mem, SyscallKind.PRINT, step, now=now)
+        elif kind == "yield":
+            call(kernel, mem, SyscallKind.YIELD, now=now)
+        elif kind == "alloc":
+            call(kernel, mem, SyscallKind.ALLOC, 3, now=now)
+        elif kind == "restore" and step % 7 == 0:
+            kernel.restore(snapshot)
+            connections = []
+        assert kernel.next_event_time() == _uncached_next_event(kernel), (step, kind)
 
 
 class TestSnapshot:

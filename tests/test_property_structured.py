@@ -11,8 +11,12 @@ meanings).
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 from hypothesis import given, settings, strategies as st
 
+from repro import options
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.isa.assembler import Assembler
 from repro.isa.builder import GuestBuilder
@@ -126,3 +130,38 @@ def test_structured_programs_record_and_replay(statements, workers, epoch_cycles
     assert sequential.verified, sequential.details
     parallel = replayer.replay_parallel(result.recording)
     assert parallel.verified, parallel.details
+
+
+def _record_and_replay(image, machine, config, superblocks: bool):
+    """The recording's plain form and both replays' cycles."""
+    chosen = dataclasses.replace(options.current(), superblocks=superblocks)
+    with options.activate(chosen):
+        result = DoublePlayRecorder(image, KernelSetup(), config).record()
+        replayer = Replayer(image, machine)
+        sequential = replayer.replay_sequential(result.recording)
+        parallel = replayer.replay_parallel(result.recording)
+    fused = result.metrics.snapshot().get("superblock", {}).get("fused_calls", 0)
+    assert superblocks or fused == 0
+    return (
+        json.dumps(result.recording.to_plain(), sort_keys=True),
+        result.makespan,
+        (sequential.verified, sequential.total_cycles, sequential.makespan),
+        (parallel.verified, parallel.total_cycles, parallel.makespan),
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    statements=st.lists(_stmt, min_size=1, max_size=4),
+    workers=st.integers(min_value=2, max_value=3),
+    epoch_cycles=st.sampled_from([500, 1300]),
+)
+def test_structured_programs_are_blind_to_fusion(statements, workers, epoch_cycles):
+    """Loops inside critical sections record and replay bit-identically
+    with superblock fusion on and off."""
+    image = build_structured(statements, workers)
+    machine = MachineConfig(cores=workers)
+    config = DoublePlayConfig(machine=machine, epoch_cycles=epoch_cycles)
+    fused = _record_and_replay(image, machine, config, True)
+    assert fused == _record_and_replay(image, machine, config, False)
+    assert fused[2][0] and fused[3][0]
