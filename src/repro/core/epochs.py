@@ -1,10 +1,11 @@
 """Epoch boundary policies.
 
-A policy answers one question, evaluated after every retired op of the
-thread-parallel execution: *is it time to take a checkpoint?* Boundaries
-may fall at any op boundary — the retired-op-count targets mechanism (see
-``repro.core.epoch_runner``) makes every boundary well-defined without
-quiescing threads at special instructions.
+A policy answers one question for the thread-parallel execution: *when
+is the next checkpoint due?* The engine stops at the first op boundary
+that reaches that time. Boundaries may fall at any op boundary — the
+retired-op-count targets mechanism (see ``repro.core.epoch_runner``)
+makes every boundary well-defined without quiescing threads at special
+instructions.
 """
 
 from __future__ import annotations
@@ -23,16 +24,12 @@ class FixedEpochPolicy:
         """Reset at a (re)started thread-parallel execution."""
         self._last_boundary = time
 
-    def should_checkpoint(self, time: int) -> bool:
-        return time - self._last_boundary >= self.epoch_cycles
-
     def next_boundary(self) -> int:
-        """The exact time at which ``should_checkpoint`` starts firing.
+        """The time at which the next checkpoint is due.
 
-        The invariant ``should_checkpoint(t) == (t >= next_boundary())``
-        lets the engines run fused superblocks up to the boundary instead
-        of re-evaluating the stop check after every op (the ``stop_after``
-        contract of ``MulticoreEngine.run``).
+        The thread-parallel run stops at the first op boundary where its
+        time reaches this value (the ``stop_after`` of
+        ``MulticoreEngine.run``).
         """
         return self._last_boundary + self.epoch_cycles
 
@@ -55,10 +52,6 @@ class AdaptiveEpochPolicy(FixedEpochPolicy):
     def __init__(self, epoch_cycles: int):
         super().__init__(epoch_cycles)
         self._epoch_index = 0
-
-    def should_checkpoint(self, time: int) -> bool:
-        divisor = self.RAMP[min(self._epoch_index, len(self.RAMP) - 1)]
-        return time - self._last_boundary >= max(self.epoch_cycles // divisor, 1)
 
     def next_boundary(self) -> int:
         divisor = self.RAMP[min(self._epoch_index, len(self.RAMP) - 1)]

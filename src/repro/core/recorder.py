@@ -255,10 +255,7 @@ class DoublePlayRecorder:
     def _run_to_boundary(self, engine, policy, manager, segment: _Segment) -> str:
         """Run the thread-parallel engine one epoch; checkpoint the boundary."""
         started = time.perf_counter()
-        status = engine.run(
-            stop_check=lambda e: policy.should_checkpoint(e.time),
-            stop_after=policy.next_boundary(),
-        )
+        status = engine.run(stop_after=policy.next_boundary())
         # Indices continue the committed chain: what a squashed future
         # numbered is handed out again after its recovery.
         checkpoint = manager.take(engine, index=segment.checkpoints[-1].index + 1)

@@ -30,6 +30,7 @@ and fault messages are bit-identical.
 from __future__ import annotations
 
 from repro.errors import AssemblerError, GuestFault, SimulationError
+from repro.isa.blocks import BRANCH_OPS, FUSABLE_OPS, branch_target
 from repro.isa.context import BlockedReason, ThreadContext, ThreadStatus
 from repro.isa.instructions import Instruction, Op
 from repro.oskernel.syscalls import SyscallDone, SyscallKind
@@ -52,6 +53,38 @@ def decode_program(program) -> tuple:
             (handlers.get(instr.op, _op_unknown), instr) for instr in program.code
         )
         object.__setattr__(program, "_decoded", table)
+    return table
+
+
+#: Ops whose effects stay inside their own thread and memory: they cannot
+#: block, wake or spawn a thread, reach the kernel or the sync manager,
+#: or end their thread, so they cannot change scheduling.
+PURE_OPS = FUSABLE_OPS | BRANCH_OPS | {Op.CALL, Op.RET}
+
+
+def pure_table(program) -> tuple:
+    """Per pc, may the multicore turn run this op without leaving?
+
+    True for a :data:`PURE_OPS` op whose static successors are in
+    ``[0, len(code)]``, so a pure op never leads the turn to an index
+    outside this table; one extra False entry covers a thread that ran
+    off the end of its code. Cached on the image like ``_decoded``: a
+    pure function of ``code``, stripped by ``ProgramImage.__getstate__``
+    and rebuilt by a worker.
+    """
+    table = program.__dict__.get("_pure")
+    if table is None:
+        end = len(program.code)
+        pure = []
+        for instr in program.code:
+            target = 0
+            if instr.op is Op.CALL:
+                target = instr.a
+            elif instr.op in BRANCH_OPS:
+                target = branch_target(instr)
+            pure.append(instr.op in PURE_OPS and 0 <= target <= end)
+        table = tuple(pure) + (False,)
+        object.__setattr__(program, "_pure", table)
     return table
 
 

@@ -4,7 +4,9 @@ Each core has a local clock; at every step the engine executes one
 instruction on the core whose clock is earliest (deterministic tie-break by
 core id), so the global order of memory operations is the simulated-time
 order — sequentially consistent and perfectly reproducible for a given
-program, inputs and configuration.
+program, inputs and configuration. Ops run in *turns* (``_turn``) that
+hold that scheduling state in locals from op to op; the order is the one
+a fresh pick before every op gives.
 
 This engine runs native executions, DoublePlay's thread-parallel execution
 (with syscall logging and acquisition capture enabled), and the multicore
@@ -15,16 +17,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeadlockError, GuestFault, SimulationError
 from repro.exec.engine import BaseEngine
-from repro.exec.interpreter import step
+from repro.exec.interpreter import pure_table, step
 from repro.isa.context import ThreadContext, ThreadStatus
 from repro.isa.program import ProgramImage
 from repro.machine.config import MachineConfig
 from repro.memory.address_space import AddressSpace
 from repro.oskernel.sync import SyncManager
+
+
+#: a clock or bound no simulated time reaches (no event, no stop)
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -33,6 +39,23 @@ class _Core:
     time: int = 0
     tid: Optional[int] = None
     quantum_left: int = 0
+
+
+def _pick(times: List[int]) -> Tuple[int, int]:
+    """The turn's scheduling decision over the busy cores' clocks.
+
+    Returns the index of the earliest clock (the lowest index, i.e. the
+    lowest cid, on a tie) and its *limit*: the clock value at which
+    another core becomes the earliest. The picked core keeps the turn
+    while its clock stays below the limit.
+    """
+    time = min(times)
+    cur = times.index(time)
+    times[cur] = _NEVER
+    runner_up = min(times)
+    limit = runner_up + (times.index(runner_up) > cur)
+    times[cur] = time
+    return cur, limit
 
 
 class MulticoreEngine(BaseEngine):
@@ -49,6 +72,12 @@ class MulticoreEngine(BaseEngine):
     ):
         super().__init__(program, config, mem, sync, services, name)
         self.cores = [_Core(cid) for cid in range(config.cores)]
+        #: per-pc: may a turn run this op without ending? (see ``_turn``)
+        self.pure = pure_table(program)
+        #: the turn's tables when no op is pure (an observer or access
+        #: interceptor is attached) and when fusion is off (no block head)
+        self._impure = (False,) * len(self.pure)
+        self._fused = self.fused or (None,) * len(self.decoded)
         self._ready: Deque[Tuple[int, int]] = deque()  # (tid, ready time)
         #: latest simulated time any core has reached
         self.time = 0
@@ -119,233 +148,280 @@ class MulticoreEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        stop_check: Optional[Callable[["MulticoreEngine"], bool]] = None,
-        stop_after: Optional[int] = None,
-    ) -> str:
-        """Execute until completion or until ``stop_check`` fires.
+    def run(self, stop_after: Optional[int] = None) -> str:
+        """Execute until completion or until ``self.time >= stop_after``.
 
-        Returns ``"done"`` when every thread exited, ``"stopped"`` when the
-        stop check fired (all committed ops are consistent; the engine can
-        be checkpointed and resumed), or ``"faulted"`` when the guest
-        crashed and ``halt_on_fault`` is set. Raises
-        :class:`DeadlockError` when nothing can ever run again.
-
-        ``stop_after`` *is* the stop condition ``e.time >= stop_after``
-        (the epoch policies expose the value as ``next_boundary()``),
-        compared inline after every op; ``stop_check`` is then never
-        called. Fused superblocks are bounded by the remaining cycles
-        instead of being disabled, as an opaque ``stop_check`` forces.
+        Returns ``"done"`` when every thread exited, ``"stopped"`` when
+        ``stop_after`` was reached (checked after every op; all committed
+        ops are consistent, so the engine can be checkpointed and
+        resumed — the epoch policies supply the value as
+        ``next_boundary()``), or ``"faulted"`` when the guest crashed and
+        ``halt_on_fault`` is set. Raises :class:`DeadlockError` when
+        nothing can ever run again. Fused superblocks are bounded by the
+        remaining cycles, not disabled.
         """
         ops_before = self.ops
         try:
-            return self._run_loop(stop_check, stop_after)
+            return self._run_loop(stop_after)
         finally:
             self._flush_exec_stats(self.ops - ops_before)
 
-    def _run_loop(
-        self,
-        stop_check: Optional[Callable[["MulticoreEngine"], bool]],
-        stop_after: Optional[int],
-    ) -> str:
+    def _run_loop(self, stop_after: Optional[int]) -> str:
+        """The scheduler: dispatch ready threads, idle to the next kernel
+        event, and hand the busy cores to :meth:`_turn`, which executes
+        the ops."""
         cores = self.cores
-        contexts = self.contexts
         ready = self._ready
         next_event_fn = self.services.next_event_time
-        max_ops = self.config.max_ops
-        running = ThreadStatus.RUNNING
-        decoded = self.decoded
-        decoded_len = len(decoded)
-        if stop_after is not None:
-            stop_check = None
-        fused_table = self.fused
-        may_fuse = (
-            fused_table is not None
-            and not self.observers
-            and self.access_interceptor is None
-            and (stop_check is None or stop_after is not None)
-        )
-        table_len = len(fused_table) if fused_table is not None else 0
+        stop = _NEVER if stop_after is None else stop_after
         while True:
             if self.live_threads == 0:
                 return "done"
             if ready:
                 self._dispatch()
-            # earliest busy core; strict < keeps the lowest-cid tie-break.
-            # The runner-up's time bounds any fused run from above, so
-            # tracking it here makes the common lock-step gate failure a
-            # single comparison instead of a full bound computation.
-            core = None
-            runner = None
-            for candidate in cores:
-                if candidate.tid is None:
-                    continue
-                if core is None or candidate.time < core.time:
-                    runner = core
-                    core = candidate
-                elif runner is None or candidate.time < runner.time:
-                    runner = candidate
-            if core is None:
-                next_event = next_event_fn()
-                if next_event is None:
-                    raise DeadlockError(
-                        f"all threads blocked in {self.name!r}",
-                        self.blocked_tids(),
-                    )
-                if next_event > self.time:
-                    self.time = next_event
-                self._process_wakeups(self.time)
+            busy = [core for core in cores if core.tid is not None]
+            if busy:
+                status = self._turn(busy, stop)
+                if status is not None:
+                    return status
                 continue
-            core_time = core.time
             next_event = next_event_fn()
-            if next_event is not None and next_event <= core_time:
-                # A kernel event (arrival, sleep expiry) is due before this
-                # op; deliver it first so a woken thread can claim an idle
-                # core that is earlier in time.
-                self._process_wakeups(core_time)
-                continue
-            ctx = contexts[core.tid]
-            if may_fuse and 0 <= ctx.pc < table_len:
-                site = fused_table[ctx.pc]
-                if (
-                    site is not None
-                    # Fast reject: the exact window is at most the gap to
-                    # the runner-up core plus the tie-break cycle, so a
-                    # gap smaller than the block's minimum cost can never
-                    # pass the full gate below.
-                    and (
-                        runner is None
-                        or runner.time + 1 - core_time >= site.min_cost
-                    )
-                    and ctx.blocked is None
-                    and ctx.pending_grant is None
-                    and not ctx.pending_signals
-                    and not self.injected_signals
-                ):
-                    max_n = max_ops - self.ops
-                    if max_n >= site.length:
-                        # Whole-block-or-nothing: every bound must leave
-                        # room for the block's static minimum cost, else
-                        # generic dispatch handles the op (measured
-                        # lock-step windows are 2-3 ops wide; fusing
-                        # prefixes that short costs more than it saves).
-                        # Cheap bounds first; the core scan exits at the
-                        # first core that makes the gate fail (the common
-                        # lock-step case costs one comparison).
-                        min_cost = site.min_cost
-                        cost_max = 1 << 62
-                        if next_event is not None:
-                            cost_max = next_event - core_time
-                        if ready and core.quantum_left < cost_max:
-                            cost_max = core.quantum_left
-                        if stop_after is not None:
-                            room = stop_after - core_time
-                            if room < cost_max:
-                                cost_max = room
-                        if cost_max >= min_cost:
-                            # The fused run must stop while this core is
-                            # still the earliest (global memory order is
-                            # core-time order): strictly below every
-                            # lower-cid busy core, at-or-below every
-                            # higher-cid one.
-                            for other in cores:
-                                if other is core or other.tid is None:
-                                    continue
-                                room = other.time - core_time
-                                if other.cid > core.cid:
-                                    room += 1
-                                if room < cost_max:
-                                    if room < min_cost:
-                                        cost_max = -1
-                                        break
-                                    cost_max = room
-                        else:
-                            cost_max = -1
+            if next_event is None:
+                raise DeadlockError(
+                    f"all threads blocked in {self.name!r}", self.blocked_tids()
+                )
+            if next_event > self.time:
+                self.time = next_event
+            self._process_wakeups(self.time)
+
+    def _turn(self, busy: List[_Core], stop: int) -> Optional[str]:
+        """Execute ops on the busy cores until scheduling can change.
+
+        Each op runs on the core with the earliest clock (lowest cid on a
+        tie), so global memory order is core-time order, op by op, exactly
+        as if the scheduler picked every op. The cores' clocks and quanta,
+        the op count, ``self.time`` and the next event time live in locals
+        and are written back when the turn ends. Pure ops never end it;
+        any other op ends it when its thread left the core or when a
+        thread became ready while a core is idle. ``stop_after``, a spent
+        quantum with a thread ready and a fault end it too. A kernel event
+        due before an op is delivered in the turn, which ends only if a
+        woken thread can take an idle core. Returns ``"stopped"``,
+        ``"faulted"``, or None to go on scheduling.
+        """
+        ready = self._ready
+        next_event_fn = self.services.next_event_time
+        max_ops = self.config.max_ops
+        running = ThreadStatus.RUNNING
+        decoded = self.decoded
+        code_len = len(decoded)
+        # ``pure[pc]`` (one entry past the code, for a thread that runs off
+        # its end) says the op may run on the turn's fast path, and that
+        # its successor pc indexes these tables. Observers and access
+        # interceptors see every op with ``now`` written and none fused,
+        # so with one attached no op is pure.
+        if self.observers or self.access_interceptor is not None:
+            pure = self._impure
+        else:
+            pure = self.pure
+        fused = self._fused
+        # Per busy core, in cid order: clock, the clock at which its
+        # quantum is spent, thread, and whether the thread's next op skips
+        # ``step`` (nothing pending, pc in range). Only ``step`` (a grant
+        # consumed, a signal delivered), a branch out of the code and
+        # event delivery change the last, so it is refreshed after those.
+        times = [core.time for core in busy]
+        qends = [core.time + core.quantum_left for core in busy]
+        ctxs = [self.contexts[core.tid] for core in busy]
+        cleans = [self._is_clean(ctx, code_len) for ctx in ctxs]
+        # With a core idle, a thread made ready must be dispatched.
+        full = len(busy) == len(self.cores)
+        two = len(busy) == 2
+        has_ready = bool(ready)
+        next_event = next_event_fn()
+        if next_event is None:
+            next_event = _NEVER
+        cur, limit = _pick(times)
+        t = times[cur]
+        self._now = t
+        if t >= next_event:
+            # A kernel event is due before this op: deliver it, and let
+            # the scheduler dispatch whom it woke.
+            self._process_wakeups(t)
+            return None
+        ctx = ctxs[cur]
+        clean = cleans[cur]
+        qend = qends[cur]
+        ops = self.ops
+        clock = self.time
+        # Below ``horizon`` a pure op changes nothing the scheduler decides
+        # on: the same core is still the earliest, no event is due,
+        # ``stop_after`` is not reached and the quantum is not spent with
+        # a thread ready. (``stop_after`` reached already, the first op
+        # ends the turn and no block fuses.)
+        far = next_event if next_event < stop else stop
+        horizon = limit if limit < far else far
+        if has_ready and qend < horizon:
+            horizon = qend
+        if clock >= stop:
+            horizon = -_NEVER
+        sb_calls = sb_ops = sb_exits = 0
+        fault = None
+        dispatch = False
+        try:
+            while True:
+                pc = ctx.pc
+                is_pure = clean and pure[pc]
+                if is_pure:
+                    site = fused[pc]
+                    if site is not None:
+                        # Whole-block-or-nothing: the block runs only if
+                        # its static minimum cost fits below the horizon
+                        # and its body fits the op budget. Entries count
+                        # toward compilation only when they would fuse, so
+                        # blocks whose windows never fit stay cold.
                         handler = None
-                        if cost_max >= min_cost:
-                            # Count an entry toward compilation only when
-                            # it would actually fuse: blocks whose windows
-                            # never fit (lock-step phases) stay cold and
-                            # never pay ``compile()``.
+                        cost_max = horizon - t
+                        max_n = max_ops - ops
+                        if cost_max >= site.min_cost and max_n >= site.length:
                             handler = site.handler
                             if handler is None:
                                 site.count -= 1
                                 if site.count <= 0:
                                     handler = site.compile()
-                        if handler is not None:
-                            n, cum, fault = handler(self, ctx, cost_max, max_n)
-                            self.ops += n
-                            self._sb_calls += 1
-                            self._sb_ops += n
+                        if handler is None:
+                            site = None
+                        else:
+                            n, cost, fault = handler(self, ctx, cost_max, max_n)
+                            sb_calls += 1
+                            sb_ops += n
                             if n % site.span or fault is not None:
-                                self._sb_exits += 1
-                            core_time += cum
-                            core.time = core_time
-                            core.quantum_left -= cum
-                            if core_time > self.time:
-                                self.time = core_time
-                            if fault is not None:
-                                self._now = core_time
-                                if not self.halt_on_fault:
-                                    raise fault
-                                self.fault = fault
-                                return "faulted"
-                            if core.quantum_left <= 0 and ready:
-                                ctx.status = ThreadStatus.READY
-                                ready.append((ctx.tid, core_time))
-                                core.tid = None
-                            if stop_after is not None:
-                                if self.time >= stop_after:
-                                    return "stopped"
-                            elif stop_check is not None and stop_check(self):
-                                return "stopped"
-                            continue
-            self._now = core_time
-            try:
-                pc = ctx.pc
-                if (
-                    ctx.blocked is None
-                    and ctx.pending_grant is None
-                    and not ctx.pending_signals
-                    and not self.injected_signals
-                    and 0 <= pc < decoded_len
-                ):
-                    # ``step``'s common case, without the call: nothing
-                    # pending, so the op at ``pc`` simply executes.
-                    pair = decoded[pc]
-                    cost = pair[0](self, ctx, pair[1])
+                                sb_exits += 1
+                                is_pure = fault is None
+                    if site is None:
+                        n = 1
+                        pair = decoded[pc]
+                        cost = pair[0](self, ctx, pair[1])
                 else:
-                    cost = step(self, ctx)
-            except GuestFault as fault:
-                if not self.halt_on_fault:
-                    raise
-                # The faulting op applied no effects; the whole program
-                # stops at this op boundary (a crash ends the process).
-                self.fault = fault
-                return "faulted"
-            ops = self.ops + 1
+                    self._now = t
+                    n = 1
+                    if clean and pc < code_len:
+                        pair = decoded[pc]
+                        cost = pair[0](self, ctx, pair[1])
+                    else:
+                        # A grant to consume, a signal to deliver, a blocked
+                        # op to resume, or a pc out of range.
+                        cost = step(self, ctx)
+                ops += n
+                if ops > max_ops:
+                    raise SimulationError(
+                        f"execution exceeded {max_ops} ops (infinite loop?)"
+                    )
+                t += cost
+                if t > clock:
+                    clock = t
+                if is_pure:
+                    if t < horizon:
+                        continue
+                else:
+                    if fault is not None:
+                        raise fault
+                    has_ready = bool(ready)
+                    if ctx.status is not running or has_ready and not full:
+                        break
+                    # The op may have armed a timer or a sleep.
+                    next_event = next_event_fn()
+                    if next_event is None:
+                        next_event = _NEVER
+                    far = next_event if next_event < stop else stop
+                    if not clean or not 0 <= ctx.pc <= code_len:
+                        clean = cleans[cur] = self._is_clean(ctx, code_len)
+                # The op may have changed what the scheduler decides on.
+                if clock >= stop or has_ready and t >= qend:
+                    break
+                if t >= limit:
+                    # Another core is now the earliest.
+                    times[cur] = t
+                    qends[cur] = qend
+                    if two:
+                        # The other core; it keeps the turn while its
+                        # clock is below ``t`` (core 0 wins a tie). Lock-
+                        # step runs hand over after most ops; with a
+                        # ``_pick`` call here ``compute_clean`` records
+                        # 39 % slower (EXPERIMENTS.md).
+                        limit = t + cur
+                        cur = 1 - cur
+                    else:
+                        cur, limit = _pick(times)
+                    ctx = ctxs[cur]
+                    t = times[cur]
+                    clean = cleans[cur]
+                    qend = qends[cur]
+                if t >= next_event:
+                    # A kernel event (arrival, sleep expiry, timer) is due
+                    # before this op. Delivering it changes the schedule
+                    # only if a woken thread can take an idle core; a
+                    # signal may now be pending on any busy thread.
+                    while True:
+                        self._process_wakeups(t)
+                        next_event = next_event_fn()
+                        if next_event is None:
+                            next_event = _NEVER
+                        has_ready = bool(ready)
+                        if has_ready and not full or t < next_event:
+                            break
+                    if has_ready and not full:
+                        dispatch = True
+                        break
+                    far = next_event if next_event < stop else stop
+                    cleans = [self._is_clean(other, code_len) for other in ctxs]
+                    clean = cleans[cur]
+                horizon = limit if limit < far else far
+                if has_ready and qend < horizon:
+                    horizon = qend
+        except GuestFault as exc:
+            if not self.halt_on_fault:
+                raise
+            # The faulting op applied no effects; the whole program stops
+            # at this op boundary (a crash ends the process).
+            self.fault = exc
+            return "faulted"
+        finally:
+            times[cur] = t
+            qends[cur] = qend
+            for index, core in enumerate(busy):
+                core.time = times[index]
+                core.quantum_left = qends[index] - times[index]
             self.ops = ops
-            if ops > max_ops:
-                raise SimulationError(
-                    f"execution exceeded {max_ops} ops (infinite loop?)"
-                )
-            core_time += cost
-            core.time = core_time
-            core.quantum_left -= cost
-            if core_time > self.time:
-                self.time = core_time
-            if ctx.status is not running:
-                core.tid = None
-            elif core.quantum_left <= 0 and ready:
-                ctx.status = ThreadStatus.READY
-                ready.append((ctx.tid, core_time))
-                core.tid = None
-            if stop_after is not None:
-                if self.time >= stop_after:
-                    return "stopped"
-            elif stop_check is not None and stop_check(self):
-                return "stopped"
+            self.time = clock
+            # Between ops, "now" is the clock of the core to run next.
+            self._now = t
+            if sb_calls:
+                self._sb_calls += sb_calls
+                self._sb_ops += sb_ops
+                self._sb_exits += sb_exits
+        if dispatch:
+            return None
+        # The turn ended after an op of ``ctx``.
+        if ctx.status is not running:
+            busy[cur].tid = None
+        elif qend <= t and ready:
+            ctx.status = ThreadStatus.READY
+            ready.append((ctx.tid, t))
+            busy[cur].tid = None
+        if clock >= stop:
+            return "stopped"
+        return None
+
+    def _is_clean(self, ctx: ThreadContext, code_len: int) -> bool:
+        """May ``ctx``'s next op skip ``step`` (see ``interpreter.step``)?"""
+        return (
+            not self.injected_signals
+            and ctx.blocked is None
+            and ctx.pending_grant is None
+            and not ctx.pending_signals
+            and 0 <= ctx.pc <= code_len
+        )
 
     # ------------------------------------------------------------------
     # Checkpoint support

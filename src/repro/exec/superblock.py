@@ -40,13 +40,15 @@ Correctness contract (what keeps logged event ordering untouched):
   Whole-block-or-nothing is a measured decision, not a shortcut: a
   per-op-checked variant that fused bounded *prefixes* whenever the
   scheduling window held at least one op ran 10-20% *slower* on every
-  engine — lock-step multicore windows are only 2-3 ops wide, so the
-  per-entry gate+call overhead outweighed the dispatch it saved, and
-  the interior compares taxed the full-block runs that were already
-  winning. A :class:`~repro.errors.GuestFault` (division by zero,
-  unmapped address) is caught *inside* the handler and returned with
-  the pre-fault op count, so the faulting op applies no effects and the
-  caller handles it exactly like a generic-path fault.
+  engine — the thread-parallel run's same-core runs are mostly a single
+  op (fft: 191 965 of 228 342 runs; apache and racy-counter average 4.1
+  and 1.9 ops), so the per-entry gate+call overhead outweighed the
+  dispatch it saved, and the interior compares taxed the full-block
+  runs that were already winning. A :class:`~repro.errors.GuestFault`
+  (division by zero, unmapped address) is caught *inside* the handler
+  and returned with the pre-fault op count, so the faulting op applies
+  no effects and the caller handles it exactly like a generic-path
+  fault.
 
 The fused table is cached on ``ProgramImage.__dict__`` beside the
 ``_decoded`` table, keyed by the (frozen, hashable) cost model; like

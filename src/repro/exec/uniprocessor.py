@@ -21,7 +21,7 @@ Two modes:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Deque, Dict, Optional
 
 from repro.errors import (
     DeadlockError,
@@ -222,35 +222,24 @@ class UniprocessorEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Capture mode
     # ------------------------------------------------------------------
-    def run(
-        self,
-        stop_check: Optional[Callable[["UniprocessorEngine"], bool]] = None,
-        stop_after: Optional[int] = None,
-    ) -> EpochOutcome:
+    def run(self, stop_after: Optional[int] = None) -> EpochOutcome:
         """Run with the engine's own scheduling, capturing the schedule.
 
         With targets set, completes when every thread reaches its target
         (threads park there); stalls and runaway executions raise
         :class:`DivergenceSignal`. Without targets, runs until every
-        thread exits. ``stop_check`` ends the run early with status
-        ``"stopped"`` (used by forward recovery's epoch re-execution).
-
-        ``stop_after`` follows the contract of ``MulticoreEngine.run``: it
-        is the stop condition ``e.time >= stop_after``, compared inline
-        (``stop_check`` is then never called), and it bounds fused
-        superblocks instead of disabling them.
+        thread exits. ``stop_after`` ends the run early with status
+        ``"stopped"`` once ``self.time >= stop_after`` (used by forward
+        recovery's epoch re-execution), like ``MulticoreEngine.run``; it
+        bounds fused superblocks instead of disabling them.
         """
         ops_before = self.ops
         try:
-            return self._run_capture(stop_check, stop_after)
+            return self._run_capture(stop_after)
         finally:
             self._flush_exec_stats(self.ops - ops_before)
 
-    def _run_capture(
-        self,
-        stop_check: Optional[Callable[["UniprocessorEngine"], bool]],
-        stop_after: Optional[int],
-    ) -> EpochOutcome:
+    def _run_capture(self, stop_after: Optional[int]) -> EpochOutcome:
         schedule = ScheduleLog()
         self._run_ops = 0
         if self.targets is not None:
@@ -261,8 +250,6 @@ class UniprocessorEngine(BaseEngine):
             needed = max(sum(self.targets.values()) - already_retired, 0)
             self._op_budget = 2 * needed + 64 * (len(self.targets) + 1)
         stopped = False
-        if stop_after is not None:
-            stop_check = None
         ready = self._ready
         targets = self.targets
         costs = self.costs
@@ -276,7 +263,6 @@ class UniprocessorEngine(BaseEngine):
             fused_table is not None
             and not self.observers
             and self.access_interceptor is None
-            and (stop_check is None or stop_after is not None)
         )
         table_len = len(fused_table) if fused_table is not None else 0
         while not stopped:
@@ -396,10 +382,7 @@ class UniprocessorEngine(BaseEngine):
                                         self.time,
                                         reason=str(fault),
                                     )
-                                if (
-                                    stop_after is not None
-                                    and self.time >= stop_after
-                                ) or (stop_check is not None and stop_check(self)):
+                                if stop_after is not None and self.time >= stop_after:
                                     stopped = True
                                     break
                                 continue
@@ -442,9 +425,7 @@ class UniprocessorEngine(BaseEngine):
                     # always ends the slice and replay must re-execute it.
                     issue_ended = True
                     break
-                if (stop_after is not None and self.time >= stop_after) or (
-                    stop_check is not None and stop_check(self)
-                ):
+                if stop_after is not None and self.time >= stop_after:
                     stopped = True
                     break
             if (

@@ -126,8 +126,10 @@ def discover_blocks(
 
     Runs extend from a leader over consecutive fusable instructions and
     stop at the next leader or the first non-fusable op; a JMP or
-    conditional branch that is not itself a leader closes the run as its
-    last op. Runs shorter than ``min_len`` are dropped.
+    conditional branch that is not itself a leader and targets a pc in
+    ``[0, len(code)]`` closes the run as its last op (a branch out of the
+    code stays unfused, so the next op faults on the generic path). Runs
+    shorter than ``min_len`` are dropped.
     """
     leaders = set(block_leaders(code))
     blocks: Dict[int, Tuple[Instruction, ...]] = {}
@@ -140,7 +142,12 @@ def discover_blocks(
         end = pc + 1
         while end < n and end not in leaders and code[end].op in FUSABLE_OPS:
             end += 1
-        if end < n and end not in leaders and code[end].op in BRANCH_OPS:
+        if (
+            end < n
+            and end not in leaders
+            and code[end].op in BRANCH_OPS
+            and 0 <= branch_target(code[end]) <= n
+        ):
             end += 1
         if end - pc >= min_len:
             blocks[pc] = tuple(code[pc:end])

@@ -41,11 +41,13 @@ class ProgramImage:
 
     def __getstate__(self):
         # Host-wire form: the declared fields only. The interpreter caches
-        # its decoded ``(handler, instr)`` table in ``__dict__`` (see
-        # ``repro.exec.interpreter.decode_program``); handlers are
-        # host-process function objects, so the cache is stripped here and
-        # rebuilt on first use in the receiving process — decode is a pure
-        # function of ``code``, so the rebuilt table is identical.
+        # its decoded ``(handler, instr)`` table and its pure-op table in
+        # ``__dict__`` (see ``repro.exec.interpreter.decode_program`` and
+        # ``pure_table``), the superblock compiler its fused table;
+        # handlers are host-process function objects, so the caches are
+        # stripped here and rebuilt on first use in the receiving process —
+        # each is a pure function of ``code``, so the rebuilt table is
+        # identical.
         return {
             "code": self.code,
             "entry": self.entry,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.exec.multicore import MulticoreEngine
 from repro.exec.services import LiveSyscalls
@@ -11,6 +12,16 @@ from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
 from repro.oskernel.kernel import Kernel, KernelSetup
 from repro.oskernel.syscalls import SyscallKind
+
+#: ``--hypothesis-profile=ci`` (the CI dispatch-parity job) scales every
+#: property that sizes its budget with :func:`examples` by five; tier-1
+#: runs use the default profile and the budgets as written.
+settings.register_profile("ci", max_examples=500, deadline=None, print_blob=True)
+
+
+def examples(budget: int) -> int:
+    """A property's example budget under the loaded Hypothesis profile."""
+    return max(1, budget * settings.default.max_examples // 100)
 
 
 @pytest.fixture

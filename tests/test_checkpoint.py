@@ -10,7 +10,7 @@ from tests.conftest import boot_multicore, counter_program
 
 def run_to_midpoint(image, machine, setup=None):
     engine, kernel = boot_multicore(image, machine, setup)
-    engine.run(stop_check=lambda e: e.time >= 800)
+    engine.run(stop_after=800)
     return engine, kernel
 
 
@@ -60,7 +60,8 @@ class TestTake:
         manager = CheckpointManager()
         cp1 = manager.take(engine, 1)
         assert cp1.digest() == cp1.digest()
-        engine.run(stop_check=lambda e: e.time >= engine.time + 300)
+        next_stop = engine.time + 300
+        assert engine.run(stop_after=next_stop) == "stopped"
         cp2 = manager.take(engine, 2)
         assert cp1.digest() != cp2.digest()
 
@@ -69,7 +70,8 @@ class TestTake:
         engine, _ = run_to_midpoint(image, MachineConfig(cores=2))
         manager = CheckpointManager()
         cp1 = manager.take(engine, 1)
-        engine.run(stop_check=lambda e: e.time >= engine.time + 200)
+        next_stop = engine.time + 200
+        assert engine.run(stop_after=next_stop) == "stopped"
         manager.take(engine, 2)
         manager.discard_after(1)
         assert manager.taken == [cp1]
@@ -120,7 +122,7 @@ class TestResumeEquivalence:
         machine = MachineConfig(cores=3)
         engine, _ = boot_multicore(image, machine)
         # stop at a point where contention is likely
-        engine.run(stop_check=lambda e: e.time >= 300)
+        engine.run(stop_after=300)
         checkpoint = CheckpointManager().take(engine, 1)
 
         kernel = Kernel(KernelSetup(), image.heap_base)
@@ -145,7 +147,7 @@ class TestResumeEquivalence:
         inst = build_workload("apache", workers=2, scale=2, seed=3)
         machine = MachineConfig(cores=2)
         engine, _ = boot_multicore(inst.image, machine, inst.setup)
-        engine.run(stop_check=lambda e: e.time >= 1500)
+        engine.run(stop_after=1500)
         assert not engine.all_exited()
         checkpoint = CheckpointManager().take(engine, 1)
         _, kernel = self._resume(inst.image, machine, checkpoint, inst.setup)

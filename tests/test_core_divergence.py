@@ -23,7 +23,7 @@ def capture_epoch(image, workers=2, stop_at=1200, setup=None, log=None):
     engine.acquisition_log = hints
     manager = CheckpointManager()
     start = manager.initial(engine)
-    engine.run(stop_check=lambda e: e.time >= stop_at)
+    engine.run(stop_after=stop_at)
     boundary = manager.take(engine, 1)
     return machine, start, boundary, syscall_log, hints
 
@@ -69,9 +69,9 @@ class TestEpochRunner:
         engine.acquisition_log = hints
         manager = CheckpointManager()
         start = manager.initial(engine)
-        engine.run(stop_check=lambda e: e.time >= 800)
+        engine.run(stop_after=800)
         middle = manager.take(engine, 1)
-        engine.run(stop_check=lambda e: e.time >= 1600)
+        engine.run(stop_after=1600)
         later = manager.take(engine, 2)
         # run the first epoch but give it the *second* boundary's digest to
         # match against — targets come from `later`, so the executor runs

@@ -17,7 +17,7 @@ def checkpoint_midway(image, workers=2, stop_at=700, setup=None, log=None):
     kernel = Kernel(setup or KernelSetup(), image.heap_base)
     engine = MulticoreEngine.boot(image, machine, LiveSyscalls(kernel, log or []))
     manager = CheckpointManager()
-    engine.run(stop_check=lambda e: e.time >= stop_at)
+    engine.run(stop_after=stop_at)
     return machine, manager.take(engine, 1)
 
 

@@ -180,7 +180,7 @@ class TestBlockingAndDeadlock:
     def test_stop_check_pauses_and_resumes(self):
         image = counter_program(workers=2, iters=30)
         engine, kernel = boot_multicore(image, MachineConfig(cores=2))
-        status = engine.run(stop_check=lambda e: e.time >= 500)
+        status = engine.run(stop_after=500)
         assert status == "stopped"
         assert not engine.all_exited()
         assert engine.run() == "done"
@@ -209,7 +209,7 @@ class TestBlockingAndDeadlock:
             asm.exit_()
         engine, _ = boot_multicore(asm.assemble(), MachineConfig(cores=1))
         # stop early; both threads must have run (preemption happened)
-        engine.run(stop_check=lambda e: e.time >= 4000)
+        engine.run(stop_after=4000)
         assert engine.mem.read(engine.program.address_of("a")) == 1
         assert engine.mem.read(engine.program.address_of("b")) == 1
 
@@ -218,14 +218,14 @@ class TestQuiesce:
     def test_quiesce_aligns_core_clocks(self):
         image = counter_program(workers=2, iters=30)
         engine, _ = boot_multicore(image, MachineConfig(cores=2))
-        engine.run(stop_check=lambda e: e.time >= 400)
+        engine.run(stop_after=400)
         time = engine.quiesce()
         assert all(core.time == time for core in engine.cores)
 
     def test_advance_all_charges_every_core(self):
         image = counter_program(workers=2, iters=30)
         engine, _ = boot_multicore(image, MachineConfig(cores=2))
-        engine.run(stop_check=lambda e: e.time >= 400)
+        engine.run(stop_after=400)
         engine.quiesce()
         before = engine.time
         engine.advance_all(100)
@@ -234,7 +234,7 @@ class TestQuiesce:
     def test_run_continues_after_quiesce(self):
         image = counter_program(workers=2, iters=30)
         engine, kernel = boot_multicore(image, MachineConfig(cores=2))
-        engine.run(stop_check=lambda e: e.time >= 400)
+        engine.run(stop_after=400)
         engine.quiesce()
         engine.advance_all(50)
         assert engine.run() == "done"

@@ -74,7 +74,7 @@ class TestCapture:
     def test_stop_check(self):
         image = counter_program(workers=2, iters=50)
         engine, _ = boot_uniprocessor(image, MachineConfig(cores=1))
-        outcome = engine.run(stop_check=lambda e: e.time >= 1000)
+        outcome = engine.run(stop_after=1000)
         assert outcome.status == "stopped"
         assert engine.time >= 1000
 
@@ -92,7 +92,7 @@ class TestTargets:
         """Capture a mid-run boundary by running a twin engine."""
         image = counter_program(workers=2, iters=iters)
         probe, _ = boot_uniprocessor(image, MachineConfig(cores=1))
-        probe.run(stop_check=lambda e: e.time >= 1500)
+        probe.run(stop_after=1500)
         targets = {tid: ctx.retired for tid, ctx in probe.contexts.items()}
         return image, targets
 

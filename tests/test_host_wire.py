@@ -147,14 +147,16 @@ def test_program_image_pickle_strips_superblock_tables():
     so it must never travel; the wire form is exactly the declared
     dataclass fields, whatever caches warmed up in ``__dict__``.
     """
+    from repro.exec.interpreter import pure_table
     from repro.exec.superblock import table_for
 
     instance = build_workload("fft", workers=2, scale=2, seed=11)
     image = instance.image
     machine = MachineConfig(cores=2)
     decode_program(image)
+    pure_table(image)
     table_for(image, machine.costs)
-    assert "_superblocks" in image.__dict__
+    assert "_superblocks" in image.__dict__ and "_pure" in image.__dict__
 
     assert set(image.__getstate__()) == {
         "code", "entry", "data", "symbols", "functions",
@@ -163,6 +165,8 @@ def test_program_image_pickle_strips_superblock_tables():
     clone = roundtrip(image)
     assert "_superblocks" not in clone.__dict__
     assert "_decoded" not in clone.__dict__
+    assert "_pure" not in clone.__dict__
+    assert pure_table(clone) == pure_table(image)
     # The cold clone lazily rebuilds an equivalent table: same fusable
     # block heads discovered from the identical code tuple.
     rebuilt = table_for(clone, machine.costs)

@@ -22,6 +22,7 @@ from repro.isa.assembler import Assembler
 from repro.isa.builder import GuestBuilder
 from repro.machine.config import MachineConfig
 from repro.oskernel.kernel import KernelSetup
+from tests.conftest import examples
 
 # A structured statement tree. Leaves are safe actions; interior nodes are
 # control-flow constructs.
@@ -111,7 +112,7 @@ def build_structured(statements, workers: int):
     return asm.assemble()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(
     statements=st.lists(_stmt, min_size=1, max_size=4),
     workers=st.integers(min_value=2, max_value=3),
@@ -150,7 +151,7 @@ def _record_and_replay(image, machine, config, superblocks: bool):
     )
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 @given(
     statements=st.lists(_stmt, min_size=1, max_size=4),
     workers=st.integers(min_value=2, max_value=3),
