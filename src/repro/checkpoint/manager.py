@@ -41,10 +41,18 @@ class CheckpointManager:
 
     def take(self, engine: MulticoreEngine, index: int) -> Checkpoint:
         """Checkpoint a (quiesced) multicore engine; charges its cores."""
-        time = engine.quiesce()
+        engine.quiesce()
         dirty = len(engine.mem.dirty)
         snapshot = engine.mem.snapshot()
         engine.advance_all(checkpoint_cost(engine.costs, snapshot))
+        return self._capture(engine, index, snapshot, dirty)
+
+    def initial(self, engine: MulticoreEngine) -> Checkpoint:
+        """Checkpoint index 0, before any execution (no quiesce cost)."""
+        return self._capture(engine, 0, engine.mem.snapshot(), 0)
+
+    def _capture(self, engine, index: int, snapshot, dirty_pages: int) -> Checkpoint:
+        """Capture the engine's state around ``snapshot`` and track it."""
         kernel_state = None
         if isinstance(engine.services, LiveSyscalls):
             kernel_state = engine.services.kernel.snapshot()
@@ -55,25 +63,7 @@ class CheckpointManager:
             contexts={tid: ctx.copy() for tid, ctx in engine.contexts.items()},
             sync_state=engine.sync.snapshot(),
             kernel_state=kernel_state,
-            dirty_pages=dirty,
-        )
-        self.taken.append(checkpoint)
-        return checkpoint
-
-    def initial(self, engine: MulticoreEngine) -> Checkpoint:
-        """Checkpoint index 0, before any execution (no quiesce cost)."""
-        snapshot = engine.mem.snapshot()
-        kernel_state = None
-        if isinstance(engine.services, LiveSyscalls):
-            kernel_state = engine.services.kernel.snapshot()
-        checkpoint = Checkpoint(
-            index=0,
-            time=engine.time,
-            memory=snapshot,
-            contexts={tid: ctx.copy() for tid, ctx in engine.contexts.items()},
-            sync_state=engine.sync.snapshot(),
-            kernel_state=kernel_state,
-            dirty_pages=0,
+            dirty_pages=dirty_pages,
         )
         self.taken.append(checkpoint)
         return checkpoint

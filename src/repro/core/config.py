@@ -36,13 +36,6 @@ class DoublePlayConfig:
     use_sync_hints: bool = True
     #: ramp epoch lengths up from short so the pipeline fills quickly
     adaptive_epochs: bool = False
-    #: bound on uncommitted epochs in flight (checkpoint memory pressure);
-    #: 0 = executor slots + 1. The thread-parallel run stalls at this bound,
-    #: which is where overhead grows with worker count.
-    max_inflight_epochs: int = 0
-    #: upper bound on recovery attempts (safety valve; a correct setup
-    #: always makes progress, see repro.core.recovery)
-    max_recoveries: int = 1000
     #: host worker *processes* for epoch execution (1 = serial, today's
     #: code path, zero extra dependencies). Orthogonal to
     #: ``epoch_workers``, which is simulated executor slots: ``host_jobs``
@@ -86,7 +79,10 @@ class DoublePlayConfig:
         return self.epoch_workers or self.machine.cores
 
     def inflight_bound(self) -> int:
-        return self.max_inflight_epochs or self.executor_slots() + 1
+        """Uncommitted epochs in flight (checkpoint memory pressure): the
+        thread-parallel run stalls at this bound, which is where overhead
+        grows with worker count. At least 2."""
+        return self.executor_slots() + 1
 
     def replace(self, **overrides) -> "DoublePlayConfig":
         return dataclasses.replace(self, **overrides)

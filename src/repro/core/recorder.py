@@ -22,11 +22,12 @@ Record proceeds in *segments*. Within a segment:
 3. On divergence, forward recovery (``repro.core.recovery``) re-executes
    the epoch live, commits its result, discards the abandoned
    thread-parallel future, and a new segment starts from the recovered
-   state. Once a run has recovered, a *verdict schedule* consumes each
-   epoch's verdict a fixed number of boundaries behind the
-   thread-parallel run — a restarted segment's first epoch already at
-   boundary 1 — and squashes that run at the divergent epoch instead of
-   letting it finish a future nobody will keep.
+   state. Once a run has recovered, a *verdict schedule*
+   (``VerdictSchedule``, whose rule table is DESIGN.md's *Verdict
+   schedule*) judges each epoch's verdict a fixed number of boundaries
+   behind the thread-parallel run — a restarted segment's first epoch
+   already at boundary 1 — and squashes that run at the divergent epoch
+   instead of letting it finish a future nobody will keep.
 
 Logical execution and timing are deliberately separated: step 2's results
 cannot depend on *when* executors run (they are deterministic functions of
@@ -42,7 +43,7 @@ import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import options
 from repro.checkpoint.checkpoint import Checkpoint
@@ -65,7 +66,6 @@ from repro.obs import lifecycle
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import RunMetrics
 from repro.oskernel.kernel import Kernel, KernelSetup
-from repro.oskernel.syscalls import SyscallRecord
 from repro.record.log_index import SegmentLogs
 from repro.record.recording import (
     EpochRecord,
@@ -121,6 +121,57 @@ class RecordResult:
         return kernel
 
 
+class VerdictSchedule:
+    """When one segment's units are cut and its verdicts judged: the rule
+    table of DESIGN.md's *Verdict schedule*, a function of the boundaries
+    reached and the verdicts judged — never of an engine, the pool, host
+    timing or ``jobs``. ``lag`` is ``config.inflight_bound()``; *armed*
+    (the run has recovered) until a verdict that is not final disarms
+    it; *pooled* when units go to a pool (``jobs > 1``).
+    """
+
+    def __init__(self, lag: int, armed: bool, pooled: bool):
+        self.lag, self.armed, self.pooled = lag, armed, pooled
+        #: position -> the marks its unit was cut at
+        self.cuts: Dict[int, object] = {}
+        #: the next position whose verdict was not consumed as final
+        self.consumed = 0
+        #: a final failing verdict stopped the thread-parallel run
+        self.squashed = False
+
+    def due(self, boundary: int, ended: bool = False) -> Tuple[Optional[int], range]:
+        """``(position judged, positions cut)`` at ``boundary``, or where
+        the thread-parallel run ``ended``."""
+        if ended:
+            return None, range(boundary if self.pooled else 0)
+        position = 0 if boundary == 1 else boundary - self.lag
+        judged = position if self.armed and position >= self.consumed else None
+        return judged, range(max(boundary - 2, 0), boundary - 1)
+
+    def take(self, position: int, marks) -> bool:
+        """Is ``position``'s unit cut now? If so, ``marks`` is its cut."""
+        if position in self.cuts or not (self.armed or self.pooled):
+            return False
+        self.cuts[position] = marks
+        return True
+
+    def judge(self, boundary: int, position: int, final: bool, ok: bool) -> str:
+        """Apply ``position``'s verdict, judged at ``boundary``: returns
+        ``"consume"``, ``"squash"`` (the segment ends at ``position``),
+        ``"recut"`` (dropped with its cut) or ``"disarm"``."""
+        if not final:
+            if boundary < position + self.lag:
+                del self.cuts[position]
+                return "recut"
+            self.armed = False
+            return "disarm"
+        self.consumed = position + 1
+        if ok:
+            return "consume"
+        self.squashed = True
+        return "squash"
+
+
 @dataclass
 class _Segment:
     """One thread-parallel segment in flight: boundaries, hints, verdicts."""
@@ -129,32 +180,17 @@ class _Segment:
     first_epoch: int
     #: ``[committed, boundary 1, boundary 2, ...]``
     checkpoints: List[Checkpoint]
-    #: the run's raw logs (shared by every segment; the engines append)
-    syscall_log: List[SyscallRecord]
-    signal_log: List
-    #: every verdict consumed so far was final, so a failing one may
-    #: still squash the thread-parallel run. Armed by the first recovery.
-    may_cut: bool
-    #: the run's epoch lives (shared by every segment; observed, never read)
-    lives: lifecycle.Lives
+    #: which boundary cuts which unit and judges which verdict
+    schedule: VerdictSchedule
     #: the pool's side of the segment: units pushed ahead of the merge,
     #: then the merge itself (None at ``jobs=1``)
     session: Optional[object] = None
-    #: index pair over the raw logs, grown as the segment is cut
-    logs: Optional[SegmentLogs] = None
     #: acquisition hints of the thread-parallel run, in order
     hints: List = field(default_factory=list)
     #: ``len(hints)`` at each entry of ``checkpoints``
     hint_marks: List[int] = field(default_factory=lambda: [0])
-    #: position -> (hint cut, syscall cut, signal cut) its unit was cut at
-    cuts: Dict[int, tuple] = field(default_factory=dict)
     #: position -> verdict the schedule ran inline (no session)
     inline: Dict[int, EpochRunResult] = field(default_factory=dict)
-    #: the next position whose verdict the schedule has not consumed
-    #: (every one below it was final)
-    consumed: int = 0
-    #: the thread-parallel run was stopped at a final failing verdict
-    squashed: bool = False
 
 
 @dataclass
@@ -169,8 +205,17 @@ class _Timeline:
     tp_finish: int = 0
 
 
+#: recoveries per run (a safety valve: see repro.core.recovery)
+MAX_RECOVERIES = 1000
+
+
 class DoublePlayRecorder:
-    """Records one program execution with uniparallelism."""
+    """Records one program execution with uniparallelism.
+
+    ``record`` keeps the run-wide state here, once: the raw logs (the
+    engines append) and their index, the epoch lives, the checkpoint
+    manager, the sink, the recording and the last committed checkpoint.
+    """
 
     def __init__(
         self,
@@ -200,13 +245,13 @@ class DoublePlayRecorder:
         the segment's log — for the merge's runs, the finished log under
         one shared injection index.
         """
-        signals = segment.signal_log
+        signals = self._signal_log
         c_hint = None
         if cuts is not None:
             c_hint, c_sys, c_sig = cuts
             syscalls, signals = syscalls[:c_sys], signals[:c_sig]
         window = segment.hints[segment.hint_marks[position] : c_hint]
-        with segment.lives.here(position, "record"):
+        with self._lives.here(position, "record"):
             return run_epoch(
                 self.program,
                 self.machine,
@@ -242,7 +287,7 @@ class DoublePlayRecorder:
                 positions, valid, functools.partial(self._cut_unit, segment)
             )
             return
-        syscalls = InjectionLog(segment.syscall_log)
+        syscalls = InjectionLog(self._syscall_log)
         for position in range(positions):
             result = segment.inline.get(position)
             if result is None or not valid(position, result):
@@ -252,17 +297,42 @@ class DoublePlayRecorder:
     # ------------------------------------------------------------------
     # Stages of one segment's thread-parallel run.
     # ------------------------------------------------------------------
-    def _run_to_boundary(self, engine, policy, manager, segment: _Segment) -> str:
+    def _engine(self, committed: Optional[Checkpoint]) -> MulticoreEngine:
+        """The live thread-parallel machine: booted or, for a segment
+        restart after recovery, rebuilt from the ``committed`` state."""
+        kernel = Kernel(self.setup, self.program.heap_base)
+        services = LiveSyscalls(kernel, self._syscall_log)
+        if committed is None:
+            engine = MulticoreEngine.boot(self.program, self.machine, services)
+        else:
+            kernel.restore(committed.kernel_state)
+            engine = MulticoreEngine.from_checkpoint(
+                self.program,
+                self.machine,
+                services,
+                memory_snapshot=committed.memory,
+                contexts=committed.copy_contexts(),
+                sync_state=committed.sync_state,
+                start_time=committed.time + self.machine.costs.restore_base,
+                name=f"{self.program.name}/tp",
+            )
+        engine.signal_log = self._signal_log
+        engine.halt_on_fault = True  # crashes are recorded, not raised
+        return engine
+
+    def _run_to_boundary(self, engine, policy, segment: _Segment) -> str:
         """Run the thread-parallel engine one epoch; checkpoint the boundary."""
         started = time.perf_counter()
         status = engine.run(stop_after=policy.next_boundary())
         # Indices continue the committed chain: what a squashed future
         # numbered is handed out again after its recovery.
-        checkpoint = manager.take(engine, index=segment.checkpoints[-1].index + 1)
+        checkpoint = self._manager.take(
+            engine, index=segment.checkpoints[-1].index + 1
+        )
         policy.note_checkpoint(engine.time)
         segment.checkpoints.append(checkpoint)
         segment.hint_marks.append(len(segment.hints))
-        segment.lives.cut(
+        self._lives.cut(
             segment.first_epoch + len(segment.checkpoints) - 2,
             (started, time.perf_counter()),
         )
@@ -273,17 +343,10 @@ class DoublePlayRecorder:
 
         The one way a record unit is made. Whether its result may stand
         in for the full-knowledge run is decided when it is merged
-        (``_speculation_valid``, against the cuts noted here); a cut
-        made once the thread-parallel run is over — on the tail, or
-        again at the merge — *is* full knowledge. Without a session
-        (``jobs=1``) there is no unit to build: the cuts alone say what
-        an inline verdict may read.
+        (``_speculation_valid``, against the marks the schedule noted at
+        its cut); a cut made once the thread-parallel run is over — on
+        the tail, or again at the merge — *is* full knowledge.
         """
-        segment.cuts[position] = (
-            len(segment.hints), len(segment.syscall_log), len(segment.signal_log)
-        )
-        if segment.session is None:
-            return None
         from repro.host.wire import _record_unit
 
         return _record_unit(
@@ -292,83 +355,80 @@ class DoublePlayRecorder:
             segment.checkpoints[position],
             segment.checkpoints[position + 1],
             segment.hints[segment.hint_marks[position] :],
-            segment.logs,
+            self._logs,
             self.config.use_sync_hints,
             segment.session.blobs,
         )
 
     def _push_unit(self, segment: _Segment, position: int) -> None:
-        """Cut ``position`` and push its unit, unless that was done before.
+        """Cut ``position`` and push its unit, if the schedule cuts it now.
 
-        The two-deep commit pipeline pushes epoch p once boundary p+2
-        exists, and whatever is left when the thread-parallel run
-        finishes: shipped to the pool while the thread-parallel run
-        executes ahead, or while the merge commits earlier epochs. At
-        ``jobs=1`` only an armed verdict schedule needs a cut.
+        Without a session (``jobs=1``) there is no unit to build: the
+        marks alone say what an inline verdict may read.
         """
-        session = segment.session
-        if (
-            position < 0
-            or position in segment.cuts
-            or not (segment.may_cut or session is not None)
-        ):
-            return
-        unit = self._cut_unit(segment, position)
-        if session is not None:
-            session.push(unit)
+        marks = (len(segment.hints), len(self._syscall_log), len(self._signal_log))
+        if segment.schedule.take(position, marks) and segment.session is not None:
+            segment.session.push(self._cut_unit(segment, position))
 
-    def _consume_verdict(self, segment: _Segment, lag: int) -> bool:
-        """Verdict schedule: consume the verdict due at this boundary.
-
-        True when it squashes the thread-parallel run. Position *q*'s
-        verdict is due at boundary *q* + ``lag``, and position 0's first
-        at boundary 1: a segment restarts right behind a divergence, so
-        its first epoch is cut and judged at once. The verdict is the
-        result of the unit as cut at push time — from the pool (blocking
-        if it is not in yet) or, without a session, run here; the same
-        pure function either way. It is *final* when the run was
-        unstarved (hints that do not exist yet cannot change it) and
-        nothing logged since its cut lands inside its window: then the
-        full-knowledge run at segment end would return exactly it. A
-        final verdict is consumed once (``segment.consumed``); a final
-        failing one behind nothing but final passing ones is the
-        segment's first divergence, known now: the segment is truncated
-        to the divergent epoch and the thread-parallel run stops. A
-        verdict that is not final closes the cut for this segment, which
-        runs to its end under the segment-end rule — except an early
-        one, which is dropped with its cut: the position is cut again at
-        its usual boundary and consumed at *q* + ``lag``, and that
-        verdict decides. Everything here is a function of the committed
-        history — never of host timing or ``jobs``.
-        """
-        boundary = len(segment.checkpoints) - 1
-        position = 0 if boundary == 1 else boundary - lag
-        if position < segment.consumed:
-            return False
-        self._push_unit(segment, position)  # early, or lag 2: cut right now
+    def _consume_verdict(self, segment: _Segment, position: int) -> EpochRunResult:
+        """The verdict of ``position``'s unit as cut: the result from the
+        pool (blocking if it is not in yet) or, without a session, run
+        here — the same pure function either way."""
         if segment.session is not None:
-            result = segment.session.wait(position)
-        else:
-            result = segment.inline[position] = self._run_inline(
-                segment, position, segment.syscall_log, segment.cuts[position]
-            )
-        if result.starved or not self._speculation_valid(segment, position, result):
-            if boundary < position + lag:
-                del segment.cuts[position]
-                segment.inline.pop(position, None)
-            else:
-                segment.may_cut = False
-            return False
-        segment.consumed = position + 1
-        if not result.ok:
-            del segment.checkpoints[position + 2 :]
-            del segment.hint_marks[position + 2 :]
-            segment.squashed = True
-        return segment.squashed
+            return segment.session.wait(position)
+        result = segment.inline[position] = self._run_inline(
+            segment, position, self._syscall_log, segment.schedule.cuts[position]
+        )
+        return result
+
+    def _run_thread_parallel(self, engine, policy, segment: _Segment):
+        """Stage 1: run the segment boundary by boundary, as its schedule
+        says; returns the guest fault that ended it, if any. A verdict is
+        *final* when unstarved and ``_speculation_valid``: the
+        full-knowledge run at segment end would return exactly it.
+        """
+        schedule, fault = segment.schedule, None
+        try:
+            while True:
+                status = self._run_to_boundary(engine, policy, segment)
+                if status == "faulted":
+                    # A crash ends recording at this boundary: the
+                    # epochs up to here commit, and replay reproduces
+                    # the program state the instant before the crash.
+                    fault = engine.fault
+                    break
+                if engine.all_exited():
+                    break
+                boundary = len(segment.checkpoints) - 1
+                judged, cut = schedule.due(boundary)
+                if judged is not None:
+                    self._push_unit(segment, judged)
+                    result = self._consume_verdict(segment, judged)
+                    final = not result.starved and self._speculation_valid(
+                        segment, judged, result
+                    )
+                    action = schedule.judge(boundary, judged, final, result.ok)
+                    if action == "recut":
+                        segment.inline.pop(judged, None)
+                    elif action == "squash":
+                        del segment.checkpoints[judged + 2 :]
+                        del segment.hint_marks[judged + 2 :]
+                        break
+                for position in cut:
+                    self._push_unit(segment, position)
+            # The run is over, so these cuts are full knowledge: the tail
+            # executes while the merge commits the epochs ahead of it.
+            _, tail = schedule.due(len(segment.checkpoints) - 1, ended=True)
+            for position in tail:
+                self._push_unit(segment, position)
+        except BaseException:
+            if segment.session is not None:
+                segment.session.close()
+            raise
+        return fault
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _speculation_valid(segment: _Segment, position: int, result) -> bool:
+    def _speculation_valid(self, segment: _Segment, position: int, result) -> bool:
         """May a speculative result stand in for the full-knowledge run?
 
         The unit of ``position`` ran on snapshots cut mid-segment — hints
@@ -399,10 +459,10 @@ class DoublePlayRecorder:
         failures too: a *validated* failure is a real divergence and goes
         straight to forward recovery, exactly as at ``jobs=1``.
         """
-        c_hint, c_sys, c_sig = segment.cuts[position]
+        c_hint, c_sys, c_sig = segment.schedule.cuts[position]
         boundary_cp = segment.checkpoints[position + 1]
-        # A bisect per thread in the segment's index, not a scan.
-        if segment.logs.late_below(boundary_cp, (c_sys, c_sig)):
+        # A bisect per thread in the run's index, not a scan.
+        if self._logs.late_below(boundary_cp, (c_sys, c_sig)):
             return False
         if result.starved:
             starved = set(result.starved)
@@ -415,15 +475,13 @@ class DoublePlayRecorder:
     # Stages of one segment's merge.
     # ------------------------------------------------------------------
     def _commit_epoch(
-        self, recording, sink, manager, segment: _Segment, position: int,
-        end_cp, outcome, logs, recovered=False,
+        self, segment: _Segment, position: int, end_cp, outcome, recovered=False,
     ) -> None:
         """Fold one epoch into the recording and the durable sink.
 
         ``outcome`` is the epoch's clean ``EpochRunResult`` or, after a
         divergence, its ``RecoveryResult``; ``end_cp`` the checkpoint it
-        ended at; ``logs`` the index over the raw logs the sink takes
-        the epoch's records from.
+        ended at, which becomes the committed one.
         """
         started = time.perf_counter()
         start_cp = segment.checkpoints[position]
@@ -439,29 +497,30 @@ class DoublePlayRecorder:
             duration=outcome.duration,
             recovered=recovered,
         )
-        recording.epochs.append(record)
-        manager.commit(end_cp, self.machine.costs)
-        if sink is not None:
-            sink.commit_epoch(record, start_cp, end_cp, logs)
+        self._recording.epochs.append(record)
+        self._manager.commit(end_cp, self.machine.costs)
+        if self._sink is not None:
+            self._sink.commit_epoch(record, start_cp, end_cp, self._logs)
             if self.config.log_spill:
                 record.spill()
-        segment.lives.committed(
+        self._committed = end_cp
+        self._lives.committed(
             position, started, time.perf_counter(), outcome.duration
         )
 
-    def _discard_future(self, segment: _Segment, position: int, result, manager) -> None:
+    def _discard_future(self, segment: _Segment, position: int, result) -> None:
         """Divergence: drop what the squashed thread-parallel future logged."""
         started = time.perf_counter()
         start_cp = segment.checkpoints[position]
-        segment.syscall_log[:] = prune_syscall_records(
-            segment.syscall_log, start_cp.syscall_counts()
+        self._syscall_log[:] = prune_syscall_records(
+            self._syscall_log, start_cp.syscall_counts()
         )
-        segment.signal_log[:] = prune_signal_records(
-            segment.signal_log, start_cp.targets()
+        self._signal_log[:] = prune_signal_records(
+            self._signal_log, start_cp.targets()
         )
         # Release the squashed future's checkpoints.
-        manager.discard_after(start_cp.index)
-        segment.lives.diverged(
+        self._manager.discard_after(start_cp.index)
+        self._lives.diverged(
             position, result.reason[:120], started, time.perf_counter()
         )
 
@@ -474,13 +533,60 @@ class DoublePlayRecorder:
             self.setup,
             segment.checkpoints[position],
             self.config.epoch_cycles,
-            segment.syscall_log,
-            signal_log=segment.signal_log,
+            self._syscall_log,
+            signal_log=self._signal_log,
         )
-        segment.lives.recovered(
+        self._lives.recovered(
             position, started, time.perf_counter(), recovery.duration
         )
         return recovery
+
+    def _merge(self, segment: _Segment, timeline: _Timeline, app_start: int):
+        """Stage 2: commit the segment's epochs in order, as they arrive.
+
+        At the first divergence the stream is closed — recovery never
+        competes for cores with units that are already doomed — and the
+        epoch is recovered. Returns ``(the failed attempt's duration,
+        RecoveryResult)``, or ``(0, None)`` when all commit clean.
+        """
+        wasted, diverged_at, recovery = 0, None, None
+        timings: List[EpochTiming] = []
+        with contextlib.closing(self._segment_epoch_results(segment)) as results:
+            for position, result in results:
+                start_cp, end_cp = segment.checkpoints[position : position + 2]
+                timings.append(
+                    EpochTiming(
+                        index=segment.first_epoch + position,
+                        ready_time=start_cp.time + timeline.offset,
+                        boundary_time=end_cp.time + timeline.offset,
+                        duration=result.duration,
+                    )
+                )
+                if result.ok:
+                    self._commit_epoch(segment, position, end_cp, result)
+                    continue
+                results.close()
+                wasted, diverged_at = result.duration, position
+                self._discard_future(segment, position, result)
+                recovery = self._recover(segment, position)
+                # The prune rewrote the logs in place: one new index, for
+                # this commit and for the segment that follows.
+                self._logs = SegmentLogs(
+                    self._syscall_log, self._signal_log, recovery.committed
+                )
+                self._commit_epoch(
+                    segment, position, recovery.committed, recovery, recovered=True
+                )
+                break
+        if segment.schedule.squashed and diverged_at is None:
+            raise SimulationError(
+                "a squashed segment committed clean: its failing verdict "
+                "was final and must have been merged"
+            )
+        self._compose_timing(
+            timeline, segment, timings, app_start, diverged_at, recovery
+        )
+        return wasted, recovery
 
     def _compose_timing(
         self, timeline: _Timeline, segment: _Segment, timings: List[EpochTiming],
@@ -550,262 +656,152 @@ class DoublePlayRecorder:
                     pass  # never mask the original failure
             raise
 
-    def _record(self, opts: options.RuntimeOptions) -> RecordResult:
-        config = self.config
-        costs = self.machine.costs
-        stats_baseline = obs_metrics.process_stats().snapshot()
-        policy_cls = AdaptiveEpochPolicy if config.adaptive_epochs else FixedEpochPolicy
-        policy = policy_cls(config.epoch_cycles)
-
-        syscall_log: List[SyscallRecord] = []
-        signal_log: List = []
-        kernel = Kernel(self.setup, self.program.heap_base)
-        services = LiveSyscalls(kernel, syscall_log)
-        engine = MulticoreEngine.boot(self.program, self.machine, services)
-        engine.signal_log = signal_log
-        engine.halt_on_fault = True  # crashes are recorded, not raised
-        manager = CheckpointManager()
-        initial = manager.initial(engine)
-        recording = Recording(
-            program_name=self.program.name,
-            worker_threads=self.machine.cores,
-            initial_checkpoint=initial,
-        )
-
-        sink = None
-        if config.log_dir:
+    def _open_sink(self, initial: Checkpoint, opts: options.RuntimeOptions):
+        """The durable sink of a run with a ``log_dir`` (else None)."""
+        if self.config.log_dir:
             # Imported lazily: purely in-memory recordings never touch
             # the durable-log layer.
             from repro.record.shards import ShardedLogWriter
 
-            sink = self._sink = ShardedLogWriter(
-                config.log_dir,
+            return ShardedLogWriter(
+                self.config.log_dir,
                 initial,
                 self.program.name,
                 self.machine.cores,
-                meta=config.log_meta,
+                meta=self.config.log_meta,
                 group_commit_bytes=opts.log_group_bytes,
                 fsync=opts.log_fsync,
                 flight_window=opts.flight_window,
             )
-        elif config.log_spill:
+        if self.config.log_spill:
             raise ValueError("log_spill requires log_dir")
-        elif opts.flight_window:
+        if opts.flight_window:
             raise ValueError("flight_window requires log_dir")
+        return None
 
-        lives = lifecycle.begin()
+    def _record(self, opts: options.RuntimeOptions) -> RecordResult:
+        """Drive the segment loop: thread-parallel run, merge, restart."""
+        config = self.config
+        stats_baseline = obs_metrics.process_stats().snapshot()
+        policy_cls = AdaptiveEpochPolicy if config.adaptive_epochs else FixedEpochPolicy
+        policy = policy_cls(config.epoch_cycles)
+
+        self._syscall_log, self._signal_log = [], []
+        engine = self._engine(None)
+        self._manager = CheckpointManager()
+        initial = self._committed = self._manager.initial(engine)
+        self._recording = Recording(
+            program_name=self.program.name,
+            worker_threads=self.machine.cores,
+            initial_checkpoint=initial,
+        )
+        self._sink = self._open_sink(initial, opts)
+        self._lives = lifecycle.begin()
         executor = None
         if opts.host_jobs > 1:
             # Imported lazily: jobs=1 (the default) never touches the
             # host-parallelism layer at all.
             from repro.host.executor import HostExecutor, SpeculativeSession
 
-            executor = HostExecutor(opts, lives)
+            executor = HostExecutor(opts, self._lives)
 
-        committed = initial
         #: the one index pair over the raw logs: cuts, validity checks
         #: and the sink's shard extents all ask it. Rebuilt only where
         #: the logs change in place — after a recovery's prune, and
         #: after flight-recorder mode clears them.
-        logs = SegmentLogs(syscall_log, signal_log, initial)
-        divergences = 0
-        recoveries = 0
-        epoch_index = 0
-        #: boundaries between an epoch's end and its verdict's consumption
-        #: (position 0's excepted, see ``_consume_verdict``): the in-flight
-        #: bound the thread-parallel run is throttled at (a unit is pushed
-        #: once the boundary two past its start exists)
-        verdict_lag = max(config.inflight_bound(), 2)
+        self._logs = SegmentLogs(self._syscall_log, self._signal_log, initial)
+        recoveries = attempt_waste = 0
         timeline = _Timeline(worker_free=[0] * config.executor_slots())
-        finished = False
-
-        while not finished:
-            if engine is None:
-                # Segment restart after recovery: rebuild the live machine
-                # from the committed state.
-                kernel = Kernel(self.setup, self.program.heap_base)
-                kernel.restore(committed.kernel_state)
-                services = LiveSyscalls(kernel, syscall_log)
-                engine = MulticoreEngine.from_checkpoint(
-                    self.program,
-                    self.machine,
-                    services,
-                    memory_snapshot=committed.memory,
-                    contexts=committed.copy_contexts(),
-                    sync_state=committed.sync_state,
-                    start_time=committed.time + costs.restore_base,
-                    name=f"{self.program.name}/tp",
-                )
-                engine.signal_log = signal_log
-                engine.halt_on_fault = True
+        while True:
             segment = _Segment(
-                first_epoch=epoch_index,
-                checkpoints=[committed],
-                syscall_log=syscall_log,
-                signal_log=signal_log,
+                first_epoch=len(self._recording.epochs),
+                checkpoints=[self._committed],
                 # Armed by the committed history, not by a setting: a run
                 # that never diverged consumes nothing and pays nothing.
-                may_cut=recoveries > 0,
-                lives=lives,
-                logs=logs,
+                schedule=VerdictSchedule(
+                    config.inflight_bound(), recoveries > 0, executor is not None
+                ),
             )
-            lives.segment()
+            self._lives.segment()
             if executor is not None:
                 segment.session = SpeculativeSession(
                     executor, "record", self.program, self.machine
                 )
             engine.acquisition_log = segment.hints
             policy.start_segment(engine.time)
-            segment_app_start = engine.time
-
+            app_start = engine.time
+            fault = self._run_thread_parallel(engine, policy, segment)
+            wasted, recovery = self._merge(segment, timeline, app_start)
+            if recovery is None:
+                self._recording.final_digest = self._committed.digest()
+                break
+            # Anything the abandoned thread-parallel future saw —
+            # including a crash — is discarded with it.
             fault = None
-            try:
-                while True:
-                    status = self._run_to_boundary(engine, policy, manager, segment)
-                    if status == "faulted":
-                        # A crash ends recording at this boundary: the
-                        # epochs up to here commit, and replay reproduces
-                        # the program state the instant before the crash.
-                        fault = engine.fault
-                        break
-                    if engine.all_exited():
-                        break
-                    if segment.may_cut and self._consume_verdict(
-                        segment, verdict_lag
-                    ):
-                        break
-                    self._push_unit(segment, len(segment.checkpoints) - 3)
-                if segment.session is not None:
-                    # The run is over, so these cuts are full knowledge:
-                    # the tail executes while the merge below commits
-                    # the epochs ahead of it.
-                    for position in range(len(segment.checkpoints) - 1):
-                        self._push_unit(segment, position)
-            except BaseException:
-                if segment.session is not None:
-                    segment.session.close()
-                raise
-
-            # ----------------------------------------------------------
-            # Epoch-parallel execution of the segment's epochs: the
-            # merge stream, committed as it arrives.
-            # ----------------------------------------------------------
-            diverged_at: Optional[int] = None
-            recovery = None
-            attempt_duration = 0
-            timings: List[EpochTiming] = []
-            with contextlib.closing(self._segment_epoch_results(segment)) as results:
-                for position, result in results:
-                    start_cp = segment.checkpoints[position]
-                    end_cp = segment.checkpoints[position + 1]
-                    timings.append(
-                        EpochTiming(
-                            index=epoch_index,
-                            ready_time=start_cp.time + timeline.offset,
-                            boundary_time=end_cp.time + timeline.offset,
-                            duration=result.duration,
-                        )
-                    )
-                    epoch_index += 1
-                    if result.ok:
-                        self._commit_epoch(
-                            recording, sink, manager, segment, position,
-                            end_cp, result, logs,
-                        )
-                        committed = end_cp
-                        continue
-                    # ------------------------------------------------------
-                    # Divergence: forward recovery. Everything past it
-                    # belongs to a squashed future: the stream is closed
-                    # first, so recovery never competes for cores with
-                    # units that are already doomed.
-                    # ------------------------------------------------------
-                    results.close()
-                    divergences += 1
-                    attempt_duration = result.duration
-                    self._discard_future(segment, position, result, manager)
-                    recovery = self._recover(segment, position)
-                    # The prune rewrote the logs in place: one new index,
-                    # for this commit and for the segment that follows.
-                    logs = SegmentLogs(syscall_log, signal_log, recovery.committed)
-                    self._commit_epoch(
-                        recording, sink, manager, segment, position,
-                        recovery.committed, recovery, logs, recovered=True,
-                    )
-                    committed = recovery.committed
-                    diverged_at = position
-                    break
-            if segment.squashed and diverged_at is None:
+            recoveries += 1
+            attempt_waste += wasted
+            if recoveries > MAX_RECOVERIES:
                 raise SimulationError(
-                    "a squashed segment committed clean: its failing verdict "
-                    "was final and must have been merged"
+                    f"recording exceeded {MAX_RECOVERIES} recoveries"
                 )
-            self._compose_timing(
-                timeline, segment, timings, segment_app_start, diverged_at, recovery
-            )
-
-            if diverged_at is None:
-                finished = True
-                recording.final_digest = committed.digest()
-            else:
-                # Anything the abandoned thread-parallel future saw —
-                # including a crash — is discarded with it.
-                fault = None
-                recoveries += 1
-                if recoveries > config.max_recoveries:
-                    raise SimulationError(
-                        f"recording exceeded {config.max_recoveries} recoveries"
-                    )
-                engine = None
-                if recovery.finished:
-                    finished = True
-                    recording.final_digest = recovery.end_digest
-            if config.log_spill and not finished:
+            if recovery.finished:
+                self._recording.final_digest = recovery.end_digest
+                break
+            if config.log_spill:
                 # Flight-recorder mode: at a segment restart every record
                 # still in the raw logs belongs to a committed (hence
                 # durable) epoch — the divergence prune dropped the
-                # abandoned future and recovery's appends were committed
-                # above. The next segment starts from the committed
-                # checkpoint's per-thread counts, so nothing below them is
-                # ever consulted again: clear the logs instead of letting
-                # them grow with run length.
-                syscall_log.clear()
-                signal_log.clear()
-                logs = SegmentLogs(syscall_log, signal_log, committed)
+                # abandoned future and recovery's appends were committed.
+                # The next segment starts from the committed checkpoint's
+                # per-thread counts, so nothing below them is ever
+                # consulted again: clear the logs instead of letting them
+                # grow with run length.
+                self._syscall_log.clear()
+                self._signal_log.clear()
+                self._logs = SegmentLogs(
+                    self._syscall_log, self._signal_log, self._committed
+                )
+            engine = self._engine(self._committed)
 
-        recording.stats = {
-            "divergences": divergences,
+        self._recording.stats = {
+            # Each merge recovers its one divergence: the two are equal.
+            "divergences": recoveries,
             "recoveries": recoveries,
             "faulted": 1 if fault is not None else 0,
-            "epochs": len(recording.epochs),
-            "checkpoint_cost": manager.committed_cost,
+            "epochs": len(self._recording.epochs),
+            "checkpoint_cost": self._manager.committed_cost,
             "makespan": timeline.makespan,
             "tp_finish": timeline.tp_finish,
-            "app_time": committed.time,
-            "attempt_waste": attempt_duration if divergences else 0,
+            "app_time": self._committed.time,
+            "attempt_waste": attempt_waste,
         }
+        return self._result(executor, stats_baseline, timeline, fault)
+
+    def _result(self, executor, stats_baseline, timeline: _Timeline, fault):
+        """Stage 3: seal the durable log and assemble the ``RecordResult``."""
+        recording, committed = self._recording, self._committed
         if fault is not None:
             recording.stats["fault_message"] = str(fault)
-        if sink is not None:
+        if self._sink is not None:
             # Final manifest write — stats are sealed into it *before* any
             # spill-mode markers, so a durable log's stats are identical
             # whether or not the in-memory copy was dropped.
-            sink.close(
+            self._sink.close(
                 final_digest=recording.final_digest, stats=recording.stats
             )
-        if config.log_spill:
+        if self.config.log_spill:
             # The durable log holds the only full copy of the event
             # streams; retaining them here would re-grow memory with run
             # length, defeating flight-recorder mode.
             recording.stats["log_spilled"] = 1
         else:
-            recording.syscall_records = list(syscall_log)
-            recording.signal_records = list(signal_log)
+            recording.syscall_records = list(self._syscall_log)
+            recording.signal_records = list(self._signal_log)
         host_summary = executor.timing_summary() if executor else {"jobs": 1}
         run_metrics = obs_metrics.build_run_metrics(
             obs_metrics.delta_since(stats_baseline),
             host=host_summary,
-            histo=lives.distributions(),
+            histo=self._lives.distributions(),
             record=recording.stats,
         )
         return RecordResult(

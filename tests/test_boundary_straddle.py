@@ -8,9 +8,15 @@ flight. Each case below pins a configuration that historically stalled or
 diverged spuriously before the corresponding fix.
 """
 
+import json
+
+import pytest
+
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
+from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
 from repro.oskernel.kernel import KernelSetup
+from repro.oskernel.syscalls import SyscallKind
 from repro.workloads import build_workload
 
 
@@ -37,7 +43,82 @@ def record_clean(name, workers, scale, epoch_divisor=14, seed=1):
     return result
 
 
+def generation_program(waiters, rounds=8):
+    """``waiters`` threads wait out ``rounds`` generations of a counter.
+
+    Each waiter ``condwait``s under ``mutex`` until ``generation`` moves
+    past the one it last saw; ``main`` bumps it under the mutex and
+    ``condbcast``s every round, so one broadcast wakes them all.
+    """
+    asm = Assembler(name="cond-generations")
+    asm.word("generation", 0)
+    asm.word("mutex", 0)
+    asm.word("cond", 0)
+    with asm.function("waiter"):
+        asm.li("r3", "mutex")
+        asm.li("r4", "cond")
+        asm.li("r2", 0)
+        asm.label("round")
+        asm.lock("r3")
+        asm.label("check")
+        asm.loadg("r5", "generation")
+        asm.bne("r5", "r2", "woken")
+        asm.condwait("r4", "r3")
+        asm.jmp("check")
+        asm.label("woken")
+        asm.mov("r2", "r5")
+        asm.unlock("r3")
+        asm.work(20)
+        asm.blti("r2", rounds, "round")
+        asm.exit_()
+    with asm.function("main"):
+        for waiter in range(waiters):
+            asm.spawn(f"r{10 + waiter}", "waiter")
+        asm.li("r3", "mutex")
+        asm.li("r4", "cond")
+        asm.li("r6", 0)
+        asm.label("bump")
+        asm.work(60)
+        asm.lock("r3")
+        asm.loadg("r5", "generation")
+        asm.addi("r5", "r5", 1)
+        asm.storeg("r5", "generation")
+        asm.condbcast("r4")
+        asm.unlock("r3")
+        asm.addi("r6", "r6", 1)
+        asm.blti("r6", rounds, "bump")
+        for waiter in range(waiters):
+            asm.join(f"r{10 + waiter}")
+        asm.loadg("r2", "generation")
+        asm.syscall("r3", SyscallKind.PRINT, args=["r2"])
+        asm.exit_()
+    return asm.assemble()
+
+
 class TestCondwaitStraddle:
+    @pytest.mark.parametrize("workers,waiters", [(2, 3), (2, 5), (4, 3), (4, 5)])
+    def test_broadcast_wakes_waiters_parked_across_boundaries(self, workers, waiters):
+        """A ``condbcast`` in the epoch after the boundary its waiters
+        were parked at: no divergence, the same recording at ``jobs`` 1
+        and 2, and both replays verify."""
+        image, machine = generation_program(waiters), MachineConfig(cores=workers)
+        recordings = []
+        for jobs in (1, 2):
+            config = DoublePlayConfig(machine=machine, epoch_cycles=150, host_jobs=jobs)
+            recording = DoublePlayRecorder(image, KernelSetup(), config).record().recording
+            recordings.append(json.dumps(recording.to_plain(), sort_keys=True))
+        assert recording.divergences() == 0 and recordings[0] == recordings[1]
+        parked = [
+            epoch.index
+            for epoch in recording.epochs
+            for ctx in epoch.start_checkpoint.contexts.values()
+            if ctx.blocked is not None and ctx.blocked.kind == "cond"
+        ]
+        assert parked, "no boundary fell while a waiter waited for a broadcast"
+        replayer = Replayer(image, machine)
+        assert replayer.replay_sequential(recording).verified
+        assert replayer.replay_parallel(recording).verified
+
     def test_grant_pending_condwait_at_boundary(self):
         """A consumer granted its cond-reacquire right at a boundary must
         still *issue* the condwait in the epoch run (releasing the mutex),

@@ -28,6 +28,7 @@ import pytest
 
 from repro.baselines import run_native
 from repro.core import DoublePlayConfig, DoublePlayRecorder
+from repro.core.recorder import VerdictSchedule
 from repro.exec.multicore import MulticoreEngine
 from repro.host import blobs as host_blobs
 from repro.host import executor as host_executor
@@ -65,12 +66,56 @@ def segment_boundaries(monkeypatch):
     reached = collections.Counter()
     original = DoublePlayRecorder._run_to_boundary
 
-    def counted(self, engine, policy, manager, segment):
+    def counted(self, engine, policy, segment):
         reached[segment.first_epoch] += 1
-        return original(self, engine, policy, manager, segment)
+        return original(self, engine, policy, segment)
 
     monkeypatch.setattr(DoublePlayRecorder, "_run_to_boundary", counted)
     return reached
+
+
+class _JudgeTrace(list):
+    """Rows ``(segment, boundary, position, final, ok, consumed before,
+    armed before, consumed after, armed after, action)``, one per call."""
+
+    def __init__(self):
+        super().__init__()
+        #: the run's schedules in creation order: ``segment`` indexes it
+        self.schedules = []
+
+    def clear(self):
+        super().clear()
+        self.schedules.clear()
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """Traces every ``VerdictSchedule.judge`` call of the records that
+    follow (``clear()`` it between records)."""
+    trace = _JudgeTrace()
+    init, judge = VerdictSchedule.__init__, VerdictSchedule.judge
+
+    def numbered(self, *args):
+        init(self, *args)
+        trace.schedules.append(self)
+
+    def traced(self, boundary, position, final, ok):
+        before = (self.consumed, self.armed)
+        action = judge(self, boundary, position, final, ok)
+        trace.append((
+            trace.schedules.index(self), boundary, position, final, ok,
+            *before, self.consumed, self.armed, action,
+        ))
+        return action
+
+    monkeypatch.setattr(VerdictSchedule, "__init__", numbered)
+    monkeypatch.setattr(VerdictSchedule, "judge", traced)
+    return trace
+
+
+def _first_epochs(recording):
+    """Each segment's first epoch: 0, then the one after each recovery."""
+    return [0] + [epoch.index + 1 for epoch in recording.epochs if epoch.recovered]
 
 
 def _workload(name, workers, scale=8):
@@ -130,7 +175,7 @@ PROGRAMS = [
 @pytest.mark.parametrize("sink", SINKS)
 @pytest.mark.parametrize("name,workers,scale", PROGRAMS)
 def test_identical_at_any_jobs_and_across_runs(
-    tmp_path, tp_entries, segment_boundaries, name, workers, scale, sink
+    tmp_path, tp_entries, segment_boundaries, judged, name, workers, scale, sink
 ):
     image, setup, config = _workload(name, workers, scale)
     observed = []
@@ -139,7 +184,11 @@ def test_identical_at_any_jobs_and_across_runs(
         if overrides.get("log_dir"):
             overrides["log_dir"] = str(tmp_path / f"run{run}")
         segment_boundaries.clear()
+        judged.clear()
         result, got = _observe(image, setup, config.replace(**overrides), tp_entries)
+        # The same verdicts are judged at the same boundaries, to the
+        # same effect, at any jobs.
+        got["judged"] = list(judged)
         observed.append((result, got))
         # A restarted segment whose first epoch diverges is squashed at
         # its first boundary: that epoch's verdict is consumed there.
@@ -155,6 +204,7 @@ def test_identical_at_any_jobs_and_across_runs(
         assert got == expected
     if name == "racy-counter":
         assert reference.stats["recoveries"] > 1
+        assert any(row[-1] == "squash" for row in expected["judged"])
     else:
         # Never diverges, so never armed: one segment, run to its end.
         assert reference.stats["recoveries"] == 0
@@ -162,8 +212,11 @@ def test_identical_at_any_jobs_and_across_runs(
 
 
 def _never_cut(monkeypatch):
+    """Disable the verdict schedule: no segment is ever armed."""
+    init = VerdictSchedule.__init__
     monkeypatch.setattr(
-        DoublePlayRecorder, "_consume_verdict", lambda self, segment, lag: False
+        VerdictSchedule, "__init__",
+        lambda self, lag, armed, pooled: init(self, lag, False, pooled),
     )
 
 
@@ -235,58 +288,44 @@ def held_lock_racy_program(hold=400, wait=120):
     return asm.assemble()
 
 
-def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries):
+def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries, judged):
     image = held_lock_racy_program()
     config = DoublePlayConfig(machine=MachineConfig(cores=2), epoch_cycles=400)
-    consumed = []
-    original = DoublePlayRecorder._consume_verdict
-
-    def spy(self, segment, lag):
-        before = (segment.consumed, segment.may_cut)
-        cut = original(self, segment, lag)
-        consumed.append((
-            segment.first_epoch, len(segment.checkpoints) - 1, *before,
-            segment.consumed, segment.may_cut, cut,
-        ))
-        return cut
-
-    monkeypatch.setattr(DoublePlayRecorder, "_consume_verdict", spy)
     setup = KernelSetup()
     reference, expected = _observe(image, setup, config.replace(host_jobs=1), tp_entries)
-    serial_consumed = list(consumed)
+    serial_judged = list(judged)
+    firsts = _first_epochs(reference.recording)
     # Some segment's verdict closed the cut without squashing: not final.
-    closed = [
-        first for first, _, _, armed, _, still, _ in consumed if armed and not still
-    ]
-    assert closed and not any(cut for first, *_, cut in consumed if first in closed)
+    closed = [row[0] for row in serial_judged if row[-1] == "disarm"]
+    assert closed
+    assert not any(row[-1] == "squash" for row in serial_judged if row[0] in closed)
     # ...and that segment's first epoch did diverge, found at segment end.
-    assert all(reference.recording.epochs[first].recovered for first in closed)
-    for first in closed:
-        # (boundary, consumed before, armed before, consumed after, armed
-        # after, cut): position 0's early verdict, at boundary 1, was not
-        # final, so it neither counted as consumed nor closed the cut; it
-        # was cut again and consumed at 0 + inflight_bound() = 3, and only
-        # that consumption closed the cut.
-        rows = [row[1:] for row in consumed if row[0] == first]
+    assert all(reference.recording.epochs[firsts[segment]].recovered for segment in closed)
+    for segment in closed:
+        # (boundary, position, final, ok, consumed before, armed before,
+        # consumed after, armed after, action): position 0's early
+        # verdict, at boundary 1, failed but was not final, so it neither
+        # counted as consumed nor closed the cut; it was cut again and
+        # consumed at 0 + inflight_bound() = 3, and only that consumption
+        # closed the cut. Boundary 2 judges nothing (position 2 - 3 < 0).
+        rows = [row[1:] for row in serial_judged if row[0] == segment]
         assert rows == [
-            (1, 0, True, 0, True, False),
-            (2, 0, True, 0, True, False),
-            (3, 0, True, 0, False, False),
+            (1, 0, False, False, 0, True, 0, True, "recut"),
+            (3, 0, False, False, 0, True, 0, False, "disarm"),
         ]
     assert any(
-        boundary == 1 and cut for _, boundary, *_, cut in consumed
+        row[1] == 1 and row[-1] == "squash" for row in serial_judged
     ), "no other segment was cut at its first boundary"
     for jobs in (2, 3):
-        del consumed[:]
+        judged.clear()
         parallel, got = _observe(
             image, setup, config.replace(host_jobs=jobs), tp_entries
         )
         assert got == expected
-        assert consumed == serial_consumed
+        assert judged == serial_judged
         # The starved verdict was consumed (and counted, as at jobs=1),
         # then rejected at segment end and its position run again.
         assert parallel.host["speculation"]["invalidated"] >= 1
-    monkeypatch.setattr(DoublePlayRecorder, "_consume_verdict", original)
     _never_cut(monkeypatch)
     _, uncut = _observe(image, setup, config, tp_entries)
     assert (uncut["plain"], uncut["stats"]) == (expected["plain"], expected["stats"])
@@ -333,6 +372,20 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
     assert spec["dispatched"] == (
         spec["accepted"] + spec["invalidated"] + spec["discarded"]
     )
+
+
+def test_attempt_waste_counts_every_failed_attempt(tp_entries):
+    """``stats["attempt_waste"]`` sums the cycles of every epoch-parallel
+    attempt that failed — a run whose last segment is clean wasted them
+    all the same — and is the same at any jobs."""
+    image, setup, config = _workload("racy-counter", 2)
+    wasted = set()
+    for jobs in (1, 2, 3):
+        result, _ = _observe(image, setup, config.replace(host_jobs=jobs), tp_entries)
+        assert not result.recording.epochs[-1].recovered
+        assert result.stats["divergences"] > 1
+        wasted.add(result.stats["attempt_waste"])
+    assert len(wasted) == 1 and wasted.pop() > 0
 
 
 def test_speculation_accounting_counts_the_verdicts_it_used(tp_entries):
