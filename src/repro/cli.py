@@ -773,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     record_parser = commands.add_parser("record", help="record with DoublePlay")
     _add_workload_args(record_parser)
-    record_parser.add_argument("--epoch-divisor", type=int, default=18,
+    record_parser.add_argument("--epoch-divisor", type=_at_least_one, default=18,
                                help="epochs per native runtime (default 18)")
     record_parser.add_argument("--no-spare-cores", action="store_true")
     record_parser.add_argument("--no-sync-hints", action="store_true")
@@ -833,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--active", type=int, default=8,
         help="admission bound: sessions running at once (default 8)")
     serve_parser.add_argument(
-        "--epoch-divisor", type=int, default=18,
+        "--epoch-divisor", type=_at_least_one, default=18,
         help="epochs per native runtime (default 18)")
     serve_parser.add_argument(
         "--fault", default="", metavar="SPEC",

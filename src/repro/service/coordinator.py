@@ -73,11 +73,6 @@ class ServiceConfig:
     telemetry_linger: float = 0.0
     #: append the event journal as JSON lines here (``repro events tail``)
     events_path: Optional[str] = None
-    #: event-journal ring capacity
-    journal_capacity: int = 1024
-    #: health/SLO thresholds; None = :class:`HealthPolicy` defaults
-    #: (with ``expect_dedup`` applied)
-    health: Optional[obs_health.HealthPolicy] = None
     #: evaluate the cross-session dedup-regression detector (set when
     #: the tenants are known to share a workload)
     expect_dedup: bool = False
@@ -180,9 +175,7 @@ class RecordService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        policy = self.config.health or obs_health.HealthPolicy(
-            expect_dedup=self.config.expect_dedup
-        )
+        policy = obs_health.HealthPolicy(expect_dedup=self.config.expect_dedup)
         #: the live telemetry state — persistent across :meth:`serve`
         #: calls on one service, so a record phase followed by a replay
         #: phase exposes both through one ``/metrics`` history
@@ -216,9 +209,7 @@ class RecordService:
         lanes: Dict[str, list] = {}
         # The journal is the telemetry plane's spine: the hub derives
         # live per-session state from the same stream an operator tails.
-        journal = obs_events.install_journal(
-            capacity=config.journal_capacity, sink_path=config.events_path
-        )
+        journal = obs_events.install_journal(sink_path=config.events_path)
         journal.add_listener(self.hub.ingest_event)
         self.hub.attach_lanes(lanes)
         server: Optional[TelemetryServer] = None

@@ -238,6 +238,17 @@ class TestOutsideInput:
         assert exit_info.value.code == 2
         assert "--sessions: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["record", "serve"])
+    @pytest.mark.parametrize("divisor", ["0", "-3"])
+    def test_epoch_divisor_must_be_positive(self, capsys, command, divisor):
+        # Regression: 0 died in a ZeroDivisionError (record, and serve's
+        # --verify after every session had run); a negative divisor made
+        # serve --verify report a correct recording as drifted.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "fft", "--scale", "2", "--epoch-divisor", divisor)
+        assert exit_info.value.code == 2
+        assert "--epoch-divisor: must be >= 1" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_table1(self):

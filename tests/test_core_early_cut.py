@@ -5,11 +5,12 @@ fixed number of boundaries behind the thread-parallel run — a restarted
 segment's first epoch already at boundary 1 — and squashes that run at
 the divergent epoch. Which boundary consumes which verdict,
 and whether it cuts, must be a function of the committed history alone:
-every test here records a diverging program several ways — ``jobs`` 1, 2
+every test here records a diverging program several ways — ``jobs`` 2
 and 3, twice, with and without a durable sink, with a verdict unit lost
-to a host fault, through a service fleet — and requires the recording,
-the stats, the bytes on disk, the ``exec.*`` counters and the number of
-thread-parallel engine entries to be identical. The same harness then
+to a host fault, through a service fleet — and holds each run to the
+program's ``jobs=1`` oracle (``tests/parity.py``): the recording, the
+stats, the bytes on disk, the ``exec.*`` counters, the boundaries each
+segment reached and every verdict judged. The same harness then
 loses units under the streaming merge (tail and in-flight positions,
 clean and recovering runs), and records a racy
 program that does I/O to watch what only a recovery exercises: the
@@ -19,149 +20,32 @@ chunks, and the scratch pack full of a squashed future's blobs.
 
 from __future__ import annotations
 
-import collections
 import copy
-import json
 import os
 
 import pytest
 
-from repro.baselines import run_native
-from repro.core import DoublePlayConfig, DoublePlayRecorder
+from repro.core import DoublePlayRecorder
 from repro.core.recorder import VerdictSchedule
-from repro.exec.multicore import MulticoreEngine
 from repro.host import blobs as host_blobs
 from repro.host import executor as host_executor
 from repro.host.faults import FaultSpec
 from repro.host.pool import shutdown_shared_pool
 from repro.host.wire import BlobRef
-from repro.isa.assembler import Assembler
-from repro.machine.config import MachineConfig
-from repro.oskernel.kernel import Kernel, KernelSetup
-from repro.oskernel.syscalls import SyscallKind
+from repro.oskernel.kernel import Kernel
 from repro.record.pack import PACK_NAME, BlobStore
 from repro.record.log_index import SegmentLogs
 from repro.record.shards import ShardedLogReader
-from repro.workloads import WORKLOADS, Workload, WorkloadInstance, build_workload
+from repro.workloads import WORKLOADS
+from tests import parity
+from tests.parity import Program
 from tests.test_oskernel_kernel import _with_order, full_copy
-
-
-@pytest.fixture
-def tp_entries(monkeypatch):
-    """Counts ``MulticoreEngine.run`` calls: the thread-parallel extent."""
-    calls = [0]
-    original = MulticoreEngine.run
-
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(MulticoreEngine, "run", counted)
-    return calls
-
-
-@pytest.fixture
-def segment_boundaries(monkeypatch):
-    """``{segment's first epoch: boundaries its thread-parallel run reached}``."""
-    reached = collections.Counter()
-    original = DoublePlayRecorder._run_to_boundary
-
-    def counted(self, engine, policy, segment):
-        reached[segment.first_epoch] += 1
-        return original(self, engine, policy, segment)
-
-    monkeypatch.setattr(DoublePlayRecorder, "_run_to_boundary", counted)
-    return reached
-
-
-class _JudgeTrace(list):
-    """Rows ``(segment, boundary, position, final, ok, consumed before,
-    armed before, consumed after, armed after, action)``, one per call."""
-
-    def __init__(self):
-        super().__init__()
-        #: the run's schedules in creation order: ``segment`` indexes it
-        self.schedules = []
-
-    def clear(self):
-        super().clear()
-        self.schedules.clear()
-
-
-@pytest.fixture
-def judged(monkeypatch):
-    """Traces every ``VerdictSchedule.judge`` call of the records that
-    follow (``clear()`` it between records)."""
-    trace = _JudgeTrace()
-    init, judge = VerdictSchedule.__init__, VerdictSchedule.judge
-
-    def numbered(self, *args):
-        init(self, *args)
-        trace.schedules.append(self)
-
-    def traced(self, boundary, position, final, ok):
-        before = (self.consumed, self.armed)
-        action = judge(self, boundary, position, final, ok)
-        trace.append((
-            trace.schedules.index(self), boundary, position, final, ok,
-            *before, self.consumed, self.armed, action,
-        ))
-        return action
-
-    monkeypatch.setattr(VerdictSchedule, "__init__", numbered)
-    monkeypatch.setattr(VerdictSchedule, "judge", traced)
-    return trace
 
 
 def _first_epochs(recording):
     """Each segment's first epoch: 0, then the one after each recovery."""
     return [0] + [epoch.index + 1 for epoch in recording.epochs if epoch.recovered]
 
-
-def _workload(name, workers, scale=8):
-    instance = build_workload(name, workers=workers, scale=scale, seed=11)
-    machine = MachineConfig(cores=workers)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine, epoch_cycles=max(native.duration // 12, 500)
-    )
-    return instance.image, instance.setup, config
-
-
-def _tree(directory):
-    """``{relative path: bytes}`` of every file under ``directory``."""
-    found = {}
-    for root, _, names in os.walk(directory):
-        for name in names:
-            path = os.path.join(root, name)
-            with open(path, "rb") as handle:
-                found[os.path.relpath(path, directory)] = handle.read()
-    return found
-
-
-def _observe(image, setup, config, tp_entries):
-    """Everything one ``record()`` may not vary with ``jobs`` or the run."""
-    tp_entries[0] = 0
-    result = DoublePlayRecorder(image, setup, config).record()
-    recording = result.recording
-    if config.log_spill:
-        recording = ShardedLogReader(config.log_dir).load_recording()
-    return result, {
-        "plain": json.dumps(recording.to_plain(), sort_keys=True),
-        "stats": result.stats,
-        "timing": (result.makespan, result.tp_finish, result.app_time),
-        "exec": result.metrics.snapshot()["exec"],
-        "tp_entries": tp_entries[0],
-        "files": _tree(config.log_dir) if config.log_dir else None,
-    }
-
-
-SINKS = {
-    "memory": {},
-    "log": {"log_dir": True},
-    "spill": {"log_dir": True, "log_spill": True},
-    "window": {"log_dir": True, "log_spill": True, "flight_window": 4},
-}
 
 #: (workload, workers, scale)
 PROGRAMS = [
@@ -172,43 +56,34 @@ PROGRAMS = [
 ]
 
 
-@pytest.mark.parametrize("sink", SINKS)
+@pytest.mark.parametrize("sink", parity.SINKS)
 @pytest.mark.parametrize("name,workers,scale", PROGRAMS)
-def test_identical_at_any_jobs_and_across_runs(
-    tmp_path, tp_entries, segment_boundaries, judged, name, workers, scale, sink
-):
-    image, setup, config = _workload(name, workers, scale)
-    observed = []
-    for run, jobs in enumerate((1, 2, 2, 3)):
-        overrides = dict(SINKS[sink], host_jobs=jobs)
-        if overrides.get("log_dir"):
-            overrides["log_dir"] = str(tmp_path / f"run{run}")
-        segment_boundaries.clear()
-        judged.clear()
-        result, got = _observe(image, setup, config.replace(**overrides), tp_entries)
+def test_identical_at_any_jobs_and_across_runs(name, workers, scale, sink):
+    program = Program(name, workers, scale=scale)
+    observed = [parity.oracle(program, sink)]
+    for jobs in (2, 2, 3):
+        observed.append(parity.observe(program, jobs=jobs, sink=sink))
         # The same verdicts are judged at the same boundaries, to the
         # same effect, at any jobs.
-        got["judged"] = list(judged)
-        observed.append((result, got))
+        parity.assert_parity(observed[-1])
+    for got in observed:
         # A restarted segment whose first epoch diverges is squashed at
         # its first boundary: that epoch's verdict is consumed there.
-        epochs = result.recording.epochs
+        epochs, boundaries = got.result.recording.epochs, got.fields["boundaries"]
         squashed_at_once = [
-            first for first in segment_boundaries if first and epochs[first].recovered
+            first for first in boundaries if first and epochs[first].recovered
         ]
-        assert all(segment_boundaries[first] == 1 for first in squashed_at_once)
+        assert all(boundaries[first] == 1 for first in squashed_at_once)
         if name == "racy-counter":
             assert len(squashed_at_once) > 1
-    (reference, expected), *others = observed
-    for _, got in others:
-        assert got == expected
+    reference = observed[0]
     if name == "racy-counter":
-        assert reference.stats["recoveries"] > 1
-        assert any(row[-1] == "squash" for row in expected["judged"])
+        assert reference.result.stats["recoveries"] > 1
+        assert any(row[-1] == "squash" for row in reference.fields["judged"])
     else:
         # Never diverges, so never armed: one segment, run to its end.
-        assert reference.stats["recoveries"] == 0
-        assert expected["tp_entries"] == reference.stats["epochs"]
+        assert reference.result.stats["recoveries"] == 0
+        assert reference.tp_entries == reference.result.stats["epochs"]
 
 
 def _never_cut(monkeypatch):
@@ -220,87 +95,38 @@ def _never_cut(monkeypatch):
     )
 
 
+
+
 @pytest.mark.parametrize("workers", [2, 3])
-def test_the_cut_fires_and_changes_nothing_recorded(
-    monkeypatch, tp_entries, workers
-):
+def test_the_cut_fires_and_changes_nothing_recorded(monkeypatch, workers):
     """Squashing the doomed future is an optimisation, not a behaviour.
 
     With the schedule disabled every segment runs the thread-parallel
     engine to program exit, as before this rule existed; the recording
     and the (committed-timeline) stats are the same either way.
     """
-    image, setup, config = _workload("racy-counter", workers)
-    _, cut = _observe(image, setup, config, tp_entries)
+    cut = parity.oracle(Program("racy-counter", workers, scale=8))
     _never_cut(monkeypatch)
-    _, uncut = _observe(image, setup, config, tp_entries)
-    assert cut["tp_entries"] < uncut["tp_entries"]
-    assert cut["exec"]["ops_executed"] < uncut["exec"]["ops_executed"]
+    uncut = parity.observe(cut.program, jobs=None)
+    assert cut.tp_entries < uncut.tp_entries
+    assert cut.fields["exec"]["ops_executed"] < uncut.fields["exec"]["ops_executed"]
     for key in ("plain", "stats", "timing"):
-        assert cut[key] == uncut[key]
+        assert cut.fields[key] == uncut.fields[key]
 
 
-def held_lock_racy_program(hold=400, wait=120):
-    """Racy counter under a long-held lock the other thread asks for.
-
-    Both threads increment ``counter`` without synchronisation, so most
-    epochs diverge. ``holder`` keeps ``mutex`` for its whole loop;
-    ``waiter`` asks for it part-way through the run and is granted it
-    many epochs later — so the verdict unit of the epoch that asks is
-    cut before the grant is hinted and its oracle starves on ``mutex``.
-    """
-    asm = Assembler(name="racy-held-lock")
-    asm.word("counter", 0)
-    asm.word("mutex", 0)
-
-    def racy_loop(label, iters):
-        asm.li("r2", 0)
-        asm.label(label)
-        asm.loadg("r4", "counter")
-        asm.work(3)
-        asm.addi("r4", "r4", 1)
-        asm.storeg("r4", "counter")
-        asm.work(5)
-        asm.addi("r2", "r2", 1)
-        asm.blti("r2", iters, label)
-
-    with asm.function("holder"):
-        asm.li("r3", "mutex")
-        asm.lock("r3")
-        racy_loop("held", hold)
-        asm.unlock("r3")
-        asm.exit_()
-    with asm.function("waiter"):
-        racy_loop("before", wait)
-        asm.li("r3", "mutex")
-        asm.lock("r3")
-        racy_loop("after", 10)
-        asm.unlock("r3")
-        asm.exit_()
-    with asm.function("main"):
-        asm.spawn("r10", "holder")
-        asm.spawn("r11", "waiter")
-        asm.join("r10")
-        asm.join("r11")
-        asm.loadg("r2", "counter")
-        asm.syscall("r3", SyscallKind.PRINT, args=["r2"])
-        asm.exit_()
-    return asm.assemble()
-
-
-def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries, judged):
-    image = held_lock_racy_program()
-    config = DoublePlayConfig(machine=MachineConfig(cores=2), epoch_cycles=400)
-    setup = KernelSetup()
-    reference, expected = _observe(image, setup, config.replace(host_jobs=1), tp_entries)
-    serial_judged = list(judged)
-    firsts = _first_epochs(reference.recording)
+def test_a_starved_failing_verdict_does_not_cut(monkeypatch):
+    """``parity.HELD_LOCK``: the verdict unit of the epoch that asks for
+    the held lock is cut before the grant is hinted and starves."""
+    reference = parity.oracle(parity.HELD_LOCK)
+    serial_judged = reference.fields["judged"]
+    firsts = _first_epochs(reference.result.recording)
     # Some segment's verdict closed the cut without squashing: not final.
     closed = [row[0] for row in serial_judged if row[-1] == "disarm"]
     assert closed
     assert not any(row[-1] == "squash" for row in serial_judged if row[0] in closed)
     # ...and that segment's first epoch did diverge, found at segment end.
-    assert all(reference.recording.epochs[firsts[segment]].recovered for segment in closed)
+    epochs = reference.result.recording.epochs
+    assert all(epochs[firsts[segment]].recovered for segment in closed)
     for segment in closed:
         # (boundary, position, final, ok, consumed before, armed before,
         # consumed after, armed after, action): position 0's early
@@ -317,18 +143,16 @@ def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries, judged)
         row[1] == 1 and row[-1] == "squash" for row in serial_judged
     ), "no other segment was cut at its first boundary"
     for jobs in (2, 3):
-        judged.clear()
-        parallel, got = _observe(
-            image, setup, config.replace(host_jobs=jobs), tp_entries
-        )
-        assert got == expected
-        assert judged == serial_judged
+        # The same verdicts judged at the same boundaries, as at jobs=1.
+        parallel = parity.observe(parity.HELD_LOCK, jobs=jobs)
+        parity.assert_parity(parallel)
         # The starved verdict was consumed (and counted, as at jobs=1),
         # then rejected at segment end and its position run again.
         assert parallel.host["speculation"]["invalidated"] >= 1
     _never_cut(monkeypatch)
-    _, uncut = _observe(image, setup, config, tp_entries)
-    assert (uncut["plain"], uncut["stats"]) == (expected["plain"], expected["stats"])
+    uncut = parity.observe(parity.HELD_LOCK, jobs=None)
+    for key in ("plain", "stats"):
+        assert uncut.fields[key] == reference.fields[key]
 
 
 @pytest.mark.parametrize(
@@ -339,7 +163,7 @@ def test_a_starved_failing_verdict_does_not_cut(monkeypatch, tp_entries, judged)
     ],
 )
 def test_a_lost_verdict_is_reobtained_at_its_boundary(
-    monkeypatch, tp_entries, fault, timeout, counter
+    monkeypatch, fault, timeout, counter
 ):
     """The verdict unit of epoch 1 — an armed segment's position 0 — is lost.
 
@@ -347,8 +171,8 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
     contained pool attempts fail and the serial fallback produces the
     verdict — at the same consumption boundary, with the same cut.
     """
-    image, setup, config = _workload("racy-counter", 2)
-    _, expected = _observe(image, setup, config.replace(host_jobs=1), tp_entries)
+    program = Program("racy-counter", 2, scale=8)
+    parity.oracle(program)
     add_unit = host_executor._Batch._add_unit
 
     def faulting(self, unit):
@@ -360,11 +184,8 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
         return index
 
     monkeypatch.setattr(host_executor._Batch, "_add_unit", faulting)
-    overrides = {} if timeout is None else {"unit_timeout": timeout}
-    faulted, got = _observe(
-        image, setup, config.replace(host_jobs=2, **overrides), tp_entries
-    )
-    assert got == expected
+    faulted = parity.observe(program, jobs=2, unit_timeout=timeout)
+    parity.assert_parity(faulted)
     counts = faulted.host["faults"]
     # Both contained pool attempts died, then the serial fallback ran it.
     assert counts[counter] >= 2 and counts["serial_fallbacks"] >= 1
@@ -374,63 +195,60 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
     )
 
 
-def test_attempt_waste_counts_every_failed_attempt(tp_entries):
+def test_attempt_waste_counts_every_failed_attempt():
     """``stats["attempt_waste"]`` sums the cycles of every epoch-parallel
     attempt that failed — a run whose last segment is clean wasted them
     all the same — and is the same at any jobs."""
-    image, setup, config = _workload("racy-counter", 2)
-    wasted = set()
-    for jobs in (1, 2, 3):
-        result, _ = _observe(image, setup, config.replace(host_jobs=jobs), tp_entries)
-        assert not result.recording.epochs[-1].recovered
-        assert result.stats["divergences"] > 1
-        wasted.add(result.stats["attempt_waste"])
-    assert len(wasted) == 1 and wasted.pop() > 0
+    program = Program("racy-counter", 2, scale=8)
+    reference = parity.oracle(program)
+    assert not reference.result.recording.epochs[-1].recovered
+    assert reference.result.stats["divergences"] > 1
+    assert reference.result.stats["attempt_waste"] > 0
+    for jobs in (2, 3):
+        parity.assert_parity(parity.observe(program, jobs=jobs))
 
 
-def test_speculation_accounting_counts_the_verdicts_it_used(tp_entries):
-    image, setup, config = _workload("racy-counter", 2)
-    result, _ = _observe(image, setup, config.replace(host_jobs=2), tp_entries)
-    spec = result.host["speculation"]
+def test_speculation_accounting_counts_the_verdicts_it_used():
+    got = parity.observe(Program("racy-counter", 2, scale=8), jobs=2)
+    parity.assert_parity(got)
+    spec = got.host["speculation"]
     # Every divergence after the first was found by a consumed verdict.
-    assert spec["accepted"] >= result.stats["recoveries"] - 1
+    assert spec["accepted"] >= got.result.stats["recoveries"] - 1
     assert min(spec.values()) >= 0
     assert spec["dispatched"] == (
         spec["accepted"] + spec["invalidated"] + spec["discarded"]
     )
 
 
-def test_a_fleet_session_of_a_racy_tenant_returns_the_solo_recording(tp_entries):
+def test_a_fleet_session_of_a_racy_tenant_returns_the_solo_recording():
     from repro.service import RecordService, ServiceConfig, SessionRequest
 
-    image, setup, config = _workload("racy-counter", 2)
-    _, solo = _observe(image, setup, config.replace(host_jobs=1), tp_entries)
+    program = Program("racy-counter", 2, scale=8)
     report = RecordService(ServiceConfig(jobs=2, max_active=2)).run([
         SessionRequest(
             sid=f"racy-{tenant}", workload="racy-counter", workers=2,
-            scale=8, seed=11, epoch_cycles=config.epoch_cycles,
+            scale=8, seed=11,
+            epoch_cycles=parity.build(program).config.epoch_cycles,
         )
         for tenant in range(2)
     ])
     assert report.ok, [r.error for r in report.results]
     for result in report.results:
-        assert json.dumps(result.recording_plain, sort_keys=True) == solo["plain"]
-        assert result.metrics["exec"] == solo["exec"]
+        parity.assert_parity(parity.served(program, result))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_committed_chain_indices_are_the_epoch_sequence(workers):
     """Checkpoint indices count the committed chain, not squashed futures."""
-    image, setup, config = _workload("racy-counter", workers)
-    chains = []
-    for jobs in (1, 2):
-        recording = DoublePlayRecorder(
-            image, setup, config.replace(host_jobs=jobs)
-        ).record().recording
-        chains.append([epoch.start_checkpoint.index for epoch in recording.epochs])
-    serial, parallel = chains
+    program = Program("racy-counter", workers, scale=8)
+    parallel = parity.observe(program, jobs=2)
+    parity.assert_parity(parallel)
+    serial, pooled = (
+        [epoch.start_checkpoint.index for epoch in got.result.recording.epochs]
+        for got in (parity.oracle(program), parallel)
+    )
     assert all(later > earlier for earlier, later in zip(serial, serial[1:]))
-    assert serial == list(range(len(serial))) == parallel
+    assert serial == list(range(len(serial))) == pooled
 
 
 # ----------------------------------------------------------------------
@@ -448,29 +266,13 @@ def test_committed_chain_indices_are_the_epoch_sequence(workers):
 #: one segment run to its end (pushes mid-run, then a two-unit tail) and
 #: many short segments cut at their divergent epoch (doomed tails)
 STREAM_PROGRAMS = {
-    "clean": ("apache", 2, 24),
-    "recovering": ("racy-counter", 2, 8),
+    "clean": Program("apache", 2, scale=24),
+    "recovering": Program("racy-counter", 2, scale=8),
 }
-
-_serial_observations = {}
-
-
-def _serial_observation(program, sink, tmp_path, tp_entries):
-    """What ``jobs=1`` records of ``program`` into ``sink`` (once per pair)."""
-    key = (program, sink)
-    if key not in _serial_observations:
-        image, setup, config = _workload(*STREAM_PROGRAMS[program])
-        overrides = dict(SINKS[sink], host_jobs=1)
-        if overrides.get("log_dir"):
-            overrides["log_dir"] = str(tmp_path / "serial")
-        _serial_observations[key] = _observe(
-            image, setup, config.replace(**overrides), tp_entries
-        )
-    return _serial_observations[key]
 
 
 def _lose_unit(monkeypatch, tmp_path, kind, position):
-    """Config overrides under which ``position``'s unit is lost to ``kind``.
+    """``observe`` arguments under which ``position``'s unit is lost to ``kind``.
 
     ``crash-once`` kills the worker under the first dispatch only (the
     attempt pushed ahead); every other kind strikes
@@ -516,12 +318,10 @@ def _lose_unit(monkeypatch, tmp_path, kind, position):
         return {}
     if kind == "crash-once":
         monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
-        return {"host_faults": f"record:crash:unit{position}:once"}
+        return {"fault": f"record:crash:unit{position}:once"}
     if kind == "hang":
-        return {
-            "host_faults": f"record:hang:unit{position}:30", "unit_timeout": 0.5,
-        }
-    return {"host_faults": f"record:{kind}:unit{position}"}
+        return {"fault": f"record:hang:unit{position}:30", "unit_timeout": 0.5}
+    return {"fault": f"record:{kind}:unit{position}"}
 
 
 #: what a worker can find wrong with the pack a dispatch names: it was
@@ -559,27 +359,21 @@ STREAM_FAULTS = [
 
 @pytest.mark.parametrize("program,jobs,sink,kind,position", STREAM_FAULTS)
 def test_a_unit_lost_under_the_streaming_merge_changes_nothing_recorded(
-    monkeypatch, tmp_path, tp_entries, program, jobs, sink, kind, position
+    monkeypatch, tmp_path, program, jobs, sink, kind, position
 ):
-    reference, expected = _serial_observation(program, sink, tmp_path, tp_entries)
+    reference = parity.oracle(STREAM_PROGRAMS[program], sink)
     if program == "recovering":
-        assert reference.stats["recoveries"] > 1
+        assert reference.result.stats["recoveries"] > 1
     else:
-        assert reference.stats["recoveries"] == 0
-        position += reference.stats["epochs"]
-    image, setup, config = _workload(*STREAM_PROGRAMS[program])
-    overrides = dict(SINKS[sink], host_jobs=jobs)
-    if overrides.get("log_dir"):
-        overrides["log_dir"] = str(tmp_path / "faulted")
-    overrides.update(_lose_unit(monkeypatch, tmp_path, kind, position))
+        assert reference.result.stats["recoveries"] == 0
+        position += reference.result.stats["epochs"]
+    lost = _lose_unit(monkeypatch, tmp_path, kind, position)
     try:
-        faulted, got = _observe(
-            image, setup, config.replace(**overrides), tp_entries
-        )
+        faulted = parity.observe(STREAM_PROGRAMS[program], jobs=jobs, sink=sink, **lost)
     finally:
         if kind != "error":
             shutdown_shared_pool()  # killed or starved workers stay out of later tests
-    assert got == expected
+    parity.assert_parity(faulted)
     counts, spec = faulted.host["faults"], faulted.host["speculation"]
     assert spec["dispatched"] == (
         spec["accepted"] + spec["invalidated"] + spec["discarded"]
@@ -600,7 +394,8 @@ def test_a_sink_failure_mid_stream_seals_the_committed_prefix(
     from repro.core import Replayer
     from repro.record.shards import ShardedLogWriter
 
-    image, setup, config = _workload(*STREAM_PROGRAMS["clean"])
+    built = parity.build(STREAM_PROGRAMS["clean"])
+    image, setup, config = built.instance.image, built.instance.setup, built.config
     log_dir = str(tmp_path / "log")
     commit_epoch = ShardedLogWriter.commit_epoch
 
@@ -629,73 +424,15 @@ def test_a_sink_failure_mid_stream_seals_the_committed_prefix(
 # ----------------------------------------------------------------------
 # Recovery of a run that does I/O
 #
-# ``racy-counter`` makes one syscall, at its end. This program races the
-# same way and prints and appends to a file on every iteration, so each
-# recovery restores a kernel that has state, and restarts a segment whose
-# log has committed history below it. Recorded at ``jobs`` 2 and 3, with
-# and without a durable sink, through a fleet — against a scratch pack
-# that is empty, that already holds the blobs of an earlier run's
-# squashed futures, or that is replaced at every dispatch — everything
-# observed is what ``jobs=1`` observes.
+# ``racy-counter`` makes one syscall, at its end. ``parity.RACY_IO``
+# races the same way and prints and appends to a file on every
+# iteration, so each recovery restores a kernel that has state, and
+# restarts a segment whose log has committed history below it. Recorded
+# at ``jobs`` 2 and 3, with and without a durable sink, through a fleet
+# — against a scratch pack that is empty, that already holds the blobs
+# of an earlier run's squashed futures, or that is replaced at every
+# dispatch — everything observed is what ``jobs=1`` observes.
 # ----------------------------------------------------------------------
-def racy_io_program(iterations=80):
-    asm = Assembler(name="racy-io")
-    asm.word("counter", 0)
-    asm.word("cell0", 0)
-    asm.word("cell1", 0)
-    for worker in (0, 1):
-        with asm.function(f"worker{worker}"):
-            asm.li("r5", worker + 1)
-            asm.syscall("r6", SyscallKind.OPEN, args=["r5"])
-            asm.li("r8", f"cell{worker}")
-            asm.li("r9", 1)
-            asm.li("r2", 0)
-            asm.label(f"loop{worker}")
-            asm.loadg("r3", "counter")
-            asm.work(4)
-            asm.addi("r3", "r3", 1)
-            asm.storeg("r3", "counter")
-            asm.syscall("r7", SyscallKind.PRINT, args=["r2"])
-            asm.syscall("r7", SyscallKind.WRITE, args=["r6", "r8", "r9"])
-            asm.work(9)
-            asm.addi("r2", "r2", 1)
-            asm.blti("r2", iterations, f"loop{worker}")
-            asm.exit_()
-    with asm.function("main"):
-        asm.spawn("r10", "worker0")
-        asm.spawn("r11", "worker1")
-        asm.join("r10")
-        asm.join("r11")
-        asm.loadg("r2", "counter")
-        asm.syscall("r3", SyscallKind.PRINT, args=["r2"])
-        asm.exit_()
-    return asm.assemble()
-
-
-class RacyIoWorkload(Workload):
-    """The program above under a name a fleet session can ask for."""
-
-    name = "racy-io"
-    racy = True
-
-    def build(self, workers=2, scale=1, seed=0):
-        return WorkloadInstance(
-            name=self.name, image=racy_io_program(),
-            setup=KernelSetup(files={1: [7], 2: [9]}),
-            workers=2, racy=True, validate=lambda kernel: True,
-        )
-
-
-def _racy_io():
-    instance = RacyIoWorkload().build()
-    machine = MachineConfig(cores=2)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine, epoch_cycles=max(native.duration // 12, 500)
-    )
-    return instance.image, instance.setup, config
-
-
 @pytest.fixture
 def recovery_watch(monkeypatch):
     """Checks, wherever they happen, the two things only a recovery does.
@@ -742,34 +479,22 @@ def recovery_watch(monkeypatch):
     return seen
 
 
-_racy_io_serial = {}
-
-
-def _racy_io_serial_observation(sink, tmp_path, tp_entries):
-    if sink not in _racy_io_serial:
-        image, setup, config = _racy_io()
-        overrides = dict(SINKS[sink], host_jobs=1)
-        if overrides.get("log_dir"):
-            overrides["log_dir"] = str(tmp_path / "serial")
-        _racy_io_serial[sink] = _observe(
-            image, setup, config.replace(**overrides), tp_entries
-        )
-    return _racy_io_serial[sink]
-
-
-def _scratch_pack_in(monkeypatch, state):
-    """Put the scratch pack in ``state`` before the record under test."""
-    if state == "rotated":
-        # Every dispatch starts a fresh pack: one is replaced between
-        # any squash and the recovery that follows it.
-        monkeypatch.setattr(host_blobs, "SCRATCH_PACK_BYTES", 0)
+def _scratch_pack_in(state):
+    """Put the scratch pack in ``state`` before the record under test;
+    returns the scratch-pack cap that record runs with."""
     if state != "warm":
         shutdown_shared_pool()
-        return
+        # "rotated": every dispatch starts a fresh pack, so one is
+        # replaced between any squash and the recovery that follows it.
+        return 0 if state == "rotated" else None
     # The pack keeps what this very program's squashed futures put.
-    image, setup, config = _racy_io()
-    primed = DoublePlayRecorder(image, setup, config.replace(host_jobs=2)).record()
+    built = parity.build(parity.RACY_IO)
+    primed = DoublePlayRecorder(
+        built.instance.image, built.instance.setup,
+        built.config.replace(host_jobs=2),
+    ).record()
     assert primed.host["speculation"]["discarded"] > 0
+    return None
 
 
 #: (jobs, sink, scratch pack): each ``jobs`` meets every pack state, each
@@ -786,51 +511,44 @@ RECOVERY_IO = [
 
 @pytest.mark.parametrize("jobs,sink,state", RECOVERY_IO)
 def test_recovery_with_io_is_the_serial_one_whatever_the_scratch_pack_holds(
-    monkeypatch, tmp_path, tp_entries, recovery_watch, jobs, sink, state
+    recovery_watch, jobs, sink, state
 ):
-    reference, expected = _racy_io_serial_observation(sink, tmp_path, tp_entries)
-    assert reference.stats["recoveries"] > 10
-    assert len(reference.recording.syscall_records) > 100
+    reference = parity.oracle(parity.RACY_IO, sink)
+    assert reference.result.stats["recoveries"] > 10
+    assert len(reference.result.recording.syscall_records) > 100
     restored_at_jobs_1 = recovery_watch["restored_snapshots"]
-    _scratch_pack_in(monkeypatch, state)
-    image, setup, config = _racy_io()
-    overrides = dict(SINKS[sink], host_jobs=jobs)
-    if overrides.get("log_dir"):
-        overrides["log_dir"] = str(tmp_path / "parallel")
-    result, got = _observe(image, setup, config.replace(**overrides), tp_entries)
+    cap = _scratch_pack_in(state)
+    got = parity.observe(parity.RACY_IO, jobs=jobs, sink=sink, scratch_cap=cap)
     # The recording, the stats, the counters — and, with a sink, every
     # byte under log_dir: nothing a squashed future put is among them.
-    assert got == expected
-    assert result.host["speculation"]["discarded"] > 0
-    assert not any(result.host["faults"].values()), result.host["fault_events"][:3]
-    wire = result.host["wire"]
+    parity.assert_parity(got)
+    assert got.host["speculation"]["discarded"] > 0
+    assert not any(got.host["faults"].values()), got.host["fault_events"][:3]
     if state == "warm":
-        assert wire["bytes_shipped"] == 0  # even the squashed futures' pages
+        assert got.host["wire"]["bytes_shipped"] == 0  # even the squashed futures' pages
     else:
-        assert wire["bytes_shipped"] > 0
+        assert got.host["wire"]["bytes_shipped"] > 0
     assert recovery_watch["restored_snapshots"] > restored_at_jobs_1 + 10
     assert recovery_watch["chunks_above_history"] > 10
 
 
 def test_recovery_with_io_through_a_fleet_is_the_serial_one(
-    monkeypatch, tmp_path, tp_entries, recovery_watch
+    monkeypatch, recovery_watch
 ):
     from repro.service import RecordService, ServiceConfig, SessionRequest
 
-    _, solo = _racy_io_serial_observation("memory", tmp_path, tp_entries)
-    monkeypatch.setitem(WORKLOADS, "racy-io", RacyIoWorkload)
+    parity.oracle(parity.RACY_IO)
+    monkeypatch.setitem(WORKLOADS, "racy-io", parity.EXTRA["racy-io"])
     monkeypatch.setattr(host_blobs, "SCRATCH_PACK_BYTES", 4096)
-    _, _, config = _racy_io()
     report = RecordService(ServiceConfig(jobs=2, max_active=2)).run([
         SessionRequest(
             sid=f"io-{tenant}", workload="racy-io", workers=2,
-            epoch_cycles=config.epoch_cycles,
+            epoch_cycles=parity.build(parity.RACY_IO).config.epoch_cycles,
         )
         for tenant in range(2)
     ])
     assert report.ok, [r.error for r in report.results]
     for result in report.results:
-        assert json.dumps(result.recording_plain, sort_keys=True) == solo["plain"]
-        assert result.metrics["exec"] == solo["exec"]
+        parity.assert_parity(parity.served(parity.RACY_IO, result))
         assert not any(result.metrics["faults"].values())
     assert recovery_watch["chunks_above_history"] > 20

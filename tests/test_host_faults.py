@@ -2,11 +2,12 @@
 
 The epoch-parallel attempt is disposable by design, so a host fault must
 never change an observable result — only wall-clock time and the host
-accounting. Every test here injects a deterministic fault (via
-``REPRO_FAULT``, see :mod:`repro.host.faults`), lets the containment
-policy (retry once, then serial fallback) finish the run, and asserts the
-recording or replay verdict is bit-identical to the clean ``jobs=1``
-path, with the failure counters reporting what happened.
+accounting. Every test here injects a deterministic fault (a
+``REPRO_FAULT`` directive, see :mod:`repro.host.faults`), lets the
+containment policy (retry once, then serial fallback) finish the run,
+and holds the recording or replay verdict to the program's clean
+``jobs=1`` oracle (``tests/parity.py``), with the failure counters
+reporting what happened.
 
 Also covers the pool-management regressions: a broken shared pool used
 to be cached (and returned, broken) forever; growing the pool used to
@@ -26,8 +27,6 @@ import time
 
 import pytest
 
-from repro.baselines import run_native
-from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import (
     HostPoolError,
     WorkerCrashError,
@@ -41,33 +40,11 @@ from repro.host.pool import (
     shared_pool,
     shutdown_shared_pool,
 )
-from repro.machine.config import MachineConfig
-from repro.workloads import build_workload
+from tests import parity
+from tests.parity import Program
 
-
-def _record(name, workers, jobs, **overrides):
-    instance = build_workload(name, workers=workers, scale=2, seed=11)
-    machine = MachineConfig(cores=workers)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine,
-        epoch_cycles=max(native.duration // 12, 500),
-        host_jobs=jobs,
-        **overrides,
-    )
-    recorder = DoublePlayRecorder(instance.image, instance.setup, config)
-    return instance, machine, recorder.record()
-
-
-def _assert_bit_identical(faulted, serial):
-    assert json.dumps(faulted.recording.to_plain(), sort_keys=True) == json.dumps(
-        serial.recording.to_plain(), sort_keys=True
-    ), "fault containment changed the recording"
-    assert faulted.makespan == serial.makespan
-    assert faulted.tp_finish == serial.tp_finish
-    assert faulted.app_time == serial.app_time
-    assert faulted.stats == serial.stats
-    assert faulted.recording.final_digest == serial.recording.final_digest
+FFT = Program("fft", 2)
+RACY = Program("racy-counter", 2)
 
 
 # ----------------------------------------------------------------------
@@ -88,9 +65,8 @@ def test_record_succeeds_after_pool_poisoned():
     pool = shared_pool(2)
     with pytest.raises(HostPoolError, match="died with this unit in its window"):
         pool.submit(os._exit, 70).result(timeout=60)
-    _, _, serial = _record("fft", 2, jobs=1)
-    _, _, parallel = _record("fft", 2, jobs=2)
-    _assert_bit_identical(parallel, serial)
+    parallel = parity.observe(FFT, jobs=2)
+    parity.assert_parity(parallel)
     assert not any(parallel.host["faults"].values())
 
 
@@ -108,14 +84,16 @@ def test_shared_pool_growth_drains_in_flight_units():
 
 @pytest.mark.parametrize("teardown", [shutdown_shared_pool, invalidate_shared_pool])
 def test_scratch_packs_go_with_the_pool(teardown):
-    _, _, result = _record("fft", 2, jobs=2)
+    result = parity.observe(FFT, jobs=2)
+    parity.assert_parity(result)
     assert result.host["units"] > 0
     directory, pack = _scratch_packs._dir, _scratch_packs._store.root
     assert os.path.dirname(pack) == directory and os.listdir(pack)
     teardown()
     assert not os.path.exists(directory)
     # A pool that stays holds the current pack and nothing else.
-    _, _, again = _record("fft", 2, jobs=2)
+    again = parity.observe(FFT, jobs=2)
+    parity.assert_parity(again)
     assert again.host["wire"]["bytes_shipped"] > 0
     assert os.listdir(_scratch_packs._dir) == [
         os.path.basename(_scratch_packs._store.root)
@@ -125,10 +103,10 @@ def test_scratch_packs_go_with_the_pool(teardown):
 def test_scratch_packs_go_with_the_interpreter(tmp_path):
     script = tmp_path / "record.py"
     script.write_text(
-        "from tests.test_host_faults import _record\n"
+        "from tests.parity import Program, observe\n"
         "from repro.host.pool import _scratch_packs\n"
         "if __name__ == '__main__':\n"
-        "    _record('fft', 2, jobs=2)\n"
+        "    observe(Program('fft', 2), jobs=2)\n"
         "    print(_scratch_packs._store.path)\n"
     )
     done = subprocess.run(
@@ -211,6 +189,7 @@ def test_parse_fault_specs():
 
 # ----------------------------------------------------------------------
 # Fault-injected recording: always completes, always bit-identical
+# (``parity.assert_parity`` also checks that each injected fault fired)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "spec,counter,expect_fallback",
@@ -220,16 +199,13 @@ def test_parse_fault_specs():
         ("slow:unit1:0.05", None, False),
     ],
 )
-def test_record_faults_bit_identical(monkeypatch, spec, counter, expect_fallback):
-    _, _, serial = _record("fft", 2, jobs=1)
-    monkeypatch.setenv("REPRO_FAULT", spec)
-    _, _, faulted = _record("fft", 2, jobs=4)
-    _assert_bit_identical(faulted, serial)
+def test_record_faults_bit_identical(spec, counter, expect_fallback):
+    faulted = parity.observe(FFT, jobs=4, fault=spec)
+    parity.assert_parity(faulted)
     counts = faulted.host["faults"]
     if counter is None:
         assert not any(counts.values())
     else:
-        assert counts[counter] >= 1
         assert counts["retries"] >= 1
         if expect_fallback:
             assert counts["serial_fallbacks"] >= 1
@@ -240,25 +216,19 @@ def test_record_faults_bit_identical(monkeypatch, spec, counter, expect_fallback
         )
 
 
-def test_record_hang_contained_by_unit_timeout(monkeypatch):
-    _, _, serial = _record("fft", 2, jobs=1)
-    monkeypatch.setenv("REPRO_FAULT", "hang:unit1:30")
-    _, _, faulted = _record("fft", 2, jobs=4, unit_timeout=1.0)
-    _assert_bit_identical(faulted, serial)
-    counts = faulted.host["faults"]
-    assert counts["timeouts"] >= 1
-    assert counts["serial_fallbacks"] >= 1
+def test_record_hang_contained_by_unit_timeout():
+    faulted = parity.observe(FFT, jobs=4, fault="hang:unit1:30", unit_timeout=1.0)
+    parity.assert_parity(faulted)
+    assert faulted.host["faults"]["serial_fallbacks"] >= 1
 
 
-def test_record_crash_and_hang_complete_via_fallback(monkeypatch):
+def test_record_crash_and_hang_complete_via_fallback():
     """The acceptance scenario: a crash AND a hang in one jobs=4 recording."""
-    _, _, serial = _record("fft", 2, jobs=1)
-    monkeypatch.setenv("REPRO_FAULT", "crash:unit1,hang:unit3:30")
-    _, _, faulted = _record("fft", 2, jobs=4, unit_timeout=1.0)
-    _assert_bit_identical(faulted, serial)
+    faulted = parity.observe(
+        FFT, jobs=4, fault="crash:unit1,hang:unit3:30", unit_timeout=1.0
+    )
+    parity.assert_parity(faulted)
     counts = faulted.host["faults"]
-    assert counts["crashes"] >= 1
-    assert counts["timeouts"] >= 1
     assert counts["serial_fallbacks"] >= 2
     assert counts["retries"] >= 2
 
@@ -272,11 +242,9 @@ def test_record_crash_once_recovers_on_retry(monkeypatch, tmp_path):
     and its retry runs clean (a one-shot crash that only ever meets the
     push is the pipelined test further down).
     """
-    _, _, serial = _record("fft", 2, jobs=1)
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    monkeypatch.setenv("REPRO_FAULT", "error:unit1:once,crash:unit1:once")
-    _, _, faulted = _record("fft", 2, jobs=4)
-    _assert_bit_identical(faulted, serial)
+    faulted = parity.observe(FFT, jobs=4, fault="error:unit1:once,crash:unit1:once")
+    parity.assert_parity(faulted)
     counts = faulted.host["faults"]
     assert counts["crashes"] == 1
     assert counts["retries"] == 1
@@ -288,13 +256,12 @@ def test_record_crash_once_recovers_on_retry(monkeypatch, tmp_path):
 
 def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
     """Host containment composes with guest forward recovery."""
-    _, _, serial = _record("racy-counter", 2, jobs=1)
-    assert serial.stats["divergences"] > 0  # the workload actually diverges
+    # the workload actually diverges
+    assert parity.oracle(RACY).result.stats["divergences"] > 0
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
     # One fuse for the free pushed attempt, one for the counted one.
-    monkeypatch.setenv("REPRO_FAULT", "error:unit0:once,crash:unit0:once")
-    _, _, faulted = _record("racy-counter", 2, jobs=2)
-    _assert_bit_identical(faulted, serial)
+    faulted = parity.observe(RACY, jobs=2, fault="error:unit0:once,crash:unit0:once")
+    parity.assert_parity(faulted)
     assert faulted.host["faults"]["crashes"] >= 1
 
 
@@ -310,9 +277,8 @@ def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
 # ----------------------------------------------------------------------
 def test_pipelined_clean_run_accepts_speculation():
     """No faults: speculative results are accepted, never re-run."""
-    _, _, serial = _record("fft", 2, jobs=1)
-    _, _, parallel = _record("fft", 2, jobs=4)
-    _assert_bit_identical(parallel, serial)
+    parallel = parity.observe(FFT, jobs=4)
+    parity.assert_parity(parallel)
     spec = parallel.host["speculation"]
     assert spec["dispatched"] >= 1
     assert spec["accepted"] >= 1
@@ -328,7 +294,7 @@ def test_pipelined_clean_run_accepts_speculation():
         ("error:unit1", None, "task_errors"),
     ],
 )
-def test_pipelined_faults_discard_speculation(monkeypatch, spec, timeout, counter):
+def test_pipelined_faults_discard_speculation(spec, timeout, counter):
     """A host fault during speculation is contained twice.
 
     The fault fires on *every* dispatch of the position: the speculative
@@ -336,15 +302,10 @@ def test_pipelined_faults_discard_speculation(monkeypatch, spec, timeout, counte
     the retry/serial-fallback containment finishes the unit — recording
     byte-identical to jobs=1 throughout.
     """
-    _, _, serial = _record("fft", 2, jobs=1)
-    monkeypatch.setenv("REPRO_FAULT", spec)
-    overrides = {"unit_timeout": timeout} if timeout is not None else {}
-    _, _, faulted = _record("fft", 2, jobs=4, **overrides)
-    _assert_bit_identical(faulted, serial)
+    faulted = parity.observe(FFT, jobs=4, fault=spec, unit_timeout=timeout)
+    parity.assert_parity(faulted)  # the batch path saw the fault: counter >= 1
     assert faulted.host["speculation"]["discarded"] >= 1
-    counts = faulted.host["faults"]
-    assert counts[counter] >= 1, "batch path never saw the fault"
-    assert counts["serial_fallbacks"] >= 1
+    assert faulted.host["faults"]["serial_fallbacks"] >= 1
 
 
 def test_pipelined_speculative_crash_only_is_invisible(monkeypatch, tmp_path):
@@ -355,12 +316,9 @@ def test_pipelined_speculative_crash_only_is_invisible(monkeypatch, tmp_path):
     count only batch containment), one discarded speculation, and a
     byte-identical recording.
     """
-    _, _, serial = _record("fft", 2, jobs=1)
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    monkeypatch.setenv("REPRO_FAULT", "crash:unit1:once")
-    _, _, faulted = _record("fft", 2, jobs=4)
-    _assert_bit_identical(faulted, serial)
-    assert faulted.host["speculation"]["discarded"] >= 1
+    faulted = parity.observe(FFT, jobs=4, fault="crash:unit1:once")
+    parity.assert_parity(faulted)  # the fuse blew, speculation discarded
     assert not any(faulted.host["faults"].values())
 
 
@@ -373,10 +331,9 @@ def test_pipelined_divergence_while_speculating():
     returned for the discarded tail must leave no trace — recording and
     stats byte-identical to jobs=1.
     """
-    _, _, serial = _record("racy-counter", 2, jobs=1)
-    assert serial.stats["divergences"] > 0
-    _, _, parallel = _record("racy-counter", 2, jobs=2)
-    _assert_bit_identical(parallel, serial)
+    assert parity.oracle(RACY).result.stats["divergences"] > 0
+    parallel = parity.observe(RACY, jobs=2)
+    parity.assert_parity(parallel)
     assert parallel.host["speculation"]["dispatched"] >= 1
     assert not any(parallel.host["faults"].values())
 
@@ -392,32 +349,19 @@ def test_pipelined_divergence_while_speculating():
         ("error:unit1", None, "task_errors"),
     ],
 )
-def test_replay_parallel_faults_bit_identical(monkeypatch, spec, timeout, counter):
-    instance, machine, result = _record("fft", 2, jobs=1)
-    replayer = Replayer(instance.image, machine)
-    serial = replayer.replay_parallel(result.recording)
-    monkeypatch.setenv("REPRO_FAULT", spec)
-    kwargs = {"unit_timeout": timeout} if timeout is not None else {}
-    faulted = replayer.replay_parallel(result.recording, jobs=4, **kwargs)
-    assert faulted.verified, faulted.details
-    assert faulted.total_cycles == serial.total_cycles
-    assert faulted.makespan == serial.makespan
-    assert faulted.epochs_replayed == serial.epochs_replayed
-    counts = faulted.host["faults"]
-    assert counts[counter] >= 1
-    assert counts["serial_fallbacks"] >= 1
+def test_replay_parallel_faults_bit_identical(spec, timeout, counter):
+    faulted = parity.observe_replay(FFT, jobs=4, fault=spec, unit_timeout=timeout)
+    parity.assert_parity(faulted)  # verified, cycles, makespan; counter >= 1
+    assert faulted.host["faults"]["serial_fallbacks"] >= 1
 
 
-def test_fault_scope_filters_by_phase(monkeypatch):
+def test_fault_scope_filters_by_phase():
     """A record-scoped fault must not fire during replay, and vice versa."""
-    instance, machine, result = _record("fft", 2, jobs=1)
-    replayer = Replayer(instance.image, machine)
-    monkeypatch.setenv("REPRO_FAULT", "record:error:unit1")
-    outcome = replayer.replay_parallel(result.recording, jobs=2)
-    assert outcome.verified
+    outcome = parity.observe_replay(FFT, jobs=2, fault="record:error:unit1")
+    parity.assert_parity(outcome)
     assert not any(outcome.host["faults"].values())
-    monkeypatch.setenv("REPRO_FAULT", "replay:error:unit1")
-    _, _, recorded = _record("fft", 2, jobs=2)
+    recorded = parity.observe(FFT, jobs=2, fault="replay:error:unit1")
+    parity.assert_parity(recorded)
     assert not any(recorded.host["faults"].values())
 
 

@@ -2,19 +2,20 @@
 
 ``host_jobs`` may change only wall-clock time. Every recording byte,
 digest and simulated-time metric must be identical at any jobs count —
-these tests compare jobs=2 directly against the serial path (the full
-28-config golden matrix additionally runs through the parallel path in
-the ``REPRO_TEST_JOBS=2`` CI leg).
+each run here is held to its program's cached ``jobs=1`` oracle by
+``tests/parity.py`` (the golden matrix's own parity slices live in
+``test_integration_matrix.py``, and the CI ``dispatch-parity`` job
+runs that whole file through the pool with ``REPRO_TEST_JOBS=2``).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
 from repro import options
-from repro.baselines import run_native
 from repro.core import (
     DoublePlayConfig,
     DoublePlayRecorder,
@@ -22,8 +23,10 @@ from repro.core import (
     Replayer,
 )
 from repro.cli import main as cli_main
-from repro.machine.config import MachineConfig
-from repro.workloads import build_workload
+from tests import parity
+from tests.parity import Program
+
+FFT = Program("fft", 2)
 
 
 def run_cli(*argv):
@@ -34,22 +37,9 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def _build(name, workers, scale=2, seed=11):
-    instance = build_workload(name, workers=workers, scale=scale, seed=seed)
-    machine = MachineConfig(cores=workers)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine, epoch_cycles=max(native.duration // 12, 500)
-    )
-    return instance, machine, config
-
-
-def _record(name, workers, jobs):
-    instance, machine, config = _build(name, workers)
-    recorder = DoublePlayRecorder(
-        instance.image, instance.setup, config.replace(host_jobs=jobs)
-    )
-    return instance, machine, recorder.record()
+def _replayer(program=FFT):
+    built = parity.build(program)
+    return Replayer(built.instance.image, built.machine)
 
 
 # ----------------------------------------------------------------------
@@ -66,38 +56,26 @@ def _record(name, workers, jobs):
     ],
 )
 def test_record_jobs_bit_identical(name, workers, jobs):
-    _, _, serial = _record(name, workers, jobs=1)
-    _, _, parallel = _record(name, workers, jobs=jobs)
-
-    assert json.dumps(parallel.recording.to_plain(), sort_keys=True) == json.dumps(
-        serial.recording.to_plain(), sort_keys=True
-    ), f"{name}: recording bytes differ at jobs={jobs}"
-    assert parallel.makespan == serial.makespan
-    assert parallel.tp_finish == serial.tp_finish
-    assert parallel.app_time == serial.app_time
-    assert parallel.stats == serial.stats
-    assert parallel.recording.final_digest == serial.recording.final_digest
-    assert [e.end_digest for e in parallel.recording.epochs] == [
-        e.end_digest for e in serial.recording.epochs
-    ]
+    program = Program(name, workers)
+    parallel = parity.observe(program, jobs=jobs)
+    parity.assert_parity(parallel)
     # Host accounting reflects what actually ran, and never leaks into
     # the recording itself.
-    assert serial.host == {"jobs": 1}
+    assert parity.oracle(program).result.host == {"jobs": 1}
     assert parallel.host["jobs"] == jobs
-    assert parallel.host["units"] >= parallel.recording.epoch_count() - parallel.stats[
+    recording = parallel.result.recording
+    assert parallel.host["units"] >= recording.epoch_count() - recording.stats[
         "recoveries"
     ]
-    assert "host" not in parallel.recording.stats
+    assert "host" not in recording.stats
 
 
 def test_record_divergence_cancels_and_recovers_identically():
-    _, _, serial = _record("racy-counter", 3, jobs=1)
-    _, _, parallel = _record("racy-counter", 3, jobs=2)
-    assert serial.stats["divergences"] > 0  # the workload actually diverges
-    assert parallel.stats == serial.stats
-    assert [e.recovered for e in parallel.recording.epochs] == [
-        e.recovered for e in serial.recording.epochs
-    ]
+    program = Program("racy-counter", 3)
+    # the workload actually diverges
+    assert parity.oracle(program).result.stats["divergences"] > 0
+    # (which epochs recovered is part of the recording)
+    parity.assert_parity(parity.observe(program, jobs=2))
 
 
 # ----------------------------------------------------------------------
@@ -108,16 +86,9 @@ def test_record_divergence_cancels_and_recovers_identically():
     "spec,counter",
     [("crash:unit1", "crashes"), ("error:unit1", "task_errors")],
 )
-def test_record_jobs_bit_identical_under_faults(monkeypatch, spec, counter):
-    _, _, serial = _record("pbzip", 2, jobs=1)
-    monkeypatch.setenv("REPRO_FAULT", spec)
-    _, _, faulted = _record("pbzip", 2, jobs=4)
-    assert json.dumps(faulted.recording.to_plain(), sort_keys=True) == json.dumps(
-        serial.recording.to_plain(), sort_keys=True
-    ), f"recording bytes differ under injected {spec}"
-    assert faulted.stats == serial.stats
-    assert faulted.makespan == serial.makespan
-    assert faulted.host["faults"][counter] >= 1
+def test_record_jobs_bit_identical_under_faults(spec, counter):
+    faulted = parity.observe(Program("pbzip", 2), jobs=4, fault=spec)
+    parity.assert_parity(faulted)  # and the fault fired: faults[counter] >= 1
     assert faulted.host["faults"]["serial_fallbacks"] >= 1
 
 
@@ -126,18 +97,12 @@ def test_record_jobs_bit_identical_under_faults(monkeypatch, spec, counter):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name,workers", [("pbzip", 2), ("fft", 3)])
 def test_replay_parallel_jobs_bit_identical(name, workers):
-    instance, machine, result = _record(name, workers, jobs=1)
-    replayer = Replayer(instance.image, machine)
-    serial = replayer.replay_parallel(result.recording)
-    parallel = replayer.replay_parallel(result.recording, jobs=2)
-    assert parallel.verified and serial.verified
-    assert parallel.total_cycles == serial.total_cycles
-    assert parallel.makespan == serial.makespan
-    assert parallel.epochs_replayed == serial.epochs_replayed
-    assert parallel.workers == serial.workers
-    assert (serial.jobs, parallel.jobs) == (1, 2)
-    assert parallel.host["jobs"] == 2
-    assert len(parallel.host["unit_cpu"]) == parallel.epochs_replayed
+    program = Program(name, workers)
+    parallel = parity.observe_replay(program, jobs=2)
+    parity.assert_parity(parallel)
+    assert parity.oracle(program, kind="parallel").result.jobs == 1
+    assert parallel.result.jobs == parallel.host["jobs"] == 2
+    assert len(parallel.host["unit_cpu"]) == parallel.result.epochs_replayed
 
 
 def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
@@ -146,12 +111,13 @@ def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
     ``ReplayResult.jobs == 2`` (the CLI printed ``parallel[jobs=2]`` for
     a replay that never touched a pool). A one-unit session is a session.
     """
-    instance, machine, config = _build("fft", 2)
+    built = parity.build(FFT)
     recording = DoublePlayRecorder(
-        instance.image, instance.setup, config.replace(epoch_cycles=10**9)
+        built.instance.image, built.instance.setup,
+        built.config.replace(epoch_cycles=10**9),
     ).record().recording
     assert recording.epoch_count() == 1
-    replayer = Replayer(instance.image, machine)
+    replayer = _replayer()
     serial = replayer.replay_parallel(recording, jobs=1)
     pooled = replayer.replay_parallel(recording, jobs=2)
     assert (serial.jobs, serial.host["jobs"]) == (1, 1)
@@ -165,17 +131,10 @@ def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_replay_failure_reports_epoch_index(jobs):
-    instance, machine, result = _record("fft", 2, jobs=1)
-    recording = result.recording
+    recording = copy.deepcopy(parity.oracle(FFT).recording)
     victim = recording.epochs[2]
-    original = victim.end_digest
-    victim.end_digest = original ^ 0xDEAD
-    try:
-        outcome = Replayer(instance.image, machine).replay_parallel(
-            recording, jobs=jobs
-        )
-    finally:
-        victim.end_digest = original
+    victim.end_digest ^= 0xDEAD
+    outcome = _replayer().replay_parallel(recording, jobs=jobs)
     assert not outcome.verified
     assert len(outcome.details) == 1
     failure = outcome.details[0]
@@ -186,11 +145,9 @@ def test_replay_failure_reports_epoch_index(jobs):
 
 
 def test_sequential_replay_failures_are_structured():
-    instance, machine, result = _record("fft", 2, jobs=1)
-    recording = result.recording
+    recording = copy.deepcopy(parity.oracle(FFT).recording)
     recording.final_digest ^= 1
-    outcome = Replayer(instance.image, machine).replay_sequential(recording)
-    recording.final_digest ^= 1
+    outcome = _replayer().replay_sequential(recording)
     assert not outcome.verified
     assert isinstance(outcome.details[0], ReplayFailure)
     assert outcome.details[0].epoch is None
@@ -198,13 +155,12 @@ def test_sequential_replay_failures_are_structured():
 
 
 def test_replay_result_surfaces_workers():
-    instance, machine, result = _record("fft", 2, jobs=1)
-    replayer = Replayer(instance.image, machine)
-    bounded = replayer.replay_parallel(result.recording, workers=3)
+    recording, replayer = parity.oracle(FFT).recording, _replayer()
+    bounded = replayer.replay_parallel(recording, workers=3)
     assert bounded.workers == 3
-    unbounded = replayer.replay_parallel(result.recording)
-    assert unbounded.workers == result.recording.epoch_count()
-    assert replayer.replay_sequential(result.recording).workers == 1
+    unbounded = replayer.replay_parallel(recording)
+    assert unbounded.workers == recording.epoch_count()
+    assert replayer.replay_sequential(recording).workers == 1
 
 
 # ----------------------------------------------------------------------

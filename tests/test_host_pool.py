@@ -31,7 +31,7 @@ from repro.errors import CollateralLossError, HostPoolError
 from repro.host import executor as host_executor
 from repro.host import pool as host_pool
 from repro.host.pool import WorkerPool, _scratch_packs, shared_pool, shutdown_shared_pool
-from tests.test_host_unit_path import _setup
+from tests import parity
 
 
 def _until_ready(pool: WorkerPool) -> WorkerPool:
@@ -96,8 +96,11 @@ def test_a_record_and_a_replay_run_on_one_thread(monkeypatch, name):
         host_executor.SpeculativeSession, "push",
         sampled(host_executor.SpeculativeSession.push),
     )
-    instance, machine, _, config = _setup(name, host_jobs=2)
-    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    built = parity.build(parity.Program(name, 2))
+    instance, machine = built.instance, built.machine
+    result = DoublePlayRecorder(
+        instance.image, instance.setup, built.config.replace(host_jobs=2)
+    ).record()
     pushes = len(census)
     assert pushes >= result.host["units"] > 0
     outcome = Replayer(instance.image, machine).replay_parallel(
@@ -247,8 +250,11 @@ def test_a_cancelled_units_reply_is_drained_and_its_callback_fires(pool_of):
 def test_a_diverging_record_leaves_no_scratch_pack_named():
     """racy-counter's divergence exits cancel pushed units, in a pipe and
     queued alike; every one of them still releases the pack it named."""
-    instance, _, _, config = _setup("racy-counter", host_jobs=2)
-    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
+    built = parity.build(parity.Program("racy-counter", 2))
+    result = DoublePlayRecorder(
+        built.instance.image, built.instance.setup,
+        built.config.replace(host_jobs=2),
+    ).record()
     assert result.host["speculation"]["discarded"] > 0
     shutdown_shared_pool()
     assert _scratch_packs._named == {} and _scratch_packs._dir is None

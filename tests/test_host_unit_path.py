@@ -17,44 +17,17 @@ import pickle
 
 import pytest
 
-from repro.baselines import run_native
-from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.host import executor as host_executor
 from repro.host import worker as host_worker
 from repro.host.blobs import BlobCache
 from repro.host.pool import shared_pool, shutdown_shared_pool
 from repro.host.wire import RecordEpochUnit, ReplayEpochUnit
-from repro.machine.config import MachineConfig
-from repro.memory.hashing import combine_hashes
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.workloads import build_workload
-from tests.test_integration_matrix import GOLDEN
+from tests import parity
+from tests.parity import Program
 
-
-def _setup(name="pbzip", workers=2, **overrides):
-    instance = build_workload(name, workers=workers, scale=2, seed=11)
-    machine = MachineConfig(cores=workers)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine,
-        epoch_cycles=max(native.duration // 12, 500),
-        **overrides,
-    )
-    return instance, machine, native, config
-
-
-def _golden_tuple(native, result):
-    recording = result.recording
-    return (
-        native.duration,
-        native.final_digest,
-        result.makespan,
-        recording.epoch_count(),
-        recording.final_digest,
-        combine_hashes([epoch.end_digest for epoch in recording.epochs]),
-        recording.total_log_bytes(),
-    )
+PBZIP = Program("pbzip", 2)
 
 
 class _CapturingPool:
@@ -84,15 +57,11 @@ def captured(monkeypatch):
     seam = _CapturingPool()
     monkeypatch.setattr(host_executor, "shared_pool", seam)
     monkeypatch.setattr(host_executor, "abandon", lambda future, kill: None)
-    instance, machine, native, config = _setup(host_jobs=2)
-    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-    # Every unit fell back to the serial wrapper and the golden held.
-    assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
-    assert result.host["faults"]["serial_fallbacks"] == result.host["units"]
-    outcome = Replayer(instance.image, machine).replay_parallel(
-        result.recording, jobs=2
-    )
-    assert outcome.verified
+    got = parity.observe(PBZIP, jobs=2)
+    # Every unit fell back to the serial wrapper and the oracle held.
+    parity.assert_parity(got)
+    assert got.host["faults"]["serial_fallbacks"] == got.host["units"]
+    parity.assert_parity(parity.observe_replay(PBZIP, got.recording, jobs=2))
     by_kind = {}
     for dispatch in seam.dispatches:
         by_kind.setdefault(type(dispatch.unit), []).append(dispatch)
@@ -184,19 +153,15 @@ def test_one_dispatch_routine_emits_every_span():
     attempts (it must fall back to the coordinator).
     """
     shutdown_shared_pool()  # an empty scratch pack: every span ships bytes
-    instance, machine, native, config = _setup(
-        host_jobs=2, host_faults="record:error:unit1"
-    )
     tracer = obs_spans.start_trace()
     try:
-        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        outcome = Replayer(instance.image, machine).replay_parallel(
-            result.recording, jobs=2
-        )
+        record = parity.observe(PBZIP, jobs=2, fault="record:error:unit1")
+        replay = parity.observe_replay(PBZIP, record.recording, jobs=2)
     finally:
         obs_spans.stop_trace()
-    assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
-    assert outcome.verified
+    parity.assert_parity(record)
+    parity.assert_parity(replay)
+    result, outcome = record.result, replay.result
 
     def spans(name):
         return [s for s in tracer.spans if s.name == name]
@@ -246,9 +211,8 @@ def test_a_bug_in_building_a_dispatch_is_not_contained(monkeypatch):
         raise KeyError("a digest the batch never interned")
 
     monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", broken)
-    instance, _, _, config = _setup(host_jobs=2)
     with pytest.raises(KeyError, match="never interned"):
-        DoublePlayRecorder(instance.image, instance.setup, config).record()
+        parity.observe(PBZIP, jobs=2)
 
 
 def test_an_unwritable_scratch_pack_is_contained(monkeypatch):
@@ -261,19 +225,17 @@ def test_an_unwritable_scratch_pack_is_contained(monkeypatch):
     def disk_full(self, fsync=False):
         raise OSError(28, "No space left on device")
 
-    instance, _, native, config = _setup(host_jobs=2)
     journal = obs_events.install_journal()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(BlobStore, "flush", disk_full)
-            result = DoublePlayRecorder(
-                instance.image, instance.setup, config
-            ).record()
+            got = parity.observe(PBZIP, jobs=2)
         contained = [e for e in journal.tail() if e["kind"] == "fault-contained"]
     finally:
         obs_events.uninstall_journal()
         shutdown_shared_pool()
-    assert _golden_tuple(native, result) == GOLDEN[("pbzip", 2)]
+    parity.assert_parity(got)
+    result = got.result
     faults = result.host["faults"]
     assert faults["serial_fallbacks"] == result.host["units"] > 0
     assert contained and all(e["fault"] == "crash" for e in contained)
@@ -290,17 +252,14 @@ def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
     monkeypatch.delenv("REPRO_SUPERBLOCKS", raising=False)
     try:
         shared_pool(2)  # spawned with fusion ON in their environment
-        instance, _, native, config = _setup("fft", 3, host_jobs=2)
-        warm = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        fused = warm.metrics.snapshot()["superblock"]["fused_calls"]
+        warm = parity.observe(Program("fft", 3), jobs=2)
+        fused = warm.result.metrics.snapshot()["superblock"]["fused_calls"]
         assert fused > 0, "fusion never ran: the regression below is vacuous"
 
-        monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
-        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-        assert _golden_tuple(native, result) == GOLDEN[("fft", 3)]
+        # The coordinator switches fusion off; the warm workers follow.
+        result = parity.observe(Program("fft", 3), jobs=2, superblocks=False)
+        parity.assert_parity(result)  # and no fused call anywhere
         assert result.host["units"] > 0
-        fused = result.metrics.snapshot().get("superblock", {})
-        assert fused.get("fused_calls", 0) == 0, "fusion ran while disabled"
     finally:
         shutdown_shared_pool()
 
@@ -319,20 +278,16 @@ def test_a_pool_that_never_comes_up_is_accounted_as_lost_units(monkeypatch):
     def no_pool(jobs):
         raise RuntimeError("the pool cannot be brought up")
 
-    instance, _, _, config = _setup("racy-counter", host_jobs=1)
-    serial = DoublePlayRecorder(instance.image, instance.setup, config).record()
-    assert serial.stats["recoveries"] >= 3
+    program = Program("racy-counter", 2)
+    assert parity.oracle(program).result.stats["recoveries"] >= 3
     monkeypatch.setattr(host_executor, "shared_pool", no_pool)
-    result = DoublePlayRecorder(
-        instance.image, instance.setup, config.replace(host_jobs=2)
-    ).record()
-    assert result.recording.to_plain() == serial.recording.to_plain()
-    assert result.stats == serial.stats
-    speculation = result.host["speculation"]
+    got = parity.observe(program, jobs=2)
+    parity.assert_parity(got)
+    speculation = got.host["speculation"]
     assert all(count >= 0 for count in speculation.values()), speculation
     assert speculation["dispatched"] == (
         speculation["accepted"] + speculation["invalidated"]
         + speculation["discarded"]
-    ) >= result.host["units"] > 0
+    ) >= got.host["units"] > 0
     assert speculation["accepted"] == 0
-    assert result.host["faults"]["serial_fallbacks"] >= result.host["units"]
+    assert got.host["faults"]["serial_fallbacks"] >= got.host["units"]

@@ -30,6 +30,7 @@ from repro.obs.lifecycle import UnitTiming
 from repro.obs.metrics import RunMetrics, build_run_metrics
 from repro.sim.stats import StatsRegistry
 from repro.workloads import build_workload
+from tests import parity
 
 
 @pytest.fixture(autouse=True)
@@ -328,16 +329,18 @@ def test_summarize_trace_overlap_ratio():
 
 
 def test_worker_metrics_match_serial_metrics():
-    serial, _, _ = _record(jobs=1)
-    parallel, _, _ = _record(jobs=4)
+    program = parity.Program("pbzip", 2)
+    parallel = parity.observe(program, jobs=4)
     # Worker counters ride home on unit results, so the execution groups
-    # are identical — losing them (the old behaviour) would zero these.
-    assert serial.metrics.snapshot()["exec"] == parallel.metrics.snapshot()["exec"]
+    # are the jobs=1 oracle's — losing them (the old behaviour) would
+    # zero these.
+    parity.assert_parity(parallel)
+    serial = parity.oracle(program).result
     assert serial.metrics.get("exec", "epochs") > 0
     assert serial.metrics.get("exec", "epoch_cycles") > 0
     # and the parallel run additionally reports its wire traffic
-    assert parallel.metrics.get("wire", "bytes_shipped") > 0
-    assert parallel.metrics.get("host", "jobs") == 4
+    assert parallel.result.metrics.get("wire", "bytes_shipped") > 0
+    assert parallel.result.metrics.get("host", "jobs") == 4
 
 
 def test_replay_metrics_round_trip():

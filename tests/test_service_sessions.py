@@ -3,9 +3,10 @@
 Covers the service's four contracts:
 
 1. **Determinism** — every session's recording is bit-identical to the
-   same workload recorded solo at ``jobs=1``, no matter how many
-   tenants interleave over the shared pool (the golden-pinned slice
-   lives in ``test_integration_matrix.py``).
+   same workload recorded solo at ``jobs=1`` (its cached oracle in
+   ``tests/parity.py``), no matter how many tenants interleave over the
+   shared pool (the golden-pinned slice lives in
+   ``test_integration_matrix.py``).
 2. **Isolation** — faults injected into one tenant exercise only that
    session's containment; other tenants' counters stay zero and their
    recordings stay identical. A pool-breaking crash costs neighbours
@@ -24,36 +25,23 @@ concurrent ``shared_pool()`` / ``invalidate_shared_pool()`` callers
 must never tear the same pool down twice or leak an orphan.
 """
 
-import json
 import os
 import threading
 
 import pytest
 
-from repro.baselines import run_native
-from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.host import executor as host_executor
 from repro.host import pool as host_pool
-from repro.machine.config import MachineConfig
 from repro.service import RecordService, ServiceConfig, SessionRequest
-from repro.workloads import build_workload
+from tests import parity
+from tests.parity import Program
 
 
-def _canonical(plain: dict) -> str:
-    return json.dumps(plain, sort_keys=True)
-
-
-def _solo_plain(name: str, workers: int, scale: int, seed: int) -> dict:
-    instance = build_workload(name, workers=workers, scale=scale, seed=seed)
-    machine = MachineConfig(cores=workers)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine,
-        epoch_cycles=max(native.duration // 12, 500),
-        host_jobs=1,
-    )
-    result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-    return result.recording.to_plain()
+def _assert_solo(program, results, fault=None):
+    """Every session of ``results`` recorded ``program`` as its solo
+    ``jobs=1`` oracle did (and a ``fault`` injected into it fired)."""
+    for result in results:
+        parity.assert_parity(parity.served(program, result, fault))
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +59,7 @@ def test_concurrent_sessions_bit_identical_to_solo():
     report = service.run(requests)
     assert report.ok, [r.error for r in report.results]
     for result, (name, workers, scale, seed) in zip(report.results, combos):
-        assert _canonical(result.recording_plain) == _canonical(
-            _solo_plain(name, workers, scale, seed)
-        ), f"{name}: service recording drifted from solo jobs=1"
+        _assert_solo(Program(name, workers, scale=scale, seed=seed), [result])
         assert result.epochs >= 1
         assert result.metrics["service"]["units"] >= 1
 
@@ -86,10 +72,7 @@ def test_identical_tenants_identical_recordings():
     ]
     report = service.run(requests)
     assert report.ok, [r.error for r in report.results]
-    canon = _canonical(report.results[0].recording_plain)
-    assert all(
-        _canonical(r.recording_plain) == canon for r in report.results[1:]
-    )
+    _assert_solo(Program("fft", 2, scale=1, seed=5), report.results)
 
 
 def test_replay_sessions_verify_recorded_sessions():
@@ -147,16 +130,14 @@ def test_fault_scoped_to_one_tenant_leaves_others_untouched():
     )
     assert report.ok, [r.error for r in report.results]
     by_sid = {r.sid: r for r in report.results}
-    faulty = by_sid["faulty"].metrics["faults"]
-    assert faulty["task_errors"] >= 1, "injected fault never fired"
+    program = Program("fft", 2, scale=1, seed=1)
+    _assert_solo(program, [by_sid["faulty"]], fault="error:unit1")
     for sid in ("clean0", "clean1"):
         counters = by_sid[sid].metrics["faults"]
         assert not any(counters.values()), (
             f"{sid} saw fault counters {counters} from another tenant"
         )
-    canon = _canonical(by_sid["clean0"].recording_plain)
-    for result in report.results:
-        assert _canonical(result.recording_plain) == canon
+    _assert_solo(program, [by_sid["clean0"], by_sid["clean1"]])
 
 
 def test_pool_breaking_crash_in_one_tenant_is_survivable_by_all():
@@ -175,15 +156,13 @@ def test_pool_breaking_crash_in_one_tenant_is_survivable_by_all():
         )
         assert report.ok, [r.error for r in report.results]
         by_sid = {r.sid: r for r in report.results}
-        crasher = by_sid["crasher"].metrics["faults"]
+        program = Program("fft", 2, scale=1, seed=4)
         # crash + retry-crash + serial fallback is the worst case; at
         # minimum the injected crash fired and containment absorbed it.
-        assert crasher["crashes"] >= 1
-        assert crasher["serial_fallbacks"] >= 1
-        # Recordings are identical regardless of which tenant crashed.
-        canon = _canonical(by_sid["clean0"].recording_plain)
-        for result in report.results:
-            assert _canonical(result.recording_plain) == canon
+        _assert_solo(program, [by_sid["crasher"]], fault="crash:unit1")
+        assert by_sid["crasher"].metrics["faults"]["serial_fallbacks"] >= 1
+        # Recordings are the solo one regardless of which tenant crashed.
+        _assert_solo(program, [by_sid["clean0"], by_sid["clean1"]])
         # Neighbours have nothing attributed: a unit of theirs in a window
         # of the pool that crashed is collateral, dispatched again
         # uncounted, and what they had queued moves to the rebuilt pool —
@@ -223,8 +202,7 @@ def test_fleet_holds_at_burst_size(monkeypatch):
          for i in range(50)]
     )
     assert report.ok, [r.error for r in report.results if not r.ok]
-    solo = _canonical(_solo_plain("fft", 2, 1, 7))
-    assert all(_canonical(r.recording_plain) == solo for r in report.results)
+    _assert_solo(Program("fft", 2, scale=1, seed=7), report.results)
     assert min(r.epochs for r in report.results) > 2
     assert len(in_pipes) >= sum(r.epochs for r in report.results)
     assert max(in_pipes) <= 2 * host_pool._WINDOW
@@ -345,8 +323,7 @@ def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
          for i in range(12)]
     )
     assert report.ok, [r.error for r in report.results]
-    solo = _canonical(_solo_plain("fft", 2, 1, 9))
-    assert all(_canonical(r.recording_plain) == solo for r in report.results)
+    _assert_solo(Program("fft", 2, scale=1, seed=9), report.results)
     assert not any(
         count for r in report.results for count in r.metrics["faults"].values()
     )

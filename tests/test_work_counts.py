@@ -39,7 +39,7 @@ from repro.obs.lifecycle import Lives
 from repro.obs.metrics import process_stats
 from repro.record.log_index import SegmentLogs
 from repro.workloads import build_workload
-from tests.test_core_early_cut import _racy_io
+from tests import parity
 
 JOBS = 2
 
@@ -113,9 +113,10 @@ def test_each_log_record_is_indexed_once_per_segment(
         result = _record(server, **overrides)
         assert result.stats["recoveries"] == 0 and result.stats["epochs"] >= 8
     else:
-        image, setup, config = _racy_io()
+        built = parity.build(parity.RACY_IO)
         result = DoublePlayRecorder(
-            image, setup, config.replace(host_jobs=JOBS, **overrides)
+            built.instance.image, built.instance.setup,
+            built.config.replace(host_jobs=JOBS, **overrides),
         ).record()
         assert result.stats["recoveries"] > 10
     recording = result.recording
