@@ -18,7 +18,10 @@ Record proceeds in *segments*. Within a segment:
    one merge (``SpeculativeSession.harvest``) commits each epoch as its
    result arrives; what the merge lacks — a result lost to a host
    fault, or invalidated by what was logged after its cut — it cuts
-   again, with the same ``_cut_unit``.
+   again, with the same ``_cut_unit``. A verdict the schedule (step 3)
+   judges at the boundary that first cuts it is the exception at any
+   ``jobs``: it runs here, through ``_run_inline``, and no unit is cut
+   or pushed for it — the coordinator would block on it at once.
 3. On divergence, forward recovery (``repro.core.recovery``) re-executes
    the epoch live, commits its result, discards the abandoned
    thread-parallel future, and a new segment starts from the recovered
@@ -43,7 +46,7 @@ import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import options
 from repro.checkpoint.checkpoint import Checkpoint
@@ -155,6 +158,17 @@ class VerdictSchedule:
         self.cuts[position] = marks
         return True
 
+    def here(self, position: int, marks) -> bool:
+        """Take the cut of ``position``, judged now: is its verdict
+        computed where it is awaited, on the coordinator, with no unit?
+
+        Always without a pool. Pooled, exactly when this boundary first
+        cuts it: a unit pushed now would be awaited at once, so the
+        coordinator would block for its whole execution anyway. Only a
+        unit cut at an earlier boundary is awaited from the pool.
+        """
+        return self.take(position, marks) or not self.pooled
+
     def judge(self, boundary: int, position: int, final: bool, ok: bool) -> str:
         """Apply ``position``'s verdict, judged at ``boundary``: returns
         ``"consume"``, ``"squash"`` (the segment ends at ``position``),
@@ -191,6 +205,9 @@ class _Segment:
     hint_marks: List[int] = field(default_factory=lambda: [0])
     #: position -> verdict the schedule ran inline (no session)
     inline: Dict[int, EpochRunResult] = field(default_factory=dict)
+    #: positions whose start checkpoint's pages are all in the
+    #: session's blob set (see ``_record_unit``)
+    interned: Set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -235,8 +252,10 @@ class DoublePlayRecorder:
     ) -> EpochRunResult:
         """Run one position's epoch here, on the coordinator.
 
-        With ``cuts`` it is the unit as cut at push time — the run a
-        worker would make of the speculative dispatch. Without, the
+        With ``cuts`` it is the unit as cut — the verdict schedule's run
+        of a verdict it awaits here (every one at ``jobs=1``, one judged
+        at the boundary that first cuts it at any ``jobs``), exactly the
+        run a worker would make of that unit. Without, the
         full-knowledge run: the executor gets the hint *suffix* from its
         epoch's start to the segment end, because grants decided near
         the epoch boundary retire in later epochs, and cutting the hints
@@ -272,13 +291,14 @@ class DoublePlayRecorder:
         for, validated and yielded one position at a time, so the caller
         commits an epoch while the units behind it still execute, and
         only a position with no usable result is cut again — now, with
-        full knowledge — and run. Without one (``jobs=1``) every
-        position runs here, lazily, except a verdict the schedule
-        already ran that may stand in. The caller closes the stream at
-        the first failure, so an early divergence runs (and awaits)
-        nothing past it; both produce identical result streams, because
-        epoch execution is a deterministic function of the checkpoints
-        and logs.
+        full knowledge — and run; a verdict the schedule ran here stands
+        in for a unit (``SpeculativeSession.settle``). Without one
+        (``jobs=1``) every position runs here, lazily, except a verdict
+        the schedule already ran that may stand in. The caller closes
+        the stream at the first failure, so an early divergence runs
+        (and awaits) nothing past it; both produce identical result
+        streams, because epoch execution is a deterministic function of
+        the checkpoints and logs.
         """
         positions = len(segment.checkpoints) - 1
         valid = functools.partial(self._speculation_valid, segment)
@@ -358,7 +378,12 @@ class DoublePlayRecorder:
             self._logs,
             self.config.use_sync_hints,
             segment.session.blobs,
+            segment.interned,
         )
+
+    def _marks(self, segment: _Segment) -> tuple:
+        """What a cut made now may read: the hints and logs so far."""
+        return len(segment.hints), len(self._syscall_log), len(self._signal_log)
 
     def _push_unit(self, segment: _Segment, position: int) -> None:
         """Cut ``position`` and push its unit, if the schedule cuts it now.
@@ -366,19 +391,29 @@ class DoublePlayRecorder:
         Without a session (``jobs=1``) there is no unit to build: the
         marks alone say what an inline verdict may read.
         """
-        marks = (len(segment.hints), len(self._syscall_log), len(self._signal_log))
-        if segment.schedule.take(position, marks) and segment.session is not None:
+        taken = segment.schedule.take(position, self._marks(segment))
+        if taken and segment.session is not None:
             segment.session.push(self._cut_unit(segment, position))
 
     def _consume_verdict(self, segment: _Segment, position: int) -> EpochRunResult:
-        """The verdict of ``position``'s unit as cut: the result from the
-        pool (blocking if it is not in yet) or, without a session, run
-        here — the same pure function either way."""
-        if segment.session is not None:
+        """The verdict of ``position``'s unit as cut — the same pure
+        function wherever it runs. One rule (``VerdictSchedule.here``):
+        a unit pushed at an earlier boundary is awaited from the pool
+        (blocking if it is not in yet); any other verdict — every one at
+        ``jobs=1``, and one judged at the boundary that first cuts it —
+        runs here, and no unit is cut or pushed for it. The merge takes
+        it as it takes a pool's (``SpeculativeSession.settle``).
+        """
+        schedule = segment.schedule
+        if not schedule.here(position, self._marks(segment)):
             return segment.session.wait(position)
-        result = segment.inline[position] = self._run_inline(
-            segment, position, self._syscall_log, segment.schedule.cuts[position]
+        result = self._run_inline(
+            segment, position, self._syscall_log, schedule.cuts[position]
         )
+        if segment.session is None:
+            segment.inline[position] = result
+        else:
+            segment.session.settle(position, result)
         return result
 
     def _run_thread_parallel(self, engine, policy, segment: _Segment):
@@ -402,7 +437,6 @@ class DoublePlayRecorder:
                 boundary = len(segment.checkpoints) - 1
                 judged, cut = schedule.due(boundary)
                 if judged is not None:
-                    self._push_unit(segment, judged)
                     result = self._consume_verdict(segment, judged)
                     final = not result.starved and self._speculation_valid(
                         segment, judged, result

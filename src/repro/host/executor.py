@@ -8,8 +8,10 @@ again.* :class:`SpeculativeSession` is that contract. ``push`` is the
 only way a unit reaches the pool (through :meth:`HostExecutor._dispatch`,
 the only place one enters: ``shared_pool(jobs).submit``, on the calling
 thread's lane — a service tenant is a thread, so nothing else is needed
-to share the workers), ``wait`` serves the recorder's verdict
-schedule, and ``harvest`` is the only loop that walks positions and
+to share the workers), ``wait`` and ``settle`` serve the recorder's
+verdict schedule — a verdict awaited from the pool, or one the
+coordinator ran itself, for a position with no unit — and
+``harvest`` is the only loop that walks positions and
 awaits unit futures: the recorder commits each epoch as it arrives and
 closes the session at the first divergence — everything behind it
 belongs to an abandoned thread-parallel future and is cancelled, never
@@ -74,7 +76,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.errors import (
     CollateralLossError,
@@ -106,7 +108,9 @@ class _Batch:
     #: every blob any unit references, keyed by digest
     blobs: Dict[int, bytes]
     fault_specs: Tuple = ()
-    units: List[object] = field(default_factory=list)
+    #: position -> its unit; a position whose verdict the coordinator
+    #: computed itself has none
+    units: Dict[int, object] = field(default_factory=dict)
     #: position -> its pushed attempt's future, until the merge (or the
     #: verdict schedule) resolves it
     futures: Dict[int, Future] = field(default_factory=dict)
@@ -114,15 +118,12 @@ class _Batch:
     def _add_unit(self, unit) -> int:
         """Stamp the unit's fault specs and slot it at its position (returned).
 
-        Units arrive in position order, so a new position is the next
-        slot; a position added again (the merge cutting it a second
-        time) replaces the unit.
+        A position added again (the merge cutting it a second time)
+        replaces the unit.
         """
         unit.faults = fault_injection.faults_for(
             self.fault_specs, self.kind, unit.position
         )
-        if unit.position == len(self.units):
-            self.units.append(unit)
         self.units[unit.position] = unit
         return unit.position
 
@@ -367,9 +368,10 @@ class SpeculativeSession:
     committing earlier ones; a replay pushes every unit of its
     recording. A broken pool or a failed submission costs nothing but
     the attempt. :meth:`wait` blocks for one unit's verdict (the
-    recorder's verdict schedule, armed once a run has diverged);
-    :meth:`harvest` is the merge, a single in-order stream over
-    everything the session holds.
+    recorder's verdict schedule, armed once a run has diverged), and
+    :meth:`settle` takes a verdict the coordinator ran itself for a
+    position with no unit; :meth:`harvest` is the merge, a single
+    in-order stream over everything the session holds.
 
     A pushed attempt that crashes, hangs or raises is never retried on
     its own account and never counts as a fault: the merge cuts the
@@ -379,10 +381,12 @@ class SpeculativeSession:
     itself. A result's counters and execution join the run at the
     consume or the merge (``HostExecutor._consume``) — a never-consumed
     result leaves no trace in the run metrics, which is what keeps
-    ``jobs=1`` and ``jobs=N`` metrics identical. Each position's fate is
-    written once, by whoever learns it first: ``lost`` where the pushed
-    attempt yields nothing, ``invalidated`` / ``accepted`` at the merge,
-    ``discarded`` at :meth:`close` for whatever the merge never reached.
+    ``jobs=1`` and ``jobs=N`` metrics identical. Each push opens its
+    position's fate, written once, by whoever learns it first: ``lost``
+    where the pushed attempt yields nothing, ``invalidated`` /
+    ``accepted`` at the merge, ``discarded`` at :meth:`close` for
+    whatever the merge never reached; a settled position keeps the
+    ``inline`` of the run that made its verdict.
     """
 
     def __init__(self, executor: HostExecutor, kind: str, program, machine):
@@ -400,13 +404,21 @@ class SpeculativeSession:
     def push(self, unit) -> None:
         """Take one cut unit; non-blocking, and no host failure raises.
 
-        Units arrive in position order from 0, so a unit's index in the
-        session's batch *is* its position. A position pushed again (the
-        verdict schedule cutting anew one whose early verdict was not
-        final) replaces its unit and forgets its result.
+        A position pushed again (the verdict schedule cutting anew one
+        whose early verdict was not final) replaces its unit and forgets
+        its result.
         """
         self._outcomes.pop(unit.position, None)
         self.executor._push(self._batch, self._batch._add_unit(unit))
+
+    def settle(self, position: int, value) -> None:
+        """A verdict the coordinator computed itself, consumed there: the
+        position has no unit (the verdict schedule judged it at the
+        boundary that first cut it). The merge takes the value as it
+        takes one :meth:`wait` consumed; if it is invalid, the position
+        is cut and run through the contained path like any other.
+        """
+        self._outcomes[position] = (value, None)
 
     def _resolve(self, position: int) -> tuple:
         """Resolve one unit's future, exactly once.
@@ -490,5 +502,5 @@ class SpeculativeSession:
         for future in self._batch.futures.values():
             future.cancel()
         self._batch.futures.clear()
-        for position in range(len(self._batch.units)):
+        for position in self._batch.units:
             self.executor.lives.fate(position, "discarded")

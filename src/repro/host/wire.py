@@ -209,6 +209,7 @@ def _record_unit(
     logs: SegmentLogs,
     use_sync_hints: bool,
     blobs: Dict[int, bytes],
+    interned: Set[int],
 ) -> RecordEpochUnit:
     """The record unit of the epoch ``start`` → ``boundary``, cut now.
 
@@ -222,16 +223,18 @@ def _record_unit(
     after the cut could have been consulted (see ``DoublePlayRecorder``)
     — trivially so once the thread-parallel run has finished. The
     boundary ships as a delta and only the pages that delta names are
-    interned: ``blobs`` is one segment's set, filled in position order,
-    so every other page of either checkpoint came in with an earlier
-    position — or, at position 0, with the one full walk of the start
-    table. A position cut twice interns nothing twice.
+    interned: ``blobs`` is one segment's set and ``interned`` the
+    positions whose start checkpoint's pages it holds in full, so a
+    unit whose start is among them interns only its delta, and any other
+    (position 0, or a position whose predecessor has no unit) walks its
+    start table once. A position cut twice interns nothing twice.
     """
     delta = boundary.wire_delta(start)
-    if position == 0:
+    if position not in interned:
         _intern_pages(start.memory.pages.values(), blobs)
     pages = boundary.memory.pages
     _intern_pages((pages[no] for no in delta.page_changes), blobs)
+    interned.update((position, position + 1))
     chunks = logs.syscall_chunks(
         start, lambda records: _intern_chunk(records, blobs)
     )

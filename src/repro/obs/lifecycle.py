@@ -101,11 +101,13 @@ class EpochLife:
     #: the thread-parallel run's slice that produced it (record only)
     tp: Optional[Interval] = None
     attempts: List[Attempt] = field(default_factory=list)
-    #: what became of the unit handed to the pool — ``accepted``,
+    #: what became of the unit last pushed to the pool — ``accepted``,
     #: ``invalidated`` (by what was logged after its cut), ``lost`` (to
     #: a host fault), ``discarded`` (never reached by the merge) — or
-    #: ``inline`` at ``jobs=1``; None when the epoch-parallel side never
-    #: ran it (a squashed future)
+    #: ``inline`` when the coordinator ran it instead (every position at
+    #: ``jobs=1``; at any ``jobs``, a verdict judged at the boundary that
+    #: first cut it); None when the epoch-parallel side never ran it (a
+    #: squashed future)
     fate: Optional[str] = None
     commit: Optional[Interval] = None
     #: why its result was rejected, and the log pruning that followed
@@ -145,10 +147,14 @@ class Lives:
         self, position: int, kind: str, pushed: bool, start: float, end: float,
         blobs: int, size: int, found: int = 0, found_size: int = 0,
     ) -> None:
-        attempts = self[position].attempts
-        if not pushed and attempts and attempts[-1].failure is not None:
+        life = self[position]
+        if pushed:
+            # A pushed unit's fate is its own, whatever an earlier
+            # verdict of the position (an inline one) settled.
+            life.fate = None
+        elif life.attempts and life.attempts[-1].failure is not None:
             obs_events.emit("fault-retry", position=position)
-        attempts.append(
+        life.attempts.append(
             Attempt(kind, pushed, (start, end), blobs, size, found, found_size)
         )
 
@@ -183,7 +189,7 @@ class Lives:
         )
 
     def fate(self, position: int, fate: str) -> None:
-        """The first verdict on a pushed unit stands."""
+        """The first verdict on a pushed unit (or an inline run) stands."""
         life = self[position]
         life.fate = life.fate or fate
 

@@ -32,6 +32,7 @@ from repro.host import executor as host_executor
 from repro.host.faults import FaultSpec
 from repro.host.pool import shutdown_shared_pool
 from repro.host.wire import BlobRef
+from repro.obs import spans as obs_spans
 from repro.oskernel.kernel import Kernel
 from repro.record.pack import PACK_NAME, BlobStore
 from repro.record.log_index import SegmentLogs
@@ -165,27 +166,56 @@ def test_a_starved_failing_verdict_does_not_cut(monkeypatch):
 def test_a_lost_verdict_is_reobtained_at_its_boundary(
     monkeypatch, fault, timeout, counter
 ):
-    """The verdict unit of epoch 1 — an armed segment's position 0 — is lost.
+    """A consumed verdict that comes from the pool is lost.
 
-    Every dispatch of it faults, so the speculative attempt and both
+    ``parity.HELD_LOCK``: a segment whose position 0's early verdict
+    (run on the coordinator at boundary 1) was not final cuts position 0
+    again at boundary 2, pushes it and consumes its verdict at boundary
+    3. Every dispatch of that unit faults, so the pushed attempt and both
     contained pool attempts fail and the serial fallback produces the
     verdict — at the same consumption boundary, with the same cut.
     """
-    program = Program("racy-counter", 2, scale=8)
-    parity.oracle(program)
+    reference = parity.oracle(parity.HELD_LOCK)
+    firsts = _first_epochs(reference.result.recording)
+    (segment, *_) = [
+        row[0] for row in reference.fields["judged"]
+        if row[1:3] == (3, 0) and row[-1] == "disarm"
+    ]
     add_unit = host_executor._Batch._add_unit
+    faulted_at = []
 
     def faulting(self, unit):
+        # The pushed unit only: the merge's full-knowledge re-cut of the
+        # same position (its verdict was not final) runs clean.
         index = add_unit(self, unit)
-        # Epoch 1 at position 0 is the second segment's first unit (the
-        # first segment numbers epoch 1 as its position 1).
-        if (unit.epoch_index, unit.position) == (1, 0):
+        if (unit.epoch_index, unit.position) == (firsts[segment], 0) and not faulted_at:
             unit.faults = (fault,)
+            faulted_at.append(unit.epoch_index)
         return index
 
+    # Which contained runs the verdict schedule's consume asked for.
+    waiting, contained = [], []
+    wait = host_executor.SpeculativeSession.wait
+    run_contained = host_executor.HostExecutor._run_contained
+
+    def waited(self, position):
+        waiting.append(position)
+        try:
+            return wait(self, position)
+        finally:
+            waiting.pop()
+
+    def counted(self, batch, position):
+        contained.append(bool(waiting))
+        return run_contained(self, batch, position)
+
     monkeypatch.setattr(host_executor._Batch, "_add_unit", faulting)
-    faulted = parity.observe(program, jobs=2, unit_timeout=timeout)
+    monkeypatch.setattr(host_executor.SpeculativeSession, "wait", waited)
+    monkeypatch.setattr(host_executor.HostExecutor, "_run_contained", counted)
+    faulted = parity.observe(parity.HELD_LOCK, jobs=2, unit_timeout=timeout)
     parity.assert_parity(faulted)
+    assert faulted_at, "the re-cut position 0 was never pushed"
+    assert True in contained, "the lost verdict was not re-obtained at its boundary"
     counts = faulted.host["faults"]
     # Both contained pool attempts died, then the serial fallback ran it.
     assert counts[counter] >= 2 and counts["serial_fallbacks"] >= 1
@@ -206,6 +236,45 @@ def test_attempt_waste_counts_every_failed_attempt():
     assert reference.result.stats["attempt_waste"] > 0
     for jobs in (2, 3):
         parity.assert_parity(parity.observe(program, jobs=jobs))
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_restarted_segment_judges_position_0_on_the_coordinator(workers, jobs):
+    """A restarted segment's first verdict is judged at boundary 1, the
+    boundary that first cuts it, so it runs where it is awaited: no unit
+    is cut or pushed for it. Read off the epoch lives of a traced run
+    (lags 3 and 5): every restarted segment's position 0 first ran on
+    the coordinator, and one that diverged there made no dispatch at
+    all, its fate ``inline``. Everything else is the ``jobs=1`` oracle.
+    """
+    program = Program("racy-counter", workers, scale=8)
+    parity.oracle(program)
+    tracer = obs_spans.start_trace()
+    try:
+        got = parity.observe(program, jobs=jobs)
+    finally:
+        obs_spans.stop_trace()
+    parity.assert_parity(got)
+    (lives,) = tracer.runs
+    segments = []
+    for life in lives.all:
+        if life.position == 0:
+            segments.append([])
+        segments[-1].append(life)
+    diverged_at_once = 0
+    for segment in segments[1:]:
+        early = segment[0].attempts[0]
+        assert early.dispatch is None and early.timing.worker_pid == os.getpid()
+        if segment[0].recovery:
+            diverged_at_once += 1
+            assert segment[0].fate == "inline"
+            assert not any(a.dispatch for life in segment for a in life.attempts)
+    assert diverged_at_once > 1
+    spec = got.host["speculation"]
+    assert spec["dispatched"] == (
+        spec["accepted"] + spec["invalidated"] + spec["discarded"]
+    )
 
 
 def test_speculation_accounting_counts_the_verdicts_it_used():
@@ -441,12 +510,19 @@ def recovery_watch(monkeypatch):
     of its live state (``restore`` re-seeds the copy-on-write frozen
     forms), and no log chunk of a segment may hold a record below the
     floors of the checkpoint the segment started at (its first chunk
-    starts above the committed history).
+    starts above the committed history). Counts the restored snapshots,
+    the chunks above a committed history, the restarted segments that
+    made them and the restarted segments that cut a unit (one whose only
+    verdict ran on the coordinator cuts none, so chunks nothing).
     """
-    seen = {"restored_snapshots": 0, "chunks_above_history": 0}
-    restored = set()
+    seen = {
+        "restored_snapshots": 0, "chunks_above_history": 0,
+        "segments_above_history": 0, "restarted_segments_cut": 0,
+    }
+    restored, chunked, cut = set(), set(), set()
     restore, snapshot = Kernel.restore, Kernel.snapshot
     init, chunks = SegmentLogs.__init__, SegmentLogs.syscall_chunks
+    cut_unit = DoublePlayRecorder._cut_unit
 
     def restoring(self, state):
         restore(self, state)
@@ -467,15 +543,25 @@ def recovery_watch(monkeypatch):
     def chunking(self, start, make):
         def checked(records):
             assert all(r.seq >= self.history.get(r.tid, 0) for r in records)
-            seen["chunks_above_history"] += any(self.history.values())
+            if any(self.history.values()):
+                seen["chunks_above_history"] += 1
+                chunked.add(self)
+                seen["segments_above_history"] = len(chunked)
             return make(records)
 
         return chunks(self, start, checked)
+
+    def cutting(self, segment, position):
+        if any(self._logs.history.values()):
+            cut.add(self._logs)
+            seen["restarted_segments_cut"] = len(cut)
+        return cut_unit(self, segment, position)
 
     monkeypatch.setattr(Kernel, "restore", restoring)
     monkeypatch.setattr(Kernel, "snapshot", snapshotting)
     monkeypatch.setattr(SegmentLogs, "__init__", starting)
     monkeypatch.setattr(SegmentLogs, "syscall_chunks", chunking)
+    monkeypatch.setattr(DoublePlayRecorder, "_cut_unit", cutting)
     return seen
 
 
@@ -529,7 +615,11 @@ def test_recovery_with_io_is_the_serial_one_whatever_the_scratch_pack_holds(
     else:
         assert got.host["wire"]["bytes_shipped"] > 0
     assert recovery_watch["restored_snapshots"] > restored_at_jobs_1 + 10
-    assert recovery_watch["chunks_above_history"] > 10
+    # Every restarted segment that cut a unit chunked its log above the
+    # committed history; the others judged position 0 on the coordinator.
+    assert recovery_watch["segments_above_history"] == (
+        recovery_watch["restarted_segments_cut"]
+    ) >= 2
 
 
 def test_recovery_with_io_through_a_fleet_is_the_serial_one(
@@ -551,4 +641,6 @@ def test_recovery_with_io_through_a_fleet_is_the_serial_one(
     for result in report.results:
         parity.assert_parity(parity.served(parity.RACY_IO, result))
         assert not any(result.metrics["faults"].values())
-    assert recovery_watch["chunks_above_history"] > 20
+    assert recovery_watch["segments_above_history"] == (
+        recovery_watch["restarted_segments_cut"]
+    ) >= 4

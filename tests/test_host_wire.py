@@ -371,20 +371,20 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
 
 def _cut_every_position(recording):
     """A finished recording's epochs, each cut as a record unit by the one
-    builder: ``(checkpoints, units, logs, blobs)``."""
+    builder: ``(checkpoints, units, logs, blobs, interned)``."""
     checkpoints = [epoch.start_checkpoint for epoch in recording.epochs]
     logs = SegmentLogs(
         recording.syscall_records, recording.signal_records, checkpoints[0]
     )
-    blobs = {}
+    blobs, interned = {}, set()
     units = [
         _record_unit(
             position, position, checkpoints[position], checkpoints[position + 1],
-            (), logs, True, blobs,
+            (), logs, True, blobs, interned,
         )
         for position in range(len(checkpoints) - 1)
     ]
-    return checkpoints, units, logs, blobs
+    return checkpoints, units, logs, blobs, interned
 
 
 def test_record_units_share_pages_by_content():
@@ -397,7 +397,7 @@ def test_record_units_share_pages_by_content():
     fast path, and the wire carries only the epoch's dirty pages.
     """
     _, _, result = _record()
-    checkpoints, units, _, blobs = _cut_every_position(result.recording)
+    checkpoints, units, _, blobs, _ = _cut_every_position(result.recording)
     checked = 0
     for unit in units:
         start_cp = checkpoints[unit.position]
@@ -442,7 +442,7 @@ def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch
     (say, a tuple carrying the cut's ordinal).
     """
     instance, machine, result = _record("apache", scale=24)
-    checkpoints, units, logs, blobs = _cut_every_position(result.recording)
+    checkpoints, units, logs, blobs, interned = _cut_every_position(result.recording)
     assert len(units) >= 8 and all(unit.syscalls for unit in units)
     held = dict(blobs)
     stats = process_stats()
@@ -461,7 +461,7 @@ def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch
         for position in (0, len(units) // 2, len(units) - 1):
             again = _record_unit(
                 position, position, checkpoints[position],
-                checkpoints[position + 1], (), logs, True, blobs,
+                checkpoints[position + 1], (), logs, True, blobs, interned,
             )
             assert again == units[position] and again is not units[position]
             assert batch._add_unit(again) == position

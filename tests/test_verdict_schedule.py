@@ -6,8 +6,10 @@ does. It holds no engine, pool or sink, so every case can be driven
 here the way ``DoublePlayRecorder`` drives it: for lags 2–5, pooled and
 not, armed and not, a thread-parallel run that ends at every boundary
 1–6, and every sequence of judged outcomes (final pass, final fail, not
-final and passing, not final and failing). The real runs that follow
-the same table are in ``tests/test_core_early_cut.py``.
+final and passing, not final and failing) — including where each
+judged verdict runs (``here``: on the coordinator, or awaited from the
+pool). The real runs that follow the same table are in
+``tests/test_core_early_cut.py``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ def drive(lag, end, armed, pooled, outcomes):
     are the boundary it was cut at. Returns the schedule, the judgements
     ``(boundary, position, final, ok, consumed before, armed before,
     action)``, ``{position: [boundaries it was cut at]}``, the segment's
-    positions and the last boundary that cut mid-run.
+    positions, the last boundary that cut mid-run and, per judgement,
+    ``(first cut at its judging boundary, ran here)``.
     """
     schedule = VerdictSchedule(lag, armed, pooled)
-    judgements, cut_at = [], {}
+    judgements, cut_at, placed = [], {}, []
     positions, last_step = end, end - 1
 
     def take(position, boundary):
@@ -48,7 +51,10 @@ def drive(lag, end, armed, pooled, outcomes):
     for boundary in range(1, end):
         judged, cut = schedule.due(boundary)
         if judged is not None:
-            take(judged, boundary)
+            fresh = judged not in schedule.cuts
+            placed.append((fresh, schedule.here(judged, boundary)))
+            if fresh:
+                cut_at.setdefault(judged, []).append(boundary)
             assert schedule.cuts[judged] <= boundary, "judged before its cut"
             if len(judgements) == len(outcomes):
                 raise _NeedMore
@@ -64,7 +70,7 @@ def drive(lag, end, armed, pooled, outcomes):
     _, tail = schedule.due(positions, ended=True)
     for position in tail:
         take(position, positions)
-    return schedule, judgements, cut_at, positions, last_step
+    return schedule, judgements, cut_at, positions, last_step, placed
 
 
 def every_segment(lag, end, armed, pooled):
@@ -81,7 +87,10 @@ def every_segment(lag, end, armed, pooled):
 CASES = list(itertools.product((2, 3, 4, 5), range(1, 7), (False, True), (False, True)))
 
 
-def check(lag, end, armed, pooled, schedule, judgements, cut_at, positions, last_step):
+def check(
+    lag, end, armed, pooled, schedule, judgements, cut_at, positions, last_step,
+    placed,
+):
     """The schedule's rules, over one driven segment."""
     # Judged only while armed; every judgement at position 0's early
     # boundary 1 or at the position's usual boundary q + lag.
@@ -142,6 +151,14 @@ def check(lag, end, armed, pooled, schedule, judgements, cut_at, positions, last
     elif not armed:
         assert not cut_at
 
+    # Where a verdict runs: without a pool on the coordinator; pooled,
+    # there exactly when the boundary that judges it first cuts it — a
+    # unit pushed then would be awaited at once. Only a unit cut at an
+    # earlier boundary is awaited from the pool.
+    assert len(placed) == len(judgements)
+    for fresh, here in placed:
+        assert here == (fresh or not pooled)
+
 
 @pytest.mark.parametrize("lag,end,armed,pooled", CASES)
 def test_every_outcome_sequence_follows_the_table(lag, end, armed, pooled):
@@ -156,9 +173,38 @@ def test_the_table_on_one_restarted_segment():
     """Lag 3, pooled, armed, the run exits at boundary 6: position 0's
     early verdict is not final, its usual one passes, position 1 fails."""
     outcomes = ((False, False), (True, True), (True, False))
-    schedule, judgements, cut_at, positions, _ = drive(3, 6, True, True, outcomes)
+    schedule, judgements, cut_at, positions, _, placed = drive(
+        3, 6, True, True, outcomes
+    )
     assert [row[:2] + row[-1:] for row in judgements] == [
         (1, 0, "recut"), (3, 0, "consume"), (4, 1, "squash"),
     ]
     assert positions == 2 and schedule.squashed
     assert cut_at == {0: [1, 2], 1: [3]}
+    # Only the early verdict runs on the coordinator; the re-cut unit is
+    # pushed at boundary 2 and awaited at 3.
+    assert [here for _, here in placed] == [True, False, False]
+
+
+@pytest.mark.parametrize("lag", (2, 3, 4, 5))
+def test_a_verdict_runs_here_exactly_where_its_boundary_first_cuts_it(lag):
+    """Over every end, arming, pooling and outcome sequence, a verdict
+    judged at the boundary that first cuts it is exactly an armed
+    segment's position 0 at boundary 1 — so a re-cut position 0, judged
+    again at boundary ``lag``, is awaited from the pool. At lag 2 the
+    usual row coincides with it: boundary *q* + 2 both cuts position *q*
+    and judges it, so there every verdict is first cut where it is
+    judged, and runs on the coordinator.
+    """
+    pooled_here = set()
+    for end, armed, pooled in itertools.product(
+        range(1, 7), (False, True), (False, True)
+    ):
+        for _, driven in every_segment(lag, end, armed, pooled):
+            judgements, placed = driven[1], driven[-1]
+            for (boundary, position, *_), (fresh, here) in zip(judgements, placed):
+                assert fresh == (lag == 2 or (boundary, position) == (1, 0))
+                if pooled and here:
+                    pooled_here.add((boundary, position))
+    if lag > 2:
+        assert pooled_here == {(1, 0)}

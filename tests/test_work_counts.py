@@ -162,15 +162,24 @@ def test_the_merge_builds_only_the_positions_not_in_hand(
     "name,scale", [("fft", 8), ("apache", 60), ("racy-counter", 8)]
 )
 def test_a_fault_free_record_cuts_each_position_exactly_once(
-    contained_runs, name, scale
+    monkeypatch, contained_runs, name, scale
 ):
     """Units built == units pushed, nothing invalidated, no counted run —
     on a page-heavy program, a syscall-heavy one and one that recovers in
     most epochs (whose squashed futures' units are pushed and discarded,
-    never cut twice).
+    never cut twice, and whose restarted segments judge position 0 on
+    the coordinator, with no unit).
 
     Fails if ``harvest`` treats every pushed value as invalid.
     """
+    settled = []
+    settle = host_executor.SpeculativeSession.settle
+
+    def counted(self, position, value):
+        settled.append(position)
+        settle(self, position, value)
+
+    monkeypatch.setattr(host_executor.SpeculativeSession, "settle", counted)
     instance = build_workload(name, workers=2, scale=scale, seed=11)
     machine = MachineConfig(cores=2)
     native = run_native(instance.image, instance.setup, machine)
@@ -179,7 +188,8 @@ def test_a_fault_free_record_cuts_each_position_exactly_once(
     )
     result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     spec = result.host["speculation"]
-    assert _work(result, "units_built") == spec["dispatched"] >= result.stats["epochs"]
+    assert _work(result, "units_built") == spec["dispatched"]
+    assert spec["dispatched"] + len(settled) >= result.stats["epochs"]
     assert spec["invalidated"] == 0 and not contained_runs
     assert not any(result.host["faults"].values())
     if name == "racy-counter":
@@ -569,9 +579,12 @@ def test_the_merge_is_one_in_order_stream(program, jobs):
     pushed first, then epochs commit while the units behind the merge
     head still execute: every pushed attempt's dispatch starts before
     its segment's first commit does, and no epoch commits before the
-    execution it commits — its unit's, or its recovery — has finished.
-    pbzip never diverges (one segment, every push accepted);
-    racy-counter squashes, recovers and restarts most of its segments.
+    execution it commits — its unit's, its inline verdict's, or its
+    recovery — has finished. pbzip never diverges (one segment, every
+    push accepted); racy-counter squashes, recovers and restarts most of
+    its segments, and a restarted segment that pushed nothing is one
+    squashed at boundary 1 by position 0's verdict, run on the
+    coordinator.
     """
     instance = build_workload(program, workers=2, scale=16, seed=11)
     machine = MachineConfig(cores=2)
@@ -601,12 +614,18 @@ def test_the_merge_is_one_in_order_stream(program, jobs):
             attempt.dispatch[0]
             for life in segment for attempt in life.attempts if attempt.pushed
         ]
-        assert pushes and commits and max(pushes) < min(commits)
+        assert commits
+        if pushes:
+            assert max(pushes) < min(commits)
+        else:
+            assert [life.fate for life in segment] == ["inline"]
+            assert segment[0].position == 0 and segment[0].recovery
     for life in committed:
         timing = life.attempts[-1].timing
         finished = timing.started + timing.wall
         if life.recovery:
-            assert life.fate == "accepted" and finished <= life.divergence[0]
+            assert life.fate in ("accepted", "inline")
+            assert finished <= life.divergence[0]
             finished = life.recovery[1]
         assert finished <= life.commit[0], f"epoch {life.epoch} committed early"
     if program == "pbzip":
