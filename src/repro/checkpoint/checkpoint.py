@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ReplayError
 from repro.isa.context import ThreadContext, ThreadStatus
 from repro.memory.address_space import MemorySnapshot
+from repro.memory.blob import decode_blob, encode_object
 from repro.memory.hashing import combine_hashes, hash_structure
 from repro.memory.page import Page
 
@@ -168,6 +170,10 @@ class WireCheckpoint:
     the pickle boundary, so a worker never sees it, but the coordinator's
     serial fallback hydrates to the exact original object — zero decode,
     and trivially bit-identical to the ``jobs=1`` path.
+
+    A full-form skeleton is also the durable log's checkpoint record
+    (:meth:`to_blob` / :meth:`from_blob`), so a log and a unit name a
+    checkpoint identically.
     """
 
     index: int
@@ -199,6 +205,31 @@ class WireCheckpoint:
     @property
     def is_delta(self) -> bool:
         return self.page_table is None
+
+    def to_blob(self) -> bytes:
+        """The durable blob of a full-form skeleton: its six stored fields
+        as one object blob (the content caches are derived, so not stored)."""
+        return encode_object((
+            self.index, self.time, self.contexts,
+            self.sync_state, self.dirty_pages, self.page_table,
+        ))
+
+    @classmethod
+    def from_blob(cls, blob: bytes, digest: int) -> "WireCheckpoint":
+        """Checked inverse of :meth:`to_blob`.
+
+        The blob is outside input (a pack on disk): anything that is not
+        an object blob holding a 6-tuple with a dict page table raises
+        :class:`ReplayError` naming ``digest``, the blob's address.
+        """
+        try:
+            kind, fields = decode_blob(blob)
+            shaped = isinstance(fields, tuple) and len(fields) == 6
+            if kind == "object" and shaped and isinstance(fields[5], dict):
+                return cls(*fields)
+        except Exception:  # noqa: BLE001 - torn bytes unpickle to any error
+            pass
+        raise ReplayError(f"blob {digest:032x} is not a checkpoint skeleton")
 
     def blob_digests(self) -> Iterable[int]:
         """Every page digest a worker must resolve to hydrate this skeleton."""

@@ -177,6 +177,10 @@ class BlobStore:
     def has(self, digest: int) -> bool:
         return digest in self._index
 
+    def digests(self) -> List[int]:
+        """Every digest the pack holds, buffered included."""
+        return list(self._index)
+
     def entry_bytes(self, digest: int) -> int:
         """On-disk footprint of one blob (entry header + payload)."""
         entry = self._index.get(digest)

@@ -13,9 +13,9 @@ content-addressed blob digests. A recording on disk is::
                                digests, stats — the commit point
     <dir>/segments/seg-*.dpseg append-only blocks of shard frames
     <dir>/blobs/pack.dppack    content-addressed blob pack: checkpoint
-                               pages (PR 4's wire digests) + skeletons,
-                               one append-only file
-                               (:mod:`repro.record.pack`)
+                               pages (wire digests) + skeletons
+                               (``WireCheckpoint.to_blob``), one
+                               append-only file (:mod:`repro.record.pack`)
 
 Ordering: LSN vectors, not a global stream
 ------------------------------------------
@@ -51,6 +51,14 @@ answers for wire slicing too, so ``commit_epoch`` asks the index pair
 the recorder already keeps over its segment's logs
 (:meth:`~repro.record.log_index.SegmentLogs.epoch_records`) and builds
 none of its own.
+
+Flight window: the manifest is the only bookkeeping
+---------------------------------------------------
+With ``flight_window=K`` each manifest write keeps the last K sealed
+epochs, and what may be deleted is derived from that manifest, never
+counted: segments no kept entry's block sits in, and pack blobs no live
+checkpoint skeleton names. Both go only after the manifest that stopped
+naming them is renamed into place.
 """
 
 from __future__ import annotations
@@ -61,11 +69,10 @@ import pickle
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint.checkpoint import Checkpoint
+from repro.checkpoint.checkpoint import Checkpoint, WireCheckpoint
 from repro.errors import ReplayError
 from repro.record.log_index import SegmentLogs
-from repro.memory.address_space import MemorySnapshot
-from repro.memory.blob import blob_digest, decode_blob, encode_object
+from repro.memory.blob import blob_digest, decode_blob
 from repro.memory.page import Page
 from repro import options
 from repro.obs import events as obs_events
@@ -160,23 +167,14 @@ class ShardedLogWriter:
             raise ValueError("flight_window must be >= 1")
         self.flight_window = flight_window
         self.pack_compact_bytes = pack_compact_bytes
-        #: skeleton hex ref -> every pack digest the checkpoint pins
+        #: skeleton hex ref -> every pack digest the checkpoint names
+        #: (window mode only; pruned to the live refs after each manifest)
         self._ref_digests: Dict[str, Tuple[int, ...]] = {}
-        #: pack digest -> live manifest references (window mode only)
-        self._blob_refs: Dict[int, int] = {}
-        #: digests whose refcount fell to zero, awaiting compaction
-        self._dead_digests: set = set()
-        self._dead_pack_bytes = 0
-        #: (segment index, block index) -> live manifest epoch entries
-        self._block_refs: Dict[Tuple[int, int], int] = {}
-        #: segment index -> count of its blocks still referenced
-        self._live_blocks: Dict[int, int] = {}
         self.epochs_dropped = 0
         self.segments_deleted = 0
         self.bytes_reclaimed = 0
         self.pack_compactions = 0
         self.initial_ref = self._put_checkpoint(initial_checkpoint)
-        self._pin_checkpoint(self.initial_ref)
         self._write_manifest()
 
     # -- storage helpers ------------------------------------------------
@@ -186,11 +184,12 @@ class ShardedLogWriter:
     def _put_checkpoint(self, checkpoint: Checkpoint) -> str:
         """Persist a checkpoint (pages + skeleton) into the blob store.
 
-        Pages go in under PR 4's wire digests — identical content across
-        epochs is written once. The skeleton (contexts, sync state, page
-        digest table) is itself a content-addressed blob whose hex digest
-        the manifest records; kernel state is deliberately excluded,
-        exactly like the wire skeletons (replay never needs it).
+        Pages go in under their wire digests — identical content across
+        epochs is written once. The skeleton is the checkpoint's
+        :class:`WireCheckpoint` (contexts, sync state, page digest table;
+        no kernel state — replay never needs it) as
+        :meth:`~WireCheckpoint.to_blob`, itself a content-addressed blob
+        whose hex digest the manifest records.
         """
         memo = self._last_checkpoint_ref
         if memo is not None and memo[0] is checkpoint:
@@ -203,22 +202,16 @@ class ShardedLogWriter:
             if self.store.put(digest, blob):
                 stats.add("durable.blobs_written")
                 stats.add("durable.blob_bytes", len(blob))
-        skeleton = encode_object(
-            (
-                checkpoint.index,
-                checkpoint.time,
-                checkpoint.contexts,
-                checkpoint.sync_state,
-                checkpoint.dirty_pages,
-                page_table,
-            )
-        )
+        skeleton = WireCheckpoint(
+            checkpoint.index, checkpoint.time, checkpoint.contexts,
+            checkpoint.sync_state, checkpoint.dirty_pages, page_table,
+        ).to_blob()
         digest = blob_digest(skeleton)
         if self.store.put(digest, skeleton):
             stats.add("durable.blobs_written")
             stats.add("durable.blob_bytes", len(skeleton))
         ref = _hex(digest)
-        if self.flight_window is not None and ref not in self._ref_digests:
+        if self.flight_window is not None:
             self._ref_digests[ref] = (digest, *page_table.values())
         # Pin only the most recent checkpoint: each epoch's start is put
         # exactly once except the initial one (put again by epoch 0's
@@ -226,40 +219,6 @@ class ShardedLogWriter:
         # and pinning more would hold pages the spill mode wants freed.
         self._last_checkpoint_ref = (checkpoint, ref)
         return ref
-
-    # -- flight-window blob refcounts -----------------------------------
-    def _pin_checkpoint(self, ref: str) -> None:
-        """Count one live manifest reference on a checkpoint's blobs."""
-        if self.flight_window is None:
-            return
-        for digest in self._ref_digests.get(ref, ()):
-            count = self._blob_refs.get(digest, 0)
-            if count == 0 and digest in self._dead_digests:
-                # Resurrection: the digest cycled back into the window
-                # before a compaction reclaimed it.
-                self._dead_digests.discard(digest)
-                self._dead_pack_bytes -= self.store.entry_bytes(digest)
-            self._blob_refs[digest] = count + 1
-
-    def _unpin_checkpoint(self, ref: str) -> None:
-        """Drop one manifest reference; zero-ref blobs become dead bytes."""
-        if self.flight_window is None:
-            return
-        digests = self._ref_digests.get(ref, ())
-        skeleton_digest = digests[0] if digests else None
-        for digest in digests:
-            count = self._blob_refs.get(digest, 0) - 1
-            if count > 0:
-                self._blob_refs[digest] = count
-                continue
-            self._blob_refs.pop(digest, None)
-            self._dead_digests.add(digest)
-            self._dead_pack_bytes += self.store.entry_bytes(digest)
-        if (
-            skeleton_digest is not None
-            and skeleton_digest not in self._blob_refs
-        ):
-            del self._ref_digests[ref]
 
     def _segment_writer(self) -> SegmentWriter:
         if self._segment is not None and (
@@ -408,7 +367,6 @@ class ShardedLogWriter:
             writer.append(frame)
             shard_bytes += len(frame)
         checkpoint_ref = self._put_checkpoint(start_checkpoint)
-        self._pin_checkpoint(checkpoint_ref)
         self._pending.append(
             {
                 "index": epoch,
@@ -442,12 +400,6 @@ class ShardedLogWriter:
         for entry in self._pending:
             entry["block"] = [segment_index, block_index]
             self._sealed.append(entry)
-        if self.flight_window is not None:
-            block_key = (segment_index, block_index)
-            self._block_refs[block_key] = len(self._pending)
-            self._live_blocks[segment_index] = (
-                self._live_blocks.get(segment_index, 0) + 1
-            )
         sealed = len(self._pending)
         self._pending = []
         stats.add("durable.group_commits")
@@ -456,116 +408,89 @@ class ShardedLogWriter:
         if self.fsync:
             stats.add("durable.fsyncs", self._segment.fsyncs - fsyncs_before)
 
-    # -- flight-recorder window slide -----------------------------------
-    def _slide_window(self, stats) -> List[Tuple[int, str]]:
+    # -- flight-recorder window: the live set is the manifest's -----------
+    def _slide_window(self, stats) -> List[str]:
         """Drop pre-window epochs from the manifest; returns doomed segments.
 
         Bookkeeping only: manifest entries for the dropped epochs are
-        removed, their checkpoint blobs unpinned, and segments whose
-        every block just died are *marked* dropped (file set to null).
-        The actual unlink and any pack compaction happen strictly after
-        the slid manifest is durably renamed — the manifest must stop
-        naming bytes before the bytes disappear, or a crash between the
-        two leaves a manifest pointing at nothing.
+        removed, the window base moves to the oldest kept epoch's start,
+        and every sealed segment no kept entry's block sits in is
+        *marked* dropped (file set to null). The actual unlink and any
+        pack compaction happen strictly after the slid manifest is
+        durably renamed — the manifest must stop naming bytes before the
+        bytes disappear, or a crash between the two leaves a manifest
+        pointing at nothing.
         """
-        if (
-            self.flight_window is None
-            or len(self._sealed) <= self.flight_window
-        ):
+        if self.flight_window is None:
             return []
-        drop = self._sealed[: len(self._sealed) - self.flight_window]
-        self._sealed = self._sealed[len(drop) :]
-        # Pin the new window base before unpinning the dropped epochs so
-        # shared blobs never transiently hit refcount zero.
-        new_initial = self._sealed[0]["checkpoint"]
-        if new_initial != self.initial_ref:
-            self._pin_checkpoint(new_initial)
-            self._unpin_checkpoint(self.initial_ref)
-            self.initial_ref = new_initial
-        for entry in drop:
-            self._unpin_checkpoint(entry["checkpoint"])
-            block_key = tuple(entry["block"])
-            count = self._block_refs[block_key] - 1
-            if count:
-                self._block_refs[block_key] = count
-            else:
-                del self._block_refs[block_key]
-                self._live_blocks[block_key[0]] -= 1
-        self.epochs_dropped += len(drop)
-        stats.add("durable.window_slides")
-        stats.add("durable.window_epochs_dropped", len(drop))
-        obs_events.emit(
-            "flight-window-slide", dropped=len(drop),
-            window=self.flight_window,
-        )
+        drop = len(self._sealed) - self.flight_window
+        if drop > 0:
+            self._sealed = self._sealed[drop:]
+            self.initial_ref = self._sealed[0]["checkpoint"]
+            self.epochs_dropped += drop
+            stats.add("durable.window_slides")
+            stats.add("durable.window_epochs_dropped", drop)
+            obs_events.emit(
+                "flight-window-slide", dropped=drop, window=self.flight_window,
+            )
+        live_blocks = {tuple(entry["block"]) for entry in self._sealed}
         # Retire the open segment early when the window slid past any of
         # its blocks: no further appends means the file becomes fully
         # dead — and deletable — as soon as its remaining epochs slide.
-        if self._segment is not None:
+        if self._segment is not None and self._segment.buffered_bytes == 0:
             open_index = len(self._segments) - 1
             flushed = len(self._segments[open_index]["blocks"])
-            if (
-                flushed
-                and self._live_blocks.get(open_index, 0) < flushed
-                and self._segment.buffered_bytes == 0
-            ):
+            if any((open_index, block) not in live_blocks for block in range(flushed)):
                 self._retire_segment()
-        doomed: List[Tuple[int, str]] = []
-        open_index = (
-            len(self._segments) - 1 if self._segment is not None else None
-        )
+        live_segments = {segment for segment, _block in live_blocks}
+        if self._segment is not None:
+            live_segments.add(len(self._segments) - 1)
+        doomed: List[str] = []
         for index, seg_entry in enumerate(self._segments):
-            if index == open_index or seg_entry.get("file") is None:
-                continue
-            if not seg_entry["blocks"] or self._live_blocks.get(index, 0) > 0:
-                continue
-            doomed.append(
-                (
-                    sum(stored for _o, stored, _r in seg_entry["blocks"]),
-                    os.path.join(self.directory, seg_entry["file"]),
-                )
-            )
-            seg_entry["file"] = None
-            seg_entry["blocks"] = []
-            seg_entry["dropped"] = True
-            self._live_blocks.pop(index, None)
+            if index not in live_segments and seg_entry["blocks"]:
+                doomed.append(os.path.join(self.directory, seg_entry["file"]))
+                seg_entry.update(file=None, blocks=[], dropped=True)
         return doomed
 
-    def _collect_garbage(self, doomed: List[Tuple[int, str]], stats) -> None:
+    def _collect_garbage(self, doomed: List[str], stats) -> None:
         """Unlink dead segment files and compact the pack when it pays."""
-        if doomed:
-            for stored_bytes, path in doomed:
-                try:
-                    reclaimed = os.path.getsize(path)
-                except OSError:
-                    reclaimed = stored_bytes
-                os.unlink(path)
-                self.segments_deleted += 1
-                self.bytes_reclaimed += reclaimed
-                stats.add("durable.segments_deleted")
-                stats.add("durable.segment_bytes_reclaimed", reclaimed)
-                obs_events.emit("segment-gc", bytes_reclaimed=reclaimed)
-            if self.fsync and fsync_dir(os.path.join(self.directory, "segments")):
-                stats.add("durable.fsyncs")
+        for path in doomed:
+            reclaimed = os.path.getsize(path)
+            os.unlink(path)
+            self.segments_deleted += 1
+            self.bytes_reclaimed += reclaimed
+            stats.add("durable.segments_deleted")
+            stats.add("durable.segment_bytes_reclaimed", reclaimed)
+            obs_events.emit("segment-gc", bytes_reclaimed=reclaimed)
+        segments = os.path.join(self.directory, "segments")
+        if doomed and self.fsync and fsync_dir(segments):
+            stats.add("durable.fsyncs")
         self._maybe_compact(stats)
 
     def _maybe_compact(self, stats, force: bool = False) -> None:
-        """Rewrite the pack without dead checkpoint blobs.
+        """Rewrite the pack without the blobs no live checkpoint names.
 
-        Mid-run, only once the dead bytes clear the compaction threshold
-        (the rewrite is O(pack)); ``force`` on clean close reclaims the
-        remainder so the final footprint is exactly the live window.
-        Always runs *after* a manifest that no longer references the
-        dead digests is durably in place.
+        The live checkpoints are the window base and every sealed and
+        pending entry's start — what this manifest and the next can name;
+        ``_ref_digests`` is pruned to them. Mid-run the dead blobs go only
+        once their bytes clear the compaction threshold (the rewrite is
+        O(pack)); ``force`` on clean close reclaims the remainder so the
+        final footprint is exactly the live window. Always runs *after* a
+        manifest that no longer names the dead digests is durably in place.
         """
-        if self.flight_window is None or not self._dead_digests:
+        if self.flight_window is None:
             return
-        if not force and self._dead_pack_bytes < self.pack_compact_bytes:
+        live = {self.initial_ref}
+        live.update(entry["checkpoint"] for entry in self._sealed + self._pending)
+        self._ref_digests = {ref: self._ref_digests[ref] for ref in live}
+        named = set().union(*self._ref_digests.values())
+        dead = [digest for digest in self.store.digests() if digest not in named]
+        if not dead or not force and (
+            sum(map(self.store.entry_bytes, dead)) < self.pack_compact_bytes
+        ):
             return
         fsyncs_before = self.store.fsyncs
-        freed = self.store.compact(self._dead_digests, fsync=self.fsync)
-        self._dead_digests = set()
-        self._dead_pack_bytes = 0
+        freed = self.store.compact(dead, fsync=self.fsync)
         self.pack_compactions += 1
         self.bytes_reclaimed += freed
         stats.add("durable.pack_compactions")
@@ -887,41 +812,34 @@ class ShardedLogReader:
 
     # -- blob resolution ------------------------------------------------
     def _page(self, digest: int) -> Page:
+        """The page at ``digest``; ReplayError for a blob that is none."""
         page = self._pages.get(digest)
         if page is None:
-            kind, words = decode_blob(self.store.get(digest))
-            if kind != "page":
+            blob = self.store.get(digest)
+            try:
+                kind, words = decode_blob(blob)
+                if kind == "page":
+                    page = Page(words)
+            except Exception:  # noqa: BLE001 - torn bytes decode to any error
+                pass
+            if page is None:
                 raise ReplayError(f"blob {_hex(digest)} is not a page")
-            page = Page(words)
             self._pages[digest] = page
         return page
 
     def materialize_checkpoint(self, skeleton_hex: str) -> Checkpoint:
         """Rebuild a :class:`Checkpoint` from its stored skeleton.
 
-        Pages resolve through a shared digest→``Page`` cache, so
-        checkpoints of consecutive epochs share page *objects* exactly
-        like in-memory copy-on-write snapshots do — the divergence
-        check's identity fast path survives the round trip. Each
-        checkpoint pins a reference per page, mirroring
-        ``WireCheckpoint.hydrate``.
+        The skeleton decodes to the :class:`WireCheckpoint` a host-wire
+        unit would carry, and hydrates the same way. Pages resolve
+        through a shared digest→``Page`` cache, so checkpoints of
+        consecutive epochs share page *objects* exactly like in-memory
+        copy-on-write snapshots do — the divergence check's identity
+        fast path survives the round trip.
         """
-        kind, skeleton = decode_blob(self.store.get(int(skeleton_hex, 16)))
-        if kind != "object":
-            raise ReplayError("checkpoint skeleton blob is not an object")
-        index, time, contexts, sync_state, dirty_pages, page_table = skeleton
-        pages = {no: self._page(digest) for no, digest in page_table.items()}
-        for page in pages.values():
-            page.refs += 1
-        return Checkpoint(
-            index=index,
-            time=time,
-            memory=MemorySnapshot(pages),
-            contexts=contexts,
-            sync_state=sync_state,
-            kernel_state=None,
-            dirty_pages=dirty_pages,
-        )
+        digest = int(skeleton_hex, 16)
+        wire = WireCheckpoint.from_blob(self.store.get(digest), digest)
+        return wire.hydrate(self._page)
 
     # -- shard reads ----------------------------------------------------
     def _segment_reader(self, segment_index: int) -> SegmentReader:
@@ -953,8 +871,11 @@ class ShardedLogReader:
                     frames[epoch].append(frame)
         return frames
 
-    def _decode_epoch(self, frames: List[bytes]) -> EpochRecord:
-        """Merge one epoch's shard frames back into an EpochRecord."""
+    def _decode_epoch(
+        self, frames: List[bytes]
+    ) -> Tuple[EpochRecord, List[SyscallRecord], List[tuple]]:
+        """Merge one epoch's shard frames back into its record and its
+        syscall and signal records, each in committed order."""
         sync_kinds = self.manifest["sync_kinds"]
         schedule: List[Tuple[int, Timeslice]] = []
         sync_events: List[Tuple[int, tuple]] = []
@@ -1007,10 +928,7 @@ class ShardedLogReader:
             duration=meta["duration"],
             recovered=meta["recovered"],
         )
-        # ride the per-epoch logs out for the Recording-level concatenation
-        record._durable_syscalls = [r for _, r in syscalls]  # type: ignore
-        record._durable_signals = [r for _, r in signals]    # type: ignore
-        return record
+        return record, [r for _, r in syscalls], [r for _, r in signals]
 
     # -- loading --------------------------------------------------------
     def load_recording(
@@ -1056,7 +974,7 @@ class ShardedLogReader:
             stats=dict(self.manifest["stats"]),
         )
         for position, entry in enumerate(chosen):
-            record = self._decode_epoch(frames[entry["index"]])
+            record, syscalls, signals = self._decode_epoch(frames[entry["index"]])
             if position == 0:
                 # The suffix's first epoch starts from ``initial`` — the
                 # very checkpoint just materialised from its manifest ref.
@@ -1066,9 +984,8 @@ class ShardedLogReader:
                     entry["checkpoint"]
                 )
             recording.epochs.append(record)
-            recording.syscall_records.extend(record._durable_syscalls)
-            recording.signal_records.extend(record._durable_signals)
-            del record._durable_syscalls, record._durable_signals
+            recording.syscall_records.extend(syscalls)
+            recording.signal_records.extend(signals)
         return recording
 
     def verify(self) -> List[str]:
@@ -1104,15 +1021,17 @@ class ShardedLogReader:
             for entry in self.manifest["epochs"]
         ]
         for who, ref in named:
-            skeleton = blob(int(ref, 16), f"{who}: checkpoint")
+            digest = int(ref, 16)
+            skeleton = blob(digest, f"{who}: checkpoint")
             if skeleton is None:
                 continue
-            kind, decoded = decode_blob(skeleton)
-            if kind != "object":
+            try:
+                table = WireCheckpoint.from_blob(skeleton, digest).page_table
+            except ReplayError:
                 problems.append(f"{who}: checkpoint blob is not a skeleton")
                 continue
-            for page_no, digest in sorted(decoded[5].items()):
-                blob(digest, f"{who}: page {page_no}")
+            for page_no, page_digest in sorted(table.items()):
+                blob(page_digest, f"{who}: page {page_no}")
         for segment_index, segment in enumerate(self.manifest["segments"]):
             if segment.get("file") is None:
                 continue  # slid out of the flight window and deleted

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import struct
+
 import pytest
 from hypothesis import settings
 
@@ -145,3 +148,39 @@ def barrier_program(workers=2, phases=3, name="phases"):
         asm.syscall("r6", SyscallKind.PRINT, args=["r2"])
         asm.exit_()
     return asm.assemble()
+
+
+def edit_pack(log_dir, edit):
+    """Rewrite a durable log's blob pack entry by entry, by its format.
+
+    The pack is a magic line, then ``(digest: 16 bytes, length: u32,
+    payload)`` entries. ``edit(digest, payload)`` returns the new payload
+    (same length) or None to keep it; returns the edited digests.
+    """
+    path = os.path.join(log_dir, "blobs", "pack.dppack")
+    data = bytearray(open(path, "rb").read())
+    offset, edited = data.index(b"\n") + 1, []
+    while offset < len(data):
+        digest, length = struct.unpack_from("<16sI", data, offset)
+        start = offset + 20
+        payload = edit(int.from_bytes(digest, "big"), bytes(data[start:start + length]))
+        if payload is not None:
+            assert len(payload) == length
+            data[start:start + length] = payload
+            edited.append(int.from_bytes(digest, "big"))
+        offset = start + length
+    open(path, "wb").write(data)
+    return edited
+
+
+#: one ``edit_pack`` corruption per blob kind a durable log holds: every
+#: raw page's tag set to one no blob has, every object blob's (the
+#: checkpoint skeletons') pickle zeroed
+BLOB_CORRUPTIONS = {
+    "page-tag": lambda digest, payload: (
+        b"\x04" + payload[1:] if payload[:1] == b"\x01" else None
+    ),
+    "skeleton-payload": lambda digest, payload: (
+        payload[:1] + bytes(len(payload) - 1) if payload[:1] == b"\x03" else None
+    ),
+}

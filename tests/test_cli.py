@@ -2,10 +2,12 @@
 
 import io
 import json
+import shutil
 
 import pytest
 
 from repro.cli import main
+from tests.conftest import BLOB_CORRUPTIONS, edit_pack
 
 
 def run_cli(*argv):
@@ -225,6 +227,27 @@ class TestOutsideInput:
         code, text = run_cli("events", "tail", str(path))
         assert code == 0
         assert text.count("\n") == 1 and "epoch=3" in text
+
+    @pytest.fixture(scope="class")
+    def durable_log(self, tmp_path_factory):
+        log_dir = str(tmp_path_factory.mktemp("cli") / "log")
+        code, _ = run_cli(
+            "record", "pbzip", "--scale", "4", "--seed", "11", "--log-dir", log_dir
+        )
+        assert code == 0
+        return log_dir
+
+    @pytest.mark.parametrize("suffix", [(), ("--from-epoch", "1")], ids=["all", "from-1"])
+    @pytest.mark.parametrize("corruption", BLOB_CORRUPTIONS)
+    def test_replay_of_a_log_with_a_blob_that_does_not_decode(
+        self, durable_log, tmp_path, corruption, suffix
+    ):
+        log_dir = str(tmp_path / "log")
+        shutil.copytree(durable_log, log_dir)
+        assert edit_pack(log_dir, BLOB_CORRUPTIONS[corruption])
+        code, text = run_cli("replay", log_dir, *suffix)
+        assert code == 2
+        assert text.startswith("error: blob ") and text.count("\n") == 1
 
     def test_replay_epoch_out_of_range(self, tmp_path):
         path = tmp_path / "rec.json"

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import run_native
+from repro.checkpoint.checkpoint import WireCheckpoint
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
-from repro.memory.blob import blob_digest, decode_blob
+from repro.memory.blob import blob_digest
 from repro.record.pack import PACK_MAGIC, BlobStore
 from repro.record.segment import (
     SEGMENT_MAGIC,
@@ -32,6 +33,7 @@ from repro.record.segment import (
 )
 from repro.record.shards import ShardedLogReader
 from repro.workloads import build_workload
+from tests.conftest import BLOB_CORRUPTIONS, edit_pack
 
 FRAMES = [b"alpha", b"b" * 200, b"", b"gamma" * 50]
 
@@ -411,28 +413,22 @@ def test_verify_reports_a_page_that_no_longer_matches_its_address(tmp_path):
     reader = ShardedLogReader(log_dir)
     assert reader.verify() == []
     entry = reader.manifest["epochs"][1]
-    _, skeleton = decode_blob(reader.store.get(int(entry["checkpoint"], 16)))
-    initial_pages = decode_blob(
-        reader.store.get(int(reader.manifest["initial"], 16))
-    )[1][5]
+    skeleton = _skeleton(reader, entry["checkpoint"])
+    initial_pages = _skeleton(reader, reader.manifest["initial"]).page_table
     # A page epoch 1's start is the first to name: one it dirtied.
     page_no, digest = next(
-        (no, d) for no, d in sorted(skeleton[5].items())
+        (no, d) for no, d in sorted(skeleton.page_table.items())
         if initial_pages.get(no) != d
     )
     reader.store.close()
-    # Find the entry by the format's description: magic, then
-    # (digest, length, payload) entries.
-    pack = os.path.join(log_dir, "blobs", "pack.dppack")
-    data = bytearray(open(pack, "rb").read())
-    offset = len(PACK_MAGIC)
-    while True:
-        found, length = struct.unpack_from("<16sI", data, offset)
-        if int.from_bytes(found, "big") == digest:
-            break
-        offset += 20 + length
-    data[offset + 20 + length // 2] ^= 0x01
-    open(pack, "wb").write(data)
+
+    def flip(found, payload):
+        if found == digest:
+            middle = len(payload) // 2
+            flipped = bytes([payload[middle] ^ 0x01])
+            return payload[:middle] + flipped + payload[middle + 1:]
+
+    assert edit_pack(log_dir, flip) == [digest]
 
     problems = ShardedLogReader(log_dir).verify()
     assert problems == [
@@ -442,6 +438,52 @@ def test_verify_reports_a_page_that_no_longer_matches_its_address(tmp_path):
     out = io.StringIO()
     assert cli_main(["log", "recover", log_dir], out=out) == 1
     assert f"page {page_no}" in out.getvalue() and "recover FAILED" in out.getvalue()
+
+
+# ----------------------------------------------------------------------
+# Checkpoint skeletons: the wire's codec, checked on the load path
+# ----------------------------------------------------------------------
+def _skeleton(reader, ref):
+    digest = int(ref, 16)
+    return WireCheckpoint.from_blob(reader.store.get(digest), digest)
+
+
+def test_the_log_and_the_wire_name_checkpoints_identically(tmp_path):
+    """A durable skeleton is ``to_wire().to_blob()`` of the in-memory
+    checkpoint, under that blob's digest, and decodes back to it."""
+    log_dir = str(tmp_path / "log")
+    _, _, result = _record("pbzip", log_dir=log_dir)
+    recording = result.recording
+    reader = ShardedLogReader(log_dir)
+    entries = reader.manifest["epochs"]
+    assert len(entries) == len(recording.epochs) > 2
+    named = [(reader.manifest["initial"], recording.initial_checkpoint)] + [
+        (entry["checkpoint"], epoch.start_checkpoint)
+        for entry, epoch in zip(entries, recording.epochs)
+    ]
+    for ref, checkpoint in named:
+        wire, stored = checkpoint.to_wire(), _skeleton(reader, ref)
+        blob = wire.to_blob()
+        assert ref == f"{blob_digest(blob):032x}"
+        assert (stored.index, stored.time, stored.dirty_pages, stored.page_table) == (
+            wire.index, wire.time, wire.dirty_pages, wire.page_table,
+        )
+        assert WireCheckpoint.from_blob(blob, blob_digest(blob)).to_blob() == blob
+
+
+@pytest.mark.parametrize("corruption", BLOB_CORRUPTIONS)
+def test_a_blob_that_does_not_decode_is_a_replay_error(tmp_path, corruption):
+    """The load path trusts the pack's hashes, not its bytes: a page or a
+    skeleton that does not decode raises ReplayError naming its digest
+    (it used to escape as ``ValueError: unknown blob tag``)."""
+    log_dir = str(tmp_path / "log")
+    _record("pbzip", log_dir=log_dir)
+    edited = edit_pack(log_dir, BLOB_CORRUPTIONS[corruption])
+    assert edited
+    with pytest.raises(ReplayError) as info:
+        ShardedLogReader(log_dir).load_recording()
+    kind = "a page" if corruption == "page-tag" else "a checkpoint skeleton"
+    assert str(info.value) in {f"blob {digest:032x} is not {kind}" for digest in edited}
 
 
 def test_group_commit_and_fsync_knobs(tmp_path, monkeypatch):

@@ -21,11 +21,14 @@ import pytest
 
 from repro import options
 from repro.baselines import run_native
+from repro.checkpoint.checkpoint import WireCheckpoint
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
 from repro.record.log_index import SegmentLogs
+from repro.record.pack import BlobStore
 from repro.record.shards import (
+    MANIFEST_NAME,
     ShardedLogReader,
     ShardedLogWriter,
     persist_recording,
@@ -45,6 +48,18 @@ def _record(
     config = DoublePlayConfig(machine=machine, epoch_cycles=epoch_cycles, **overrides)
     result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     return instance, machine, result
+
+
+def _named_digests(manifest, store):
+    """Every pack digest a manifest names: its skeletons and their pages."""
+    named = set()
+    for ref in [manifest["initial"]] + [e["checkpoint"] for e in manifest["epochs"]]:
+        digest = int(ref, 16)
+        named.add(digest)
+        named.update(
+            WireCheckpoint.from_blob(store.get(digest), digest).page_table.values()
+        )
+    return named
 
 
 def _disk_bytes(directory):
@@ -114,6 +129,61 @@ class TestFlightWindow:
         assert on_disk == {os.path.basename(s["file"]) for s in live}
         for entry in dropped:
             assert entry["blocks"] == [] and entry["dropped"]
+
+    def test_the_log_holds_exactly_what_the_manifest_names(self, logs):
+        """No leak: after a clean close the pack holds only the digests the
+        manifest's skeletons name and ``segments/`` only the named files
+        (``verify()`` checks the other direction)."""
+        _, _, _, _, win_dir, _ = logs
+        reader = ShardedLogReader(win_dir)
+        assert set(reader.store.digests()) == _named_digests(
+            reader.manifest, reader.store
+        )
+        named = {s["file"] for s in reader.manifest["segments"]} - {None}
+        assert {
+            f"segments/{name}"
+            for name in os.listdir(os.path.join(win_dir, "segments"))
+        } == named
+
+    def test_gc_runs_only_after_the_manifest_stops_naming(
+        self, logs, tmp_path, monkeypatch
+    ):
+        """Every unlinked segment and every compacted digest is absent
+        from the last manifest already renamed into place: a crash
+        between the rename and the GC leaves nothing named missing."""
+        _, _, result, _, _, _ = logs
+        log_dir = str(tmp_path / "win")
+        renamed = []
+        unlinked, compacted = [], []
+        replace, unlink, compact = os.replace, os.unlink, BlobStore.compact
+
+        def spy_replace(src, dst):
+            replace(src, dst)
+            if os.path.basename(dst) == MANIFEST_NAME:
+                with open(dst) as handle:
+                    renamed.append(json.load(handle))
+
+        def spy_unlink(path):
+            files = {s["file"] for s in renamed[-1]["segments"]}
+            unlinked.append(os.path.relpath(path, log_dir))
+            assert unlinked[-1] not in files
+            unlink(path)
+
+        def spy_compact(store, drop, fsync=False):
+            drop = set(drop)
+            compacted.append(drop)
+            assert not drop & _named_digests(renamed[-1], store)
+            return compact(store, drop, fsync=fsync)
+
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(os, "unlink", spy_unlink)
+        monkeypatch.setattr(BlobStore, "compact", spy_compact)
+        persist_recording(
+            result.recording, log_dir, fsync=False, group_commit_bytes=256,
+            flight_window=self.WINDOW, segment_max_bytes=1024, pack_compact_bytes=512,
+        )
+        # both kinds of GC ran mid-run, not only at close
+        assert len(unlinked) > 1 and len(compacted) > 2 and len(renamed) > 3
 
     def test_disk_bytes_bounded_by_window(self, logs):
         _, _, _, full_dir, win_dir, totals = logs
