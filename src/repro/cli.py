@@ -526,7 +526,6 @@ def cmd_serve(args, out) -> int:
         telemetry_port=args.telemetry_port,
         telemetry_linger=args.linger,
         events_path=args.events,
-        expect_dedup=args.sessions >= 2,
     )
     service = RecordService(config)
     requests = [

@@ -11,7 +11,8 @@ creates it; everything an operator or a benchmark reads is derived.*
   recorder, the replayer, the host executor and (through the
   ``UnitTiming`` a unit result carries home) the workers; always on,
   O(epochs). Host accounting (``RecordResult.host``), the wall-clock
-  histograms and the journal's epoch-scoped lines are derived there.
+  histograms, the journal's epoch-scoped lines and the service's live
+  per-session rows are derived there.
 * :mod:`repro.obs.spans` — the span view of the lives plus the switch
   (``start_trace`` / ``stop_trace``, ``--trace PATH``) that says "export
   a timeline at the end"; nothing on the run path writes a span.
@@ -28,10 +29,13 @@ creates it; everything an operator or a benchmark reads is derived.*
   attribution).
 * :mod:`repro.obs.histo` — mergeable log-bucketed histograms, encoded
   as dotted counters (p50/p90/p99 via ``RunMetrics.histogram``).
-* :mod:`repro.obs.events` — a bounded structured event journal (ring +
-  optional JSON-lines sink); ``repro events tail`` reads it.
-* :mod:`repro.obs.expo` — the live telemetry hub, fed by the journal
-  alone, and its HTTP endpoints (``/metrics`` Prometheus text,
+* :mod:`repro.obs.events` — the structured event journal: stamped
+  events appended to a JSON-lines sink, installed by ``repro serve
+  --events``; ``repro events tail`` reads it. Nothing in the process
+  reads it back.
+* :mod:`repro.obs.expo` — the live telemetry hub, which derives every
+  session row from the session's epoch lives and its result when
+  scraped, and its HTTP endpoints (``/metrics`` Prometheus text,
   ``/sessions`` JSON, ``/healthz``) behind ``repro serve
   --telemetry-port``.
 * :mod:`repro.obs.health` — pure SLO evaluation (stalled lanes,

@@ -1,30 +1,22 @@
-"""The structured event journal: every load-bearing transition, bounded.
+"""The structured event journal: every load-bearing transition, in order.
 
 Counters say *how many*; the journal says *what happened, in order*.
 Every state transition an operator would grep a log for is emitted as
 one structured event — epoch committed, divergence discarded, fault
 contained/retried/serial-fallback, flight-window slide and GC, session
-admitted/completed — into a process-wide :class:`EventJournal`:
-
-* **Bounded ring.** Events land in a ``deque(maxlen=capacity)``; the
-  journal never grows with run length. Overflow is counted
-  (``dropped``), and sequence numbers are global and monotonic, so a
-  reader can tell exactly how many events a full ring lost.
-* **Optional JSON-lines sink.** Given a path, every event is also
-  appended as one JSON object per line — the durable form ``repro
-  events tail`` reads and the CI smoke greps.
-* **Listeners.** The live telemetry hub (:mod:`repro.obs.expo`)
-  subscribes to the journal and derives per-session health state
-  (last-commit times, fault counts) from the same stream, so there is
-  exactly one source of truth for "what happened".
+admitted/completed — into a process-wide :class:`EventJournal`, which
+stamps it (a global, monotonic ``seq`` and ``t``, seconds since
+install) and appends it as one JSON object per line to its sink: the
+durable form ``repro events tail`` reads and the CI smoke greps. Nothing
+in the process reads the journal back; the live telemetry
+(:mod:`repro.obs.expo`) is derived from the epoch lives, not from here.
 
 **Disabled means free.** The journal is ``None`` by default; every
 :func:`emit` site costs one module-global check, the same contract the
 span tracer honors (``tests/test_work_counts.py`` counts the calls).
-The service layer installs a journal for the duration of a serve run;
-the CLI installs one when ``--events PATH`` asks for a durable sink.
-Worker processes never install a journal — every emission site lives
-on the coordinator, where transitions are decided.
+``repro serve --events PATH`` installs one for the duration of a serve
+run. Worker processes never install a journal — every emission site
+lives on the coordinator, where transitions are decided.
 
 Sessions run as threads of one coordinator process, so events carry the
 session id of the emitting thread's run scope
@@ -39,8 +31,7 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs import metrics as obs_metrics
 
@@ -64,69 +55,41 @@ KINDS = (
 
 
 class EventJournal:
-    """A bounded, thread-safe ring of structured events."""
+    """A thread-safe, stamping appender of JSON-lines events."""
 
-    def __init__(self, capacity: int = 1024, sink_path: Optional[str] = None):
-        self.capacity = max(1, int(capacity))
-        self._ring: deque = deque(maxlen=self.capacity)
+    def __init__(self, sink_path: str):
         self._seq = itertools.count()
         self._lock = threading.Lock()
-        self._listeners: List[Callable[[Dict[str, object]], None]] = []
-        self.sink_path = sink_path
-        self._sink = open(sink_path, "a", buffering=1) if sink_path else None
-        #: events pushed out of a full ring (still in the sink, if any)
-        self.dropped = 0
-        self.emitted = 0
+        self._sink = open(sink_path, "a", buffering=1)
         #: monotonic clock origin: event ``t`` is seconds since install
         self.origin = time.perf_counter()
 
     # ------------------------------------------------------------------
-    def emit(self, kind: str, **fields) -> Dict[str, object]:
-        event: Dict[str, object] = {
-            "seq": next(self._seq),
-            "t": round(time.perf_counter() - self.origin, 6),
-            "kind": kind,
-        }
+    def emit(self, kind: str, **fields) -> None:
         sid = obs_metrics.scope().sid
-        if sid is not None:
-            event["sid"] = sid
-        event.update(fields)
         with self._lock:
-            if len(self._ring) == self.capacity:
-                self.dropped += 1
-            self._ring.append(event)
-            self.emitted += 1
-            if self._sink is not None:
-                try:
-                    self._sink.write(json.dumps(event, sort_keys=True) + "\n")
-                except (OSError, TypeError):
-                    pass  # telemetry must never fail the run
-            listeners = list(self._listeners)
-        for listener in listeners:
+            if self._sink is None:
+                return  # a late emitter behind close()
+            event: Dict[str, object] = {
+                "seq": next(self._seq),
+                "t": round(time.perf_counter() - self.origin, 6),
+                "kind": kind,
+            }
+            if sid is not None:
+                event["sid"] = sid
+            event.update(fields)
             try:
-                listener(event)
-            except Exception:
-                pass  # a broken consumer must never fail the producer
-        return event
-
-    def add_listener(self, listener: Callable[[Dict[str, object]], None]) -> None:
-        with self._lock:
-            self._listeners.append(listener)
-
-    def tail(self, count: Optional[int] = None) -> List[Dict[str, object]]:
-        """The newest ``count`` events, oldest first (all when ``None``)."""
-        with self._lock:
-            events = list(self._ring)
-        if count is not None:
-            events = events[-count:]
-        return events
+                self._sink.write(json.dumps(event, sort_keys=True) + "\n")
+            except (OSError, TypeError):
+                pass  # telemetry must never fail the run
 
     def close(self) -> None:
-        if self._sink is not None:
-            try:
-                self._sink.close()
-            finally:
-                self._sink = None
+        with self._lock:
+            if self._sink is not None:
+                try:
+                    self._sink.close()
+                finally:
+                    self._sink = None
 
 
 # ----------------------------------------------------------------------
@@ -140,14 +103,13 @@ def journal() -> Optional[EventJournal]:
     return _journal
 
 
-def install_journal(
-    capacity: int = 1024, sink_path: Optional[str] = None
-) -> EventJournal:
-    """Install (and return) a fresh process-wide journal."""
+def install_journal(sink_path: str) -> EventJournal:
+    """Install (and return) a fresh process-wide journal appending to
+    ``sink_path``."""
     global _journal
     if _journal is not None:
         _journal.close()
-    _journal = EventJournal(capacity=capacity, sink_path=sink_path)
+    _journal = EventJournal(sink_path)
     return _journal
 
 

@@ -1,16 +1,16 @@
 """Live metrics exposition: the telemetry hub and its HTTP endpoints.
 
-:class:`TelemetryHub` is the mutable, thread-safe state behind the
-service's live telemetry. It has one feed, the **event journal**
-(:mod:`repro.obs.events`): the hub subscribes as a listener and derives
-per-session state — admission wait, epoch commit counts, inter-commit
-intervals, contained-fault counts, the completion verdict and the
-lane's final summary — from the same stream an operator tails, so there
-is one source of truth. A running session's lane (units in flight,
-queue high water, unit latency) and the fleet totals are derived from
-the epoch lives the sessions' run scopes collect
-(:func:`~repro.obs.lifecycle.lane_summary`) whenever a snapshot is
-taken, so an unscraped hub does no aggregation work.
+:class:`TelemetryHub` derives the service's live telemetry, whenever a
+snapshot is taken, from one :class:`SessionRecord` per admitted session
+of the current serve — the epoch lives its runs began, its admission
+wait and, once done, its ``SessionResult``: epoch commits and the
+inter-commit intervals from ``EpochLife.commit``, contained faults and
+serial fallbacks from the attempts, the lane (units in flight, queue
+high water, unit latency) and the fleet totals from
+:func:`~repro.obs.lifecycle.lane_summary`. So an unscraped hub does no
+work, and it holds no second copy of anything: a session of an earlier
+serve is kept as the plain row of the snapshot taken at that serve's
+end, and no lives outlive their serve.
 
 :class:`TelemetryServer` exposes the hub over HTTP on the service's
 own asyncio loop (stdlib only, no framework):
@@ -24,7 +24,7 @@ own asyncio loop (stdlib only, no framework):
 * ``GET /healthz`` — the :mod:`repro.obs.health` verdict; HTTP 200
   when ok, 503 when degraded.
 
-Nothing here may ever influence an execution: the hub observes
+Nothing here may ever influence an execution: the hub reads
 transitions that already happened, and the server reads hub snapshots.
 """
 
@@ -32,152 +32,131 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import health as obs_health
-from repro.obs.histo import LogHistogram
-from repro.obs.lifecycle import fleet_summary, lane_summary
+from repro.obs.histo import LogHistogram, bucket_index
+from repro.obs.lifecycle import Lives, fleet_summary, lane_summary
 
 _QUANTILES = (0.50, 0.90, 0.99)
+#: inter-commit intervals a row carries (the stall detector's window)
+_RECENT_INTERVALS = 32
 
 
 @dataclass
-class _SessionView:
-    """One session's accumulated telemetry (hub-internal)."""
+class SessionRecord:
+    """One admitted session of the current serve: all its row derives from."""
 
     sid: str
-    admitted_t: float
-    status: str = "running"
-    admission_wait: float = 0.0
-    completed_t: Optional[float] = None
-    ok: Optional[bool] = None
-    epochs: int = 0
-    last_commit_t: Optional[float] = None
-    #: recent inter-commit gaps (the stall detector's baseline)
-    commit_intervals: deque = field(default_factory=lambda: deque(maxlen=32))
-    interval_hist: LogHistogram = field(default_factory=LogHistogram)
-    faults: int = 0
-    serial_fallbacks: int = 0
-    duration: float = 0.0
-    #: the lane's final queueing/wire summary (set at completion)
-    summary: Dict[str, object] = field(default_factory=dict)
-    error: Optional[str] = None
+    #: seconds it waited for an admission slot
+    admission_wait: float
+    #: the epoch lives its runs have begun so far
+    runs: List[Lives] = field(default_factory=list)
+    #: its ``SessionResult``, once the session is done
+    result: Optional[object] = None
 
-    def to_plain(self) -> Dict[str, object]:
-        return {
-            "sid": self.sid,
-            "status": self.status,
-            "admission_wait": round(self.admission_wait, 6),
-            "epochs": self.epochs,
-            "last_commit_t": self.last_commit_t,
-            "commit_intervals": [round(gap, 6) for gap in self.commit_intervals],
-            "epoch_interval": {
-                label: round(value, 6)
-                for label, value in self.interval_hist.quantiles(_QUANTILES).items()
-            },
-            "faults": self.faults,
-            "serial_fallbacks": self.serial_fallbacks,
-            "duration": round(self.duration, 6),
-            "ok": self.ok,
-            "error": self.error,
-        }
+
+def _quantiles(histogram: LogHistogram) -> Dict[str, float]:
+    return {
+        label: round(value, 6)
+        for label, value in histogram.quantiles(_QUANTILES).items()
+    }
+
+
+def _histogram(values) -> LogHistogram:
+    return LogHistogram(Counter(map(bucket_index, values)))
+
+
+def _label(value: str) -> str:
+    """A Prometheus label value, escaped as the text format requires."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 class TelemetryHub:
-    """Thread-safe aggregation of fleet + per-session telemetry."""
+    """Per-session and fleet telemetry, derived when read."""
 
-    def __init__(self, policy: Optional[obs_health.HealthPolicy] = None):
-        self.policy = policy or obs_health.HealthPolicy()
-        self._lock = threading.RLock()
-        self._sessions: Dict[str, _SessionView] = {}
-        #: the current serve's session id -> the lives its runs began
-        self._lanes: Dict[str, list] = {}
+    def __init__(self) -> None:
+        #: the SLOs ``/healthz`` judges by (the service sets it per serve)
+        self.policy = obs_health.HealthPolicy()
+        #: the current serve's admitted sessions, by id
+        self._records: Dict[str, SessionRecord] = {}
+        #: earlier serves' sessions: the rows of each one's final snapshot
+        self._rows: Dict[str, Dict[str, object]] = {}
         self.origin = time.perf_counter()
-        self.admission_hist = LogHistogram()
 
     def now(self) -> float:
         return time.perf_counter() - self.origin
 
     # ------------------------------------------------------------------
-    # Feeding (service + journal).
+    # The serve's lifetime.
     # ------------------------------------------------------------------
-    def attach_lanes(self, lanes: Dict[str, list]) -> None:
-        self._lanes = lanes
+    def attach(self, records: Dict[str, SessionRecord]) -> None:
+        """A serve starts: its sessions are admitted into ``records``."""
+        self._records = records
 
-    def _view(self, sid: str) -> _SessionView:
-        view = self._sessions.get(sid)
-        if view is None:
-            view = self._sessions[sid] = _SessionView(sid, self.now())
-        return view
-
-    def ingest_event(self, event: Dict[str, object]) -> None:
-        """Journal listener: derive live state from the event stream."""
-        kind = event.get("kind")
-        sid = event.get("sid")
-        if sid is None:
-            return
-        with self._lock:
-            view = self._view(str(sid))
-            if kind == "epoch-commit":
-                now = self.now()
-                if view.last_commit_t is not None:
-                    gap = now - view.last_commit_t
-                    view.commit_intervals.append(gap)
-                    view.interval_hist.observe(gap)
-                view.last_commit_t = now
-                view.epochs += 1
-            elif kind == "fault-contained":
-                view.faults += 1
-            elif kind == "serial-fallback":
-                view.serial_fallbacks += 1
-            elif kind == "session-admitted":
-                view.admission_wait = event["wait"]
-                self.admission_hist.observe(event["wait"])
-            elif kind == "session-completed":
-                view.status = "completed" if event["ok"] else "failed"
-                view.completed_t = self.now()
-                view.ok = event["ok"]
-                # A replay commits nothing: its epochs are the recording's.
-                view.epochs = event["epochs"]
-                view.duration = event["duration"]
-                view.summary = dict(event["lane"])
-                view.error = event["error"]
+    def close(self) -> Dict[str, object]:
+        """The serve is over: return its final snapshot, keep that
+        snapshot's rows and let go of the serve's lives."""
+        snapshot = self.snapshot()
+        self._rows.update((row["sid"], row) for row in snapshot["sessions"])
+        self._records = {}
+        return snapshot
 
     # ------------------------------------------------------------------
     # Reading (endpoints, health, ``repro top``).
     # ------------------------------------------------------------------
+    def _row(self, record: SessionRecord) -> Dict[str, object]:
+        lives = [life for run in record.runs for life in run.all]
+        commits = sorted(life.commit[1] for life in lives if life.commit)
+        gaps = [later - earlier for earlier, later in zip(commits, commits[1:])]
+        attempts = [attempt for life in lives for attempt in life.attempts]
+        result = record.result
+        status = "running" if result is None else (
+            "completed" if result.ok else "failed"
+        )
+        replayed = result is not None and result.kind == "replay"
+        return {
+            "sid": record.sid,
+            "status": status,
+            "admission_wait": round(record.admission_wait, 6),
+            # A replay commits nothing: its epochs are the recording's.
+            "epochs": result.epochs if replayed else len(commits),
+            "last_commit_t": commits[-1] - self.origin if commits else None,
+            "commit_intervals": [
+                round(gap, 6) for gap in gaps[-_RECENT_INTERVALS:]
+            ],
+            "epoch_interval": _quantiles(_histogram(gaps)),
+            "faults": sum(a.failure is not None for a in attempts),
+            "serial_fallbacks": sum(a.kind.endswith("-serial") for a in attempts),
+            "duration": round(result.duration, 6) if result else 0.0,
+            "ok": result.ok if result else None,
+            "error": result.error if result else None,
+            "lane": lane_summary(record.runs),
+        }
+
     def snapshot(self) -> Dict[str, object]:
-        lanes = dict(self._lanes)
-        with self._lock:
-            sessions = []
-            for sid in sorted(self._sessions):
-                view = self._sessions[sid]
-                plain = view.to_plain()
-                running = view.status == "running" and sid in lanes
-                plain["lane"] = (
-                    lane_summary(lanes[sid]) if running else dict(view.summary)
-                )
-                sessions.append(plain)
-            status = [view.status for view in self._sessions.values()]
-            return {
-                "now": self.now(),
-                "sessions": sessions,
-                "registered": len(status),
-                "running": status.count("running"),
-                "completed": status.count("completed"),
-                "failed": status.count("failed"),
-                "admission_wait": {
-                    label: round(value, 6)
-                    for label, value in self.admission_hist.quantiles(
-                        _QUANTILES
-                    ).items()
-                },
-                "fleet": fleet_summary(list(lanes.values())) if lanes else {},
-            }
+        records = dict(self._records)
+        rows = dict(self._rows)
+        rows.update((sid, self._row(record)) for sid, record in records.items())
+        sessions = [rows[sid] for sid in sorted(rows)]
+        status = [row["status"] for row in sessions]
+        waits = _histogram(row["admission_wait"] for row in sessions)
+        return {
+            "now": self.now(),
+            "sessions": sessions,
+            "registered": len(status),
+            "running": status.count("running"),
+            "completed": status.count("completed"),
+            "failed": status.count("failed"),
+            "admission_wait": _quantiles(waits),
+            "fleet": (
+                fleet_summary([record.runs for record in records.values()])
+                if records else {}
+            ),
+        }
 
     def evaluate(self) -> obs_health.HealthReport:
         return obs_health.evaluate(self.snapshot(), self.policy)
@@ -215,10 +194,9 @@ class TelemetryHub:
             "repro_admission_wait_seconds", "histogram",
             "seconds sessions waited for an admission slot",
         )
-        with self._lock:
-            cumulative = list(self.admission_hist.cumulative_buckets())
-            total = self.admission_hist.count
-        for upper, count in cumulative:
+        waits = _histogram(row["admission_wait"] for row in snap["sessions"])
+        total = waits.count
+        for upper, count in waits.cumulative_buckets():
             lines.append(
                 f'repro_admission_wait_seconds_bucket{{le="{upper:.6g}"}} {count}'
             )
@@ -284,7 +262,7 @@ class TelemetryHub:
             "per-session wall seconds between epoch commits",
         )
         for session in snap["sessions"]:
-            sid = session["sid"]
+            sid = _label(session["sid"])
             lane = session.get("lane") or {}
             lines.append(
                 f'repro_session_epochs_total{{session="{sid}"}} '

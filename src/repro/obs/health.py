@@ -25,11 +25,11 @@ Detectors:
   an unhealthy fleet even when every answer is right.
 * **serial-fallback** — serial fallbacks exceed ``fallback_budget``:
   the parallel plane is degrading to jobs=1 behavior.
-* **dedup-regression** — with ``expect_dedup`` set (the service sets
-  it when tenants share a workload) and at least
-  ``dedup_min_sessions`` completed, zero cross-session cache hits
-  means the fleet-wide blob dedup broke: every tenant is re-putting
-  bytes the scratch pack already holds.
+* **dedup-regression** — with ``check_dedup`` set (the service sets
+  it when its units go to a pool and two tenants run the same program)
+  and at least ``dedup_min_sessions`` completed, zero cross-session
+  cache hits means the fleet-wide blob dedup broke: every tenant is
+  re-putting bytes the scratch pack already holds.
 
 The report drives the ``/healthz`` endpoint (200 ok / 503 degraded)
 and, for organic degradation — not deliberately injected faults — a
@@ -63,9 +63,9 @@ class HealthPolicy:
     fault_budget: int = 0
     #: serial fallbacks allowed before the fleet is degraded
     fallback_budget: int = 0
-    #: evaluate the dedup detector at all (the service opts in when the
-    #: tenants are known to share a workload)
-    expect_dedup: bool = False
+    #: evaluate the dedup detector at all (the service sets it when its
+    #: units go to a pool and two tenants run the same program)
+    check_dedup: bool = False
     #: completed sessions needed before zero cross-hits means regression
     dedup_min_sessions: int = 4
 
@@ -162,7 +162,7 @@ def evaluate(
             serial_fallbacks=total_fallbacks,
         )
 
-    if policy.expect_dedup:
+    if policy.check_dedup:
         completed = sum(
             1 for session in sessions if session.get("status") == "completed"
         )

@@ -49,7 +49,7 @@ from repro.obs import events as obs_events
 from repro.obs import health as obs_health
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.obs.expo import TelemetryHub, TelemetryServer
+from repro.obs.expo import SessionRecord, TelemetryHub, TelemetryServer
 from repro.obs.lifecycle import fleet_summary, lane_summary
 from repro.workloads import build_workload
 
@@ -71,11 +71,9 @@ class ServiceConfig:
     #: session completes (scrape window for smoke tests / operators;
     #: :meth:`RecordService.end_linger` closes it sooner)
     telemetry_linger: float = 0.0
-    #: append the event journal as JSON lines here (``repro events tail``)
+    #: append the event journal as JSON lines here (``repro events tail``);
+    #: None = no journal
     events_path: Optional[str] = None
-    #: evaluate the cross-session dedup-regression detector (set when
-    #: the tenants are known to share a workload)
-    expect_dedup: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,11 +173,10 @@ class RecordService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        policy = obs_health.HealthPolicy(expect_dedup=self.config.expect_dedup)
-        #: the live telemetry state — persistent across :meth:`serve`
-        #: calls on one service, so a record phase followed by a replay
-        #: phase exposes both through one ``/metrics`` history
-        self.hub = TelemetryHub(policy)
+        #: the live telemetry — persistent across :meth:`serve` calls on
+        #: one service, so a record phase followed by a replay phase
+        #: exposes both through one ``/metrics`` history
+        self.hub = TelemetryHub()
         self._linger_over = threading.Event()
 
     # ------------------------------------------------------------------
@@ -205,13 +202,20 @@ class RecordService:
         if len(set(sids)) < len(sids):
             raise ValueError(f"duplicate session ids in {sids}")
         jobs = max(1, config.jobs)
-        #: session id -> the epoch lives its runs have begun so far
-        lanes: Dict[str, list] = {}
-        # The journal is the telemetry plane's spine: the hub derives
-        # live per-session state from the same stream an operator tails.
-        journal = obs_events.install_journal(sink_path=config.events_path)
-        journal.add_listener(self.hub.ingest_event)
-        self.hub.attach_lanes(lanes)
+        # Cross-session dedup needs a pool and two tenants that put the
+        # same program's blobs into it.
+        programs = {
+            (request.workload, request.workers, request.scale, request.seed)
+            for request in requests
+        }
+        self.hub.policy = obs_health.HealthPolicy(
+            check_dedup=jobs > 1 and len(programs) < len(requests)
+        )
+        #: session id -> its record, from its admission on
+        records: Dict[str, SessionRecord] = {}
+        self.hub.attach(records)
+        if config.events_path is not None:
+            obs_events.install_journal(config.events_path)
         server: Optional[TelemetryServer] = None
         bound_port: Optional[int] = None
         if config.telemetry_port is not None:
@@ -234,7 +238,7 @@ class RecordService:
             with options.run(host_jobs=jobs):
                 results = await asyncio.gather(
                     *(
-                        self._session(request, lanes, admission, loop, threads)
+                        self._session(request, records, admission, loop, threads)
                         for request in requests
                     )
                 )
@@ -257,11 +261,12 @@ class RecordService:
             self._linger_over.clear()
             if server is not None:
                 await server.stop()
-            health = self.hub.evaluate().to_plain()
-            obs_events.uninstall_journal()
+            health = obs_health.evaluate(self.hub.close(), self.hub.policy).to_plain()
+            if config.events_path is not None:
+                obs_events.uninstall_journal()
         return ServiceReport(
             results=list(results),
-            fleet=fleet_summary(list(lanes.values())),
+            fleet=fleet_summary([record.runs for record in records.values()]),
             elapsed=elapsed,
             health=health,
             telemetry_port=bound_port,
@@ -273,26 +278,28 @@ class RecordService:
     async def _session(
         self,
         request: SessionRequest,
-        lanes: Dict[str, list],
+        records: Dict[str, SessionRecord],
         admission: asyncio.Semaphore,
         loop: asyncio.AbstractEventLoop,
         threads: concurrent.futures.ThreadPoolExecutor,
     ) -> SessionResult:
         t_arrive = time.perf_counter()
         async with admission:
-            admission_wait = time.perf_counter() - t_arrive
+            record = records[request.sid] = SessionRecord(
+                request.sid, time.perf_counter() - t_arrive
+            )
             obs_events.emit(
                 "session-admitted", sid=request.sid,
-                wait=round(admission_wait, 6),
+                wait=round(record.admission_wait, 6),
             )
-            runs = lanes[request.sid] = []
             # copy_context: every session thread inherits the options
             # resolved once for the service run, as asyncio.to_thread would.
             result = await loop.run_in_executor(
                 threads, contextvars.copy_context().run,
-                self._session_body, request, runs,
+                self._session_body, request, record.runs,
             )
-            result.admission_wait = admission_wait
+            result.admission_wait = record.admission_wait
+            record.result = result
             obs_events.emit(
                 "session-completed", sid=request.sid, ok=result.ok,
                 epochs=result.epochs, duration=round(result.duration, 6),

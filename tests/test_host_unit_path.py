@@ -215,7 +215,7 @@ def test_a_bug_in_building_a_dispatch_is_not_contained(monkeypatch):
         parity.observe(PBZIP, jobs=2)
 
 
-def test_an_unwritable_scratch_pack_is_contained(monkeypatch):
+def test_an_unwritable_scratch_pack_is_contained(monkeypatch, tmp_path):
     """A pack that cannot be flushed (disk full, its directory gone) is a
     host failure: journalled, retried, then run on the coordinator —
     and the recording is the ``jobs=1`` one."""
@@ -225,12 +225,15 @@ def test_an_unwritable_scratch_pack_is_contained(monkeypatch):
     def disk_full(self, fsync=False):
         raise OSError(28, "No space left on device")
 
-    journal = obs_events.install_journal()
+    sink = str(tmp_path / "events.jsonl")
+    obs_events.install_journal(sink)
     try:
         with monkeypatch.context() as patch:
             patch.setattr(BlobStore, "flush", disk_full)
             got = parity.observe(PBZIP, jobs=2)
-        contained = [e for e in journal.tail() if e["kind"] == "fault-contained"]
+        contained = [
+            e for e in obs_events.read_events(sink) if e["kind"] == "fault-contained"
+        ]
     finally:
         obs_events.uninstall_journal()
         shutdown_shared_pool()

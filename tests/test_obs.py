@@ -397,7 +397,8 @@ def test_every_view_counts_the_same_commits(tmp_path, jobs, sink):
     (At the parent a recovered commit, sink write and all, was wrapped
     by neither the span nor the histogram.)"""
     overrides = {"log_dir": str(tmp_path / "log")} if sink == "log_dir" else {}
-    journal = obs_events.install_journal()
+    events = str(tmp_path / "events.jsonl")
+    obs_events.install_journal(events)
     tracer = obs_spans.start_trace()
     try:
         result, _, _ = _record("racy-counter", jobs=jobs, scale=8, **overrides)
@@ -407,7 +408,7 @@ def test_every_view_counts_the_same_commits(tmp_path, jobs, sink):
     epochs = result.stats["epochs"]
     assert result.stats["recoveries"] >= 3 and epochs > result.stats["recoveries"]
     commits = [s for s in tracer.spans if s.name == "commit"]
-    lines = [e for e in journal.tail() if e["kind"] == "epoch-commit"]
+    lines = [e for e in obs_events.read_events(events) if e["kind"] == "epoch-commit"]
     assert len(commits) == len(lines) == epochs
     assert result.metrics.histogram("commit_wall_s").count == epochs
     assert sum(1 for e in lines if e.get("recovered")) == result.stats["recoveries"]

@@ -7,12 +7,13 @@ Four layers, tested bottom-up:
   makes partition-independent quantiles possible at all), and the
   worker round-trip must leave the deterministic ``epoch_cycles``
   distribution bit-identical between ``jobs=1`` and ``jobs=4``.
-* **Event journal** (:mod:`repro.obs.events`) — bounded ring semantics
-  (overflow counts, global sequence numbers), the JSON-lines sink,
-  per-thread session attribution, and the disabled-is-free contract.
-* **Exposition** (:mod:`repro.obs.expo`) — the hub derives live state
-  from the journal stream; ``/metrics`` is Prometheus text with
-  per-session latency quantiles; ``/healthz`` answers 200/503.
+* **Event journal** (:mod:`repro.obs.events`) — the JSON-lines sink
+  (global, monotonic sequence numbers), per-thread session attribution,
+  and the disabled-is-free contract.
+* **Exposition** (:mod:`repro.obs.expo`) — the hub derives every
+  session row from its epoch lives and its result, and agrees with the
+  service's report; ``/metrics`` is Prometheus text with per-session
+  latency quantiles; ``/healthz`` answers 200/503.
 * **Health** (:mod:`repro.obs.health`) — each detector judged on
   synthetic snapshots (pure function, no service behind it), then the
   end-to-end flip: a service run with an injected ``crash:`` fault
@@ -20,31 +21,37 @@ Four layers, tested bottom-up:
 """
 
 import asyncio
+import gc
 import io
 import json
 import os
+import re
 import signal
 import socket
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro.baselines import run_native
 from repro.cli import main as cli_main
 from repro.core import DoublePlayConfig, DoublePlayRecorder
+from repro.errors import WorkerCrashError
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
 from repro.obs import health as obs_health
 from repro.obs import histo as obs_histo
 from repro.obs import metrics as obs_metrics
-from repro.obs.expo import TelemetryHub, TelemetryServer, http_get
+from repro.obs.expo import SessionRecord, TelemetryHub, TelemetryServer, http_get
 from repro.obs.histo import LogHistogram
+from repro.obs.lifecycle import Lives, UnitTiming
 from repro.obs.metrics import build_run_metrics
 from repro.obs.summary import render_metric_lines
-from repro.service import RecordService, ServiceConfig, SessionRequest
+from repro.service import RecordService, ServiceConfig, SessionRequest, SessionResult
 from repro.workloads import build_workload
 
 
@@ -195,27 +202,16 @@ def test_emit_without_journal_is_a_noop():
     obs_events.emit("epoch-commit", epoch=1)  # must not raise
 
 
-def test_ring_overflow_counts_drops_and_keeps_sequence():
-    journal = obs_events.install_journal(capacity=8)
-    for i in range(20):
-        journal.emit("epoch-commit", epoch=i)
-    tail = journal.tail()
-    assert len(tail) == 8
-    assert journal.dropped == 12
-    assert journal.emitted == 20
-    assert [event["seq"] for event in tail] == list(range(12, 20))
-    assert journal.tail(3) == tail[-3:]
-
-
 def test_jsonl_sink_and_read_events(tmp_path):
     sink = tmp_path / "events.jsonl"
-    journal = obs_events.install_journal(capacity=4, sink_path=str(sink))
+    journal = obs_events.install_journal(sink_path=str(sink))
     for i in range(6):
         journal.emit("epoch-commit", epoch=i)
     obs_events.uninstall_journal()
-    # The ring dropped two, the sink kept all six.
+    journal.emit("epoch-commit", epoch=6)  # a late emitter: dropped
     events = obs_events.read_events(str(sink))
     assert [event["epoch"] for event in events] == list(range(6))
+    assert [event["seq"] for event in events] == list(range(6))
     # Directory form resolves the default layout, and a torn tail line
     # (crashed writer) is tolerated.
     with open(sink, "a") as handle:
@@ -224,10 +220,9 @@ def test_jsonl_sink_and_read_events(tmp_path):
     assert len(obs_events.read_events(str(sink), count=2)) == 2
 
 
-def test_events_carry_thread_session_context():
-    journal = obs_events.install_journal()
-    seen = []
-    journal.add_listener(seen.append)
+def test_events_carry_thread_session_context(tmp_path):
+    sink = str(tmp_path / "events.jsonl")
+    obs_events.install_journal(sink)
 
     def tenant(sid):
         with obs_metrics.session_scope(sid):
@@ -241,17 +236,12 @@ def test_events_carry_thread_session_context():
     for thread in threads:
         thread.join(timeout=10)
     obs_events.emit("flight-window-slide", dropped=1)  # main thread: no sid
+    obs_events.uninstall_journal()
+    seen = obs_events.read_events(sink)
     assert sorted(e["sid"] for e in seen if "sid" in e) == ["s0", "s1", "s2"]
-    assert "sid" not in journal.tail()[-1]
+    assert "sid" not in seen[-1]
     line = obs_events.format_event(seen[0])
     assert "epoch-commit" in line and "epoch=0" in line
-
-
-def test_broken_listener_never_fails_the_producer():
-    journal = obs_events.install_journal()
-    journal.add_listener(lambda event: 1 / 0)
-    journal.emit("epoch-commit", epoch=0)  # must not raise
-    assert journal.emitted == 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +309,7 @@ def test_fault_and_fallback_budgets():
 
 def test_dedup_regression_detector():
     sessions = [_session(sid=f"s{i}") for i in range(4)]
-    policy = obs_health.HealthPolicy(expect_dedup=True)
+    policy = obs_health.HealthPolicy(check_dedup=True)
     snapshot = {
         "now": 1.0,
         "sessions": sessions,
@@ -340,31 +330,37 @@ def test_dedup_regression_detector():
 # ---------------------------------------------------------------------------
 
 
-def _completed(sid, epochs, duration, lane=None, ok=True, error=None):
-    """The service's ``session-completed`` line: the hub's only feed."""
-    obs_events.emit(
-        "session-completed", sid=sid, ok=ok, epochs=epochs, duration=duration,
-        lane=lane or {}, error=error,
-    )
-
-
-def _fed_hub():
+def _hub_of(sid, lives, duration, wait=0.0):
+    """A hub whose serve admitted one record session, now completed,
+    that ran (and committed) ``lives``."""
     hub = TelemetryHub()
-    journal = obs_events.install_journal()
-    journal.add_listener(hub.ingest_event)
-    obs_events.emit("session-admitted", sid="s0", wait=0.001)
-    with obs_metrics.session_scope("s0"):
-        for i in range(4):
-            obs_events.emit("epoch-commit", epoch=i, cycles=900)
-        obs_events.emit("fault-contained", fault="crash", position=1)
-    _completed(
-        "s0", epochs=4, duration=0.5,
-        lane={"unit_latency_p50": 0.01, "unit_latency_p99": 0.02, "inflight": 0},
+    result = SessionResult(
+        sid=sid, kind="record", ok=True, epochs=len(lives.all), duration=duration
     )
+    hub.attach({sid: SessionRecord(sid, wait, [lives], result)})
     return hub
 
 
-def test_hub_derives_session_state_from_the_event_stream():
+def _fed_hub():
+    """Four pushed epochs committed 0.1 s apart; position 1's first
+    attempt crashed and was retried; position 3's unit took 0.02 s, the
+    others 0.01 s."""
+    lives, t0 = Lives(), time.perf_counter()
+    for position in range(4):
+        start = t0 + 0.1 * position
+        lives.cut(position)
+        lives.dispatched(position, "record", True, start, start, 1, 64)
+        if position == 1:
+            lives.failed(position, WorkerCrashError("worker died", position))
+            lives.dispatched(position, "record", False, start, start, 0, 0)
+        wall = 0.02 if position == 3 else 0.01
+        lives.executed(position, UnitTiming(wall=wall, started=start))
+        lives.fate(position, "accepted")
+        lives.committed(position, start + 0.05, start + 0.06, cycles=900)
+    return _hub_of("s0", lives, duration=0.5, wait=0.001)
+
+
+def test_hub_derives_session_state_from_the_lives():
     hub = _fed_hub()
     snap = hub.snapshot()
     assert snap["completed"] == 1 and snap["failed"] == 0
@@ -442,11 +438,28 @@ def test_endpoints_serve_metrics_sessions_and_health():
         shutdown()
 
 
+#: one Prometheus sample line: name, optional escaped labels, value
+_SAMPLE = re.compile(
+    r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
+    r'(\{[a-zA-Z_]\w*="(?:[^"\\\n]|\\[\\"n])*"'
+    r'(,[a-zA-Z_]\w*="(?:[^"\\\n]|\\[\\"n])*")*\})? \S+$'
+)
+
+
+def test_prometheus_label_values_are_escaped():
+    text = _hub_of('a"b\nc\\d', Lives(), duration=0.1).prometheus_text()
+    samples = [line for line in text.splitlines() if not line.startswith("#")]
+    assert [line for line in samples if not _SAMPLE.match(line)] == []
+    assert 'repro_session_epochs_total{session="a\\"b\\nc\\\\d"} 0' in samples
+
+
 def test_healthz_is_200_when_clean():
-    hub = TelemetryHub()
-    obs_events.install_journal().add_listener(hub.ingest_event)
-    obs_events.emit("session-admitted", sid="s0", wait=0.0)
-    _completed("s0", epochs=2, duration=0.1)
+    lives = Lives()
+    for position in range(2):
+        lives.cut(position)
+        lives.ran(position, "record", UnitTiming())
+        lives.committed(position, 0.0, 0.0, cycles=900)
+    hub = _hub_of("s0", lives, duration=0.1)
     server, shutdown = _serve_hub(hub)
     try:
         body = json.loads(http_get(f"{server.url}/healthz"))
@@ -474,9 +487,38 @@ def _requests(count, faults_for=None, fault="crash:unit1"):
     ]
 
 
-def test_service_health_flips_degraded_under_injected_crash():
+@pytest.fixture(scope="module")
+def two_serves():
+    """One service, two serves: two tenants with ``crash:unit1`` in
+    ``s0``, then one clean tenant ``t0``. Every session is traced, so
+    its runs' lives can be told apart. Returns the service, both
+    reports and the hub's rows between the serves."""
     service = RecordService(ServiceConfig(jobs=2, max_active=2))
-    report = service.run(_requests(2, faults_for=0))
+    first = service.run(
+        [replace(r, trace=True) for r in _requests(2, faults_for=0)]
+    )
+    rows = service.hub.snapshot()["sessions"]
+    second = service.run([replace(_requests(1)[0], sid="t0", trace=True)])
+    return service, first, rows, second
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instances and
+    containers (not through classes, modules or code)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType,
+            types.BuiltinFunctionType, types.CodeType)
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_service_health_flips_degraded_under_injected_crash(two_serves):
+    _, report, rows, _ = two_serves
     assert report.ok, [r.error for r in report.results]
     assert report.health is not None
     assert not report.healthy
@@ -485,8 +527,50 @@ def test_service_health_flips_degraded_under_injected_crash():
     # The hub attributed contained faults to the injected tenant. (The
     # clean tenant may also record collateral faults: a crash kills a
     # shared fleet worker, and its in-flight units die and retry too.)
-    views = {s["sid"]: s for s in service.hub.snapshot()["sessions"]}
+    views = {s["sid"]: s for s in rows}
     assert views["s0"]["faults"] >= 1
+
+
+def test_hub_rows_agree_with_the_session_results(two_serves):
+    _, report, rows, _ = two_serves
+    views = {s["sid"]: s for s in rows}
+    assert set(views) == {"s0", "s1"}
+    for result in report.results:
+        faults = result.metrics["faults"]
+        view = views[result.sid]
+        assert view["faults"] == (
+            faults["crashes"] + faults["timeouts"] + faults["task_errors"]
+        )
+        assert view["serial_fallbacks"] == faults["serial_fallbacks"]
+        assert view["epochs"] == result.epochs > 0
+
+
+def test_a_later_serve_keeps_rows_not_lives(two_serves):
+    service, first, rows, second = two_serves
+    listed = {s["sid"]: s for s in service.hub.snapshot()["sessions"]}
+    assert set(listed) == {"s0", "s1", "t0"}
+    assert [listed[s["sid"]] for s in rows] == rows
+    assert listed["t0"]["status"] == "completed"
+    earlier = {id(run) for r in first.results for run in r.tracer.runs}
+    current = {id(run) for r in second.results for run in r.tracer.runs}
+    reachable = {
+        id(obj) for obj in _reachable(service.hub) if isinstance(obj, Lives)
+    }
+    assert earlier and not reachable & earlier
+    assert reachable <= current
+
+
+def test_a_serve_without_events_installs_no_journal(monkeypatch):
+    def installed(*_, **__):
+        raise AssertionError("the serve installed a journal")
+
+    monkeypatch.setattr(obs_events, "install_journal", installed)
+    service = RecordService(ServiceConfig(jobs=1, max_active=1))
+    report = service.run(_requests(1))
+    assert report.ok and report.healthy
+    (view,) = service.hub.snapshot()["sessions"]
+    assert view["status"] == "completed"
+    assert view["epochs"] == report.results[0].epochs > 0
 
 
 def test_service_health_ok_when_clean():
@@ -637,6 +721,17 @@ def test_cli_serve_prints_health_and_events(tmp_path):
     code, text = run_cli("events", "tail", str(events_path))
     assert code == 0
     assert "session-completed" in text
+
+
+def test_cli_serve_without_a_pool_expects_no_dedup():
+    """Units that never leave the coordinator can have no cross-session
+    hits: four same-program tenants at ``--jobs 1`` are healthy."""
+    code, text = run_cli(
+        "serve", "fft", "--scale", "1", "--sessions", "4", "--jobs", "1",
+        "--verify",
+    )
+    assert code == 0, text
+    assert "health: ok" in text and "dedup-regression" not in text
 
 
 def test_cli_serve_sigterm_closes_the_linger_window():

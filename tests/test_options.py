@@ -209,19 +209,20 @@ def test_dispatch_carries_non_default_options_across_pickle():
     assert UnitDispatch(None, None, 0).options == DEFAULTS
 
 
-def test_each_run_journals_its_resolved_options(monkeypatch):
+def test_each_run_journals_its_resolved_options(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
     instance = build_workload("fft", workers=2, scale=2, seed=11)
     config = DoublePlayConfig(
         machine=MachineConfig(cores=2), epoch_cycles=2000,
         host_jobs=1, unit_timeout=9,
     )
-    journal = obs_events.install_journal()
+    sink = str(tmp_path / "events.jsonl")
+    obs_events.install_journal(sink)
     try:
         DoublePlayRecorder(instance.image, instance.setup, config).record()
     finally:
         obs_events.uninstall_journal()
-    events = journal.tail()
+    events = obs_events.read_events(sink)
     assert [e["kind"] for e in events].count("options") == 1
     first = events[0]
     assert first["kind"] == "options"
