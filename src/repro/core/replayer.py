@@ -14,12 +14,13 @@ Two strategies, both offered by the paper:
   checkpoint, exactly like the epoch-parallel execution at record time.
   Replay wall-time approaches the original multicore run's. Needs the
   in-memory checkpoints (or ``materialize_checkpoints`` to rebuild them).
-  With ``jobs > 1`` it is the mirror of a record segment: every unit is
-  pushed into a :class:`~repro.host.executor.SpeculativeSession` and the
-  same in-order merge is consumed — to the end, collecting every
-  failure, where a recorder stops at the first. ``jobs=1`` runs the
-  epochs inline (``_replay_one``), the oracle the pooled path is
-  compared against.
+  With ``jobs > 1`` it is the mirror of a record segment: the epochs are
+  cut into contiguous spans (``host.wire.replay_spans``), one unit each,
+  every unit is pushed into a
+  :class:`~repro.host.executor.SpeculativeSession` and the same in-order
+  merge is consumed — to the end, collecting every failure, where a
+  recorder stops at the first. ``jobs=1`` runs the epochs inline
+  (``_replay_one``), the oracle the pooled path is compared against.
 
 ``replay_epoch`` replays one epoch in isolation — the debugging workflow
 the paper motivates (jump straight to the interval containing the bug).
@@ -62,9 +63,9 @@ def run_replay_epoch(
     The one engine set-up → run → verify → count routine behind every
     per-epoch replay: ``Replayer.replay_epoch``, serial
     ``replay_parallel`` and the host layer's replay units (worker or
-    coordinator serial fallback) all call it, so they reach identical
-    verdicts and cycle counts by construction. Returns
-    ``(cycles, failure)``.
+    coordinator serial fallback, once per epoch of the unit's span) all
+    call it, so they reach identical verdicts and cycle counts by
+    construction. Returns ``(cycles, failure)``.
     """
     engine = UniprocessorEngine.from_checkpoint(
         program,
@@ -221,9 +222,12 @@ class Replayer:
         process count: with ``jobs > 1`` the epochs actually execute
         concurrently in worker processes (they are fully independent, so
         replay is the best-scaling phase of the system), with verdicts,
-        cycles and makespans bit-identical to the serial path.
+        cycles and makespans bit-identical to the serial path. A worker
+        unit is a contiguous span of epochs (``3 * jobs`` spans balanced
+        by recorded cycles, see :func:`~repro.host.wire.replay_spans`),
+        so the pool round trip is paid per span, not per epoch.
 
-        Host worker failures are contained per epoch (a unit whose
+        Host worker failures are contained per unit (a unit whose
         pushed attempt is lost gets two counted pool attempts, then
         in-coordinator serial execution — see
         :mod:`repro.host.executor`), so the replay always completes with the
@@ -253,17 +257,20 @@ class Replayer:
                 units = []
                 try:
                     # Unit p executes while unit p + 1 is being cut.
-                    for unit in replay_units(recording, session.blobs):
+                    for unit in replay_units(recording, session.blobs, opts.host_jobs):
                         lives.cut(unit.epoch_index)
                         session.push(unit)
                         units.append(unit)
                     # A replay unit is full knowledge as pushed: any value
-                    # stands, and cutting one again is looking it up.
+                    # stands, and cutting one again is looking it up. Its
+                    # value is the outcome of each epoch of its span.
                     outcomes = [
-                        outcome for _, outcome in session.harvest(
-                            len(units), lambda position, outcome: True,
+                        outcome
+                        for _, span in session.harvest(
+                            len(units), lambda position, value: True,
                             units.__getitem__,
                         )
+                        for outcome in span
                     ]
                 finally:
                     session.close()

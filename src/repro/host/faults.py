@@ -23,8 +23,11 @@ Spec grammar — comma-separated list of::
   ``error`` (raise inside the worker; exercises the structured
   task-error path).
 * ``unit<N>`` — the unit's position *within its batch* (a record
-  segment or a whole replay). A recording with several segments fires
-  the fault once per matching segment unless ``once`` is given.
+  segment or a whole replay). A record unit is one epoch; a replay unit
+  is a contiguous span of epochs (``repro.host.wire.replay_spans``), so
+  a replay's ``unit<N>`` names its *N*-th span, not epoch *N*. A
+  recording with several segments fires the fault once per matching
+  segment unless ``once`` is given.
 * ``once`` — fire on the first matching attempt only, then disarm.
   Workers are separate processes, so the fuse lives on disk:
   ``REPRO_FAULT_STATE`` must name a directory (created if missing).

@@ -30,7 +30,8 @@ and whole recordings:
   decodes and indexes it once per cached blob and joins the indices of
   the chunks a unit names. Never the tighter per-epoch window: what a
   *diverging* attempt finds past its boundary is part of its result. A
-  replay unit names one chunk, the recording's whole log. Signal
+  replay unit — a contiguous span of committed epochs — names one chunk,
+  the recording's whole log. Signal
   deliveries (rare) are one slice per unit.
 
 * **Hints by window.** The sync hints a record unit needs are the
@@ -51,7 +52,7 @@ objects, zero-decode and trivially bit-identical to the ``jobs=1`` path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.checkpoint.checkpoint import Checkpoint, WireCheckpoint
 from repro.exec.services import InjectionLog
@@ -119,24 +120,35 @@ class RecordEpochUnit:
         return required
 
 
-@dataclass
-class ReplayEpochUnit:
-    """One committed epoch of a recording, packaged for parallel replay."""
+class SpanEpoch(NamedTuple):
+    """One committed epoch of a replay unit's span."""
 
-    #: position within the recording (0-based; orders the merge)
-    position: int
-    #: the committed epoch's index
-    epoch_index: int
-    #: epoch start state as a full skeleton (kernel-stripped)
+    index: int
+    #: the epoch's start state (kernel-stripped): a full skeleton for
+    #: the span's first epoch, a delta against the epoch before it for
+    #: every later one
     start: WireCheckpoint
     #: per-thread retired-op targets at the epoch's end boundary
     targets: dict
-    #: the committed timeslice schedule to follow (per-epoch, inline)
+    #: the committed timeslice schedule to follow
     schedule: object
-    #: the committed acquisition order (per-epoch and disjoint, inline)
+    #: the committed acquisition order (per-epoch and disjoint)
     sync_events: Tuple[tuple, ...]
     #: guest-state digest the replay must reach
     end_digest: int
+
+
+@dataclass
+class ReplayEpochUnit:
+    """A contiguous span of a recording's committed epochs, packaged for
+    parallel replay (a span of one epoch is the smallest unit)."""
+
+    #: the span's position within the replay (0-based; orders the merge)
+    position: int
+    #: the span's first epoch's index
+    epoch_index: int
+    #: the span's epochs, in order
+    epochs: Tuple[SpanEpoch, ...]
     #: the recording's syscall log: one chunk (shared by every unit)
     syscalls: Tuple[BlobRef, ...]
     #: the recording's signal-delivery log (shared by every unit)
@@ -146,7 +158,9 @@ class ReplayEpochUnit:
 
     def required_digests(self) -> Set[int]:
         """Every blob digest a worker must resolve to run this unit."""
-        required = set(self.start.blob_digests())
+        required = set()
+        for epoch in self.epochs:
+            required.update(epoch.start.blob_digests())
         required.update(chunk.digest for chunk in self.syscalls)
         required.add(self.signals.digest)
         return required
@@ -251,41 +265,87 @@ def _record_unit(
     )
 
 
-def replay_units(recording, blobs: Dict[int, bytes]) -> Iterator[ReplayEpochUnit]:
-    """Cut a recording's committed epochs into replay units, one at a time:
-    a unit's blobs are in ``blobs`` when it is yielded, so unit *p* can be
-    pushed before unit *p + 1* is built.
+def replay_spans(durations: Sequence[int], jobs: int) -> List[range]:
+    """Cut epochs of recorded ``durations`` into contiguous spans for a
+    pool of ``jobs`` workers.
+
+    ``3 * jobs`` spans (one per epoch when there are fewer epochs). The
+    pool writes two units to a worker at once; the last ``jobs`` spans
+    wait and go to whichever worker is free first, so a span slower than
+    its recorded cycles predict (replay wall per cycle varies almost
+    threefold between fft's epochs) is caught up. A span ends at the
+    first epoch whose cumulative recorded cycles reach its share of the
+    total, and each keeps at least one epoch.
+    """
+    count = min(len(durations), 3 * jobs)
+    if not count:
+        return []
+    total = sum(durations)
+    bounds, reached, end = [0], 0, 0
+    for k in range(1, count):
+        reached += durations[end]
+        end += 1
+        while end < len(durations) - (count - k) and reached * count < total * k:
+            reached += durations[end]
+            end += 1
+        bounds.append(end)
+    bounds.append(len(durations))
+    return [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
+
+
+def replay_units(
+    recording, blobs: Dict[int, bytes], jobs: int
+) -> Iterator[ReplayEpochUnit]:
+    """Cut a recording's committed epochs into one replay unit per span
+    (:func:`replay_spans`), one at a time: a unit's blobs are in
+    ``blobs`` when it is yielded, so unit *p* can be pushed before unit
+    *p + 1* is built.
 
     Requires materialised start checkpoints (like any parallel replay).
-    The logs ship whole — exactly what the serial replayer consumes — as
-    one chunk and one signal blob shared by every unit.
+    Every epoch replays from its own: a span's first ships whole, each
+    later one as a delta against the one before it, so only its dirty
+    pages are interned. The logs ship whole — exactly what the serial
+    replayer consumes — as one chunk and one signal blob shared by every
+    unit.
     """
     from repro.errors import ReplayError
 
+    epochs = recording.epochs
     syscalls = (_intern_chunk(recording.syscalls_for_epochs(), blobs),)
     signals_ref = intern_object(tuple(recording.signal_records), blobs)
-    for position, epoch in enumerate(recording.epochs):
-        start = epoch.start_checkpoint
-        if start is None:
-            raise ReplayError(
-                f"epoch {epoch.index} has no materialised checkpoint; "
-                "run materialize_checkpoints() or replay sequentially"
-            )
-        _intern_pages(start.memory.pages.values(), blobs)
+    spans = replay_spans([epoch.duration for epoch in epochs], jobs)
+    for position, span in enumerate(spans):
+        members, base = [], None
+        for epoch in epochs[span.start:span.stop]:
+            start = epoch.start_checkpoint
+            if start is None:
+                raise ReplayError(
+                    f"epoch {epoch.index} has no materialised checkpoint; "
+                    "run materialize_checkpoints() or replay sequentially"
+                )
+            if base is None:
+                _intern_pages(start.memory.pages.values(), blobs)
+                wire = start.to_wire()
+            else:
+                wire = start.wire_delta(base)
+                pages = start.memory.pages
+                _intern_pages((pages[no] for no in wire.page_changes), blobs)
+            members.append(SpanEpoch(
+                epoch.index, wire, dict(epoch.targets), epoch.schedule,
+                epoch.sync_log.events, epoch.end_digest,
+            ))
+            base = start
         yield ReplayEpochUnit(
             position=position,
-            epoch_index=epoch.index,
-            start=start.to_wire(),
-            targets=dict(epoch.targets),
-            schedule=epoch.schedule,
-            sync_events=epoch.sync_log.events,
-            end_digest=epoch.end_digest,
+            epoch_index=members[0].index,
+            epochs=tuple(members),
             syscalls=syscalls,
             signals=signals_ref,
         )
 
 
 def replay_units_for_recording(recording) -> UnitBatch:
-    """Every replay unit of a recording and their blob set, built at once."""
+    """Every replay unit of a recording, cut for the smallest pool a
+    parallel replay uses (two workers), and their blob set, built at once."""
     blobs: Dict[int, bytes] = {}
-    return UnitBatch(list(replay_units(recording, blobs)), blobs)
+    return UnitBatch(list(replay_units(recording, blobs, 2)), blobs)

@@ -198,26 +198,29 @@ def _record_body(program, machine, unit, start, boundary, syscalls, signals, hin
 
 
 def _replay_inputs(unit, resolve):
-    return (
-        unit.start.hydrate(resolve),
-        _log(unit.syscalls, resolve),
-        _ref(unit.signals, resolve),
-    )
+    starts, base = [], None
+    for epoch in unit.epochs:
+        starts.append(epoch.start.hydrate(resolve, base_pages=base))
+        base = starts[-1].memory.pages
+    return (starts, _log(unit.syscalls, resolve), _ref(unit.signals, resolve))
 
 
-def _replay_body(program, machine, unit, start, syscalls, signals):
-    return run_replay_epoch(
-        program,
-        machine,
-        unit.epoch_index,
-        start,
-        unit.targets,
-        unit.schedule,
-        SyncOrderLog(unit.sync_events),
-        unit.end_digest,
-        syscalls,
-        signals,
-    )
+def _replay_body(program, machine, unit, starts, syscalls, signals):
+    return [
+        run_replay_epoch(
+            program,
+            machine,
+            epoch.index,
+            start,
+            epoch.targets,
+            epoch.schedule,
+            SyncOrderLog(epoch.sync_events),
+            epoch.end_digest,
+            syscalls,
+            signals,
+        )
+        for epoch, start in zip(unit.epochs, starts)
+    ]
 
 
 #: unit type -> (input hydration, pure body)
@@ -230,9 +233,9 @@ _KINDS = {
 def _execute(dispatch: UnitDispatch, program, resolve, timing: UnitTiming):
     """Hydrate and run one unit; stamp the execution onto ``timing``.
 
-    Returns the kind's result (an ``EpochRunResult``, or a replay's
-    ``(cycles, failure)``). The body starts, and is timed, after
-    hydration.
+    Returns the kind's result (an ``EpochRunResult``, or a replay
+    unit's ``(cycles, failure)`` per epoch of its span). The body
+    starts, and is timed, after hydration.
     """
     unit = dispatch.unit
     hydrate, body = _KINDS[type(unit)]

@@ -159,7 +159,13 @@ class TelemetryHub:
         }
 
     def evaluate(self) -> obs_health.HealthReport:
-        return obs_health.evaluate(self.snapshot(), self.policy)
+        """The health verdict on the current serve's sessions: rows kept
+        from earlier serves are listed, never judged again."""
+        snapshot = self.snapshot()
+        snapshot["sessions"] = [
+            row for row in snapshot["sessions"] if row["sid"] in self._records
+        ]
+        return obs_health.evaluate(snapshot, self.policy)
 
     # ------------------------------------------------------------------
     def prometheus_text(self) -> str:

@@ -221,9 +221,11 @@ class RecordService:
         if config.telemetry_port is not None:
             server = TelemetryServer(self.hub, port=config.telemetry_port)
             bound_port = await server.start()
-        # Returns once the workers are started: they import and say hello
-        # while the first sessions build their programs.
-        shared_pool(jobs)
+        if jobs > 1:
+            # Returns once the workers are started: they import and say
+            # hello while the first sessions build their programs. At
+            # jobs=1 every session runs inline and no pool is started.
+            shared_pool(jobs)
         loop = asyncio.get_running_loop()
         admission = asyncio.Semaphore(max(1, config.max_active))
         # Session bodies are blocking (the ordinary record/replay path);
@@ -261,7 +263,8 @@ class RecordService:
             self._linger_over.clear()
             if server is not None:
                 await server.stop()
-            health = obs_health.evaluate(self.hub.close(), self.hub.policy).to_plain()
+            health = self.hub.evaluate().to_plain()
+            self.hub.close()
             if config.events_path is not None:
                 obs_events.uninstall_journal()
         return ServiceReport(

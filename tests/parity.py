@@ -730,11 +730,13 @@ def assert_pinned(got: Observation) -> None:
         assert fused.get("fused_calls", 0) == 0, f"{got}: fusion ran while disabled"
 
 
-def assert_parity(got: Observation) -> None:
+def assert_parity(got: Observation, want: Optional[Observation] = None) -> None:
     """``got`` is its program's ``jobs=1`` oracle on every field it
     carries — the ``to_plain()`` JSON, the stats (``log_spilled``
     aside), makespan / ``tp_finish`` / ``app_time``, the ``exec``
     counters, the boundaries and verdicts of the segment loop, the
-    golden tuple, the bytes on disk — and :func:`assert_pinned`."""
-    _compare(got, oracle(got.program, got.sink, got.kind))
+    golden tuple, the bytes on disk — and :func:`assert_pinned`.
+    ``want`` stands in for the cached oracle when ``got`` ran on a
+    recording no oracle holds (a tampered one, replayed at ``jobs=1``)."""
+    _compare(got, want or oracle(got.program, got.sink, got.kind))
     assert_pinned(got)

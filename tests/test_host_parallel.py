@@ -23,6 +23,7 @@ from repro.core import (
     Replayer,
 )
 from repro.cli import main as cli_main
+from repro.host.wire import replay_spans
 from tests import parity
 from tests.parity import Program
 
@@ -102,7 +103,8 @@ def test_replay_parallel_jobs_bit_identical(name, workers):
     parity.assert_parity(parallel)
     assert parity.oracle(program, kind="parallel").result.jobs == 1
     assert parallel.result.jobs == parallel.host["jobs"] == 2
-    assert len(parallel.host["unit_cpu"]) == parallel.result.epochs_replayed
+    # One unit per span of epochs (3 * jobs spans), not per epoch.
+    assert len(parallel.host["unit_cpu"]) == 6 < parallel.result.epochs_replayed
 
 
 def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
@@ -129,19 +131,54 @@ def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
     )
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+#: the recordings the span rows replay: racy-counter/3 has 11 epochs (2
+#: jobs cut 6 spans, 3 jobs an odd split into 9), pbzip/2 has 12
+RACY3 = Program("racy-counter", 3)
+
+
+@pytest.mark.parametrize(
+    "program,jobs,fault",
+    [
+        (RACY3, 2, None),
+        (RACY3, 3, None),
+        (Program("pbzip", 2), 3, None),
+        (Program("fft", 3), 2, "replay:crash:unit5"),  # the last span
+    ],
+    ids=["racy-counter-2", "racy-counter-3", "pbzip-3", "fft-crash-last-span"],
+)
+def test_replay_spans_match_jobs1(program, jobs, fault):
+    """A pooled replay ships one unit per contiguous span of epochs and
+    reports exactly what ``jobs=1`` does (a crashed span is contained)."""
+    got = parity.observe_replay(program, jobs=jobs, fault=fault)
+    parity.assert_parity(got)  # and the crash fired: faults["crashes"] >= 1
+    epochs = got.recording.epochs
+    spans = replay_spans([epoch.duration for epoch in epochs], jobs)
+    assert got.host["units"] == len(spans) == 3 * jobs < len(epochs)
+    assert max(len(span) for span in spans) > 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_replay_failure_reports_epoch_index(jobs):
-    recording = copy.deepcopy(parity.oracle(FFT).recording)
-    victim = recording.epochs[2]
-    victim.end_digest ^= 0xDEAD
-    outcome = _replayer().replay_parallel(recording, jobs=jobs)
+    """Two tampered end digests — one inside a span, one in a later
+    span — are both reported, each against its epoch, as ``jobs=1``
+    reports them: no epoch's verdict rests on another's replay."""
+    recording = copy.deepcopy(parity.oracle(RACY3).recording)
+    spans = replay_spans([epoch.duration for epoch in recording.epochs], 2)
+    inside = next(k for k, span in enumerate(spans) if len(span) > 1)
+    victims = [recording.epochs[spans[inside][1]], recording.epochs[spans[-1][-1]]]
+    for victim in victims:
+        victim.end_digest ^= 0xDEAD
+    got = parity.observe_replay(RACY3, recording, jobs=jobs)
+    parity.assert_parity(got, parity.observe_replay(RACY3, recording, jobs=1))
+    outcome = got.result
     assert not outcome.verified
-    assert len(outcome.details) == 1
-    failure = outcome.details[0]
-    assert isinstance(failure, ReplayFailure)
-    assert failure.epoch == victim.index
-    assert "digest mismatch" in failure.message
-    assert str(failure).startswith(f"epoch {victim.index} ")
+    assert [failure.epoch for failure in outcome.details] == [
+        victim.index for victim in victims
+    ]
+    for failure in outcome.details:
+        assert isinstance(failure, ReplayFailure)
+        assert "digest mismatch" in failure.message
+        assert str(failure).startswith(f"epoch {failure.epoch} ")
 
 
 def test_sequential_replay_failures_are_structured():

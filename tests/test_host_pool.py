@@ -106,7 +106,7 @@ def test_a_record_and_a_replay_run_on_one_thread(monkeypatch, name):
     outcome = Replayer(instance.image, machine).replay_parallel(
         result.recording, jobs=2
     )
-    assert outcome.verified and len(census) == pushes + outcome.epochs_replayed
+    assert outcome.verified and len(census) == pushes + outcome.host["units"]
     census.append(set(threading.enumerate()) - before)
     assert not any(census), [extra for extra in census if extra]
 

@@ -21,7 +21,7 @@ from repro.host import executor as host_executor
 from repro.host import worker as host_worker
 from repro.host.blobs import BlobCache
 from repro.host.pool import shared_pool, shutdown_shared_pool
-from repro.host.wire import RecordEpochUnit, ReplayEpochUnit
+from repro.host.wire import RecordEpochUnit, ReplayEpochUnit, replay_spans
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from tests import parity
@@ -84,7 +84,11 @@ def _run_both_ways(monkeypatch, dispatch):
     try:
         shipped = pickle.loads(pickle.dumps(dispatch))
         assert shipped._local_program is None
-        assert shipped.unit.start._local is None
+        unit = shipped.unit
+        if isinstance(unit, ReplayEpochUnit):
+            assert all(epoch.start._local is None for epoch in unit.epochs)
+        else:
+            assert unit.start._local is None
         assert all(chunk._local is None for chunk in shipped.unit.syscalls)
         _, worker_value, timing = host_worker.run_unit(shipped)
         assert not isinstance(worker_value, Exception), worker_value
@@ -140,10 +144,13 @@ def test_replay_unit_worker_entry_equals_serial_fallback(monkeypatch, captured):
     (worker, worker_counters), (serial, serial_counters) = _run_both_ways(
         monkeypatch, replay_dispatch
     )
-    assert worker == serial  # (cycles, failure)
-    assert worker[0] > 0 and worker[1] is None
+    # (cycles, failure) per epoch of the span; every epoch but the
+    # first started from a delta against the one before it.
+    assert worker == serial
+    assert len(worker) == len(replay_dispatch.unit.epochs) > 1
+    assert all(cycles > 0 and failure is None for cycles, failure in worker)
     assert worker_counters == serial_counters
-    assert worker_counters["replay.epochs"] == 1
+    assert worker_counters["replay.epochs"] == len(worker)
 
 
 def test_one_dispatch_routine_emits_every_span():
@@ -172,12 +179,14 @@ def test_one_dispatch_routine_emits_every_span():
     assert speculative, "no pushed dispatch span"
     assert all(s.args["speculative"] is True for s in speculative)
     # Every push is one such span, a record's and a replay's alike; a
-    # healthy replay pushes each unit once and accepts it.
-    epochs = result.recording.epoch_count()
+    # healthy replay pushes each unit (a span of epochs) once and accepts it.
+    epochs = result.recording.epochs
+    units = len(replay_spans([epoch.duration for epoch in epochs], 2))
+    assert units < len(epochs)
     assert outcome.host["speculation"] == {
-        "dispatched": epochs, "accepted": epochs, "invalidated": 0, "discarded": 0,
+        "dispatched": units, "accepted": units, "invalidated": 0, "discarded": 0,
     }
-    assert result.host["speculation"]["dispatched"] + epochs == len(speculative)
+    assert result.host["speculation"]["dispatched"] + units == len(speculative)
     for span in dispatches:
         assert set(span.args) - {"speculative"} == {"position", "bytes"}
     # What the spans say was put is what the run accounts, and no other
@@ -193,7 +202,7 @@ def test_one_dispatch_routine_emits_every_span():
     for span in spans("execute"):
         kinds.setdefault(span.args["kind"], []).append(span)
     assert set(kinds) == {"record", "record-serial", "replay"}
-    assert len(kinds["replay"]) == result.recording.epoch_count()
+    assert len(kinds["replay"]) == units
     assert result.host["faults"]["serial_fallbacks"] == len(kinds["record-serial"])
     assert all(s.args["position"] == 1 for s in kinds["record-serial"])
     assert all(s.track == tracer.pid for s in kinds["record-serial"])

@@ -21,7 +21,7 @@ from repro.exec.interpreter import decode_program
 from repro.host import executor as host_executor
 from repro.host.blobs import ScratchPacks, decode_blob_object
 from repro.host.executor import HostExecutor
-from repro.host.wire import _record_unit, replay_units_for_recording
+from repro.host.wire import _record_unit, replay_spans, replay_units_for_recording
 from repro.machine.config import MachineConfig
 from repro.memory.address_space import AddressSpace, MemorySnapshot
 from repro.memory.layout import PAGE_WORDS
@@ -289,18 +289,54 @@ def test_log_slices_keep_exactly_the_reachable_records():
             assert record[1] >= retired.get(record[0], 0)
 
 
+@given(
+    durations=st.lists(st.integers(min_value=0, max_value=5000), max_size=40),
+    jobs=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_replay_spans_cover_the_epochs_in_balanced_runs(durations, jobs):
+    """``3 * jobs`` contiguous, non-empty spans cover every epoch once,
+    and each span but the last ends at the first epoch whose cumulative
+    recorded cycles reach its share (unless later spans need the epochs)."""
+    spans = replay_spans(durations, jobs)
+    count = min(len(durations), 3 * jobs)
+    assert len(spans) == count and all(spans)
+    assert [i for span in spans for i in span] == list(range(len(durations)))
+    total = sum(durations)
+    for k, span in enumerate(spans[:-1], start=1):
+        reached = sum(durations[:span.stop])
+        latest = len(durations) - (count - k)
+        assert reached * count >= total * k or span.stop == latest
+        shorter = reached - durations[span.stop - 1]
+        assert len(span) == 1 or shorter * count < total * k
+
+
 def test_replay_units_roundtrip_preserves_digests():
+    """A replay unit is a span of epochs: the first ships its start whole,
+    every later one as a delta against the one before, and each hydrates
+    to its own start checkpoint."""
     _, _, result = _record()
+    epochs = result.recording.epochs
     batch = replay_units_for_recording(result.recording)
-    assert len(batch.units) == result.recording.epoch_count()
+    spans = replay_spans([epoch.duration for epoch in epochs], 2)
+    assert len(batch.units) == len(spans) < len(epochs)
     resolve = _blob_resolver(batch.blobs)
-    for unit, epoch in zip(batch.units, result.recording.epochs):
+    for unit, span in zip(batch.units, spans):
         clone = roundtrip(unit)
-        assert clone.end_digest == epoch.end_digest
-        assert clone.start.hydrate(resolve).digest() == epoch.start_checkpoint.digest()
-        assert clone.targets == epoch.targets
-        assert clone.sync_events == epoch.sync_log.events
-        assert clone.schedule.slices == epoch.schedule.slices
+        assert [epoch.index for epoch in clone.epochs] == [
+            epochs[i].index for i in span
+        ]
+        base = None
+        for shipped, epoch in zip(clone.epochs, epochs[span.start:span.stop]):
+            assert shipped.start.is_delta == (base is not None)
+            start = shipped.start.hydrate(resolve, base_pages=base)
+            assert start.digest() == epoch.start_checkpoint.digest()
+            assert start.sync_state == epoch.start_checkpoint.sync_state
+            base = start.memory.pages
+            assert shipped.end_digest == epoch.end_digest
+            assert shipped.targets == epoch.targets
+            assert shipped.sync_events == epoch.sync_log.events
+            assert shipped.schedule.slices == epoch.schedule.slices
         # The shared log references strip their coordinator shortcut and
         # resolve (through the batch blob set) to the serial path's logs.
         (chunk,) = clone.syscalls  # a replay's log is one chunk
@@ -350,7 +386,8 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
                 executor._make_dispatch(batch, index)
                 for index in range(len(batch.units))
             ]
-            assert len(dispatches) == recording.epoch_count() >= 8
+            assert len(dispatches) == len(wire.units)
+            assert recording.epoch_count() >= 8
             assert len({dispatch.pack for dispatch in dispatches}) == 1
             blobs_put = sum(dispatch.placed[0] for dispatch in dispatches)
             bytes_put = sum(dispatch.placed[1] for dispatch in dispatches)

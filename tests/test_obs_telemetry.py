@@ -545,6 +545,14 @@ def test_hub_rows_agree_with_the_session_results(two_serves):
         assert view["epochs"] == result.epochs > 0
 
 
+def test_a_later_serve_is_judged_on_its_own_sessions(two_serves):
+    """Regression: a serve's health judged every row the hub listed, so
+    a clean serve read ``degraded`` after one whose tenant crashed."""
+    _, first, _, second = two_serves
+    assert not first.healthy
+    assert second.ok and second.health == {"status": "ok", "problems": []}
+
+
 def test_a_later_serve_keeps_rows_not_lives(two_serves):
     service, first, rows, second = two_serves
     listed = {s["sid"]: s for s in service.hub.snapshot()["sessions"]}

@@ -226,6 +226,20 @@ def test_admission_semaphore_bounds_active_sessions_and_measures_wait():
     assert summary["sessions"] == 3 and summary["ok"] == 3
 
 
+def test_a_jobs1_serve_starts_no_pool(monkeypatch):
+    """Regression: ``serve`` called ``shared_pool(jobs)`` at ``jobs=1``
+    too, spawning a worker that no session ever gave a unit."""
+    host_pool.shutdown_shared_pool()
+    spawned = []
+    monkeypatch.setattr(host_pool, "WorkerPool", spawned.append)
+    report = RecordService(ServiceConfig(jobs=1, max_active=2)).run(
+        [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=8)
+         for i in range(2)]
+    )
+    assert report.ok, [r.error for r in report.results]
+    assert spawned == [] and host_pool._shared_pool is None
+
+
 # ---------------------------------------------------------------------------
 # Fleet economics: cross-session blob dedup.
 # ---------------------------------------------------------------------------

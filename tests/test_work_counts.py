@@ -30,6 +30,7 @@ from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.host import executor as host_executor
 from repro.host.executor import HostExecutor
 from repro.host.pool import shared_pool, shutdown_shared_pool
+from repro.host.wire import replay_spans
 from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
@@ -237,6 +238,8 @@ def test_a_replay_runs_every_unit_once_through_the_session(
 ):
     """A replay is a session like a record segment's: N units pushed, N
     accepted, none through the counted path — and the ``jobs=1`` verdict.
+    A unit is a span of epochs: ``3 * jobs`` of them (at most one per
+    epoch), not one per epoch.
 
     Fails if ``harvest`` cuts again a position whose pushed value
     stands (at the parent a replay had its own loop, and
@@ -247,8 +250,8 @@ def test_a_replay_runs_every_unit_once_through_the_session(
     replayer = Replayer(instance.image, machine)
     serial = replayer.replay_parallel(recording, jobs=1)
     pooled = replayer.replay_parallel(recording, jobs=jobs)
-    units = len(recording.epochs)
-    assert units >= 12 and pooled.host["units"] == units
+    units = len(replay_spans([epoch.duration for epoch in recording.epochs], jobs))
+    assert units == min(3 * jobs, len(recording.epochs)) == pooled.host["units"]
     assert pooled.host["speculation"] == {
         "dispatched": units, "accepted": units, "invalidated": 0, "discarded": 0,
     }
@@ -260,8 +263,10 @@ def test_a_replay_runs_every_unit_once_through_the_session(
     assert pooled.jobs == pooled.host["jobs"] == jobs
 
 
-#: the position whose every first two dispatches crash their worker
-CRASHED = 3
+#: the position whose every first two dispatches crash their worker: an
+#: interior unit of a record segment (one unit per epoch) or of a replay
+#: (one unit per span, ``3 * JOBS`` of them)
+CRASHED = {"record": 3, "replay": 1}
 
 
 @pytest.mark.parametrize("kind", ["replay", "record"])
@@ -293,11 +298,12 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
     serial = _record(server, host_jobs=1)
     recording = serial.recording
-    units = len(recording.epochs)
-    assert units >= 12
+    assert len(recording.epochs) >= 12
+    crashed = CRASHED[kind]
+    units = len(recording.epochs) if kind == "record" else 3 * JOBS
     # Two one-shot fuses for K (they differ in scope); the last unit slow.
     faults = (
-        f"crash:unit{CRASHED}:once,{kind}:crash:unit{CRASHED}:once,"
+        f"crash:unit{crashed}:once,{kind}:crash:unit{crashed}:once,"
         f"{kind}:slow:unit{units - 1}:0.4"
     )
     replayer = Replayer(instance.image, machine)
@@ -320,29 +326,29 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
         obs_spans.stop_trace()
         shutdown_shared_pool()  # killed workers stay out of later tests
     # Blame: K's one counted crash, saved by its retry.
-    assert {event["position"] for event in host["fault_events"]} == {CRASHED}
+    assert {event["position"] for event in host["fault_events"]} == {crashed}
     assert host["faults"] == {
         "crashes": 1, "timeouts": 0, "task_errors": 0, "retries": 1,
         "serial_fallbacks": 0,
     }
     # Nothing behind K went through the counted path, or ran here.
-    assert (kind, CRASHED) in contained_runs
-    assert all(position <= CRASHED for _, position in contained_runs)
-    behind = host["unit_pids"][CRASHED + 1:]
+    assert (kind, crashed) in contained_runs
+    assert all(position <= crashed for _, position in contained_runs)
+    behind = host["unit_pids"][crashed + 1:]
     assert os.getpid() not in behind
     # Every attempt pushed again started before K's retry had finished.
     spans = [s for s in tracer.spans if s.args.get("position") is not None]
     dispatched = sorted(
-        (s for s in spans if s.name == "dispatch" and s.args["position"] == CRASHED),
+        (s for s in spans if s.name == "dispatch" and s.args["position"] == crashed),
         key=lambda s: s.start,
     )
     (retried,) = [
         s for s in spans if s.name == "execute"
-        and s.args["position"] == CRASHED and s.args["kind"] == kind
+        and s.args["position"] == crashed and s.args["kind"] == kind
     ]
     assert len(dispatched) == 3 and retried.track != tracer.pid
     pushed_again = [
-        s for s in spans if s.name == "dispatch" and s.args["position"] > CRASHED
+        s for s in spans if s.name == "dispatch" and s.args["position"] > crashed
         and s.start > dispatched[1].start
     ]
     assert all(s.args.get("speculative") for s in pushed_again)
