@@ -3,7 +3,7 @@
 DoublePlay's epoch-parallel executions are deterministic functions of
 their start checkpoints and logs, so they are independent not just in
 simulated time but on real host cores. This package ships self-contained
-epoch work units (:mod:`repro.host.wire`) to a spawn-safe process pool
+epoch work units (:mod:`repro.host.wire`) to a pool of forked processes
 (:mod:`repro.host.pool` owns its lifecycle), runs each in a worker
 through one routine (:mod:`repro.host.worker`), and dispatches, contains
 and merges them in order on the coordinator

@@ -48,8 +48,9 @@ re-obtain gets counted attempts, one policy for three failure classes
   collateral — a pushed attempt is lost, a counted one goes again
   uncounted — and what they have queued moves to the new pool.
 * **timeout** — a unit exceeded the per-unit wall-clock budget (the
-  ``unit_timeout`` runtime option; 0 disables; a pool's spawn is not on
-  that clock). The hung worker cannot be recalled, so the pool's
+  ``unit_timeout`` runtime option; 0 disables; a pool is built, every
+  worker's hello in, before a unit is submitted to it, so its start is
+  not on that clock). The hung worker cannot be recalled, so the pool's
   processes are terminated and the pool is abandoned the same way.
 * **task error** — the unit raised inside the worker and came home as a
   structured :class:`~repro.errors.WorkerTaskError` result, so the pool
@@ -147,7 +148,7 @@ class HostExecutor:
     wall-clock budget (``unit_timeout``; 0 disables hang detection) and
     fault directives (``host_faults`` / ``fault_state``, parsed here —
     junk raises) from it, and carries it on every dispatch so workers follow
-    the coordinator, never their spawn-time environment.
+    the coordinator, never the environment their fork server started with.
 
     ``lives`` is the run's epoch-lifecycle record
     (:mod:`repro.obs.lifecycle`): every dispatch, consumed execution,

@@ -8,8 +8,8 @@ them into a runtime option. The coordinator parses the run's
 onto each work unit's ``faults`` field; the *worker* then applies them at
 the top of its task function. Shipping specs inside the payload (rather
 than relying on the worker's inherited environment) makes injection
-immune to pool reuse: a shared pool spawned before the env was set still
-faults, and workers spawned during a fault test never leak faults into
+immune to pool reuse: a shared pool started before the env was set still
+faults, and workers started during a fault test never leak faults into
 later batches.
 
 Spec grammar — comma-separated list of::

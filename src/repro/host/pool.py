@@ -1,4 +1,4 @@
-"""The worker pool: spawned processes, one pipe each, and no helper thread.
+"""The worker pool: forked processes, one pipe each, and no helper thread.
 
 *A unit is written to a worker by the thread that submits it and read by
 the thread that needs it; the coordinator has no other thread.* The
@@ -7,10 +7,10 @@ so a thread of the pool's would take the GIL from exactly the execution
 that is meant to run at native speed. :meth:`WorkerPool.submit` pickles
 the call where it stands and queues it on the submitting thread's *lane*;
 the lanes are served round-robin, each unit written to the least-loaded
-worker that has said hello and holds fewer than :data:`_WINDOW`
-unanswered units. A solo run is one lane, a FIFO. Under ``serve`` every
-session body runs on a thread of its own, so each tenant is a lane and
-none waits behind another's backlog: there is no other scheduler.
+worker that holds fewer than :data:`_WINDOW` unanswered units. A solo
+run is one lane, a FIFO. Under ``serve`` every session body runs on a
+thread of its own, so each tenant is a lane and none waits behind
+another's backlog: there is no other scheduler.
 
 Replies are read by whoever waits, one thread at a time. A future's
 ``result(timeout)`` takes the *reader role* and reads the workers' pipes
@@ -38,20 +38,25 @@ which is reading. A worker may block on a reply nobody reads yet, but
 nothing is written to it until its window has room again, which takes
 reading that reply.
 
-Spawn (not fork) keeps workers safe on every platform and guarantees
-they import a fresh ``repro`` — nothing leaks from the coordinator but
-what the work units carry (:mod:`repro.host.worker` runs in them,
-:mod:`repro.host.executor` feeds them). Spawning returns at once: a unit
-submitted before a worker's hello waits in its lane, and the first
-thread that waits enforces the hello deadline.
+Workers fork from a fork server (multiprocessing's ``forkserver``) that
+has imported :mod:`repro.host.worker` and this module, and nothing of
+the coordinator's: a worker starts warm in milliseconds and holds
+nothing but what the units carry. It inherits the server's environment
+as the server started with it, and gets ``sys.path`` with each fork and
+its options with each unit. (The preload sees ``PYTHONPATH``, not
+``sys.path``: without it, each worker imports the unit path itself —
+slower, never different.) A pool is built ready: its constructor waits
+for every hello under one deadline, and a worker that dies or stays
+mute is retired there.
 
-One shared pool is kept per coordinator process (``shared_pool``) so a
-test suite, benchmark sweep or service pays the spawn cost once, not per
-recording; a broken one is replaced on the next call, and growing it
-lets what is in the windows finish first. The scratch packs the workers read blobs
-from (:class:`~repro.host.blobs.ScratchPacks`) live here too — worker
-caches persist across ``HostExecutor`` instances, so what fed them
-should — and are deleted with the pool, or at interpreter exit.
+One shared pool, of exactly the size last asked for, is kept per
+coordinator process (``shared_pool``); a broken one is replaced on the
+next call, and one of another size once what its windows hold finishes.
+The fork server outlives the pools — a replacement is a few forks —
+until :func:`shutdown_shared_pool`. The scratch packs the workers read
+blobs from (:class:`~repro.host.blobs.ScratchPacks`) live here too —
+worker caches persist across ``HostExecutor`` instances, so what fed
+them should — and are deleted with the pool, or at interpreter exit.
 """
 
 from __future__ import annotations
@@ -64,21 +69,20 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from multiprocessing import connection
+from multiprocessing import connection, forkserver
 from typing import Dict
 
 from repro.errors import CollateralLossError, HostPoolError
 from repro.host.blobs import ScratchPacks
 
 _shared_pool = None
-_shared_size = 0
 
-#: guards ``_shared_pool``/``_shared_size``: concurrent sessions (the
-#: service layer, or any threaded caller) reach shared_pool() and
-#: invalidate_shared_pool() simultaneously, and the grow/rebuild path is
-#: a multi-step read-modify-write — unlocked, two racing callers can
-#: shut down a pool twice or leak one entirely. RLock because a locked
-#: path may call another locked path (shared_pool → invalidate).
+#: guards ``_shared_pool``: concurrent sessions (the service layer, or
+#: any threaded caller) reach shared_pool() and invalidate_shared_pool()
+#: simultaneously, and the resize/rebuild path is a multi-step
+#: read-modify-write — unlocked, two racing callers can shut down a pool
+#: twice or leak one entirely. RLock because a locked path may call
+#: another locked path (abandon → invalidate).
 _pool_lock = threading.RLock()
 
 #: where every dispatch's blobs are put for the pool's workers to read.
@@ -87,8 +91,13 @@ _pool_lock = threading.RLock()
 _scratch_packs = ScratchPacks()
 atexit.register(_scratch_packs.close, abandon=True)
 
-#: ceiling on a worker's spawn, imports and hello (a stuck spawn is a
-#: host bug); enforced by the first thread that waits on the pool
+#: workers fork from one server that has imported the unit path and this
+#: module, whose ``_worker_main`` each of them runs
+_context = multiprocessing.get_context("forkserver")
+_context.set_forkserver_preload(["repro.host.worker", __name__])
+
+#: ceiling on a pool's construction: every worker's fork, imports and
+#: hello (a stuck start is a host bug)
 _SPAWN_TIMEOUT = 120.0
 
 #: units a worker may hold unanswered: the one it runs and one already in
@@ -143,28 +152,29 @@ class _PoolFuture(Future):
         waited = None
         while not self.done() and self._pool is not waited:
             waited = self._pool
-            waited._wait(self, timeout)
+            waited._read_until(
+                lambda: self.done() or self._pool is not waited, timeout
+            )
         return super().result(0)
 
 
 class _Worker:
     """One worker process and the coordinator's end of its pipe."""
 
-    def __init__(self, context):
-        self.conn, theirs = context.Pipe()
-        self.process = context.Process(
+    def __init__(self):
+        self.conn, theirs = _context.Pipe()
+        self.process = _context.Process(
             target=_worker_main, args=(theirs,), daemon=True
         )
         self.process.start()
         theirs.close()  # ours must read end-of-file when the worker dies
-        self.ready = False  # until it has said hello
         #: the futures of the units written to it and not yet answered, in
         #: the order written — the order it answers in
         self.window: deque = deque()
 
 
 class WorkerPool:
-    """``jobs`` spawned workers, fed and read by the threads that call it.
+    """``jobs`` forked workers, fed and read by the threads that call it.
 
     ``_lock`` (a condition) guards the lanes, the windows and the reader
     role, and is never held across the wait on the pipes; the threads
@@ -172,6 +182,7 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int):
+        self.jobs = jobs
         self._lock = threading.Condition()
         #: submitting thread -> its ``(future, pickled call)`` not yet
         #: written; the lane served last moves to the back
@@ -185,10 +196,21 @@ class WorkerPool:
         #: what became of the first worker lost (it died, or never said
         #: hello); once set, ``shared_pool`` replaces the pool
         self.broken = ""
-        self._hello_by = time.monotonic() + _SPAWN_TIMEOUT
-        # (spawn hands a worker this process's ``sys.path`` as it stands)
-        context = multiprocessing.get_context("spawn")
-        self._workers = [_Worker(context) for _ in range(jobs)]
+        self._workers = [_Worker() for _ in range(jobs)]
+        deadline = time.monotonic() + _SPAWN_TIMEOUT
+        mute = {worker.conn: worker for worker in self._workers}
+        while mute:
+            heard = connection.wait(list(mute), max(0.0, deadline - time.monotonic()))
+            if not heard:
+                for worker in mute.values():
+                    self._retire(worker, f"said no hello in {_SPAWN_TIMEOUT:g}s")
+                break
+            for conn in heard:
+                try:
+                    conn.recv_bytes()
+                    del mute[conn]
+                except (EOFError, OSError):
+                    self._retire(mute.pop(conn), "died before its hello")
 
     def submit(self, fn, *args) -> Future:
         """Queue ``fn(*args)`` on the calling thread's lane: pickled here,
@@ -215,20 +237,6 @@ class WorkerPool:
         finally:
             self._let_go()
         return future
-
-    def _wait(self, future: Future, timeout) -> None:
-        """Read until ``future`` is settled (or handed to a successor) or
-        ``timeout`` seconds have passed since every worker said hello (or
-        was given up on): a caller's budget is for its unit, not for a
-        spawn."""
-        def settled():
-            return future.done() or future._pool is not self
-
-        self._read_until(
-            lambda: settled() or all(w.ready or w.conn is None for w in self._workers),
-            None,
-        )
-        self._read_until(settled, timeout)
 
     def _read_until(self, done, timeout) -> None:
         """Hold the reader role and pump until ``done()`` or ``timeout``
@@ -258,8 +266,7 @@ class WorkerPool:
 
     def _pump(self, timeout) -> None:
         """One wait on the live workers' pipes (``None``: until something
-        arrives, or the hello deadline), then settle and refill; the
-        caller holds the reader role."""
+        arrives), then settle and refill; the caller holds the reader role."""
         with self._lock:
             live = {}
             for worker in self._workers:
@@ -267,10 +274,6 @@ class WorkerPool:
                     # (a process sentinel: a worker another thread
                     # retires ends the wait too)
                     live[worker.conn] = live[worker.process.sentinel] = worker
-            late = not all(worker.ready for worker in live.values())
-            if late:
-                hello_in = max(0.0, self._hello_by - time.monotonic())
-                timeout = hello_in if timeout is None else min(timeout, hello_in)
         try:
             ready = connection.wait(list(live), timeout) if live else ()
         except OSError:  # a pipe another thread closed since
@@ -279,10 +282,6 @@ class WorkerPool:
             for worker in dict.fromkeys(live[obj] for obj in ready):
                 if worker.conn is not None:
                     self._read(worker)
-            if late and time.monotonic() >= self._hello_by:
-                for worker in self._workers:
-                    if not worker.ready and worker.conn is not None:
-                        self._retire(worker, f"said no hello in {_SPAWN_TIMEOUT:g}s")
             self._feed()
 
     def _read(self, worker: _Worker) -> None:
@@ -290,9 +289,6 @@ class WorkerPool:
         try:
             while worker.conn.poll():
                 reply = worker.conn.recv_bytes()
-                if not worker.ready:
-                    worker.ready = True
-                    continue
                 future = worker.window.popleft()
                 try:
                     value, raised = pickle.loads(reply)
@@ -313,11 +309,9 @@ class WorkerPool:
             future, payload = lane[0]
             live = [w for w in self._workers if w.conn is not None]
             if live:
-                worker = min(live, key=lambda w: (not w.ready, len(w.window)))
-                if (
-                    not worker.ready
-                    or len(worker.window) >= _WINDOW
-                    or (worker.window and len(payload) > _INLINE_BYTES)
+                worker = min(live, key=lambda w: len(w.window))
+                if len(worker.window) >= _WINDOW or (
+                    worker.window and len(payload) > _INLINE_BYTES
                 ):
                     break
             lane.popleft()
@@ -345,7 +339,7 @@ class WorkerPool:
         A worker that died was running the first unit of its window; the
         units behind it, and every unit of a worker terminated for another
         reason, are lost on another unit's account."""
-        if lost or not worker.ready:
+        if lost:
             worker.process.terminate()
         else:
             with contextlib.suppress(OSError):
@@ -389,6 +383,7 @@ class WorkerPool:
                         successor._lanes.setdefault(owner, deque()).extend(lane)
                         for future, _ in lane:
                             future._pool = successor
+                        successor._feed()  # its workers are idle: no reply will
                     continue
                 for future, _ in lane:
                     if future.set_running_or_notify_cancel():
@@ -409,28 +404,27 @@ class WorkerPool:
 
 
 def shared_pool(jobs: int) -> WorkerPool:
-    """The coordinator-wide pool, grown (never shrunk) to ``jobs`` workers.
+    """The coordinator-wide pool of exactly ``jobs`` workers, built ready.
 
-    A previously-broken pool (a worker died) is detected here and rebuilt
-    transparently — the breakage of one recording must never poison the
-    next. Growing lets what the old pool holds, queued or written,
-    finish there first: growth never loses work.
-    Returns as soon as the workers are started: what is submitted before
-    their hello waits for it.
+    A broken pool (a worker died, or never said hello) is replaced here —
+    the breakage of one recording must never poison the next — and so is
+    one of another size, once what it holds, queued or written, has
+    finished there: a resize never loses work.
     """
     with _pool_lock:
-        if _shared_pool is not None and _shared_pool.broken:
-            invalidate_shared_pool()
-        if _shared_pool is None or _shared_size < jobs:
-            _replace(max(jobs, _shared_size), kill=False)
+        broken = _shared_pool is not None and _shared_pool.broken
+        if broken or _shared_pool is None or _shared_pool.jobs != jobs:
+            _replace(jobs, kill=False)  # (a broken pool is killed)
+        if broken:
+            _scratch_packs.close()
         return _shared_pool
 
 
 def _replace(jobs: int, kill: bool) -> None:
-    """Install a new shared pool of ``jobs`` workers, spawned now, and stop
+    """Install a new shared pool of ``jobs`` workers, built now, and stop
     the old one (``kill``, or broken: at once, handing over its queue)."""
-    global _shared_pool, _shared_size
-    old, _shared_pool, _shared_size = _shared_pool, WorkerPool(jobs), jobs
+    global _shared_pool
+    old, _shared_pool = _shared_pool, WorkerPool(jobs)
     if old is not None:
         old.shutdown(kill=kill or bool(old.broken), successor=_shared_pool)
 
@@ -448,7 +442,7 @@ def invalidate_shared_pool(kill: bool = False) -> None:
     """
     with _pool_lock:
         if _shared_pool is not None:
-            _replace(_shared_size, kill)
+            _replace(_shared_pool.jobs, kill)
         _scratch_packs.close()
 
 
@@ -464,11 +458,16 @@ def abandon(future: Future, kill: bool = False) -> None:
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the shared pool, failing what it still queues, and the
-    scratch packs with it (tests and benchmark hygiene)."""
-    global _shared_pool, _shared_size
+    """Tear down the shared pool, the scratch packs and the fork server
+    (tests and benchmark hygiene). The workers are the server's children:
+    once it is reaped, their resource use counts as this process's
+    children's (``RUSAGE_CHILDREN``)."""
+    global _shared_pool
     with _pool_lock:
         if _shared_pool is not None:
             _shared_pool.shutdown()
         _scratch_packs.close()
-        _shared_pool, _shared_size = None, 0
+        _shared_pool = None
+        # (private, and the only handle: ``_stop`` closes the server's
+        # pipe and waits for it, which exits once no worker is left)
+        forkserver._forkserver._stop()

@@ -66,7 +66,7 @@ class UnitDispatch:
     #: digest the unit references (see :mod:`repro.host.blobs`)
     pack: str = ""
     #: the coordinator's resolved runtime options. Shipped, not inherited
-    #: (a warm pool keeps its spawn environment): the worker adopts its
+    #: (a worker keeps its fork server's environment): the worker adopts its
     #: fusion switch before any work.
     options: RuntimeOptions = RuntimeOptions()
     _local_program: object = field(default=None, repr=False)

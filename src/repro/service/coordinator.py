@@ -14,7 +14,12 @@ endpoint. Each session:
    other. Its units reach the coordinator-wide
    :func:`~repro.host.pool.shared_pool` the way a solo run's do; the
    pool gives each submitting thread a lane and serves the lanes in
-   turn, so a session is a lane of it and needs no other scheduler;
+   turn, so a session is a lane of it and needs no other scheduler.
+   The first session's dispatch builds the pool, on its own thread: a
+   pool's construction waits for every worker's hello, which would
+   stall the loop and its telemetry endpoint. The workers fork from
+   one fork server and take nothing from the service's environment
+   but what each unit carries;
 3. reports the ``service`` group of its metrics, derived from its lives
    (:func:`repro.obs.lifecycle.lane_summary`), as the fleet report is
    from every session's.
@@ -43,7 +48,7 @@ from repro import options
 from repro.core.config import DoublePlayConfig
 from repro.core.recorder import DoublePlayRecorder
 from repro.core.replayer import Replayer
-from repro.host.pool import _scratch_packs, shared_pool
+from repro.host.pool import _scratch_packs
 from repro.machine.config import MachineConfig
 from repro.obs import events as obs_events
 from repro.obs import health as obs_health
@@ -221,11 +226,6 @@ class RecordService:
         if config.telemetry_port is not None:
             server = TelemetryServer(self.hub, port=config.telemetry_port)
             bound_port = await server.start()
-        if jobs > 1:
-            # Returns once the workers are started: they import and say
-            # hello while the first sessions build their programs. At
-            # jobs=1 every session runs inline and no pool is started.
-            shared_pool(jobs)
         loop = asyncio.get_running_loop()
         admission = asyncio.Semaphore(max(1, config.max_active))
         # Session bodies are blocking (the ordinary record/replay path);

@@ -30,7 +30,7 @@ from repro.core.recorder import VerdictSchedule
 from repro.host import blobs as host_blobs
 from repro.host import executor as host_executor
 from repro.host.faults import FaultSpec
-from repro.host.pool import shutdown_shared_pool
+from repro.host.pool import invalidate_shared_pool, shutdown_shared_pool
 from repro.host.wire import BlobRef
 from repro.obs import spans as obs_spans
 from repro.oskernel.kernel import Kernel
@@ -569,7 +569,7 @@ def _scratch_pack_in(state):
     """Put the scratch pack in ``state`` before the record under test;
     returns the scratch-pack cap that record runs with."""
     if state != "warm":
-        shutdown_shared_pool()
+        invalidate_shared_pool()
         # "rotated": every dispatch starts a fresh pack, so one is
         # replaced between any squash and the recovery that follows it.
         return 0 if state == "rotated" else None

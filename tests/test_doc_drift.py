@@ -1,0 +1,59 @@
+"""The documents cite only what exists.
+
+DESIGN.md, README.md and the verify notes name tests, source files and
+``REPRO_*`` variables as evidence; a rename or a deletion that leaves a
+citation behind sends the reader to nothing. This checks the names, not
+what the prose says about them.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import re
+
+import pytest
+
+from repro import options
+from tests.test_options import DELETED
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DOCS = ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"]
+
+#: ``test_x`` (a test function), not ``test_x.py`` (a file)
+_TEST = re.compile(r"\b(test_\w+)\b(?!\.py)")
+#: a module named by its path under ``src`` (with or without the prefix)
+_MODULE = re.compile(r"\brepro/[\w/]*\.py\b")
+_VARIABLE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+
+def _text(doc: str) -> str:
+    return (ROOT / doc).read_text()
+
+
+def _test_defs() -> set:
+    names = set()
+    for path in (ROOT / "tests").rglob("*.py"):
+        names.update(re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M))
+    return names
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_test_a_document_cites_is_defined(doc):
+    missing = set(_TEST.findall(_text(doc))) - _test_defs()
+    assert not missing, f"{doc} cites tests no file under tests/ defines: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_source_file_a_document_names_exists(doc):
+    missing = {
+        path for path in _MODULE.findall(_text(doc))
+        if not (ROOT / "src" / path).is_file()
+    }
+    assert not missing, f"{doc} names files not under src/: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_variable_a_document_names_is_honoured_or_deleted(doc):
+    known = {name for name, _, _ in options.VARIABLES} | set(DELETED)
+    missing = set(_VARIABLE.findall(_text(doc))) - known
+    assert not missing, f"{doc} names unknown variables: {sorted(missing)}"

@@ -11,9 +11,11 @@ reporting what happened.
 
 Also covers the pool-management regressions: a broken shared pool used
 to be cached (and returned, broken) forever; growing the pool used to
-cancel in-flight units; spawning workers used to leak ``PYTHONPATH``
-into the coordinator's environment permanently. And the scratch packs
-the workers read their blobs from go when the pool does.
+cancel in-flight units; a smaller run after a larger one used to keep
+the larger pool; starting workers used to leak ``PYTHONPATH`` into the
+coordinator's environment permanently. And the scratch packs the
+workers read their blobs from go when the pool does, and the fork
+server and its workers when the shared pool is shut down.
 """
 
 from __future__ import annotations
@@ -82,6 +84,32 @@ def test_shared_pool_growth_drains_in_flight_units():
     assert future.result(timeout=0) is None
 
 
+def test_shared_pool_is_exactly_the_size_asked_for():
+    """Regression: the shared pool only grew, so a ``jobs=2`` run after a
+    ``jobs=3`` one executed on 3 workers while its host accounting said 2."""
+    larger = shared_pool(3)
+    assert len(shared_pool(2)._workers) == 2
+    assert not any(worker.process.is_alive() for worker in larger._workers)
+    assert shared_pool(2) is shared_pool(2)
+
+
+def test_what_the_coordinator_adds_after_the_fork_server_starts_changes_no_unit(
+    monkeypatch, tmp_path
+):
+    """Workers fork from a server started with the first pool: they keep
+    its environment, get ``sys.path`` with each fork and their options
+    with each unit. A variable and a ``sys.path`` entry the coordinator
+    adds after that, seen by workers forked after both, change nothing a
+    unit computes: a ``jobs=2`` record and replay are the ``jobs=1``
+    oracle's."""
+    shared_pool(2).submit(os.getpid).result(timeout=60)  # the server is up
+    monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    invalidate_shared_pool()
+    parity.assert_parity(parity.observe(FFT, jobs=2, superblocks=True))
+    parity.assert_parity(parity.observe_replay(FFT, jobs=2))
+
+
 @pytest.mark.parametrize("teardown", [shutdown_shared_pool, invalidate_shared_pool])
 def test_scratch_packs_go_with_the_pool(teardown):
     result = parity.observe(FFT, jobs=2)
@@ -120,9 +148,47 @@ def test_scratch_packs_go_with_the_interpreter(tmp_path):
     assert not os.path.exists(os.path.dirname(os.path.dirname(pack)))
 
 
+def test_nothing_outlives_the_shared_pool(tmp_path):
+    """After ``shutdown_shared_pool()`` neither the worker nor the fork
+    server it was forked from is alive, and the worker's memory counts as
+    this process's children's — what the benchmark's ``peak_rss_mb``
+    reads right after that call."""
+    script = tmp_path / "touch.py"
+    script.write_text(
+        "import os, resource\n"
+        "from multiprocessing import forkserver\n"
+        "from repro.host.pool import shared_pool, shutdown_shared_pool\n"
+        "def touch(megabytes):\n"
+        "    block = b'x' * (megabytes << 20)\n"
+        "    return os.getpid()\n"
+        "def alive(pid):\n"
+        "    try:\n"
+        "        os.kill(pid, 0)\n"
+        "    except ProcessLookupError:\n"
+        "        return False\n"
+        "    return True\n"
+        "if __name__ == '__main__':\n"
+        "    worker = shared_pool(1).submit(touch, 64).result(60)\n"
+        "    server = forkserver._forkserver._forkserver_pid\n"
+        "    shutdown_shared_pool()\n"
+        "    children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "    print(alive(worker), alive(server), children.ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        cwd=os.path.dirname(os.path.dirname(__file__)),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    worker_alive, server_alive, maxrss_kib = done.stdout.split()
+    assert (worker_alive, server_alive) == ("False", "False"), done.stdout
+    assert int(maxrss_kib) >= 64 * 1024, done.stdout
+
+
 def test_worker_import_path_is_scoped(monkeypatch):
-    """Spawning workers must not mutate os.environ, and needs nothing from
-    it: spawn hands a worker the coordinator's ``sys.path``."""
+    """Starting workers must not mutate os.environ, and needs nothing from
+    it: each fork hands a worker the coordinator's ``sys.path``, whatever
+    ``PYTHONPATH`` the fork server started with."""
     shutdown_shared_pool()
     monkeypatch.setenv("PYTHONPATH", "/tmp/unrelated-entry")
     pool = shared_pool(1)

@@ -5,7 +5,7 @@ the thread that submits it and read by the thread that needs it; the
 coordinator has no other thread.* These tests hold the pool to it
 directly — the thread census of a record, a replay and a service run,
 the window that bounds what sits in a pipe, a large pickle that must not
-park the submitter, the cold start, a worker's death, a cancelled unit's
+park the submitter, a pool built ready, a worker's death, a cancelled unit's
 reply, and several threads at once: a lane each, one reader at a time,
 no submit waiting on another thread's reply, a killed pool's queue
 handed to its successor — with ``WorkerPool``
@@ -34,21 +34,14 @@ from repro.host.pool import WorkerPool, _scratch_packs, shared_pool, shutdown_sh
 from tests import parity
 
 
-def _until_ready(pool: WorkerPool) -> WorkerPool:
-    while not all(worker.ready for worker in pool._workers):
-        pool.submit(time.sleep, 0.01).result(60)  # a wait reads the hellos in
-    return pool
-
-
 @pytest.fixture
 def pool_of():
     """``pool_of(jobs)``: a private pool, killed when the test is over."""
     pools = []
 
-    def make(jobs: int, warm: bool = True) -> WorkerPool:
-        pool = WorkerPool(jobs)
-        pools.append(pool)
-        return _until_ready(pool) if warm else pool
+    def make(jobs: int) -> WorkerPool:
+        pools.append(WorkerPool(jobs))
+        return pools[-1]
 
     yield make
     for pool in pools:
@@ -78,7 +71,7 @@ def test_a_record_and_a_replay_run_on_one_thread(monkeypatch, name):
     shared_pool(self.jobs).submit(run_unit, dispatch).result())`` — or any
     executor, queue feeder or reader thread that outlives a push.
     """
-    shared_pool(2).submit(os.getpid).result(60)  # warm: spawned and said hello
+    shared_pool(2).submit(os.getpid).result(60)  # warm: its first reply read
     before = set(threading.enumerate())
     assert threading.main_thread() in before
     census = []
@@ -166,36 +159,29 @@ def test_a_large_dispatch_to_a_busy_worker_returns_at_once(pool_of):
 
 
 # ----------------------------------------------------------------------
-# (d) Cold start.
+# (d) A pool is built ready, or broken.
 # ----------------------------------------------------------------------
-def test_units_submitted_before_the_hello_run_in_submit_order(pool_of):
-    pool = pool_of(1, warm=False)
-    futures = [pool.submit(time.monotonic_ns) for _ in range(6)]
-    assert _queued(pool) == 6 and _in_pipes(pool) == 0, "written before the hello"
-    stamps = [future.result(60) for future in reversed(futures)][::-1]
-    assert stamps == sorted(stamps) and len(set(stamps)) == 6
-    assert pool._workers[0].ready and not pool.broken
-
-
 def _mute_worker(conn) -> None:
-    """A worker that is spawned and never says hello."""
+    """A worker that is started and never says hello."""
     time.sleep(60)
 
 
 def test_a_worker_that_never_says_hello_fails_what_waited_for_it(monkeypatch, pool_of):
+    """The hello deadline is the constructor's: it returns a pool whose
+    mute worker is retired, broken, and every unit then submitted fails
+    at once with the reason."""
     monkeypatch.setattr(host_pool, "_SPAWN_TIMEOUT", 1.0)
     monkeypatch.setattr(host_pool, "_worker_main", _mute_worker)
-    pool = pool_of(1, warm=False)
-    futures = [pool.submit(os.getpid) for _ in range(3)]
     start = time.perf_counter()
-    # The hello deadline is the first waiter's, not its own budget's.
-    with pytest.raises(HostPoolError, match="said no hello in 1s"):
-        futures[0].result(0.01)
+    pool = pool_of(1)
     assert 0.5 < time.perf_counter() - start < 30
-    for future in futures[1:]:
-        assert "said no hello" in str(future.exception(0))
     assert "said no hello" in pool.broken
     assert not pool._workers[0].process.is_alive()
+    futures = [pool.submit(os.getpid) for _ in range(3)]
+    with pytest.raises(HostPoolError, match="said no hello in 1s"):
+        futures[0].result(0.01)
+    for future in futures[1:]:
+        assert "said no hello" in str(future.exception(0))
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +189,7 @@ def test_a_worker_that_never_says_hello_fails_what_waited_for_it(monkeypatch, po
 # ----------------------------------------------------------------------
 def test_a_killed_worker_fails_exactly_its_window():
     shutdown_shared_pool()
-    pool = _until_ready(shared_pool(2))
+    pool = shared_pool(2)
     futures = [pool.submit(time.sleep, 0.3) for _ in range(4)]
     queued = pool.submit(os.getpid)
     doomed, survivor = pool._workers
@@ -397,7 +383,7 @@ def test_a_replaced_pool_hands_another_threads_queue_to_its_successor():
     pool only (its loop made one ``self._pool._wait(self, timeout)``).
     """
     shutdown_shared_pool()
-    pool = _until_ready(shared_pool(1))
+    pool = shared_pool(1)
     answers, errors, queued = [], [], threading.Event()
 
     def owner():

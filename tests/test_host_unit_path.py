@@ -20,7 +20,7 @@ import pytest
 from repro.host import executor as host_executor
 from repro.host import worker as host_worker
 from repro.host.blobs import BlobCache
-from repro.host.pool import shared_pool, shutdown_shared_pool
+from repro.host.pool import invalidate_shared_pool, shared_pool, shutdown_shared_pool
 from repro.host.wire import RecordEpochUnit, ReplayEpochUnit, replay_spans
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -159,7 +159,7 @@ def test_one_dispatch_routine_emits_every_span():
     A jobs=2 record where unit 1 raises in the worker on both pool
     attempts (it must fall back to the coordinator).
     """
-    shutdown_shared_pool()  # an empty scratch pack: every span ships bytes
+    invalidate_shared_pool()  # an empty scratch pack: every span ships bytes
     tracer = obs_spans.start_trace()
     try:
         record = parity.observe(PBZIP, jobs=2, fault="record:error:unit1")

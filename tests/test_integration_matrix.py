@@ -231,14 +231,21 @@ def _shutdown_pool():
     shutdown_shared_pool()
 
 
+def _fresh_pool():
+    """Fresh workers and an empty scratch pack, from the running fork server."""
+    from repro.host.pool import invalidate_shared_pool
+
+    invalidate_shared_pool()
+
+
 @pytest.mark.parametrize("name,workers,jobs,cache_mb", WIRE_PARITY)
 def test_goldens_survive_blob_cache_starvation(name, workers, jobs, cache_mb):
     from repro.host.pool import _scratch_packs
 
     program, cap = Program(name, workers), int(float(cache_mb) * 1024 * 1024)
-    _shutdown_pool()  # an empty scratch pack: the run's puts are its own
+    _fresh_pool()  # an empty scratch pack: the run's puts are its own
     unstarved = parity.observe(program, jobs=jobs)
-    _shutdown_pool()
+    _fresh_pool()
     packs = _scratch_packs._serial
     got = parity.observe(program, jobs=jobs, scratch_cap=cap)
     parity.assert_parity(got)
@@ -322,7 +329,7 @@ def test_goldens_survive_forced_blob_misses(monkeypatch):
     """
     from repro.host import executor as host_pool
 
-    _shutdown_pool()  # fresh workers hold nothing: misses are guaranteed
+    _fresh_pool()  # fresh workers hold nothing: misses are guaranteed
 
     original = host_pool.HostExecutor._make_dispatch
 

@@ -228,7 +228,7 @@ def test_admission_semaphore_bounds_active_sessions_and_measures_wait():
 
 def test_a_jobs1_serve_starts_no_pool(monkeypatch):
     """Regression: ``serve`` called ``shared_pool(jobs)`` at ``jobs=1``
-    too, spawning a worker that no session ever gave a unit."""
+    too, starting a worker that no session ever gave a unit."""
     host_pool.shutdown_shared_pool()
     spawned = []
     monkeypatch.setattr(host_pool, "WorkerPool", spawned.append)
@@ -246,7 +246,7 @@ def test_a_jobs1_serve_starts_no_pool(monkeypatch):
 
 
 def test_cross_session_dedup_cuts_shipped_bytes():
-    host_pool.shutdown_shared_pool()
+    host_pool.invalidate_shared_pool()  # an empty scratch pack
     try:
         service = RecordService(ServiceConfig(jobs=2, max_active=1))
         # max_active=1 serializes the sessions, so the second tenant's
@@ -367,7 +367,8 @@ def test_fleet_rejects_duplicate_session_ids(monkeypatch):
     def no_pool(jobs):
         raise AssertionError("the pool was brought up")
 
-    monkeypatch.setattr("repro.service.coordinator.shared_pool", no_pool)
+    # (the service starts no pool itself: one would be built here)
+    monkeypatch.setattr(host_pool, "WorkerPool", no_pool)
     service = RecordService(ServiceConfig(jobs=2, max_active=2))
     twins = [SessionRequest(sid="twin", workload="fft", scale=1)] * 2
     with pytest.raises(ValueError, match="duplicate session ids"):
@@ -381,8 +382,9 @@ def test_fleet_rejects_duplicate_session_ids(monkeypatch):
 
 
 class _FakePool:
-    """Stands in for a ``WorkerPool`` (spawn cost: zero): what the
-    module-level lifecycle touches of it is ``broken`` and ``shutdown``."""
+    """Stands in for a ``WorkerPool`` (start cost: zero): what the
+    module-level lifecycle touches of it is ``jobs``, ``broken`` and
+    ``shutdown``."""
 
     created = []
 
@@ -418,7 +420,7 @@ def test_shared_pool_concurrent_callers_race(monkeypatch):
                 if (index + round_) % 3 == 0:
                     host_pool.invalidate_shared_pool()
                 else:
-                    # Growth requests force the replace path.
+                    # Size changes force the replace path.
                     pool = host_pool.shared_pool(1 + (index + round_) % 4)
                     assert isinstance(pool, _FakePool)
         except Exception as exc:  # pragma: no cover - the regression

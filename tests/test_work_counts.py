@@ -29,7 +29,7 @@ from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.host import executor as host_executor
 from repro.host.executor import HostExecutor
-from repro.host.pool import shared_pool, shutdown_shared_pool
+from repro.host.pool import invalidate_shared_pool, shared_pool, shutdown_shared_pool
 from repro.host.wire import replay_spans
 from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
@@ -363,7 +363,7 @@ def test_a_replay_indexes_the_log_once_per_worker(server):
     recording = _record(server).recording
     assert len(recording.epochs) > JOBS + 1
     replayer = Replayer(instance.image, machine)
-    shutdown_shared_pool()  # cold workers: each must decode the log blob
+    invalidate_shared_pool()  # cold workers: each must decode the log blob
     try:
         pooled = replayer.replay_parallel(recording, jobs=JOBS)
         assert pooled.verified
@@ -465,7 +465,7 @@ def test_a_unit_crosses_the_pipe_as_its_skeleton_cold_or_warm(server, monkeypatc
     Fails if ``UnitDispatch.__getstate__`` stops blanking
     ``_local_program``.
     """
-    shutdown_shared_pool()
+    invalidate_shared_pool()  # an empty scratch pack
     runs = []
     for _ in ("cold", "warm"):
         seam = _WatchedPool(monkeypatch)
@@ -509,7 +509,7 @@ def test_replaying_a_recording_again_puts_nothing():
     )
     recording = DoublePlayRecorder(instance.image, instance.setup, config).record().recording
     replayer = Replayer(instance.image, machine)
-    shutdown_shared_pool()
+    invalidate_shared_pool()  # an empty scratch pack
     try:
         shipped = []
         for _ in range(5):
@@ -529,7 +529,7 @@ def test_a_unit_cut_mid_segment_puts_its_delta_and_its_new_chunk(server, monkeyp
 
     Fails if ``ScratchPacks.place`` rotates at every call.
     """
-    shutdown_shared_pool()
+    invalidate_shared_pool()  # an empty scratch pack
     seam = _WatchedPool(monkeypatch)
     result = _record(server)
     assert result.host["speculation"]["accepted"] == result.stats["epochs"] >= 8
@@ -567,7 +567,7 @@ def test_a_cold_record_ships_the_log_as_shared_chunks():
     config = DoublePlayConfig(
         machine=machine, epoch_cycles=native.duration // 12, host_jobs=JOBS
     )
-    shutdown_shared_pool()
+    invalidate_shared_pool()  # cold workers and an empty scratch pack
     try:
         result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     finally:
