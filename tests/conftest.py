@@ -11,6 +11,7 @@ from hypothesis import settings
 from repro.exec.multicore import MulticoreEngine
 from repro.exec.services import LiveSyscalls
 from repro.exec.uniprocessor import UniprocessorEngine
+from repro.host.pool import shutdown_shared_pool
 from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
 from repro.oskernel.kernel import Kernel, KernelSetup
@@ -25,6 +26,16 @@ settings.register_profile("ci", max_examples=500, deadline=None, print_blob=True
 def examples(budget: int) -> int:
     """A property's example budget under the loaded Hypothesis profile."""
     return max(1, budget * settings.default.max_examples // 100)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_fork_server():
+    """The suite's workers all fork from one server, stopped here, once:
+    a start costs about half a second, so a test that needs only fresh
+    workers calls ``invalidate_shared_pool`` (``kill=True`` after a
+    fault), and only tests of the server's lifecycle stop it."""
+    yield
+    shutdown_shared_pool()
 
 
 @pytest.fixture

@@ -26,17 +26,22 @@ to the memory one. :func:`oracle` runs it lazily, so a test that patches
 anything an oracle run would meet (the recorder, the verdict schedule)
 asks for the oracle first.
 
-This module holds no tests; the golden tuple is built here and nowhere
-else.
+The ways a run can be made are declared once, as the axes of
+:data:`AXES`, with one validity predicate; :func:`covering` picks the
+seeded set of cases ``tests/test_parity.py`` runs. This module holds no
+tests; the golden tuple is built here and nowhere else.
 """
 
 from __future__ import annotations
 
+import atexit
 import collections
 import contextlib
 import functools
+import itertools
 import json
 import os
+import random
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -428,6 +433,8 @@ class Observation:
     trace: Optional[dict] = None
     #: the ``once`` fuse directory the run resolved
     fuses: str = ""
+    #: the durable directory the run wrote, when it was kept
+    log_dir: Optional[str] = None
     #: host accounting: ``faults`` and ``speculation`` at least
     host: dict = field(default_factory=dict)
 
@@ -591,7 +598,7 @@ def observe(
     return Observation(
         program, "record", result, fields, sink=sink, fault=fault,
         superblocks=superblocks, recording=recording, trace=payload,
-        fuses=fuses, host=result.host,
+        fuses=fuses, host=result.host, log_dir=None if throwaway else log_dir,
     )
 
 
@@ -599,20 +606,23 @@ def observe_replay(
     program: Program,
     recording=None,
     *,
+    sink: str = "memory",
     jobs: int = 1,
     sequential: bool = False,
     fault: Optional[str] = None,
+    superblocks: Optional[bool] = None,
     scratch_cap: Optional[int] = None,
     unit_timeout: Optional[float] = None,
     _pinned: Optional[options.RuntimeOptions] = None,
 ) -> Observation:
-    """Replay ``recording`` of ``program`` (default: its oracle's) in
-    parallel at ``jobs`` — or ``sequential``ly — and observe the verdict."""
+    """Replay ``recording`` of ``program`` (default: its ``sink`` oracle's,
+    as :func:`stored` there) in parallel at ``jobs`` — or
+    ``sequential``ly — and observe the verdict."""
     built = build(program)
     if recording is None:
-        recording = oracle(program).recording
+        recording = stored(program, sink)
     replayer = Replayer(built.instance.image, built.machine)
-    with _running(scratch_cap=scratch_cap, pinned=_pinned):
+    with _running(superblocks, scratch_cap, _pinned):
         fuses = options.resolve().fault_state
         if sequential:
             result = replayer.replay_sequential(recording)
@@ -629,8 +639,9 @@ def observe_replay(
     }
     kind = "sequential" if sequential else "parallel"
     return Observation(
-        program, kind, result, fields, fault=fault, recording=recording,
-        fuses=fuses, host=result.host,
+        program, kind, result, fields, sink=sink, fault=fault,
+        superblocks=superblocks, recording=recording, fuses=fuses,
+        host=result.host,
     )
 
 
@@ -655,22 +666,39 @@ _oracles: Dict[tuple, Observation] = {}
 
 def oracle(program: Program, sink: str = "memory", kind: str = "record") -> Observation:
     """``program`` recorded at ``jobs=1`` into ``sink`` (or, for a replay
-    ``kind``, its memory oracle replayed at ``jobs=1``), once per session."""
+    ``kind``, that recording as :func:`stored` replayed at ``jobs=1``),
+    once per session."""
     key = (program, sink, kind)
     if key not in _oracles:
         if kind == "record":
-            got = observe(program, sink=sink, _pinned=_ORACLE_OPTIONS)
+            log_dir = None
+            if "log_dir" in SINKS[sink]:  # kept for the session's replays
+                log_dir = tempfile.mkdtemp(prefix="repro-oracle-")
+                atexit.register(shutil.rmtree, log_dir, ignore_errors=True)
+            got = observe(program, sink=sink, log_dir=log_dir, _pinned=_ORACLE_OPTIONS)
             assert_pinned(got)
             if sink != "memory":
                 # The sink is invisible to the execution.
                 _compare(got, oracle(program), skip=_cross_sink_skips(sink))
         else:
             got = observe_replay(
-                program, sequential=kind == "sequential", _pinned=_ORACLE_OPTIONS
+                program, sink=sink, sequential=kind == "sequential",
+                _pinned=_ORACLE_OPTIONS,
             )
             assert got.result.verified, f"{got}: {got.result.details}"
         _oracles[key] = got
     return _oracles[key]
+
+
+@functools.lru_cache(maxsize=None)
+def stored(program: Program, sink: str = "memory"):
+    """``program``'s recording as its ``sink`` oracle keeps it: in memory,
+    or loaded back from the durable directory with every checkpoint
+    materialised from the blob store."""
+    if sink == "memory":
+        return oracle(program).recording
+    reader = ShardedLogReader(oracle(program, sink).log_dir)
+    return reader.load_recording(materialize=True)
 
 
 def _cross_sink_skips(sink):
@@ -725,7 +753,7 @@ def assert_pinned(got: Observation) -> None:
     _assert_golden(got)
     if got.fault:
         _assert_fault_fired(got)
-    if got.superblocks is False:
+    if got.superblocks is False and got.kind == "record":
         fused = got.result.metrics.snapshot().get("superblock", {})
         assert fused.get("fused_calls", 0) == 0, f"{got}: fusion ran while disabled"
 
@@ -740,3 +768,212 @@ def assert_parity(got: Observation, want: Optional[Observation] = None) -> None:
     recording no oracle holds (a tampered one, replayed at ``jobs=1``)."""
     _compare(got, want or oracle(got.program, got.sink, got.kind))
     assert_pinned(got)
+
+
+# ----------------------------------------------------------------------
+# The axis table
+# ----------------------------------------------------------------------
+#: behaviour classes, not golden configurations (``MATRIX`` sweeps
+#: those): a race-free run of one long segment; a run that diverges and
+#: recovers in most epochs; a racy run that does I/O, so each recovery
+#: restores a kernel with state; one whose verdict starves on a lock
+#: held across many epochs
+CLASSES = {
+    "clean": Program("apache", 2),
+    "recovering": Program("racy-counter", 2, scale=8),
+    "io-racy": RACY_IO,
+    "held-lock": HELD_LOCK,
+}
+
+#: what a worker can find wrong with the scratch pack a dispatch names:
+#: it was unlinked ("needblobs"), it holds everything but the unit's log
+#: chunks ("evicted-chunk"), it is not a pack ("bad-magic")
+PACK_LOSSES = ("needblobs", "evicted-chunk", "bad-magic")
+
+#: every way a run may be made; a case is one value of each
+AXES = {
+    "program": tuple(CLASSES),
+    "kind": ("record", "replay"),
+    "jobs": (1, 2, 3, 4),
+    "sink": tuple(SINKS),
+    "fault": (
+        "none", "crash", "hang", "error", "crash-once", "slow", *PACK_LOSSES,
+    ),
+    #: which unit the fault strikes: the first, one inside, the last
+    #: (the tail behind the merge), or the one in flight behind it
+    "position": ("first", "interior", "tail", "in-flight"),
+    "mode": ("solo", "serve"),
+    "superblocks": (True, False),
+    "trace": (False, True),
+    #: the scratch pack's size in bytes (None: the default)
+    "scratch_cap": (None, 0, 2048),
+}
+
+#: the validity predicate, as rules over two or three axes each: a rule
+#: holds of a partial case until every axis it names has a value
+_RULES = [
+    # A fault strikes a pool unit, and there is none at jobs=1.
+    (("fault", "jobs"), lambda fault, jobs: fault == "none" or jobs > 1),
+    # The position is the fault's.
+    (("fault", "position"), lambda fault, at: fault != "none" or at == "first"),
+    # Only a run of one segment has a tail behind its merge, and the
+    # merge of io-racy's short segments never reaches a second unit; a
+    # replay has all its spans.
+    (("position", "program", "kind"), lambda at, program, kind: (
+        kind == "replay" or at == "first" or program == "clean"
+        or (at == "interior" and program != "io-racy")
+    )),
+    # Pack losses and fuses strike record dispatches (a replay pushes
+    # nothing ahead for a fuse to blow on).
+    (("fault", "kind"), lambda fault, kind: (
+        kind == "record" or fault in ("none", "crash", "hang", "error", "slow")
+    )),
+    # A chunk can be evicted only from under a unit that reads the log.
+    # A hang costs two unit timeouts of wall time, so it strikes the
+    # clean program only: the racy ones meet the same containment path
+    # through crashes and errors.
+    (("fault", "program"), lambda fault, program: program in {
+        "evicted-chunk": ("clean", "io-racy"), "hang": ("clean",),
+    }.get(fault, (program,))),
+    # The cap sizes the pool's pack, which a pack loss replaces.
+    (("scratch_cap", "jobs"), lambda cap, jobs: cap is None or jobs > 1),
+    (("scratch_cap", "fault"), lambda cap, f: cap is None or f not in PACK_LOSSES),
+    # A tracer records solo runs.
+    (("trace", "kind"), lambda trace, kind: not trace or kind == "record"),
+    (("trace", "mode"), lambda trace, mode: not trace or mode == "solo"),
+    # A tenant records into memory under the service's own options, with
+    # a fault the session itself directs.
+    (("mode", "kind"), lambda mode, kind: mode == "solo" or kind == "record"),
+    (("mode", "sink"), lambda mode, sink: mode == "solo" or sink == "memory"),
+    (("mode", "superblocks"), lambda mode, fused: mode == "solo" or fused),
+    (("mode", "fault"), lambda mode, fault: (
+        mode == "solo" or fault in ("none", "crash", "error", "slow")
+    )),
+]
+
+
+def valid(case: dict) -> bool:
+    """Whether ``case`` (every axis given, or only some) is a run the
+    harness can make."""
+    return all(
+        rule(*(case[axis] for axis in axes))
+        for axes, rule in _RULES
+        if all(axis in case for axis in axes)
+    )
+
+
+def _complete(case: dict, order, prefer=None) -> Optional[dict]:
+    """``case`` with every axis in ``order`` given a value that keeps it
+    valid, trying the values ``prefer(case, axis)`` lists first; None if
+    there is no valid completion."""
+    if not valid(case):
+        return None
+    if not order:
+        return case
+    axis, rest = order[0], order[1:]
+    for value in prefer(case, axis) if prefer else AXES[axis]:
+        done = _complete({**case, axis: value}, rest, prefer)
+        if done is not None:
+            return done
+    return None
+
+
+def _tuples(case: dict, strength: int):
+    """The ``strength``-way combinations of ``case``'s axis values."""
+    return itertools.combinations(tuple(case.items()), strength)
+
+
+def feasible(strength: int = 2) -> Dict[tuple, None]:
+    """Every ``strength``-way combination of axis values some valid case
+    has, in a fixed order."""
+    names = list(AXES)
+    wanted = {}
+    for axes in itertools.combinations(names, strength):
+        for values in itertools.product(*(AXES[axis] for axis in axes)):
+            combo = tuple(zip(axes, values))
+            rest = [axis for axis in names if axis not in axes]
+            if _complete(dict(combo), rest) is not None:
+                wanted[combo] = None
+    return wanted
+
+
+#: one value of each axis
+Case = collections.namedtuple("Case", AXES)
+
+#: each class recorded and replayed the plain way through the pool: a
+#: covering set holds each pair of their values in some case, but need
+#: not hold them
+PLAIN = [
+    Case(program, kind, 2, "memory", "none", "first", "solo", True, False, None)
+    for program in CLASSES for kind in AXES["kind"]
+]
+
+
+def case_id(case: Case) -> str:
+    """Program, kind, jobs and sink, then each axis off its plain value."""
+    parts = [case.program, case.kind, f"j{case.jobs}", case.sink]
+    if case.fault != "none":
+        parts.append(f"{case.fault}@{case.position}")
+    flags = {"serve": case.mode == "serve", "unfused": not case.superblocks}
+    parts += [flag for flag, on in {**flags, "traced": case.trace}.items() if on]
+    if case.scratch_cap is not None:
+        parts.append(f"cap{case.scratch_cap}")
+    return "-".join(parts)
+
+
+def covering(strength: int = 2, seed: int = 5) -> list:
+    """A seeded covering set of the axis table: every feasible
+    ``strength``-way combination of axis values is in some case, and
+    every case but the :data:`PLAIN` ones it starts from holds one no
+    other case does. (Seed 5 gives pairwise four hang cases, the fewest
+    the four positions allow.)
+
+    Greedy, one case at a time: take the first combination no case
+    covers yet, then give each other axis, in a random order, the value
+    that covers most uncovered combinations with the axes already set —
+    keeping the case valid — and keep the best of a few such tries.
+    """
+    rng = random.Random(seed)
+    names = list(AXES)
+    rank = {axis: index for index, axis in enumerate(names)}
+    wanted = feasible(strength)
+
+    def prefer(case, axis):
+        def gain(value):
+            return sum(
+                tuple(sorted(others + ((axis, value),), key=lambda i: rank[i[0]]))
+                in wanted
+                for others in itertools.combinations(case.items(), strength - 1)
+            )
+
+        values = list(AXES[axis])
+        rng.shuffle(values)
+        return sorted(values, key=gain, reverse=True)
+
+    cases = [case._asdict() for case in PLAIN]
+    for case in cases:
+        for combo in _tuples(case, strength):
+            wanted.pop(combo, None)
+    while wanted:
+        target = dict(next(iter(wanted)))
+        best, best_covered = None, ()
+        for _ in range(8):
+            order = [axis for axis in names if axis not in target]
+            rng.shuffle(order)
+            case = _complete(target, order, prefer)
+            case = {axis: case[axis] for axis in names}
+            covered = [combo for combo in _tuples(case, strength) if combo in wanted]
+            if len(covered) > len(best_covered):
+                best, best_covered = case, covered
+        cases.append(best)
+        for combo in best_covered:
+            del wanted[combo]
+    # Drop, last first, every case whose combinations others all hold.
+    held = collections.Counter(
+        combo for case in cases for combo in _tuples(case, strength)
+    )
+    for case in reversed(cases[len(PLAIN):]):
+        if all(held[combo] > 1 for combo in _tuples(case, strength)):
+            cases.remove(case)
+            held.subtract(_tuples(case, strength))
+    return [Case(**case) for case in cases]

@@ -5,22 +5,20 @@ fixed number of boundaries behind the thread-parallel run — a restarted
 segment's first epoch already at boundary 1 — and squashes that run at
 the divergent epoch. Which boundary consumes which verdict,
 and whether it cuts, must be a function of the committed history alone:
-every test here records a diverging program several ways — ``jobs`` 2
-and 3, twice, with and without a durable sink, with a verdict unit lost
-to a host fault, through a service fleet — and holds each run to the
-program's ``jobs=1`` oracle (``tests/parity.py``): the recording, the
-stats, the bytes on disk, the ``exec.*`` counters, the boundaries each
-segment reached and every verdict judged. The same harness then
-loses units under the streaming merge (tail and in-flight positions,
-clean and recovering runs), and records a racy
-program that does I/O to watch what only a recovery exercises: the
+every test here records a diverging program — at ``jobs`` 2 and 3, with
+a verdict unit lost to a host fault, through a service fleet — and holds
+each run to the program's ``jobs=1`` oracle (``tests/parity.py``): the
+recording, the stats, the bytes on disk, the ``exec.*`` counters, the
+boundaries each segment reached and every verdict judged. (Every sink,
+and a unit lost at each position of the streaming merge, are axes of the
+parity table, ``tests/test_parity.py``.) The same harness then records a
+racy program that does I/O to watch what only a recovery exercises: the
 kernel restored from a copy-on-write snapshot, the log a new segment
 chunks, and the scratch pack full of a squashed future's blobs.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 
 import pytest
@@ -30,11 +28,9 @@ from repro.core.recorder import VerdictSchedule
 from repro.host import blobs as host_blobs
 from repro.host import executor as host_executor
 from repro.host.faults import FaultSpec
-from repro.host.pool import invalidate_shared_pool, shutdown_shared_pool
-from repro.host.wire import BlobRef
+from repro.host.pool import invalidate_shared_pool
 from repro.obs import spans as obs_spans
 from repro.oskernel.kernel import Kernel
-from repro.record.pack import PACK_NAME, BlobStore
 from repro.record.log_index import SegmentLogs
 from repro.record.shards import ShardedLogReader
 from repro.workloads import WORKLOADS
@@ -48,45 +44,6 @@ def _first_epochs(recording):
     return [0] + [epoch.index + 1 for epoch in recording.epochs if epoch.recovered]
 
 
-#: (workload, workers, scale)
-PROGRAMS = [
-    ("racy-counter", 2, 8),
-    ("racy-counter", 3, 4),
-    ("racy-lazyinit", 2, 8),
-    ("racy-lazyinit", 3, 8),
-]
-
-
-@pytest.mark.parametrize("sink", parity.SINKS)
-@pytest.mark.parametrize("name,workers,scale", PROGRAMS)
-def test_identical_at_any_jobs_and_across_runs(name, workers, scale, sink):
-    program = Program(name, workers, scale=scale)
-    observed = [parity.oracle(program, sink)]
-    for jobs in (2, 2, 3):
-        observed.append(parity.observe(program, jobs=jobs, sink=sink))
-        # The same verdicts are judged at the same boundaries, to the
-        # same effect, at any jobs.
-        parity.assert_parity(observed[-1])
-    for got in observed:
-        # A restarted segment whose first epoch diverges is squashed at
-        # its first boundary: that epoch's verdict is consumed there.
-        epochs, boundaries = got.result.recording.epochs, got.fields["boundaries"]
-        squashed_at_once = [
-            first for first in boundaries if first and epochs[first].recovered
-        ]
-        assert all(boundaries[first] == 1 for first in squashed_at_once)
-        if name == "racy-counter":
-            assert len(squashed_at_once) > 1
-    reference = observed[0]
-    if name == "racy-counter":
-        assert reference.result.stats["recoveries"] > 1
-        assert any(row[-1] == "squash" for row in reference.fields["judged"])
-    else:
-        # Never diverges, so never armed: one segment, run to its end.
-        assert reference.result.stats["recoveries"] == 0
-        assert reference.tp_entries == reference.result.stats["epochs"]
-
-
 def _never_cut(monkeypatch):
     """Disable the verdict schedule: no segment is ever armed."""
     init = VerdictSchedule.__init__
@@ -94,8 +51,6 @@ def _never_cut(monkeypatch):
         VerdictSchedule, "__init__",
         lambda self, lag, armed, pooled: init(self, lag, False, pooled),
     )
-
-
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -225,19 +180,6 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
     )
 
 
-def test_attempt_waste_counts_every_failed_attempt():
-    """``stats["attempt_waste"]`` sums the cycles of every epoch-parallel
-    attempt that failed — a run whose last segment is clean wasted them
-    all the same — and is the same at any jobs."""
-    program = Program("racy-counter", 2, scale=8)
-    reference = parity.oracle(program)
-    assert not reference.result.recording.epochs[-1].recovered
-    assert reference.result.stats["divergences"] > 1
-    assert reference.result.stats["attempt_waste"] > 0
-    for jobs in (2, 3):
-        parity.assert_parity(parity.observe(program, jobs=jobs))
-
-
 @pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("workers", [2, 4])
 def test_a_restarted_segment_judges_position_0_on_the_coordinator(workers, jobs):
@@ -289,170 +231,12 @@ def test_speculation_accounting_counts_the_verdicts_it_used():
     )
 
 
-def test_a_fleet_session_of_a_racy_tenant_returns_the_solo_recording():
-    from repro.service import RecordService, ServiceConfig, SessionRequest
-
-    program = Program("racy-counter", 2, scale=8)
-    report = RecordService(ServiceConfig(jobs=2, max_active=2)).run([
-        SessionRequest(
-            sid=f"racy-{tenant}", workload="racy-counter", workers=2,
-            scale=8, seed=11,
-            epoch_cycles=parity.build(program).config.epoch_cycles,
-        )
-        for tenant in range(2)
-    ])
-    assert report.ok, [r.error for r in report.results]
-    for result in report.results:
-        parity.assert_parity(parity.served(program, result))
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_committed_chain_indices_are_the_epoch_sequence(workers):
-    """Checkpoint indices count the committed chain, not squashed futures."""
-    program = Program("racy-counter", workers, scale=8)
-    parallel = parity.observe(program, jobs=2)
-    parity.assert_parity(parallel)
-    serial, pooled = (
-        [epoch.start_checkpoint.index for epoch in got.result.recording.epochs]
-        for got in (parity.oracle(program), parallel)
-    )
-    assert all(later > earlier for earlier, later in zip(serial, serial[1:]))
-    assert serial == list(range(len(serial))) == pooled
-
-
 # ----------------------------------------------------------------------
-# The streaming merge under host faults
-#
-# At the end of a segment's thread-parallel run the recorder pushes the
-# tail units and walks the positions in order — wait, validate, commit —
-# so the units behind the merge head execute while earlier epochs
-# commit. A unit lost there (on the tail itself, or one position behind
-# the head, in flight while the head's epoch commits) is cut again, now
-# with full knowledge, and run through the contained path. Whatever is lost,
-# however, the recording, the stats, the ``exec.*`` counters and the
-# bytes on disk are those of ``jobs=1``.
+# The streaming merge: epochs commit while the units behind the merge
+# head still execute (a unit lost there is a parity table fault position)
 # ----------------------------------------------------------------------
-#: one segment run to its end (pushes mid-run, then a two-unit tail) and
-#: many short segments cut at their divergent epoch (doomed tails)
-STREAM_PROGRAMS = {
-    "clean": Program("apache", 2, scale=24),
-    "recovering": Program("racy-counter", 2, scale=8),
-}
-
-
-def _lose_unit(monkeypatch, tmp_path, kind, position):
-    """``observe`` arguments under which ``position``'s unit is lost to ``kind``.
-
-    ``crash-once`` kills the worker under the first dispatch only (the
-    attempt pushed ahead); every other kind strikes
-    each dispatch of the position, so the contained path has to retry
-    and then run the unit on the coordinator. The ``PACK_LOSSES`` kinds
-    are what a worker can find wrong with the scratch pack a dispatch
-    names — it is outside input to the worker, a file another process
-    appends — and each is a task error there.
-    """
-    if kind in PACK_LOSSES:
-        make_dispatch = host_executor.HostExecutor._make_dispatch
-        packs = iter(range(1 << 30))
-
-        def absent(ref):
-            """The same blob under a digest no worker has cached and no
-            pack holds, so the worker has to go to the pack for it."""
-            return BlobRef(ref.digest ^ 1, ref._local)
-
-        def lost(self, batch, index):
-            dispatch = make_dispatch(self, batch, index)
-            if batch.kind != "record" or index != position:
-                return dispatch
-            host_executor._scratch_packs.release(dispatch.pack)
-            dispatch.pack = root = str(tmp_path / f"pack-{next(packs)}")
-            dispatch.unit = unit = copy.copy(dispatch.unit)
-            if kind == "evicted-chunk":
-                # A pack with everything the unit names but its chunks.
-                assert unit.syscalls, "the unit sees no log chunk: pick another position"
-                store = BlobStore(root)
-                for digest in dispatch.required_digests():
-                    store.put(digest, batch.blobs[digest])
-                store.close()
-                unit.syscalls = tuple(absent(chunk) for chunk in unit.syscalls)
-                return dispatch
-            unit.signals = absent(unit.signals)
-            if kind == "bad-magic":
-                os.makedirs(root)
-                with open(os.path.join(root, PACK_NAME), "wb") as handle:
-                    handle.write(b"not a blob pack, whatever it is")
-            return dispatch  # "needblobs": a pack that is not there at all
-
-        monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", lost)
-        return {}
-    if kind == "crash-once":
-        monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
-        return {"fault": f"record:crash:unit{position}:once"}
-    if kind == "hang":
-        return {"fault": f"record:hang:unit{position}:30", "unit_timeout": 0.5}
-    return {"fault": f"record:{kind}:unit{position}"}
-
-
-#: what a worker can find wrong with the pack a dispatch names: it was
-#: unlinked ("needblobs"), it holds everything but the unit's log chunks
-#: ("evicted-chunk"), it is not a pack
-PACK_LOSSES = ("needblobs", "evicted-chunk", "bad-magic")
-
-#: (program, jobs, sink, fault kind, position); a negative position
-#: counts back from the segment's last unit: -1 is the tail's last, -2
-#: the unit in flight behind it while earlier epochs commit
-STREAM_FAULTS = [
-    ("clean", 2, "log", "error", -1),
-    ("clean", 2, "log", "error", -2),
-    ("clean", 3, "memory", "crash", -1),
-    ("clean", 2, "log", "crash-once", -2),
-    ("clean", 2, "memory", "hang", -1),
-    ("clean", 2, "log", "needblobs", -1),
-    ("clean", 3, "spill", "needblobs", -2),
-    # The log travels as chunks a unit shares with its neighbours: one
-    # missing under the unit that needs it, and the worker that read a
-    # chunk first dying with it (mid-run and on the tail).
-    ("clean", 2, "log", "evicted-chunk", -6),
-    ("clean", 3, "spill", "evicted-chunk", -2),
-    ("clean", 2, "log", "bad-magic", -2),
-    ("clean", 2, "log", "crash-once", -7),
-    ("clean", 2, "memory", "crash-once", -2),
-    ("recovering", 2, "log", "error", 0),
-    ("recovering", 3, "memory", "needblobs", 1),
-    ("recovering", 2, "spill", "crash-once", 1),
-    ("recovering", 2, "log", "error", 1),
-    ("recovering", 2, "window", "needblobs", 0),
-    ("recovering", 2, "log", "bad-magic", 1),
-]
-
-
-@pytest.mark.parametrize("program,jobs,sink,kind,position", STREAM_FAULTS)
-def test_a_unit_lost_under_the_streaming_merge_changes_nothing_recorded(
-    monkeypatch, tmp_path, program, jobs, sink, kind, position
-):
-    reference = parity.oracle(STREAM_PROGRAMS[program], sink)
-    if program == "recovering":
-        assert reference.result.stats["recoveries"] > 1
-    else:
-        assert reference.result.stats["recoveries"] == 0
-        position += reference.result.stats["epochs"]
-    lost = _lose_unit(monkeypatch, tmp_path, kind, position)
-    try:
-        faulted = parity.observe(STREAM_PROGRAMS[program], jobs=jobs, sink=sink, **lost)
-    finally:
-        if kind != "error":
-            shutdown_shared_pool()  # killed or starved workers stay out of later tests
-    parity.assert_parity(faulted)
-    counts, spec = faulted.host["faults"], faulted.host["speculation"]
-    assert spec["dispatched"] == (
-        spec["accepted"] + spec["invalidated"] + spec["discarded"]
-    )
-    assert spec["discarded"] >= 1
-    if kind == "crash-once":
-        assert counts["crashes"] <= 1 and counts["serial_fallbacks"] == 0
-    else:
-        counter = {"crash": "crashes", "hang": "timeouts"}.get(kind, "task_errors")
-        assert counts[counter] >= 2 and counts["serial_fallbacks"] >= 1
+#: one segment run to its end: pushes mid-run, then a two-unit tail
+STREAM = Program("apache", 2, scale=24)
 
 
 def test_a_sink_failure_mid_stream_seals_the_committed_prefix(
@@ -463,7 +247,7 @@ def test_a_sink_failure_mid_stream_seals_the_committed_prefix(
     from repro.core import Replayer
     from repro.record.shards import ShardedLogWriter
 
-    built = parity.build(STREAM_PROGRAMS["clean"])
+    built = parity.build(STREAM)
     image, setup, config = built.instance.image, built.instance.setup, built.config
     log_dir = str(tmp_path / "log")
     commit_epoch = ShardedLogWriter.commit_epoch

@@ -2,8 +2,9 @@
 
 DESIGN.md, README.md and the verify notes name tests, source files and
 ``REPRO_*`` variables as evidence; a rename or a deletion that leaves a
-citation behind sends the reader to nothing. This checks the names, not
-what the prose says about them.
+citation behind sends the reader to nothing, and one the CI workflow
+selects fails only there. This checks the names, not what the prose
+says about them; and that DESIGN.md documents every honoured variable.
 """
 
 from __future__ import annotations
@@ -24,17 +25,22 @@ _TEST = re.compile(r"\b(test_\w+)\b(?!\.py)")
 #: a module named by its path under ``src`` (with or without the prefix)
 _MODULE = re.compile(r"\brepro/[\w/]*\.py\b")
 _VARIABLE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+#: a test file the workflow names, and the node it selects in it if any
+_NODE = re.compile(r"(tests/[\w/]+\.py)?::(test_\w+)|(tests/[\w/]+\.py)")
 
 
 def _text(doc: str) -> str:
     return (ROOT / doc).read_text()
 
 
+def _defs(path: str = "") -> str:
+    """The source of the test file ``path``, or of every one."""
+    files = [ROOT / path] if path else (ROOT / "tests").rglob("*.py")
+    return "\n".join(source.read_text() for source in files)
+
+
 def _test_defs() -> set:
-    names = set()
-    for path in (ROOT / "tests").rglob("*.py"):
-        names.update(re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M))
-    return names
+    return set(re.findall(r"^\s*def (test_\w+)", _defs(), re.M))
 
 
 @pytest.mark.parametrize("doc", DOCS)
@@ -57,3 +63,21 @@ def test_every_variable_a_document_names_is_honoured_or_deleted(doc):
     known = {name for name, _, _ in options.VARIABLES} | set(DELETED)
     missing = set(_VARIABLE.findall(_text(doc))) - known
     assert not missing, f"{doc} names unknown variables: {sorted(missing)}"
+
+
+def test_every_test_the_ci_workflow_selects_exists():
+    missing = []
+    for path, node, bare in _NODE.findall(_text(".github/workflows/ci.yml")):
+        source = ROOT / (path or bare)
+        if (path or bare) and not source.is_file():
+            missing.append(path or bare)
+        elif node and not re.search(rf"^def {node}\b", _defs(path), re.M):
+            missing.append(f"{path}::{node}")
+    assert not missing, f"ci.yml selects tests that do not exist: {missing}"
+
+
+def test_every_honoured_variable_is_documented():
+    undocumented = {
+        name for name, _, _ in options.VARIABLES if name not in _text("DESIGN.md")
+    }
+    assert not undocumented, f"DESIGN.md never names {sorted(undocumented)}"

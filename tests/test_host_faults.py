@@ -73,7 +73,6 @@ def test_record_succeeds_after_pool_poisoned():
 
 
 def test_shared_pool_growth_drains_in_flight_units():
-    shutdown_shared_pool()
     pool = shared_pool(1)
     future = pool.submit(time.sleep, 0.4)
     grown = shared_pool(2)
@@ -254,40 +253,9 @@ def test_parse_fault_specs():
 
 
 # ----------------------------------------------------------------------
-# Fault-injected recording: always completes, always bit-identical
-# (``parity.assert_parity`` also checks that each injected fault fired)
+# Faults of their own (one fault per run, of each kind, at each position
+# is an axis of the parity table, ``tests/test_parity.py``)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "spec,counter,expect_fallback",
-    [
-        ("crash:unit1", "crashes", True),
-        ("error:unit2", "task_errors", True),
-        ("slow:unit1:0.05", None, False),
-    ],
-)
-def test_record_faults_bit_identical(spec, counter, expect_fallback):
-    faulted = parity.observe(FFT, jobs=4, fault=spec)
-    parity.assert_parity(faulted)
-    counts = faulted.host["faults"]
-    if counter is None:
-        assert not any(counts.values())
-    else:
-        assert counts["retries"] >= 1
-        if expect_fallback:
-            assert counts["serial_fallbacks"] >= 1
-        assert faulted.host["fault_events"], "events missing from accounting"
-        assert all(
-            set(event) == {"kind", "position", "attempt", "error"}
-            for event in faulted.host["fault_events"]
-        )
-
-
-def test_record_hang_contained_by_unit_timeout():
-    faulted = parity.observe(FFT, jobs=4, fault="hang:unit1:30", unit_timeout=1.0)
-    parity.assert_parity(faulted)
-    assert faulted.host["faults"]["serial_fallbacks"] >= 1
-
-
 def test_record_crash_and_hang_complete_via_fallback():
     """The acceptance scenario: a crash AND a hang in one jobs=4 recording."""
     faulted = parity.observe(
@@ -306,7 +274,7 @@ def test_record_crash_once_recovers_on_retry(monkeypatch, tmp_path):
     is free: the push burns the ``error`` fuse silently, the merge's
     first counted attempt burns the ``crash`` fuse — a contained crash —
     and its retry runs clean (a one-shot crash that only ever meets the
-    push is the pipelined test further down).
+    push is the parity table's ``crash-once`` fault).
     """
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
     faulted = parity.observe(FFT, jobs=4, fault="error:unit1:once,crash:unit1:once")
@@ -329,106 +297,6 @@ def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
     faulted = parity.observe(RACY, jobs=2, fault="error:unit0:once,crash:unit0:once")
     parity.assert_parity(faulted)
     assert faulted.host["faults"]["crashes"] >= 1
-
-
-# ----------------------------------------------------------------------
-# Pipelined speculation under faults
-#
-# Epoch N's unit is pushed while the thread-parallel run executes N+1
-# and beyond. A pushed attempt is disposable twice over: host faults
-# silently discard it (the merge cuts the position again and runs that
-# with normal containment), and segment-end validation drops any run
-# whose snapshot cuts proved stale. Either way the recording must stay
-# byte-identical to jobs=1.
-# ----------------------------------------------------------------------
-def test_pipelined_clean_run_accepts_speculation():
-    """No faults: speculative results are accepted, never re-run."""
-    parallel = parity.observe(FFT, jobs=4)
-    parity.assert_parity(parallel)
-    spec = parallel.host["speculation"]
-    assert spec["dispatched"] >= 1
-    assert spec["accepted"] >= 1
-    assert spec["discarded"] == 0
-    assert not any(parallel.host["faults"].values())
-
-
-@pytest.mark.parametrize(
-    "spec,timeout,counter",
-    [
-        ("crash:unit1", None, "crashes"),
-        ("hang:unit1:30", 1.0, "timeouts"),
-        ("error:unit1", None, "task_errors"),
-    ],
-)
-def test_pipelined_faults_discard_speculation(spec, timeout, counter):
-    """A host fault during speculation is contained twice.
-
-    The fault fires on *every* dispatch of the position: the speculative
-    attempt dies (silently discarded), then the batch attempts die and
-    the retry/serial-fallback containment finishes the unit — recording
-    byte-identical to jobs=1 throughout.
-    """
-    faulted = parity.observe(FFT, jobs=4, fault=spec, unit_timeout=timeout)
-    parity.assert_parity(faulted)  # the batch path saw the fault: counter >= 1
-    assert faulted.host["speculation"]["discarded"] >= 1
-    assert faulted.host["faults"]["serial_fallbacks"] >= 1
-
-
-def test_pipelined_speculative_crash_only_is_invisible(monkeypatch, tmp_path):
-    """A one-shot crash consumed by the speculation leaves no fault trace.
-
-    The fuse blows on the speculative dispatch, so the batch re-run of
-    the position runs clean: zero entries in the fault counters (those
-    count only batch containment), one discarded speculation, and a
-    byte-identical recording.
-    """
-    monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    faulted = parity.observe(FFT, jobs=4, fault="crash:unit1:once")
-    parity.assert_parity(faulted)  # the fuse blew, speculation discarded
-    assert not any(faulted.host["faults"].values())
-
-
-def test_pipelined_divergence_while_speculating():
-    """A divergence in epoch N must void in-flight speculation cleanly.
-
-    racy-counter diverges mid-segment while later epochs' speculative
-    units are already in the pool. The merge loop stops at the diverged
-    position, recovery rolls the segment back, and whatever speculation
-    returned for the discarded tail must leave no trace — recording and
-    stats byte-identical to jobs=1.
-    """
-    assert parity.oracle(RACY).result.stats["divergences"] > 0
-    parallel = parity.observe(RACY, jobs=2)
-    parity.assert_parity(parallel)
-    assert parallel.host["speculation"]["dispatched"] >= 1
-    assert not any(parallel.host["faults"].values())
-
-
-# ----------------------------------------------------------------------
-# Fault-injected parallel replay
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "spec,timeout,counter",
-    [
-        ("crash:unit1", None, "crashes"),
-        ("hang:unit1:30", 1.0, "timeouts"),
-        ("error:unit1", None, "task_errors"),
-    ],
-)
-def test_replay_parallel_faults_bit_identical(spec, timeout, counter):
-    faulted = parity.observe_replay(FFT, jobs=4, fault=spec, unit_timeout=timeout)
-    parity.assert_parity(faulted)  # verified, cycles, makespan; counter >= 1
-    assert faulted.host["faults"]["serial_fallbacks"] >= 1
-
-
-def test_fault_scope_filters_by_phase():
-    """A record-scoped fault must not fire during replay, and vice versa."""
-    outcome = parity.observe_replay(FFT, jobs=2, fault="record:error:unit1")
-    parity.assert_parity(outcome)
-    assert not any(outcome.host["faults"].values())
-    recorded = parity.observe(FFT, jobs=2, fault="replay:error:unit1")
-    parity.assert_parity(recorded)
-    assert not any(recorded.host["faults"].values())
 
 
 # ----------------------------------------------------------------------

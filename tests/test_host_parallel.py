@@ -3,9 +3,9 @@
 ``host_jobs`` may change only wall-clock time. Every recording byte,
 digest and simulated-time metric must be identical at any jobs count —
 each run here is held to its program's cached ``jobs=1`` oracle by
-``tests/parity.py`` (the golden matrix's own parity slices live in
-``test_integration_matrix.py``, and the CI ``dispatch-parity`` job
-runs that whole file through the pool with ``REPRO_TEST_JOBS=2``).
+``tests/parity.py`` (the parity table, ``test_parity.py``, runs every
+way of recording and replaying; the CI ``dispatch-parity`` job runs the
+golden matrix through the pool with ``REPRO_TEST_JOBS=2``).
 """
 
 from __future__ import annotations
@@ -44,33 +44,8 @@ def _replayer(program=FFT):
 
 
 # ----------------------------------------------------------------------
-# Record determinism
+# Record determinism (every way of recording: ``tests/test_parity.py``)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "name,workers,jobs",
-    [
-        ("pbzip", 2, 2),
-        ("pbzip", 2, 4),
-        ("fft", 3, 2),
-        ("racy-counter", 2, 2),  # exercises divergence + cancel + recovery
-        ("prodcons-sem", 3, 2),
-    ],
-)
-def test_record_jobs_bit_identical(name, workers, jobs):
-    program = Program(name, workers)
-    parallel = parity.observe(program, jobs=jobs)
-    parity.assert_parity(parallel)
-    # Host accounting reflects what actually ran, and never leaks into
-    # the recording itself.
-    assert parity.oracle(program).result.host == {"jobs": 1}
-    assert parallel.host["jobs"] == jobs
-    recording = parallel.result.recording
-    assert parallel.host["units"] >= recording.epoch_count() - recording.stats[
-        "recoveries"
-    ]
-    assert "host" not in recording.stats
-
-
 def test_record_divergence_cancels_and_recovers_identically():
     program = Program("racy-counter", 3)
     # the workload actually diverges
@@ -80,33 +55,8 @@ def test_record_divergence_cancels_and_recovers_identically():
 
 
 # ----------------------------------------------------------------------
-# Fault slice: a misbehaving worker changes accounting, never results.
-# (tests/test_host_faults.py covers the full containment matrix.)
+# Replay: structured failure details
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "spec,counter",
-    [("crash:unit1", "crashes"), ("error:unit1", "task_errors")],
-)
-def test_record_jobs_bit_identical_under_faults(spec, counter):
-    faulted = parity.observe(Program("pbzip", 2), jobs=4, fault=spec)
-    parity.assert_parity(faulted)  # and the fault fired: faults[counter] >= 1
-    assert faulted.host["faults"]["serial_fallbacks"] >= 1
-
-
-# ----------------------------------------------------------------------
-# Replay determinism + structured failure details
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name,workers", [("pbzip", 2), ("fft", 3)])
-def test_replay_parallel_jobs_bit_identical(name, workers):
-    program = Program(name, workers)
-    parallel = parity.observe_replay(program, jobs=2)
-    parity.assert_parity(parallel)
-    assert parity.oracle(program, kind="parallel").result.jobs == 1
-    assert parallel.result.jobs == parallel.host["jobs"] == 2
-    # One unit per span of epochs (3 * jobs spans), not per epoch.
-    assert len(parallel.host["unit_cpu"]) == 6 < parallel.result.epochs_replayed
-
-
 def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
     """Regression: ``replay_parallel`` ran a one-epoch recording serially
     at any ``jobs`` — ``host == {"jobs": 1}`` — and still returned
@@ -131,30 +81,8 @@ def test_a_one_epoch_recording_replays_through_the_pool_it_reports():
     )
 
 
-#: the recordings the span rows replay: racy-counter/3 has 11 epochs (2
-#: jobs cut 6 spans, 3 jobs an odd split into 9), pbzip/2 has 12
+#: 11 epochs: 2 jobs cut 6 spans
 RACY3 = Program("racy-counter", 3)
-
-
-@pytest.mark.parametrize(
-    "program,jobs,fault",
-    [
-        (RACY3, 2, None),
-        (RACY3, 3, None),
-        (Program("pbzip", 2), 3, None),
-        (Program("fft", 3), 2, "replay:crash:unit5"),  # the last span
-    ],
-    ids=["racy-counter-2", "racy-counter-3", "pbzip-3", "fft-crash-last-span"],
-)
-def test_replay_spans_match_jobs1(program, jobs, fault):
-    """A pooled replay ships one unit per contiguous span of epochs and
-    reports exactly what ``jobs=1`` does (a crashed span is contained)."""
-    got = parity.observe_replay(program, jobs=jobs, fault=fault)
-    parity.assert_parity(got)  # and the crash fired: faults["crashes"] >= 1
-    epochs = got.recording.epochs
-    spans = replay_spans([epoch.duration for epoch in epochs], jobs)
-    assert got.host["units"] == len(spans) == 3 * jobs < len(epochs)
-    assert max(len(span) for span in spans) > 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])

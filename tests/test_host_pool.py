@@ -30,7 +30,12 @@ from repro.core import DoublePlayRecorder, Replayer
 from repro.errors import CollateralLossError, HostPoolError
 from repro.host import executor as host_executor
 from repro.host import pool as host_pool
-from repro.host.pool import WorkerPool, _scratch_packs, shared_pool, shutdown_shared_pool
+from repro.host.pool import (
+    WorkerPool,
+    _scratch_packs,
+    invalidate_shared_pool,
+    shared_pool,
+)
 from tests import parity
 
 
@@ -188,7 +193,7 @@ def test_a_worker_that_never_says_hello_fails_what_waited_for_it(monkeypatch, po
 # (e) A worker's death fails its window, and nothing else.
 # ----------------------------------------------------------------------
 def test_a_killed_worker_fails_exactly_its_window():
-    shutdown_shared_pool()
+    invalidate_shared_pool(kill=True)
     pool = shared_pool(2)
     futures = [pool.submit(time.sleep, 0.3) for _ in range(4)]
     queued = pool.submit(os.getpid)
@@ -242,7 +247,7 @@ def test_a_diverging_record_leaves_no_scratch_pack_named():
         built.config.replace(host_jobs=2),
     ).record()
     assert result.host["speculation"]["discarded"] > 0
-    shutdown_shared_pool()
+    invalidate_shared_pool()
     assert _scratch_packs._named == {} and _scratch_packs._dir is None
 
 
@@ -382,7 +387,7 @@ def test_a_replaced_pool_hands_another_threads_queue_to_its_successor():
     made ``if False:``), or ``_PoolFuture.result`` waiting on the first
     pool only (its loop made one ``self._pool._wait(self, timeout)``).
     """
-    shutdown_shared_pool()
+    invalidate_shared_pool(kill=True)
     pool = shared_pool(1)
     answers, errors, queued = [], [], threading.Event()
 
@@ -410,7 +415,7 @@ def test_a_replaced_pool_hands_another_threads_queue_to_its_successor():
         assert [type(exc) for exc in errors] == [CollateralLossError] * 2, errors
         assert answers == [successor._workers[0].process.pid] * 2
     finally:
-        shutdown_shared_pool()
+        invalidate_shared_pool(kill=True)
 
 
 def test_eight_threads_submitting_and_waiting_at_once_lose_nothing(pool_of):

@@ -20,7 +20,7 @@ import pytest
 from repro.host import executor as host_executor
 from repro.host import worker as host_worker
 from repro.host.blobs import BlobCache
-from repro.host.pool import invalidate_shared_pool, shared_pool, shutdown_shared_pool
+from repro.host.pool import invalidate_shared_pool, shared_pool
 from repro.host.wire import RecordEpochUnit, ReplayEpochUnit, replay_spans
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -245,7 +245,7 @@ def test_an_unwritable_scratch_pack_is_contained(monkeypatch, tmp_path):
         ]
     finally:
         obs_events.uninstall_journal()
-        shutdown_shared_pool()
+        invalidate_shared_pool(kill=True)
     parity.assert_parity(got)
     result = got.result
     faults = result.host["faults"]
@@ -260,7 +260,7 @@ def test_an_unwritable_scratch_pack_is_contained(monkeypatch, tmp_path):
 
 def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
     """Regression: workers kept the fusion setting they were spawned with."""
-    shutdown_shared_pool()
+    invalidate_shared_pool(kill=True)
     monkeypatch.delenv("REPRO_SUPERBLOCKS", raising=False)
     try:
         shared_pool(2)  # spawned with fusion ON in their environment
@@ -273,7 +273,7 @@ def test_warm_pool_honours_the_coordinators_superblock_switch(monkeypatch):
         parity.assert_parity(result)  # and no fused call anywhere
         assert result.host["units"] > 0
     finally:
-        shutdown_shared_pool()
+        invalidate_shared_pool(kill=True)
 
 
 def test_a_pool_that_never_comes_up_is_accounted_as_lost_units(monkeypatch):

@@ -141,7 +141,7 @@ def test_fault_scoped_to_one_tenant_leaves_others_untouched():
 
 
 def test_pool_breaking_crash_in_one_tenant_is_survivable_by_all():
-    host_pool.shutdown_shared_pool()
+    host_pool.invalidate_shared_pool(kill=True)
     try:
         service = RecordService(ServiceConfig(jobs=2, max_active=3))
         report = service.run(
@@ -172,7 +172,7 @@ def test_pool_breaking_crash_in_one_tenant_is_survivable_by_all():
             assert counters["serial_fallbacks"] == 0
             assert not any(counters.values()), (sid, counters)
     finally:
-        host_pool.shutdown_shared_pool()
+        host_pool.invalidate_shared_pool(kill=True)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +229,14 @@ def test_admission_semaphore_bounds_active_sessions_and_measures_wait():
 def test_a_jobs1_serve_starts_no_pool(monkeypatch):
     """Regression: ``serve`` called ``shared_pool(jobs)`` at ``jobs=1``
     too, starting a worker that no session ever gave a unit."""
-    host_pool.shutdown_shared_pool()
-    spawned = []
+    before, spawned = host_pool._shared_pool, []
     monkeypatch.setattr(host_pool, "WorkerPool", spawned.append)
     report = RecordService(ServiceConfig(jobs=1, max_active=2)).run(
         [SessionRequest(sid=f"s{i}", workload="fft", scale=1, seed=8)
          for i in range(2)]
     )
     assert report.ok, [r.error for r in report.results]
-    assert spawned == [] and host_pool._shared_pool is None
+    assert spawned == [] and host_pool._shared_pool is before
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,7 @@ def test_cross_session_dedup_cuts_shipped_bytes():
             second["cross_session_bytes_saved"]
         )
     finally:
-        host_pool.shutdown_shared_pool()
+        host_pool.invalidate_shared_pool(kill=True)
 
 
 def test_fleet_totals_are_sums_over_its_lanes():
@@ -407,7 +406,7 @@ def test_shared_pool_concurrent_callers_race(monkeypatch):
     retired pool is shut down exactly once and exactly one pool is live
     at the end.
     """
-    host_pool.shutdown_shared_pool()
+    monkeypatch.setattr(host_pool, "_shared_pool", None)  # (the real one waits)
     created = _FakePool.created = []
     monkeypatch.setattr(host_pool, "WorkerPool", _FakePool)
     errors = []
@@ -442,5 +441,5 @@ def test_shared_pool_concurrent_callers_race(monkeypatch):
     # and no retired pool was ever shut down twice.
     assert len(live) <= 1
     assert all(pool.shutdowns == 1 for pool in retired)
-    host_pool.shutdown_shared_pool()
+    host_pool.invalidate_shared_pool()
     assert all(pool.shutdowns <= 1 for pool in created)

@@ -29,7 +29,7 @@ from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.host import executor as host_executor
 from repro.host.executor import HostExecutor
-from repro.host.pool import invalidate_shared_pool, shared_pool, shutdown_shared_pool
+from repro.host.pool import invalidate_shared_pool, shared_pool
 from repro.host.wire import replay_spans
 from repro.host.worker import UnitDispatch
 from repro.machine.config import MachineConfig
@@ -324,7 +324,7 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
             host = outcome.host
     finally:
         obs_spans.stop_trace()
-        shutdown_shared_pool()  # killed workers stay out of later tests
+        invalidate_shared_pool(kill=True)  # killed workers stay out of later tests
     # Blame: K's one counted crash, saved by its retry.
     assert {event["position"] for event in host["fault_events"]} == {crashed}
     assert host["faults"] == {
@@ -369,7 +369,7 @@ def test_a_replay_indexes_the_log_once_per_worker(server):
         assert pooled.verified
         assert 1 <= _work(pooled, "injection_index_builds") <= JOBS + 1
     finally:
-        shutdown_shared_pool()
+        invalidate_shared_pool(kill=True)
     serial = replayer.replay_parallel(recording, jobs=1)
     assert serial.verified
     assert _work(serial, "injection_index_builds") == 1
@@ -517,7 +517,7 @@ def test_replaying_a_recording_again_puts_nothing():
             assert outcome.verified and not any(outcome.host["faults"].values())
             shipped.append(outcome.host["wire"]["bytes_shipped"])
     finally:
-        shutdown_shared_pool()
+        invalidate_shared_pool(kill=True)
     assert shipped[0] > 5_000 and shipped[1:] == [0, 0, 0, 0]
 
 
@@ -571,7 +571,7 @@ def test_a_cold_record_ships_the_log_as_shared_chunks():
     try:
         result = DoublePlayRecorder(instance.image, instance.setup, config).record()
     finally:
-        shutdown_shared_pool()
+        invalidate_shared_pool(kill=True)
     assert result.stats["epochs"] == 12 and not any(result.host["faults"].values())
     assert 0 < result.host["wire"]["bytes_shipped"] <= 0.7 * PARENT_COLD_BYTES
 
