@@ -161,9 +161,10 @@ def _durable_disk_bytes(recording) -> int:
     import tempfile
 
     from repro.record.shards import persist_recording
+    from repro.record.storage import UNSYNCED
 
     with tempfile.TemporaryDirectory(prefix="repro-table2-") as tmp:
-        totals = persist_recording(recording, tmp, fsync=False)
+        totals = persist_recording(recording, tmp, storage=UNSYNCED)
     return totals["segment_bytes"]
 
 

@@ -704,7 +704,6 @@ class DoublePlayRecorder:
                 self.machine.cores,
                 meta=self.config.log_meta,
                 group_commit_bytes=opts.log_group_bytes,
-                fsync=opts.log_fsync,
                 flight_window=opts.flight_window,
             )
         if self.config.log_spill:

@@ -43,7 +43,8 @@ class RuntimeOptions:
     fault_state: str = ""
     #: durable-log group-commit threshold, bytes
     log_group_bytes: int = 32 << 10
-    #: fsync the durable log (off only for benchmarks on throwaway dirs)
+    #: fsync the durable log, read where ``ShardedLogWriter`` builds its
+    #: ``Storage``: on in the benchmark, off in tests and analysis/experiments.py
     log_fsync: bool = True
     #: rolling flight-recorder window in epochs; None = keep everything
     flight_window: Optional[int] = None

@@ -17,7 +17,7 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReplayError
-from repro.record.segment import fsync_dir
+from repro.record.storage import UNSYNCED, Storage
 
 
 def _hex(digest: int) -> str:
@@ -47,15 +47,16 @@ class BlobStore:
     crash is a torn tail — the manifest is only written after the pack
     is flushed, so no manifest ever references a torn blob.
 
-    One process appends (``put`` / ``flush`` / ``compact``); any number
-    may read. A reader never creates or changes anything on disk, and a
-    digest it has not indexed yet sends it back to the file for what was
-    appended since its last scan — visibility needs the appender's
-    ``flush``, never an fsync.
+    One process appends (``put`` / ``flush`` / ``compact``) through its
+    ``storage``; any number may read. A reader never creates or changes
+    anything on disk, and a digest it has not indexed yet sends it back
+    to the file for what was appended since its last scan — visibility
+    needs the appender's ``flush``, never an fsync.
     """
 
-    def __init__(self, root: str):
+    def __init__(self, root: str, storage: Storage = UNSYNCED):
         self.root = root
+        self.storage = storage
         self.path = os.path.join(root, PACK_NAME)
         #: digest -> (payload offset, payload length), buffered included
         self._index: Dict[int, Tuple[int, int]] = {}
@@ -67,8 +68,6 @@ class BlobStore:
         self._end = self._disk_end = len(PACK_MAGIC)
         self.blobs_written = 0
         self.bytes_written = 0
-        self.fsyncs = 0
-        self._dir_synced = False
         self._scan()
 
     def _scan(self) -> None:
@@ -116,12 +115,11 @@ class BlobStore:
         self.bytes_written += len(blob)
         return True
 
-    def flush(self, fsync: bool = False) -> bool:
-        """Append buffered blobs to the pack; True when anything was written.
+    def flush(self) -> bool:
+        """Append and sync buffered blobs; True when anything was written.
 
-        Must run (with the caller's durability choice) before any
-        manifest write that references the buffered digests, and before
-        another process is told to read them.
+        Must run before any manifest write that references the buffered
+        digests, and before another process is told to read them.
         """
         if not self._buffer:
             return False
@@ -134,31 +132,26 @@ class BlobStore:
                 # is dead bytes a plain append would corrupt the index
                 # against, so cut it before writing. (A pack torn inside
                 # its header holds nothing: it is written afresh.)
-                self._append = open(self.path, "r+b")
-                self._append.truncate(self._disk_end)
-                self._append.seek(self._disk_end)
+                self._append = self.storage.append(self.path, self._disk_end)
             else:
-                os.makedirs(self.root, exist_ok=True)
-                self._append = open(self.path, "wb")
-                self._append.write(PACK_MAGIC)
-        self._append.write(b"".join(self._buffer))
-        self._append.flush()
-        if fsync:
-            os.fsync(self._append.fileno())
-            self.fsyncs += 1
-            if not self._dir_synced:
-                if fsync_dir(self.root):
-                    self.fsyncs += 1
-                self._dir_synced = True
+                self.storage.makedirs(self.root)
+                self._append = self.storage.create(self.path)
+                self.storage.write(self._append, PACK_MAGIC)
+        self.storage.write(self._append, b"".join(self._buffer))
+        self.storage.sync(self._append)
         self._buffer = []
         self._disk_end = self._end
         return True
 
-    def close(self, fsync: bool = False) -> None:
-        self.flush(fsync=fsync)
-        for handle in (self._append, self._read):
-            if handle is not None:
-                handle.close()
+    def close(self) -> None:
+        self.flush()
+        self._close_handles()
+
+    def _close_handles(self) -> None:
+        if self._append is not None:
+            self.storage.close(self._append)
+        if self._read is not None:
+            self._read.close()
         self._append = self._read = None
 
     def get(self, digest: int) -> bytes:
@@ -191,52 +184,41 @@ class BlobStore:
         """Logical pack size (header + all entries, buffered included)."""
         return self._end
 
-    def compact(self, drop, fsync: bool = False) -> int:
+    def compact(self, drop) -> int:
         """Rewrite the pack without the ``drop`` digests; returns bytes freed.
 
-        Crash-safe by construction: the surviving entries are copied to
-        ``pack.dppack.tmp``, fsynced (when asked), and atomically
-        ``os.replace``d over the pack — a crash mid-compaction leaves
-        the old pack intact and the tmp file as garbage the next open
-        ignores. Dropped digests leave the index, so re-appearing
+        Crash-safe by construction: the surviving entries are published
+        over the pack (:meth:`~repro.record.storage.Storage.publish`: a
+        synced tmp file renamed into place) — a crash mid-compaction
+        leaves the old pack intact and the tmp file as garbage the next
+        open ignores. Dropped digests leave the index, so re-appearing
         content (a page cycling back into a later checkpoint) is simply
         appended again.
         """
         drop = {digest for digest in drop if digest in self._index}
         if not drop:
             return 0
-        self.flush(fsync=fsync)
+        self.flush()
         if not os.path.exists(self.path):
             for digest in drop:
                 del self._index[digest]
             return 0
-        for handle in (self._append, self._read):
-            if handle is not None:
-                handle.close()
-        self._append = self._read = None
-        tmp = self.path + ".tmp"
+        self._close_handles()
+        with open(self.path, "rb") as src:
+            old = src.read()
+        kept = [PACK_MAGIC]
         new_index: Dict[int, Tuple[int, int]] = {}
+        offset = len(PACK_MAGIC)
+        for digest, (start, length) in sorted(
+            self._index.items(), key=lambda item: item[1][0]
+        ):
+            if digest in drop:
+                continue
+            kept.append(old[start - _PACK_ENTRY.size : start + length])
+            new_index[digest] = (offset + _PACK_ENTRY.size, length)
+            offset += _PACK_ENTRY.size + length
+        self.storage.publish(self.path, b"".join(kept))
         before = self._disk_end
-        with open(self.path, "rb") as src, open(tmp, "wb") as dst:
-            dst.write(PACK_MAGIC)
-            offset = len(PACK_MAGIC)
-            for digest, (start, length) in sorted(
-                self._index.items(), key=lambda item: item[1][0]
-            ):
-                if digest in drop:
-                    continue
-                src.seek(start - _PACK_ENTRY.size)
-                dst.write(src.read(_PACK_ENTRY.size + length))
-                new_index[digest] = (offset + _PACK_ENTRY.size, length)
-                offset += _PACK_ENTRY.size + length
-            dst.flush()
-            if fsync:
-                os.fsync(dst.fileno())
-                self.fsyncs += 1
-        os.replace(tmp, self.path)
-        if fsync:
-            if fsync_dir(self.root):
-                self.fsyncs += 1
         self._index = new_index
         self._end = self._disk_end = offset
         return before - offset

@@ -42,10 +42,11 @@ produce — still read.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from typing import BinaryIO, Iterator, List, Optional, Tuple
+
+from repro.record.storage import Storage
 
 #: file header: identifies a segment file and its format generation
 SEGMENT_MAGIC = b"DPSEG01\n"
@@ -61,29 +62,6 @@ CODEC_ZLIB1 = 1
 
 #: the manifest's name for the one codec the writer stamps (CODEC_ZLIB1)
 WRITE_CODEC = "zlib1"
-
-
-def fsync_dir(path: str) -> bool:
-    """fsync a directory so renames/creates/unlinks inside it are durable.
-
-    ``os.replace`` makes a manifest swap atomic but not durable: until
-    the *directory* is synced, power loss can roll the rename back (or
-    resurrect an unlinked segment). Returns False where directories
-    cannot be fsynced (some platforms/filesystems) — durability then
-    degrades to the filesystem's own ordering, which is the best
-    available.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return False
-    try:
-        os.fsync(fd)
-        return True
-    except OSError:
-        return False
-    finally:
-        os.close(fd)
 
 
 def _encode_body(frames: List[bytes]) -> bytes:
@@ -131,42 +109,28 @@ class BlockExtent(tuple):
     def offset(self) -> int:
         return self[0]
 
-    @property
-    def stored_len(self) -> int:
-        return self[1]
-
-    @property
-    def raw_len(self) -> int:
-        return self[2]
-
 
 class SegmentWriter:
     """Appends frames to one segment file through a group-commit buffer."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, storage: Storage):
         self.path = path
+        self.storage = storage
         self._buffer: List[bytes] = []
         self._buffered = 0
-        self._handle: BinaryIO = open(path, "wb")
-        self._handle.write(SEGMENT_MAGIC)
-        self._offset = len(SEGMENT_MAGIC)
+        self._handle: BinaryIO = storage.create(path)
+        storage.write(self._handle, SEGMENT_MAGIC)
         #: extents of every flushed block, in file order
         self.blocks: List[BlockExtent] = []
         #: high-water mark of the group-commit buffer (bytes)
         self.peak_buffered = 0
-        #: raw frame bytes accepted (pre-compression)
-        self.raw_bytes = 0
-        #: bytes actually written to the file (headers + stored bodies)
-        self.stored_bytes = self._offset
-        self.flushes = 0
-        self.fsyncs = 0
-        self._dir_synced = False
+        #: bytes written to the file (magic, block headers, stored bodies)
+        self.stored_bytes = len(SEGMENT_MAGIC)
 
     def append(self, frame: bytes) -> None:
         """Buffer one frame for the next group commit."""
         self._buffer.append(frame)
         self._buffered += len(frame) + _FRAME_LEN.size
-        self.raw_bytes += len(frame)
         if self._buffered > self.peak_buffered:
             self.peak_buffered = self._buffered
 
@@ -174,13 +138,12 @@ class SegmentWriter:
     def buffered_bytes(self) -> int:
         return self._buffered
 
-    def flush(self, fsync: bool = True) -> Optional[int]:
-        """Group-commit the buffer as one block; returns its index.
+    def flush(self) -> Optional[int]:
+        """Group-commit the buffer as one synced block; returns its index.
 
         Returns ``None`` when nothing is buffered (an empty flush is a
-        no-op, not an empty block). ``fsync=True`` forces the block to
-        stable storage — the durability point of every epoch whose
-        frames it carries.
+        no-op, not an empty block). The block's sync is the durability
+        point of every epoch whose frames it carries.
         """
         if not self._buffer:
             return None
@@ -190,32 +153,17 @@ class SegmentWriter:
             _BLOCK_MAGIC, CODEC_ZLIB1, raw_len, len(stored),
             zlib.crc32(stored) & 0xFFFFFFFF,
         )
-        self._handle.write(header)
-        self._handle.write(stored)
-        self._handle.flush()
-        if fsync:
-            os.fsync(self._handle.fileno())
-            self.fsyncs += 1
-            if not self._dir_synced:
-                # The first durable block must also make the segment
-                # file's directory entry durable, or power loss can
-                # drop the whole file out from under a manifest that
-                # references its blocks.
-                if fsync_dir(os.path.dirname(self.path) or "."):
-                    self.fsyncs += 1
-                self._dir_synced = True
-        extent = BlockExtent(self._offset, len(stored), raw_len)
-        self.blocks.append(extent)
-        self._offset += _BLOCK_HEADER.size + len(stored)
-        self.stored_bytes = self._offset
+        self.storage.write(self._handle, header + stored)
+        self.storage.sync(self._handle)
+        self.blocks.append(BlockExtent(self.stored_bytes, len(stored), raw_len))
+        self.stored_bytes += _BLOCK_HEADER.size + len(stored)
         self._buffer = []
         self._buffered = 0
-        self.flushes += 1
         return len(self.blocks) - 1
 
-    def close(self, fsync: bool = True) -> None:
-        self.flush(fsync=fsync)
-        self._handle.close()
+    def close(self) -> None:
+        self.flush()
+        self.storage.close(self._handle)
 
 
 class SegmentReader:

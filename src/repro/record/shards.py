@@ -34,13 +34,11 @@ ordering metadata rides in the records.
 
 Group commit and crash rule
 ---------------------------
-Epoch commits append frames to the segment's group-commit buffer;
-the buffer is forced (one compressed block + one fsync) when it
-exceeds the group-commit threshold and at close. The manifest is
-rewritten (atomic tmp + rename) only *after* a flush completes, so a
-crash mid-write leaves at most a torn segment tail that no manifest
-entry references — recovery is "read the manifest, ignore the tail"
-(the segment layer's truncation rule verifies this).
+Epoch commits buffer frames; a group commit (past the threshold, and at
+close) writes one synced block, then republishes the manifest, so a
+crash leaves at most a torn tail no manifest names. Every byte goes
+through one :class:`~repro.record.storage.Storage`; the orderings a
+crash relies on are DESIGN.md's *Durable-log ordering*.
 
 Shard extents reuse the epoch index
 -----------------------------------
@@ -81,12 +79,8 @@ from repro.oskernel.syscalls import SyscallRecord, decode_record, encode_record
 from repro.record.pack import BlobStore, _hex
 from repro.record.recording import EpochRecord, Recording
 from repro.record.schedule_log import ScheduleLog, Timeslice
-from repro.record.segment import (
-    WRITE_CODEC,
-    SegmentReader,
-    SegmentWriter,
-    fsync_dir,
-)
+from repro.record.segment import WRITE_CODEC, SegmentReader, SegmentWriter
+from repro.record.storage import Storage
 from repro.record.sync_log import SyncOrderLog
 
 #: manifest format generation (bump on incompatible layout changes)
@@ -110,11 +104,17 @@ _SYNC_REC = struct.Struct("<IQB")      # rank, object addr, kind code
 _REPEAT_PACKERS: Dict[int, struct.Struct] = {}
 
 
-def _repeat_packer(count: int) -> struct.Struct:
+def _packed(flat: list) -> bytes:
+    """A thread's fixed ``<IQB`` records, flattened, as one payload."""
+    count = len(flat) // 3
     packer = _REPEAT_PACKERS.get(count)
     if packer is None:
         packer = _REPEAT_PACKERS[count] = struct.Struct("<" + "IQB" * count)
-    return packer
+    return packer.pack(*flat)
+
+
+def _pickled(entries: list) -> bytes:
+    return pickle.dumps(tuple(entries), protocol=4)
 
 
 #: dead pack bytes that trigger a compaction mid-run. Compaction rewrites
@@ -136,17 +136,19 @@ class ShardedLogWriter:
         meta: Optional[dict] = None,
         group_commit_bytes: int = options.RuntimeOptions.log_group_bytes,
         segment_max_bytes: int = 4 << 20,
-        fsync: bool = options.RuntimeOptions.log_fsync,
         flight_window: Optional[int] = None,
         pack_compact_bytes: int = PACK_COMPACT_BYTES,
+        storage: Optional[Storage] = None,
     ):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        os.makedirs(os.path.join(directory, "segments"), exist_ok=True)
-        self.store = BlobStore(os.path.join(directory, "blobs"))
+        if storage is None:
+            storage = Storage(sync=options.current().log_fsync)
+        self.storage = storage
+        storage.makedirs(directory)
+        storage.makedirs(os.path.join(directory, "segments"))
+        self.store = BlobStore(os.path.join(directory, "blobs"), storage)
         self.group_commit_bytes = group_commit_bytes
         self.segment_max_bytes = segment_max_bytes
-        self.fsync = fsync
         self.program_name = program_name
         self.worker_threads = worker_threads
         self.meta = dict(meta or {})
@@ -178,9 +180,6 @@ class ShardedLogWriter:
         self._write_manifest()
 
     # -- storage helpers ------------------------------------------------
-    def _stats(self):
-        return obs_metrics.process_stats()
-
     def _put_checkpoint(self, checkpoint: Checkpoint) -> str:
         """Persist a checkpoint (pages + skeleton) into the blob store.
 
@@ -194,7 +193,7 @@ class ShardedLogWriter:
         memo = self._last_checkpoint_ref
         if memo is not None and memo[0] is checkpoint:
             return memo[1]
-        stats = self._stats()
+        stats = obs_metrics.process_stats()
         page_table: Dict[int, int] = {}
         for no, page in checkpoint.memory.pages.items():
             digest, blob = page.wire_blob()
@@ -229,7 +228,7 @@ class ShardedLogWriter:
             self._retire_segment()
         name = f"seg-{len(self._segments):05d}.dpseg"
         path = os.path.join(self.directory, "segments", name)
-        self._segment = SegmentWriter(path)
+        self._segment = SegmentWriter(path, self.storage)
         self._segments.append(
             {"file": f"segments/{name}", "codec": WRITE_CODEC, "blocks": []}
         )
@@ -238,7 +237,7 @@ class ShardedLogWriter:
     def _retire_segment(self) -> None:
         self._flush()
         self.peak_buffered = max(self.peak_buffered, self._segment.peak_buffered)
-        self._segment.close(fsync=self.fsync)
+        self._segment.close()
         self._segment = None
 
     # -- frame encoding -------------------------------------------------
@@ -251,8 +250,12 @@ class ShardedLogWriter:
         return code
 
     @staticmethod
-    def _frame(stream: int, tid: int, epoch: int, payload: bytes) -> bytes:
-        return _FRAME_HEADER.pack(stream, tid, epoch) + payload
+    def _frames(stream: int, epoch: int, per_tid: dict, encode) -> List[bytes]:
+        """One frame per thread, in tid order, carrying ``encode(records)``."""
+        return [
+            _FRAME_HEADER.pack(stream, tid, epoch) + encode(records)
+            for tid, records in sorted(per_tid.items())
+        ]
 
     def _schedule_frames(self, epoch: int, schedule: ScheduleLog) -> List[bytes]:
         per_tid: Dict[int, list] = {}
@@ -261,13 +264,7 @@ class ShardedLogWriter:
             setdefault(timeslice.tid, []).extend(
                 (rank, timeslice.ops, 1 if timeslice.ended_blocked else 0)
             )
-        return [
-            self._frame(
-                STREAM_SCHEDULE, tid, epoch,
-                _repeat_packer(len(flat) // 3).pack(*flat),
-            )
-            for tid, flat in sorted(per_tid.items())
-        ]
+        return self._frames(STREAM_SCHEDULE, epoch, per_tid, _packed)
 
     def _sync_frames(self, epoch: int, sync_log: SyncOrderLog) -> List[bytes]:
         per_tid: Dict[int, list] = {}
@@ -275,13 +272,7 @@ class ShardedLogWriter:
         kind_code = self._kind_code
         for rank, (kind, addr, tid) in enumerate(sync_log.events):
             setdefault(tid, []).extend((rank, addr, kind_code(kind)))
-        return [
-            self._frame(
-                STREAM_SYNC, tid, epoch,
-                _repeat_packer(len(flat) // 3).pack(*flat),
-            )
-            for tid, flat in sorted(per_tid.items())
-        ]
+        return self._frames(STREAM_SYNC, epoch, per_tid, _packed)
 
     def _syscall_frames(
         self, epoch: int, records: Sequence[SyscallRecord]
@@ -291,25 +282,13 @@ class ShardedLogWriter:
             per_tid.setdefault(record.tid, []).append(
                 (rank, encode_record(record))
             )
-        return [
-            self._frame(
-                STREAM_SYSCALL, tid, epoch,
-                pickle.dumps(tuple(entries), protocol=4),
-            )
-            for tid, entries in sorted(per_tid.items())
-        ]
+        return self._frames(STREAM_SYSCALL, epoch, per_tid, _pickled)
 
     def _signal_frames(self, epoch: int, records: Sequence[tuple]) -> List[bytes]:
         per_tid: Dict[int, list] = {}
         for rank, record in enumerate(records):
             per_tid.setdefault(record[0], []).append((rank, tuple(record)))
-        return [
-            self._frame(
-                STREAM_SIGNAL, tid, epoch,
-                pickle.dumps(tuple(entries), protocol=4),
-            )
-            for tid, entries in sorted(per_tid.items())
-        ]
+        return self._frames(STREAM_SIGNAL, epoch, per_tid, _pickled)
 
     # -- commit path ----------------------------------------------------
     def commit_epoch(
@@ -336,7 +315,7 @@ class ShardedLogWriter:
         """
         if self._closed:
             raise ValueError("durable log already closed")
-        stats = self._stats()
+        stats = obs_metrics.process_stats()
         epoch = record.index
         syscalls, signals = logs.epoch_records(start_checkpoint, end_checkpoint)
 
@@ -358,7 +337,7 @@ class ShardedLogWriter:
             },
         }
         frames.append(
-            self._frame(STREAM_META, 0, epoch, pickle.dumps(meta, protocol=4))
+            _FRAME_HEADER.pack(STREAM_META, 0, epoch) + pickle.dumps(meta, protocol=4)
         )
 
         writer = self._segment_writer()
@@ -389,11 +368,10 @@ class ShardedLogWriter:
         if self._segment is None:
             return
         before = self._segment.stored_bytes
-        fsyncs_before = self._segment.fsyncs
-        block_index = self._segment.flush(fsync=self.fsync)
+        block_index = self._segment.flush()
         if block_index is None:
             return
-        stats = self._stats()
+        stats = obs_metrics.process_stats()
         segment_index = len(self._segments) - 1
         extent = self._segment.blocks[block_index]
         self._segments[segment_index]["blocks"].append(list(extent))
@@ -405,8 +383,6 @@ class ShardedLogWriter:
         stats.add("durable.group_commits")
         stats.add("durable.group_commit_epochs", sealed)
         stats.add("durable.segment_bytes", self._segment.stored_bytes - before)
-        if self.fsync:
-            stats.add("durable.fsyncs", self._segment.fsyncs - fsyncs_before)
 
     # -- flight-recorder window: the live set is the manifest's -----------
     def _slide_window(self, stats) -> List[str]:
@@ -415,11 +391,9 @@ class ShardedLogWriter:
         Bookkeeping only: manifest entries for the dropped epochs are
         removed, the window base moves to the oldest kept epoch's start,
         and every sealed segment no kept entry's block sits in is
-        *marked* dropped (file set to null). The actual unlink and any
-        pack compaction happen strictly after the slid manifest is
-        durably renamed — the manifest must stop naming bytes before the
-        bytes disappear, or a crash between the two leaves a manifest
-        pointing at nothing.
+        *marked* dropped (file set to null). The unlink and any pack
+        compaction run only once the slid manifest is durably published:
+        it must stop naming bytes before they go.
         """
         if self.flight_window is None:
             return []
@@ -453,18 +427,19 @@ class ShardedLogWriter:
         return doomed
 
     def _collect_garbage(self, doomed: List[str], stats) -> None:
-        """Unlink dead segment files and compact the pack when it pays."""
+        """Unlink dead segment files and compact the pack when it pays.
+
+        No directory sync follows the unlinks: one a crash rolls back
+        leaves a file no manifest names, which nothing reads.
+        """
         for path in doomed:
             reclaimed = os.path.getsize(path)
-            os.unlink(path)
+            self.storage.unlink(path)
             self.segments_deleted += 1
             self.bytes_reclaimed += reclaimed
             stats.add("durable.segments_deleted")
             stats.add("durable.segment_bytes_reclaimed", reclaimed)
             obs_events.emit("segment-gc", bytes_reclaimed=reclaimed)
-        segments = os.path.join(self.directory, "segments")
-        if doomed and self.fsync and fsync_dir(segments):
-            stats.add("durable.fsyncs")
         self._maybe_compact(stats)
 
     def _maybe_compact(self, stats, force: bool = False) -> None:
@@ -489,15 +464,12 @@ class ShardedLogWriter:
             sum(map(self.store.entry_bytes, dead)) < self.pack_compact_bytes
         ):
             return
-        fsyncs_before = self.store.fsyncs
-        freed = self.store.compact(dead, fsync=self.fsync)
+        freed = self.store.compact(dead)
         self.pack_compactions += 1
         self.bytes_reclaimed += freed
         stats.add("durable.pack_compactions")
         stats.add("durable.pack_bytes_reclaimed", freed)
         obs_events.emit("pack-compaction", bytes_reclaimed=freed)
-        if self.fsync:
-            stats.add("durable.fsyncs", self.store.fsyncs - fsyncs_before)
 
     # -- manifest -------------------------------------------------------
     def _manifest_payload(self) -> dict:
@@ -527,53 +499,22 @@ class ShardedLogWriter:
         return payload
 
     def _write_manifest(self) -> None:
-        stats = self._stats()
+        stats = obs_metrics.process_stats()
         doomed = self._slide_window(stats)
-        # The manifest is the commit point: every blob it references
-        # must already be in the pack, so force the pack first.
-        fsyncs_before = self.store.fsyncs
-        self.store.flush(fsync=self.fsync)
-        path = os.path.join(self.directory, MANIFEST_NAME)
-        tmp = path + ".tmp"
+        # The manifest is the commit point: the pack it names goes
+        # first, the garbage it stopped naming only after it.
+        self.store.flush()
         payload = json.dumps(
             self._manifest_payload(), separators=(",", ":")
         ).encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            if self.fsync:
-                # The rename is only an atomic commit point if the tmp
-                # file's bytes are durable before it lands...
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if self.fsync:
-            # ...and only a *durable* commit point once the directory
-            # entry itself is synced: without this, power loss after
-            # the rename can roll the manifest back to a stale version
-            # that references since-truncated state.
-            manifest_fsyncs = 1 + (1 if fsync_dir(self.directory) else 0)
-            stats.add(
-                "durable.fsyncs",
-                manifest_fsyncs + self.store.fsyncs - fsyncs_before,
-            )
+        self.storage.publish(os.path.join(self.directory, MANIFEST_NAME), payload)
         self._collect_garbage(doomed, stats)
 
     def close(self, final_digest: int = 0, stats: Optional[dict] = None) -> None:
         """Seal the log: flush, close segments, write the final manifest."""
-        if self._closed:
-            return
-        self._final = {
-            "final_digest": final_digest,
-            "stats": dict(stats or {}),
-            "complete": True,
-        }
-        if self._segment is not None:
-            self._retire_segment()
-        self._stats().add("durable.buffered_peak", self.peak_buffered)
-        self._write_manifest()
-        self._maybe_compact(self._stats(), force=True)
-        self.store.close(fsync=self.fsync)
-        self._closed = True
+        if not self._closed:
+            stats = dict(stats or {})
+            self._seal(final_digest=final_digest, stats=stats, complete=True)
 
     def close_partial(self, reason: str = "") -> None:
         """Crash-path close: seal whatever committed, mark the log torn.
@@ -589,24 +530,28 @@ class ShardedLogWriter:
         """
         if self._closed:
             return
-        self._final = {
-            "final_digest": 0,
-            "stats": {},
-            "complete": False,
-            "crash_reason": str(reason)[:500],
-        }
-        self._stats().add("durable.partial_closes")
+        obs_metrics.process_stats().add("durable.partial_closes")
         obs_events.emit("partial-close", reason=str(reason)[:120])
+        self._seal(
+            final_digest=0, stats={}, complete=False, crash_reason=str(reason)[:500]
+        )
+
+    def _seal(self, **final) -> None:
+        self._final = final
         try:
             if self._segment is not None:
                 self._retire_segment()
         except Exception:
-            # Best effort: a failed final flush must not stop the
-            # manifest from sealing the epochs that did reach disk.
+            if final["complete"]:
+                raise
+            # Best effort on the crash path: a failed final flush must
+            # not stop the manifest from sealing the epochs on disk.
             self._segment = None
-        self._stats().add("durable.buffered_peak", self.peak_buffered)
+        obs_metrics.process_stats().add("durable.buffered_peak", self.peak_buffered)
         self._write_manifest()
-        self.store.close(fsync=self.fsync)
+        if final["complete"]:
+            self._maybe_compact(obs_metrics.process_stats(), force=True)
+        self.store.close()
         self._closed = True
 
     @property
@@ -641,11 +586,11 @@ def persist_recording(
     recording: Recording,
     directory: str,
     meta: Optional[dict] = None,
-    fsync: Optional[bool] = None,
     group_commit_bytes: Optional[int] = None,
     flight_window: Optional[int] = None,
     segment_max_bytes: int = 4 << 20,
     pack_compact_bytes: int = PACK_COMPACT_BYTES,
+    storage: Optional[Storage] = None,
 ) -> dict:
     """Write a finished in-memory recording out as a durable sharded log.
 
@@ -655,24 +600,24 @@ def persist_recording(
     same records because the retained logs already end at the committed
     prefix. Used by benchmarks and the log-size experiments; spilled
     recordings no longer hold their logs and cannot be re-persisted.
-    ``fsync`` / ``group_commit_bytes`` left at None take their
-    runtime-option values. Returns the writer's
+    ``group_commit_bytes`` and ``storage`` left at None follow the
+    runtime options (``log_group_bytes``, ``log_fsync``). Returns the writer's
     :meth:`~ShardedLogWriter.totals`.
     """
     if any(epoch.spilled for epoch in recording.epochs):
         raise ValueError("recording was spilled; its logs live on disk only")
-    opts = options.resolve(log_fsync=fsync, log_group_bytes=group_commit_bytes)
+    opts = options.resolve(log_group_bytes=group_commit_bytes)
     writer = ShardedLogWriter(
         directory,
         recording.initial_checkpoint,
         recording.program_name,
         recording.worker_threads,
         meta=meta,
-        fsync=opts.log_fsync,
         group_commit_bytes=opts.log_group_bytes,
         flight_window=flight_window,
         segment_max_bytes=segment_max_bytes,
         pack_compact_bytes=pack_compact_bytes,
+        storage=storage,
     )
     epochs = recording.epochs
     logs = SegmentLogs(

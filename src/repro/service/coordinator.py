@@ -129,6 +129,8 @@ class SessionResult:
     duration: float = 0.0
     #: the run's merged metrics snapshot (includes the ``service`` group)
     metrics: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: every failed unit attempt, as in a solo run's ``host["fault_events"]``
+    fault_events: List[dict] = field(default_factory=list)
     #: per-session span trace (only when the request asked for one)
     tracer: Optional[obs_spans.Tracer] = None
 
@@ -364,6 +366,7 @@ class RecordService:
         result.recording_plain = record.recording.to_plain()
         result.epochs = record.recording.epoch_count()
         result.metrics = record.metrics.snapshot()
+        result.fault_events = record.host.get("fault_events", [])
 
     def _run_replay(self, request: SessionRequest, result: SessionResult) -> None:
         if request.recording_plain is None:
@@ -384,5 +387,6 @@ class RecordService:
         result.verified = outcome.verified
         result.epochs = recording.epoch_count()
         result.metrics = outcome.metrics.snapshot()
+        result.fault_events = outcome.host.get("fault_events", [])
         if not outcome.verified:
             result.error = f"replay diverged: {outcome.details}"

@@ -28,6 +28,12 @@ def examples(budget: int) -> int:
     return max(1, budget * settings.default.max_examples // 100)
 
 
+def exhaustive() -> bool:
+    """Whether an enumeration runs whole (``--hypothesis-profile=ci``)
+    or a seeded handful of its cases (tier-1)."""
+    return settings.default.max_examples > 100
+
+
 @pytest.fixture(scope="session", autouse=True)
 def one_fork_server():
     """The suite's workers all fork from one server, stopped here, once:

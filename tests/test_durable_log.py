@@ -32,6 +32,7 @@ from repro.record.segment import (
     SegmentWriter,
 )
 from repro.record.shards import ShardedLogReader
+from repro.record.storage import UNSYNCED
 from repro.workloads import build_workload
 from tests.conftest import BLOB_CORRUPTIONS, edit_pack
 
@@ -67,12 +68,12 @@ def test_segment_round_trip(tmp_path, codec):
     ]
 
     written = str(tmp_path / "written.dpseg")
-    writer = SegmentWriter(written)
+    writer = SegmentWriter(written, UNSYNCED)
     for frame in FRAMES:
         writer.append(frame)
-    first = writer.flush(fsync=False)
+    first = writer.flush()
     writer.append(b"second block")
-    writer.close(fsync=False)
+    writer.close()
     assert first == 0
     assert len(writer.blocks) == 2
     # the writer's own bytes are the zlib1 layout, and no other
@@ -85,18 +86,18 @@ def test_segment_round_trip(tmp_path, codec):
 
 
 def test_empty_flush_is_a_noop(tmp_path):
-    writer = SegmentWriter(str(tmp_path / "seg.dpseg"))
-    assert writer.flush(fsync=False) is None
+    writer = SegmentWriter(str(tmp_path / "seg.dpseg"), UNSYNCED)
+    assert writer.flush() is None
     assert writer.blocks == []
 
 
 def test_torn_tail_truncates(tmp_path):
     path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path)
+    writer = SegmentWriter(path, UNSYNCED)
     writer.append(b"kept")
-    writer.flush(fsync=False)
+    writer.flush()
     writer.append(b"torn away")
-    writer.close(fsync=False)
+    writer.close()
     # A crash mid-write leaves a partial second block: cut its body.
     size = os.path.getsize(path)
     with open(path, "r+b") as handle:
@@ -107,9 +108,9 @@ def test_torn_tail_truncates(tmp_path):
 
 def test_garbage_tail_truncates(tmp_path):
     path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path)
+    writer = SegmentWriter(path, UNSYNCED)
     writer.append(b"kept")
-    writer.close(fsync=False)
+    writer.close()
     with open(path, "ab") as handle:
         handle.write(b"DPBK\x00garbage that is no block")
     blocks = list(SegmentReader(path).iter_blocks())
@@ -118,11 +119,11 @@ def test_garbage_tail_truncates(tmp_path):
 
 def test_interior_corruption_raises(tmp_path):
     path = str(tmp_path / "seg.dpseg")
-    writer = SegmentWriter(path)
+    writer = SegmentWriter(path, UNSYNCED)
     writer.append(b"first block body")
-    first = writer.flush(fsync=False)
+    first = writer.flush()
     writer.append(b"second block")
-    writer.close(fsync=False)
+    writer.close()
     offset = writer.blocks[first].offset
     # Flip a byte inside the FIRST block's stored body — a later block
     # still verifies, so this is corruption, not a torn tail.
@@ -508,20 +509,24 @@ def test_group_commit_and_fsync_knobs(tmp_path, monkeypatch):
 
 
 def test_manifest_fsyncs_are_counted(tmp_path, monkeypatch):
-    """With fsync mode on, every manifest write forces the tmp file and
-    the directory entry — and both land in ``durable.fsyncs``. The old
-    accounting counted only segment/pack forces, so the "atomic commit
-    point" itself could vanish on power loss without a trace."""
+    """With fsync mode on, ``durable.fsyncs`` is exactly the syncs the
+    storage made: every block, pack flush, manifest tmp file and
+    directory sync, counted in one place. (Once the count left out the
+    manifest's own two, so the commit point could vanish on power loss
+    without a trace.)"""
+    from tests.storage_log import record_storage
+
     monkeypatch.delenv("REPRO_LOG_FSYNC", raising=False)
     monkeypatch.setenv("REPRO_LOG_GROUP_KB", "1")
     log_dir = str(tmp_path / "log")
+    seams = record_storage(monkeypatch, log_dir)
     _, _, result = _record("pbzip", log_dir=log_dir)
     durable = result.metrics.snapshot()["durable"]
-    commits = durable["group_commits"]
-    assert commits > 1
-    # at least: one segment fsync per group commit, plus tmp-file +
-    # directory fsyncs for the initial and final manifest writes
-    assert durable["fsyncs"] > commits + 2
+    (seam,) = seams
+    assert durable["group_commits"] > 1
+    assert durable["fsyncs"] == seam.count("sync", "sync_dir")
+    # each group commit synced its block and its manifest
+    assert seam.count("sync") > 2 * durable["group_commits"]
 
 
 @pytest.mark.parametrize("name", ["pbzip", "racy-counter"])

@@ -26,13 +26,15 @@ from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
 from repro.record.log_index import SegmentLogs
-from repro.record.pack import BlobStore
+from repro.record.pack import PACK_NAME
 from repro.record.shards import (
     MANIFEST_NAME,
     ShardedLogReader,
     ShardedLogWriter,
     persist_recording,
 )
+from repro.record.storage import UNSYNCED
+from tests.storage_log import Prefix, RecordingStorage, pack_digests
 from repro.workloads import build_workload
 
 
@@ -51,7 +53,8 @@ def _record(
 
 
 def _named_digests(manifest, store):
-    """Every pack digest a manifest names: its skeletons and their pages."""
+    """Every pack digest a manifest names: its skeletons and their pages
+    (``store`` maps a digest to its blob with ``get``)."""
     named = set()
     for ref in [manifest["initial"]] + [e["checkpoint"] for e in manifest["epochs"]]:
         digest = int(ref, 16)
@@ -88,12 +91,12 @@ class TestFlightWindow:
         full_dir = str(base / "full")
         win_dir = str(base / "win")
         persist_recording(
-            result.recording, full_dir, fsync=False, group_commit_bytes=256
+            result.recording, full_dir, storage=UNSYNCED, group_commit_bytes=256
         )
         totals = persist_recording(
             result.recording,
             win_dir,
-            fsync=False,
+            storage=UNSYNCED,
             group_commit_bytes=256,
             flight_window=self.WINDOW,
             segment_max_bytes=1024,
@@ -145,45 +148,35 @@ class TestFlightWindow:
             for name in os.listdir(os.path.join(win_dir, "segments"))
         } == named
 
-    def test_gc_runs_only_after_the_manifest_stops_naming(
-        self, logs, tmp_path, monkeypatch
-    ):
+    def test_gc_runs_only_after_the_manifest_stops_naming(self, logs, tmp_path):
         """Every unlinked segment and every compacted digest is absent
-        from the last manifest already renamed into place: a crash
-        between the rename and the GC leaves nothing named missing."""
+        from the last manifest whose rename and directory sync came
+        before it, in the storage's operation log: a crash between the
+        rename and the GC leaves nothing named missing."""
         _, _, result, _, _, _ = logs
         log_dir = str(tmp_path / "win")
-        renamed = []
-        unlinked, compacted = [], []
-        replace, unlink, compact = os.replace, os.unlink, BlobStore.compact
-
-        def spy_replace(src, dst):
-            replace(src, dst)
-            if os.path.basename(dst) == MANIFEST_NAME:
-                with open(dst) as handle:
-                    renamed.append(json.load(handle))
-
-        def spy_unlink(path):
-            files = {s["file"] for s in renamed[-1]["segments"]}
-            unlinked.append(os.path.relpath(path, log_dir))
-            assert unlinked[-1] not in files
-            unlink(path)
-
-        def spy_compact(store, drop, fsync=False):
-            drop = set(drop)
-            compacted.append(drop)
-            assert not drop & _named_digests(renamed[-1], store)
-            return compact(store, drop, fsync=fsync)
-
-        monkeypatch.setattr(os, "replace", spy_replace)
-        monkeypatch.setattr(os, "unlink", spy_unlink)
-        monkeypatch.setattr(BlobStore, "compact", spy_compact)
+        seam = RecordingStorage(log_dir)
         persist_recording(
-            result.recording, log_dir, fsync=False, group_commit_bytes=256,
+            result.recording, log_dir, group_commit_bytes=256,
             flight_window=self.WINDOW, segment_max_bytes=1024, pack_compact_bytes=512,
+            storage=seam,
         )
+        renamed, unlinked, compacted = 0, [], []
+        for k, op in enumerate(seam.ops):
+            durable = Prefix(seam.ops, k).durable_manifest()
+            if op[0] == "replace" and op[2] == MANIFEST_NAME:
+                renamed += 1
+            elif op[0] == "unlink":
+                unlinked.append(op[1])
+                assert op[1] not in {s["file"] for s in durable["segments"]}
+            elif op[0] == "replace" and op[2] == f"blobs/{PACK_NAME}":
+                prefix = Prefix(seam.ops, k)
+                old = pack_digests(prefix.files()[op[2]])
+                dropped = set(old) - set(pack_digests(prefix.content(op[3])))
+                compacted.append(dropped)
+                assert not dropped & _named_digests(durable, old)
         # both kinds of GC ran mid-run, not only at close
-        assert len(unlinked) > 1 and len(compacted) > 2 and len(renamed) > 3
+        assert len(unlinked) > 1 and len(compacted) > 2 and renamed > 3
 
     def test_disk_bytes_bounded_by_window(self, logs):
         _, _, _, full_dir, win_dir, totals = logs
@@ -297,7 +290,7 @@ def test_close_partial_seals_buffered_epochs(tmp_path):
         recording.initial_checkpoint,
         recording.program_name,
         recording.worker_threads,
-        fsync=False,
+        storage=UNSYNCED,
         group_commit_bytes=1 << 30,
     )
     epochs = recording.epochs
@@ -361,12 +354,14 @@ def test_recorder_exception_seals_committed_prefix(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Process-level crash: SIGKILL mid-run
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kill_after_epochs", [1, 3, 6])
+@pytest.mark.parametrize("kill_after_epochs", [3])
 def test_sigkill_mid_record_leaves_replayable_tail(tmp_path, kill_after_epochs):
     """SIGKILL `repro record --log-dir --log-spill` once the manifest
     holds >= N sealed epochs; the committed prefix must verify and
     replay bit-identically (per-epoch digests are in the manifest, so a
-    verified sequential replay *is* the bit-identity check)."""
+    verified sequential replay *is* the bit-identity check). The end-to-end
+    process smoke: every other crash point is a state of
+    ``tests/test_crash_states.py``'s enumeration."""
     log_dir = str(tmp_path / f"log{kill_after_epochs}")
     manifest_path = os.path.join(log_dir, "manifest.json")
     env = dict(os.environ)

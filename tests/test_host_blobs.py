@@ -194,7 +194,7 @@ def test_scratch_pack_rotates_at_the_cap_and_outlives_no_dispatch(
 def test_scratch_pack_that_cannot_be_written_is_dropped(packs, monkeypatch):
     root, _ = packs.place([1], {1: b"one"})
 
-    def disk_full(self, fsync=False):
+    def disk_full(self):
         raise OSError(28, "No space left on device")
 
     with monkeypatch.context() as patch:

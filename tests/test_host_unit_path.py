@@ -231,7 +231,7 @@ def test_an_unwritable_scratch_pack_is_contained(monkeypatch, tmp_path):
     from repro.obs import events as obs_events
     from repro.record.pack import BlobStore
 
-    def disk_full(self, fsync=False):
+    def disk_full(self):
         raise OSError(28, "No space left on device")
 
     sink = str(tmp_path / "events.jsonl")

@@ -194,7 +194,7 @@ def _fault(case, program, monkeypatch, tmp_path):
     return ",".join(specs), timeout, COUNTER[decoy]
 
 
-def _assert_contained(case, host, decoy):
+def _assert_contained(case, host, decoy, unit):
     """What the case's fault made the host do, and nothing else."""
     faults = host["faults"]
     assert faults[decoy] == 0, f"an out-of-scope fault fired: {faults}"
@@ -213,10 +213,10 @@ def _assert_contained(case, host, decoy):
         least = 2 if case.kind == "record" else 1
         assert faults[COUNTER[case.fault]] >= least, faults
         assert faults["retries"] >= 1 and faults["serial_fallbacks"] >= 1, faults
-        events = host.get("fault_events", ())  # (a tenant's metrics have none)
-        assert events or "fault_events" not in host
+        events = host["fault_events"]
         fields = {"kind", "position", "attempt", "error"}
-        assert all(set(event) == fields for event in events)
+        assert events and all(set(event) == fields for event in events)
+        assert {event["position"] for event in events} == {unit}, events
 
 
 def _assert_class(case, got):
@@ -320,7 +320,8 @@ def _serve(case, program, spec, monkeypatch):
     # A neighbour's unit lost with a crashed pool is collateral: sent
     # again, uncounted.
     assert not any(neighbour.metrics.get("faults", {}).values())
-    return faulted.metrics
+    assert not neighbour.fault_events
+    return dict(faulted.metrics, fault_events=faulted.fault_events)
 
 
 @pytest.mark.parametrize("case", CASES, ids=parity.case_id)
@@ -333,7 +334,7 @@ def test_parity(monkeypatch, tmp_path, case):
     if case.mode == "serve":
         host = _serve(case, program, spec, monkeypatch)
         if case.jobs > 1:
-            _assert_contained(case, host, decoy)
+            _assert_contained(case, host, decoy, _unit(case, program))
         return
     how = dict(
         jobs=case.jobs, sink=case.sink, fault=spec, unit_timeout=timeout,
@@ -354,7 +355,7 @@ def test_parity(monkeypatch, tmp_path, case):
     if case.scratch_cap is not None:
         _assert_pack_rotated(case, got, packs, uncapped)
     if case.jobs > 1:
-        _assert_contained(case, got.host, decoy)
+        _assert_contained(case, got.host, decoy, _unit(case, program))
     if case.kind == "replay":
         if case.jobs > 1:
             spans = replay_spans([e.duration for e in got.recording.epochs], case.jobs)

@@ -140,6 +140,24 @@ def test_fault_scoped_to_one_tenant_leaves_others_untouched():
     _assert_solo(program, [by_sid["clean0"], by_sid["clean1"]])
 
 
+def test_a_tenant_reads_where_its_fault_struck():
+    """A tenant's result names each failed attempt of its run, as a solo
+    run's ``host["fault_events"]`` does: kind, position and attempt."""
+    service = RecordService(ServiceConfig(jobs=2, max_active=1))
+    try:
+        report = service.run([SessionRequest(
+            sid="hit", workload="fft", scale=1, seed=9, faults="crash:unit1",
+        )])
+    finally:
+        host_pool.invalidate_shared_pool(kill=True)
+    (result,) = report.results
+    assert result.ok, result.error
+    events = result.fault_events
+    assert len(events) == result.metrics["faults"]["crashes"] > 1
+    assert {(e["kind"], e["position"]) for e in events} == {("crash", 1)}
+    assert sorted(e["attempt"] for e in events) == list(range(len(events)))
+
+
 def test_pool_breaking_crash_in_one_tenant_is_survivable_by_all():
     host_pool.invalidate_shared_pool(kill=True)
     try:
@@ -315,13 +333,13 @@ def test_a_long_lived_service_keeps_no_state_per_tenant_page(monkeypatch):
     flush = BlobStore.flush
     seen = {"pack_bytes": 0, "put": 0, "packs": 0, "roots": set()}
 
-    def watched(store, fsync=False):
+    def watched(store):
         # ScratchPacks.place calls this once per dispatch, under its lock
         # (and once more, with nothing buffered, to close a replaced pack).
         if store is not packs._store:
-            return flush(store, fsync)
+            return flush(store)
         put = sum(map(len, store._buffer))
-        flush(store, fsync)
+        flush(store)
         seen["roots"].add(store.root)
         seen["put"] = max(seen["put"], put)
         seen["pack_bytes"] = max(seen["pack_bytes"], store.pack_bytes)
