@@ -15,17 +15,14 @@ small composition of the replayer and the detector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterator, List
 
-from repro.errors import ReplayError
-from repro.exec.services import InjectedSyscalls
+from repro.core.replayer import Replayer
 from repro.exec.trace import CollectingObserver
-from repro.exec.uniprocessor import UniprocessorEngine
 from repro.isa.program import ProgramImage
 from repro.machine.config import MachineConfig
 from repro.race.detector import Race, find_races
 from repro.record.recording import Recording
-from repro.record.sync_log import SyncOrderOracle
 
 
 @dataclass
@@ -49,44 +46,12 @@ def diagnose_epoch(
     recording: Recording,
     epoch_index: int,
 ) -> EpochDiagnosis:
-    """Replay one epoch under the race detector.
-
-    Requires the epoch's start checkpoint (materialise first for
-    deserialised recordings). The replayed interval contains exactly the
-    committed execution's accesses for that epoch, so any race reported
-    happened within it.
-    """
-    epoch = next((e for e in recording.epochs if e.index == epoch_index), None)
-    if epoch is None:
-        raise ReplayError(f"recording has no epoch {epoch_index}")
-    if epoch.start_checkpoint is None:
-        raise ReplayError(
-            f"epoch {epoch_index} has no materialised checkpoint; call "
-            "Replayer.materialize_checkpoints first"
-        )
-    observer = CollectingObserver()
-    engine = UniprocessorEngine.from_checkpoint(
-        program,
-        machine,
-        InjectedSyscalls(recording.syscalls_for_epochs()),
-        memory_snapshot=epoch.start_checkpoint.memory,
-        contexts=epoch.start_checkpoint.copy_contexts(),
-        sync_state=epoch.start_checkpoint.sync_state,
-        targets=dict(epoch.targets),
-        wake_blocked_io=True,
-        name=f"{program.name}/diagnose{epoch_index}",
-    )
-    engine.sync.oracle = SyncOrderOracle(epoch.sync_log)
-    engine.install_signal_records(recording.signal_records)
-    engine.observers.append(observer)
-    engine.run_schedule(epoch.schedule)
-    races = find_races(observer.events)
-    return EpochDiagnosis(
-        epoch_index=epoch_index,
-        recovered=epoch.recovered,
-        races=races,
-        racy_addresses=sorted({race.addr for race in races}),
-    )
+    """Replay one epoch under the race detector: the walk of
+    :func:`diagnose_recording`, stopped at that epoch."""
+    Replayer.find_epoch(recording, epoch_index)
+    return next(_diagnoses(
+        program, machine, recording, lambda epoch: epoch.index == epoch_index
+    ))
 
 
 def diagnose_recording(
@@ -100,8 +65,32 @@ def diagnose_recording(
     race — occurred; clean epochs are skipped (their races, if any, did
     not fire).
     """
-    return [
-        diagnose_epoch(program, machine, recording, epoch.index)
-        for epoch in recording.epochs
-        if epoch.recovered
-    ]
+    return list(
+        _diagnoses(program, machine, recording, lambda epoch: epoch.recovered)
+    )
+
+
+def _diagnoses(program, machine, recording, wanted) -> Iterator[EpochDiagnosis]:
+    """Walk the recording on one sequential-replay engine, with a fresh
+    detector attached during each ``wanted`` epoch only.
+
+    Needs no start checkpoint but the initial one, so an in-memory, a
+    JSON and a durable recording all take this one path. The replayed
+    interval contains exactly the committed execution's accesses for
+    that epoch, so any race reported happened within it.
+    """
+    replayer = Replayer(program, machine)
+    engine = replayer.whole_run_engine(recording, "diagnose")
+    for epoch in replayer.walk(engine, recording):
+        observer = CollectingObserver()
+        engine.observers[:] = [observer] if wanted(epoch) else []
+        engine.run_schedule(epoch.schedule)
+        if not engine.observers:
+            continue
+        races = find_races(observer.events)
+        yield EpochDiagnosis(
+            epoch_index=epoch.index,
+            recovered=epoch.recovered,
+            races=races,
+            racy_addresses=sorted({race.addr for race in races}),
+        )

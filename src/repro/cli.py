@@ -319,35 +319,35 @@ def _tail_is_replayable(directory, out) -> bool:
 
 
 def cmd_replay(args, out) -> int:
-    durable = os.path.isdir(args.recording)
-    if args.tail:
-        if not durable:
-            raise ReplayError(
-                f"{args.recording}: recovering a tail needs a durable log directory"
-            )
-        if not _tail_is_replayable(args.recording, out):
-            return 1
-    want_checkpoints = (
-        args.epoch is not None or args.parallel or args.jobs > 1
-    )
+    single = args.epoch is not None
+    parallel = not single and (args.parallel or args.jobs > 1)
+    # A JSON recording holds no recorded checkpoint to start from: it
+    # replays sequentially, from its initial state.
+    if not os.path.isdir(args.recording):
+        for flag, given in (
+            ("recovering a tail", args.tail),
+            ("--from-epoch", args.from_epoch is not None),
+            ("--epoch", single),
+            ("parallel replay", parallel),
+        ):
+            if given:
+                raise ReplayError(
+                    f"{args.recording}: {flag} needs a durable log directory"
+                )
+    if args.tail and not _tail_is_replayable(args.recording, out):
+        return 1
     meta, instance, machine, recording = _load_recording(
         args.recording,
-        from_epoch=args.from_epoch,
-        materialize=want_checkpoints,
+        # One epoch replays from its own start checkpoint alone.
+        from_epoch=args.epoch if single else args.from_epoch,
+        materialize=parallel,
     )
     replayer = Replayer(instance.image, machine)
     with _TraceScope(args.trace):
-        if args.epoch is not None:
-            if not durable:
-                # Durable logs hydrate checkpoints straight from the blob
-                # store at load time — only JSON recordings need the
-                # sequential re-execution pass.
-                replayer.materialize_checkpoints(recording)
+        if single:
             outcome = replayer.replay_epoch(recording, args.epoch)
             label = f"epoch {args.epoch}"
-        elif args.parallel or args.jobs > 1:
-            if not durable:
-                replayer.materialize_checkpoints(recording)
+        elif parallel:
             outcome = replayer.replay_parallel(
                 recording, workers=meta["workers"], jobs=args.jobs,
                 unit_timeout=args.unit_timeout,
@@ -401,8 +401,9 @@ def _load_recording(
     the recording is rebuilt from the manifest, ``from_epoch`` selects a
     suffix whose start checkpoint materialises from the blob store, and
     ``materialize`` hydrates every epoch's checkpoint (parallel replay) —
-    no sequential re-execution in either case. ``from_epoch`` uses
-    ``None`` as the "not given" sentinel so epoch 0 is an explicit,
+    the recorded checkpoints, no re-execution in either case. A JSON
+    recording carries no checkpoints and takes neither. ``from_epoch``
+    uses ``None`` as the "not given" sentinel so epoch 0 is an explicit,
     valid target.
     """
     if os.path.isdir(path):
@@ -415,11 +416,6 @@ def _load_recording(
             from_epoch=from_epoch, materialize=materialize
         )
         return meta, instance, machine, recording
-    if from_epoch is not None:
-        raise ReplayError(
-            "--from-epoch needs a durable log directory (JSON recordings "
-            "hold no checkpoints to start from)"
-        )
     with open(path) as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "recording" not in payload:
@@ -443,8 +439,6 @@ def cmd_diagnose(args, out) -> int:
     from repro.analysis.diagnose import diagnose_recording
 
     meta, instance, machine, recording = _load_recording(args.recording)
-    replayer = Replayer(instance.image, machine)
-    replayer.materialize_checkpoints(recording)
     diagnoses = diagnose_recording(instance.image, machine, recording)
     if not diagnoses:
         print(f"{meta['name']}: no rolled-back epochs — nothing to diagnose",

@@ -9,13 +9,15 @@ state digest must match the recording.
 Two strategies, both offered by the paper:
 
 * **Sequential replay** — one engine from the initial state, epochs in
-  order. Needs only the durable logs (works on deserialised recordings).
+  order. Needs only the durable logs (works on deserialised recordings);
+  it is the bit-exact oracle.
 * **Parallel replay** — every epoch re-executed concurrently from its
   checkpoint, exactly like the epoch-parallel execution at record time.
-  Replay wall-time approaches the original multicore run's. Needs the
-  in-memory checkpoints (or ``materialize_checkpoints`` to rebuild them).
-  With ``jobs > 1`` it is the mirror of a record segment: the epochs are
-  cut into contiguous spans (``host.wire.replay_spans``), one unit each,
+  Replay wall-time approaches the original multicore run's. It starts
+  each epoch only from the checkpoint the recording run took: the
+  in-memory recording's, or one hydrated from a durable log. With
+  ``jobs > 1`` it is the mirror of a record segment: the epochs are cut
+  into contiguous spans (``host.wire.replay_spans``), one unit each,
   every unit is pushed into a
   :class:`~repro.host.executor.SpeculativeSession` and the same in-order
   merge is consumed — to the end, collecting every failure, where a
@@ -165,8 +167,8 @@ class Replayer:
         start = epoch.start_checkpoint
         if start is None:
             raise ReplayError(
-                f"epoch {epoch.index} has no materialised checkpoint; "
-                "run materialize_checkpoints() or replay sequentially"
+                f"epoch {epoch.index} has no recorded start checkpoint; "
+                "replay a JSON recording sequentially"
             )
         with lives.here(lives.cut(epoch.index), "replay"):
             return run_replay_epoch(
@@ -190,7 +192,7 @@ class Replayer:
         cycles, failure = self._replay_one(
             lifecycle.begin(),
             recording,
-            self._find_epoch(recording, index),
+            self.find_epoch(recording, index),
             recording.syscalls_for_epochs(),
         )
         return ReplayResult(
@@ -313,12 +315,11 @@ class Replayer:
     @options.run()
     def replay_sequential(self, recording: Recording) -> ReplayResult:
         """Replay the whole execution on one engine, epoch by epoch."""
-        engine = self._whole_run_engine(recording, "seqreplay")
+        engine = self.whole_run_engine(recording, "seqreplay")
         baseline = obs_metrics.process_stats().snapshot()
         lives = lifecycle.begin()
         details: List[ReplayFailure] = []
-        for epoch in recording.epochs:
-            self._swap_oracle(engine, epoch)
+        for epoch in self.walk(engine, recording):
             epoch_start_time = engine.time
             with lives.here(lives.cut(epoch.index), "replay-seq"):
                 engine.run_schedule(epoch.schedule)
@@ -348,12 +349,17 @@ class Replayer:
     def materialize_checkpoints(self, recording: Recording) -> None:
         """Rebuild per-epoch start checkpoints by sequential re-execution.
 
-        Deserialised recordings carry only the durable logs; this restores
-        the in-memory checkpoints so :meth:`replay_parallel` and
-        :meth:`replay_epoch` work on them.
+        Only the end-to-end benchmark (``benchmarks/e2e/e2e_scenario.py``)
+        still calls this; parallel replay starts only from recorded
+        checkpoints, and a JSON recording replays sequentially. These
+        are not the recorded ones: the sync state folds hint-deferred
+        threads into the wait queues (``merge_deferred``), which the end
+        digest leaves out, so replays from them verify but 6 of the 28
+        golden programs report other cycle counts (apache/2: 14 101,
+        not 14 095). Its deletion waits on ROADMAP item 6(d).
         """
-        engine = self._whole_run_engine(recording, "materialize")
-        for epoch in recording.epochs:
+        engine = self.whole_run_engine(recording, "materialize")
+        for epoch in self.walk(engine, recording):
             epoch.start_checkpoint = Checkpoint(
                 index=epoch.index,
                 time=engine.time,
@@ -361,7 +367,6 @@ class Replayer:
                 contexts={t: c.copy() for t, c in engine.contexts.items()},
                 sync_state=engine.sync.snapshot(merge_deferred=True),
             )
-            self._swap_oracle(engine, epoch)
             engine.run_schedule(epoch.schedule)
             if engine.state_digest() != epoch.end_digest:
                 raise ReplayError(
@@ -369,7 +374,7 @@ class Replayer:
                     "digest mismatch"
                 )
 
-    def _whole_run_engine(self, recording: Recording, role: str):
+    def whole_run_engine(self, recording: Recording, role: str):
         """One engine at the recording's initial state, to run every epoch on."""
         initial = recording.initial_checkpoint
         engine = UniprocessorEngine.from_checkpoint(
@@ -387,24 +392,28 @@ class Replayer:
         return engine
 
     @staticmethod
-    def _swap_oracle(engine: UniprocessorEngine, epoch: EpochRecord) -> None:
-        """Install the epoch's grant oracle on a continuously running engine.
+    def walk(engine: UniprocessorEngine, recording: Recording):
+        """Yield each epoch in order with its grant oracle installed on
+        ``engine`` (a :meth:`whole_run_engine`), for the caller to run:
+        the sequential oracle's walk.
 
-        Grants still pending across the swap were decided under the
+        Grants still pending across an oracle swap were decided under the
         previous epoch's oracle, but the committed log credits their
         acquisition to *this* epoch (the capture run inherited them from
         its start checkpoint). Marking them inherited makes their consume
         advance the new oracle identically.
         """
-        engine.sync.oracle = SyncOrderOracle(epoch.sync_log)
-        engine.inherited_grants = {
-            tid
-            for tid, ctx in engine.contexts.items()
-            if ctx.pending_grant is not None and ctx.pending_grant[0] == "sync"
-        }
+        for epoch in recording.epochs:
+            engine.sync.oracle = SyncOrderOracle(epoch.sync_log)
+            engine.inherited_grants = {
+                tid
+                for tid, ctx in engine.contexts.items()
+                if ctx.pending_grant is not None and ctx.pending_grant[0] == "sync"
+            }
+            yield epoch
 
     @staticmethod
-    def _find_epoch(recording: Recording, index: int) -> EpochRecord:
+    def find_epoch(recording: Recording, index: int) -> EpochRecord:
         for epoch in recording.epochs:
             if epoch.index == index:
                 return epoch

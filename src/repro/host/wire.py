@@ -301,7 +301,7 @@ def replay_units(
     ``blobs`` when it is yielded, so unit *p* can be pushed before unit
     *p + 1* is built.
 
-    Requires materialised start checkpoints (like any parallel replay).
+    Requires recorded start checkpoints (like any parallel replay).
     Every epoch replays from its own: a span's first ships whole, each
     later one as a delta against the one before it, so only its dirty
     pages are interned. The logs ship whole — exactly what the serial
@@ -320,8 +320,8 @@ def replay_units(
             start = epoch.start_checkpoint
             if start is None:
                 raise ReplayError(
-                    f"epoch {epoch.index} has no materialised checkpoint; "
-                    "run materialize_checkpoints() or replay sequentially"
+                    f"epoch {epoch.index} has no recorded start checkpoint; "
+                    "replay a JSON recording sequentially"
                 )
             if base is None:
                 _intern_pages(start.memory.pages.values(), blobs)

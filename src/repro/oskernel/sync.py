@@ -379,8 +379,9 @@ class SyncManager:
 
         Live executions never have hint-deferred threads (no oracle), so
         the default refuses them — a deferred thread in a *recording*
-        checkpoint would be a bug. Oracle-driven engines (sequential
-        replay materialising epoch checkpoints) pass ``merge_deferred``:
+        checkpoint would be a bug. ``Replayer.materialize_checkpoints``,
+        which only the end-to-end benchmark still calls, passes
+        ``merge_deferred``:
         lock/semaphore deferrals fold into the wait queues (semantically
         the thread is waiting; grant order is oracle-pinned anyway), and
         atomic deferrals are dropped — the thread's own blocked marker

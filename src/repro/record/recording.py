@@ -35,7 +35,8 @@ class EpochRecord:
     """The committed log of one epoch."""
 
     index: int
-    #: None on deserialised recordings until materialize_checkpoints()
+    #: the recorded start state; None on deserialised recordings, which
+    #: replay sequentially
     start_checkpoint: Optional[Checkpoint]
     #: per-thread retired-op counts at the epoch's end boundary
     targets: Dict[int, int]
@@ -222,7 +223,7 @@ class Recording:
                 EpochRecord(
                     index=entry["index"],
                     # Only epoch 0's start state is reconstructable up
-                    # front; materialize_checkpoints() rebuilds the rest.
+                    # front: the plain form holds no checkpoints.
                     start_checkpoint=previous,
                     targets={int(t): ops for t, ops in entry["targets"].items()},
                     schedule=ScheduleLog.from_plain(entry["schedule"]),

@@ -46,6 +46,7 @@ import struct
 import zlib
 from typing import BinaryIO, Iterator, List, Optional, Tuple
 
+from repro.errors import ReplayError
 from repro.record.storage import Storage
 
 #: file header: identifies a segment file and its format generation
@@ -89,8 +90,9 @@ def _decode_body(stored: bytes, codec: int) -> List[bytes]:
     return frames
 
 
-class SegmentCorruption(Exception):
-    """A block failed verification *inside* a segment (not a torn tail)."""
+class SegmentCorruption(ReplayError):
+    """A block failed verification *inside* a segment (not a torn tail):
+    a log that cannot replay, reported like any other."""
 
 
 class BlockExtent(tuple):

@@ -898,19 +898,16 @@ class ShardedLogReader:
         base = self.first_epoch()
         if from_epoch is None:
             from_epoch = base
-        if not base <= from_epoch <= base + len(entries):
-            raise ReplayError(
-                f"--from-epoch {from_epoch} outside recorded range "
-                f"{base}..{base + len(entries)}"
-            )
         if not entries:
             raise ReplayError("durable log holds no epochs")
+        if not base <= from_epoch < base + len(entries):
+            raise ReplayError(
+                f"epoch {from_epoch} outside recorded range "
+                f"{base}..{base + len(entries) - 1}"
+            )
         chosen = entries[from_epoch - base :]
         frames = self._frames_for(chosen)
-        if chosen:
-            initial = self.materialize_checkpoint(chosen[0]["checkpoint"])
-        else:
-            initial = self.materialize_checkpoint(self.manifest["initial"])
+        initial = self.materialize_checkpoint(chosen[0]["checkpoint"])
         recording = Recording(
             program_name=self.manifest["program"],
             worker_threads=self.manifest["worker_threads"],

@@ -100,7 +100,8 @@ class SessionRequest:
     epoch_divisor: int = 12
     #: per-tenant fault directives (:mod:`repro.host.faults` grammar).
     #: None = the service's own ``host_faults`` runtime option; ``""`` =
-    #: explicitly no injection for this tenant
+    #: explicitly no injection for this tenant. A replay session takes
+    #: none: it replays sequentially, and fails if given any
     faults: Optional[str] = None
     #: collect a per-session span trace (isolated from other sessions)
     trace: bool = False
@@ -344,7 +345,10 @@ class RecordService:
             scale=request.scale,
             seed=request.seed,
         )
-        machine = MachineConfig(cores=request.workers)
+        return instance, MachineConfig(cores=request.workers)
+
+    def _run_record(self, request: SessionRequest, result: SessionResult) -> None:
+        instance, machine = self._build(request)
         epoch_cycles = request.epoch_cycles
         if epoch_cycles is None:
             from repro.baselines import run_native
@@ -353,10 +357,6 @@ class RecordService:
             epoch_cycles = max(
                 native.duration // max(request.epoch_divisor, 1), 500
             )
-        return instance, machine, epoch_cycles
-
-    def _run_record(self, request: SessionRequest, result: SessionResult) -> None:
-        instance, machine, epoch_cycles = self._build(request)
         config = DoublePlayConfig(
             machine=machine,
             epoch_cycles=epoch_cycles,
@@ -371,22 +371,22 @@ class RecordService:
     def _run_replay(self, request: SessionRequest, result: SessionResult) -> None:
         if request.recording_plain is None:
             raise ValueError("replay session requires recording_plain")
-        instance, machine, _ = self._build(request)
+        if request.faults:
+            # A plain recording holds no recorded checkpoints, so it
+            # replays sequentially: no pool unit for a fault to strike.
+            raise ValueError(
+                f"faults {request.faults!r}: a replay session replays "
+                "sequentially, with no pool unit to strike"
+            )
+        instance, machine = self._build(request)
         from repro.record.recording import Recording
 
         recording = Recording.load_plain(
             request.recording_plain, instance.image, instance.setup, machine
         )
-        replayer = Replayer(instance.image, machine)
-        replayer.materialize_checkpoints(recording)
-        outcome = replayer.replay_parallel(
-            recording,
-            jobs=options.current().host_jobs,
-            fault_specs=request.faults,
-        )
+        outcome = Replayer(instance.image, machine).replay_sequential(recording)
         result.verified = outcome.verified
         result.epochs = recording.epoch_count()
         result.metrics = outcome.metrics.snapshot()
-        result.fault_events = outcome.host.get("fault_events", [])
         if not outcome.verified:
             result.error = f"replay diverged: {outcome.details}"

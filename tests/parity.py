@@ -686,6 +686,10 @@ def oracle(program: Program, sink: str = "memory", kind: str = "record") -> Obse
                 _pinned=_ORACLE_OPTIONS,
             )
             assert got.result.verified, f"{got}: {got.result.details}"
+            if sink != "memory" and not SINKS[sink].get("flight_window"):
+                # A log keeps the recorded checkpoints (a window keeps a
+                # suffix): it replays to the in-memory verdict and figures.
+                _compare(got, oracle(program, kind=kind))
         _oracles[key] = got
     return _oracles[key]
 

@@ -7,6 +7,8 @@ import shutil
 import pytest
 
 from repro.cli import main
+from repro.record.segment import SEGMENT_MAGIC
+from repro.record.shards import ShardedLogReader
 from tests.conftest import BLOB_CORRUPTIONS, edit_pack
 
 
@@ -53,9 +55,12 @@ class TestRecordReplay:
         )
         assert code == 0
 
-    def test_record_then_replay_round_trip(self, tmp_path):
-        path = tmp_path / "rec.json"
-        code, _ = run_cli("record", "mysql", "--scale", "4", "-o", str(path))
+    def test_record_then_replay_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
+        path, log_dir = tmp_path / "rec.json", str(tmp_path / "log")
+        code, _ = run_cli(
+            "record", "mysql", "--scale", "4", "-o", str(path), "--log-dir", log_dir
+        )
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["workload"]["name"] == "mysql"
@@ -64,13 +69,27 @@ class TestRecordReplay:
         assert code == 0
         assert "verified" in text
 
-        code, text = run_cli("replay", str(path), "--parallel")
+        code, text = run_cli("replay", log_dir, "--parallel")
         assert code == 0
         assert "verified" in text
 
-        code, text = run_cli("replay", str(path), "--epoch", "1")
+        code, text = run_cli("replay", log_dir, "--epoch", "1")
         assert code == 0
         assert "verified" in text
+
+    @pytest.mark.parametrize(
+        "argv", [("--parallel",), ("--jobs", "2"), ("--epoch", "1")], ids=" ".join
+    )
+    def test_a_json_recording_replays_only_sequentially(self, tmp_path, argv):
+        # Parallel and single-epoch replay start only from recorded
+        # checkpoints, which a JSON recording does not hold.
+        path = tmp_path / "rec.json"
+        code, _ = run_cli("record", "fft", "--scale", "2", "-o", str(path))
+        assert code == 0
+        code, text = run_cli("replay", str(path), *argv)
+        assert code == 2
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert "needs a durable log directory" in text
 
     def test_racy_recording_replays_from_disk(self, tmp_path):
         path = tmp_path / "racy.json"
@@ -114,6 +133,36 @@ class TestDurableLogCli:
         )
         assert code == 2
         assert "needs a durable log directory" in text
+
+    def test_one_epoch_hydrates_its_own_checkpoint_alone(self, tmp_path, monkeypatch):
+        """``--epoch N`` starts from epoch N's recorded checkpoint, the
+        only one it loads, on a whole log and on a flight window (N
+        absolute): the verdict lines are those loading every checkpoint
+        printed."""
+        monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
+        monkeypatch.setenv("REPRO_LOG_GROUP_KB", "1")  # the window slides
+        whole, window = tmp_path / "whole", tmp_path / "window"
+        assert self._record_durable(whole, "--seed", "11")[0] == 0
+        code, _ = self._record_durable(
+            window, "--seed", "11", "--log-spill", "--flight-window", "3"
+        )
+        assert code == 0
+        hydrated, hydrate = [], ShardedLogReader.materialize_checkpoint
+
+        def counted(self, ref):
+            hydrated.append(ref)
+            return hydrate(self, ref)
+
+        monkeypatch.setattr(ShardedLogReader, "materialize_checkpoint", counted)
+        for log_dir, epoch, makespan in ((whole, 5, 1061), (window, 18, 804)):
+            hydrated.clear()
+            code, text = run_cli("replay", str(log_dir), "--epoch", str(epoch))
+            assert code == 0
+            assert text.startswith(
+                f"epoch {epoch} replay of pbzip: verified, 1 epoch(s), "
+                f"makespan {makespan}\n"
+            )
+            assert len(hydrated) == 1
 
     def test_flight_window_requires_log_dir(self):
         code, text = run_cli("record", "pbzip", "--flight-window", "3")
@@ -249,11 +298,39 @@ class TestOutsideInput:
         assert code == 2
         assert text.startswith("error: blob ") and text.count("\n") == 1
 
-    def test_replay_epoch_out_of_range(self, tmp_path):
-        path = tmp_path / "rec.json"
-        run_cli("record", "fft", "--scale", "2", "-o", str(path))
-        code, text = run_cli("replay", str(path), "--epoch", "99")
-        assert (code, text) == (2, "error: recording has no epoch 99\n")
+    def test_replay_epoch_out_of_range(self, durable_log):
+        code, text = run_cli("replay", durable_log, "--epoch", "99")
+        assert code == 2
+        assert text.startswith("error: epoch 99 outside recorded range 0..")
+        assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--epoch", "--from-epoch"])
+    def test_replay_from_past_the_last_epoch(self, durable_log, flag):
+        # Regression: the epoch after the last loaded an empty suffix,
+        # which sequential replay failed and parallel replay verified.
+        with open(f"{durable_log}/manifest.json") as handle:
+            count = len(json.load(handle)["epochs"])
+        code, text = run_cli("replay", durable_log, flag, str(count), "--parallel")
+        assert (code, text) == (
+            2, f"error: epoch {count} outside recorded range 0..{count - 1}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "how", [(), ("--parallel",)], ids=["sequential", "parallel"]
+    )
+    def test_replay_of_a_log_with_a_block_that_fails_its_crc(
+        self, durable_log, tmp_path, how
+    ):
+        log_dir = tmp_path / "log"
+        shutil.copytree(durable_log, log_dir)
+        segment = sorted((log_dir / "segments").iterdir())[0]
+        data = bytearray(segment.read_bytes())
+        data[len(SEGMENT_MAGIC) + 20] ^= 0xFF  # inside the first block's body
+        segment.write_bytes(bytes(data))
+        code, text = run_cli("replay", str(log_dir), *how)
+        assert code == 2
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert "no verifiable block" in text
 
     def test_serve_needs_at_least_one_session(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -53,15 +53,26 @@ class TestDiagnose:
         with pytest.raises(ReplayError):
             diagnose_epoch(image, MachineConfig(cores=2), result.recording, 999)
 
-    def test_unmaterialised_checkpoint_rejected(self):
+    def test_a_json_restored_recording_diagnoses_like_the_in_memory_one(self):
         import json
 
         from repro.record.recording import Recording
 
-        image = counter_program(workers=2, iters=60)
+        image = counter_program(workers=2, iters=80, locked=False, name="racy")
         result = record(image)
         plain = json.loads(json.dumps(result.recording.to_plain()))
         restored = Recording.from_plain(plain, result.recording.initial_checkpoint)
+        machine = MachineConfig(cores=2)
+
+        def found(recording):
+            return [
+                (d.epoch_index, d.recovered, d.racy_addresses, len(d.races))
+                for d in diagnose_recording(image, machine, recording)
+            ]
+
+        assert any(racy for _, _, racy, _ in found(result.recording))
+        assert found(restored) == found(result.recording)
         later = restored.epochs[-1].index
-        with pytest.raises(ReplayError):
-            diagnose_epoch(image, MachineConfig(cores=2), restored, later)
+        assert diagnose_epoch(image, machine, restored, later) == (
+            diagnose_epoch(image, machine, result.recording, later)
+        )

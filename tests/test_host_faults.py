@@ -331,9 +331,10 @@ def test_cli_record_reports_contained_faults(monkeypatch, tmp_path):
 
 
 def test_cli_replay_reports_contained_faults(monkeypatch, tmp_path):
-    path = tmp_path / "rec.json"
+    monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
+    path = tmp_path / "log"
     code, _ = run_cli(
-        "record", "fft", "--scale", "2", "--seed", "11", "-o", str(path)
+        "record", "fft", "--scale", "2", "--seed", "11", "--log-dir", str(path)
     )
     assert code == 0
     monkeypatch.setenv("REPRO_FAULT", "error:unit1")

@@ -159,10 +159,11 @@ def test_cli_record_jobs(tmp_path):
     assert parallel == serial  # saved artefacts identical at any jobs count
 
 
-def test_cli_replay_jobs(tmp_path):
-    path = tmp_path / "rec.json"
+def test_cli_replay_jobs(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_LOG_FSYNC", "0")
+    path = tmp_path / "log"
     code, _ = run_cli(
-        "record", "fft", "--scale", "2", "--seed", "11", "-o", str(path)
+        "record", "fft", "--scale", "2", "--seed", "11", "--log-dir", str(path)
     )
     assert code == 0
     code, out = run_cli("replay", str(path), "--jobs", "2")

@@ -26,6 +26,7 @@ from repro.machine.config import MachineConfig
 from repro.record.shards import ShardedLogReader
 from repro.workloads import WORKLOADS
 from tests import parity
+from tests.conftest import exhaustive
 from tests.parity import Program
 
 CONFIGS = [(program.workload, program.workers) for program in parity.MATRIX]
@@ -119,6 +120,23 @@ def test_goldens_without_superblocks(monkeypatch, tmp_path, name, workers):
     monkeypatch.setenv("REPRO_SUPERBLOCKS", "1")
     assert replays() == unfused
     assert all(verified for verified, _, _ in unfused.values()), unfused
+
+
+# Parallel replay starts each epoch only from a recorded checkpoint: a
+# durable log keeps them, so every golden program replays from its log
+# to the in-memory replay's verdict, total cycles and makespan (each
+# replay oracle holds its log to memory). Rebuilt checkpoints once gave
+# other figures for apache/2, prodcons/3 and four more: tier-1 runs
+# those two, the ci Hypothesis profile every program.
+DURABLE_REPLAYS = CONFIGS if exhaustive() else [("apache", 2), ("prodcons", 3)]
+
+
+@pytest.mark.parametrize("name,workers", DURABLE_REPLAYS)
+@pytest.mark.parametrize("kind", ["parallel", "sequential"])
+def test_a_durable_log_replays_to_the_in_memory_figures(name, workers, kind):
+    program = Program(name, workers)
+    got = parity.oracle(program, "log", kind)
+    assert got.fields == parity.oracle(program, kind=kind).fields
 
 
 def test_goldens_survive_forced_blob_misses(monkeypatch):

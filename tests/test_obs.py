@@ -355,7 +355,6 @@ def test_replay_metrics_round_trip():
     # counters merged from unit results must equal the in-process ones.
     # (Sequential counts continuous-engine deltas — a different strategy
     # with different boundary costs — so only its epoch count is pinned.)
-    replayer.materialize_checkpoints(result.recording)
     serial = replayer.replay_parallel(result.recording, jobs=1)
     parallel = replayer.replay_parallel(result.recording, jobs=2)
     assert parallel.verified

@@ -30,6 +30,7 @@ import threading
 
 import pytest
 
+from repro.core import Replayer
 from repro.host import executor as host_executor
 from repro.host import pool as host_pool
 from repro.service import RecordService, ServiceConfig, SessionRequest
@@ -95,6 +96,48 @@ def test_replay_sessions_verify_recorded_sessions():
     for result in replayed.results:
         assert result.verified is True
         assert result.epochs == recorded.results[0].epochs
+
+
+def _replay_request(sid, program, faults=None):
+    """A replay tenant of ``program``'s ``jobs=1`` oracle recording."""
+    return SessionRequest(
+        sid=sid, workload=program.workload, workers=program.workers,
+        scale=program.scale, seed=program.seed, kind="replay", faults=faults,
+        recording_plain=parity.oracle(program).recording.to_plain(),
+    )
+
+
+def test_a_replay_tenant_reports_the_sequential_replay():
+    """A plain recording holds no recorded checkpoints, so a replay
+    tenant replays it sequentially: its figures are the in-memory
+    recording's sequential replay."""
+    program = Program("pbzip", 2, scale=1, seed=2)
+    built = parity.build(program)
+    sequential = Replayer(built.instance.image, built.machine).replay_sequential(
+        parity.oracle(program).recording
+    )
+    report = RecordService(ServiceConfig(jobs=2, max_active=1)).run(
+        [_replay_request("rep", program)]
+    )
+    assert report.ok, [r.error for r in report.results]
+    (result,) = report.results
+    assert result.verified is True
+    for name in ("epochs", "epoch_cycles"):
+        assert result.metrics["replay"][name] == sequential.metrics.get("replay", name)
+
+
+def test_a_replay_tenant_given_faults_fails_alone():
+    """A sequential replay has no pool unit for a fault to strike: the
+    session that asks for one fails, its neighbour verifies."""
+    program = Program("pbzip", 2, scale=1, seed=2)
+    report = RecordService(ServiceConfig(jobs=2, max_active=2)).run([
+        _replay_request("faulted", program, faults="crash:unit1"),
+        _replay_request("neighbour", program),
+    ])
+    faulted, neighbour = report.results
+    assert not faulted.ok and "crash:unit1" in faulted.error
+    assert neighbour.ok and neighbour.verified is True
+    assert not report.ok
 
 
 def test_unknown_session_kind_fails_that_session_only():
