@@ -17,11 +17,54 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReplayError
-from repro.isa.context import ThreadContext, ThreadStatus
+from repro.isa.context import BlockedReason, ThreadContext, ThreadStatus
 from repro.memory.address_space import MemorySnapshot
 from repro.memory.blob import decode_blob, encode_object
 from repro.memory.hashing import combine_hashes, hash_structure
 from repro.memory.page import Page
+
+
+def _plain_context(ctx: ThreadContext) -> Tuple:
+    """A thread context as plain data: no class, enum or field names
+    pickled, which more than halves a skeleton's context bytes."""
+    blocked = ctx.blocked
+    return (
+        ctx.tid, ctx.pc, ctx.registers, ctx.status.value, ctx.call_stack,
+        ctx.retired, None if blocked is None else (blocked.kind, blocked.detail),
+        ctx.spawn_count, ctx.syscall_count, ctx.parent, ctx.pending_grant,
+        ctx.pending_signals,
+    )
+
+
+_STATUSES = {status.value: status for status in ThreadStatus}
+
+
+def _ints(*values) -> bool:
+    return all(type(value) is int for value in values)
+
+
+def _context_of(fields: Tuple) -> ThreadContext:
+    """Inverse of :func:`_plain_context`: ValueError (or any error of a
+    failed unpack) for a tuple not of its arity and field types."""
+    if type(fields) is not tuple:
+        raise ValueError("not a thread context")
+    (tid, pc, registers, status, call_stack, retired, blocked,
+     spawn_count, syscall_count, parent, pending_grant, pending_signals) = fields
+    if not (
+        _ints(tid, pc, retired, spawn_count, syscall_count, parent)
+        and all(type(words) is list and _ints(*words)
+                for words in (registers, call_stack, pending_signals))
+        and status in _STATUSES
+        and (blocked is None or type(blocked) is tuple and len(blocked) == 2
+             and type(blocked[0]) is str and type(blocked[1]) is tuple)
+        and (pending_grant is None or type(pending_grant) is tuple)
+    ):
+        raise ValueError("not a thread context")
+    return ThreadContext(
+        tid, pc, registers, _STATUSES[status], call_stack, retired,
+        None if blocked is None else BlockedReason(*blocked),
+        spawn_count, syscall_count, parent, pending_grant, pending_signals,
+    )
 
 
 @dataclass
@@ -208,9 +251,11 @@ class WireCheckpoint:
 
     def to_blob(self) -> bytes:
         """The durable blob of a full-form skeleton: its six stored fields
-        as one object blob (the content caches are derived, so not stored)."""
+        as one object blob (the content caches are derived, so not stored),
+        each thread context as the plain tuple of :func:`_plain_context`."""
         return encode_object((
-            self.index, self.time, self.contexts,
+            self.index, self.time,
+            tuple(_plain_context(ctx) for ctx in self.contexts.values()),
             self.sync_state, self.dirty_pages, self.page_table,
         ))
 
@@ -219,14 +264,23 @@ class WireCheckpoint:
         """Checked inverse of :meth:`to_blob`.
 
         The blob is outside input (a pack on disk): anything that is not
-        an object blob holding a 6-tuple with a dict page table raises
-        :class:`ReplayError` naming ``digest``, the blob's address.
+        an object blob holding a 6-tuple of :meth:`to_blob`'s fields, each
+        of its shape, raises :class:`ReplayError` naming ``digest``, the
+        blob's address. Contexts stored as a ``{tid: ThreadContext}``
+        dict (what earlier writers pickled) still load.
         """
         try:
             kind, fields = decode_blob(blob)
-            shaped = isinstance(fields, tuple) and len(fields) == 6
-            if kind == "object" and shaped and isinstance(fields[5], dict):
-                return cls(*fields)
+            if kind == "object" and type(fields) is tuple and len(fields) == 6:
+                index, time, contexts, sync_state, dirty_pages, table = fields
+                if type(contexts) is tuple:
+                    contexts = {ctx.tid: ctx for ctx in map(_context_of, contexts)}
+                elif not all(type(ctx) is ThreadContext for ctx in contexts.values()):
+                    raise ValueError("not a thread context")
+                if type(sync_state) is tuple and type(table) is dict and _ints(
+                    index, time, dirty_pages, *table, *table.values()
+                ):
+                    return cls(index, time, contexts, sync_state, dirty_pages, table)
         except Exception:  # noqa: BLE001 - torn bytes unpickle to any error
             pass
         raise ReplayError(f"blob {digest:032x} is not a checkpoint skeleton")

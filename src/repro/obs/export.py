@@ -12,8 +12,10 @@ The exported payload is the `Trace Event Format`_ ``{"traceEvents":
 
 ``ts`` and ``dur`` are derived from the *same* rounded endpoints
 (``dur = round(end) - round(start)``), so the flat-span invariant —
-per-track spans are monotonic and non-overlapping — survives rounding
-exactly, and :func:`validate_trace` can assert it without an epsilon.
+per-track spans are monotonic and non-overlapping — survives rounding,
+and :func:`validate_trace` asserts it without an epsilon: it rounds
+``ts + dur`` back to the nanosecond, which gives ``round(end)`` exactly
+(the float sum itself can miss it by one ulp).
 
 .. _Trace Event Format: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 """
@@ -160,7 +162,7 @@ def validate_trace(payload) -> List[str]:
                     f"{event['ts']}us overlaps preceding "
                     f"{previous_name!r} ending at {previous_end}us"
                 )
-            previous_end = event["ts"] + event["dur"]
+            previous_end = round(event["ts"] + event["dur"], 3)
             previous_name = event["name"]
     return problems
 

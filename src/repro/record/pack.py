@@ -5,16 +5,24 @@ durable log's ``blobs/pack.dppack`` (writer and reader,
 :mod:`repro.record.shards`), the coordinator's scratch pack that epoch
 units name and the worker processes that read it
 (:mod:`repro.host.blobs`). The format is self-describing — a magic
-header, then ``(digest, length, payload)`` entries — so any process can
-index a pack another one is still appending to by scanning forward from
-where it last stopped.
+header, then ``(digest, length, stored bytes)`` entries — so any process
+can index a pack another one is still appending to by scanning forward
+from where it last stopped; :func:`iter_entries` is that scan.
+
+An entry's length word also carries its codec: the top bit is clear for
+a blob stored as it is (every entry of a scratch pack, and of a pack an
+earlier writer made) and set for one stored zlib-compressed at level 1.
+Only a ``put(..., compress=True)`` — the durable writer's — may
+compress, and only when that at least halves the blob. The digest is
+always of the blob itself, so dedup and manifests never see the codec.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import Dict, List, Optional, Tuple
+import zlib
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReplayError
 from repro.record.storage import UNSYNCED, Storage
@@ -28,6 +36,62 @@ def _hex(digest: int) -> str:
 PACK_MAGIC = b"DPPK01\n"
 PACK_NAME = "pack.dppack"
 _PACK_ENTRY = struct.Struct("<16sI")
+
+#: entry codecs (the segment block's values): a blob as it is, or zlib 1
+CODEC_RAW = 0
+CODEC_ZLIB1 = 1
+#: the length word's codec marker; the bits below it are the stored length
+_ZLIB1_MARK = 1 << 31
+
+
+def entry_header(digest: int, codec: int, length: int) -> bytes:
+    """The header of an entry storing ``length`` bytes under ``codec``."""
+    if length >= _ZLIB1_MARK:
+        raise ValueError(f"blob {_hex(digest)} too large for a pack entry")
+    word = length | (_ZLIB1_MARK if codec == CODEC_ZLIB1 else 0)
+    return _PACK_ENTRY.pack(digest.to_bytes(16, "big"), word)
+
+
+def iter_entries(
+    data: bytes, offset: int = 0
+) -> Iterator[Tuple[int, int, int, memoryview]]:
+    """``(offset, digest, codec, stored)`` of each whole entry in ``data``
+    from ``offset`` on; ``offset`` is where ``stored`` starts.
+
+    Stops without error at an entry cut short (a torn tail, or an
+    append another process has not finished).
+    """
+    view = memoryview(data)
+    while offset + _PACK_ENTRY.size <= len(data):
+        digest_bytes, word = _PACK_ENTRY.unpack_from(data, offset)
+        start = offset + _PACK_ENTRY.size
+        end = start + (word & (_ZLIB1_MARK - 1))
+        if end > len(data):
+            return
+        codec = CODEC_ZLIB1 if word & _ZLIB1_MARK else CODEC_RAW
+        yield start, int.from_bytes(digest_bytes, "big"), codec, view[start:end]
+        offset = end
+
+
+def stored_form(blob: bytes, compress: bool) -> Tuple[int, bytes]:
+    """``(codec, stored)`` for ``blob``: zlib 1 when asked for and at
+    most half the size, else the blob as it is."""
+    if compress:
+        packed = zlib.compress(blob, 1)
+        if 2 * len(packed) <= len(blob):
+            return CODEC_ZLIB1, packed
+    return CODEC_RAW, blob
+
+
+def blob_of(digest: int, codec: int, stored: bytes) -> bytes:
+    """Inverse of :func:`stored_form`; ReplayError naming ``digest`` for
+    a compressed entry that does not decompress."""
+    if codec == CODEC_RAW:
+        return bytes(stored)
+    try:
+        return zlib.decompress(stored)
+    except zlib.error:
+        raise ReplayError(f"blob {_hex(digest)} does not decompress") from None
 
 
 class BlobStore:
@@ -58,8 +122,8 @@ class BlobStore:
         self.root = root
         self.storage = storage
         self.path = os.path.join(root, PACK_NAME)
-        #: digest -> (payload offset, payload length), buffered included
-        self._index: Dict[int, Tuple[int, int]] = {}
+        #: digest -> (stored offset, stored length, codec), buffered included
+        self._index: Dict[int, Tuple[int, int, int]] = {}
         self._buffer: List[bytes] = []
         self._append: Optional[object] = None
         self._read: Optional[object] = None
@@ -90,29 +154,27 @@ class BlobStore:
                 raise ReplayError(f"{self.path}: not a blob pack")
             handle.seek(self._disk_end)
             data = handle.read()
-        base, offset = self._disk_end, 0
-        while offset + _PACK_ENTRY.size <= len(data):
-            digest_bytes, length = _PACK_ENTRY.unpack_from(data, offset)
-            start = offset + _PACK_ENTRY.size
-            if start + length > len(data):
-                break  # torn tail: nothing references an unflushed blob
-            digest = int.from_bytes(digest_bytes, "big")
-            self._index[digest] = (base + start, length)
-            offset = start + length
-        self._disk_end += offset
-        self._end += offset
+        end = 0
+        for start, digest, codec, stored in iter_entries(data):
+            end = start + len(stored)
+            self._index[digest] = (self._disk_end + start, len(stored), codec)
+        self._disk_end += end
+        self._end += end
 
-    def put(self, digest: int, blob: bytes) -> bool:
-        """Buffer a blob for the pack; returns True when newly stored."""
+    def put(self, digest: int, blob: bytes, compress: bool = False) -> bool:
+        """Buffer a blob for the pack; returns True when newly stored.
+
+        ``compress`` stores it zlib-compressed when that halves it
+        (:func:`stored_form`); ``bytes_written`` counts what is stored.
+        """
         if digest in self._index:
             return False
-        self._buffer.append(
-            _PACK_ENTRY.pack(digest.to_bytes(16, "big"), len(blob)) + blob
-        )
-        self._index[digest] = (self._end + _PACK_ENTRY.size, len(blob))
-        self._end += _PACK_ENTRY.size + len(blob)
+        codec, stored = stored_form(blob, compress)
+        self._buffer.append(entry_header(digest, codec, len(stored)) + stored)
+        self._index[digest] = (self._end + _PACK_ENTRY.size, len(stored), codec)
+        self._end += _PACK_ENTRY.size + len(stored)
         self.blobs_written += 1
-        self.bytes_written += len(blob)
+        self.bytes_written += len(stored)
         return True
 
     def flush(self) -> bool:
@@ -163,9 +225,9 @@ class BlobStore:
         self.flush()
         if self._read is None:
             self._read = open(self.path, "rb")
-        offset, length = entry
+        offset, length, codec = entry
         self._read.seek(offset)
-        return self._read.read(length)
+        return blob_of(digest, codec, self._read.read(length))
 
     def has(self, digest: int) -> bool:
         return digest in self._index
@@ -175,7 +237,7 @@ class BlobStore:
         return list(self._index)
 
     def entry_bytes(self, digest: int) -> int:
-        """On-disk footprint of one blob (entry header + payload)."""
+        """On-disk footprint of one blob (entry header + stored bytes)."""
         entry = self._index.get(digest)
         return 0 if entry is None else _PACK_ENTRY.size + entry[1]
 
@@ -203,21 +265,23 @@ class BlobStore:
             for digest in drop:
                 del self._index[digest]
             return 0
-        self._close_handles()
         with open(self.path, "rb") as src:
             old = src.read()
         kept = [PACK_MAGIC]
-        new_index: Dict[int, Tuple[int, int]] = {}
+        new_index: Dict[int, Tuple[int, int, int]] = {}
         offset = len(PACK_MAGIC)
-        for digest, (start, length) in sorted(
+        for digest, (start, length, codec) in sorted(
             self._index.items(), key=lambda item: item[1][0]
         ):
             if digest in drop:
                 continue
             kept.append(old[start - _PACK_ENTRY.size : start + length])
-            new_index[digest] = (offset + _PACK_ENTRY.size, length)
+            new_index[digest] = (offset + _PACK_ENTRY.size, length, codec)
             offset += _PACK_ENTRY.size + length
-        self.storage.publish(self.path, b"".join(kept))
+        self._close_handles()
+        # Appends go on through the published file's own handle: it ends
+        # where the index does, so there is nothing to reopen or cut.
+        self._append = self.storage.publish(self.path, b"".join(kept), keep=True)
         before = self._disk_end
         self._index = new_index
         self._end = self._disk_end = offset

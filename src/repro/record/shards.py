@@ -188,27 +188,30 @@ class ShardedLogWriter:
         :class:`WireCheckpoint` (contexts, sync state, page digest table;
         no kernel state — replay never needs it) as
         :meth:`~WireCheckpoint.to_blob`, itself a content-addressed blob
-        whose hex digest the manifest records.
+        whose hex digest the manifest records. Either is stored
+        zlib-compressed where that halves it (:func:`~repro.record.pack.
+        stored_form`); ``durable.blob_bytes`` counts the stored bytes.
         """
         memo = self._last_checkpoint_ref
         if memo is not None and memo[0] is checkpoint:
             return memo[1]
-        stats = obs_metrics.process_stats()
+        store = self.store
+        blobs_before, bytes_before = store.blobs_written, store.bytes_written
         page_table: Dict[int, int] = {}
         for no, page in checkpoint.memory.pages.items():
             digest, blob = page.wire_blob()
             page_table[no] = digest
-            if self.store.put(digest, blob):
-                stats.add("durable.blobs_written")
-                stats.add("durable.blob_bytes", len(blob))
+            store.put(digest, blob, compress=True)
         skeleton = WireCheckpoint(
             checkpoint.index, checkpoint.time, checkpoint.contexts,
             checkpoint.sync_state, checkpoint.dirty_pages, page_table,
         ).to_blob()
         digest = blob_digest(skeleton)
-        if self.store.put(digest, skeleton):
-            stats.add("durable.blobs_written")
-            stats.add("durable.blob_bytes", len(skeleton))
+        store.put(digest, skeleton, compress=True)
+        if store.blobs_written > blobs_before:
+            stats = obs_metrics.process_stats()
+            stats.add("durable.blobs_written", store.blobs_written - blobs_before)
+            stats.add("durable.blob_bytes", store.bytes_written - bytes_before)
         ref = _hex(digest)
         if self.flight_window is not None:
             self._ref_digests[ref] = (digest, *page_table.values())
@@ -950,7 +953,11 @@ class ShardedLogReader:
             if not self.store.has(digest):
                 problems.append(f"{what} blob missing: {_hex(digest)}")
                 return None
-            data = self.store.get(digest)
+            try:
+                data = self.store.get(digest)
+            except ReplayError:
+                problems.append(f"{what} blob does not decompress: {_hex(digest)}")
+                return None
             if blob_digest(data) != digest:
                 problems.append(
                     f"{what} blob does not hash to its address: {_hex(digest)}"

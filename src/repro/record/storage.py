@@ -87,20 +87,26 @@ class Storage:
     def unlink(self, path: str) -> None:
         os.unlink(path)
 
-    def publish(self, path: str, data: bytes) -> None:
+    def publish(self, path: str, data: bytes, keep: bool = False):
         """Replace ``path`` with ``data`` atomically (and durably): the
         tmp file is synced before the rename, or the rename could land
         bytes that never did; the directory after, or power loss could
-        roll the rename back."""
+        roll the rename back. With ``keep``, returns the published
+        file's handle, open at its end, for appends."""
         tmp = path + ".tmp"
         handle = self.create(tmp, renamed=True)
         try:
             self.write(handle, data)
             self.sync(handle)
-        finally:
+            self.replace(tmp, path)
+            self.sync_dir(os.path.dirname(path) or ".")
+        except BaseException:
             self.close(handle)
-        self.replace(tmp, path)
-        self.sync_dir(os.path.dirname(path) or ".")
+            raise
+        if keep:
+            return handle
+        self.close(handle)
+        return None
 
     @staticmethod
     def _count() -> None:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-import struct
+import pickle
+import zlib
 
 import pytest
 from hypothesis import settings
@@ -14,8 +15,13 @@ from repro.exec.uniprocessor import UniprocessorEngine
 from repro.host.pool import shutdown_shared_pool
 from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
+from repro.memory.blob import TAG_OBJECT, encode_object
 from repro.oskernel.kernel import Kernel, KernelSetup
 from repro.oskernel.syscalls import SyscallKind
+from repro.record.pack import (
+    CODEC_RAW, CODEC_ZLIB1, PACK_MAGIC, PACK_NAME, blob_of, entry_header,
+    iter_entries,
+)
 
 #: ``--hypothesis-profile=ci`` (the CI dispatch-parity job) scales every
 #: property that sizes its budget with :func:`examples` by five; tier-1
@@ -170,34 +176,87 @@ def barrier_program(workers=2, phases=3, name="phases"):
 def edit_pack(log_dir, edit):
     """Rewrite a durable log's blob pack entry by entry, by its format.
 
-    The pack is a magic line, then ``(digest: 16 bytes, length: u32,
-    payload)`` entries. ``edit(digest, payload)`` returns the new payload
-    (same length) or None to keep it; returns the edited digests.
+    ``edit(digest, codec, stored)`` sees each entry as
+    :func:`~repro.record.pack.iter_entries` reads it and returns the
+    bytes to store instead (of any length: the entry keeps its digest
+    and codec) or None to keep them; :func:`on_blob` makes one that
+    edits the blob an entry stores. Returns the edited digests.
     """
-    path = os.path.join(log_dir, "blobs", "pack.dppack")
-    data = bytearray(open(path, "rb").read())
-    offset, edited = data.index(b"\n") + 1, []
-    while offset < len(data):
-        digest, length = struct.unpack_from("<16sI", data, offset)
-        start = offset + 20
-        payload = edit(int.from_bytes(digest, "big"), bytes(data[start:start + length]))
-        if payload is not None:
-            assert len(payload) == length
-            data[start:start + length] = payload
-            edited.append(int.from_bytes(digest, "big"))
-        offset = start + length
-    open(path, "wb").write(data)
+    path = os.path.join(log_dir, "blobs", PACK_NAME)
+    data = open(path, "rb").read()
+    out, edited = [PACK_MAGIC], []
+    for _, digest, codec, stored in iter_entries(data, len(PACK_MAGIC)):
+        new = edit(digest, codec, bytes(stored))
+        if new is not None:
+            stored = new
+            edited.append(digest)
+        out.append(entry_header(digest, codec, len(stored)) + stored)
+    open(path, "wb").write(b"".join(out))
     return edited
 
 
-#: one ``edit_pack`` corruption per blob kind a durable log holds: every
-#: raw page's tag set to one no blob has, every object blob's (the
-#: checkpoint skeletons') pickle zeroed
+def on_blob(change):
+    """An :func:`edit_pack` edit of the blob itself: ``change(digest,
+    blob)`` returns the new blob or None; it is stored back under the
+    entry's own codec, compressed or not."""
+
+    def edit(digest, codec, stored):
+        blob = change(digest, blob_of(digest, codec, stored))
+        if blob is None or codec == CODEC_RAW:
+            return blob
+        return zlib.compress(blob, 1)
+
+    return edit
+
+
+def _on_contexts(change):
+    """An :func:`on_blob` edit of every plain-data checkpoint skeleton:
+    ``change(context)`` rewrites its first thread context's tuple."""
+
+    def skeleton(digest, blob):
+        if blob[:1] != TAG_OBJECT:
+            return None
+        fields = pickle.loads(blob[1:])
+        contexts = fields[2]
+        assert type(contexts) is tuple, "a skeleton of the plain-data shape"
+        return encode_object(
+            fields[:2] + ((change(contexts[0]),) + contexts[1:],) + fields[3:]
+        )
+
+    return on_blob(skeleton)
+
+
+def _on_compressed(cut):
+    """An :func:`edit_pack` edit of every compressed entry's stored bytes."""
+    return lambda digest, codec, stored: (
+        cut(stored) if codec == CODEC_ZLIB1 else None
+    )
+
+
+#: one ``edit_pack`` corruption per way a durable log's blob can fail to
+#: decode: every raw page's tag set to one no blob has; every object
+#: blob's (the checkpoint skeletons') pickle zeroed; one byte flipped in
+#: every compressed entry, or its stream cut in half and zero-filled to
+#: its length; a skeleton's first context one field short, or with a
+#: string where its registers belong. The page and skeleton classes edit
+#: the blob, and store it back in its entry's codec.
 BLOB_CORRUPTIONS = {
-    "page-tag": lambda digest, payload: (
-        b"\x04" + payload[1:] if payload[:1] == b"\x01" else None
-    ),
-    "skeleton-payload": lambda digest, payload: (
-        payload[:1] + bytes(len(payload) - 1) if payload[:1] == b"\x03" else None
+    "page-tag": on_blob(lambda digest, blob: (
+        b"\x04" + blob[1:] if blob[:1] == b"\x01" else None
+    )),
+    "skeleton-payload": on_blob(lambda digest, blob: (
+        blob[:1] + bytes(len(blob) - 1) if blob[:1] == TAG_OBJECT else None
+    )),
+    "zlib-flip": _on_compressed(lambda stored: (
+        stored[: len(stored) // 2]
+        + bytes([stored[len(stored) // 2] ^ 0xFF])
+        + stored[len(stored) // 2 + 1 :]
+    )),
+    "zlib-cut": _on_compressed(lambda stored: (
+        stored[: len(stored) // 2] + bytes(len(stored) - len(stored) // 2)
+    )),
+    "skeleton-arity": _on_contexts(lambda context: context[:-1]),
+    "skeleton-field-type": _on_contexts(
+        lambda context: context[:2] + ("r0 r1 r2",) + context[3:]
     ),
 }

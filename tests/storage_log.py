@@ -29,7 +29,7 @@ from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.record import shards
-from repro.record.pack import _PACK_ENTRY, PACK_MAGIC
+from repro.record.pack import PACK_MAGIC, blob_of, iter_entries
 from repro.record.shards import MANIFEST_NAME
 from repro.record.storage import Storage
 
@@ -283,17 +283,12 @@ def epoch_end(manifest: dict) -> int:
 
 
 def pack_digests(data: bytes) -> Dict[int, bytes]:
-    """``{digest: payload}`` of every whole entry in a pack's bytes."""
+    """``{digest: blob}`` of every whole entry in a pack's bytes."""
     assert data.startswith(PACK_MAGIC)
-    entries, offset = {}, len(PACK_MAGIC)
-    while offset + _PACK_ENTRY.size <= len(data):
-        digest, length = _PACK_ENTRY.unpack_from(data, offset)
-        start = offset + _PACK_ENTRY.size
-        if start + length > len(data):
-            break
-        entries[int.from_bytes(digest, "big")] = data[start : start + length]
-        offset = start + length
-    return entries
+    return {
+        digest: blob_of(digest, codec, stored)
+        for _, digest, codec, stored in iter_entries(data, len(PACK_MAGIC))
+    }
 
 
 def materialize(files: Dict[str, bytes], root: str) -> None:

@@ -286,7 +286,10 @@ class TestOutsideInput:
         assert code == 0
         return log_dir
 
-    @pytest.mark.parametrize("suffix", [(), ("--from-epoch", "1")], ids=["all", "from-1"])
+    @pytest.mark.parametrize(
+        "suffix", [(), ("--parallel",), ("--from-epoch", "1")],
+        ids=["all", "parallel", "from-1"],
+    )
     @pytest.mark.parametrize("corruption", BLOB_CORRUPTIONS)
     def test_replay_of_a_log_with_a_blob_that_does_not_decode(
         self, durable_log, tmp_path, corruption, suffix

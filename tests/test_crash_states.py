@@ -31,6 +31,7 @@ from repro.errors import ReproError
 from repro.machine.config import MachineConfig
 from repro.record import shards
 from repro.record.log_index import SegmentLogs
+from repro.record.pack import PACK_NAME
 from repro.record.shards import MANIFEST_NAME, ShardedLogReader, ShardedLogWriter
 from repro.workloads import build_workload
 from tests.conftest import exhaustive
@@ -40,6 +41,7 @@ from tests.storage_log import (
 
 #: prefixes per scenario in tier-1
 SAMPLED = 6
+PACK_PATH = f"blobs/{PACK_NAME}"
 
 
 def _recorded(name, scale, divisor, **overrides):
@@ -201,3 +203,13 @@ def test_every_crash_state_opens_a_committed_prefix(scenario, tmp_path):
     assert seam.count("replace") > 3 and seam.count("sync") > 3
     if scenario == "window":
         assert seam.count("unlink") > 1
+        # It compacts mid-run, before close's last manifest; appends go
+        # on through the published pack, never reopening it with a cut.
+        replaced = [
+            (k, op[2], op[3]) for k, op in enumerate(seam.ops) if op[0] == "replace"
+        ]
+        packs = [(k, ino) for k, path, ino in replaced if path == PACK_PATH]
+        last_manifest = max(k for k, path, _ in replaced if path == MANIFEST_NAME)
+        assert packs[0][0] < last_manifest
+        published = {ino for _, ino in packs}
+        assert not [op for op in seam.ops if op[0] == "cut" and op[1] in published]

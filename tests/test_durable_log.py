@@ -23,18 +23,22 @@ from repro.checkpoint.checkpoint import WireCheckpoint
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.errors import ReplayError
 from repro.machine.config import MachineConfig
-from repro.memory.blob import blob_digest
-from repro.record.pack import PACK_MAGIC, BlobStore
+from repro.memory.blob import TAG_PAGE_RAW, blob_digest, encode_object
+from repro.record import pack
+from repro.record.pack import (
+    CODEC_RAW, CODEC_ZLIB1, PACK_MAGIC, PACK_NAME, BlobStore, blob_of,
+    iter_entries,
+)
 from repro.record.segment import (
     SEGMENT_MAGIC,
     SegmentCorruption,
     SegmentReader,
     SegmentWriter,
 )
-from repro.record.shards import ShardedLogReader
+from repro.record.shards import ShardedLogReader, persist_recording
 from repro.record.storage import UNSYNCED
 from repro.workloads import build_workload
-from tests.conftest import BLOB_CORRUPTIONS, edit_pack
+from tests.conftest import BLOB_CORRUPTIONS, edit_pack, on_blob
 
 FRAMES = [b"alpha", b"b" * 200, b"", b"gamma" * 50]
 
@@ -423,6 +427,7 @@ def test_verify_reports_a_page_that_no_longer_matches_its_address(tmp_path):
     )
     reader.store.close()
 
+    @on_blob
     def flip(found, payload):
         if found == digest:
             middle = len(payload) // 2
@@ -472,19 +477,102 @@ def test_the_log_and_the_wire_name_checkpoints_identically(tmp_path):
         assert WireCheckpoint.from_blob(blob, blob_digest(blob)).to_blob() == blob
 
 
+def _entries(log_dir):
+    """``(digest, codec, stored, blob)`` of every entry of a log's pack."""
+    data = open(os.path.join(log_dir, "blobs", PACK_NAME), "rb").read()
+    return [
+        (digest, codec, bytes(stored), blob_of(digest, codec, stored))
+        for _, digest, codec, stored in iter_entries(data, len(PACK_MAGIC))
+    ]
+
+
+@pytest.mark.parametrize("name", ["pbzip", "fft"])
+def test_a_blob_is_stored_compressed_exactly_when_that_halves_it(tmp_path, name):
+    """The durable pack's codec rule, entry by entry: zlib level 1 where
+    that at least halves the blob, the blob as it is otherwise, under the
+    blob's own digest. pbzip's mostly-zero pages halve, so its log stores
+    under half its blobs' bytes; fft's dense pages do not, and stay raw.
+    Both byte counters count what is stored."""
+    log_dir = str(tmp_path / "log")
+    _, _, result = _record(name, log_dir=log_dir)
+    entries = _entries(log_dir)
+    for digest, codec, _, blob in entries:
+        assert blob_digest(blob) == digest
+        halves = 2 * len(zlib.compress(blob, 1)) <= len(blob)
+        assert codec == (CODEC_ZLIB1 if halves else CODEC_RAW)
+    stored = sum(len(stored) for _, _, stored, _ in entries)
+    assert result.metrics.snapshot()["durable"]["blob_bytes"] == stored
+    again = persist_recording(result.recording, str(tmp_path / "again"))
+    assert again["blob_bytes"] == stored
+    if name == "pbzip":
+        assert 2 * stored < sum(len(blob) for *_, blob in entries)
+    else:
+        assert any(
+            codec == CODEC_RAW and blob[:1] == TAG_PAGE_RAW
+            for _, codec, _, blob in entries
+        )
+
+
+def test_a_log_of_raw_entries_and_pickled_contexts_still_replays(tmp_path, monkeypatch):
+    """A pack as earlier writers left it — every entry raw, each skeleton's
+    contexts a pickled ``{tid: ThreadContext}`` — loads, verifies and
+    replays, sequentially and in parallel, to the figures of the same
+    recording written now."""
+    instance, machine, result = _record("prodcons")
+    now, before = str(tmp_path / "now"), str(tmp_path / "before")
+    persist_recording(result.recording, now)
+    with monkeypatch.context() as patch:
+        patch.setattr(pack, "stored_form", lambda blob, compress: (CODEC_RAW, blob))
+        patch.setattr(WireCheckpoint, "to_blob", lambda self: encode_object((
+            self.index, self.time, self.contexts,
+            self.sync_state, self.dirty_pages, self.page_table,
+        )))
+        persist_recording(result.recording, before)
+    entries = _entries(before)
+    assert {codec for _, codec, _, _ in entries} == {CODEC_RAW}
+    assert any(b"ThreadContext" in blob for *_, blob in entries)
+    replayer = Replayer(instance.image, machine)
+    figures = []
+    for log_dir in (now, before):
+        reader = ShardedLogReader(log_dir)
+        assert reader.verify() == []
+        recording = reader.load_recording(materialize=True)
+        figures.append([
+            (got.verified, got.total_cycles, got.makespan, got.epochs_replayed)
+            for got in (
+                replayer.replay_sequential(recording),
+                replayer.replay_parallel(recording),
+            )
+        ])
+    assert figures[0] == figures[1] and figures[0][0][0] and figures[0][1][0]
+
+
+#: what the load path says of the blob each corruption class leaves
+NOT_DECODED = {
+    "page-tag": "is not a page",
+    "zlib-flip": "does not decompress",
+    "zlib-cut": "does not decompress",
+}
+
+
 @pytest.mark.parametrize("corruption", BLOB_CORRUPTIONS)
 def test_a_blob_that_does_not_decode_is_a_replay_error(tmp_path, corruption):
     """The load path trusts the pack's hashes, not its bytes: a page or a
     skeleton that does not decode raises ReplayError naming its digest
-    (it used to escape as ``ValueError: unknown blob tag``)."""
+    (it used to escape as ``ValueError: unknown blob tag``), and
+    ``verify()`` names every edited blob, and nothing else."""
     log_dir = str(tmp_path / "log")
     _record("pbzip", log_dir=log_dir)
     edited = edit_pack(log_dir, BLOB_CORRUPTIONS[corruption])
     assert edited
     with pytest.raises(ReplayError) as info:
         ShardedLogReader(log_dir).load_recording()
-    kind = "a page" if corruption == "page-tag" else "a checkpoint skeleton"
-    assert str(info.value) in {f"blob {digest:032x} is not {kind}" for digest in edited}
+    kind = NOT_DECODED.get(corruption, "is not a checkpoint skeleton")
+    assert str(info.value) in {f"blob {digest:032x} {kind}" for digest in edited}
+    problems = ShardedLogReader(log_dir).verify()
+    assert sorted(problem.rsplit(": ", 1)[1] for problem in problems) == sorted(
+        f"{digest:032x}" for digest in edited
+    )
 
 
 def test_group_commit_and_fsync_knobs(tmp_path, monkeypatch):
@@ -534,7 +622,6 @@ def test_offline_persist_matches_streamed_log(tmp_path, name):
     # persist_recording (offline, final epoch unbounded) and the
     # recorder's streaming path must produce byte-identical logs —
     # including through forward recoveries (racy-counter prunes logs).
-    from repro.record.shards import persist_recording
 
     streamed_dir = str(tmp_path / "streamed")
     _, _, streamed = _record(name, log_dir=streamed_dir)
@@ -553,7 +640,6 @@ def test_offline_persist_matches_streamed_log(tmp_path, name):
 
 
 def test_persist_refuses_spilled_recordings(tmp_path):
-    from repro.record.shards import persist_recording
 
     _, _, spilled = _record(log_dir=str(tmp_path / "log"), log_spill=True)
     with pytest.raises(ValueError):

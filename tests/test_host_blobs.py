@@ -30,7 +30,7 @@ from repro.memory.blob import (
 )
 from repro.memory.layout import PAGE_WORDS
 from repro.memory.page import Page
-from repro.record.pack import _PACK_ENTRY, PACK_NAME, BlobStore
+from repro.record.pack import CODEC_RAW, PACK_NAME, BlobStore, entry_header
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_reader_picks_up_appends_and_skips_a_torn_tail(tmp_path):
     reader = BlobStore(root)
     assert reader.get(1) == b"first"
     # An append in progress: the entry header and half the payload.
-    entry = _PACK_ENTRY.pack((2).to_bytes(16, "big"), 6) + b"second"
+    entry = entry_header(2, CODEC_RAW, 6) + b"second"
     with open(writer.path, "ab") as handle:
         handle.write(entry[:-3])
     with pytest.raises(ReplayError, match="not in pack"):
