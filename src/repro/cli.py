@@ -110,8 +110,9 @@ def _add_host_args(parser: argparse.ArgumentParser) -> None:
              "more than one implies --parallel)")
     parser.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock budget for hung host workers "
-             "(default: REPRO_UNIT_TIMEOUT or 60; 0 disables)")
+        help="per-unit wall-clock budget for hung host workers, from when "
+             "a worker takes the unit (default: REPRO_UNIT_TIMEOUT or 60; "
+             "0 disables)")
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome-trace (Perfetto) timeline of the run here")

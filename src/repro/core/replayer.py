@@ -229,15 +229,14 @@ class Replayer:
         by recorded cycles, see :func:`~repro.host.wire.replay_spans`),
         so the pool round trip is paid per span, not per epoch.
 
-        Host worker failures are contained per unit (a unit whose
-        pushed attempt is lost gets two counted pool attempts, then
-        in-coordinator serial execution — see
-        :mod:`repro.host.executor`), so the replay always completes with the
-        serial verdict; ``unit_timeout`` bounds a hung worker's unit in
-        wall-clock seconds (None = the runtime option's value, 0
-        disables). Containment counters land in ``host["faults"]``,
-        and ``host["speculation"]`` reads pushed / accepted like a
-        record's (N / N / 0 / 0 on a healthy host).
+        Host worker failures are contained per unit (two pool attempts,
+        the pushed one included, then in-coordinator serial execution —
+        see :mod:`repro.host.executor`), so the replay always completes
+        with the serial verdict; ``unit_timeout`` bounds a hung worker's
+        unit in wall-clock seconds from when a worker took it (None = the
+        runtime option's value, 0 disables). Containment counters land
+        in ``host["faults"]``, and ``host["speculation"]`` reads pushed /
+        accepted like a record's (N / N / 0 / 0 on a healthy host).
 
         ``fault_specs`` scopes fault-injection directives to this replay
         (None = the runtime option's value, ``""`` = none).

@@ -1,12 +1,13 @@
 """The coordinator side: dispatch, containment and the one ordered merge.
 
-``HostExecutor`` runs epoch work units on a pool of worker processes,
-and one contract covers every unit — a record segment's or a replay's,
-a solo run's or a service tenant's: *a unit is cut once per need,
-pushed once per cut, merged in order; what the merge lacks it cuts
-again.* :class:`SpeculativeSession` is that contract. ``push`` is the
-only way a unit reaches the pool (through :meth:`HostExecutor._dispatch`,
-the only place one enters: ``shared_pool(jobs).submit``, on the calling
+Epoch work units run on a pool of worker processes, and one contract
+covers every unit — a record segment's or a replay's, a solo run's or a
+service tenant's: *a unit is cut once per need, pushed once per cut,
+merged in order; what the merge lacks it cuts again.*
+:class:`SpeculativeSession` is that contract; ``HostExecutor`` holds only
+what a run's sessions share. ``push`` is the only way a unit reaches the
+pool (through :meth:`SpeculativeSession._dispatch`, the only place one
+enters: ``shared_pool(jobs).submit``, on the calling
 thread's lane — a service tenant is a thread, so nothing else is needed
 to share the workers), ``wait`` and ``settle`` serve the recorder's
 verdict schedule — a verdict awaited from the pool, or one the
@@ -33,25 +34,27 @@ read a digest answers with a task error, contained like any other.
 
 **Fault containment.** A failed epoch-parallel attempt is disposable by
 design — that is the paper's core insight — so host faults are treated
-the same way a guest divergence is: contain, re-execute, keep going. A
-pushed attempt is free and silent: one that crashes, hangs or raises is
-never a fault. A position the merge (or the verdict schedule) must
-re-obtain gets counted attempts, one policy for three failure classes
-(two pool attempts, then in-coordinator serial execution):
+the same way a guest divergence is: contain, re-execute, keep going.
+Every dispatch of a position is an attempt — the one pushed ahead of
+the merge is attempt 0 — and one routine judges each
+(:meth:`SpeculativeSession._outcome`): a position gets two pool
+attempts, then in-coordinator serial execution, one policy for three
+failure classes:
 
 * **crash** — a worker process died and took the units in its window
   with it (:mod:`repro.host.pool`); the pool is abandoned and rebuilt,
   and every not-yet-merged position whose pushed attempt died with it
-  is pushed again, without blame, before the failed position's retry is
-  awaited: one crash never serialises the positions behind it. The
-  pool is shared: what other threads have in its windows dies as
-  collateral — a pushed attempt is lost, a counted one goes again
-  uncounted — and what they have queued moves to the new pool.
-* **timeout** — a unit exceeded the per-unit wall-clock budget (the
-  ``unit_timeout`` runtime option; 0 disables; a pool is built, every
-  worker's hello in, before a unit is submitted to it, so its start is
-  not on that clock). The hung worker cannot be recalled, so the pool's
-  processes are terminated and the pool is abandoned the same way.
+  as collateral is pushed again at once, without blame: one crash never
+  serialises the positions behind it. The pool is shared: what other
+  threads have in its windows dies as collateral — no attempt of
+  theirs, dispatched again — and what they have queued moves to the
+  new pool.
+* **timeout** — a unit ran past the per-unit wall-clock budget (the
+  ``unit_timeout`` runtime option; 0 disables), counted from when a
+  worker took it, so a unit queued behind others is never charged for
+  their time (and a pool is built, every worker's hello in, before a
+  unit is submitted to it). The hung worker cannot be recalled: the pool
+  terminates it, and the pool is abandoned the same way.
 * **task error** — the unit raised inside the worker and came home as a
   structured :class:`~repro.errors.WorkerTaskError` result, so the pool
   stays healthy. A deterministic guest error reproduces during the
@@ -75,8 +78,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.errors import (
@@ -93,40 +94,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.lifecycle import Lives, UnitTiming
 from repro.options import RuntimeOptions
 
-#: pool attempts per unit before the serial fallback (initial + 1 retry)
+#: pool attempts per position, the pushed one included, before the serial one
 _POOL_ATTEMPTS = 2
-
-
-@dataclass
-class _Batch:
-    """Coordinator-side state of one in-flight unit batch."""
-
-    #: "record" or "replay": scopes fault specs and labels unit timings
-    kind: str
-    program: object
-    machine: object
-    program_digest: int
-    #: every blob any unit references, keyed by digest
-    blobs: Dict[int, bytes]
-    fault_specs: Tuple = ()
-    #: position -> its unit; a position whose verdict the coordinator
-    #: computed itself has none
-    units: Dict[int, object] = field(default_factory=dict)
-    #: position -> its pushed attempt's future, until the merge (or the
-    #: verdict schedule) resolves it
-    futures: Dict[int, Future] = field(default_factory=dict)
-
-    def _add_unit(self, unit) -> int:
-        """Stamp the unit's fault specs and slot it at its position (returned).
-
-        A position added again (the merge cutting it a second time)
-        replaces the unit.
-        """
-        unit.faults = fault_injection.faults_for(
-            self.fault_specs, self.kind, unit.position
-        )
-        self.units[unit.position] = unit
-        return unit.position
 
 
 def _lost(position: int, why: str) -> Future:
@@ -141,20 +110,14 @@ def _lost(position: int, why: str) -> Future:
 
 
 class HostExecutor:
-    """Runs epoch work units on a pool of worker processes.
-
-    ``options`` is the run's resolved :class:`~repro.options.RuntimeOptions`:
-    the executor takes its worker count (``host_jobs``), per-unit
-    wall-clock budget (``unit_timeout``; 0 disables hang detection) and
-    fault directives (``host_faults`` / ``fault_state``, parsed here —
-    junk raises) from it, and carries it on every dispatch so workers follow
-    the coordinator, never the environment their fork server started with.
-
-    ``lives`` is the run's epoch-lifecycle record
-    (:mod:`repro.obs.lifecycle`): every dispatch, consumed execution,
-    contained fault and fate is written there, once, and
-    :meth:`timing_summary` is derived from it. The executor keeps no
-    tally of its own.
+    """What a run's sessions share. ``options`` is its resolved
+    :class:`~repro.options.RuntimeOptions` — worker count (``host_jobs``),
+    unit timeout (0 disables hang detection), fault directives (parsed
+    here: junk raises) — carried on every dispatch so workers follow the
+    coordinator, never the environment their fork server started with.
+    ``lives`` is its epoch-lifecycle record (:mod:`repro.obs.lifecycle`):
+    every dispatch, consumed execution, contained fault and fate is
+    written there, once, and :meth:`timing_summary` is derived from it.
     """
 
     def __init__(self, options: RuntimeOptions, lives: Lives):
@@ -172,7 +135,6 @@ class HostExecutor:
         #: (program object, digest, blob) of the last program shipped
         self._program_blob: Optional[Tuple[object, int, bytes]] = None
 
-    # ------------------------------------------------------------------
     def _program_wire(self, program) -> Tuple[int, bytes]:
         """The program image's blob, encoded once per program object."""
         cached = self._program_blob
@@ -182,178 +144,6 @@ class HostExecutor:
             cached = self._program_blob
         return cached[1], cached[2]
 
-    def _begin_batch(self, kind: str, program, machine, blobs=()) -> _Batch:
-        """An empty batch over ``blobs`` plus the program's."""
-        digest, blob = self._program_wire(program)
-        return _Batch(
-            kind=kind,
-            program=program,
-            machine=machine,
-            program_digest=digest,
-            blobs={**dict(blobs), digest: blob},
-            fault_specs=self._fault_specs,
-        )
-
-    def _make_dispatch(self, batch: _Batch, position: int) -> UnitDispatch:
-        """Build one dispatch: put what the scratch pack lacks, name the pack.
-
-        Raises ``OSError`` when the pack cannot be written.
-        """
-        unit = batch.units[position]
-        required = unit.required_digests()
-        required.add(batch.program_digest)
-        pack, fresh = _scratch_packs.place(required, batch.blobs)
-        found = required.difference(fresh, self._seen)
-        self._seen |= required
-        return UnitDispatch(
-            machine=batch.machine,
-            unit=unit,
-            program_digest=batch.program_digest,
-            pack=pack,
-            options=self.options,
-            _local_program=batch.program,
-            placed=(
-                len(fresh), sum(len(batch.blobs[digest]) for digest in fresh),
-                len(found), sum(len(batch.blobs[digest]) for digest in found),
-            ),
-        )
-
-    def _dispatch(self, batch: _Batch, position: int, pushed: bool = False) -> Future:
-        """Submit one unit: the only place a unit enters a pool.
-
-        Builds the dispatch (the unit's new blobs go into the scratch
-        pack first), submits it to the shared pool and records the
-        attempt — its interval, what it put and what it found already
-        put — on the position's life. Two failures are contained: a
-        scratch pack that cannot be written (``OSError`` — disk full, its
-        directory gone) and a pool that cannot take the unit (broken,
-        unbuildable, shutting down).
-        The future returned has then already failed with the cause, and
-        the caller's containment — or, for a pushed attempt, a discard —
-        takes over. Anything else is a bug in building the dispatch, and
-        raises.
-        """
-        start = time.perf_counter()
-        placed = (0, 0, 0, 0)
-        try:
-            try:
-                dispatch = self._make_dispatch(batch, position)
-            except OSError as exc:
-                return _lost(position, f"the scratch pack cannot be written ({exc!r})")
-            placed = dispatch.placed
-            try:
-                future = shared_pool(self.jobs).submit(run_unit, dispatch)
-            except Exception as exc:
-                _scratch_packs.release(dispatch.pack)
-                return _lost(position, f"the pool refused it ({exc!r})")
-        finally:
-            self.lives.dispatched(
-                position, batch.kind, pushed, start, time.perf_counter(), *placed
-            )
-        future.add_done_callback(
-            lambda _, pack=dispatch.pack: _scratch_packs.release(pack)
-        )
-        return future
-
-    def _await(self, future, position: int):
-        """Wait for one submitted unit: ``(outcome, failure)``, one is None."""
-        if future is None:
-            return None, WorkerCrashError(
-                f"unit {position} was never submitted", position=position
-            )
-        try:
-            return future.result(timeout=self.unit_timeout or None), None
-        except FutureTimeout:
-            future.cancel()
-            return None, WorkerTimeoutError(
-                f"unit {position} exceeded the {self.unit_timeout:g}s unit timeout",
-                position=position,
-                timeout=self.unit_timeout,
-            )
-        except (WorkerCrashError, CollateralLossError) as lost:
-            # it never reached a pool (see _dispatch), or died on another
-            # unit's account
-            return None, lost
-        except Exception as exc:
-            return None, WorkerCrashError(
-                f"worker died running unit {position}: {exc!r}",
-                position=position,
-            )
-
-    def _consume(self, position: int, timing: UnitTiming) -> None:
-        """A unit's result is part of the run: fold its counters, attach
-        its execution to the position's life.
-
-        Called only for results that merge or that the verdict schedule
-        consumed — dropped results (cancelled divergence tails, crashed
-        attempts) drop their counters and their execution with them,
-        which is what keeps ``jobs=1`` and ``jobs=N`` metrics identical.
-        """
-        obs_metrics.process_stats().update_from(dict(timing.metrics))
-        timing.metrics = ()
-        self.lives.executed(position, timing)
-
-    def _push(self, batch: _Batch, position: int) -> None:
-        """Dispatch one free attempt of ``position``: a failure is never a fault."""
-        batch.futures[position] = self._dispatch(batch, position, pushed=True)
-
-    def _run_contained(self, batch: _Batch, position: int):
-        """Obtain one position's value, consumed.
-
-        The counted path, for a position whose pushed attempt left no
-        usable result: dispatch it, await it; on crash/timeout/task
-        error retry once, then execute the unit serially in the
-        coordinator. A crash or a hang makes the pool it ran on suspect:
-        it is abandoned (the next dispatch rebuilds it) — unless another
-        thread's abandon has replaced it already, so that one tenant's
-        fault never has its neighbours' casualties tear down the pool
-        again — and every other position of the batch whose pushed
-        attempt has died with a pool — this one, or the one a pushed
-        attempt's crash broke earlier — is pushed again, without blame,
-        before this position's retry is dispatched: the positions behind a
-        fault keep executing concurrently instead of arriving here one by
-        one. (An attempt that never reached a pool — :func:`_lost` — is
-        left alone: the wall it hit is still there.) A counted attempt
-        never shares a pool with another counted attempt of its run, so a
-        fault is blamed on the position that has it; one lost on another
-        unit's account (:class:`~repro.errors.CollateralLossError` — a
-        neighbour's crash, say) is no attempt: it is dispatched again,
-        uncounted, with the dead pushed attempts.
-        """
-        attempt = 0
-        while attempt < _POOL_ATTEMPTS:
-            future = self._dispatch(batch, position)
-            outcome, failure = self._await(future, position)
-            if outcome is not None:
-                _, value, timing = outcome
-                if not isinstance(value, WorkerTaskError):
-                    self._consume(position, timing)
-                    return value
-                failure = value
-            if not isinstance(failure, CollateralLossError):
-                failure.attempt = attempt
-                attempt += 1
-                self.lives.failed(position, failure)
-                if isinstance(failure, WorkerTaskError):
-                    continue
-                abandon(future, kill=isinstance(failure, WorkerTimeoutError))
-            for other, pushed in batch.futures.items():
-                if pushed.done() and not isinstance(
-                    pushed.exception(), (type(None), WorkerCrashError)
-                ):
-                    self._push(batch, other)
-        _, value, timing = run_unit_serial(
-            UnitDispatch(
-                batch.machine,
-                batch.units[position],
-                batch.program_digest,
-                _local_program=batch.program,
-            )
-        )
-        self.lives.ran(position, batch.kind + "-serial", timing)
-        return value
-
-    # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
         """Host-cost accounting for benchmarks and ``RecordResult.host``."""
         return self.lives.host_summary(self.jobs)
@@ -367,24 +157,23 @@ class SpeculativeSession:
     *while the thread-parallel run is still producing later epochs* and,
     for the tail units cut when that run finishes, while the merge is
     committing earlier ones; a replay pushes every unit of its
-    recording. A broken pool or a failed submission costs nothing but
-    the attempt. :meth:`wait` blocks for one unit's verdict (the
+    recording. :meth:`wait` blocks for one unit's verdict (the
     recorder's verdict schedule, armed once a run has diverged), and
     :meth:`settle` takes a verdict the coordinator ran itself for a
     position with no unit; :meth:`harvest` is the merge, a single
     in-order stream over everything the session holds.
 
-    A pushed attempt that crashes, hangs or raises is never retried on
-    its own account and never counts as a fault: the merge cuts the
-    position again and runs that through the executor's contained path.
-    Only a verdict the schedule *consumes* must not depend on host luck,
-    so :meth:`wait` re-obtains a lost one through the contained path
-    itself. A result's counters and execution join the run at the
-    consume or the merge (``HostExecutor._consume``) — a never-consumed
-    result leaves no trace in the run metrics, which is what keeps
-    ``jobs=1`` and ``jobs=N`` metrics identical. Each push opens its
-    position's fate, written once, by whoever learns it first: ``lost``
-    where the pushed attempt yields nothing, ``invalidated`` /
+    The pushed attempt is a position's attempt 0: one that crashes,
+    hangs or raises is blamed when the merge (or the verdict schedule)
+    reaches it, and the position goes on through the contained path
+    with the attempts it has left. A verdict the schedule *consumes*
+    must not depend on host luck, so :meth:`wait` re-obtains a lost one
+    through the contained path itself. A result's counters and execution
+    join the run at the consume or the merge (:meth:`_consume`) — a
+    never-consumed result leaves no trace in the run metrics, which is
+    what keeps ``jobs=1`` and ``jobs=N`` metrics identical. Each push
+    opens its position's fate, written once, by whoever learns it first:
+    ``lost`` where the pushed attempt yields nothing, ``invalidated`` /
     ``accepted`` at the merge, ``discarded`` at :meth:`close` for
     whatever the merge never reached; a settled position keeps the
     ``inline`` of the run that made its verdict.
@@ -392,25 +181,35 @@ class SpeculativeSession:
 
     def __init__(self, executor: HostExecutor, kind: str, program, machine):
         self.executor = executor
-        self._batch = executor._begin_batch(kind, program, machine)
+        #: "record" or "replay": scopes fault specs and labels unit timings
+        self.kind = kind
+        self.program = program
+        self.machine = machine
+        self.program_digest, blob = executor._program_wire(program)
+        #: the blob set every unit of the session interns into, by digest
+        self.blobs: Dict[int, bytes] = {self.program_digest: blob}
+        #: position -> its unit; a position whose verdict the coordinator
+        #: computed itself has none
+        self.units: Dict[int, object] = {}
+        #: position -> its pushed attempt's future, until the merge (or
+        #: the verdict schedule) resolves it
+        self._futures: Dict[int, Future] = {}
+        #: position -> the pool attempts its cut has failed
+        self._failed: Dict[int, int] = {}
         #: position -> settled ``(value, timing)``; ``value`` is None
         #: for an answer lost to a host reason, ``timing`` once consumed
         self._outcomes: Dict[int, tuple] = {}
-
-    @property
-    def blobs(self) -> Dict[int, bytes]:
-        """The blob set every unit of the session interns into."""
-        return self._batch.blobs
 
     def push(self, unit) -> None:
         """Take one cut unit; non-blocking, and no host failure raises.
 
         A position pushed again (the verdict schedule cutting anew one
         whose early verdict was not final) replaces its unit and forgets
-        its result.
+        its result and its failed attempts.
         """
         self._outcomes.pop(unit.position, None)
-        self.executor._push(self._batch, self._batch._add_unit(unit))
+        self._failed.pop(unit.position, None)
+        self._push(self._add_unit(unit))
 
     def settle(self, position: int, value) -> None:
         """A verdict the coordinator computed itself, consumed there: the
@@ -420,28 +219,6 @@ class SpeculativeSession:
         is cut and run through the contained path like any other.
         """
         self._outcomes[position] = (value, None)
-
-    def _resolve(self, position: int) -> tuple:
-        """Resolve one unit's future, exactly once.
-
-        Returns (and keeps in ``_outcomes``) ``(value, timing)`` with
-        ``value`` of ``None`` for an answer lost to a host reason
-        (crash, timeout, task error, failed or never-made submission);
-        idempotent so :meth:`wait` and the walk in :meth:`harvest`
-        compose.
-        """
-        if position not in self._outcomes:
-            executor, batch = self.executor, self._batch
-            outcome, _ = executor._await(batch.futures.pop(position, None), position)
-            value = timing = None
-            if outcome is not None:
-                _, value, timing = outcome
-                if isinstance(value, WorkerTaskError):
-                    value = None
-            if value is None:
-                executor.lives.fate(position, "lost")
-            self._outcomes[position] = (value, timing)
-        return self._outcomes[position]
 
     def wait(self, position: int):
         """Block for one pushed unit's result — the verdict schedule's consume.
@@ -456,9 +233,9 @@ class SpeculativeSession:
         """
         value, timing = self._resolve(position)
         if value is None:
-            value = self.executor._run_contained(self._batch, position)
+            value = self._run_contained(position)
         elif timing is not None:
-            self.executor._consume(position, timing)
+            self._consume(position, timing)
         self._outcomes[position] = (value, None)
         return value
 
@@ -480,28 +257,209 @@ class SpeculativeSession:
         order, so those past a divergence drop their counters exactly as
         the serial loop never runs them.
         """
-        executor, batch = self.executor, self._batch
+        lives = self.executor.lives
         try:
             for position in range(positions):
                 value, timing = self._resolve(position)
                 if value is not None and not valid(position, value):
-                    executor.lives.fate(position, "invalidated")
+                    lives.fate(position, "invalidated")
+                    self._failed.pop(position, None)  # a new cut follows
                     value = None
                 if value is None:
-                    batch._add_unit(recut(position))
-                    value = executor._run_contained(batch, position)
+                    self._add_unit(recut(position))
+                    value = self._run_contained(position)
                 else:
-                    executor.lives.fate(position, "accepted")
+                    lives.fate(position, "accepted")
                     if timing is not None:
-                        executor._consume(position, timing)
+                        self._consume(position, timing)
                 yield position, value
         finally:
             self.close()
 
     def close(self) -> None:
         """Abandon whatever is still in flight."""
-        for future in self._batch.futures.values():
+        for future in self._futures.values():
             future.cancel()
-        self._batch.futures.clear()
-        for position in self._batch.units:
+        self._futures.clear()
+        for position in self.units:
             self.executor.lives.fate(position, "discarded")
+
+    # ------------------------------------------------------------------
+    def _add_unit(self, unit) -> int:
+        """Stamp the unit's fault specs and slot it at its position (returned).
+
+        A position added again (the merge cutting it a second time)
+        replaces the unit.
+        """
+        unit.faults = fault_injection.faults_for(
+            self.executor._fault_specs, self.kind, unit.position
+        )
+        self.units[unit.position] = unit
+        return unit.position
+
+    def _make_dispatch(self, position: int) -> UnitDispatch:
+        """Build one dispatch: put what the scratch pack lacks, name the pack.
+
+        Raises ``OSError`` when the pack cannot be written.
+        """
+        executor = self.executor
+        unit = self.units[position]
+        required = unit.required_digests()
+        required.add(self.program_digest)
+        pack, fresh = _scratch_packs.place(required, self.blobs)
+        found = required.difference(fresh, executor._seen)
+        executor._seen |= required
+        return UnitDispatch(
+            machine=self.machine,
+            unit=unit,
+            program_digest=self.program_digest,
+            pack=pack,
+            options=executor.options,
+            _local_program=self.program,
+            placed=(
+                len(fresh), sum(len(self.blobs[digest]) for digest in fresh),
+                len(found), sum(len(self.blobs[digest]) for digest in found),
+            ),
+        )
+
+    def _dispatch(self, position: int, pushed: bool = False) -> Future:
+        """Submit one attempt: the only place a unit enters a pool.
+
+        Builds the dispatch (the unit's new blobs go into the scratch
+        pack first), submits it to the shared pool with the run's unit
+        timeout and records the attempt — its interval, what it put and
+        what it found already put — on the position's life. Two failures
+        are contained: a scratch pack that cannot be written (``OSError``
+        — disk full, its directory gone) and a pool that cannot take the
+        unit (broken, unbuildable, shutting down). The future returned
+        has then already failed with the cause, and :meth:`_outcome`
+        judges it like any other attempt. Anything else is a bug in
+        building the dispatch, and raises.
+        """
+        executor = self.executor
+        start = time.perf_counter()
+        placed = (0, 0, 0, 0)
+        try:
+            try:
+                dispatch = self._make_dispatch(position)
+            except OSError as exc:
+                return _lost(position, f"the scratch pack cannot be written ({exc!r})")
+            placed = dispatch.placed
+            try:
+                future = shared_pool(executor.jobs).submit(
+                    run_unit, dispatch, timeout=executor.unit_timeout
+                )
+            except Exception as exc:
+                _scratch_packs.release(dispatch.pack)
+                return _lost(position, f"the pool refused it ({exc!r})")
+        finally:
+            executor.lives.dispatched(
+                position, self.kind, pushed, start, time.perf_counter(), *placed
+            )
+        future.add_done_callback(
+            lambda _, pack=dispatch.pack: _scratch_packs.release(pack)
+        )
+        return future
+
+    def _push(self, position: int) -> None:
+        self._futures[position] = self._dispatch(position, pushed=True)
+
+    def _outcome(self, position: int, future: Future) -> Optional[tuple]:
+        """Await one attempt of ``position``, pushed or not: ``(value,
+        timing)`` of a usable result, else None, the failure contained.
+
+        A task error, crash or timeout is the position's, blamed as its
+        next attempt; a crash or a timeout abandons the pool it ran on
+        (:func:`~repro.host.pool.abandon`: unless another thread's
+        abandon replaced it already). A unit lost on another unit's
+        account (:class:`~repro.errors.CollateralLossError`) is no
+        attempt. After any but a task error, every other position whose
+        pushed attempt died with a pool as collateral is pushed again,
+        so the positions behind a fault keep executing concurrently. (An
+        attempt that never reached a pool — :func:`_lost` — is its
+        position's own: the wall it hit is still there.)
+        """
+        timeout = self.executor.unit_timeout
+        try:
+            _, value, timing = future.result()  # the pool enforces the deadline
+        except WorkerTimeoutError:
+            failure = WorkerTimeoutError(
+                f"unit {position} exceeded the {timeout:g}s unit timeout",
+                position=position,
+                timeout=timeout,
+            )
+        except (WorkerCrashError, CollateralLossError) as lost:
+            failure = lost  # never submitted, or lost on another's account
+        except Exception as exc:
+            failure = WorkerCrashError(
+                f"worker died running unit {position}: {exc!r}", position=position
+            )
+        else:
+            if not isinstance(value, WorkerTaskError):
+                return value, timing
+            failure = value
+        if not isinstance(failure, CollateralLossError):
+            failure.attempt = self._failed.get(position, 0)
+            self._failed[position] = failure.attempt + 1
+            self.executor.lives.failed(position, failure)
+            if isinstance(failure, WorkerTaskError):
+                return None
+            abandon(future)
+        for other, pushed in self._futures.items():
+            if pushed.done() and isinstance(pushed.exception(), CollateralLossError):
+                self._push(other)
+        return None
+
+    def _resolve(self, position: int) -> tuple:
+        """Resolve one position's pushed attempt, exactly once.
+
+        Returns (and keeps in ``_outcomes``) ``(value, timing)`` with
+        ``value`` of ``None`` for an answer lost to a host reason
+        (crash, timeout, task error, collateral, failed or never-made
+        submission); idempotent so :meth:`wait` and the walk in
+        :meth:`harvest` compose.
+        """
+        if position not in self._outcomes:
+            future = self._futures.pop(position, None)
+            outcome = None if future is None else self._outcome(position, future)
+            if outcome is None:
+                self.executor.lives.fate(position, "lost")
+            self._outcomes[position] = outcome or (None, None)
+        return self._outcomes[position]
+
+    def _run_contained(self, position: int):
+        """Obtain one position's value, consumed: dispatch the pool
+        attempts it has left (:data:`_POOL_ATTEMPTS`, the pushed one
+        counted), each judged by :meth:`_outcome` — a collateral loss
+        costs none, the unit goes again — then execute the unit serially
+        in the coordinator.
+        """
+        while self._failed.get(position, 0) < _POOL_ATTEMPTS:
+            outcome = self._outcome(position, self._dispatch(position))
+            if outcome is not None:
+                value, timing = outcome
+                self._consume(position, timing)
+                return value
+        _, value, timing = run_unit_serial(
+            UnitDispatch(
+                self.machine,
+                self.units[position],
+                self.program_digest,
+                _local_program=self.program,
+            )
+        )
+        self.executor.lives.ran(position, self.kind + "-serial", timing)
+        return value
+
+    def _consume(self, position: int, timing: UnitTiming) -> None:
+        """A unit's result is part of the run: fold its counters, attach
+        its execution to the position's life.
+
+        Called only for results that merge or that the verdict schedule
+        consumed — dropped results (cancelled divergence tails, crashed
+        attempts) drop their counters and their execution with them,
+        which is what keeps ``jobs=1`` and ``jobs=N`` metrics identical.
+        """
+        obs_metrics.process_stats().update_from(dict(timing.metrics))
+        timing.metrics = ()
+        self.executor.lives.executed(position, timing)

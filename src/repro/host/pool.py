@@ -24,8 +24,13 @@ pipe) fails exactly the units in its window and marks the pool broken:
 the one it was running with :class:`~repro.errors.HostPoolError`, the
 ones behind it with :class:`~repro.errors.CollateralLossError`, which
 the executor never blames on their positions; the units still queued go
-to the survivors. A pool shut down with its workers killed (broken, or
-abandoned after a hang) fails what is in its windows as collateral,
+to the survivors. A unit's ``timeout`` runs from when a worker takes
+it — written to an idle worker, or the reply ahead of it read: never
+before it starts, so a queued unit has no clock — and every waiting
+thread watches every deadline: one run out terminates its worker like a
+dead one, the unit failed with :class:`~repro.errors.WorkerTimeoutError`.
+A pool shut down with its workers killed (broken, or abandoned after a
+failure) fails what is in its windows as collateral,
 whichever thread it belongs to, and hands what is still queued, never
 written to a worker, to its replacement, lanes and waiters included
 (with none, that fails too). Any other shutdown lets both run first.
@@ -63,6 +68,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import math
 import multiprocessing
 import pickle
 import threading
@@ -70,9 +76,9 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from multiprocessing import connection, forkserver
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.errors import CollateralLossError, HostPoolError
+from repro.errors import CollateralLossError, HostPoolError, WorkerTimeoutError
 from repro.host.blobs import ScratchPacks
 
 _shared_pool = None
@@ -144,9 +150,17 @@ class _PoolFuture(Future):
     of the pool that holds it — the one it was handed to, if its own was
     replaced before writing it."""
 
-    def __init__(self, pool: "WorkerPool"):
+    def __init__(self, pool: "WorkerPool", timeout: Optional[float] = None):
         super().__init__()
         self._pool = pool
+        #: seconds it may run once a worker takes it (0: no limit)
+        self.timeout = timeout or math.inf
+        #: when its clock runs out: never, until a worker takes it
+        self.deadline = math.inf
+
+    def start(self) -> None:
+        """A worker took it: its clock starts."""
+        self.deadline = time.monotonic() + self.timeout
 
     def result(self, timeout=None):
         waited = None
@@ -212,12 +226,14 @@ class WorkerPool:
                 except (EOFError, OSError):
                     self._retire(mute.pop(conn), "died before its hello")
 
-    def submit(self, fn, *args) -> Future:
+    def submit(self, fn, *args, timeout: Optional[float] = None) -> Future:
         """Queue ``fn(*args)`` on the calling thread's lane: pickled here,
         written now if a worker has room; what has already been answered
-        is settled on the way, unless another thread is reading."""
+        is settled on the way, unless another thread is reading.
+        ``timeout``: the seconds it may run once a worker takes it (None
+        or 0: no limit)."""
         payload = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
-        future = _PoolFuture(self)
+        future = _PoolFuture(self, timeout)
         with self._lock:
             closing, successor = self._closing, self._successor
             if not closing:
@@ -228,7 +244,7 @@ class WorkerPool:
                     return future
                 self._reading = True
         if successor is not None:  # replaced since the caller was given it
-            return successor.submit(fn, *args)
+            return successor.submit(fn, *args, timeout=timeout)
         if closing:
             future.set_exception(HostPoolError("the pool is shut down"))
             return future
@@ -241,14 +257,15 @@ class WorkerPool:
     def _read_until(self, done, timeout) -> None:
         """Hold the reader role and pump until ``done()`` or ``timeout``
         seconds (``None``: no limit). While another thread holds the role,
-        sleep until it lets go — or ``done()``, which its reads may make so."""
+        sleep until it lets go — or ``done()``, which its reads may make so
+        — waking at each unit's deadline to enforce it."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while self._reading:
                 left = None if deadline is None else deadline - time.monotonic()
                 if done() or (left is not None and left <= 0):
                     return
-                self._lock.wait(left)
+                self._lock.wait(self._expire(left))
             self._reading = True
         try:
             while not done():
@@ -266,8 +283,10 @@ class WorkerPool:
 
     def _pump(self, timeout) -> None:
         """One wait on the live workers' pipes (``None``: until something
-        arrives), then settle and refill; the caller holds the reader role."""
+        arrives or a deadline), then settle and refill; the caller holds
+        the reader role."""
         with self._lock:
+            timeout = self._expire(timeout)
             live = {}
             for worker in self._workers:
                 if worker.conn is not None:
@@ -290,6 +309,8 @@ class WorkerPool:
             while worker.conn.poll():
                 reply = worker.conn.recv_bytes()
                 future = worker.window.popleft()
+                if worker.window:
+                    worker.window[0].start()
                 try:
                     value, raised = pickle.loads(reply)
                 except Exception as exc:  # a reply this process cannot load
@@ -299,7 +320,7 @@ class WorkerPool:
                 else:
                     future.set_exception(raised)
         except (EOFError, OSError):
-            self._retire(worker, "died")
+            self._retire(worker, "died", HostPoolError)
 
     def _feed(self) -> None:
         """Write queued units to the least-loaded workers with room, taking
@@ -326,19 +347,39 @@ class WorkerPool:
                 ))
                 continue
             worker.window.append(future)
+            if len(worker.window) == 1:
+                future.start()
             try:
                 worker.conn.send_bytes(payload)
             except OSError:
-                self._retire(worker, "died")
+                self._retire(worker, "died", HostPoolError)
         self._lock.notify_all()
 
-    def _retire(self, worker: _Worker, lost: str = "") -> None:
+    def _expire(self, wait: Optional[float]) -> Optional[float]:
+        """Terminate each worker whose unit's clock has run out, and cut
+        ``wait`` (seconds; None: no limit) short at the next deadline —
+        to 0 if one just ran out. The caller holds the lock."""
+        now, due = time.monotonic(), math.inf
+        for worker in self._workers:
+            if worker.window:
+                due = min(due, worker.window[0].deadline)
+                if worker.window[0].deadline <= now:
+                    self._retire(worker, "hung", WorkerTimeoutError)
+        if due < math.inf:
+            left = max(0.0, due - now)
+            wait = left if wait is None else min(wait, left)
+        return wait
+
+    def _retire(
+        self, worker: _Worker, lost: str = "", error: type = CollateralLossError
+    ) -> None:
         """Close ``worker``'s pipe and reap it: asked to stop, or — ``lost``
         says how it went — terminated, its window failed, the pool broken.
 
-        A worker that died was running the first unit of its window; the
-        units behind it, and every unit of a worker terminated for another
-        reason, are lost on another unit's account."""
+        The first unit of its window fails with ``error``: the one a
+        worker that died or hung was running. The units behind it, and
+        every unit of a worker terminated for another reason, are lost on
+        another unit's account."""
         if lost:
             worker.process.terminate()
         else:
@@ -351,7 +392,6 @@ class WorkerPool:
             worker.process.kill()
             worker.process.join()
         if lost:
-            error = HostPoolError if lost == "died" else CollateralLossError
             lost = f"worker {worker.process.pid} {lost}"
             self.broken = self.broken or lost
             while worker.window:
@@ -436,9 +476,9 @@ def invalidate_shared_pool(kill: bool = False) -> None:
     What the old pool queues is never lost: it runs there first, or —
     the old workers killed — moves to the new pool, so a unit of another
     thread's dies only if it was in a window. ``kill=True`` terminates
-    the old workers at once — required after a unit timeout, when one is
-    hung and a drain would never end. A broken pool is always killed:
-    whoever still wants its survivors' units pushes them again.
+    the old workers at once, for when one may be hung and a drain would
+    never end. A broken pool (a worker died or ran out of time) is always
+    killed: whoever still wants its survivors' units pushes them again.
     """
     with _pool_lock:
         if _shared_pool is not None:
@@ -446,15 +486,15 @@ def invalidate_shared_pool(kill: bool = False) -> None:
         _scratch_packs.close()
 
 
-def abandon(future: Future, kill: bool = False) -> None:
-    """A counted attempt failed for a host reason: replace the shared pool
-    it ran on (``kill``: see :func:`invalidate_shared_pool`) — unless that
-    pool is gone already, taking the attempt with it, and the one that
-    replaced it has done nothing wrong. An attempt that never reached a
-    pool replaces the current one."""
+def abandon(future: Future) -> None:
+    """An attempt failed for a host reason: replace the shared pool it ran
+    on (killed if a crash or a hang broke it) — unless that pool is gone
+    already, taking the attempt with it, and the one that replaced it has
+    done nothing wrong. An attempt that never reached a pool replaces the
+    current one."""
     with _pool_lock:
         if getattr(future, "_pool", _shared_pool) is _shared_pool:
-            invalidate_shared_pool(kill=kill)
+            invalidate_shared_pool()
 
 
 def shutdown_shared_pool() -> None:

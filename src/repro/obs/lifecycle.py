@@ -70,8 +70,8 @@ class Attempt:
     #: ``record`` / ``replay`` / ``replay-seq``; ``-serial`` marks the
     #: coordinator's fallback for a unit the pool could not finish
     kind: str
-    #: a free attempt pushed ahead of the merge (never a fault), as
-    #: opposed to a counted one or a run on the coordinator
+    #: pushed ahead of the merge (the position's attempt 0), as opposed
+    #: to one containment dispatched or a run on the coordinator
     pushed: bool = False
     #: building, pickling and writing (or queueing) the dispatch, all on
     #: the submitting thread — a solo run's or a service tenant's alike
@@ -87,7 +87,7 @@ class Attempt:
     #: the execution, once its result was consumed; a dropped result
     #: (cancelled behind a divergence, crashed) never gets one
     timing: Optional[UnitTiming] = None
-    #: the contained fault that ended a counted attempt
+    #: the contained fault that ended the attempt
     failure: Optional[Exception] = None
 
 
@@ -181,7 +181,7 @@ class Lives:
             self.ran(position, kind, timing)
 
     def failed(self, position: int, failure) -> None:
-        """A counted attempt crashed, hung or raised: contained."""
+        """The latest attempt crashed, hung or raised: contained."""
         self[position].attempts[-1].failure = failure
         obs_events.emit(
             "fault-contained", fault=failure.kind,

@@ -33,7 +33,8 @@ class RuntimeOptions:
 
     #: host worker processes for epoch execution (1 = serial, in-process)
     host_jobs: int = 1
-    #: per-unit wall-clock hang budget in seconds; 0 disables detection
+    #: per-unit wall-clock hang budget in seconds, counted from when a
+    #: worker takes the unit; 0 disables detection
     unit_timeout: float = 60.0
     #: superblock fusion in the interpreter
     superblocks: bool = True

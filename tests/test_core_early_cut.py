@@ -126,9 +126,10 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
     ``parity.HELD_LOCK``: a segment whose position 0's early verdict
     (run on the coordinator at boundary 1) was not final cuts position 0
     again at boundary 2, pushes it and consumes its verdict at boundary
-    3. Every dispatch of that unit faults, so the pushed attempt and both
-    contained pool attempts fail and the serial fallback produces the
-    verdict — at the same consumption boundary, with the same cut.
+    3. Every dispatch of that unit faults, so its pushed attempt
+    (attempt 0) and its one contained retry (attempt 1) fail and the
+    serial fallback produces the verdict — at the same consumption
+    boundary, with the same cut.
     """
     reference = parity.oracle(parity.HELD_LOCK)
     firsts = _first_epochs(reference.result.recording)
@@ -136,7 +137,7 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
         row[0] for row in reference.fields["judged"]
         if row[1:3] == (3, 0) and row[-1] == "disarm"
     ]
-    add_unit = host_executor._Batch._add_unit
+    add_unit = host_executor.SpeculativeSession._add_unit
     faulted_at = []
 
     def faulting(self, unit):
@@ -151,7 +152,7 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
     # Which contained runs the verdict schedule's consume asked for.
     waiting, contained = [], []
     wait = host_executor.SpeculativeSession.wait
-    run_contained = host_executor.HostExecutor._run_contained
+    run_contained = host_executor.SpeculativeSession._run_contained
 
     def waited(self, position):
         waiting.append(position)
@@ -160,20 +161,21 @@ def test_a_lost_verdict_is_reobtained_at_its_boundary(
         finally:
             waiting.pop()
 
-    def counted(self, batch, position):
+    def counted(self, position):
         contained.append(bool(waiting))
-        return run_contained(self, batch, position)
+        return run_contained(self, position)
 
-    monkeypatch.setattr(host_executor._Batch, "_add_unit", faulting)
+    monkeypatch.setattr(host_executor.SpeculativeSession, "_add_unit", faulting)
     monkeypatch.setattr(host_executor.SpeculativeSession, "wait", waited)
-    monkeypatch.setattr(host_executor.HostExecutor, "_run_contained", counted)
+    monkeypatch.setattr(host_executor.SpeculativeSession, "_run_contained", counted)
     faulted = parity.observe(parity.HELD_LOCK, jobs=2, unit_timeout=timeout)
     parity.assert_parity(faulted)
     assert faulted_at, "the re-cut position 0 was never pushed"
     assert True in contained, "the lost verdict was not re-obtained at its boundary"
     counts = faulted.host["faults"]
-    # Both contained pool attempts died, then the serial fallback ran it.
-    assert counts[counter] >= 2 and counts["serial_fallbacks"] >= 1
+    # Both pool attempts died, then the serial fallback ran it.
+    assert counts[counter] == 2 and counts["serial_fallbacks"] == 1
+    assert [event["attempt"] for event in faulted.host["fault_events"]] == [0, 1]
     spec = faulted.host["speculation"]
     assert spec["dispatched"] == (
         spec["accepted"] + spec["invalidated"] + spec["discarded"]

@@ -42,11 +42,16 @@ from repro.host.pool import (
     shared_pool,
     shutdown_shared_pool,
 )
+from repro.obs import spans as obs_spans
 from tests import parity
 from tests.parity import Program
 
 FFT = Program("fft", 2)
 RACY = Program("racy-counter", 2)
+APACHE = Program("apache", 2)
+#: the unit timeout of the clock tests: short, because a unit is never
+#: charged for time queued behind others
+UNIT_TIMEOUT = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -270,19 +275,17 @@ def test_record_crash_and_hang_complete_via_fallback():
 def test_record_crash_once_recovers_on_retry(monkeypatch, tmp_path):
     """With a one-shot fault the retry (not the fallback) saves the unit.
 
-    Two fuses, because every unit is pushed first and a pushed attempt
-    is free: the push burns the ``error`` fuse silently, the merge's
-    first counted attempt burns the ``crash`` fuse — a contained crash —
-    and its retry runs clean (a one-shot crash that only ever meets the
-    push is the parity table's ``crash-once`` fault).
+    Every unit is pushed first, so the push burns the fuse: a contained
+    crash, the position's attempt 0, and its retry runs clean.
     """
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    faulted = parity.observe(FFT, jobs=4, fault="error:unit1:once,crash:unit1:once")
+    faulted = parity.observe(FFT, jobs=4, fault="crash:unit1:once")
     parity.assert_parity(faulted)
     counts = faulted.host["faults"]
     assert counts["crashes"] == 1
     assert counts["retries"] == 1
-    # Both fuses were blown by then, so nothing ever needed the serial
+    assert [event["attempt"] for event in faulted.host["fault_events"]] == [0]
+    # The fuse was blown by then, so nothing ever needed the serial
     # fallback: the retry ran clean.
     assert counts["serial_fallbacks"] == 0
     assert counts["timeouts"] == 0 and counts["task_errors"] == 0
@@ -293,10 +296,77 @@ def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
     # the workload actually diverges
     assert parity.oracle(RACY).result.stats["divergences"] > 0
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    # One fuse for the free pushed attempt, one for the counted one.
-    faulted = parity.observe(RACY, jobs=2, fault="error:unit0:once,crash:unit0:once")
+    # The first segment's pushed unit 0 meets the fuse.
+    faulted = parity.observe(RACY, jobs=2, fault="crash:unit0:once")
     parity.assert_parity(faulted)
     assert faulted.host["faults"]["crashes"] >= 1
+
+
+def _traced(observe, *args, **kwargs):
+    """``observe(*args, **kwargs)`` under a trace: the observation and
+    its run's epoch lives."""
+    tracer = obs_spans.start_trace()
+    try:
+        got = observe(*args, **kwargs)
+    finally:
+        obs_spans.stop_trace()
+    (lives,) = tracer.runs
+    return got, lives
+
+
+@pytest.mark.parametrize("kind", ["record", "replay"])
+def test_a_hung_unit_costs_two_deadlines(kind):
+    """A hang pays one unit timeout per pool attempt, the pushed one
+    included, and each deadline runs from when a worker took the unit.
+
+    Read off the epoch lives: the hung position's pushed attempt and its
+    one retry each end in a ``WorkerTimeoutError`` (attempts 0 and 1),
+    then the unit runs on the coordinator, about two unit timeouts after
+    it was first dispatched. (A pushed attempt left unblamed would cost
+    a third pool attempt, and a third timeout.)
+    """
+    parity.oracle(APACHE, kind="record" if kind == "record" else "parallel")
+    observe = parity.observe if kind == "record" else parity.observe_replay
+    got, lives = _traced(
+        observe, APACHE, jobs=2, fault=f"{kind}:hang:unit1:30",
+        unit_timeout=UNIT_TIMEOUT,
+    )
+    parity.assert_parity(got)
+    (hung,) = [life for life in lives.all if any(a.failure for a in life.attempts)]
+    *pool, serial = hung.attempts
+    assert [type(a.failure) for a in pool] == [WorkerTimeoutError] * 2
+    assert [a.failure.attempt for a in pool] == [0, 1]
+    assert pool[0].pushed and not pool[1].pushed
+    assert serial.kind == f"{kind}-serial" and serial.dispatch is None
+    assert serial.timing.started - pool[0].dispatch[0] <= 2 * UNIT_TIMEOUT + 0.5
+    assert got.host["faults"]["timeouts"] == 2
+
+
+def test_a_unit_queued_behind_a_slow_one_is_not_blamed():
+    """A unit's clock starts when a worker takes it, not when it is written.
+
+    A replay pushes its units up front. Units 0 and 1 each sleep 0.7 of
+    the unit timeout, one on each worker, so unit 2, which sleeps as
+    long, is written while both are busy and waits in a window behind
+    one of them. It comes home more than a unit timeout after its
+    dispatch, but under one after its worker took it: no timeout, no
+    fallback.
+    """
+    parity.oracle(APACHE, kind="parallel")
+    slow = 0.7 * UNIT_TIMEOUT
+    fault = ",".join(f"replay:slow:unit{unit}:{slow}" for unit in range(3))
+    got, lives = _traced(
+        parity.observe_replay, APACHE, jobs=2, fault=fault,
+        unit_timeout=UNIT_TIMEOUT,
+    )
+    parity.assert_parity(got)
+    assert not any(got.host["faults"].values()), got.host["faults"]
+    (first,), (second,), (queued,) = (lives[unit].attempts for unit in range(3))
+    pids = got.host["unit_pids"]
+    assert pids[0] != pids[1] and pids[2] in pids[:2]
+    ends = [a.timing.started + a.timing.wall for a in (first, second, queued)]
+    assert queued.dispatch[1] < min(ends[:2])  # written while both were busy
+    assert ends[2] - queued.dispatch[0] > UNIT_TIMEOUT
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,12 @@ the thread that submits it and read by the thread that needs it; the
 coordinator has no other thread.* These tests hold the pool to it
 directly — the thread census of a record, a replay and a service run,
 the window that bounds what sits in a pipe, a large pickle that must not
-park the submitter, a pool built ready, a worker's death, a cancelled unit's
-reply, and several threads at once: a lane each, one reader at a time,
-no submit waiting on another thread's reply, a killed pool's queue
-handed to its successor — with ``WorkerPool``
-objects of their own, so a killed worker never outlives its test.
+park the submitter, a pool built ready, a worker's death, a cancelled
+unit's reply, a unit's clock and its deadline, and several threads at
+once: a lane each, one reader at a time, no submit waiting on another
+thread's reply, a killed pool's queue handed to its successor — with
+``WorkerPool`` objects of their own, so a killed worker never outlives
+its test.
 (Concurrent ``shared_pool`` / ``invalidate_shared_pool`` callers are
 ``tests/test_service_sessions.py``'s stress test.)
 """
@@ -27,7 +28,7 @@ import time
 import pytest
 
 from repro.core import DoublePlayRecorder, Replayer
-from repro.errors import CollateralLossError, HostPoolError
+from repro.errors import CollateralLossError, HostPoolError, WorkerTimeoutError
 from repro.host import executor as host_executor
 from repro.host import pool as host_pool
 from repro.host.pool import (
@@ -71,9 +72,9 @@ def test_a_record_and_a_replay_run_on_one_thread(monkeypatch, name):
     process holds the threads it held before (under plain pytest, the
     main thread alone).
 
-    The mutation that fails it: ``HostExecutor._dispatch`` handing the
-    unit to a helper — ``future = ThreadPoolExecutor(1).submit(lambda:
-    shared_pool(self.jobs).submit(run_unit, dispatch).result())`` — or any
+    The mutation that fails it: ``SpeculativeSession._dispatch`` handing
+    the unit to a helper — ``future = ThreadPoolExecutor(1).submit(lambda:
+    shared_pool(executor.jobs).submit(run_unit, dispatch).result())`` — or any
     executor, queue feeder or reader thread that outlives a push.
     """
     shared_pool(2).submit(os.getpid).result(60)  # warm: its first reply read
@@ -286,7 +287,27 @@ def test_a_service_run_holds_the_loop_thread_and_the_session_threads_only(
 
 
 # ----------------------------------------------------------------------
-# (g) Several threads: a lane each, one reader at a time.
+# (g) A unit's clock starts when its worker takes it; any wait enforces it.
+# ----------------------------------------------------------------------
+def test_a_hung_unit_nobody_waits_for_is_ended_by_the_wait_behind_it(pool_of):
+    """One worker: a unit that sleeps 30 s with a 0.3 s timeout, and a
+    quick one written behind it. Only the second is waited on; its clock
+    never starts, but the wait watches the hung unit's deadline and
+    terminates that worker at it: the hung unit fails with
+    ``WorkerTimeoutError``, the one behind it as collateral, long before
+    the sleep ends."""
+    pool = pool_of(1)
+    hung = pool.submit(time.sleep, 30, timeout=0.3)
+    behind = pool.submit(os.getpid, timeout=0.3)
+    start = time.perf_counter()
+    with pytest.raises(CollateralLossError):
+        behind.result(60)
+    assert time.perf_counter() - start < 5
+    assert type(hung.exception(0)) is WorkerTimeoutError and pool.broken
+
+
+# ----------------------------------------------------------------------
+# (h) Several threads: a lane each, one reader at a time.
 # ----------------------------------------------------------------------
 def test_a_waiting_thread_never_holds_up_another_threads_submit(pool_of):
     """Thread A waits on a 0.5 s unit: it holds the reader role. Thread

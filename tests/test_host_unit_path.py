@@ -1,7 +1,7 @@
 """One epoch-unit path: execute and dispatch exist once each.
 
 The host layer runs a unit through one routine wherever it runs — a pool
-worker (pushed or counted attempt, solo or a service tenant's) or the
+worker (pushed attempt or retry, solo or a service tenant's) or the
 coordinator's serial fallback. These tests pin that directly: the two
 callers of the one execute routine agree on values and counters, the
 one dispatch routine records every attempt (so every span derives from
@@ -45,7 +45,7 @@ class _CapturingPool:
     def __call__(self, jobs):
         return self  # as ``shared_pool(jobs)``
 
-    def submit(self, fn, dispatch):
+    def submit(self, fn, dispatch, timeout=None):
         assert fn is host_worker.run_unit, "a second worker entry point exists"
         self.dispatches.append(dispatch)
         raise RuntimeError("no worker behind this pool")
@@ -56,7 +56,7 @@ def captured(monkeypatch):
     """One record and one replay dispatch, captured pool-free."""
     seam = _CapturingPool()
     monkeypatch.setattr(host_executor, "shared_pool", seam)
-    monkeypatch.setattr(host_executor, "abandon", lambda future, kill: None)
+    monkeypatch.setattr(host_executor, "abandon", lambda future: None)
     got = parity.observe(PBZIP, jobs=2)
     # Every unit fell back to the serial wrapper and the oracle held.
     parity.assert_parity(got)
@@ -216,10 +216,10 @@ def test_a_bug_in_building_a_dispatch_is_not_contained(monkeypatch):
     a broken pool, retried on a rebuilt one and hidden behind the serial
     fallback. Only host failures are contained; this one raises.
     """
-    def broken(self, batch, position):
-        raise KeyError("a digest the batch never interned")
+    def broken(self, position):
+        raise KeyError("a digest the session never interned")
 
-    monkeypatch.setattr(host_executor.HostExecutor, "_make_dispatch", broken)
+    monkeypatch.setattr(host_executor.SpeculativeSession, "_make_dispatch", broken)
     with pytest.raises(KeyError, match="never interned"):
         parity.observe(PBZIP, jobs=2)
 

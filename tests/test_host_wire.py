@@ -20,7 +20,7 @@ from repro.core import DoublePlayConfig, DoublePlayRecorder
 from repro.exec.interpreter import decode_program
 from repro.host import executor as host_executor
 from repro.host.blobs import ScratchPacks, decode_blob_object
-from repro.host.executor import HostExecutor
+from repro.host.executor import HostExecutor, SpeculativeSession
 from repro.host.wire import _record_unit, replay_spans, replay_units_for_recording
 from repro.machine.config import MachineConfig
 from repro.memory.address_space import AddressSpace, MemorySnapshot
@@ -377,14 +377,12 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
         sizes = []
         for history in ("cold", "warm"):
             executor = HostExecutor(options.resolve(host_jobs=2), Lives())
-            batch = executor._begin_batch(
-                "replay", instance.image, machine, wire.blobs
-            )
+            session = SpeculativeSession(executor, "replay", instance.image, machine)
+            session.blobs.update(wire.blobs)
             for unit in wire.units:
-                batch._add_unit(unit)
+                session._add_unit(unit)
             dispatches = [
-                executor._make_dispatch(batch, index)
-                for index in range(len(batch.units))
+                session._make_dispatch(index) for index in range(len(session.units))
             ]
             assert len(dispatches) == len(wire.units)
             assert recording.epoch_count() >= 8
@@ -392,8 +390,8 @@ def test_steady_state_dispatch_is_skeleton_only(name, monkeypatch):
             blobs_put = sum(dispatch.placed[0] for dispatch in dispatches)
             bytes_put = sum(dispatch.placed[1] for dispatch in dispatches)
             if history == "cold":
-                assert blobs_put == len(batch.blobs)
-                assert bytes_put == sum(map(len, batch.blobs.values()))
+                assert blobs_put == len(session.blobs)
+                assert bytes_put == sum(map(len, session.blobs.values()))
             else:
                 assert bytes_put == blobs_put == 0
             sizes.append([len(pickle.dumps(dispatch)) for dispatch in dispatches])
@@ -488,10 +486,11 @@ def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch
     monkeypatch.setattr(host_executor, "_scratch_packs", packs)
     try:
         executor = HostExecutor(options.resolve(host_jobs=2), Lives())
-        batch = executor._begin_batch("record", instance.image, machine, blobs)
+        session = SpeculativeSession(executor, "record", instance.image, machine)
+        session.blobs.update(blobs)
         shipped = 0
         for unit in units:
-            dispatch = executor._make_dispatch(batch, batch._add_unit(unit))
+            dispatch = session._make_dispatch(session._add_unit(unit))
             packs.release(dispatch.pack)
             shipped += dispatch.placed[1]
         assert shipped > 0
@@ -501,8 +500,8 @@ def test_a_position_cut_twice_yields_equal_units_and_re_puts_nothing(monkeypatch
                 checkpoints[position + 1], (), logs, True, blobs, interned,
             )
             assert again == units[position] and again is not units[position]
-            assert batch._add_unit(again) == position
-            dispatch = executor._make_dispatch(batch, position)
+            assert session._add_unit(again) == position
+            dispatch = session._make_dispatch(position)
             packs.release(dispatch.pack)
             assert dispatch.placed[:2] == (0, 0)
         assert blobs == held

@@ -152,15 +152,15 @@ def test_goldens_survive_forced_blob_misses(monkeypatch):
 
     invalidate_shared_pool()  # fresh workers hold nothing: misses are guaranteed
 
-    original = host_pool.HostExecutor._make_dispatch
+    original = host_pool.SpeculativeSession._make_dispatch
 
-    def starved(self, batch, position):
-        dispatch = original(self, batch, position)
+    def starved(self, position):
+        dispatch = original(self, position)
         host_pool._scratch_packs.release(dispatch.pack)
         dispatch.pack = os.path.join(dispatch.pack, "unlinked")
         return dispatch
 
-    monkeypatch.setattr(host_pool.HostExecutor, "_make_dispatch", starved)
+    monkeypatch.setattr(host_pool.SpeculativeSession, "_make_dispatch", starved)
     try:
         got = parity.observe(Program("fft", 2), jobs=2)
         parity.assert_parity(got)

@@ -28,7 +28,7 @@ from repro.baselines import run_native
 from repro.checkpoint.manager import CheckpointManager
 from repro.core import DoublePlayConfig, DoublePlayRecorder, Replayer
 from repro.host import executor as host_executor
-from repro.host.executor import HostExecutor
+from repro.host.executor import SpeculativeSession
 from repro.host.pool import invalidate_shared_pool, shared_pool
 from repro.host.wire import replay_spans
 from repro.host.worker import UnitDispatch
@@ -71,15 +71,15 @@ def _work(result, name):
 
 @pytest.fixture
 def contained_runs(monkeypatch):
-    """Every entry into the counted path, as ``(batch kind, position)``."""
+    """Every entry into the contained path, as ``(session kind, position)``."""
     entered = []
-    run_contained = HostExecutor._run_contained
+    run_contained = SpeculativeSession._run_contained
 
-    def counted(self, batch, position):
-        entered.append((batch.kind, position))
-        return run_contained(self, batch, position)
+    def counted(self, position):
+        entered.append((self.kind, position))
+        return run_contained(self, position)
 
-    monkeypatch.setattr(HostExecutor, "_run_contained", counted)
+    monkeypatch.setattr(SpeculativeSession, "_run_contained", counted)
     return entered
 
 
@@ -237,7 +237,7 @@ def test_a_replay_runs_every_unit_once_through_the_session(
     server, contained_runs, jobs
 ):
     """A replay is a session like a record segment's: N units pushed, N
-    accepted, none through the counted path — and the ``jobs=1`` verdict.
+    accepted, none through the contained path — and the ``jobs=1`` verdict.
     A unit is a span of epochs: ``3 * jobs`` of them (at most one per
     epoch), not one per epoch.
 
@@ -263,9 +263,9 @@ def test_a_replay_runs_every_unit_once_through_the_session(
     assert pooled.jobs == pooled.host["jobs"] == jobs
 
 
-#: the position whose every first two dispatches crash their worker: an
-#: interior unit of a record segment (one unit per epoch) or of a replay
-#: (one unit per span, ``3 * JOBS`` of them)
+#: the position whose pushed attempt crashes its worker: an interior unit
+#: of a record segment (one unit per epoch) or of a replay (one unit per
+#: span, ``3 * JOBS`` of them)
 CRASHED = {"record": 3, "replay": 1}
 
 
@@ -275,24 +275,20 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
 ):
     """One crash does not serialise what is behind it.
 
-    Position K's pushed attempt kills its worker, and with it the pool
-    and every attempt in its windows; so does K's first counted attempt;
-    its retry runs clean. What died is pushed again, without blame, when
-    containment abandons the pool — before K's retry is even dispatched
-    — and what was still queued moves to the rebuilt pool, so no
-    position behind K goes through the counted path, the fault counters
-    name K alone, and the result is the ``jobs=1`` one. (The last unit
-    is slowed so that it is in the pool when K's counted attempt kills
-    it: a record segment pushes it last; a replay pushes all its units
-    up front, so the last one moves to the first rebuilt pool queued
-    just ahead of K's counted attempt — unslowed, it may be home before
-    that attempt dies, and then nothing is pushed again. A replay's
-    units behind K run on two pools: what was queued on the first
-    rebuilt one, what was in a window on the next.)
+    Position K's pushed attempt meets a one-shot crash: it kills its
+    worker, and with it the pool and every attempt in its windows. Where
+    the merge meets it, the crash is K's attempt 0: the pool is
+    abandoned, and what died with it is pushed again at once, without
+    blame — before K's retry is even dispatched — while what was still
+    queued moves to the rebuilt pool. So no position behind K goes
+    through the contained path, the fault counters name K alone, K's
+    retry runs clean, and the result is the ``jobs=1`` one. (The last
+    unit is slowed so that a replay, which pushes all its units up
+    front, still has it in a window when the pool is abandoned.)
 
-    Fails if ``_run_contained`` does not push the dead attempts again
-    after ``abandon`` — the parent's record merge, where each position
-    that died went through the counted path after K, one at a time.
+    Fails if a crash that only a pushed attempt meets abandons nothing:
+    then each position that died with it reaches the contained path
+    after K, one at a time.
     """
     instance, machine, config = server
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "fuses"))
@@ -301,11 +297,7 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     assert len(recording.epochs) >= 12
     crashed = CRASHED[kind]
     units = len(recording.epochs) if kind == "record" else 3 * JOBS
-    # Two one-shot fuses for K (they differ in scope); the last unit slow.
-    faults = (
-        f"crash:unit{crashed}:once,{kind}:crash:unit{crashed}:once,"
-        f"{kind}:slow:unit{units - 1}:0.4"
-    )
+    faults = f"{kind}:crash:unit{crashed}:once,{kind}:slow:unit{units - 1}:0.4"
     replayer = Replayer(instance.image, machine)
     # Outside the trace: an inline replay's execute spans name positions too.
     expected = replayer.replay_parallel(recording, jobs=1)
@@ -325,34 +317,39 @@ def test_the_positions_behind_a_crash_keep_executing_concurrently(
     finally:
         obs_spans.stop_trace()
         invalidate_shared_pool(kill=True)  # killed workers stay out of later tests
-    # Blame: K's one counted crash, saved by its retry.
-    assert {event["position"] for event in host["fault_events"]} == {crashed}
+    # Blame: K's pushed attempt crashed, and its retry saved it.
+    assert [(e["position"], e["attempt"]) for e in host["fault_events"]] == [
+        (crashed, 0)
+    ]
     assert host["faults"] == {
         "crashes": 1, "timeouts": 0, "task_errors": 0, "retries": 1,
         "serial_fallbacks": 0,
     }
-    # Nothing behind K went through the counted path, or ran here.
+    # Nothing behind K went through the contained path, or ran here.
     assert (kind, crashed) in contained_runs
     assert all(position <= crashed for _, position in contained_runs)
     behind = host["unit_pids"][crashed + 1:]
     assert os.getpid() not in behind
     # Every attempt pushed again started before K's retry had finished.
-    spans = [s for s in tracer.spans if s.args.get("position") is not None]
-    dispatched = sorted(
-        (s for s in spans if s.name == "dispatch" and s.args["position"] == crashed),
+    spans = sorted(
+        (s for s in tracer.spans if s.args.get("position") is not None),
         key=lambda s: s.start,
     )
+    dispatched = [
+        s for s in spans if s.name == "dispatch" and s.args["position"] == crashed
+    ]
     (retried,) = [
         s for s in spans if s.name == "execute"
         and s.args["position"] == crashed and s.args["kind"] == kind
     ]
-    assert len(dispatched) == 3 and retried.track != tracer.pid
-    pushed_again = [
-        s for s in spans if s.name == "dispatch" and s.args["position"] > crashed
-        and s.start > dispatched[1].start
-    ]
+    assert len(dispatched) == 2 and retried.track != tracer.pid
+    dispatches_behind = {}
+    for s in spans:
+        if s.name == "dispatch" and s.args["position"] > crashed:
+            dispatches_behind.setdefault(s.args["position"], []).append(s)
+    pushed_again = [s for _, *again in dispatches_behind.values() for s in again]
     assert all(s.args.get("speculative") for s in pushed_again)
-    assert all(s.start < dispatched[2].start < retried.end for s in pushed_again)
+    assert all(s.start < dispatched[1].start < retried.end for s in pushed_again)
     if kind == "replay":
         assert pushed_again and len(set(behind)) >= 2  # two workers, still
 
@@ -443,11 +440,11 @@ class _WatchedPool:
         self.seen = []
         monkeypatch.setattr(host_executor, "shared_pool", lambda jobs: self)
 
-    def submit(self, fn, dispatch):
+    def submit(self, fn, dispatch, timeout=None):
         self.seen.append(
             (dispatch.unit, len(pickle.dumps(dispatch)), dispatch.placed[:2], dispatch)
         )
-        return shared_pool(JOBS).submit(fn, dispatch)
+        return shared_pool(JOBS).submit(fn, dispatch, timeout=timeout)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
