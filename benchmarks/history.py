@@ -8,7 +8,11 @@ Each LABEL=CHECKOUT runs its own ``benchmarks/e2e/run.py --workload W --trace 0`
 so drift on the box lands on both. Only run.py's last line, its JSON result, is
 read; a run that fails its own checks ends this script with an error. Append-only:
 the trajectory is the file's lines in order. Each workload also prints a table of
-medians, every later side beside the first with its relative change.
+medians, every later side beside the first with its relative change. Every
+line carries, beside its label, the checkout's ``git rev-parse --short HEAD``
+(``"sha"``) and whether its files differ from that commit (``"dirty"``), both
+null for a directory that is not the top of a git checkout (an export), so a
+row can be placed on the trajectory whatever its label says.
 
 After the untraced passes each side runs one ``--trace 1`` pass, appended as a
 second kind of line (``"kind": "per_layer"``, one value per metric, no quartiles:
@@ -39,22 +43,34 @@ def measure(checkout: str, workload: str, trace: int = 0, seed: int = None) -> d
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def revision(checkout: str) -> dict:
+    """The checkout's short HEAD and whether its files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != Path(checkout).resolve():
+        return {"sha": None, "dirty": None}  # an export, not a checkout of its own
+    head = git("rev-parse", "--short", "HEAD")
+    return {"sha": head.stdout.strip(), "dirty": bool(git("status", "--porcelain").stdout.strip())}
+
+
 def table(workload: str, lines: list, contract: dict) -> str:
     """Medians per end-to-end metric: the first side, then each other side
     with its change relative to the first (+ is a larger number)."""
     first, *others = lines
-    header = f"{workload:<30}{first['commit']:>14}" + "".join(
-        f"{line['commit']:>14}{'change':>9}" for line in others
+    width = max(14, *(len(line["commit"]) + 2 for line in lines))
+    header = f"{workload:<30}{first['commit']:>{width}}" + "".join(
+        f"{line['commit']:>{width}}{'change':>9}" for line in others
     )
     rows = [header]
     for metric in contract["end_to_end"]:
         name = metric["name"]
         base = first["metrics"][name]["median"]
-        row = f"{name + ' (' + metric['unit'] + ')':<30}{base:>14.4g}"
+        row = f"{name + ' (' + metric['unit'] + ')':<30}{base:>{width}.4g}"
         for line in others:
             median = line["metrics"][name]["median"]
             change = f"{100.0 * (median / base - 1.0):+.1f}%" if base else "n/a"
-            row += f"{median:>14.4g}{change:>9}"
+            row += f"{median:>{width}.4g}{change:>9}"
         rows.append(row)
     return "\n".join(rows)
 
@@ -72,6 +88,7 @@ if __name__ == "__main__":
     if not all("=" in side for side in args.sides):
         parser.error("each side is LABEL=CHECKOUT")
     sides = [side.split("=", 1) for side in args.sides]
+    revisions = {label: revision(checkout) for label, checkout in sides}
     stamp = {"nproc": os.cpu_count(), "python": sys.version.split()[0], "passes": PASSES}
     if args.seed is not None:
         stamp["seed"] = args.seed
@@ -82,7 +99,8 @@ if __name__ == "__main__":
                 runs[label].append(measure(checkout, workload, seed=args.seed))
         lines = []
         for label, _ in sides:
-            line = {"commit": label, "workload": workload, **stamp, "metrics": {}}
+            line = {"commit": label, **revisions[label], "workload": workload, **stamp,
+                    "metrics": {}}
             for metric in contract["end_to_end"]:
                 values = sorted(run[metric["name"]] for run in runs[label])
                 q1, middle, q3 = quantiles(values, n=4, method="inclusive")
@@ -94,7 +112,8 @@ if __name__ == "__main__":
             lines.append(line)
         print(table(workload, lines, contract), flush=True)
         for label, checkout in sides:
-            layers = {"commit": label, "workload": workload, "kind": "per_layer",
+            layers = {"commit": label, **revisions[label], "workload": workload,
+                      "kind": "per_layer",
                       **stamp, "passes": 1,
                       "metrics": measure(checkout, workload, trace=1, seed=args.seed)}
             with open(ROOT / "BENCH_history.jsonl", "a") as history:

@@ -20,7 +20,7 @@ from repro.errors import ReplayError
 from repro.isa.context import BlockedReason, ThreadContext, ThreadStatus
 from repro.memory.address_space import MemorySnapshot
 from repro.memory.blob import decode_blob, encode_object
-from repro.memory.hashing import combine_hashes, hash_structure
+from repro.memory.hashing import combine_hashes, contexts_digest
 from repro.memory.page import Page
 
 
@@ -95,9 +95,7 @@ class Checkpoint:
         # The checkpoint's contexts are private copies (see
         # CheckpointManager), so the digest can be computed once.
         if self._ctx_digest is None:
-            self._ctx_digest = hash_structure(
-                [self.contexts[tid].state_tuple() for tid in sorted(self.contexts)]
-            )
+            self._ctx_digest = contexts_digest(self.contexts)
         return self._ctx_digest
 
     def digest(self) -> int:

@@ -20,7 +20,7 @@ from repro.isa.context import BlockedReason, ThreadContext, ThreadStatus
 from repro.isa.program import ProgramImage
 from repro.machine.config import MachineConfig
 from repro.memory.address_space import AddressSpace
-from repro.memory.hashing import combine_hashes, hash_structure
+from repro.memory.hashing import combine_hashes, contexts_digest
 from repro.obs import metrics as obs_metrics
 from repro.oskernel.sync import SyncManager
 
@@ -330,9 +330,7 @@ class BaseEngine:
     # ------------------------------------------------------------------
     def contexts_digest(self) -> int:
         """Stable hash of all thread contexts' canonical state."""
-        return hash_structure(
-            [self.contexts[tid].state_tuple() for tid in sorted(self.contexts)]
-        )
+        return contexts_digest(self.contexts)
 
     def state_digest(self) -> int:
         """Memory + contexts digest — the divergence-check currency."""

@@ -66,6 +66,7 @@ from repro import options
 from repro.errors import GuestFault
 from repro.isa.blocks import BRANCH_OPS, branch_target, discover_blocks
 from repro.isa.instructions import Instruction, Op
+from repro.memory.layout import PAGE_OFFSET_MASK, PAGE_SHIFT
 from repro.obs import metrics as obs_metrics
 
 _MASK = (1 << 64) - 1
@@ -160,6 +161,11 @@ def _build_table(program, costs) -> list:
 # Deferred pc/retired: no fused op reads ``ctx.pc``, so the handler
 # advances both once per exit (``n`` counts the ops of completed passes;
 # ``_k`` is the faultable op's index within the current pass).
+# Loads and stores hit the address space's software TLB inline and call
+# ``mem.read`` / ``mem.write`` only on a miss; the TLB fields are read at
+# every op, never held in locals, so a miss or a copy-on-write earlier in
+# the pass is seen. A write-TLB hit costs ``mem`` alone: its page is
+# private (the write-entry invariant), so it cannot copy on write.
 # ----------------------------------------------------------------------
 
 #: ops whose cycle cost is not a compile-time constant
@@ -203,6 +209,18 @@ def _wrap_store(dest: str, expr: str) -> List[str]:
         f"_v = ({expr}) & {_MASK}",
         f"{dest} = _v - {_WRAP} if _v & {_SIGN} else _v",
     ]
+
+
+def _gen_addr(indexed: bool, lines: List[str], b, c) -> Tuple[str, str, str]:
+    """A memory op's page number, page offset and address expressions.
+
+    An indexed address (``regs[b] + c``) is computed once into ``_a``; a
+    global one (the literal ``b``) folds its page and offset to literals.
+    """
+    if not indexed:
+        return f"{b >> PAGE_SHIFT}", f"{b & PAGE_OFFSET_MASK}", f"{b}"
+    lines.append(f"_a = regs[{b}] + {c}" if c else f"_a = regs[{b}]")
+    return f"_a >> {PAGE_SHIFT}", f"_a & {PAGE_OFFSET_MASK}", "_a"
 
 
 def _gen_op(pc: int, instr: Instruction, costs) -> Tuple[List[str], bool]:
@@ -262,22 +280,25 @@ def _gen_op(pc: int, instr: Instruction, costs) -> Tuple[List[str], bool]:
     elif op is Op.WORKR:
         lines.append(f"_d = regs[{a}]")
         lines.append("cum += _d if _d > 1 else 1")
-    elif op is Op.LOAD:
+    elif op in (Op.LOAD, Op.LOADG):
         uses_mem = True
-        addr = f"regs[{b}] + {c}" if c else f"regs[{b}]"
-        lines.append(f"regs[{a}] = rd({addr})")
-        lines.append(f"cum += {int(costs.mem)}")
-    elif op is Op.LOADG:
-        uses_mem = True
-        lines.append(f"regs[{a}] = rd({b})")
+        page, offset, addr = _gen_addr(op is Op.LOAD, lines, b, c)
+        lines.append(f"if {page} == mem._rtlb_no:")
+        lines.append(f"    regs[{a}] = mem._rtlb_words[{offset}]")
+        lines.append("else:")
+        lines.append(f"    regs[{a}] = rd({addr})")
         lines.append(f"cum += {int(costs.mem)}")
     elif op in (Op.STORE, Op.STOREG):
         uses_mem = True
-        addr = (f"regs[{b}] + {c}" if c else f"regs[{b}]") if op is Op.STORE else f"{b}"
-        lines.append("_cb = mem.cow_copies")
-        lines.append(f"wr({addr}, regs[{a}])")
+        page, offset, addr = _gen_addr(op is Op.STORE, lines, b, c)
+        lines.append(f"if {page} == mem._wtlb_no:")
+        lines.append(f"    mem._wtlb_words[{offset}] = regs[{a}]")
+        lines.append(f"    cum += {int(costs.mem)}")
+        lines.append("else:")
+        lines.append("    _cb = mem.cow_copies")
+        lines.append(f"    wr({addr}, regs[{a}])")
         lines.append(
-            f"cum += {int(costs.mem)} + "
+            f"    cum += {int(costs.mem)} + "
             f"(mem.cow_copies - _cb) * {int(costs.page_cow_copy)}"
         )
     else:  # pragma: no cover - discover_blocks only emits fusable ops

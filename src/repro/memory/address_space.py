@@ -20,7 +20,8 @@ Invariants: the write TLB may only cache a page that is private
 (both the FNV hash and the wire-blob digest) — then a TLB-hit store can
 skip all bookkeeping. Any operation that breaks one of those assumptions
 (snapshotting, draining the dirty set, or reading page hashes) must
-flush the write TLB first.
+flush the write TLB first. Fused superblocks (``repro.exec.superblock``)
+read the four TLB fields directly and rely on the same invariant.
 """
 
 from __future__ import annotations

@@ -2,7 +2,12 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.hashing import combine_hashes, fnv1a_words, hash_structure
+from repro.isa.context import ThreadContext, ThreadStatus
+from repro.memory import hashing
+from repro.memory.hashing import (
+    combine_hashes, contexts_digest, fnv1a_words, hash_structure,
+)
+from tests.conftest import examples
 
 
 class TestFnv:
@@ -168,3 +173,100 @@ class TestIncrementalHashProperty:
             assert snap.content_hash() == frozen
         assert space.content_hash() == self._reference_hash(space)
         snap.release()
+
+
+def _reference(contexts):
+    """The contexts digest as ``hash_structure`` defines it."""
+    return hash_structure([contexts[tid].state_tuple() for tid in sorted(contexts)])
+
+
+def _clear_memos():
+    hashing._WORD_MEMO.clear()
+    hashing._STATE_MEMO.clear()
+
+
+_REGISTER = st.one_of(
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=2**64, max_value=2**70),
+    st.just(0),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@st.composite
+def _contexts(draw):
+    contexts = {}
+    for tid in draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)):
+        # a few drawn registers, the rest zero: the kinds of word matter
+        drawn = draw(st.lists(_REGISTER, max_size=8))
+        contexts[tid] = ThreadContext(
+            tid=tid,
+            pc=draw(st.integers(0, 200)),
+            registers=drawn + [0] * (32 - len(drawn)),
+            status=draw(st.sampled_from(ThreadStatus)),
+            call_stack=draw(st.lists(st.integers(0, 200), max_size=3)),
+            retired=draw(st.integers(0, 10**6)),
+            spawn_count=draw(st.integers(0, 3)),
+            syscall_count=draw(st.integers(0, 5)),
+        )
+    return contexts
+
+
+class TestContextsDigest:
+    """``contexts_digest`` is ``hash_structure`` over the state tuples,
+    bit for bit, whatever its memos already hold."""
+
+    @given(_contexts())
+    @settings(max_examples=examples(40), deadline=None)
+    def test_equals_the_reference_cold_and_warm(self, contexts):
+        _clear_memos()
+        assert contexts_digest(contexts) == _reference(contexts)
+        assert contexts_digest(contexts) == _reference(contexts)
+
+    def test_a_bool_never_takes_an_int_entry(self):
+        # False == 0 and True == 1 as dict keys, but they hash differently
+        for bit in (0, 1):
+            ints = {1: ThreadContext(tid=1, pc=0, registers=[bit] * 32)}
+            bools = {1: ThreadContext(tid=1, pc=0, registers=[bool(bit)] * 32)}
+            _clear_memos()
+            assert contexts_digest(ints) == _reference(ints)
+            assert contexts_digest(bools) == _reference(bools) != _reference(ints)
+
+    def test_pinned_value(self):
+        # Recordings store these digests: a silent change to the kernel
+        # or to hash_structure itself must fail here.
+        contexts = {
+            2: ThreadContext(
+                tid=2, pc=40, registers=list(range(-16, 16)),
+                status=ThreadStatus.EXITED, retired=77, parent=1,
+            ),
+            1: ThreadContext(
+                tid=1, pc=17, registers=[0] * 29 + [-1, 1 << 64, 5],
+                status=ThreadStatus.BLOCKED, call_stack=[3, 9], retired=120,
+                spawn_count=2, syscall_count=4,
+            ),
+        }
+        for _ in range(2):
+            _clear_memos()
+            assert contexts_digest(contexts) == 0x51E6B4C5E25FE478
+            assert _reference(contexts) == 0x51E6B4C5E25FE478
+
+    def test_memos_stay_within_their_caps(self):
+        # each memo fills up to its cap, is cleared, and never outgrows it
+        _clear_memos()
+        peak = 0
+        for base in range(0, hashing.WORD_MEMO_CAP + 64, 32):
+            contexts = {0: ThreadContext(tid=0, pc=0, registers=list(range(base, base + 32)))}
+            assert contexts_digest(contexts) == _reference(contexts)
+            peak = max(peak, len(hashing._WORD_MEMO))
+        assert hashing.WORD_MEMO_CAP - 64 < peak <= hashing.WORD_MEMO_CAP
+        assert len(hashing._WORD_MEMO) < 128
+        _clear_memos()
+        peak = 0
+        for pc in range(hashing.STATE_MEMO_CAP + 8):
+            contexts_digest({0: ThreadContext(tid=0, pc=pc, registers=[0] * 32)})
+            peak = max(peak, len(hashing._STATE_MEMO))
+        assert peak == hashing.STATE_MEMO_CAP
+        assert len(hashing._STATE_MEMO) < 16
+        _clear_memos()

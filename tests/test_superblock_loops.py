@@ -36,8 +36,11 @@ def _loop(asm: Assembler, kind: str) -> None:
     """One bottom-tested loop of ``ITERS`` iterations over r1."""
     asm.li("r1", 0)
     asm.li("r2", 0)
-    if kind in ("cow", "load"):
+    if kind in ("cow", "load", "cowread"):
         asm.li("r4", "buf")
+    elif kind == "twopages":
+        asm.li("r4", "pa")
+        asm.li("r9", "pb")
     asm.label("loop")
     asm.addi("r1", "r1", 1)
     if kind == "plain":
@@ -61,6 +64,31 @@ def _loop(asm: Assembler, kind: str) -> None:
         asm.add("r5", "r5", "r4")
         asm.load("r7", "r5", 0)  # past the array in iteration FAULT_AT
         asm.add("r2", "r2", "r7")
+    elif kind == "cowread":
+        # One page A per pass: read it (the read TLB takes the shared
+        # page), store to it (copy-on-write swaps the page), read the
+        # store back (the read TLB must follow the copy), then a
+        # write-TLB hit and its read-back.
+        asm.muli("r5", "r1", PAGE_WORDS)
+        asm.add("r5", "r5", "r4")
+        asm.load("r7", "r5", 0)
+        asm.store("r1", "r5", 1)
+        asm.load("r8", "r5", 1)
+        asm.addi("r8", "r8", 5)
+        asm.store("r8", "r5", 2)
+        asm.load("r7", "r5", 2)
+        asm.add("r2", "r2", "r7")
+    elif kind == "twopages":
+        # every memory op turns to the other page, so almost every one
+        # misses its TLB
+        asm.loadg("r5", "pa")
+        asm.load("r6", "r9", 1)
+        asm.store("r1", "r4", 1)
+        asm.storeg("r5", "pb")
+        asm.load("r7", "r4", 1)
+        asm.loadg("r8", "pb")
+        asm.add("r2", "r2", "r7")
+        asm.storeg("r2", "pa")
     asm.blti("r1", ITERS, "loop")
 
 
@@ -70,6 +98,11 @@ def _data(asm: Assembler, kind: str) -> None:
     elif kind == "load":
         # pages 0 .. FAULT_AT - 1 past ``buf`` are mapped, FAULT_AT is not
         asm.page_aligned_array("buf", FAULT_AT * PAGE_WORDS, fill=7)
+    elif kind == "cowread":
+        asm.page_aligned_array("buf", (ITERS + 1) * PAGE_WORDS, fill=3)
+    elif kind == "twopages":
+        asm.page_aligned_array("pa", PAGE_WORDS, fill=1)
+        asm.page_aligned_array("pb", PAGE_WORDS, fill=2)
 
 
 def single(kind: str):
@@ -190,6 +223,28 @@ def test_self_loops_iterate_inside_one_frame(monkeypatch):
     calls, ops = _fused("fused_calls") - calls, _fused() - ops
     # the loop body is 4 ops; one call retired many iterations
     assert calls and ops >= 10 * 4 * calls
+
+
+@pytest.mark.parametrize("kind", ["cowread", "twopages"])
+@pytest.mark.parametrize("engine", ["uni", "uni-shared", "multicore-shared"])
+def test_inline_tlb_edges(monkeypatch, kind, engine):
+    """Fused loads and stores hit the software TLB inline: a copy-on-write
+    earlier in the same pass, and a page switch at every op, read and
+    write exactly what the unfused ops do."""
+    share = engine.endswith("shared")
+    if engine.startswith("multicore"):
+        image, cls = threaded(kind, 2), MulticoreEngine
+        machine = MachineConfig(cores=2, quantum=90)
+    else:
+        image, cls = single(kind), UniprocessorEngine
+        machine = MachineConfig(cores=1)
+    state = assert_parity(
+        monkeypatch,
+        lambda: _boot(cls, image, machine, share),
+        lambda e: e.run() if cls is MulticoreEngine else _capture(e),
+    )
+    if share:
+        assert state["cow_copies"] > 0
 
 
 # ----------------------------------------------------------------------
