@@ -355,7 +355,7 @@ class Replayer:
         threads into the wait queues (``merge_deferred``), which the end
         digest leaves out, so replays from them verify but 6 of the 28
         golden programs report other cycle counts (apache/2: 14 101,
-        not 14 095). Its deletion waits on ROADMAP item 6(d).
+        not 14 095). It goes once that benchmark keeps the recorded ones.
         """
         engine = self.whole_run_engine(recording, "materialize")
         for epoch in self.walk(engine, recording):

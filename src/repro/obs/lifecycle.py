@@ -369,6 +369,66 @@ def fleet_summary(sessions: Sequence[Sequence[Lives]]) -> Dict[str, object]:
     return {"sessions": len(sessions), **summary, "wire": wire}
 
 
+def violations(lives: Lives, epochs: Optional[int] = None) -> List[str]:
+    """Every break of the rules a run's lives keep, numbered as in
+    DESIGN.md (*Observability*); ``epochs`` is a record's committed
+    count. Pure: only tests call it, on every run they make."""
+    found: List[str] = []
+
+    def broken(rule: int, life: EpochLife, what: str) -> None:
+        found.append(f"rule {rule}, epoch {life.epoch} at {life.position}: {what}")
+
+    segments: List[List[EpochLife]] = []
+    for life in lives.all:
+        failed: List[int] = []  # pool attempts failed since a result came
+        for attempt in life.attempts:
+            if attempt.kind.endswith("-serial") and failed[-2:] != [0, 1]:
+                broken(5, life, f"serial fallback after attempts {failed}")
+            if attempt.failure is not None:
+                failed.append(attempt.failure.attempt)
+            elif attempt.timing is not None:
+                failed = []
+        used = life.commit or not life.tp  # a replay uses every life
+        if used and life.attempts and life.attempts[-1].failure is not None:
+            broken(4, life, "its result is a failed attempt's")
+        if life.fate in (*_MERGED, "discarded") and not any(
+            attempt.pushed for attempt in life.attempts
+        ):
+            broken(6, life, f"{life.fate} with no pushed attempt")
+        if life.position == 0:
+            segments.append([])
+        segments[-1].append(life)
+    if not any(life.tp for life in lives.all):
+        return found
+    committed = [life for life in lives.all if life.commit]
+    if [life.epoch for life in committed] != list(range(epochs or len(committed))):
+        found.append(f"rule 1: committed {[life.epoch for life in committed]}")
+    for life in committed:
+        timing = life.attempts[-1].timing
+        ended = timing.started + timing.wall if timing else float("inf")
+        steps = [ended, *(life.divergence or ()), *(life.recovery or ()), life.commit[0]]
+        if steps != sorted(steps) or bool(life.divergence) != bool(life.recovery):
+            broken(2, life, "committed before what it commits ended")
+    fault_free = not any(a.failure for life in lives.all for a in life.attempts)
+    for index, segment in enumerate(segments):
+        diverged = [life for life in segment if life.divergence]
+        if len(diverged) > 1 or not diverged and index < len(segments) - 1:
+            broken(3, segment[0], f"a segment of {len(diverged)} divergences")
+        for life in diverged[:1]:
+            behind = segment[segment.index(life) + 1 :]
+            if not life.commit or any(later.commit for later in behind):
+                broken(3, life, "not the last epoch its segment commits")
+        commits = [life.commit[0] for life in segment if life.commit]
+        if fault_free and commits and any(
+            a.pushed and a.dispatch[0] > min(commits)
+            for life in segment for a in life.attempts
+        ):
+            broken(7, segment[0], "a push after the segment's first commit")
+        if index and len(segment) > 1 and segment[0].attempts[0].dispatch:
+            broken(8, segment[0], "a restarted position 0 first ran on a worker")
+    return found
+
+
 def begin() -> Lives:
     """A run starts; a trace, and a service session, collecting on this
     thread take it."""

@@ -17,6 +17,10 @@ that pins that promise does three things here:
 3. hands the observation to :func:`assert_parity`, which compares every
    field the run carries with the program's *oracle*.
 
+:func:`observe` and :func:`observe_replay` also hold every run they make
+to the lifecycle rules (``repro.obs.lifecycle.violations``) and keep its
+epoch lives on the observation.
+
 An oracle is the program recorded at ``jobs=1``, untraced, under default
 runtime options whatever the environment says (``REPRO_TEST_JOBS``
 included), into the same sink — memory, or one durable directory per
@@ -37,6 +41,7 @@ from __future__ import annotations
 import atexit
 import collections
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -57,11 +62,13 @@ from repro.isa.assembler import Assembler
 from repro.machine.config import MachineConfig
 from repro.memory.hashing import combine_hashes
 from repro.obs import export as obs_export
+from repro.obs import lifecycle
 from repro.obs import spans as obs_spans
 from repro.oskernel.kernel import KernelSetup
 from repro.oskernel.syscalls import SyscallKind
 from repro.record.shards import ShardedLogReader
 from repro.workloads import WORKLOADS, Workload, WorkloadInstance, workload_names
+from repro.workloads.base import fork_join_main
 
 # Golden end-to-end values per (workload, workers) at scale=2, seed=11:
 # (native duration, native digest, makespan, epoch count, final digest,
@@ -310,14 +317,70 @@ def all_ops_program(rounds=10):
     return asm.assemble()
 
 
-def _fixed(name, image, setup=None):
-    """A racy two-thread :class:`Workload` whose program takes no
-    parameters."""
+#: iterations of each ``gated`` worker
+GATED_ITERATIONS = 120
+
+
+def gated_racy_program(seed=0):
+    """Two workers increment ``counter`` :data:`GATED_ITERATIONS` times
+    each, under ``mutex`` — except in the iterations whose bit is set in
+    ``seed``. There both meet at a barrier and increment with no lock and
+    a 30-cycle gap between load and store, so the thread-parallel
+    run (two cores, in step) loses an update the epoch-parallel one (one
+    core) does not: the epoch holding that iteration diverges, and every
+    other epoch is clean.
+    """
+    asm = Assembler(name="gated-racy")
+    for symbol in ("counter", "mutex", "gate"):
+        asm.word(symbol, 0)
+    asm.array("racy", GATED_ITERATIONS, values=[
+        seed >> iteration & 1 for iteration in range(GATED_ITERATIONS)
+    ])
+    with asm.function("worker"):
+        asm.li("r2", 0)
+        asm.li("r5", "racy")
+        asm.li("r6", "mutex")
+        asm.li("r7", "gate")
+        asm.li("r8", 2)
+        asm.label("loop")
+        asm.load("r4", "r5", 0)
+        asm.bnei("r4", 0, "unlocked")
+        asm.lock("r6")
+        asm.loadg("r3", "counter")
+        asm.addi("r3", "r3", 1)
+        asm.storeg("r3", "counter")
+        asm.unlock("r6")
+        asm.jmp("next")
+        asm.label("unlocked")
+        asm.barrier("r7", "r8")
+        asm.loadg("r3", "counter")
+        asm.work(30)
+        asm.addi("r3", "r3", 1)
+        asm.storeg("r3", "counter")
+        asm.label("next")
+        asm.work(30)
+        asm.addi("r5", "r5", 1)
+        asm.addi("r2", "r2", 1)
+        asm.blti("r2", GATED_ITERATIONS, "loop")
+        asm.exit_()
+
+    def epilogue(main):
+        main.loadg("r2", "counter")
+        main.syscall("r3", SyscallKind.PRINT, args=["r2"])
+
+    fork_join_main(asm, 2, epilogue=epilogue)
+    return asm.assemble()
+
+
+def _fixed(name, image, setup=None, seeded=False):
+    """A racy two-thread :class:`Workload`: its program is ``image()``,
+    or ``image(seed)`` when ``seeded``."""
 
     def build(self, workers=2, scale=1, seed=0):
         return WorkloadInstance(
-            name=name, image=image(), setup=setup or KernelSetup(),
-            workers=2, racy=True, validate=lambda kernel: True,
+            name=name, image=image(seed) if seeded else image(),
+            setup=setup or KernelSetup(), workers=2, racy=True,
+            validate=lambda kernel: True,
         )
 
     return type(f"Workload[{name}]", (Workload,), {
@@ -333,6 +396,7 @@ EXTRA = {
     ),
     "racy-held-lock": _fixed("racy-held-lock", held_lock_racy_program),
     "all-ops": _fixed("all-ops", all_ops_program),
+    "gated": _fixed("gated", gated_racy_program, seeded=True),
 }
 
 
@@ -365,6 +429,8 @@ MATRIX = [Program(name, workers) for name in workload_names() for workers in (2,
 RACY_IO = Program("racy-io")
 HELD_LOCK = Program("racy-held-lock", epoch_cycles=400)
 ALL_OPS = Program("all-ops")
+#: the gated program with no racy iteration (the seed names them)
+GATED = Program("gated", seed=0, epoch_cycles=800)
 
 
 def instantiate(program: Program) -> WorkloadInstance:
@@ -437,6 +503,8 @@ class Observation:
     log_dir: Optional[str] = None
     #: host accounting: ``faults`` and ``speculation`` at least
     host: dict = field(default_factory=dict)
+    #: the run's epoch lives (``repro.obs.lifecycle.Lives``)
+    lives: object = None
 
     @property
     def tp_entries(self) -> int:
@@ -477,10 +545,12 @@ def _decisions():
     """What the segment loop decided: boundaries reached per segment
     (``{first epoch: count}``) and every verdict judged, as rows
     ``(segment, boundary, position, final, ok, consumed before, armed
-    before, consumed after, armed after, action)``."""
-    boundaries, judged, schedules = collections.Counter(), [], []
+    before, consumed after, armed after, action)`` — and the epoch lives
+    of every run begun in the block."""
+    boundaries, judged, schedules, runs = collections.Counter(), [], [], []
     run_to = DoublePlayRecorder._run_to_boundary
     init, judge = VerdictSchedule.__init__, VerdictSchedule.judge
+    begin = lifecycle.begin
 
     def counted(self, engine, policy, segment):
         boundaries[segment.first_epoch] += 1
@@ -499,13 +569,19 @@ def _decisions():
         ))
         return action
 
+    def begun():
+        runs.append(begin())
+        return runs[-1]
+
     DoublePlayRecorder._run_to_boundary = counted
     VerdictSchedule.__init__, VerdictSchedule.judge = numbered, traced
+    lifecycle.begin = begun
     try:
-        yield boundaries, judged
+        yield boundaries, judged, runs
     finally:
         DoublePlayRecorder._run_to_boundary = run_to
         VerdictSchedule.__init__, VerdictSchedule.judge = init, judge
+        lifecycle.begin = begin
 
 
 @contextlib.contextmanager
@@ -568,7 +644,7 @@ def observe(
             if trace:
                 obs_spans.start_trace(str(trace))
             try:
-                with _decisions() as (boundaries, judged):
+                with _decisions() as (boundaries, judged, runs):
                     result = DoublePlayRecorder(
                         instance.image, instance.setup, config
                     ).record()
@@ -577,6 +653,9 @@ def observe(
                     tracer = obs_spans.stop_trace()
         if trace:
             payload = obs_export.write_chrome_trace(tracer, str(trace))
+        (lives,) = runs
+        broken = lifecycle.violations(lives, result.stats["epochs"])
+        assert not broken, broken
         recording = result.recording
         if config.log_spill:
             recording = ShardedLogReader(config.log_dir).load_recording()
@@ -599,6 +678,7 @@ def observe(
         program, "record", result, fields, sink=sink, fault=fault,
         superblocks=superblocks, recording=recording, trace=payload,
         fuses=fuses, host=result.host, log_dir=None if throwaway else log_dir,
+        lives=lives,
     )
 
 
@@ -622,7 +702,7 @@ def observe_replay(
     if recording is None:
         recording = stored(program, sink)
     replayer = Replayer(built.instance.image, built.machine)
-    with _running(superblocks, scratch_cap, _pinned):
+    with _running(superblocks, scratch_cap, _pinned), _decisions() as (*_, runs):
         fuses = options.resolve().fault_state
         if sequential:
             result = replayer.replay_sequential(recording)
@@ -630,6 +710,9 @@ def observe_replay(
             result = replayer.replay_parallel(
                 recording, jobs=jobs, unit_timeout=unit_timeout, fault_specs=fault
             )
+    (lives,) = runs
+    broken = lifecycle.violations(lives)
+    assert not broken, broken
     fields = {
         "verdict": (result.verified, [str(failure) for failure in result.details]),
         "timing": (
@@ -641,7 +724,7 @@ def observe_replay(
     return Observation(
         program, kind, result, fields, sink=sink, fault=fault,
         superblocks=superblocks, recording=recording, fuses=fuses,
-        host=result.host,
+        host=result.host, lives=lives,
     )
 
 
@@ -782,13 +865,48 @@ def assert_parity(got: Observation, want: Optional[Observation] = None) -> None:
 #: those): a race-free run of one long segment; a run that diverges and
 #: recovers in most epochs; a racy run that does I/O, so each recovery
 #: restores a kernel with state; one whose verdict starves on a lock
-#: held across many epochs
+#: held across many epochs; one that diverges only where a case says
 CLASSES = {
     "clean": Program("apache", 2),
     "recovering": Program("racy-counter", 2, scale=8),
     "io-racy": RACY_IO,
     "held-lock": HELD_LOCK,
+    "gated": GATED,
 }
+
+#: where a ``divergence`` puts it: the epochs of the clean ``gated`` run
+#: (from its end when negative) whose middle iteration races — the
+#: first segment's merge head; the run's last epoch; the first, then one
+#: the segment restarted behind it judges inside the verdict lag; a tail
+#: unit the unarmed segment pushes behind its merge; a unit the merge
+#: awaits while the commits before it sink into a durable log
+DIVERGENCES = {
+    "none": (), "first": (0,), "last": (-1,), "lag": (0, 2), "tail": (-2,),
+    "sinking": (5,),
+}
+
+
+def named_epochs(divergence: str) -> list:
+    """The epochs of the clean ``gated`` run ``divergence`` names."""
+    count = oracle(GATED).result.stats["epochs"]
+    return [epoch % count for epoch in DIVERGENCES[divergence]]
+
+
+def program_of(case) -> Program:
+    """The program ``case`` records: its class's, with the middle
+    iteration of each epoch its ``divergence`` names racy (the seed is
+    their bit mask), read off the clean run's boundaries — ``counter``
+    counts both workers' finished iterations."""
+    if case.divergence == "none":
+        return CLASSES[case.program]
+    counter = build(GATED).instance.image.address_of("counter")
+    done = [
+        epoch.start_checkpoint.memory.read(counter) // 2
+        for epoch in oracle(GATED).recording.epochs
+    ] + [GATED_ITERATIONS]
+    racy = {(done[e] + done[e + 1]) // 2 for e in named_epochs(case.divergence)}
+    return dataclasses.replace(GATED, seed=sum(1 << iteration for iteration in racy))
+
 
 #: what a worker can find wrong with the scratch pack a dispatch names:
 #: it was unlinked ("needblobs"), it holds everything but the unit's log
@@ -812,6 +930,7 @@ AXES = {
     "trace": (False, True),
     #: the scratch pack's size in bytes (None: the default)
     "scratch_cap": (None, 0, 2048),
+    "divergence": tuple(DIVERGENCES),
 }
 
 #: the validity predicate, as rules over two or three axes each: a rule
@@ -856,6 +975,12 @@ _RULES = [
     (("mode", "fault"), lambda mode, fault: (
         mode == "solo" or fault in ("none", "crash", "error", "slow")
     )),
+    # Only the gated program diverges where a case says, and a commit
+    # sinks only into a durable log.
+    (("divergence", "program"), lambda where, program: (
+        where == "none" or program == "gated"
+    )),
+    (("divergence", "sink"), lambda where, sink: where != "sinking" or sink == "log"),
 ]
 
 
@@ -869,7 +994,7 @@ def valid(case: dict) -> bool:
     )
 
 
-def _complete(case: dict, order, prefer=None) -> Optional[dict]:
+def _complete(case: dict, order, prefer) -> Optional[dict]:
     """``case`` with every axis in ``order`` given a value that keeps it
     valid, trying the values ``prefer(case, axis)`` lists first; None if
     there is no valid completion."""
@@ -878,7 +1003,7 @@ def _complete(case: dict, order, prefer=None) -> Optional[dict]:
     if not order:
         return case
     axis, rest = order[0], order[1:]
-    for value in prefer(case, axis) if prefer else AXES[axis]:
+    for value in prefer(case, axis):
         done = _complete({**case, axis: value}, rest, prefer)
         if done is not None:
             return done
@@ -890,16 +1015,16 @@ def _tuples(case: dict, strength: int):
     return itertools.combinations(tuple(case.items()), strength)
 
 
-def feasible(strength: int = 2) -> Dict[tuple, None]:
+def feasible(strength: int = 2, table=AXES) -> Dict[tuple, None]:
     """Every ``strength``-way combination of axis values some valid case
-    has, in a fixed order."""
-    names = list(AXES)
+    of ``table`` has, in a fixed order."""
+    names = list(table)
     wanted = {}
     for axes in itertools.combinations(names, strength):
-        for values in itertools.product(*(AXES[axis] for axis in axes)):
+        for values in itertools.product(*(table[axis] for axis in axes)):
             combo = tuple(zip(axes, values))
             rest = [axis for axis in names if axis not in axes]
-            if _complete(dict(combo), rest) is not None:
+            if _complete(dict(combo), rest, lambda _, axis: table[axis]) is not None:
                 wanted[combo] = None
     return wanted
 
@@ -911,7 +1036,7 @@ Case = collections.namedtuple("Case", AXES)
 #: covering set holds each pair of their values in some case, but need
 #: not hold them
 PLAIN = [
-    Case(program, kind, 2, "memory", "none", "first", "solo", True, False, None)
+    Case(program, kind, 2, "memory", "none", "first", "solo", True, False, None, "none")
     for program in CLASSES for kind in AXES["kind"]
 ]
 
@@ -925,25 +1050,54 @@ def case_id(case: Case) -> str:
     parts += [flag for flag, on in {**flags, "traced": case.trace}.items() if on]
     if case.scratch_cap is not None:
         parts.append(f"cap{case.scratch_cap}")
+    if case.divergence != "none":
+        parts.append(f"diverge@{case.divergence}")
     return "-".join(parts)
+
+
+#: the table before the ``gated`` class and the ``divergence`` axis
+#: joined it: its covering set starts the whole one's, so every case it
+#: held keeps its values and its id
+EARLIER = {
+    **{axis: values for axis, values in AXES.items() if axis != "divergence"},
+    "program": tuple(name for name in CLASSES if name != "gated"),
+}
 
 
 def covering(strength: int = 2, seed: int = 5) -> list:
     """A seeded covering set of the axis table: every feasible
-    ``strength``-way combination of axis values is in some case, and
-    every case but the :data:`PLAIN` ones it starts from holds one no
-    other case does. (Seed 5 gives pairwise four hang cases, the fewest
-    the four positions allow.)
+    ``strength``-way combination of axis values is in some case. It is
+    :data:`EARLIER`'s set, each case diverging nowhere, grown by the
+    same greedy over the whole table; every case but the :data:`PLAIN`
+    ones holds a combination no other case of the table it was chosen
+    for does. (Seed 5 gives pairwise four hang cases, the fewest the
+    four positions allow.)
+    """
+    plain = [case._asdict() for case in PLAIN]
+    earlier = _greedy(strength, seed, EARLIER, [
+        {axis: case[axis] for axis in EARLIER}
+        for case in plain if case["program"] in EARLIER["program"]
+    ])
+    start = [{**case, "divergence": "none"} for case in earlier] + [
+        case for case in plain if case["program"] not in EARLIER["program"]
+    ]
+    return [Case(**case) for case in _greedy(strength, seed, AXES, start)]
 
-    Greedy, one case at a time: take the first combination no case
-    covers yet, then give each other axis, in a random order, the value
-    that covers most uncovered combinations with the axes already set —
-    keeping the case valid — and keep the best of a few such tries.
+
+def _greedy(strength, seed, table, start) -> list:
+    """``start`` grown, one case at a time, until every feasible
+    ``strength``-way combination of ``table``'s values is in a case.
+
+    Take the first combination no case covers yet, then give each other
+    axis, in a random order, the value that covers most uncovered
+    combinations with the axes already set — keeping the case valid —
+    and keep the best of a few such tries; last, drop every added case
+    whose combinations others all hold.
     """
     rng = random.Random(seed)
-    names = list(AXES)
+    names = list(table)
     rank = {axis: index for index, axis in enumerate(names)}
-    wanted = feasible(strength)
+    wanted = feasible(strength, table)
 
     def prefer(case, axis):
         def gain(value):
@@ -953,11 +1107,11 @@ def covering(strength: int = 2, seed: int = 5) -> list:
                 for others in itertools.combinations(case.items(), strength - 1)
             )
 
-        values = list(AXES[axis])
+        values = list(table[axis])
         rng.shuffle(values)
         return sorted(values, key=gain, reverse=True)
 
-    cases = [case._asdict() for case in PLAIN]
+    cases = list(start)
     for case in cases:
         for combo in _tuples(case, strength):
             wanted.pop(combo, None)
@@ -975,12 +1129,11 @@ def covering(strength: int = 2, seed: int = 5) -> list:
         cases.append(best)
         for combo in best_covered:
             del wanted[combo]
-    # Drop, last first, every case whose combinations others all hold.
     held = collections.Counter(
         combo for case in cases for combo in _tuples(case, strength)
     )
-    for case in reversed(cases[len(PLAIN):]):
+    for case in reversed(cases[len(start):]):
         if all(held[combo] > 1 for combo in _tuples(case, strength)):
             cases.remove(case)
             held.subtract(_tuples(case, strength))
-    return [Case(**case) for case in cases]
+    return cases

@@ -5,6 +5,8 @@ DESIGN.md, README.md and the verify notes name tests, source files and
 citation behind sends the reader to nothing, and one the CI workflow
 selects fails only there. This checks the names, not what the prose
 says about them; and that DESIGN.md documents every honoured variable.
+Code and workflows give a reason in words, never a ROADMAP item's
+number, which the next re-anchor of the roadmap changes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ _MODULE = re.compile(r"\brepro/[\w/]*\.py\b")
 _VARIABLE = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
 #: a test file the workflow names, and the node it selects in it if any
 _NODE = re.compile(r"(tests/[\w/]+\.py)?::(test_\w+)|(tests/[\w/]+\.py)")
+#: a roadmap item cited by its number
+_ITEM = re.compile(r"ROADMAP\s+(?:items?\s+)?\d")
 
 
 def _text(doc: str) -> str:
@@ -81,3 +85,12 @@ def test_every_honoured_variable_is_documented():
         name for name, _, _ in options.VARIABLES if name not in _text("DESIGN.md")
     }
     assert not undocumented, f"DESIGN.md never names {sorted(undocumented)}"
+
+
+def test_no_code_or_workflow_cites_a_roadmap_item_by_number():
+    files = [
+        *(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+        *(ROOT / ".github" / "workflows").glob("*.yml"),
+    ]
+    citing = [str(path.relative_to(ROOT)) for path in files if _ITEM.search(path.read_text())]
+    assert not citing, f"these cite a ROADMAP item number, not a reason: {citing}"

@@ -190,7 +190,7 @@ def test_blob_pack_torn_tail_truncates(tmp_path):
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.binary(max_size=48), min_size=1, max_size=5, unique=True))
 def test_a_pack_truncated_anywhere_indexes_a_prefix_of_whole_entries(blobs):
-    """Every crash prefix of a small pack (ROADMAP 2(d), for the pack):
+    """Every crash prefix of a small pack (enumerated, not sampled):
     a reader never raises, indexes exactly the entries that are whole,
     and never returns bytes that do not hash to the digest asked for;
     an appender that resumes on the prefix puts the rest back."""

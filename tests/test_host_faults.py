@@ -42,12 +42,10 @@ from repro.host.pool import (
     shared_pool,
     shutdown_shared_pool,
 )
-from repro.obs import spans as obs_spans
 from tests import parity
 from tests.parity import Program
 
 FFT = Program("fft", 2)
-RACY = Program("racy-counter", 2)
 APACHE = Program("apache", 2)
 #: the unit timeout of the clock tests: short, because a unit is never
 #: charged for time queued behind others
@@ -291,29 +289,6 @@ def test_record_crash_once_recovers_on_retry(monkeypatch, tmp_path):
     assert counts["timeouts"] == 0 and counts["task_errors"] == 0
 
 
-def test_record_fault_with_divergence_and_recovery(monkeypatch, tmp_path):
-    """Host containment composes with guest forward recovery."""
-    # the workload actually diverges
-    assert parity.oracle(RACY).result.stats["divergences"] > 0
-    monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path))
-    # The first segment's pushed unit 0 meets the fuse.
-    faulted = parity.observe(RACY, jobs=2, fault="crash:unit0:once")
-    parity.assert_parity(faulted)
-    assert faulted.host["faults"]["crashes"] >= 1
-
-
-def _traced(observe, *args, **kwargs):
-    """``observe(*args, **kwargs)`` under a trace: the observation and
-    its run's epoch lives."""
-    tracer = obs_spans.start_trace()
-    try:
-        got = observe(*args, **kwargs)
-    finally:
-        obs_spans.stop_trace()
-    (lives,) = tracer.runs
-    return got, lives
-
-
 @pytest.mark.parametrize("kind", ["record", "replay"])
 def test_a_hung_unit_costs_two_deadlines(kind):
     """A hang pays one unit timeout per pool attempt, the pushed one
@@ -327,12 +302,11 @@ def test_a_hung_unit_costs_two_deadlines(kind):
     """
     parity.oracle(APACHE, kind="record" if kind == "record" else "parallel")
     observe = parity.observe if kind == "record" else parity.observe_replay
-    got, lives = _traced(
-        observe, APACHE, jobs=2, fault=f"{kind}:hang:unit1:30",
-        unit_timeout=UNIT_TIMEOUT,
+    got = observe(
+        APACHE, jobs=2, fault=f"{kind}:hang:unit1:30", unit_timeout=UNIT_TIMEOUT
     )
     parity.assert_parity(got)
-    (hung,) = [life for life in lives.all if any(a.failure for a in life.attempts)]
+    (hung,) = [life for life in got.lives.all if any(a.failure for a in life.attempts)]
     *pool, serial = hung.attempts
     assert [type(a.failure) for a in pool] == [WorkerTimeoutError] * 2
     assert [a.failure.attempt for a in pool] == [0, 1]
@@ -355,13 +329,10 @@ def test_a_unit_queued_behind_a_slow_one_is_not_blamed():
     parity.oracle(APACHE, kind="parallel")
     slow = 0.7 * UNIT_TIMEOUT
     fault = ",".join(f"replay:slow:unit{unit}:{slow}" for unit in range(3))
-    got, lives = _traced(
-        parity.observe_replay, APACHE, jobs=2, fault=fault,
-        unit_timeout=UNIT_TIMEOUT,
-    )
+    got = parity.observe_replay(APACHE, jobs=2, fault=fault, unit_timeout=UNIT_TIMEOUT)
     parity.assert_parity(got)
     assert not any(got.host["faults"].values()), got.host["faults"]
-    (first,), (second,), (queued,) = (lives[unit].attempts for unit in range(3))
+    (first,), (second,), (queued,) = (got.lives[unit].attempts for unit in range(3))
     pids = got.host["unit_pids"]
     assert pids[0] != pids[1] and pids[2] in pids[:2]
     ends = [a.timing.started + a.timing.wall for a in (first, second, queued)]

@@ -1,11 +1,14 @@
 """The parity table: however a program is recorded — ``jobs``, sink, a
 host fault and the unit it strikes, solo or as a service tenant, fused
-or not, traced or not, with a starved scratch pack — what is recorded is
-what ``jobs=1`` records (DESIGN.md, *One parity table*).
+or not, traced or not, with a starved scratch pack, diverging where the
+``divergence`` axis puts it — what is recorded is what ``jobs=1``
+records (DESIGN.md, *One parity table*).
 
 :func:`test_parity` runs a seeded covering set of ``parity.AXES``,
-holds each run to its oracle and checks what each axis value makes the
-host do; the coverage test pins which combinations the set must hold.
+holds each run to its oracle and to the lifecycle rules (``parity``
+runs ``repro.obs.lifecycle.violations`` on every run it makes), and
+checks what each axis value makes the host do; the coverage test pins
+which combinations the set must hold.
 """
 
 from __future__ import annotations
@@ -223,7 +226,7 @@ def _assert_contained(case, host, decoy, unit):
 def _assert_class(case, got):
     """What the program's behaviour class promises of every record."""
     recording, stats = got.result.recording, got.result.stats
-    boundaries = got.fields["boundaries"]
+    boundaries, judged = got.fields["boundaries"], got.fields["judged"]
     if case.program == "clean":
         # Never diverges, so never armed: one segment, run to its end.
         assert stats["recoveries"] == 0
@@ -234,11 +237,26 @@ def _assert_class(case, got):
         epochs = recording.epochs
         at_once = [first for first in boundaries if first and epochs[first].recovered]
         assert len(at_once) > 1 and all(boundaries[first] == 1 for first in at_once)
-        assert any(row[-1] == "squash" for row in got.fields["judged"])
+        assert any(row[-1] == "squash" for row in judged)
         # Every failed attempt's cycles are waste, though the last
-        # segment is clean.
+        # segment is clean; with no unit lost, every divergence after the
+        # first was found by a consumed verdict.
         assert stats["divergences"] > 1 and stats["attempt_waste"] > 0
         assert not epochs[-1].recovered
+        if case.jobs > 1 and case.fault in ("none", "slow"):
+            assert got.host["speculation"]["accepted"] >= stats["recoveries"] - 1
+    if case.program == "gated":
+        # It diverges exactly where the case says: nowhere, or first at
+        # the epoch named (and, inside the lag, at a position the
+        # restarted segment judges lag boundaries later).
+        named = parity.named_epochs(case.divergence)
+        if not named:
+            assert stats["recoveries"] == 0
+        else:
+            assert recording.epochs[named[0]].recovered
+        if case.divergence == "lag":
+            lag = parity.build(got.program).config.inflight_bound()
+            assert any(0 < row[2] < lag and row[-1] == "squash" for row in judged)
     if case.program == "io-racy":
         assert stats["recoveries"] > 10
     if not parity.SINKS[case.sink].get("log_spill"):  # (spilled: not kept)
@@ -327,7 +345,7 @@ def _serve(case, program, spec, monkeypatch):
 
 @pytest.mark.parametrize("case", CASES, ids=parity.case_id)
 def test_parity(monkeypatch, tmp_path, case):
-    program = parity.CLASSES[case.program]
+    program = parity.program_of(case)
     parity.oracle(program, case.sink)  # oracles first: no patch below meets them
     if case.kind == "replay":
         parity.oracle(program, case.sink, "parallel")
@@ -378,10 +396,6 @@ def test_parity(monkeypatch, tmp_path, case):
     host, speculation = got.host, got.host["speculation"]
     assert host["jobs"] == case.jobs
     assert host["units"] >= recording.epoch_count() - recording.stats["recoveries"]
-    assert min(speculation.values()) >= 0
-    assert speculation["dispatched"] == (
-        speculation["accepted"] + speculation["invalidated"] + speculation["discarded"]
-    )
     if case.fault in ("none", "slow"):
         assert speculation["dispatched"] >= 1
         if case.program == "clean":
@@ -412,17 +426,21 @@ def test_the_table_covers_every_pair_and_needs_every_case():
     """Every pair of axis values some valid case has is in a case — the
     folded lists' pairs among them — and every case but the plain runs
     (which are there by name) holds a combination of axis values no
-    other case does, so none can go unnoticed."""
+    other case of the table it was chosen for does (``parity.EARLIER``'s
+    cases among themselves), so none can go unnoticed."""
     assert set(parity.PLAIN) <= set(CASES)
     cases = [case._asdict() for case in CASES]
     assert all(parity.valid(case) for case in cases)
     pairs = {combo for case in cases for combo in parity._tuples(case, 2)}
     assert _folded_pairs() - pairs == set()
     assert set(parity.feasible(2)) - pairs == set()
-    held = collections.Counter(
-        combo for case in cases for combo in parity._tuples(case, STRENGTH)
-    )
-    assert all(
-        any(held[combo] == 1 for combo in parity._tuples(case._asdict(), STRENGTH))
-        for case in CASES if case not in parity.PLAIN
-    )
+    earlier = [case for case in CASES if case.program in parity.EARLIER["program"]]
+    later = [case for case in CASES if case not in earlier]
+    for chosen, among in ((earlier, earlier), (later, CASES)):
+        held = collections.Counter(
+            combo for case in among for combo in parity._tuples(case._asdict(), STRENGTH)
+        )
+        assert all(
+            any(held[combo] == 1 for combo in parity._tuples(case._asdict(), STRENGTH))
+            for case in chosen if case not in parity.PLAIN
+        )

@@ -11,10 +11,11 @@ not to the run so far. A record's and a replay's units take one path
 (cut, pushed, merged in order by one stream), so the same counts say
 what that stream does: each position cut once, what is lost cut again
 alone, and the positions behind a crash still executing concurrently.
-Two tests read the epoch lives themselves: the stream's order (every
-push before the segment's first commit, no commit before its own unit
-finished) and the calls into the telemetry plane, which follow the
-epochs, never the guest ops.
+The stream's order (every push before the segment's first commit, no
+commit before its own unit finished) is lifecycle rules 1, 2, 3 and 7,
+which ``tests/parity.py`` checks of every run; one test here reads the
+calls into the telemetry plane, which follow the epochs, never the
+guest ops.
 """
 
 from __future__ import annotations
@@ -571,69 +572,6 @@ def test_a_cold_record_ships_the_log_as_shared_chunks():
         invalidate_shared_pool(kill=True)
     assert result.stats["epochs"] == 12 and not any(result.host["faults"].values())
     assert 0 < result.host["wire"]["bytes_shipped"] <= 0.7 * PARENT_COLD_BYTES
-
-
-@pytest.mark.parametrize("jobs", [2, 4])
-@pytest.mark.parametrize("program", ["pbzip", "racy-counter"])
-def test_the_merge_is_one_in_order_stream(program, jobs):
-    """The stream's order, read off the epoch lives (no wall-clock ratio).
-
-    When the thread-parallel run of a segment ends its tail units are
-    pushed first, then epochs commit while the units behind the merge
-    head still execute: every pushed attempt's dispatch starts before
-    its segment's first commit does, and no epoch commits before the
-    execution it commits — its unit's, its inline verdict's, or its
-    recovery — has finished. pbzip never diverges (one segment, every
-    push accepted); racy-counter squashes, recovers and restarts most of
-    its segments, and a restarted segment that pushed nothing is one
-    squashed at boundary 1 by position 0's verdict, run on the
-    coordinator.
-    """
-    instance = build_workload(program, workers=2, scale=16, seed=11)
-    machine = MachineConfig(cores=2)
-    native = run_native(instance.image, instance.setup, machine)
-    config = DoublePlayConfig(
-        machine=machine, epoch_cycles=max(native.duration // 12, 500), host_jobs=jobs
-    )
-    tracer = obs_spans.start_trace()
-    try:
-        result = DoublePlayRecorder(instance.image, instance.setup, config).record()
-    finally:
-        obs_spans.stop_trace()
-    (lives,) = tracer.runs
-    segments = []
-    for life in lives.all:
-        if life.position == 0:
-            segments.append([])
-        segments[-1].append(life)
-    assert len(segments) == result.stats["recoveries"] + (
-        0 if lives.all[-1].recovery else 1
-    )
-    committed = [life for life in lives.all if life.commit]
-    assert len(committed) == result.stats["epochs"] > 2
-    for segment in segments:
-        commits = [life.commit[0] for life in segment if life.commit]
-        pushes = [
-            attempt.dispatch[0]
-            for life in segment for attempt in life.attempts if attempt.pushed
-        ]
-        assert commits
-        if pushes:
-            assert max(pushes) < min(commits)
-        else:
-            assert [life.fate for life in segment] == ["inline"]
-            assert segment[0].position == 0 and segment[0].recovery
-    for life in committed:
-        timing = life.attempts[-1].timing
-        finished = timing.started + timing.wall
-        if life.recovery:
-            assert life.fate in ("accepted", "inline")
-            assert finished <= life.divergence[0]
-            finished = life.recovery[1]
-        assert finished <= life.commit[0], f"epoch {life.epoch} committed early"
-    if program == "pbzip":
-        assert len(segments) == 1
-        assert {life.fate for life in lives.all} == {"accepted"}
 
 
 def test_telemetry_off_costs_per_epoch_never_per_op(monkeypatch):
